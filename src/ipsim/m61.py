@@ -3,6 +3,15 @@
 Scalar ops use plain Python ints. The vectorized ops work on uint64 arrays
 with 31/30-bit limb splitting so that no intermediate exceeds 64 bits; they
 are cross-checked against the scalar reference in the test suite. q = 2^61-1.
+
+Vector contract: array inputs hold canonical elements (< q) and every output
+is canonical. ``vadd``, ``vsub`` and ``vmul`` take ``b`` as an array of the
+same shape as ``a`` (``vadd`` and ``vsub`` also broadcast it) or as a
+scalar, and an optional ``out`` array of ``a``'s shape; ``out`` may be ``a``
+or ``b`` itself (the result overwrites it, every element read before it is
+written). Without ``out`` a new array is returned. ``vmul`` works through
+long 1-D arrays in chunks of ``CHUNK`` elements so that the buffers of one
+pass stay in cache.
 """
 
 from __future__ import annotations
@@ -19,6 +28,9 @@ _QV = np.uint64(Q)
 _S31 = np.uint64(31)
 _S30 = np.uint64(30)
 _S61 = np.uint64(61)
+_S32 = np.uint64(32)
+_MASK32 = np.uint64((1 << 32) - 1)
+_ONE = np.uint64(1)
 
 
 def fadd(a: int, b: int) -> int:
@@ -37,10 +49,6 @@ def fmul(a: int, b: int) -> int:
     if p >= Q:
         p -= Q
     return p
-
-
-def fneg(a: int) -> int:
-    return 0 if a == 0 else Q - a
 
 
 def finv(a: int) -> int:
@@ -62,46 +70,87 @@ def rand_fe(rng: np.random.Generator) -> int:
             return v
 
 
-def varr(values) -> np.ndarray:
-    return np.asarray(values, dtype=np.uint64)
+def vadd(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
+    """(a + b) mod Q elementwise."""
+    s = np.add(a, b, out=out)  # < 2q < 2^63
+    # s - q wraps above s exactly when s < q, so the minimum is s mod q
+    return np.minimum(s, s - _QV, out=s)
 
 
-def vadd(a: np.ndarray, b) -> np.ndarray:
-    s = a + (b if isinstance(b, np.ndarray) else np.uint64(b))
-    return np.where(s >= _QV, s - _QV, s)
+def vsub(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
+    """(a - b) mod Q elementwise."""
+    s = np.subtract(a, b, out=out)  # wraps to 2^64 + a - b when a < b
+    # s + q wraps to a - b + q below s exactly when a < b
+    return np.minimum(s, s + _QV, out=s)
 
 
-def vsub(a: np.ndarray, b) -> np.ndarray:
-    bb = b if isinstance(b, np.ndarray) else np.uint64(b)
-    return np.where(a >= bb, a - bb, a + _QV - bb)
+# elements per vmul pass; vmul and its callers' blocks stay at or below it so
+# that the buffers of one pass stay in cache (on a 2-vCPU Xeon with 2 MiB L2
+# per core a pass over 8960 elements took 7 ns per element, over 17920 or
+# more 14-18 ns)
+CHUNK = 1 << 13
 
 
-def vmul(a: np.ndarray, b) -> np.ndarray:
+def vmul(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
     """(a * b) mod Q elementwise; inputs must be canonical (< Q)."""
-    if not isinstance(b, np.ndarray):
-        b = np.full_like(a, np.uint64(b))
+    if out is None:
+        out = np.empty(a.shape, dtype=np.uint64)
+    if a.ndim != 1 or a.size <= CHUNK:
+        _vmul_block(a, b, out)
+        return out
+    array_b = isinstance(b, np.ndarray)
+    for lo in range(0, a.size, CHUNK):
+        hi = lo + CHUNK
+        _vmul_block(a[lo:hi], b[lo:hi] if array_b else b, out[lo:hi])
+    return out
+
+
+def _vmul_block(a: np.ndarray, b, out: np.ndarray):
     a_hi = a >> _S31
     a_lo = a & _MASK31
-    b_hi = b >> _S31
-    b_lo = b & _MASK31
-    hh = a_hi * b_hi  # < 2^60; contributes hh * 2^62 = 2*hh mod Q
-    mm = a_hi * b_lo + a_lo * b_hi  # < 2^62; contributes mm * 2^31
-    ll = a_lo * b_lo  # < 2^62
-    t = (hh << np.uint64(1)) + (mm >> _S30) + ((mm & _MASK30) << _S31) + ll
-    r = (t >> _S61) + (t & _QV)
-    return np.where(r >= _QV, r - _QV, r)
+    # a and b are fully read into limbs before ``out`` (possibly a or b) is written
+    if isinstance(b, np.ndarray):
+        b_hi = b >> _S31
+        b_lo = b & _MASK31
+        t = np.multiply(a_hi, b_hi, out=out)  # hh < 2^60; hh * 2^62 = 2*hh mod Q
+        mm = np.multiply(a_hi, b_lo, out=a_hi)
+        mm += np.multiply(a_lo, b_hi, out=b_hi)  # < 2^62; contributes mm * 2^31
+        ll = np.multiply(a_lo, b_lo, out=b_lo)  # < 2^62
+        scratch = a_lo
+    else:
+        b = int(b)
+        b_hi, b_lo = np.uint64(b >> 31), np.uint64(b & ((1 << 31) - 1))
+        t = np.multiply(a_hi, b_hi, out=out)
+        ll = a_lo * b_lo
+        mm = np.multiply(a_hi, b_lo, out=a_hi)
+        mm += np.multiply(a_lo, b_hi, out=a_lo)
+        scratch = a_lo
+    t <<= _ONE
+    t += ll
+    t += np.right_shift(mm, _S30, out=scratch)
+    mm &= _MASK30
+    mm <<= _S31
+    t += mm  # < 2^63 + 2^32
+    np.right_shift(t, _S61, out=scratch)
+    t &= _QV
+    t += scratch  # 2^61 = 1 folded once: < Q + 5
+    np.subtract(t, _QV, out=scratch)  # wraps above t exactly when t < Q
+    np.minimum(t, scratch, out=t)
 
 
 def vsum(a: np.ndarray) -> int:
     """Sum of canonical elements mod Q."""
-    a = np.ascontiguousarray(a, dtype=np.uint64)
-    while a.size > 1:
-        if a.size % 4:
-            a = np.concatenate([a, np.zeros(4 - a.size % 4, dtype=np.uint64)])
-        a = a.reshape(-1, 4).sum(axis=1)  # 4 * (2^61-1) < 2^63
-        a = (a >> _S61) + (a & _QV)
-        a = np.where(a >= _QV, a - _QV, a)
-    return int(a[0]) if a.size else 0
+    return vsum_rows(np.asarray(a, dtype=np.uint64).reshape(1, -1))[0]
+
+
+def vsum_rows(a: np.ndarray) -> list[int]:
+    """Sum mod Q of each row of a 2-D array of canonical elements.
+
+    Summing the 32-bit halves apart keeps each uint64 total exact for rows
+    of up to 2^32 elements."""
+    hi = np.sum(a >> _S32, axis=1)
+    lo = np.sum(a & _MASK32, axis=1)
+    return [((int(h) << 32) + int(l)) % Q for h, l in zip(hi, lo)]
 
 
 def lagrange_weights(num_nodes: int) -> list[int]:

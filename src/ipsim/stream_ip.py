@@ -27,6 +27,7 @@ count 8 C(n,2)/k still clears the threshold by a factor of three.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -233,13 +234,14 @@ class StreamVerifierState:
             return
         if int(samples.max()) >= self.k:
             raise ValueError("sample index out of range")
+        bits = [((samples >> np.uint64(j)) & np.uint64(1)).astype(np.intp) for j in range(self.b)]
+        factor = np.empty(samples.size, dtype=np.uint64)
         for point, value in self.maintained:
             point = getattr(self, point)
             chi = np.ones(samples.size, dtype=np.uint64)
             for j in range(self.b):
-                bit = (samples >> np.uint64(j)) & np.uint64(1)
-                factor = np.where(bit == 1, np.uint64(point[j]), np.uint64(fsub(1, point[j])))
-                chi = vmul(chi, factor)
+                pair = np.array([fsub(1, point[j]), point[j]], dtype=np.uint64)
+                vmul(chi, np.take(pair, bits[j], out=factor), out=chi)
             setattr(self, value, fadd(getattr(self, value), vsum(chi)))
         self.sample_count += samples.size
 
@@ -299,6 +301,35 @@ def _segment_sums_mod(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return vadd(vmul(seg_hi, np.uint64((1 << 32) % Q)), seg_lo)
 
 
+def _factor_runs(factors: list[int]) -> list[tuple[int, list[int], int | None]]:
+    """Split sorted factors into runs lo..hi of consecutive integers, each as
+    (S, pair constants, middle): with S = lo + hi and w = y(y - S),
+    (y - i)(y - (S - i)) = w + i(S - i) for i = lo, lo + 1, ... below S/2,
+    and an odd-length run leaves the single factor (y - S/2)."""
+    runs = []
+    for _, group in itertools.groupby(enumerate(factors), lambda pair: pair[1] - pair[0]):
+        run = [f for _, f in group]
+        total = run[0] + run[-1]
+        consts = [i * (total - i) % Q for i in run[: len(run) // 2]]
+        runs.append((total, consts, run[len(run) // 2] if len(run) % 2 else None))
+    return runs
+
+
+def _blend(u: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
+    """rows x m array with row t = u + t*d, built by doubling."""
+    out = np.empty((rows, u.size), dtype=np.uint64)
+    out[0] = u
+    step = d
+    filled = 1
+    while filled < rows:
+        take = min(filled, rows - filled)
+        vadd(out[:take], step, out=out[filled : filled + take])
+        filled += take
+        if filled < rows:
+            step = vadd(step, step)
+    return out
+
+
 class _SumcheckEngine:
     """Honest table-folding prover for one b-variate sum-check.
 
@@ -306,9 +337,19 @@ class _SumcheckEngine:
     unique-indicator interpolant of the frequency extension; "range"
     evaluates chi(x, zeta) * prod_{i=0..D} (a(x) - i); "collisions" evaluates
     the exact a(x)(a(x)-1)/2 and ignores the cap. Messages are the round
-    polynomial on integer nodes 0..L-1. Early rounds bucket identical
-    (value, difference) pairs, which collapses the work by orders of
-    magnitude while the folded tables still carry few distinct values.
+    polynomial on integer nodes 0..L-1.
+
+    Early rounds bucket identical (value, difference) pairs, which collapses
+    the work by orders of magnitude while the folded tables still carry few
+    distinct values; the buckets come from a 1-D ``np.unique`` of each column
+    and of the combined int64 key, in (value, difference) order. A round
+    evaluates each pair's blend y = u + t*d at the L nodes in blocks of
+    m61.CHUNK // L columns, so every L x block buffer stays in cache, and
+    adds up each node's partial sums mod Q. Within a run lo..hi of consecutive
+    factors, S = lo + hi pairs them as (y - i)(y - (S - i)) = w + i(S - i)
+    with w = y(y - S) computed once, so the product costs about D/2 + 2
+    field multiplies instead of D + 1. Every step is exact arithmetic in
+    GF(Q), so the messages equal the direct product's.
     """
 
     def __init__(self, table: np.ndarray, degree_cap: int, kind: str, chi_table: np.ndarray | None = None):
@@ -332,6 +373,7 @@ class _SumcheckEngine:
         else:
             raise ValueError(kind)
         self.num_nodes = self.degree_bound + 2
+        self.runs = _factor_runs(self.factors)
 
     def round_message(self) -> SumcheckRoundMsg:
         u = self.table[0::2]
@@ -356,11 +398,15 @@ class _SumcheckEngine:
 
     @staticmethod
     def _group(u: np.ndarray, d: np.ndarray):
-        pairs = np.stack([u, d], axis=1)
-        uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-        if uniq.shape[0] > 0.7 * u.size or u.size < 1024:
+        if u.size < 1024:
             return None
-        return uniq, inverse
+        u_vals, u_idx = np.unique(u, return_inverse=True)
+        d_vals, d_idx = np.unique(d, return_inverse=True)
+        keys, inverse = np.unique(u_idx.astype(np.int64) * d_vals.size + d_idx, return_inverse=True)
+        if keys.size > 0.7 * u.size:
+            return None
+        uniq = np.stack([u_vals[keys // d_vals.size], d_vals[keys % d_vals.size]], axis=1)
+        return uniq, inverse.reshape(-1)
 
     def _bucket_unique(self, u, d):
         grouped = self._group(u, d)
@@ -383,37 +429,50 @@ class _SumcheckEngine:
 
     def _evaluate(self, u, d, counts=None, chi_u=None, chi_d=None) -> list[int]:
         L = self.num_nodes
-        # blend[t, x] = u_x + t * d_x for t = 0..L-1, built incrementally
-        blends = np.empty((L, u.size), dtype=np.uint64)
-        blends[0] = u
-        for t in range(1, L):
-            blends[t] = vadd(blends[t - 1], d)
-        flat = blends.reshape(-1)
-        acc = np.ones_like(flat)
-        for i in self.factors:
-            acc = vmul(acc, vsub(flat, i % Q))
-        if chi_u is not None:
-            chib = np.empty((L, u.size), dtype=np.uint64)
-            chib[0] = chi_u
-            for t in range(1, L):
-                chib[t] = vadd(chib[t - 1], chi_d)
-            acc = vmul(acc, chib.reshape(-1))
-        if counts is not None:
-            acc = vmul(acc, np.broadcast_to(counts, (L, u.size)).reshape(-1))
-        acc = acc.reshape(L, u.size)
-        out = [vsum(acc[t]) for t in range(L)]
+        out = [0] * L
+        block = max(1, m61.CHUNK // L)
+        for lo in range(0, u.size, block):
+            cols = slice(lo, lo + block)
+            acc = self._factor_product(_blend(u[cols], d[cols], L))
+            if chi_u is not None:
+                vmul(acc, _blend(chi_u[cols], chi_d[cols], L), out=acc)
+            if counts is not None:
+                vmul(acc, np.broadcast_to(counts[cols], acc.shape).copy(), out=acc)
+            out = [fadd(total, part) for total, part in zip(out, m61.vsum_rows(acc))]
         if self.constant != 1:
             out = [fmul(self.constant, v) for v in out]
         return out
 
+    def _factor_product(self, y: np.ndarray) -> np.ndarray:
+        """prod over self.factors of (y - i), elementwise."""
+        acc = None
+        for factor in self._paired_factors(y, np.empty_like(y)):
+            acc = factor.copy() if acc is None else vmul(acc, factor, out=acc)
+        return acc
+
+    def _paired_factors(self, y: np.ndarray, term: np.ndarray):
+        """Yields the paired factors w + i(S - i) and the single ones, each
+        written into ``term``."""
+        for total, consts, middle in self.runs:
+            if consts:
+                w = vmul(y, vsub(y, total, out=term))
+                for c in consts:
+                    yield vadd(w, c, out=term)
+            if middle is not None:
+                yield vsub(y, middle, out=term)
+
     def bind(self, r: int):
-        u = self.table[0::2]
-        d = vsub(self.table[1::2], u)
-        self.table = vadd(u, vmul(d, np.uint64(r)))
+        self.table = self._fold(self.table, r)
         if self.chi is not None:
-            uc = self.chi[0::2]
-            dc = vsub(self.chi[1::2], uc)
-            self.chi = vadd(uc, vmul(dc, np.uint64(r)))
+            self.chi = self._fold(self.chi, r)
+
+    @staticmethod
+    def _fold(table: np.ndarray, r: int) -> np.ndarray:
+        """u + r*(v - u) over the pairs (u, v) = (table[2x], table[2x+1])."""
+        u = table[0::2]
+        folded = vsub(table[1::2], u)
+        vmul(folded, r, out=folded)
+        return vadd(u, folded, out=folded)
 
     def final_value(self) -> int:
         assert self.table.size == 1
@@ -435,14 +494,15 @@ def chi_table_for_point(k: int, point: list[int]) -> np.ndarray:
 
     Doubling prepends at the least-significant position, so iterate from the
     highest coordinate down for bit j of x to line up with point[j].
+    Each step writes t * p_j at odd and t - t * p_j = t * (1 - p_j) at even
+    positions.
     """
     table = np.ones(1, dtype=np.uint64)
     for j in reversed(range(k.bit_length() - 1)):
-        zero = vmul(table, np.uint64(fsub(1, point[j])))
-        one = vmul(table, np.uint64(point[j]))
-        table = np.empty(2 * table.size, dtype=np.uint64)
-        table[0::2] = zero
-        table[1::2] = one
+        doubled = np.empty(2 * table.size, dtype=np.uint64)
+        one = vmul(table, point[j], out=doubled[1::2])
+        vsub(table, one, out=doubled[0::2])
+        table = doubled
     return table
 
 
@@ -526,35 +586,52 @@ class HonestStreamProver(ProverStrategy):
         rng_eng = _SumcheckEngine(freq, degree_cap, "range", chi_table=rng_chi)
         return main, rng_eng
 
+    def collision_freq(self) -> np.ndarray:
+        return self.freq
+
     def claim_collisions(self) -> int:
-        f = self.freq.astype(np.int64)
-        return int((f * (f - 1) // 2).sum())
+        return _collision_count(self.collision_freq())
 
     def build_collision_engine(self):
-        return _SumcheckEngine(self.freq, 2, "collisions")
+        return _SumcheckEngine(self.collision_freq(), 2, "collisions")
+
+
+def _collision_count(freq: np.ndarray) -> int:
+    f = freq.astype(np.int64)
+    return int((f * (f - 1) // 2).sum())
 
 
 class DecisionFlipProver(HonestStreamProver):
-    """Biases the claimed unique count across the decision threshold by
-    running the honest machinery on a doctored frequency table; the final
-    extension check catches the mismatch with overwhelming probability."""
+    """Biases the claimed deciding count across its threshold by running the
+    honest machinery on a doctored frequency table; the final extension
+    check catches the mismatch with overwhelming probability.
+
+    Where the unique count decides, every sum-check runs on a table whose
+    unique count is pushed across ``threshold_count``. Where tau <= 0 and
+    the collision count decides, only the collision sum-check runs on a
+    doctored table, whose collision count is pushed across
+    ``collision_threshold``; the unique count and the range certificate stay
+    honest, so the collision sum-check's final check is the one that fires."""
 
     name = "decision-flip"
     honest = False
 
-    def __init__(self, threshold_count: float):
-        self.threshold_count = threshold_count
+    def __init__(self, params: UniformityParams):
+        self.params = params
 
     def ingest(self, samples, k):
         super().ingest(samples, k)
+        if self.params.decision_statistic == "collisions":
+            self.doctored = _flip_collisions(self.freq, self.params.collision_threshold)
+            return
         freq = self.freq.astype(np.int64)
         z = int((freq == 1).sum())
-        target = int(2 * self.threshold_count - z)
+        target = int(2 * self.params.threshold_count - z)
         target = max(0, min(target, freq.sum()))
         uniques = np.flatnonzero(freq == 1)
         zeros = np.flatnonzero(freq == 0)
         heavy = np.flatnonzero(freq >= 2)
-        if z > self.threshold_count:
+        if z > self.params.threshold_count:
             # merge unique pairs until the claim crosses below
             need = (z - target + 1) // 2
             for i in range(min(need, uniques.size // 2)):
@@ -573,6 +650,37 @@ class DecisionFlipProver(HonestStreamProver):
                 freq[heavy[hi]] -= 1
             # note: splitting may also turn a heavy bin into a unique
         self.freq = freq.astype(np.uint64)
+
+    def collision_freq(self) -> np.ndarray:
+        return self.doctored if self.params.decision_statistic == "collisions" else self.freq
+
+
+def _flip_collisions(freq: np.ndarray, collision_threshold: float) -> np.ndarray:
+    """Table with its collision count reflected across the threshold, one
+    moved sample at a time: onto the fullest bin to raise the count, from the
+    fullest to the emptiest bin to lower it, until the target is crossed or
+    no move helps."""
+    freq = freq.astype(np.int64)
+    count = _collision_count(freq)
+    target = 2 * collision_threshold - count
+    raise_count = count <= collision_threshold
+    no_donor = np.iinfo(np.int64).max
+    while count <= target if raise_count else count > target:
+        if raise_count:
+            dst = int(freq.argmax())
+            donors = np.where(freq > 0, freq, no_donor)
+            donors[dst] = no_donor
+            src = int(donors.argmin())
+            if donors[src] == no_donor:
+                break
+        else:
+            src, dst = int(freq.argmax()), int(freq.argmin())
+            if freq[src] - freq[dst] <= 1:
+                break
+        count += int(freq[dst] - freq[src] + 1)
+        freq[src] -= 1
+        freq[dst] += 1
+    return freq.astype(np.uint64)
 
 
 class ShiftClaimProver(HonestStreamProver):
@@ -825,7 +933,7 @@ class UniformityConfig:
         if name == "honest":
             return HonestStreamProver()
         if name == "decision-flip":
-            return DecisionFlipProver(self.params().threshold_count)
+            return DecisionFlipProver(self.params())
         cls = ADVERSARIES[name]
         return cls()
 

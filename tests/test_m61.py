@@ -1,0 +1,117 @@
+"""Property tests: the vectorized M61 kernels against the scalar reference,
+on edge values, random canonical elements and every ``out=`` aliasing case."""
+
+import numpy as np
+from hypothesis import given
+from hypothesis import strategies as st
+
+from ipsim import m61
+from ipsim.m61 import Q, fadd, fmul, fsub
+
+EDGE = [0, 1, Q - 1, Q - 2, (1 << 31) - 1, 1 << 31, (1 << 60) + 7]
+KERNELS = [(m61.vmul, fmul), (m61.vadd, fadd), (m61.vsub, fsub)]
+
+elements = st.one_of(st.sampled_from(EDGE), st.integers(0, Q - 1))
+
+
+@st.composite
+def operand_pairs(draw, max_size=48):
+    n = draw(st.integers(1, max_size))
+    a = draw(st.lists(elements, min_size=n, max_size=n))
+    b = draw(st.lists(elements, min_size=n, max_size=n))
+    return a, b
+
+
+def arr(values):
+    return np.array(values, dtype=np.uint64)
+
+
+def check_all_out_forms(kernel, ref, a, b):
+    """Fresh result, separate out, out=a and out=b all equal the scalar ref."""
+    want = [ref(x, y) for x, y in zip(a, b)]
+    A, B = arr(a), arr(b)
+    assert kernel(A, B).tolist() == want
+    out = np.empty_like(A)
+    assert kernel(A, B, out=out) is out
+    assert out.tolist() == want
+    a_alias = A.copy()
+    kernel(a_alias, B, out=a_alias)
+    assert a_alias.tolist() == want
+    b_alias = B.copy()
+    kernel(A, b_alias, out=b_alias)
+    assert b_alias.tolist() == want
+    assert (A.tolist(), B.tolist()) == (a, b)  # inputs untouched without aliasing
+
+
+@given(operand_pairs())
+def test_array_kernels_match_scalar(pair):
+    a, b = pair
+    for kernel, ref in KERNELS:
+        check_all_out_forms(kernel, ref, a, b)
+
+
+@given(operand_pairs(), elements)
+def test_scalar_operand_matches_scalar(pair, y):
+    a, _ = pair
+    for kernel, ref in KERNELS:
+        want = [ref(x, y) for x in a]
+        assert kernel(arr(a), y).tolist() == want
+        assert kernel(arr(a), np.uint64(y)).tolist() == want
+        alias = arr(a)
+        kernel(alias, y, out=alias)
+        assert alias.tolist() == want
+
+
+def test_edge_value_cross_products():
+    a = [x for x in EDGE for _ in EDGE]
+    b = [y for _ in EDGE for y in EDGE]
+    for kernel, ref in KERNELS:
+        check_all_out_forms(kernel, ref, a, b)
+
+
+def test_chunked_and_strided_operands():
+    # longer than one vmul chunk, not a multiple of it, and through strided views
+    g = np.random.default_rng(0)
+    n = 2 * m61.CHUNK + 5
+    a = g.integers(0, Q, 2 * n, dtype=np.uint64)
+    a[: len(EDGE)] = EDGE
+    b = g.integers(0, Q, n, dtype=np.uint64)
+    b[-len(EDGE) :] = EDGE
+    view = a[1::2]
+    for kernel, ref in KERNELS:
+        want = [ref(int(x), int(y)) for x, y in zip(view, b)]
+        assert kernel(view, b).tolist() == want
+        alias = b.copy()
+        kernel(view, alias, out=alias)
+        assert alias.tolist() == want
+        y = int(b[3])
+        assert kernel(view, y).tolist() == [ref(int(x), y) for x in view]
+
+
+def test_two_dimensional_operands():
+    g = np.random.default_rng(1)
+    a = g.integers(0, Q, (7, 33), dtype=np.uint64)
+    b = g.integers(0, Q, (7, 33), dtype=np.uint64)
+    for kernel, ref in KERNELS:
+        out = kernel(a, b)
+        assert out.shape == a.shape
+        assert out.ravel().tolist() == [ref(int(x), int(y)) for x, y in zip(a.ravel(), b.ravel())]
+
+
+@given(st.lists(elements, max_size=64))
+def test_vsum_matches_int_sum(values):
+    assert m61.vsum(arr(values)) == sum(values) % Q
+
+
+@given(st.integers(1, 5), st.lists(elements, min_size=1, max_size=20))
+def test_vsum_rows_match_int_sums(rows, row):
+    table = np.array([row[i:] + row[:i] for i in range(rows)], dtype=np.uint64)
+    want = [sum(int(x) for x in r) % Q for r in table]
+    assert m61.vsum_rows(table) == want
+    assert m61.vsum(table) == sum(want) % Q
+
+
+def test_vsum_of_many_maximal_elements():
+    # 2^20 copies of Q - 1: the halves' totals stay exact far below overflow
+    a = np.full(1 << 20, Q - 1, dtype=np.uint64)
+    assert m61.vsum(a) == ((Q - 1) << 20) % Q

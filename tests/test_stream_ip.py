@@ -2,6 +2,7 @@
 extension updates, interpolation, sum-check mechanics, range certificate,
 memory/communication instrumentation."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ import pytest
 from ipsim import m61, stream_ip
 from ipsim.m61 import Q, fadd, fmul, fsub, lagrange_eval, lagrange_weights
 from ipsim.stream_ip import (
+    DecisionFlipProver,
     HonestStreamProver,
     StreamVerifierState,
     UniformityConfig,
@@ -271,6 +273,122 @@ class TestSumcheckMechanics:
         assert len(msg_bucketed) == msg_bucketed.degree_bound + 2
 
 
+def _reference_evaluate(engine, u, d, counts=None, chi_u=None, chi_d=None):
+    """The direct round evaluation: every node's blend in one array, one
+    factor (y - i) at a time, no pairing and no column blocks."""
+    L = engine.num_nodes
+    blends = np.empty((L, u.size), dtype=np.uint64)
+    blends[0] = u
+    for t in range(1, L):
+        blends[t] = m61.vadd(blends[t - 1], d)
+    flat = blends.reshape(-1)
+    acc = np.ones_like(flat)
+    for i in engine.factors:
+        acc = m61.vmul(acc, m61.vsub(flat, i % Q))
+    if chi_u is not None:
+        chib = np.empty((L, u.size), dtype=np.uint64)
+        chib[0] = chi_u
+        for t in range(1, L):
+            chib[t] = m61.vadd(chib[t - 1], chi_d)
+        acc = m61.vmul(acc, chib.reshape(-1))
+    if counts is not None:
+        acc = m61.vmul(acc, np.broadcast_to(counts, (L, u.size)).reshape(-1))
+    acc = acc.reshape(L, u.size)
+    out = [m61.vsum(acc[t]) for t in range(L)]
+    if engine.constant != 1:
+        out = [fmul(engine.constant, v) for v in out]
+    return out
+
+
+def _transcript_sha256(k, lam, degree_cap, kind, seed):
+    """sha256 over every round message and the final value of one engine run
+    on a Poisson(lam) table capped at degree_cap, bound at StreamVerifierState
+    points drawn from ``seed``."""
+    g = rng(seed)
+    freq = np.minimum(g.poisson(lam, size=k), degree_cap).astype(np.uint64)
+    st = StreamVerifierState(k, g)
+    chi = chi_table_for_point(k, st.zeta) if kind == "range" else None
+    eng = stream_ip._SumcheckEngine(freq, degree_cap, kind, chi_table=chi)
+    h = hashlib.sha256()
+    for j in range(len(st.r)):
+        if j:
+            eng.bind(st.r[j - 1])
+        h.update(repr(eng.round_message().evaluations).encode())
+    eng.bind(st.r[-1])
+    h.update(repr(eng.final_value()).encode())
+    return h.hexdigest()
+
+
+ENGINE_CASES = [(kind, D) for kind in ("unique", "range") for D in (2, 7, 8, 32, 33, 128)] + [("collisions", 2)]
+
+
+class TestEngineAgainstReference:
+    """The paired-factor, column-blocked evaluation and the 1-D grouping
+    against the direct formula; exact arithmetic, so equal to the last bit."""
+
+    @pytest.mark.parametrize("kind,degree_cap", ENGINE_CASES)
+    def test_evaluate_equals_reference(self, kind, degree_cap):
+        eng = stream_ip._SumcheckEngine(np.zeros(2, dtype=np.uint64), degree_cap, kind)
+        block = max(1, m61.CHUNK // eng.num_nodes)
+        g = rng(degree_cap)
+        for m in (block - 1, block, 2 * block + 5):
+            u, d, cu, cd = (g.integers(0, Q, m, dtype=np.uint64) for _ in range(4))
+            u[:3] = [0, 1, Q - 1]  # blends through 0, small integers and the wrap at Q
+            counts = g.integers(1, 1 << 20, m).astype(np.uint64)
+            for extra in ({}, {"counts": counts}, {"chi_u": cu, "chi_d": cd}):
+                assert eng._evaluate(u, d, **extra) == _reference_evaluate(eng, u, d, **extra)
+
+    @pytest.mark.parametrize("kind,degree_cap", ENGINE_CASES)
+    def test_round_message_equals_reference(self, kind, degree_cap):
+        g = rng(100 + degree_cap)
+        for table in (
+            g.integers(0, min(degree_cap, 4) + 1, 4096).astype(np.uint64),  # buckets
+            g.integers(0, Q, 300, dtype=np.uint64),  # too small to bucket
+        ):
+            chi = g.integers(0, Q, table.size, dtype=np.uint64) if kind == "range" else None
+            eng = stream_ip._SumcheckEngine(table, degree_cap, kind, chi_table=chi)
+            u = table[0::2]
+            d = m61.vsub(table[1::2], u)
+            assert (eng._group(u, d) is not None) == (table.size == 4096)
+            extra = {}
+            if kind == "range":
+                extra = {"chi_u": chi[0::2], "chi_d": m61.vsub(chi[1::2], chi[0::2])}
+            want = _reference_evaluate(eng, u, d, **extra)
+            assert list(eng.round_message().evaluations) == want
+
+    def test_group_matches_row_unique(self):
+        g = rng(30)
+        for u_vals, d_vals in ((3, 5), (40, 2), (600, 600)):
+            u = g.integers(0, u_vals, 5000).astype(np.uint64) * np.uint64(1 << 40)
+            d = g.integers(Q - d_vals, Q, 5000, dtype=np.uint64)
+            grouped = stream_ip._SumcheckEngine._group(u, d)
+            uniq, inverse = np.unique(np.stack([u, d], axis=1), axis=0, return_inverse=True)
+            if uniq.shape[0] > 0.7 * u.size:
+                assert grouped is None
+                continue
+            assert np.array_equal(grouped[0], uniq)
+            assert np.array_equal(grouped[1], inverse.reshape(-1))
+        # bucketing starts at 1024 pairs, however few distinct pairs there are
+        zeros = np.zeros(1024, dtype=np.uint64)
+        assert stream_ip._SumcheckEngine._group(zeros[:1023], zeros[:1023]) is None
+        assert stream_ip._SumcheckEngine._group(zeros, zeros) is not None
+
+    # computed with the direct, unpaired and unblocked evaluation
+    PINNED = {
+        (4096, 3.0, 7, "unique"): "44b05898ee2a77fdd2b4bf8b1b164b4910303f4d3d717cb1023f7abf4e64cdbb",
+        (4096, 3.0, 7, "range"): "7a2ffd7df9e8486490bdaebca02011d70cae77e8681f919bea1915b39e89ef0a",
+        (4096, 3.0, 7, "collisions"): "eacfaeff5b47b935cd9a3f9c46e1a55e0aaa1f107e18074c00d477c5fd6a8fac",
+        (256, 10.0, 33, "unique"): "43216661599c3d2b53c10b2ae45b606c9b7ca21f54c1c8ef6783cb5cbbdf66b8",
+        (256, 10.0, 33, "range"): "866972bb0644c2a6193cc5c2aec6bc578d06a5f9f8184dd74710bdcb78450b98",
+        (2048, 1.0, 2, "unique"): "62533c3e4b62e744409f4d8dbb9efce6d930dc46ed61fb1859d4283a01c217df",
+        (2048, 1.0, 2, "range"): "1b6411a6034074310a6149aa63c1db3c3880c22b7fa398ac368576894c40f00c",
+    }
+
+    @pytest.mark.parametrize("case", sorted(PINNED))
+    def test_pinned_transcripts(self, case):
+        assert _transcript_sha256(*case, seed=11) == self.PINNED[case]
+
+
 class _CollisionOffsetProver(HonestStreamProver):
     name = "collision-offset"
     honest = False
@@ -345,6 +463,23 @@ class TestCollisionSumcheck:
             )
             assert not res.accepted
             assert res.abort_reason.startswith("collision-count sum-check rejected")
+
+    def test_decision_flip_caught_at_collision_final_check(self):
+        # tau <= 0: the adversary doctors only the collision table, pushing its
+        # count across the collision threshold, and keeps the unique count and
+        # the range certificate honest
+        cfg = UniformityConfig(k=256, epsilon=0.9, allow_small_epsilon=True)
+        threshold = cfg.params().collision_threshold
+        for t in range(20):
+            which = "uniform" if t % 2 == 0 else "support_fraction"
+            prover = cfg.make_prover("decision-flip")
+            assert isinstance(prover, DecisionFlipProver)
+            res = cfg.run_one(cfg.make_distribution(which), prover, seed=9300 + t)
+            true_c = stream_ip._collision_count(prover.freq)
+            claimed_c = prover.claim_collisions()
+            assert (true_c > threshold) != (claimed_c > threshold)
+            assert not res.accepted
+            assert res.abort_reason == "collision-count sum-check rejected: final evaluation mismatch"
 
     def test_positive_tau_session_has_no_collision_registers(self):
         cfg = UniformityConfig(k=1 << 14, epsilon=1.0, allow_small_epsilon=True)

@@ -34,6 +34,11 @@ class ConfigError(ValueError):
     pass
 
 
+class FormulaMismatchError(RuntimeError):
+    """A trial's observed parameter differs from its closed form (an
+    invariant violation, exit code 3, never a verdict)."""
+
+
 def _parse_value(raw: str):
     low = raw.strip()
     if low.lower() in ("true", "false"):
@@ -117,9 +122,6 @@ class _BaseAdapter:
     def formula_expected(self) -> dict:
         return {}
 
-    def formula_observed(self, results) -> dict:
-        return {}
-
 
 class PurityAdapter(_BaseAdapter):
     name = "purity"
@@ -156,10 +158,6 @@ class PurityAdapter(_BaseAdapter):
     def formula_expected(self):
         p = self.pc.params()
         return {"N": p.N, "m": p.m, "delta_tilde": p.delta_tilde}
-
-    def formula_observed(self, results):
-        ex = results[0].extras
-        return {"N": ex["N"], "m": ex["m"], "delta_tilde": ex["delta_tilde"]}
 
 
 class TomoAdapter(_BaseAdapter):
@@ -206,10 +204,6 @@ class TomoAdapter(_BaseAdapter):
             "prover_budget": p.prover_query_budget(),
             "prover_target": p.prover_target,
         }
-
-    def formula_observed(self, results):
-        ex = results[0].extras
-        return {k: ex[k] for k in ("verifier_budget", "prover_budget", "prover_target")}
 
 
 class LowRankAdapter(_BaseAdapter):
@@ -262,10 +256,6 @@ class LowRankAdapter(_BaseAdapter):
             "basis_shots": p.basis_shots(),
         }
 
-    def formula_observed(self, results):
-        ex = results[0].extras
-        return {k: ex[k] for k in self.formula_expected()}
-
 
 class StabAdapter(_BaseAdapter):
     name = "stab"
@@ -302,10 +292,6 @@ class StabAdapter(_BaseAdapter):
             "loss_shots": p.loss_shots(),
             "a3_samples": p.a3_samples(),
         }
-
-    def formula_observed(self, results):
-        ex = results[0].extras
-        return {k: ex[k] for k in self.formula_expected()}
 
 
 class UniformityAdapter(_BaseAdapter):
@@ -349,10 +335,6 @@ class UniformityAdapter(_BaseAdapter):
             out["collision_threshold"] = p.collision_threshold
         return out
 
-    def formula_observed(self, results):
-        ex = results[0].extras
-        return {k: ex[k] for k in self.formula_expected()}
-
 
 class NogoAdapter(_BaseAdapter):
     """Distinguisher built from the purity IP, measured on accept/reject."""
@@ -381,10 +363,6 @@ class NogoAdapter(_BaseAdapter):
     def formula_expected(self):
         p = self.pc.params()
         return {"N": p.N, "m": p.m}
-
-    def formula_observed(self, results):
-        ex = results[0].extras
-        return {"N": ex["N"], "m": ex["m"]}
 
 
 class TrivialAdapter(_BaseAdapter):
@@ -544,8 +522,10 @@ def _aggregate(values):
 def run_experiment(config: ExperimentConfig) -> Report:
     """Dispatches, runs every trial with a derived seed, assembles the report.
 
-    Raises ConfigError for bad configs; MemoryPolicyError/ChannelTypeError
-    propagate (the CLI maps them to exit code 3).
+    Raises ConfigError for bad configs and FormulaMismatchError when any
+    trial's observed parameters differ from their closed forms;
+    MemoryPolicyError/ChannelTypeError propagate. The CLI maps the last three
+    to exit code 3.
     """
     if config.protocol not in ADAPTERS:
         raise ConfigError(f"unknown protocol {config.protocol!r}")
@@ -591,13 +571,13 @@ def run_experiment(config: ExperimentConfig) -> Report:
         lo, hi = wilson_interval(count, trials)
         rates[label] = {"count": count, "rate": count / trials, "wilson95": [lo, hi]}
     expected = adapter.formula_expected()
-    observed = adapter.formula_observed(results) if expected else {}
-    for key, value in expected.items():
-        if isinstance(value, float):
-            if abs(observed[key] - value) > 1e-12:
-                raise MemoryPolicyError(f"formula mismatch for {key}: {observed[key]} != {value}")
-        elif observed[key] != value:
-            raise MemoryPolicyError(f"formula mismatch for {key}: {observed[key]} != {value}")
+    observed = [{key: r.extras[key] for key in expected} for r in results]
+    for t, trial_observed in enumerate(observed):
+        for key, value in expected.items():
+            got = trial_observed[key]
+            mismatch = abs(got - value) > 1e-12 if isinstance(value, float) else got != value
+            if mismatch:
+                raise FormulaMismatchError(f"formula mismatch for {key} in trial {t}: {got} != {value}")
     digests = []
     if config.transcripts:
         import hashlib
@@ -622,7 +602,7 @@ def run_experiment(config: ExperimentConfig) -> Report:
             key: _aggregate([r.channel_counters[key] for r in results])
             for key in ("bits_v_to_p", "bits_p_to_v", "qudits_v_to_p", "qudits_p_to_v")
         },
-        formula_comparison={"expected": expected, "observed": observed},
+        formula_comparison={"expected": expected, "observed": observed[0]},
         version=__version__,
         wall_time_s=wall,
         transcript_digests=digests,
@@ -706,7 +686,7 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)
         return 2
-    except (MemoryPolicyError, ChannelTypeError) as err:
+    except (MemoryPolicyError, ChannelTypeError, FormulaMismatchError) as err:
         print(f"invariant violation: {err}", file=sys.stderr)
         return 3
     summary = {

@@ -10,9 +10,11 @@ trivial validation IP.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -145,6 +147,34 @@ class Copy:
         return self.state
 
 
+class CopyStream(Sequence):
+    """The descriptions of n copies of one state, streamed one at a time.
+
+    Every copy has the same description, so the stream holds it once: item i
+    is ``state`` for every i < n, and a slice is a shorter stream of the same
+    state. The copies are already consumed (sent or measured).
+    """
+
+    __slots__ = ("state", "n")
+
+    def __init__(self, state, n: int):
+        self.state = state
+        self.n = n
+
+    def __len__(self) -> int:
+        return self.n
+
+    def __iter__(self):
+        return itertools.repeat(self.state, self.n)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return CopyStream(self.state, len(range(*i.indices(self.n))))
+        if not -self.n <= i < self.n:
+            raise IndexError("copy stream index out of range")
+        return self.state
+
+
 class CopyOracle:
     """Hidden instance plus a per-party query meter; one copy per query.
 
@@ -182,6 +212,36 @@ class CopyOracle:
         else:
             state = self._hidden
         return Copy(state, self.tracker)
+
+    def stream(
+        self,
+        n: int,
+        kind: str = "query",
+        *,
+        channel: Channel | None = None,
+        unitary=None,
+        round_index: int = 0,
+    ) -> CopyStream:
+        """n copies, each queried, masked with ``unitary`` (if given) and then
+        sent v->p over ``channel`` (or consumed by the verifier) before the
+        next one is queried.
+
+        All n copies share one (masked) description, so this costs one query,
+        one masking and one send. Meters, live-copy tracking and channel
+        counters and transcript are those of n such single-copy cycles: the
+        meter is charged n under ``kind``, and at most one copy is live.
+        """
+        if n < 0:
+            raise ValueError("a stream holds n >= 0 copies")
+        if n == 0:
+            return CopyStream(None, 0)
+        copy = self.query(kind)
+        if unitary is not None:
+            copy = copy.with_unitary(unitary)
+        self.meter.charge(n - 1, kind)
+        if channel is not None:
+            return channel.send_stream("v->p", copy, n, round_index)
+        return CopyStream(copy.consume(), n)
 
     def sample(self, rng: np.random.Generator, kind: str = "sample") -> int:
         if self.instance_kind != "classical-distribution":
@@ -285,6 +345,21 @@ class Channel:
         if self.record_transcript:
             self.transcript.append(Message(round_index, direction, "qudits", n, payload_digest(states)))
         return states
+
+    def send_stream(self, direction: str, copy, n: int, round_index: int = 0) -> CopyStream:
+        """Transfers n copies of one description one at a time: the counters
+        and transcript lines of n one-qudit ``send_qudits`` calls."""
+        if self.kind == "classical":
+            raise ChannelTypeError("classical channel rejects qudit payloads")
+        state = copy.consume() if isinstance(copy, Copy) else copy
+        if direction == "v->p":
+            self.qudits_v_to_p += n
+        else:
+            self.qudits_p_to_v += n
+        if self.record_transcript:
+            message = Message(round_index, direction, "qudits", 1, payload_digest([state]))
+            self.transcript.extend([message] * n)
+        return CopyStream(state, n)
 
     def counters(self) -> dict:
         return {
@@ -583,15 +658,18 @@ def delegated_measure(
 ):
     """Multi-copy measurement executed by the prover under the delegation contract.
 
-    Honest mode runs ``measurement(states, rng)`` faithfully and never aborts.
+    ``copy_stream`` is a ``CopyStream`` of the copies the prover received, or
+    an iterable of copies and descriptions. Honest mode runs
+    ``measurement(states, rng)`` faithfully and never aborts.
     Cheat mode applies ``tamper`` to the honest outcome; the verifier-side trap
     check catches the deviation and aborts except with the escape probability
     from ``delegation_security(delta)``, in which case the tampered outcome is
     delivered undetected.
     """
-    states = []
-    for c in copy_stream:
-        states.append(c.consume() if isinstance(c, Copy) else c)
+    if isinstance(copy_stream, CopyStream):
+        states = copy_stream
+    else:
+        states = [c.consume() if isinstance(c, Copy) else c for c in copy_stream]
     if mode == "ideal-honest":
         return measurement(states, rng)
     if mode == "ideal-cheat":

@@ -83,10 +83,6 @@ class LowRankParams:
         return math.ceil(math.log(2 / self.delta_tilde) / (2 * self.eps2**2))
 
 
-def lowrank_params(epsilon: float, delta: float, k: int, d: int = 4, **kw) -> LowRankParams:
-    return LowRankParams(epsilon=epsilon, delta=delta, k=k, d=d, **kw)
-
-
 @dataclass(frozen=True)
 class SpectralHypothesis:
     """Claimed eigendecomposition: rho' = U'+ diag(alpha') U'.
@@ -177,14 +173,6 @@ def delegated_purity_estimate(
         return noisy
     n_pairs = pairs if pairs is not None else budget_pairs
 
-    def stream():
-        for _ in range(2 * n_pairs):
-            c = oracle_v.query(kind="purity-swap")
-            if channel is not None:
-                yield channel.send_qudits("v->p", [c])[0]
-            else:
-                yield c.consume()
-
     def measurement(states, r):
         p_acc = qmeas.swap_accept_probability(states[0], states[1])
         hits = int(r.binomial(n_pairs, p_acc))
@@ -193,7 +181,7 @@ def delegated_purity_estimate(
     try:
         return delegated_measure(
             measurement,
-            stream(),
+            oracle_v.stream(2 * n_pairs, "purity-swap", channel=channel),
             mode="ideal-honest" if tamper is None else "ideal-cheat",
             tamper=tamper,
             delta=2 * params.delta_tilde,
@@ -365,16 +353,6 @@ def truncation_approx_margin(
         tail_norm = float((tail**p).sum() ** (1 / p)) if tail.size else 0.0
     lhs = qcore.schatten_norm(rho.entries - sigma_k.entries, p)
     return tail_norm + 2 * eps - lhs
-
-
-def truncation_bounds_oracle(rho, other, k, p, eps=None) -> dict:
-    """Evaluates both Rank-k truncation bounds exactly and returns the margins."""
-    out = {}
-    if eps is None:
-        out["lower_bound_margin"] = truncation_lower_bound_margin(rho, other, k, p)
-    else:
-        out["approx_margin"] = truncation_approx_margin(rho, other, k, p, eps)
-    return out
 
 
 # ---------------------------------------------------------------------------

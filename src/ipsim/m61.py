@@ -168,19 +168,10 @@ def lagrange_weights(num_nodes: int) -> list[int]:
 def lagrange_eval(values, t: int, weights: list[int] | None = None) -> int:
     """Unique degree <= L-1 interpolant through (j, values[j]) at t, O(L)."""
     values = list(values)
-    length = len(values)
-    t = t % Q
-    if t < length:
-        return values[t] % Q
-    if weights is None:
-        weights = lagrange_weights(length)
-    ell = 1
-    acc = 0
-    for j in range(length):
-        diff = fsub(t, j)
-        ell = fmul(ell, diff)
-        acc = fadd(acc, fmul(weights[j], fmul(values[j] % Q, finv(diff))))
-    return fmul(ell, acc)
+    ev = StreamedNodeEval(t, len(values), lagrange_weights(len(values)) if weights is None else weights)
+    for v in values:
+        ev.feed(v)
+    return ev.result()
 
 
 class StreamedNodeEval:
@@ -188,7 +179,10 @@ class StreamedNodeEval:
 
     Feed node values one at a time; also captures the values at nodes 0 and 1
     for the round-consistency check. Holds a constant number of field-element
-    registers regardless of message length.
+    registers regardless of message length. The barycentric form is
+    ell * sum_j w_j v_j / (t - j) with ell = prod_j (t - j); ``acc`` holds the
+    product of the partial ell and the partial sum, which stays a polynomial
+    in the fed values, so no node needs an inversion.
     """
 
     def __init__(self, t: int, num_nodes: int, weights: list[int]):
@@ -213,8 +207,9 @@ class StreamedNodeEval:
             self.node_hit = value
         diff = fsub(self.t, j)
         if diff != 0:
+            # ell' S' = (ell diff)(S + w_j v / diff) = (ell S) diff + w_j v ell
+            self.acc = fadd(fmul(self.acc, diff), fmul(fmul(self.weights[j], value), self.ell))
             self.ell = fmul(self.ell, diff)
-            self.acc = fadd(self.acc, fmul(self.weights[j], fmul(value, finv(diff))))
         self.j += 1
 
     def result(self) -> int:
@@ -222,4 +217,4 @@ class StreamedNodeEval:
             raise ValueError("message length mismatch")
         if self.node_hit is not None:
             return self.node_hit
-        return fmul(self.ell, self.acc)
+        return self.acc

@@ -16,8 +16,8 @@ import numpy as np
 from . import qcore, qmeas
 from .harness import (
     Channel,
-    Copy,
     CopyOracle,
+    CopyStream,
     ManyVsOneTask,
     ProtocolAbort,
     ProverStrategy,
@@ -93,8 +93,16 @@ def _sample_mask(ensemble: str, d: int, rng: np.random.Generator) -> qcore.Unita
     return qcore.UnitaryOp(qmeas.dense_pauli(label))
 
 
-def prepare_round_state(kind: str, oracle_v: CopyOracle, params: PurityParams, rng):
-    """Copies for one round, emitted one at a time, plus the private mask.
+def prepare_round_state(
+    kind: str,
+    oracle_v: CopyOracle,
+    params: PurityParams,
+    rng,
+    channel: Channel,
+    round_index: int,
+) -> tuple[CopyStream, qcore.UnitaryOp | None]:
+    """Sends one round's m copies v->p, one at a time; returns the copies the
+    prover received and the private mask.
 
     Mixed test rounds cost no oracle queries and carry no mask; pure test
     rounds mask |0><0|; compute rounds mask m fresh oracle copies.
@@ -102,40 +110,41 @@ def prepare_round_state(kind: str, oracle_v: CopyOracle, params: PurityParams, r
     d = params.d
     if kind == "m":
         state = np.eye(d, dtype=complex) / d
-
-        def stream():
-            for _ in range(params.m):
-                yield Copy(state, tracker=None)
-
-        return stream(), None
+        return channel.send_stream("v->p", state, params.m, round_index), None
     mask = _sample_mask(params.mask_ensemble, d, rng)
     if kind == "p":
         ue = mask.entries
         state = np.outer(ue[:, 0], ue[:, 0].conj())
-
-        def stream():
-            for _ in range(params.m):
-                yield Copy(state, tracker=None)
-
-        return stream(), mask
+        return channel.send_stream("v->p", state, params.m, round_index), mask
     if kind == "c":
-
-        def stream():
-            for _ in range(params.m):
-                yield oracle_v.query(kind="compute-round").with_unitary(mask)
-
-        return stream(), mask
+        copies = oracle_v.stream(
+            params.m, "compute-round", channel=channel, unitary=mask, round_index=round_index
+        )
+        return copies, mask
     raise ValueError(f"unknown round kind {kind}")
 
 
-def honest_purity_answer(states: list[np.ndarray], rng: np.random.Generator) -> int:
-    """PURE iff all m/2 pairwise SWAP tests accept."""
+def swap_outcomes(states, rng: np.random.Generator):
+    """Pairwise SWAP tests of copies 2i and 2i+1, one ``rng.random()`` each,
+    drawn lazily as the outcomes are consumed.
+
+    The accept probability is computed once per distinct pair of description
+    objects, so a round of m copies of one description costs one overlap.
+    """
+    probs = {}
+    for a, b in zip(states[0::2], states[1::2]):
+        key = (id(a), id(b))
+        p = probs.get(key)
+        if p is None:
+            p = probs[key] = qmeas.swap_probability(a, b)
+        yield int(rng.random() < p)
+
+
+def honest_purity_answer(states, rng: np.random.Generator) -> int:
+    """PURE iff all m/2 pairwise SWAP tests accept; stops at the first rejection."""
     if len(states) % 2:
         raise ValueError("honest SWAP analysis needs an even number of copies")
-    for a, b in zip(states[0::2], states[1::2]):
-        if not qmeas.swap_test(a, b, rng):
-            return MIXED
-    return PURE
+    return PURE if all(swap_outcomes(states, rng)) else MIXED
 
 
 def purity_verdict(records: list[RoundRecord]) -> str:
@@ -194,9 +203,7 @@ class BestEffortLiar(ProverStrategy):
     honest = False
 
     def answer_round(self, states, params, rng) -> int:
-        accepts = sum(
-            qmeas.swap_test(a, b, rng) for a, b in zip(states[0::2], states[1::2])
-        )
+        accepts = sum(swap_outcomes(states, rng))
         frac = accepts / (len(states) // 2)
         honest = PURE if accepts == len(states) // 2 else MIXED
         compute_prediction = (1 + 1 / params.d) / 2
@@ -241,10 +248,9 @@ class PurityVerifier:
         for _ in range(p.N):
             kind = kinds[int(rng_kinds.integers(0, 3))]
             round_idx = session.next_round()
-            stream, mask = prepare_round_state(kind, session.oracle_v, p, rng_mask)
-            received: list[np.ndarray] = []
-            for copy in stream:
-                received.extend(session.channel.send_qudits("v->p", [copy], round_idx))
+            received, mask = prepare_round_state(
+                kind, session.oracle_v, p, rng_mask, session.channel, round_idx
+            )
             answer = int(prover.answer_round(received, p, rng_prover))
             session.channel.send_bits("p->v", [answer], round_idx)
             if kind == "m":

@@ -167,11 +167,16 @@ def two_outcome_measure(rho, proj: np.ndarray, rng: np.random.Generator) -> int:
 
 def swap_test(rho, sigma, rng: np.random.Generator) -> int:
     """1 (accept) with probability (1 + Tr[rho sigma]) / 2; consumes one copy of each."""
+    return int(rng.random() < swap_probability(rho, sigma))
+
+
+def swap_probability(rho, sigma) -> float:
+    """SWAP-test accept probability (1 + Tr[rho sigma]) / 2 of two states."""
     a = rho.entries if hasattr(rho, "entries") else np.asarray(rho, dtype=complex)
     b = sigma.entries if hasattr(sigma, "entries") else np.asarray(sigma, dtype=complex)
     if a.shape != b.shape:
         raise DimensionError("swap_test dimension mismatch")
-    return int(rng.random() < swap_accept_probability(a, b))
+    return swap_accept_probability(a, b)
 
 
 def swap_accept_probability(a: np.ndarray, b: np.ndarray) -> float:

@@ -322,11 +322,6 @@ def estimate_A3(
         except DelegationAbort:
             raise ProtocolAbort("delegation trap fired during moment estimation")
 
-    def stream():
-        c = oracle_v.query(kind="a3-bell")
-        oracle_v.charge_accounting(6 * samples - 1, "a3-bell")
-        yield c.consume()
-
     def measurement(states, r):
         exps = qmeas.pauli_expectations(psi)
         p_char = exps**2 / (1 << params.n)
@@ -343,7 +338,7 @@ def estimate_A3(
     try:
         return delegated_measure(
             measurement,
-            stream(),
+            oracle_v.stream(6 * samples, "a3-bell"),
             mode="ideal-honest" if tamper is None else "ideal-cheat",
             tamper=tamper,
             delta=2 * params.delta3,

@@ -19,7 +19,6 @@ import numpy as np
 from . import qcore, qmeas
 from .harness import (
     Channel,
-    Copy,
     CopyOracle,
     DelegationAbort,
     ProtocolAbort,
@@ -255,15 +254,6 @@ def _sampled_certify(oracle_v, hyp, params: TomoParams, rng, channel, tamper):
     a1 = margin / 2
     pairs = math.ceil(2 * math.log(4 / params.delta_v) / a1**2)
 
-    def stream_pairs():
-        for _ in range(pairs):
-            for _two in range(2):
-                c = oracle_v.query(kind="certify-swap")
-                if channel is not None:
-                    yield Copy(channel.send_qudits("v->p", [c])[0], tracker=None)
-                else:
-                    yield c
-
     def swap_measurement(states, r):
         p_acc = qmeas.swap_accept_probability(states[0], states[1])
         hits = r.binomial(pairs, p_acc)
@@ -272,7 +262,7 @@ def _sampled_certify(oracle_v, hyp, params: TomoParams, rng, channel, tamper):
     try:
         pur_rho = delegated_measure(
             swap_measurement,
-            stream_pairs(),
+            oracle_v.stream(2 * pairs, "certify-swap", channel=channel),
             mode="ideal-honest" if tamper is None else "ideal-cheat",
             tamper=tamper,
             delta=params.delta_v,

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ipsim import cli
+from ipsim import cli, harness
 from ipsim.cli import ExperimentConfig, emit_report, main, parse_config_file, run_experiment
 
 
@@ -131,6 +131,39 @@ class TestExitCodes:
 
         monkeypatch.setattr(cli.PurityAdapter, "run_trial", boom)
         assert main(["purity", "--trials", "1", "d=4"]) == 3
+
+
+class TestFormulaCheck:
+    @staticmethod
+    def _corrupt_trial(monkeypatch, bad_trial, key, delta):
+        real = cli.PurityAdapter.run_trial
+
+        def run_trial(self, t):
+            res, valid = real(self, t)
+            if t == bad_trial:
+                res.extras[key] += delta
+            return res, valid
+
+        monkeypatch.setattr(cli.PurityAdapter, "run_trial", run_trial)
+
+    @pytest.mark.parametrize("key, delta", [("m", 2), ("delta_tilde", 1e-9)])
+    def test_mismatch_on_a_later_trial_raises(self, monkeypatch, key, delta):
+        self._corrupt_trial(monkeypatch, 2, key, delta)
+        cfg = ExperimentConfig(protocol="purity", trials=3, seed=1, protocol_keys={"d": 4})
+        with pytest.raises(cli.FormulaMismatchError, match=f"{key} in trial 2"):
+            run_experiment(cfg)
+
+    def test_mismatch_exits_3_and_is_not_a_memory_error(self, monkeypatch, capsys):
+        self._corrupt_trial(monkeypatch, 1, "N", 1)
+        assert not issubclass(cli.FormulaMismatchError, harness.MemoryPolicyError)
+        assert main(["purity", "--trials", "2", "d=4"]) == 3
+        assert "formula mismatch for N in trial 1" in capsys.readouterr().err
+
+    def test_observed_block_is_the_first_trials(self):
+        cfg = ExperimentConfig(protocol="tomo", trials=3, seed=2, protocol_keys={"d": 2})
+        report, results = run_experiment(cfg)
+        observed = report.formula_comparison["observed"]
+        assert observed == {k: results[0].extras[k] for k in report.formula_comparison["expected"]}
 
 
 class TestMainEntrypoint:

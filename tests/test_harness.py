@@ -13,6 +13,7 @@ from ipsim.harness import (
     ChannelTypeError,
     Copy,
     CopyOracle,
+    CopyStream,
     DelegationAbort,
     LiveCopyTracker,
     ManyVsOneTask,
@@ -72,6 +73,102 @@ class TestMeterAndTracker:
         with pytest.raises(PermissionError):
             oracle.ideal_peek()
         assert CopyOracle(qcore.maximally_mixed(2), ideal_access=True).ideal_peek() is not None
+
+
+def _reference_stream(oracle, n, kind, channel=None, unitary=None, round_index=0):
+    """The per-copy loop ``CopyOracle.stream`` replaces: query, mask, then send
+    or consume, one copy at a time."""
+    states = []
+    for _ in range(n):
+        c = oracle.query(kind)
+        if unitary is not None:
+            c = c.with_unitary(unitary)
+        if channel is not None:
+            states.extend(channel.send_qudits("v->p", [c], round_index))
+        else:
+            states.append(c.consume())
+    return states
+
+
+def _stream_setup(transcript):
+    """An oracle with a fresh tracker, and a channel (None, recording or not)."""
+    oracle = CopyOracle(qcore.sample_state(4, 2, np.random.default_rng(11)), tracker=LiveCopyTracker(1))
+    oracle.meter.charge(3, "earlier")  # the stream adds to an existing meter
+    channel = None if transcript is None else Channel("quantum", record_transcript=transcript)
+    return oracle, channel
+
+
+class TestCopyStream:
+    @pytest.mark.parametrize("n", [1, 2, 26, 1000])
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("transcript", [None, False, True])
+    def test_matches_per_copy_loop(self, n, masked, transcript):
+        u = qcore.sample_haar_unitary(4, np.random.default_rng(12)) if masked else None
+        runs = []
+        for streamed in (False, True):
+            oracle, channel = _stream_setup(transcript)
+            if streamed:
+                states = oracle.stream(n, "swap", channel=channel, unitary=u, round_index=7)
+            else:
+                states = _reference_stream(oracle, n, "swap", channel=channel, unitary=u, round_index=7)
+            runs.append((oracle, channel, states))
+        (ref_oracle, ref_channel, ref_states), (oracle, channel, states) = runs
+        assert isinstance(states, CopyStream)
+        assert (oracle.meter.total, oracle.meter.by_kind) == (ref_oracle.meter.total, ref_oracle.meter.by_kind)
+        assert (oracle.tracker.live, oracle.tracker.peak) == (ref_oracle.tracker.live, ref_oracle.tracker.peak)
+        assert len(states) == len(ref_states) == n
+        assert all(np.array_equal(a, b) for a, b in zip(states, ref_states))
+        if channel is not None:
+            assert channel.counters() == ref_channel.counters()
+            assert [m.line() for m in channel.transcript] == [m.line() for m in ref_channel.transcript]
+            assert len(channel.transcript) == (n if transcript else 0)
+
+    def test_test_round_send_matches_per_copy_sends(self):
+        state = np.eye(4, dtype=complex) / 4
+        ref, ch = Channel("quantum"), Channel("quantum")
+        for _ in range(26):
+            ref.send_qudits("v->p", [Copy(state, None)], 3)
+        sent = ch.send_stream("v->p", state, 26, 3)
+        assert sent.state is state and len(sent) == 26
+        assert ch.counters() == ref.counters()
+        assert [m.line() for m in ch.transcript] == [m.line() for m in ref.transcript]
+
+    def test_stream_while_a_copy_is_live_violates_policy(self):
+        oracle = CopyOracle(qcore.maximally_mixed(2), tracker=LiveCopyTracker(1))
+        held = oracle.query()
+        with pytest.raises(MemoryPolicyError):
+            oracle.stream(5, "swap")
+        held.consume()
+
+    def test_classical_channel_rejects_a_stream(self):
+        oracle = CopyOracle(qcore.maximally_mixed(2), tracker=LiveCopyTracker(1))
+        with pytest.raises(ChannelTypeError):
+            oracle.stream(5, "swap", channel=Channel("classical"))
+
+    def test_empty_stream_charges_nothing(self):
+        oracle, channel = _stream_setup(True)
+        states = oracle.stream(0, "swap", channel=channel, unitary=np.eye(4))
+        assert len(states) == 0 and list(states) == []
+        assert (oracle.meter.total, oracle.meter.by_kind) == (3, {"earlier": 3})
+        assert (oracle.tracker.live, oracle.tracker.peak) == (0, 0)
+        assert channel.counters()["qudits_v_to_p"] == 0 and channel.transcript == []
+        with pytest.raises(ValueError):
+            oracle.stream(-1, "swap")
+
+    def test_sequence_view(self):
+        state = np.eye(2) / 2
+        copies = CopyStream(state, 5)
+        assert copies[0] is state and copies[-5] is state
+        with pytest.raises(IndexError):
+            copies[5]
+        assert len(copies[0::2]) == 3 and len(copies[1::2]) == 2
+        assert copies[1::2][1] is state
+        assert all(x is state for x in copies)
+
+    def test_delegated_measure_reads_the_stream_without_copying(self):
+        copies = CopyStream(np.eye(2) / 2, 10_000)
+        out = delegated_measure(lambda states, r: states, copies, rng=np.random.default_rng(0))
+        assert out is copies
 
 
 class TestChannel:

@@ -115,3 +115,60 @@ def test_vsum_of_many_maximal_elements():
     # 2^20 copies of Q - 1: the halves' totals stay exact far below overflow
     a = np.full(1 << 20, Q - 1, dtype=np.uint64)
     assert m61.vsum(a) == ((Q - 1) << 20) % Q
+
+
+def _reference_node_eval(values, t, weights):
+    """The per-node form StreamedNodeEval replaced: one inversion per node."""
+    t %= Q
+    ell, acc, hit = 1, 0, None
+    for j, v in enumerate(values):
+        v %= Q
+        if t == j % Q:
+            hit = v
+        diff = fsub(t, j)
+        if diff != 0:
+            ell = fmul(ell, diff)
+            acc = fadd(acc, fmul(weights[j], fmul(v, m61.finv(diff))))
+    return (values[0] % Q, values[1] % Q, hit if hit is not None else fmul(ell, acc))
+
+
+@st.composite
+def node_messages(draw):
+    num_nodes = draw(st.integers(2, 40))
+    values = draw(st.lists(st.one_of(elements, st.integers(Q, 2 * Q)), min_size=num_nodes, max_size=num_nodes))
+    t = draw(
+        st.one_of(
+            elements,
+            st.integers(0, num_nodes - 1),  # t on a node
+            st.integers(Q, Q + num_nodes - 1),  # on a node after reduction
+        )
+    )
+    weights = draw(st.one_of(st.just(m61.lagrange_weights(num_nodes)), st.lists(elements, min_size=num_nodes, max_size=num_nodes)))
+    return values, t, weights
+
+
+@given(node_messages())
+def test_streamed_node_eval_matches_per_node_inversions(message):
+    values, t, weights = message
+    ev = m61.StreamedNodeEval(t, len(values), weights)
+    for v in values:
+        ev.feed(v)
+    want = _reference_node_eval(values, t, weights)
+    assert (ev.at_zero, ev.at_one, ev.result()) == want
+    assert m61.lagrange_eval(values, t, weights) == want[2]
+
+
+def test_streamed_node_eval_needs_no_inversion(monkeypatch):
+    values = [3, 1, 4, 1, 5, 9, 2, 6]
+    weights = m61.lagrange_weights(8)
+    want = _reference_node_eval(values, 12345, weights)[2]
+
+    def no_inverse(a):
+        raise AssertionError("node evaluation called finv")
+
+    monkeypatch.setattr(m61, "finv", no_inverse)
+    ev = m61.StreamedNodeEval(12345, 8, weights)
+    for v in values:
+        ev.feed(v)
+    assert ev.result() == want
+    assert m61.lagrange_eval(values, 12345, weights) == want

@@ -4,11 +4,12 @@ verdict rule and small-batch session behavior."""
 import numpy as np
 import pytest
 
-from ipsim import purity_ip, qcore
-from ipsim.harness import CopyOracle, LiveCopyTracker, ProtocolAbort, batch_rates
+from ipsim import purity_ip, qcore, qmeas
+from ipsim.harness import Channel, CopyOracle, CopyStream, LiveCopyTracker, ProtocolAbort, batch_rates
 from ipsim.purity_ip import (
     MIXED,
     PURE,
+    BestEffortLiar,
     HonestSwapProver,
     PurityConfig,
     RoundRecord,
@@ -48,29 +49,34 @@ class TestPrepareRoundState:
     def _params(self, d=4):
         return purity_params(1 / 3, d)
 
+    @staticmethod
+    def _send(kind, oracle, p, seed):
+        channel = Channel("quantum")
+        copies, mask = prepare_round_state(kind, oracle, p, np.random.default_rng(seed), channel, 0)
+        assert channel.qudits_v_to_p == len(copies) == p.m
+        return copies, mask
+
     def test_mixed_round_no_queries_no_mask(self):
         oracle = CopyOracle(qcore.maximally_mixed(4))
-        stream, mask = prepare_round_state("m", oracle, self._params(), np.random.default_rng(0))
-        copies = list(stream)
+        copies, mask = self._send("m", oracle, self._params(), 0)
         assert oracle.meter.total == 0
         assert mask is None
-        assert len(copies) == self._params().m
-        assert np.allclose(copies[0].state, np.eye(4) / 4)
+        assert np.allclose(copies[0], np.eye(4) / 4)
 
     def test_compute_round_queries_exactly_m(self):
         p = self._params()
-        oracle = CopyOracle(qcore.maximally_mixed(4), tracker=LiveCopyTracker(1))
-        stream, mask = prepare_round_state("c", oracle, p, np.random.default_rng(1))
-        for copy in stream:
-            copy.consume()  # one at a time keeps the tracker at <= 1
+        tracker = LiveCopyTracker(1)
+        oracle = CopyOracle(qcore.maximally_mixed(4), tracker=tracker)
+        _, mask = self._send("c", oracle, p, 1)
         assert oracle.meter.total == p.m
+        assert (tracker.live, tracker.peak) == (0, 1)  # one copy at a time
         assert mask is not None
 
     def test_pure_round_ignores_oracle(self):
         p = self._params()
         oracle = CopyOracle(qcore.maximally_mixed(4))
-        stream, mask = prepare_round_state("p", oracle, p, np.random.default_rng(2))
-        first = next(stream).state
+        copies, _ = self._send("p", oracle, p, 2)
+        first = copies[0]
         assert oracle.meter.total == 0
         assert abs(np.trace(first @ first).real - 1.0) < 1e-9  # pure regardless of rho
 
@@ -78,7 +84,7 @@ class TestPrepareRoundState:
         for ensemble in ("pauli", "clifford"):
             p = purity_params(1 / 3, 4, mask_ensemble=ensemble)
             oracle = CopyOracle(qcore.maximally_mixed(4))
-            _, mask = prepare_round_state("p", oracle, p, np.random.default_rng(3))
+            _, mask = self._send("p", oracle, p, 3)
             assert mask.dim == 4
 
 
@@ -101,6 +107,61 @@ class TestHonestAnswer:
     def test_odd_m_rejected(self):
         with pytest.raises(ValueError):
             honest_purity_answer([np.eye(2) / 2] * 3, np.random.default_rng(0))
+
+    @staticmethod
+    def _reference_answer(states, rng):
+        """The per-pair loop: one swap_test per pair, stopping at the first rejection."""
+        for a, b in zip(states[0::2], states[1::2]):
+            if not qmeas.swap_test(a, b, rng):
+                return MIXED
+        return PURE
+
+    @staticmethod
+    def _round_lists(d=4, m=26):
+        g = np.random.default_rng(8)
+        mixed = np.eye(d, dtype=complex) / d
+        pure = qcore.sample_pure_state(d, g).density().entries
+        distinct = [qcore.sample_state(d, int(g.integers(1, d + 1)), g).entries for _ in range(m)]
+        return {
+            "shared-mixed": [mixed] * m,
+            "shared-pure": [pure] * m,
+            "stream-mixed": CopyStream(mixed, m),
+            "distinct": distinct,
+            "distinct-equal-values": [mixed.copy() for _ in range(m)],
+            "alternating": [mixed, pure] * (m // 2),
+        }
+
+    def test_same_answer_and_rng_state_as_per_pair_loop(self):
+        for name, states in self._round_lists().items():
+            for seed in range(40):
+                ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = self._reference_answer(states, ref_rng)
+                assert honest_purity_answer(states, rng) == want, name
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, name
+
+    def test_one_overlap_per_distinct_pair(self, monkeypatch):
+        calls = []
+        real = qmeas.swap_probability
+        monkeypatch.setattr(qmeas, "swap_probability", lambda a, b: calls.append(1) or real(a, b))
+        lists = self._round_lists()
+        assert honest_purity_answer(lists["shared-pure"], np.random.default_rng(0)) == PURE
+        assert len(calls) == 1  # 13 tests drawn, one overlap computed
+        calls.clear()
+        BestEffortLiar().answer_round(lists["distinct"], purity_params(1 / 3, 4), np.random.default_rng(0))
+        assert len(calls) == 13
+
+    def test_best_effort_liar_same_answer_and_rng_state(self):
+        params = purity_params(1 / 3, 4)
+        for name, states in self._round_lists().items():
+            for seed in range(20):
+                ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                accepts = sum(qmeas.swap_test(a, b, ref_rng) for a, b in zip(states[0::2], states[1::2]))
+                want = BestEffortLiar().answer_round(states, params, rng)
+                honest = PURE if accepts == len(states) // 2 else MIXED
+                frac = accepts / (len(states) // 2)
+                believes_compute = abs(frac - (1 + 1 / 4) / 2) <= abs(frac - 1.0)
+                assert want == (1 - honest if believes_compute else honest), name
+                assert rng.bit_generator.state == ref_rng.bit_generator.state, name
 
 
 class TestVerdict:

@@ -556,8 +556,47 @@ class RateRecord:
             ("abort", self.abort),
         ):
             lo, hi = wilson_interval(count, self.trials)
-            out[label] = {"count": count, "rate": count / self.trials, "wilson95": (lo, hi)}
+            out[label] = {"count": count, "rate": count / self.trials, "wilson95": [lo, hi]}
         return out
+
+
+def run_trials(
+    runner: Callable,
+    judge: Callable,
+    instance_sampler: Callable,
+    strategy: ProverStrategy,
+    trials: int,
+    seed: int,
+    seed_label: str,
+) -> tuple[RateRecord, list[SessionResult], list]:
+    """The Monte-Carlo trial loop of ``batch_rates`` and of the CLI runner.
+
+    Trial t samples its instance with ``derive_rng(seed, "instance", t)`` and
+    runs its session with a seed drawn from ``derive_rng(seed, seed_label, t)``:
+    ``batch_rates`` passes "trial-seed" and the CLI "trial", which keeps the
+    acceptance tests' seeds and every report byte of both. A trial with an
+    output is judged: every accepted session, and a distinguisher run, whose
+    answer is "reject" also when the simulated verifier aborted. Returns the
+    counts, the results and each trial's validity (None when not judged).
+    """
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
+    av = ai = ab = 0
+    results, valids = [], []
+    for t in range(trials):
+        instance = instance_sampler(derive_rng(seed, "instance", t))
+        trial_seed = int(derive_rng(seed, seed_label, t).integers(0, 2**63 - 1))
+        res = runner(instance, strategy, trial_seed)
+        valid = None if res.output is None else judge(res.output, instance)
+        results.append(res)
+        valids.append(valid)
+        if not res.accepted:
+            ab += 1
+        elif valid:
+            av += 1
+        else:
+            ai += 1
+    return RateRecord(trials, av, ai, ab), results, valids
 
 
 def batch_rates(
@@ -574,23 +613,17 @@ def batch_rates(
     ``judge(output, instance) -> bool`` may peek at the hidden instance
     (test/report context only); ``instance_sampler(rng) -> instance``.
     """
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
-    av = ai = ab = 0
-    results = []
-    for t in range(trials):
-        inst_rng = derive_rng(seed, "instance", t)
-        instance = instance_sampler(inst_rng)
-        trial_seed = int(derive_rng(seed, "trial-seed", t).integers(0, 2**63 - 1))
-        res = runner(instance, strategy, trial_seed)
-        results.append(res)
-        if not res.accepted:
-            ab += 1
-        elif judge(res.output, instance):
-            av += 1
-        else:
-            ai += 1
-    return RateRecord(trials, av, ai, ab), results
+    rec, results, _ = run_trials(
+        runner, judge, instance_sampler, strategy, trials, seed, "trial-seed"
+    )
+    return rec, results
+
+
+def choose(what: str, name: str, choices: dict):
+    """``choices[name]``; an unknown name is a ValueError listing the choices."""
+    if name not in choices:
+        raise ValueError(f"unknown {what} {name!r}; choose from {', '.join(sorted(choices))}")
+    return choices[name]
 
 
 # ---------------------------------------------------------------------------
@@ -713,7 +746,3 @@ class TrivialValidationIP:
         if not ok:
             raise ProtocolAbort("decide-valid rejected the hypothesis")
         return hyp
-
-
-def trivial_validation_ip(decide_valid: DecideValid, prover_solver: ProverStrategy):
-    return TrivialValidationIP(decide_valid), prover_solver

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,6 +26,7 @@ from .harness import (
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
+    choose,
     delegated_measure,
     run_session,
 )
@@ -497,6 +499,7 @@ class LowRankConfig:
     mode: str = "ideal"
     variant: str = "standard"
     record_transcript: bool = False
+    trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
     def params(self) -> LowRankParams:
         return LowRankParams(
@@ -507,6 +510,22 @@ class LowRankConfig:
             mode=self.mode,
             variant=self.variant,
         )
+
+    def formula(self) -> dict:
+        p = self.params()
+        return {
+            "eps1": p.eps1,
+            "eps2": p.eps2,
+            "f": p.f,
+            "delta_tilde": p.delta_tilde,
+            "purity_pairs_budget": p.purity_pairs_budget(),
+            "topk_budget": p.topk_budget(),
+            "prover_budget": p.prover_budget(),
+            "basis_shots": p.basis_shots(),
+        }
+
+    def make_prover(self, name: str) -> ProverStrategy:
+        return choose("adversary", name, {"honest": HonestSpectralProver, **ADVERSARIES})()
 
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.DensityMatrix:
         return qcore.sample_state(self.d, self.d, rng)

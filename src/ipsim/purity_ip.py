@@ -9,7 +9,8 @@ failed test round or inconsistent compute answers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .harness import (
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
+    build_nogo_distinguisher,
+    choose,
     derive_rng,
     run_session,
 )
@@ -275,10 +278,18 @@ class PurityConfig:
     delta: float = 1 / 3
     mask_ensemble: str = "haar"
     record_transcript: bool = False
-    kind_seed: int | None = None
+    kind_seed: int | None = field(default=None, metadata={"cli": False})  # set by tests only
+    trial_keys: ClassVar[dict] = {"adversary": "honest", "instance": "accept"}
 
     def params(self) -> PurityParams:
         return purity_params(self.delta, self.d, self.mask_ensemble)
+
+    def formula(self) -> dict:
+        p = self.params()
+        return {"N": p.N, "m": p.m, "delta_tilde": p.delta_tilde}
+
+    def make_prover(self, name: str) -> ProverStrategy:
+        return choose("adversary", name, {"honest": HonestSwapProver, **ADVERSARIES})()
 
     def task(self) -> ManyVsOneTask:
         d = self.d
@@ -312,3 +323,41 @@ class PurityConfig:
         if np.allclose(hidden.entries, np.eye(self.d) / self.d, atol=1e-9):
             return output == OUTPUT_MIXED
         return True  # outside the promise both answers are valid
+
+
+@dataclass
+class NogoConfig:
+    """The distinguisher that ``build_nogo_distinguisher`` builds from the
+    purity IP and its honest prover, run on accept (maximally mixed) or
+    reject (Haar-random pure) instances. A trial's validity is whether the
+    distinguisher named the instance's side, also when it answered "reject"
+    because the simulated verifier aborted."""
+
+    d: int = 8
+    delta: float = 1 / 3
+    record_transcript: bool = False
+    trial_keys: ClassVar[dict] = {"instance": "accept"}
+
+    def __post_init__(self):
+        self.ip = PurityConfig(d=self.d, delta=self.delta, record_transcript=self.record_transcript)
+        self.task = self.ip.task()
+
+    def formula(self) -> dict:
+        p = self.ip.params()
+        return {"N": p.N, "m": p.m}
+
+    def make_prover(self, name: str) -> ProverStrategy:
+        return self.ip.make_prover(name)
+
+    def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.DensityMatrix:
+        return self.ip.sample_instance(which, rng)
+
+    def run_one(self, hidden, prover: ProverStrategy, seed: int) -> SessionResult:
+        """The simulated session, with the distinguisher's answer as its output."""
+        distinguisher = build_nogo_distinguisher(self.task, self.ip.run_one, prover)
+        answer, res = distinguisher.run(hidden, seed)
+        return replace(res, output=answer)
+
+    def judge(self, output, hidden) -> bool:
+        mixed = np.allclose(hidden.entries, np.eye(self.d) / self.d, atol=1e-9)
+        return output == ("accept" if mixed else "reject")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -20,15 +21,19 @@ from . import qcore, qmeas
 from .harness import (
     Channel,
     CopyOracle,
+    DecideValid,
     DelegationAbort,
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
+    TrivialValidationIP,
+    choose,
     delegated_measure,
     run_session,
 )
 
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080, 4: 36720}
+INSTANCE_MIX = 0.12  # max squared overlap an instance moves toward a Haar direction
 
 
 @dataclass(frozen=True)
@@ -448,11 +453,24 @@ class StabConfig:
     epsilon: float = 0.4
     delta: float = 1 / 3
     mode: str = "ideal"
-    instance_mix: float = 0.12  # max squared overlap removed toward a Haar direction
     record_transcript: bool = False
+    trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
     def params(self) -> StabParams:
         return StabParams(epsilon=self.epsilon, delta=self.delta, n=self.n, mode=self.mode)
+
+    def formula(self) -> dict:
+        p = self.params()
+        return {
+            "eps1": p.eps1,
+            "eps2": p.eps2,
+            "eps3": p.eps3,
+            "loss_shots": p.loss_shots(),
+            "a3_samples": p.a3_samples(),
+        }
+
+    def make_prover(self, name: str) -> ProverStrategy:
+        return choose("adversary", name, {"honest": HonestBruteForceProver, **ADVERSARIES})()
 
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.PureState:
         """Near-stabilizer pure state: random stabilizer state nudged toward
@@ -465,7 +483,7 @@ class StabConfig:
         if norm < 1e-9:
             return qcore.PureState(base)
         orth /= norm
-        t = self.instance_mix * rng.random()
+        t = INSTANCE_MIX * rng.random()
         amps = math.sqrt(1 - t) * base + math.sqrt(t) * orth
         return qcore.PureState(amps / np.linalg.norm(amps))
 
@@ -482,3 +500,107 @@ class StabConfig:
         loss = 1.0 - qcore.fidelity_pure(hidden, output.projector())
         l_star, _ = optimal_stab_loss(hidden)
         return loss <= 8 * l_star + self.epsilon + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# Trivial validation IP on realizable stabilizer learning
+# ---------------------------------------------------------------------------
+
+
+class TrivialSolver(ProverStrategy):
+    """Sends the stabilizer state closest to the instance."""
+
+    name = "brute-force-solver"
+    honest = True
+
+    def __init__(self, n: int):
+        self.n = n
+
+    def solve(self, oracle_p, rng):
+        _, best = optimal_stab_loss(oracle_p.ideal_peek())
+        return enumerate_stabilizers(self.n)[best]
+
+
+class TrivialGarbage(TrivialSolver):
+    """Sends the stabilizer state farthest from the instance."""
+
+    name = "garbage"
+    honest = False
+
+    def solve(self, oracle_p, rng):
+        fids = all_fidelities(oracle_p.ideal_peek())
+        return enumerate_stabilizers(self.n)[int(np.argmin(fids))]
+
+
+@dataclass
+class TrivialConfig:
+    """Obs-2.5-style IP on realizable stabilizer learning: the prover solves,
+    the verifier runs a stabilizer-fidelity decide-valid check (``checker``:
+    "sampled" measures copies, "ideal" charges the shot budget and errs with
+    probability delta/2, "exact-test" reads the instance for free)."""
+
+    n: int = 2
+    epsilon: float = 0.3
+    delta: float = 1 / 3
+    checker: str = "sampled"
+    record_transcript: bool = False
+    trial_keys: ClassVar[dict] = {"adversary": "honest"}
+
+    def shots(self) -> int:
+        return math.ceil(math.log(2 / self.delta) / (2 * (self.epsilon / 2) ** 2))
+
+    def formula(self) -> dict:
+        return {}
+
+    def make_prover(self, name: str) -> ProverStrategy:
+        return choose("adversary", name, {"honest": TrivialSolver, "garbage": TrivialGarbage})(self.n)
+
+    def verifier(self) -> TrivialValidationIP:
+        checks = {
+            "sampled": self._check_sampled,
+            "ideal": self._check_ideal,
+            "exact-test": self._check_exact,
+        }
+        check = choose("checker", self.checker, checks)
+        return TrivialValidationIP(
+            DecideValid(check=check, failure_prob=self.delta, description=f"stab-fidelity-{self.checker}")
+        )
+
+    def _check_sampled(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
+        shots = self.shots()
+        state = oracle_v.query(kind="decide-valid").consume()
+        oracle_v.charge_accounting(shots - 1, "decide-valid")
+        fid = float(np.real(np.vdot(hyp.projector(), state)))
+        fid = min(max(fid, 0.0), 1.0)
+        l_hat = 1 - rng.binomial(shots, fid) / shots
+        return l_hat <= self.epsilon / 2
+
+    def _check_ideal(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
+        oracle_v.charge_accounting(self.shots(), "decide-valid-accounting")
+        ok = self._check_exact(oracle_v, hyp, rng)
+        return ok if rng.random() >= self.delta / 2 else not ok
+
+    def _check_exact(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
+        amps = oracle_v.judge_peek().amplitudes
+        fid = float(np.real(np.vdot(hyp.projector(), np.outer(amps, amps.conj()))))
+        return (1 - fid) <= self.epsilon / 2
+
+    def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.PureState:
+        states = enumerate_stabilizers(self.n)
+        return states[int(rng.integers(0, len(states)))].dense
+
+    def run_one(self, hidden, prover, seed: int) -> SessionResult:
+        oracle_v = CopyOracle(hidden)
+        oracle_p = CopyOracle(hidden, ideal_access=True)
+        channel = Channel("quantum", record_transcript=self.record_transcript)
+        return run_session(self.verifier(), prover, (oracle_v, oracle_p), channel, seed)
+
+    def judge(self, output: StabilizerStateDesc, hidden: qcore.PureState) -> bool:
+        loss = 1.0 - float(np.abs(np.vdot(output.dense.amplitudes, hidden.amplitudes)) ** 2)
+        return loss <= self.epsilon + 1e-9
+
+
+def make_trivial_stab_ip(n: int, epsilon: float, delta: float, checker: str, adversary: str):
+    """(verifier, prover) of the trivial validation IP."""
+    cfg = TrivialConfig(n=n, epsilon=epsilon, delta=delta, checker=checker)
+    return cfg.verifier(), cfg.make_prover(adversary)

@@ -31,6 +31,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 import numpy as np
 
@@ -41,6 +42,7 @@ from .harness import (
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
+    choose,
     run_session,
 )
 from .m61 import Q, fadd, fmul, fsub, vadd, vmul, vsub, vsum
@@ -880,6 +882,7 @@ class UniformityConfig:
     support_fraction: float = 1 / 8
     allow_small_epsilon: bool = False
     record_transcript: bool = False
+    trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
     def params(self) -> UniformityParams:
         return UniformityParams(
@@ -888,6 +891,14 @@ class UniformityConfig:
             degree_cap=self.degree_cap,
             allow_small_epsilon=self.allow_small_epsilon,
         )
+
+    def formula(self) -> dict:
+        p = self.params()
+        out = {"n": p.n, "tau": p.tau, "threshold_count": p.threshold_count, "b": p.b}
+        if p.decision_statistic == "collisions":
+            # tau <= 0: the collision threshold is the one that decides
+            out["collision_threshold"] = p.collision_threshold
+        return out
 
     def make_distribution(self, which: str):
         if which == "uniform":
@@ -930,12 +941,9 @@ class UniformityConfig:
         return run_session(verifier, prover, (oracle_v, oracle_p), channel, seed)
 
     def make_prover(self, name: str) -> ProverStrategy:
-        if name == "honest":
-            return HonestStreamProver()
         if name == "decision-flip":
             return DecisionFlipProver(self.params())
-        cls = ADVERSARIES[name]
-        return cls()
+        return choose("adversary", name, {"honest": HonestStreamProver, **ADVERSARIES})()
 
     def judge(self, output, hidden) -> bool:
         """Valid iff the verdict matches the hidden distribution side."""

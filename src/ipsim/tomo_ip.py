@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -24,6 +25,7 @@ from .harness import (
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
+    choose,
     delegated_measure,
     run_session,
 )
@@ -389,6 +391,7 @@ class TomoConfig:
     c_v: float = 1.0
     c_p: float = 1.0
     record_transcript: bool = False
+    trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
     def params(self) -> TomoParams:
         return TomoParams(
@@ -400,6 +403,17 @@ class TomoConfig:
             c_v=self.c_v,
             c_p=self.c_p,
         )
+
+    def formula(self) -> dict:
+        p = self.params()
+        return {
+            "verifier_budget": p.verifier_query_budget(),
+            "prover_budget": p.prover_query_budget(),
+            "prover_target": p.prover_target,
+        }
+
+    def make_prover(self, name: str) -> ProverStrategy:
+        return choose("adversary", name, {"honest": HonestTomographyProver, **ADVERSARIES})()
 
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.DensityMatrix:
         if self.rank_k is not None:

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from ipsim import harness, qcore
-from ipsim.cli import make_trivial_stab_ip
 from ipsim.harness import (
     Channel,
     ChannelTypeError,
@@ -24,6 +23,7 @@ from ipsim.harness import (
     derive_rng,
     wilson_interval,
 )
+from ipsim.stab_ip import make_trivial_stab_ip
 
 
 class TestMeterAndTracker:

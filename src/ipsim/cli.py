@@ -135,6 +135,8 @@ def build_protocol(config: ExperimentConfig):
     trial = {key: settings.pop(key, default) for key, default in cls.trial_keys.items()}
     if any(f.name == "mode" for f in fields(cls)):
         settings["mode"] = config.mode
+    elif config.mode != "ideal":
+        raise ConfigError(f"protocol {config.protocol} has no mode; --mode {config.mode} does not apply")
     protocol = cls(**settings, record_transcript=config.transcripts)
     prover = protocol.make_prover(trial.get("adversary", "honest"))
     # without an instance key a config samples its one source ("learning"

@@ -63,7 +63,11 @@ def canonical_bytes(obj) -> bytes:
         return canonical_bytes(obj.entries)
     if hasattr(obj, "amplitudes"):
         return canonical_bytes(obj.amplitudes)
-    return repr(obj).encode()
+    if hasattr(obj, "generators"):  # a stabilizer state description
+        return canonical_bytes(obj.generators)
+    if obj is None or isinstance(obj, (str, int, float, np.generic)):
+        return repr(obj).encode()
+    raise TypeError(f"no canonical encoding for {type(obj).__name__}")
 
 
 def payload_digest(obj) -> str:

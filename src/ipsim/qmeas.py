@@ -49,9 +49,6 @@ class PauliLabel:
         mask = (1 << n) - 1
         return cls(n=n, x=index & mask, z=(index >> n) & mask)
 
-    def xor(self, other: "PauliLabel") -> "PauliLabel":
-        return PauliLabel(self.n, self.x ^ other.x, self.z ^ other.z)
-
     @property
     def is_identity(self) -> bool:
         return self.x == 0 and self.z == 0

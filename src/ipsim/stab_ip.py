@@ -107,28 +107,62 @@ def _symp(n: int, a: int, b: int) -> int:
     return (bin(xa & zb).count("1") + bin(xb & za).count("1")) & 1
 
 
+def _commute_masks(n: int) -> list[int]:
+    """Entry u has bit v set iff the Pauli labels u and v commute."""
+    mask = (1 << n) - 1
+    labels = np.arange(1 << (2 * n))
+    x, z = labels & mask, labels >> n
+    parity = np.array([bin(w).count("1") & 1 for w in range(1 << n)], dtype=bool)
+    anticommute = parity[(x[:, None] & z[None, :]) ^ (z[:, None] & x[None, :])]
+    rows = np.packbits(~anticommute, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
 def _maximal_isotropic_subspaces(n: int) -> list[list[int]]:
-    """All maximal isotropic subspaces of F_2^{2n}; each as a generator list."""
-    frontier = {(0,): []}  # element-tuple -> generators
+    """All maximal isotropic subspaces of F_2^{2n}; each as a generator list.
+
+    Breadth-first by dimension: a subspace E grows by each v outside E that
+    commutes with its generators, in increasing order of v. Subspaces are
+    keyed by the bitmask of their elements. Once v yields E + <v>, all of
+    E + <v> leaves the candidates, since every later v' in it yields the same
+    superspace.
+    """
+    commute = _commute_masks(n)
+    everything = (1 << (1 << (2 * n))) - 1
+    frontier = {1: ([0], [])}  # element bitmask -> (elements, generators)
     for _level in range(n):
         nxt = {}
-        for elements, gens in frontier.items():
-            elem_set = set(elements)
-            for v in range(1, 1 << (2 * n)):
-                if v in elem_set:
-                    continue
-                if any(_symp(n, v, g) for g in gens):
-                    continue
-                new_elems = tuple(sorted(elem_set | {e ^ v for e in elements}))
-                if new_elems not in nxt:
-                    nxt[new_elems] = gens + [v]
+        for span, (elements, gens) in frontier.items():
+            candidates = everything & ~span
+            for g in gens:
+                candidates &= commute[g]
+            while candidates:
+                v = (candidates & -candidates).bit_length() - 1
+                coset = [e ^ v for e in elements]
+                superspace = span | sum(1 << e for e in coset)
+                if superspace not in nxt:
+                    nxt[superspace] = (elements + coset, gens + [v])
+                candidates &= ~superspace
         frontier = nxt
-    return list(frontier.values())
+    return [gens for _, gens in frontier.values()]
 
 
-def _pauli_from_packed(n: int, packed: int) -> qmeas.PauliLabel:
-    mask = (1 << n) - 1
-    return qmeas.PauliLabel(n, packed & mask, packed >> n)
+def _pack_generators(n: int, subspaces: list[list[int]]) -> np.ndarray:
+    """(len(subspaces) * 2^n, n, 2n+1) int8 generator arrays: each subspace
+    under each of its 2^n sign patterns, sign pattern s giving row i sign bit
+    (s >> i) & 1."""
+    gens = np.array(subspaces, dtype=np.int64).reshape(len(subspaces), 1, n, 1)
+    signs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
+    out = np.empty((len(subspaces), 1 << n, n, 2 * n + 1), dtype=np.int8)
+    out[..., : 2 * n] = (gens >> np.arange(2 * n)) & 1
+    out[..., 2 * n] = signs
+    return out.reshape(-1, n, 2 * n + 1)
+
+
+def _packed_labels(generators: np.ndarray) -> np.ndarray:
+    """Pauli labels x | (z << n) of generator rows, over any leading shape."""
+    two_n = generators.shape[-1] - 1
+    return (generators[..., :two_n].astype(np.int64) << np.arange(two_n)).sum(axis=-1)
 
 
 class StabilizerStateDesc:
@@ -150,14 +184,12 @@ class StabilizerStateDesc:
 
     def packed_rows(self) -> list[tuple[int, int]]:
         """(packed xz label, sign) per generator row."""
-        out = []
-        for row in self.generators:
-            x = int(sum(int(row[i]) << i for i in range(self.n)))
-            z = int(sum(int(row[self.n + i]) << i for i in range(self.n)))
-            out.append((x | (z << self.n), int(row[2 * self.n])))
-        return out
+        signs = self.generators[:, 2 * self.n]
+        return [(int(p), int(s)) for p, s in zip(_packed_labels(self.generators), signs)]
 
     def validate_group(self):
+        if self.generators.min() < 0 or self.generators.max() > 1:
+            raise ValueError("generator entries must be bits")
         rows = [p for p, _ in self.packed_rows()]
         for i in range(len(rows)):
             for j in range(i + 1, len(rows)):
@@ -176,7 +208,7 @@ class StabilizerStateDesc:
     @property
     def dense(self) -> qcore.PureState:
         if self._dense is None:
-            self._dense = _render_dense(self.n, self.packed_rows())
+            self._dense = _render(self.generators[None])[0]
         return qcore.PureState(self._dense)
 
     def projector(self) -> np.ndarray:
@@ -184,31 +216,53 @@ class StabilizerStateDesc:
         return np.outer(amps, amps.conj())
 
 
-def _render_dense(n: int, signed_rows: list[tuple[int, int]]) -> np.ndarray:
+_RENDER_CHUNK = 256  # states per batched product; 4096 adds ~50 MB of peak RSS at n = 4
+
+
+@lru_cache(maxsize=4)
+def _projector_factors(n: int) -> np.ndarray:
+    """(2, 4^n, 2^n, 2^n): I + (-1)^s W for sign bit s and every Pauli label."""
     d = 1 << n
-    proj = np.eye(d, dtype=complex)
-    for packed, sign in signed_rows:
-        w = qmeas.dense_pauli(_pauli_from_packed(n, packed))
-        proj = proj @ (np.eye(d) + (-1) ** sign * w) / 2
-    norms = np.linalg.norm(proj, axis=0)
-    col = int(np.argmax(norms))
-    v = proj[:, col] / norms[col]
-    # canonical global phase: first significant entry real positive
-    k = int(np.argmax(np.abs(v) > 1e-8))
-    v = v * (v[k].conj() / abs(v[k]))
-    return v
+    out = np.empty((2, 1 << (2 * n), d, d), dtype=complex)
+    for label in range(1 << (2 * n)):
+        w = qmeas.dense_pauli(qmeas.PauliLabel.from_index(n, label))
+        for sign in (0, 1):
+            out[sign, label] = np.eye(d) + (-1) ** sign * w
+    out.setflags(write=False)
+    return out
 
 
-def _desc_from_subspace(n: int, gens: list[int], signs: int) -> StabilizerStateDesc:
-    rows = np.zeros((n, 2 * n + 1), dtype=np.int8)
-    mask = (1 << n) - 1
-    for i, g in enumerate(gens):
-        x, z = g & mask, g >> n
-        for b in range(n):
-            rows[i, b] = (x >> b) & 1
-            rows[i, n + b] = (z >> b) & 1
-        rows[i, 2 * n] = (signs >> i) & 1
-    return StabilizerStateDesc(n, rows)
+def _render(generators: np.ndarray) -> np.ndarray:
+    """(B, 2^n) amplitudes of the B stabilizer states with (B, n, 2n+1)
+    generator arrays.
+
+    Each state is the largest column of the product of its projectors
+    (I + (-1)^s W) / 2, normalized, with the first significant entry made
+    real positive. Every projector entry is a dyadic rational, so the
+    products are exact: the bits do not depend on how states are batched.
+    """
+    count, n = generators.shape[:2]
+    d = 1 << n
+    factors = _projector_factors(n)
+    labels = _packed_labels(generators)
+    signs = generators[:, :, 2 * n]
+    out = np.empty((count, d), dtype=complex)
+    for lo in range(0, count, _RENDER_CHUNK):
+        hi = min(lo + _RENDER_CHUNK, count)
+        proj = factors[signs[lo:hi, 0], labels[lo:hi, 0]] / 2
+        for i in range(1, n):
+            proj = proj @ factors[signs[lo:hi, i], labels[lo:hi, i]] / 2
+        norms = np.linalg.norm(proj, axis=1)
+        rows = np.arange(hi - lo)
+        col = norms.argmax(axis=1)
+        v = proj[rows, :, col] / norms[rows, col][:, None]
+        # canonical global phase: first significant entry real positive
+        first = v[rows, (np.abs(v) > 1e-8).argmax(axis=1)]
+        out[lo:hi] = v * (first.conj() / np.abs(first))[:, None]
+    return out
+
+
+_AMPLITUDE_TABLES: dict[int, np.ndarray] = {}  # filled by enumerate_stabilizers
 
 
 @lru_cache(maxsize=4)
@@ -216,20 +270,20 @@ def enumerate_stabilizers(n: int) -> tuple[StabilizerStateDesc, ...]:
     """Every pure n-qubit stabilizer state exactly once (n <= 4)."""
     if n > 4:
         raise ValueError("enumeration capped at n = 4")
-    subspaces = _maximal_isotropic_subspaces(n)
-    out = []
-    for gens in subspaces:
-        for signs in range(1 << n):
-            out.append(_desc_from_subspace(n, gens, signs))
-    assert len(out) == STABILIZER_COUNTS[n]
-    return tuple(out)
+    generators = _pack_generators(n, _maximal_isotropic_subspaces(n))
+    assert len(generators) == STABILIZER_COUNTS[n]
+    generators.setflags(write=False)
+    table = _render(generators)
+    table.setflags(write=False)
+    _AMPLITUDE_TABLES[n] = table
+    return tuple(StabilizerStateDesc(n, g, row) for g, row in zip(generators, table))
 
 
-@lru_cache(maxsize=4)
 def stabilizer_amplitude_table(n: int) -> np.ndarray:
-    """(num_states, 2^n) stacked dense amplitudes for vectorized fidelities."""
-    states = enumerate_stabilizers(n)
-    return np.stack([s.dense.amplitudes for s in states])
+    """(num_states, 2^n) read-only amplitudes; row i is the dense rendering
+    of ``enumerate_stabilizers(n)[i]``."""
+    enumerate_stabilizers(n)
+    return _AMPLITUDE_TABLES[n]
 
 
 def all_fidelities(psi: qcore.PureState) -> np.ndarray:

@@ -2,10 +2,14 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import ipsim
 from ipsim import cli, harness
 from ipsim.cli import ExperimentConfig, emit_report, main, parse_config_file, run_experiment
 from ipsim.purity_ip import PurityConfig
@@ -212,6 +216,43 @@ class TestMainEntrypoint:
         )
 
 
+# one small run per protocol; the uniformity keys are those of
+# test_all_protocols_dispatch
+SMALL_RUNS = {
+    "purity": ["d=4"],
+    "tomo": ["d=2"],
+    "lowrank": ["d=2"],
+    "stab": ["n=2"],
+    "uniformity": ["k=256", "epsilon=0.9", "degree_cap=32", "allow_small_epsilon=true"],
+    "nogo": ["d=4"],
+    "trivial": [],
+}
+
+
+class TestReproducibleOutputs:
+    @pytest.mark.parametrize("protocol", sorted(SMALL_RUNS))
+    def test_two_processes_write_identical_bytes(self, protocol, tmp_path):
+        """Report and transcripts are the same bytes from two separate processes."""
+        env = dict(os.environ, PYTHONPATH=str(Path(ipsim.__file__).parents[1]))
+        outs = []
+        for run in ("a", "b"):
+            out = tmp_path / run
+            argv = [protocol, "--trials", "2", "--seed", "3", "--transcripts", "--out", str(out)]
+            subprocess.run(
+                [sys.executable, "-m", "ipsim.cli", *argv, *SMALL_RUNS[protocol]],
+                env=env,
+                check=True,
+                capture_output=True,
+            )
+            outs.append(out)
+        a, b = outs
+        names = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+        assert Path("report.json") in names and len(names) == 4  # report, csv, 2 transcripts
+        assert names == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 # sha256 of (report.json, trials.csv) of one small run per protocol, computed
 # with the per-protocol adapters the config classes replaced; CONFIG_FILE is
 # written next to the run as exp.cfg
@@ -245,8 +286,9 @@ GOLDEN = {
     ),
     "trivial-exact-garbage": (
         ["trivial", "--trials", "5", "--seed", "5", "checker=exact-test", "adversary=garbage"],
-        "c45f48a4cdb22fdf38df25d12c0d7b1ef6f5aafd027cea9502bc925db7cfca5f",
-        "deeaf04ee5fef1fcaf70b36560975b9ff5c9b9ae47e5c49333d5cdc1227fc503",
+        # bits_c counts the hypothesis's canonical generator encoding (200 bits)
+        "77f6ce73252513da865e45dc9a201cced230dd62a0bbdffa40434240d1655398",
+        "fe099c1331d835c8722bf0c7d4133e64c87ab10becfc85fc38d12e14460f19b6",
     ),
     "purity-config-file": (
         ["purity", "--config", "exp.cfg", "--trials", "4"],
@@ -368,3 +410,18 @@ class TestUnknownChoices:
         assert main(["trivial", "--trials", "1", "checker=nope"]) == 2
         err = capsys.readouterr().err
         assert "config error: unknown checker 'nope'; choose from exact-test, ideal, sampled" in err
+
+
+class TestModeKey:
+    @pytest.mark.parametrize("protocol", ["purity", "uniformity", "nogo", "trivial"])
+    def test_sampled_mode_rejected_without_a_mode_field(self, protocol, capsys):
+        assert main([protocol, "--mode", "sampled", "--trials", "1", *SMALL_RUNS[protocol]]) == 2
+        assert f"protocol {protocol} has no mode" in capsys.readouterr().err
+        cfg = ExperimentConfig(protocol=protocol, mode="ideal", protocol_keys={})
+        cli.build_protocol(cfg)  # the default mode stays accepted
+
+    def test_mode_from_a_config_file_is_checked_too(self, tmp_path, capsys):
+        path = tmp_path / "exp.cfg"
+        path.write_text("mode = sampled\nd = 4\n")
+        assert main(["purity", "--config", str(path), "--trials", "1"]) == 2
+        assert "has no mode" in capsys.readouterr().err

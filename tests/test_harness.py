@@ -18,12 +18,13 @@ from ipsim.harness import (
     ManyVsOneTask,
     MemoryPolicyError,
     QueryMeter,
+    canonical_bytes,
     delegated_measure,
     delegation_security,
     derive_rng,
     wilson_interval,
 )
-from ipsim.stab_ip import make_trivial_stab_ip
+from ipsim.stab_ip import enumerate_stabilizers, make_trivial_stab_ip
 
 
 class TestMeterAndTracker:
@@ -191,6 +192,23 @@ class TestChannel:
         ch.send_bits("p->v", [1], round_index=3)
         line = json.loads(ch.transcript[0].line())
         assert set(line) == {"round", "direction", "payload_kind", "size_bits_or_qudits", "digest"}
+
+
+class TestCanonicalBytes:
+    def test_scalars_encode_as_their_repr(self):
+        for obj in ("ab", 3, -2.5, True, None, np.int64(7), np.float64(0.25)):
+            assert canonical_bytes(obj) == repr(obj).encode()
+
+    def test_stabilizer_state_encodes_by_its_generators(self):
+        desc = enumerate_stabilizers(2)[11]
+        assert canonical_bytes(desc) == canonical_bytes(desc.generators)
+        assert canonical_bytes(desc).startswith(b"nd:int8:(2, 5):")
+
+    def test_unknown_type_raises(self):
+        with pytest.raises(TypeError, match="object"):
+            canonical_bytes(object())
+        with pytest.raises(TypeError, match="set"):
+            canonical_bytes({"x": {1, 2}})
 
 
 class TestDelegation:

@@ -1,6 +1,7 @@
 """Stabilizer-learning IP: exact moment values, loss bounds, enumeration,
 brute-force prover, estimator calibration, verdict rule, sessions."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -73,8 +74,80 @@ class TestBounds:
                 assert lb - 1e-9 <= l_star <= ub + 1e-9
 
 
+# The per-state enumeration the batched one replaced, kept as the reference.
+
+
+def _reference_symp(n, a, b):
+    mask = (1 << n) - 1
+    xa, za = a & mask, a >> n
+    xb, zb = b & mask, b >> n
+    return (bin(xa & zb).count("1") + bin(xb & za).count("1")) & 1
+
+
+def _reference_subspaces(n):
+    frontier = {(0,): []}
+    for _level in range(n):
+        nxt = {}
+        for elements, gens in frontier.items():
+            elem_set = set(elements)
+            for v in range(1, 1 << (2 * n)):
+                if v in elem_set:
+                    continue
+                if any(_reference_symp(n, v, g) for g in gens):
+                    continue
+                new_elems = tuple(sorted(elem_set | {e ^ v for e in elements}))
+                if new_elems not in nxt:
+                    nxt[new_elems] = gens + [v]
+        frontier = nxt
+    return list(frontier.values())
+
+
+def _reference_render_dense(n, signed_rows):
+    d = 1 << n
+    mask = (1 << n) - 1
+    proj = np.eye(d, dtype=complex)
+    for packed, sign in signed_rows:
+        w = qmeas.dense_pauli(qmeas.PauliLabel(n, packed & mask, packed >> n))
+        proj = proj @ (np.eye(d) + (-1) ** sign * w) / 2
+    norms = np.linalg.norm(proj, axis=0)
+    col = int(np.argmax(norms))
+    v = proj[:, col] / norms[col]
+    k = int(np.argmax(np.abs(v) > 1e-8))
+    v = v * (v[k].conj() / abs(v[k]))
+    return v
+
+
+def _reference_generators(n, gens, signs):
+    rows = np.zeros((n, 2 * n + 1), dtype=np.int8)
+    mask = (1 << n) - 1
+    for i, g in enumerate(gens):
+        x, z = g & mask, g >> n
+        for b in range(n):
+            rows[i, b] = (x >> b) & 1
+            rows[i, n + b] = (z >> b) & 1
+        rows[i, 2 * n] = (signs >> i) & 1
+    return rows
+
+
+def _reference_enumeration(n):
+    """(generators, amplitude table) of the per-state enumeration."""
+    generators, table = [], []
+    for gens in _reference_subspaces(n):
+        for signs in range(1 << n):
+            generators.append(_reference_generators(n, gens, signs))
+            signed_rows = [(g, (signs >> i) & 1) for i, g in enumerate(gens)]
+            table.append(_reference_render_dense(n, signed_rows))
+    return np.stack(generators), np.stack(table)
+
+
+# sha256 of the n = 4 generator arrays and amplitude table of the per-state
+# enumeration, which takes about 18 s to run
+N4_GENERATORS_SHA256 = "d26da0d016a90810d2637cbe93059c7d71bf46bcc6c4cb7b8794e43aef8975c4"
+N4_TABLE_SHA256 = "ebc02b157f89c4a5fe6d27f55b4058b32de92fbe2de5d269a9b3f6195bd80166"
+
+
 class TestEnumeration:
-    @pytest.mark.parametrize("n", [1, 2, 3])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_counts(self, n):
         assert len(enumerate_stabilizers(n)) == STABILIZER_COUNTS[n]
 
@@ -101,9 +174,44 @@ class TestEnumeration:
             desc = states[idx]
             amps = desc.dense.amplitudes
             for packed, sign in desc.packed_rows():
-                w = qmeas.dense_pauli(stab_ip._pauli_from_packed(2, packed))
+                w = qmeas.dense_pauli(qmeas.PauliLabel.from_index(2, packed))
                 signed = (-1) ** sign * w
                 assert np.abs(signed @ amps - amps).max() < 1e-9
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_matches_reference_enumeration(self, n):
+        generators, table = _reference_enumeration(n)
+        states = enumerate_stabilizers(n)
+        assert np.array_equal(np.stack([s.generators for s in states]), generators)
+        assert stab_ip.stabilizer_amplitude_table(n).tobytes() == table.tobytes()
+
+    def test_n4_matches_pinned_digests(self):
+        states = enumerate_stabilizers(4)
+        generators = np.stack([s.generators for s in states]).tobytes()
+        assert hashlib.sha256(generators).hexdigest() == N4_GENERATORS_SHA256
+        table = stab_ip.stabilizer_amplitude_table(4)
+        assert hashlib.sha256(table.tobytes()).hexdigest() == N4_TABLE_SHA256
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_table_rows_are_the_dense_renderings(self, n):
+        table = stab_ip.stabilizer_amplitude_table(n)
+        assert table.dtype == complex and table.flags.c_contiguous
+        assert table.shape == (STABILIZER_COUNTS[n], 1 << n)
+        assert not table.flags.writeable
+        for desc, row in zip(enumerate_stabilizers(n), table):
+            assert np.array_equal(desc.dense.amplitudes, row)
+
+    def test_lazy_render_matches_table(self):
+        table = stab_ip.stabilizer_amplitude_table(3)
+        for i, desc in enumerate(enumerate_stabilizers(3)[::37]):
+            fresh = validate_candidate(desc.generators, 3)
+            assert fresh.dense.amplitudes.tobytes() == table[37 * i].tobytes()
+
+    def test_non_bit_entries_rejected(self):
+        bad = enumerate_stabilizers(2)[7].generators.copy()
+        bad[0, 0] = 2
+        with pytest.raises(ProtocolAbort, match="bits"):
+            validate_candidate(bad, 2)
 
     def test_generator_validation(self):
         desc = enumerate_stabilizers(2)[7]

@@ -30,10 +30,6 @@ class ChannelTypeError(RuntimeError):
     """A qudit payload was pushed through a classical channel."""
 
 
-class DelegationAbort(Exception):
-    """The verifier-side trap check of a delegated measurement fired."""
-
-
 class ProtocolAbort(Exception):
     """The verifier aborted the interaction (a sound verdict, not an error)."""
 
@@ -379,6 +375,7 @@ class ProverStrategy:
 
     name = "honest"
     honest = True
+    tamper = None  # a cheating prover's map on the outcome of a delegated measurement
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -686,38 +683,33 @@ def delegation_security(delta: float) -> tuple[int, float]:
 
 def delegated_measure(
     measurement: Callable,
-    copy_stream,
+    copies,
     *,
-    mode: str = "ideal-honest",
     tamper: Callable | None = None,
-    delta: float = 1 / 3,
+    delta: float,
     rng: np.random.Generator,
 ):
     """Multi-copy measurement executed by the prover under the delegation contract.
 
-    ``copy_stream`` is a ``CopyStream`` of the copies the prover received, or
-    an iterable of copies and descriptions. Honest mode runs
-    ``measurement(states, rng)`` faithfully and never aborts.
-    Cheat mode applies ``tamper`` to the honest outcome; the verifier-side trap
-    check catches the deviation and aborts except with the escape probability
-    from ``delegation_security(delta)``, in which case the tampered outcome is
-    delivered undetected.
+    ``copies`` is a ``CopyStream`` of the copies the prover received, or an
+    iterable of copies and descriptions. The prover runs
+    ``measurement(states, rng)``; an honest prover (``tamper`` None) returns
+    the outcome. A cheating prover delivers ``tamper(outcome)``, and the
+    verifier-side trap check catches it and aborts the session except with
+    the escape probability from ``delegation_security(delta)``.
     """
-    if isinstance(copy_stream, CopyStream):
-        states = copy_stream
+    if isinstance(copies, CopyStream):
+        states = copies
     else:
-        states = [c.consume() if isinstance(c, Copy) else c for c in copy_stream]
-    if mode == "ideal-honest":
-        return measurement(states, rng)
-    if mode == "ideal-cheat":
-        if tamper is None:
-            raise ValueError("cheat mode needs a tamper function")
-        _, escape = delegation_security(delta)
-        outcome = tamper(measurement(states, rng))
-        if rng.random() < escape:
-            return outcome
-        raise DelegationAbort("delegation trap check failed")
-    raise ValueError(f"unknown delegation mode {mode}")
+        states = [c.consume() if isinstance(c, Copy) else c for c in copies]
+    outcome = measurement(states, rng)
+    if tamper is None:
+        return outcome
+    _, escape = delegation_security(delta)
+    outcome = tamper(outcome)
+    if rng.random() < escape:
+        return outcome
+    raise ProtocolAbort("delegation trap check failed")
 
 
 # ---------------------------------------------------------------------------

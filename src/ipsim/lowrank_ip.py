@@ -22,7 +22,6 @@ from . import qcore, qmeas, tomo_ip
 from .harness import (
     Channel,
     CopyOracle,
-    DelegationAbort,
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
@@ -145,52 +144,28 @@ def delegated_purity_estimate(
     params: LowRankParams,
     rng: np.random.Generator,
     channel: Channel | None = None,
-    pairs: int | None = None,
     tamper=None,
 ) -> float:
     """Purity estimate within eps1 with probability >= 1 - delta_tilde.
 
-    Ideal mode returns the exact purity plus seeded noise (drawn at the eps2
-    scale, well inside the eps1 contract; see the noise-scale note in the
-    module docstring) and charges the accounting budget. Sampled mode runs
-    SWAP pairs through the delegation channel.
+    Ideal mode returns the exact purity plus seeded noise, drawn at the eps2
+    scale (eps2 = run_epsilon^2 / (96 k) is well inside eps1 =
+    run_epsilon / 10), and charges the accounting budget. Sampled mode runs
+    SWAP pairs through the delegation channel. Either answer comes through
+    the delegation contract, where a prover's ``tamper`` is caught except
+    with the escape probability.
     """
-    budget_pairs = params.purity_pairs_budget()
-    if params.mode == "ideal" and pairs is None:
-        oracle_v.charge_accounting(2 * budget_pairs, "purity-accounting")
-        exact = qcore.purity(oracle_v.judge_peek())
-        noisy = exact + params.eps2 * rng.uniform(-1.0, 1.0)
-        if tamper is not None:
-            try:
-                return delegated_measure(
-                    lambda states, r: noisy,
-                    [],
-                    mode="ideal-cheat",
-                    tamper=tamper,
-                    delta=2 * params.delta_tilde,
-                    rng=rng,
-                )
-            except DelegationAbort:
-                raise ProtocolAbort("delegation trap fired during purity estimation")
-        return noisy
-    n_pairs = pairs if pairs is not None else budget_pairs
-
-    def measurement(states, r):
-        p_acc = qmeas.swap_accept_probability(states[0], states[1])
-        hits = int(r.binomial(n_pairs, p_acc))
-        return 2 * hits / n_pairs - 1
-
-    try:
-        return delegated_measure(
-            measurement,
-            oracle_v.stream(2 * n_pairs, "purity-swap", channel=channel),
-            mode="ideal-honest" if tamper is None else "ideal-cheat",
-            tamper=tamper,
-            delta=2 * params.delta_tilde,
-            rng=rng,
-        )
-    except DelegationAbort:
-        raise ProtocolAbort("delegation trap fired during purity estimation")
+    pairs = params.purity_pairs_budget()
+    if params.mode == "ideal":
+        oracle_v.charge_accounting(2 * pairs, "purity-accounting")
+        noisy = qcore.purity(oracle_v.judge_peek()) + params.eps2 * rng.uniform(-1.0, 1.0)
+        measurement, copies = (lambda states, r: noisy), []
+    else:
+        measurement = qmeas.swap_purity_estimate
+        copies = oracle_v.stream(2 * pairs, "purity-swap", channel=channel)
+    return delegated_measure(
+        measurement, copies, tamper=tamper, delta=2 * params.delta_tilde, rng=rng
+    )
 
 
 def topk_spectrum_estimate(
@@ -278,8 +253,7 @@ def verifier_basis_estimates(
     """
     shots = params.basis_shots()
     basis = hyp.measurement_basis()
-    state = oracle_v.query(kind="basis-estimates").consume()
-    oracle_v.charge_accounting(2 * shots - 1, "basis-estimates")
+    state = oracle_v.stream(2 * shots, "basis-estimates")[0]
     probs = qmeas.basis_probabilities(state, basis)
     counts_o = rng.multinomial(shots, probs)
     counts_p = rng.multinomial(shots, probs)
@@ -365,7 +339,6 @@ def truncation_approx_margin(
 class HonestSpectralProver(ProverStrategy):
     name = "honest-spectral"
     honest = True
-    tamper = None
 
     def produce_spectral_hypothesis(self, oracle_p, params, rng):
         return prover_spectral_tomography(oracle_p, params, rng)
@@ -376,7 +349,6 @@ class RandomBasisLiar(ProverStrategy):
 
     name = "random-basis-liar"
     honest = False
-    tamper = None
 
     def produce_spectral_hypothesis(self, oracle_p, params, rng):
         alpha = np.clip(qcore.eig_sorted(oracle_p.ideal_peek()).values, 0.0, 1.0)
@@ -389,7 +361,6 @@ class ForeignSpectrumLiar(ProverStrategy):
 
     name = "foreign-spectrum-liar"
     honest = False
-    tamper = None
 
     def produce_spectral_hypothesis(self, oracle_p, params, rng):
         spec = qcore.eig_sorted(oracle_p.ideal_peek())
@@ -403,7 +374,6 @@ class NonUnitaryLiar(ProverStrategy):
 
     name = "non-unitary-liar"
     honest = False
-    tamper = None
 
     def produce_spectral_hypothesis(self, oracle_p, params, rng):
         u = qcore.sample_haar_unitary(params.d, rng).entries.copy()
@@ -417,7 +387,6 @@ class UnsortedSpectrumLiar(ProverStrategy):
 
     name = "unsorted-spectrum-liar"
     honest = False
-    tamper = None
 
     def produce_spectral_hypothesis(self, oracle_p, params, rng):
         spec = qcore.eig_sorted(oracle_p.ideal_peek())
@@ -456,13 +425,12 @@ class LowRankVerifier:
 
     def run(self, session, prover):
         p = self.params
-        tamper = getattr(prover, "tamper", None)
         pur_hat = delegated_purity_estimate(
             session.oracle_v,
             p,
             session.rng("purity"),
-            channel=session.channel if p.mode == "sampled" else None,
-            tamper=tamper,
+            channel=session.channel,
+            tamper=prover.tamper,
         )
         alpha_hat = topk_spectrum_estimate(session.oracle_v, p, session.rng("topk"))
         raw_u, raw_alpha = prover.produce_spectral_hypothesis(

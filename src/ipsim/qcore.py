@@ -141,10 +141,6 @@ class Spectrum:
             raise InvariantError("spectrum values not sorted non-increasing")
         object.__setattr__(self, "values", vals)
 
-    def reconstruct(self) -> np.ndarray:
-        u = self.basis.entries
-        return (u * self.values) @ u.conj().T
-
 
 def basis_state(d: int, index: int = 0) -> PureState:
     amps = np.zeros(d, dtype=complex)

@@ -54,12 +54,6 @@ class PauliLabel:
         return self.x == 0 and self.z == 0
 
 
-@dataclass(frozen=True)
-class MeasurementOutcome:
-    value: int
-    basis_tag: str
-
-
 @lru_cache(maxsize=16384)
 def dense_pauli(label: PauliLabel) -> np.ndarray:
     """Dense 2^n x 2^n matrix of the Hermitian Pauli (cached, read-only)."""
@@ -180,6 +174,14 @@ def swap_accept_probability(a: np.ndarray, b: np.ndarray) -> float:
     # Tr[a b] for Hermitian a equals <a, b> elementwise
     overlap = float(np.real(np.vdot(a, b)))
     return min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
+
+
+def swap_purity_estimate(states, rng: np.random.Generator) -> float:
+    """Purity estimate 2h/m - 1 from SWAP tests on the m = len(states) // 2
+    pairs of ``states``, all copies of one state, with h the accepted pairs."""
+    pairs = len(states) // 2
+    hits = int(rng.binomial(pairs, swap_accept_probability(states[0], states[1])))
+    return 2 * hits / pairs - 1
 
 
 def bell_difference_sample(

@@ -22,7 +22,6 @@ from .harness import (
     Channel,
     CopyOracle,
     DecideValid,
-    DelegationAbort,
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
@@ -334,13 +333,12 @@ def validate_candidate(raw_generators, n: int) -> StabilizerStateDesc:
 def estimate_stab_loss(
     oracle_v: CopyOracle,
     candidate: StabilizerStateDesc,
-    params: StabParams,
+    shots: int,
     rng: np.random.Generator,
+    kind: str = "loss-estimate",
 ) -> float:
-    """l_hat = 1 - accept fraction of {|S><S|, 1-|S><S|} over Hoeffding shots."""
-    shots = params.loss_shots()
-    state = oracle_v.query(kind="loss-estimate").consume()
-    oracle_v.charge_accounting(shots - 1, "loss-estimate")
+    """l_hat = 1 - accept fraction of {|S><S|, 1-|S><S|} over ``shots`` copies."""
+    state = oracle_v.stream(shots, kind)[0]
     fid = float(np.real(np.vdot(candidate.projector(), state)))
     fid = min(max(fid, 0.0), 1.0)
     hits = int(rng.binomial(shots, fid))
@@ -367,19 +365,9 @@ def estimate_A3(
     if params.mode == "ideal":
         oracle_v.charge_accounting(6 * samples, "a3-accounting")
         value = exact_A3(psi) + params.eps3 * rng.uniform(-1.0, 1.0)
-        if tamper is None:
-            return value
-        try:
-            return delegated_measure(
-                lambda states, r: value,
-                [],
-                mode="ideal-cheat",
-                tamper=tamper,
-                delta=2 * params.delta3,
-                rng=rng,
-            )
-        except DelegationAbort:
-            raise ProtocolAbort("delegation trap fired during moment estimation")
+        return delegated_measure(
+            lambda states, r: value, [], tamper=tamper, delta=2 * params.delta3, rng=rng
+        )
 
     def measurement(states, r):
         exps = qmeas.pauli_expectations(psi)
@@ -394,17 +382,13 @@ def estimate_A3(
         z2 = np.where(r.random(samples) < p_plus, 1.0, -1.0)
         return float(np.mean(z1 * z2))
 
-    try:
-        return delegated_measure(
-            measurement,
-            oracle_v.stream(6 * samples, "a3-bell"),
-            mode="ideal-honest" if tamper is None else "ideal-cheat",
-            tamper=tamper,
-            delta=2 * params.delta3,
-            rng=rng,
-        )
-    except DelegationAbort:
-        raise ProtocolAbort("delegation trap fired during moment estimation")
+    return delegated_measure(
+        measurement,
+        oracle_v.stream(6 * samples, "a3-bell", channel=channel),
+        tamper=tamper,
+        delta=2 * params.delta3,
+        rng=rng,
+    )
 
 
 def stab_verdict(l_hat: float, a_hat: float, epsilon: float) -> bool:
@@ -421,7 +405,6 @@ def stab_verdict(l_hat: float, a_hat: float, epsilon: float) -> bool:
 class HonestBruteForceProver(ProverStrategy):
     name = "honest-brute-force"
     honest = True
-    tamper = None
 
     def produce_candidate(self, oracle_p, params, rng):
         return brute_force_best_stabilizer(oracle_p, params, rng).generators
@@ -430,7 +413,6 @@ class HonestBruteForceProver(ProverStrategy):
 class RandomStabilizerLiar(ProverStrategy):
     name = "random-stabilizer"
     honest = False
-    tamper = None
 
     def produce_candidate(self, oracle_p, params, rng):
         states = enumerate_stabilizers(params.n)
@@ -440,7 +422,6 @@ class RandomStabilizerLiar(ProverStrategy):
 class WorstStabilizerLiar(ProverStrategy):
     name = "worst-stabilizer"
     honest = False
-    tamper = None
 
     def produce_candidate(self, oracle_p, params, rng):
         fids = all_fidelities(oracle_p.ideal_peek())
@@ -452,7 +433,6 @@ class ForeignBestLiar(ProverStrategy):
 
     name = "foreign-best"
     honest = False
-    tamper = None
 
     def produce_candidate(self, oracle_p, params, rng):
         other = qcore.sample_pure_state(1 << params.n, rng)
@@ -487,13 +467,13 @@ class StabVerifier:
         raw = prover.produce_candidate(session.oracle_p, p, session.rng("prover"))
         session.channel.send_structured("p->v", raw, session.next_round())
         candidate = validate_candidate(raw, p.n)
-        l_hat = estimate_stab_loss(session.oracle_v, candidate, p, session.rng("loss"))
+        l_hat = estimate_stab_loss(session.oracle_v, candidate, p.loss_shots(), session.rng("loss"))
         a_hat = estimate_A3(
             session.oracle_v,
             p,
             session.rng("moment"),
-            channel=session.channel if p.mode == "sampled" else None,
-            tamper=getattr(prover, "tamper", None),
+            channel=session.channel,
+            tamper=prover.tamper,
         )
         self.extras["estimates"] = {"l_hat": l_hat, "a_hat": a_hat}
         if not stab_verdict(l_hat, a_hat, p.epsilon):
@@ -621,13 +601,7 @@ class TrivialConfig:
         )
 
     def _check_sampled(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
-        shots = self.shots()
-        state = oracle_v.query(kind="decide-valid").consume()
-        oracle_v.charge_accounting(shots - 1, "decide-valid")
-        fid = float(np.real(np.vdot(hyp.projector(), state)))
-        fid = min(max(fid, 0.0), 1.0)
-        l_hat = 1 - rng.binomial(shots, fid) / shots
-        return l_hat <= self.epsilon / 2
+        return estimate_stab_loss(oracle_v, hyp, self.shots(), rng, "decide-valid") <= self.epsilon / 2
 
     def _check_ideal(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
         oracle_v.charge_accounting(self.shots(), "decide-valid-accounting")

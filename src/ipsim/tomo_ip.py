@@ -21,7 +21,6 @@ from . import qcore, qmeas
 from .harness import (
     Channel,
     CopyOracle,
-    DelegationAbort,
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
@@ -187,8 +186,7 @@ def _sampled_tomography(oracle_p: CopyOracle, target: float, params: TomoParams,
         for half in range(2):
             freqs = []
             for u in bases:
-                copy_state = oracle_p.query(kind="tomography").consume()
-                oracle_p.charge_accounting(shots - 1, "tomography")
+                copy_state = oracle_p.stream(shots, "tomography")[0]
                 probs = qmeas.basis_probabilities(copy_state, u)
                 counts = rng.multinomial(shots, probs)
                 freqs.append(counts / shots)
@@ -216,10 +214,10 @@ def certify_closeness(
 
     Ideal mode evaluates the distance exactly, answers the correct side of the
     promise except with probability delta_v, and charges the accounting
-    budget. With ``tamper`` set, the answer is routed through the delegation
-    contract: the trap check aborts except with the escape probability, in
-    which case the tampered answer is delivered. Sampled mode estimates the
-    Hilbert-Schmidt surrogate with real measurements.
+    budget; the answer comes through the delegation contract
+    (``delegated_measure``), where a prover's ``tamper`` is caught except
+    with the escape probability. Sampled mode estimates the Hilbert-Schmidt
+    surrogate with real measurements.
     """
     eps = params.epsilon
     if params.mode == "ideal":
@@ -229,19 +227,9 @@ def certify_closeness(
         midpoint = (0.99 * eps + eps) / 2
         truth = CLOSE if dist <= midpoint else FAR
         answer = truth if rng.random() >= params.delta_v else 1 - truth
-        if tamper is None:
-            return answer
-        try:
-            return delegated_measure(
-                lambda states, r: answer,
-                [],
-                mode="ideal-cheat",
-                tamper=tamper,
-                delta=params.delta_v,
-                rng=rng,
-            )
-        except DelegationAbort:
-            raise ProtocolAbort("delegation trap check failed during certification")
+        return delegated_measure(
+            lambda states, r: answer, [], tamper=tamper, delta=params.delta_v, rng=rng
+        )
     return _sampled_certify(oracle_v, hyp, params, rng, channel, tamper)
 
 
@@ -255,30 +243,19 @@ def _sampled_certify(oracle_v, hyp, params: TomoParams, rng, channel, tamper):
     # two-copy purity of rho through the delegation channel (SWAP pairs)
     a1 = margin / 2
     pairs = math.ceil(2 * math.log(4 / params.delta_v) / a1**2)
-
-    def swap_measurement(states, r):
-        p_acc = qmeas.swap_accept_probability(states[0], states[1])
-        hits = r.binomial(pairs, p_acc)
-        return 2 * hits / pairs - 1
-
-    try:
-        pur_rho = delegated_measure(
-            swap_measurement,
-            oracle_v.stream(2 * pairs, "certify-swap", channel=channel),
-            mode="ideal-honest" if tamper is None else "ideal-cheat",
-            tamper=tamper,
-            delta=params.delta_v,
-            rng=rng,
-        )
-    except DelegationAbort:
-        raise ProtocolAbort("delegation trap check failed during certification")
+    pur_rho = delegated_measure(
+        qmeas.swap_purity_estimate,
+        oracle_v.stream(2 * pairs, "certify-swap", channel=channel),
+        tamper=tamper,
+        delta=params.delta_v,
+        rng=rng,
+    )
 
     # single-copy overlap Tr[rho rho_hat]: measure in the hypothesis eigenbasis
     a2 = margin / 4
     shots = math.ceil(math.log(4 / params.delta_v) / (2 * a2**2))
     spec = qcore.eig_sorted(hyp.matrix)
-    one = oracle_v.query(kind="certify-overlap").consume()
-    oracle_v.charge_accounting(shots - 1, "certify-overlap")
+    one = oracle_v.stream(shots, "certify-overlap")[0]
     probs = qmeas.basis_probabilities(one, spec.basis)
     counts = rng.multinomial(shots, probs)
     overlap = float(counts @ spec.values) / shots
@@ -300,15 +277,12 @@ class HonestTomographyProver(ProverStrategy):
     def produce_hypothesis(self, oracle_p, params: TomoParams, rng):
         return prover_tomography(oracle_p, params, rng).matrix.entries
 
-    tamper = None
-
 
 class MaximallyMixedLiar(ProverStrategy):
     """Sends the maximally mixed state no matter what the instance is."""
 
     name = "maximally-mixed-liar"
     honest = False
-    tamper = None
 
     def produce_hypothesis(self, oracle_p, params, rng):
         return np.eye(params.d, dtype=complex) / params.d
@@ -319,7 +293,6 @@ class FixedOffsetLiar(ProverStrategy):
 
     name = "fixed-offset-liar"
     honest = False
-    tamper = None
 
     def produce_hypothesis(self, oracle_p, params, rng):
         rho = oracle_p.ideal_peek()
@@ -374,8 +347,8 @@ class TomoVerifier:
             hyp,
             self.params,
             session.rng("certify"),
-            channel=session.channel if self.params.mode == "sampled" else None,
-            tamper=getattr(prover, "tamper", None),
+            channel=session.channel,
+            tamper=prover.tamper,
         )
         session.channel.send_bits("p->v", [bit], session.next_round())
         return tomography_verdict(bit, hyp).matrix

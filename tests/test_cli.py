@@ -300,10 +300,34 @@ GOLDEN = {
         "ac9e009c29502ab92a9233ae72f487ad346d302155ddd0d0bb7627967836ed30",
         "b14d6bec57e102259650fece665ba5ade4d5f8da90b873a69c901410a6300115",
     ),
+    # the delegation contract: a caught tamper (19 of 20 ideal trials), an
+    # escaped one, and the honest pass-through in ideal lowrank and stab
+    "tomo-ideal-tamperer": (
+        ["tomo", "--trials", "20", "--seed", "5", "adversary=delegation-tamperer"],
+        "482ee1f1e1357dd8d4b941e9556743c4b2ac8178c7d39a39c4627bbcaa2fbc19",
+        "4b5da6a46db08ff99b81730d522df8ba3da2b25527ec53cdae9814ff0c339e5a",
+    ),
+    "tomo-sampled-tamperer": (
+        ["tomo", "--mode", "sampled", "--transcripts", "--trials", "3", "--seed", "5",
+         "d=2", "epsilon=0.8", "adversary=delegation-tamperer"],
+        "93f2bfa6865b97889afe23676f80a483d22b103924d00e7254abdb2bb9d8aa30",
+        "7f001408147b312822b4db47f868e2f896cfaadd5d483e52a9724b1da39d0a1f",
+    ),
+    "lowrank-ideal": (
+        ["lowrank", "--trials", "20", "--seed", "5"],
+        "d87699e21755f71b84c378c999e4796dce6f62604e1abd33dca48e2f0c9d7357",
+        "7456a856641f39412ba3a2479a312235fc2faefaf75afaa685efa5afad656ce7",
+    ),
+    "stab-ideal": (
+        ["stab", "--trials", "20", "--seed", "5", "n=2"],
+        "983d14c74169e19617cbf813ffce4b97a9c470a3775c3d8ae616831e8ef15ce3",
+        "4e7450809a2ef42ee90329b198e2d264b031004a6fac35fb080608e6c28e5e8b",
+    ),
     "stab-sampled": (
         ["stab", "--mode", "sampled", "--trials", "3", "--seed", "5", "n=2"],
-        "af163c892e49dbb833e8eaf32b97cc409e5529bb9c1ecaa6bb02eb4988c26f14",
-        "48ce9bd6a8c5cdb8bb240a867519ac19bb5a011fcde6870ec365a11c995cff2f",
+        # qudits_q counts the 6 * a3_samples = 9636 delegated copies sent v->p
+        "36761f1b2d4a0e24f589b38c2ac26fac36ae61436c74051e60354c6fb2f7f7c4",
+        "2083484ee10fcd8e1247df3da4def87d7ed9d654c5b4aa2e36f1b362699bc107",
     ),
 }
 

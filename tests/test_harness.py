@@ -13,10 +13,10 @@ from ipsim.harness import (
     Copy,
     CopyOracle,
     CopyStream,
-    DelegationAbort,
     LiveCopyTracker,
     ManyVsOneTask,
     MemoryPolicyError,
+    ProtocolAbort,
     QueryMeter,
     canonical_bytes,
     delegated_measure,
@@ -168,7 +168,7 @@ class TestCopyStream:
 
     def test_delegated_measure_reads_the_stream_without_copying(self):
         copies = CopyStream(np.eye(2) / 2, 10_000)
-        out = delegated_measure(lambda states, r: states, copies, rng=np.random.default_rng(0))
+        out = delegated_measure(lambda states, r: states, copies, delta=1 / 3, rng=np.random.default_rng(0))
         assert out is copies
 
 
@@ -229,7 +229,7 @@ class TestDelegation:
             out = delegated_measure(
                 lambda states, r: int(r.random() < swap_accept_probability(states[0], states[1])),
                 [Copy(rho, None), Copy(rho, None)],
-                mode="ideal-honest",
+                delta=1 / 3,
                 rng=rng,
             )
             hits += out
@@ -244,21 +244,16 @@ class TestDelegation:
                 delegated_measure(
                     lambda states, r: 0,
                     [],
-                    mode="ideal-cheat",
                     tamper=lambda o: 1,
                     delta=1 / 3,
                     rng=rng,
                 )
                 undetected += 1
-            except DelegationAbort:
-                pass
+            except ProtocolAbort as abort:
+                assert abort.reason == "delegation trap check failed"
         bound = (5 / 6) ** 10
         sigma = np.sqrt(bound * (1 - bound) / trials)
         assert undetected / trials <= bound + 3 * sigma
-
-    def test_cheat_mode_requires_tamper(self):
-        with pytest.raises(ValueError):
-            delegated_measure(lambda s, r: 0, [], mode="ideal-cheat", rng=np.random.default_rng(0))
 
 
 class TestTask:

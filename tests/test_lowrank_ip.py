@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from ipsim import lowrank_ip, qcore
+from ipsim import lowrank_ip, qcore, qmeas
 from ipsim.harness import CopyOracle, ProtocolAbort, batch_rates
 from ipsim.lowrank_ip import (
     HonestSpectralProver,
@@ -69,8 +69,8 @@ class TestSubEstimates:
         hits = 0
         for i in range(60):
             oracle = CopyOracle(hidden)
-            est = delegated_purity_estimate(
-                oracle, p, np.random.default_rng(i), pairs=10_000
+            est = qmeas.swap_purity_estimate(
+                oracle.stream(2 * 10_000, "purity-swap"), np.random.default_rng(i)
             )
             assert oracle.meter.total == 2 * 10_000
             if abs(est - 0.25) <= p.eps1:

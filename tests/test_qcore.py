@@ -117,7 +117,8 @@ class TestEigAndTruncation:
         for _ in range(25):
             sigma = sample_state(6, 6, g)
             spec = eig_sorted(sigma)
-            assert np.abs(spec.reconstruct() - sigma.entries).max() < 1e-8
+            u = spec.basis.entries
+            assert np.abs((u * spec.values) @ u.conj().T - sigma.entries).max() < 1e-8
 
     def test_truncate_examples(self):
         sigma = DensityMatrix(np.diag([0.5, 0.3, 0.2]).astype(complex))

@@ -67,12 +67,6 @@ class TestPauliMachinery:
             assert p.min() >= 0
 
 
-class TestMeasurementOutcome:
-    def test_record_fields(self):
-        out = qmeas.MeasurementOutcome(value=3, basis_tag="haar-0")
-        assert out.value == 3 and out.basis_tag == "haar-0"
-
-
 class TestMeasureInBasis:
     def test_deterministic_on_eigenstate(self):
         g = rng(4)

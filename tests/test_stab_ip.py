@@ -275,13 +275,13 @@ class TestEstimators:
         states = enumerate_stabilizers(2)
         psi = states[3].dense
         oracle = CopyOracle(psi)
-        l_hat = estimate_stab_loss(oracle, states[3], p, np.random.default_rng(0))
+        l_hat = estimate_stab_loss(oracle, states[3], p.loss_shots(), np.random.default_rng(0))
         assert l_hat <= p.eps2 + 0.05
         assert oracle.meter.total == p.loss_shots()
         # orthogonal candidate: loss near 1
         fids = all_fidelities(psi)
         worst = states[int(np.argmin(fids))]
-        l_hat = estimate_stab_loss(CopyOracle(psi), worst, p, np.random.default_rng(1))
+        l_hat = estimate_stab_loss(CopyOracle(psi), worst, p.loss_shots(), np.random.default_rng(1))
         assert l_hat >= 1 - fids.min() - 0.05
 
     def test_primitive_estimator_identity_calibration(self):
@@ -383,3 +383,12 @@ class TestSessions:
         cfg = StabConfig(n=2, mode="sampled")
         res = cfg.run_one(cfg.sample_instance("x", np.random.default_rng(1)), HonestBruteForceProver(), seed=11)
         assert res.accepted
+
+    def test_sampled_session_sends_its_delegated_copies(self):
+        """The 6 * a3_samples copies of the delegated Bell sampling go v->p."""
+        cfg = StabConfig(n=2, mode="sampled", record_transcript=True)
+        res = cfg.run_one(cfg.sample_instance("x", np.random.default_rng(1)), HonestBruteForceProver(), seed=11)
+        sent = 6 * cfg.params().a3_samples()
+        assert res.verifier_breakdown["a3-bell"] == sent
+        assert res.channel_counters["qudits_v_to_p"] == sent
+        assert sum('"qudits"' in line for line in res.transcript_lines) == sent

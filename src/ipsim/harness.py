@@ -200,7 +200,7 @@ class CopyOracle:
 
     def query(self, kind: str = "query") -> Copy:
         if self.instance_kind != "quantum-state":
-            raise TypeError("query() yields state copies; use sample() for distributions")
+            raise TypeError("query() yields state copies; use sample_batch() for distributions")
         self.meter.charge(1, kind)
         if self.tracker is not None:
             self.tracker.acquire()
@@ -242,12 +242,6 @@ class CopyOracle:
         if channel is not None:
             return channel.send_stream("v->p", copy, n, round_index)
         return CopyStream(copy.consume(), n)
-
-    def sample(self, rng: np.random.Generator, kind: str = "sample") -> int:
-        if self.instance_kind != "classical-distribution":
-            raise TypeError("sample() is for classical distributions")
-        self.meter.charge(1, kind)
-        return self._hidden.draw(rng)
 
     def sample_batch(self, rng: np.random.Generator, size: int, kind: str = "sample"):
         if self.instance_kind != "classical-distribution":

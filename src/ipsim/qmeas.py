@@ -89,24 +89,28 @@ def _hadamard_sign_matrix(n: int) -> np.ndarray:
     return h
 
 
-def num_qubits(psi: PureState) -> int:
-    n = int(round(np.log2(psi.dim)))
-    if (1 << n) != psi.dim:
-        raise DimensionError(f"dimension {psi.dim} is not a power of two")
+def num_qubits(psi) -> int:
+    """Qubit count of a PureState or of a d x d density-matrix array."""
+    dim = len(psi) if isinstance(psi, np.ndarray) else psi.dim
+    n = int(round(np.log2(dim)))
+    if (1 << n) != dim:
+        raise DimensionError(f"dimension {dim} is not a power of two")
     return n
 
 
-def pauli_expectations(psi: PureState) -> np.ndarray:
-    """All 4^n expectations <psi|W_a|psi>, indexed by a = x + (z << n)."""
+def pauli_expectations(psi) -> np.ndarray:
+    """All 4^n expectations tr(rho W_a), indexed by a = x + (z << n), of a
+    PureState or of a density matrix given as a d x d array."""
+    rho = psi if isinstance(psi, np.ndarray) else None
     n = num_qubits(psi)
-    d = psi.dim
-    amps = psi.amplitudes
+    d = 1 << n
     h = _hadamard_sign_matrix(n)
     j = np.arange(d)
     out = np.empty(d * d)
     for x in range(d):
-        # <W_(x,z)> = i^(x.z) sum_m (-1)^(z.m) psi_m conj(psi_(m^x))
-        v = amps * amps[j ^ x].conj()
+        # <W_(x,z)> = i^(x.z) sum_m (-1)^(z.m) rho_(m, m^x), where a pure
+        # state has rho_(m, m') = psi_m conj(psi_m')
+        v = rho[j, j ^ x] if rho is not None else psi.amplitudes * psi.amplitudes[j ^ x].conj()
         vals = h @ v
         phases = 1j ** (_popcount_array(np.full(d, x) & np.arange(d)) % 4)
         out[x + (np.arange(d) << n)] = np.real(phases * vals)

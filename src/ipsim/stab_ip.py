@@ -288,7 +288,7 @@ def stabilizer_amplitude_table(n: int) -> np.ndarray:
 def all_fidelities(psi: qcore.PureState) -> np.ndarray:
     n = qmeas.num_qubits(psi)
     table = stabilizer_amplitude_table(n)
-    return np.abs(table.conj() @ psi.amplitudes) ** 2
+    return np.abs(table @ psi.amplitudes.conj()) ** 2
 
 
 def optimal_stab_loss(psi: qcore.PureState) -> tuple[float, int]:
@@ -361,16 +361,15 @@ def estimate_A3(
     suite). Ideal mode: exact value + seeded noise, same 6S accounting.
     """
     samples = params.a3_samples()
-    psi = oracle_v.judge_peek()
     if params.mode == "ideal":
         oracle_v.charge_accounting(6 * samples, "a3-accounting")
-        value = exact_A3(psi) + params.eps3 * rng.uniform(-1.0, 1.0)
+        value = exact_A3(oracle_v.judge_peek()) + params.eps3 * rng.uniform(-1.0, 1.0)
         return delegated_measure(
             lambda states, r: value, [], tamper=tamper, delta=2 * params.delta3, rng=rng
         )
 
     def measurement(states, r):
-        exps = qmeas.pauli_expectations(psi)
+        exps = qmeas.pauli_expectations(states[0])  # the copies share one density matrix
         p_char = exps**2 / (1 << params.n)
         p_char = np.clip(p_char, 0, None)
         p_char /= p_char.sum()

@@ -8,6 +8,13 @@ degree D) plus a vanishing-product range certificate that catches
 frequencies above the cap. Decision: "not uniform" iff the verified Z is at
 most n * tau.
 
+The verifier reads the stream once. Its registers do not depend on D, so
+after the pass the prover announces how often the initial cap D0 must double,
+as the unary message [1] * j + [0], and the verifier sets
+D = min(D0 * 2^j, n); it aborts if j > MAX_WIDENINGS. A prover that asks for
+too small a cap is caught by the range certificate, and one that asks for a
+larger cap than needed gains nothing, because the verdict does not depend on D.
+
 Outside the appendix's regime n can exceed k by so much that tau <= 0, and
 then the rule above answers "uniform" for every stream (Z >= 0 > n * tau).
 For those configs only, the verifier also maintains the extension at one
@@ -48,6 +55,7 @@ from .harness import (
 from .m61 import Q, fadd, fmul, fsub, vadd, vmul, vsub, vsum
 
 FIELD_BITS = 61
+MAX_WIDENINGS = 4  # the cap may double at most this often: D <= 16 * D0
 
 
 @dataclass(frozen=True)
@@ -84,6 +92,8 @@ class UniformityParams:
     def __post_init__(self):
         if self.k & (self.k - 1) or self.k < 2:
             raise ValueError("k must be a power of two >= 2")
+        if self.degree_cap < 1:
+            raise ValueError("degree_cap must be >= 1")
         if not self.allow_small_epsilon and not self.in_regime:
             raise ValueError(f"epsilon must be >= 12/k^(1/4) = {12 / self.k**0.25}")
         if not 0 < self.epsilon <= 1:
@@ -137,9 +147,6 @@ class UniformDistribution:
     k: int
     name: str = "uniform"
 
-    def draw(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, self.k))
-
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.integers(0, self.k, size=size)
 
@@ -156,9 +163,6 @@ class SupportFractionDistribution:
     def support(self) -> int:
         return max(1, int(self.k * self.fraction))
 
-    def draw(self, rng: np.random.Generator) -> int:
-        return int(rng.integers(0, self.support))
-
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.integers(0, self.support, size=size)
 
@@ -168,9 +172,6 @@ class PointMassDistribution:
     k: int
     value: int = 0
     name: str = "point-mass"
-
-    def draw(self, rng: np.random.Generator) -> int:
-        return self.value
 
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return np.full(size, self.value, dtype=np.int64)
@@ -254,11 +255,6 @@ class StreamVerifierState:
             term = fadd(fmul(pj, oj), fmul(fsub(1, pj), fsub(1, oj)))
             acc = fmul(acc, term)
         return acc
-
-
-def multilinear_point_update(state: StreamVerifierState, index: int) -> StreamVerifierState:
-    state.update(index)
-    return state
 
 
 def lagrange_h_eval(h_values, t: int, weights=None) -> int:
@@ -575,8 +571,13 @@ class HonestStreamProver(ProverStrategy):
     def effective_freq(self, degree_cap: int) -> np.ndarray:
         return self.freq
 
-    def cap_exceeded(self, degree_cap: int) -> bool:
-        return int(self.freq.max(initial=0)) > degree_cap
+    def widenings(self, degree_cap: int, n: int) -> int:
+        """Fewest doublings j of the cap with min(cap * 2^j, n) >= max f."""
+        top = int(self.freq.max(initial=0))
+        j = 0
+        while min(degree_cap << j, n) < top:
+            j += 1
+        return j
 
     def claim_unique(self, degree_cap: int) -> int:
         return int((self.effective_freq(degree_cap) == 1).sum())
@@ -704,8 +705,8 @@ class RangeClampProver(HonestStreamProver):
     name = "range-clamp"
     honest = False
 
-    def cap_exceeded(self, degree_cap: int) -> bool:
-        return False  # lies about the cap
+    def widenings(self, degree_cap: int, n: int) -> int:
+        return 0  # lies about the cap
 
     def claim_unique(self, degree_cap: int) -> int:
         # internally consistent total of the capped interpolant over the
@@ -767,9 +768,8 @@ def range_final_value(state: StreamVerifierState, degree_cap: int) -> int:
 class UniformityVerifier:
     memory_limit = None  # classical protocol; no quantum copies at all
 
-    def __init__(self, params: UniformityParams, max_widenings: int = 4):
+    def __init__(self, params: UniformityParams):
         self.params = params
-        self.max_widenings = max_widenings
         self.extras = {
             "k": params.k,
             "epsilon": params.epsilon,
@@ -786,78 +786,73 @@ class UniformityVerifier:
 
     def run(self, session, prover):
         p = self.params
-        degree_cap = p.degree_cap
         collisions = p.decision_statistic == "collisions"
-        rng_stream = session.rng("stream")
-        rng_points = session.rng("points")
-        rng_collision = session.rng("collision-point") if collisions else None
-        for attempt in range(self.max_widenings + 1):
-            state = StreamVerifierState(p.k, rng_points, rng_collision)
-            samples = session.oracle_v.sample_batch(rng_stream, p.n)
-            state.update_batch(samples)
-            session.channel.count_raw_bits("v->p", p.n * p.b, note="sample-stream")
-            prover.ingest(samples, p.k)
-            if prover.cap_exceeded(degree_cap):
-                session.channel.send_bits("p->v", [1], session.next_round())
-                degree_cap = min(2 * degree_cap, p.n)
-                continue
-            session.channel.send_bits("p->v", [0], session.next_round())
-            z_claim = prover.claim_unique(degree_cap)
-            session.channel.send_structured("p->v", z_claim, session.next_round())
-            main_eng, range_eng = prover.build_engines(degree_cap, state.zeta)
-            counter = {"fe": 1}  # the claim
+        state = StreamVerifierState(p.k, session.rng("points"), session.rng("collision-point") if collisions else None)
+        samples = session.oracle_v.sample_batch(session.rng("stream"), p.n)
+        state.update_batch(samples)
+        session.channel.count_raw_bits("v->p", p.n * p.b, note="sample-stream")
+        prover.ingest(samples, p.k)
+        # the registers do not depend on the cap, so it widens after the pass
+        message = [1] * prover.widenings(p.degree_cap, p.n) + [0]
+        widenings = len(session.channel.send_bits("p->v", message, session.next_round())) - 1
+        if widenings > MAX_WIDENINGS:
+            raise ProtocolAbort(f"prover asked for {widenings} cap widenings, more than {MAX_WIDENINGS}")
+        degree_cap = min(p.degree_cap << widenings, p.n)
+        self.extras["attempts"] = widenings + 1  # caps tried: D0, 2 D0, ..., D
+        self.extras["final_degree_cap"] = degree_cap
+        z_claim = prover.claim_unique(degree_cap)
+        session.channel.send_structured("p->v", z_claim, session.next_round())
+        main_eng, range_eng = prover.build_engines(degree_cap, state.zeta)
+        counter = {"fe": 1}  # the claim
 
-            def count_msg(message):
-                counter["fe"] += len(message)
-                session.channel.count_raw_bits("p->v", FIELD_BITS * len(message), note="sumcheck-msg")
+        def count_msg(message):
+            counter["fe"] += len(message)
+            session.channel.count_raw_bits("p->v", FIELD_BITS * len(message), note="sumcheck-msg")
 
-            h_values = [1 if i == 1 else 0 for i in range(degree_cap + 1)]
-            main_out = run_sumcheck(
-                z_claim % Q,
-                engine_rounds(main_eng),
-                state.r,
-                degree_cap + 2,
-                lambda: lagrange_h_eval(h_values, state.a_at_r, list(_weights_cached(degree_cap + 1))),
+        h_values = [1 if i == 1 else 0 for i in range(degree_cap + 1)]
+        main_out = run_sumcheck(
+            z_claim % Q,
+            engine_rounds(main_eng),
+            state.r,
+            degree_cap + 2,
+            lambda: lagrange_h_eval(h_values, state.a_at_r, list(_weights_cached(degree_cap + 1))),
+            on_message=count_msg,
+        )
+        if not main_out.verified:
+            raise ProtocolAbort(f"unique-count sum-check rejected: {main_out.reason}")
+
+        # the certificate asserts a zero total, whatever the prover says
+        range_out = run_sumcheck(
+            0,
+            engine_rounds(range_eng),
+            state.r2,
+            degree_cap + 3,
+            lambda: range_final_value(state, degree_cap),
+            on_message=count_msg,
+        )
+        if not range_out.verified:
+            raise ProtocolAbort(f"range certificate rejected: {range_out.reason}")
+        if collisions:
+            c_claim = prover.claim_collisions()
+            session.channel.send_structured("p->v", c_claim, session.next_round())
+            counter["fe"] += 1
+            coll_out = run_sumcheck(
+                c_claim % Q,
+                engine_rounds(prover.build_collision_engine()),
+                state.r3,
+                4,
+                lambda: collision_h(state.a_at_r3),
                 on_message=count_msg,
             )
-            if not main_out.verified:
-                raise ProtocolAbort(f"unique-count sum-check rejected: {main_out.reason}")
-
-            # the certificate asserts a zero total, whatever the prover says
-            range_out = run_sumcheck(
-                0,
-                engine_rounds(range_eng),
-                state.r2,
-                degree_cap + 3,
-                lambda: range_final_value(state, degree_cap),
-                on_message=count_msg,
-            )
-            if not range_out.verified:
-                raise ProtocolAbort(f"range certificate rejected: {range_out.reason}")
-            if collisions:
-                c_claim = prover.claim_collisions()
-                session.channel.send_structured("p->v", c_claim, session.next_round())
-                counter["fe"] += 1
-                coll_out = run_sumcheck(
-                    c_claim % Q,
-                    engine_rounds(prover.build_collision_engine()),
-                    state.r3,
-                    4,
-                    lambda: collision_h(state.a_at_r3),
-                    on_message=count_msg,
-                )
-                if not coll_out.verified:
-                    raise ProtocolAbort(f"collision-count sum-check rejected: {coll_out.reason}")
-            self.extras["attempts"] = attempt + 1
-            self.extras["final_degree_cap"] = degree_cap
-            self.extras["prover_field_elements"] = counter["fe"]
-            self.extras["peak_field_elements"] = state.peak_field_elements
-            self.extras["z_verified"] = z_claim
-            if collisions:
-                self.extras["c_verified"] = c_claim
-                return collision_verdict(c_claim, p.collision_threshold)
-            return uniformity_verdict(z_claim, p.threshold_count)
-        raise ProtocolAbort("degree cap kept overflowing after widening")
+            if not coll_out.verified:
+                raise ProtocolAbort(f"collision-count sum-check rejected: {coll_out.reason}")
+        self.extras["prover_field_elements"] = counter["fe"]
+        self.extras["peak_field_elements"] = state.peak_field_elements
+        self.extras["z_verified"] = z_claim
+        if collisions:
+            self.extras["c_verified"] = c_claim
+            return collision_verdict(c_claim, p.collision_threshold)
+        return uniformity_verdict(z_claim, p.threshold_count)
 
 
 def range_certificate(freq: np.ndarray, degree_cap: int, state: StreamVerifierState) -> SumcheckOutcome:

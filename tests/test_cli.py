@@ -36,6 +36,12 @@ class TestConfigParsing:
     def test_bad_range_rejected_as_config_error(self):
         assert main(["purity", "--trials", "1", "delta=1.5"]) == 2
 
+    @pytest.mark.parametrize("cap", ["0", "-3"])
+    def test_degree_cap_below_one_rejected(self, cap, capsys):
+        argv = ["uniformity", "--trials", "2", "--seed", "1", "k=16", "epsilon=0.9"]
+        assert main(argv + ["allow_small_epsilon=true", f"degree_cap={cap}"]) == 2
+        assert "degree_cap must be >= 1" in capsys.readouterr().err
+
     def test_unknown_protocol(self):
         cfg = ExperimentConfig(protocol="nope")
         with pytest.raises(cli.ConfigError):
@@ -271,8 +277,23 @@ GOLDEN = {
     "uniformity-tau-negative": (
         ["uniformity", "--trials", "3", "--seed", "5", "k=256", "epsilon=0.9",
          "allow_small_epsilon=true", "distribution=support_fraction"],
-        "fd7163d6fa2f9ff8615874293c2b6aca22e4c63a09981a2ebb5f5eff6113d1bf",
-        "8ab2564632a37cd960f4a3d56e0134e344d2d90a1ca9eb5d74d047b3d14f0f0f",
+        # far sessions whose cap widens to 128 after one pass of n = 2766 samples
+        "86e85db58f1003489957366aab5f2d45c9246a93565185445e52beff7d2955a9",
+        "4fa9551a9c2d15041d1373b9e29fe71962ed786ceb1c341e1e555d28b1620ff0",
+    ),
+    # sessions that never widen the degree cap: uniform streams at cap 32, and
+    # a range-clamp prover that hides a point mass instead of widening
+    "uniformity-uniform-transcripts": (
+        ["uniformity", "--transcripts", "--trials", "3", "--seed", "5", "k=256", "epsilon=0.9",
+         "allow_small_epsilon=true"],
+        "6b27931431d5e0dc47d8bb2a58df6ca08d8c9cf5fa6d867ac8a3ea57436cf72e",
+        "25b4104010fe4bfa38cd6d1def6a82ae0d0feb28d11b13598bf0ee9d0fc51548",
+    ),
+    "uniformity-range-clamp": (
+        ["uniformity", "--trials", "3", "--seed", "5", "k=4096", "epsilon=1.0",
+         "allow_small_epsilon=true", "distribution=point_mass", "adversary=range-clamp"],
+        "ae86fe7673fcf79b01e325fa2a6e7c8f8faadd2fbd1c9c1a166921220e1a27bd",
+        "be880c8b13f4c130183b129a7933329b1f3a0bb3ace44397648679495eea7eea",
     ),
     "tomo-sampled": (
         ["tomo", "--mode", "sampled", "--trials", "3", "--seed", "5", "d=4"],
@@ -367,12 +388,23 @@ class TestGoldenReports:
         argv, report_sha, csv_sha = GOLDEN[name]
         (tmp_path / "exp.cfg").write_text(CONFIG_FILE)
         monkeypatch.chdir(tmp_path)
+        runs = []
+        real_run = cli.run_experiment
+
+        def run_experiment(config):
+            runs.append(real_run(config))
+            return runs[-1]
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
         assert main(argv + ["--out", "out"]) == 0
         out = tmp_path / "out"
         assert (_sha256(out / "report.json"), _sha256(out / "trials.csv")) == (report_sha, csv_sha)
         report = json.loads((out / "report.json").read_text())
         if "--transcripts" in argv:
             _check_digests(report, out)
+        if name.startswith("uniformity-") and name != "uniformity-tau-negative":
+            _, results = runs[0]
+            assert [res.extras["attempts"] for res in results] == [1, 1, 1]  # the cap never widened
         if name == "nogo-abort-row":
             # an aborted distinguisher run answers "reject" and is judged on that
             assert {"verdict": "aborted", "valid": True}.items() <= report["rows"][0].items()

@@ -392,3 +392,16 @@ class TestSessions:
         assert res.verifier_breakdown["a3-bell"] == sent
         assert res.channel_counters["qudits_v_to_p"] == sent
         assert sum('"qudits"' in line for line in res.transcript_lines) == sent
+
+    def test_sampled_session_reads_only_its_copies(self, monkeypatch):
+        """The sampled verifier takes the moment's law from the delegated
+        copies, never from the judge's view of the hidden state."""
+
+        def no_peek(self):
+            raise AssertionError("the sampled verifier read the hidden state")
+
+        monkeypatch.setattr(CopyOracle, "judge_peek", no_peek)
+        cfg = StabConfig(n=2, mode="sampled")
+        res = cfg.run_one(cfg.sample_instance("x", np.random.default_rng(1)), HonestBruteForceProver(), seed=11)
+        assert res.accepted
+        assert np.isfinite(res.extras["estimates"]["a_hat"])

@@ -20,7 +20,6 @@ from ipsim.stream_ip import (
     collision_verdict,
     engine_rounds,
     lagrange_h_eval,
-    multilinear_point_update,
     range_certificate,
     uniformity_params,
     uniformity_verdict,
@@ -114,7 +113,7 @@ class TestVerifierState:
     def test_single_sample_all_zero_point(self):
         st = StreamVerifierState(16, rng(6))
         st.r = [0, 0, 0, 0]
-        multilinear_point_update(st, 0)
+        st.update(0)
         assert st.a_at_r == 1  # chi_0(0) = 1
 
     def test_matches_dense_extension_oracle(self):
@@ -222,13 +221,11 @@ class TestSumcheckMechanics:
             res = cfg.run_one(cfg.make_distribution("uniform"), HonestStreamProver(), seed=3000 + i)
             assert res.accepted, res.abort_reason
             # claimed-and-verified Z equals the brute-force unique count of
-            # the last attempt's stream (replayed from the same derived rng)
+            # the session's one stream (replayed from the same derived rng)
             p = cfg.params()
             from ipsim.harness import derive_rng
 
-            stream_rng = derive_rng(res.seed, "stream")
-            for _ in range(res.extras["attempts"]):
-                samples = cfg.make_distribution("uniform").draw_batch(stream_rng, p.n)
+            samples = cfg.make_distribution("uniform").draw_batch(derive_rng(res.seed, "stream"), p.n)
             z_brute = int((np.bincount(samples, minlength=cfg.k) == 1).sum())
             assert res.extras["z_verified"] == z_brute
 
@@ -446,8 +443,7 @@ class TestCollisionSumcheck:
                 assert res.extras["decision_statistic"] == "collisions"
                 assert not res.extras["in_regime"]
                 stream_rng = derive_rng(res.seed, "stream")
-                for _ in range(res.extras["attempts"]):
-                    samples = cfg.make_distribution(which).draw_batch(stream_rng, cfg.params().n)
+                samples = cfg.make_distribution(which).draw_batch(stream_rng, cfg.params().n)
                 f = np.bincount(samples, minlength=cfg.k)
                 assert res.extras["c_verified"] == int((f * (f - 1) // 2).sum())
                 want = "uniform" if which == "uniform" else "not uniform"
@@ -543,8 +539,8 @@ class TestRangeCertificate:
         assert range_certificate(freq, n_small, st).verified  # D = n
 
     def test_widening_path(self):
-        # max frequency slightly above the initial cap: honest prover flags,
-        # verifier widens and the session completes
+        # max frequency slightly above the initial cap: the honest prover
+        # announces the widening after the one pass and the session completes
         cfg = UniformityConfig(
             k=256,
             epsilon=1.0,
@@ -563,8 +559,68 @@ class TestRangeCertificate:
                 completed += 1
                 if res.extras["attempts"] > 1:
                     widened += 1
+            _assert_one_stream(res, cfg.params())
         assert completed == 10
         assert widened == 10  # lambda = 17.5 per cell always exceeds cap 8
+
+    def test_too_many_widenings_abort_after_one_stream(self):
+        # a point mass puts all n = 1383 samples in one cell: cap 4 would have
+        # to double 9 times, more than MAX_WIDENINGS
+        cfg = UniformityConfig(
+            k=64, epsilon=0.9, degree_cap=4, distribution="point_mass", allow_small_epsilon=True
+        )
+        prover = HonestStreamProver()
+        res = cfg.run_one(cfg.make_distribution("point_mass"), prover, seed=6100)
+        assert prover.widenings(4, cfg.params().n) == 9 > stream_ip.MAX_WIDENINGS
+        assert not res.accepted
+        assert res.abort_reason == "prover asked for 9 cap widenings, more than 4"
+        _assert_one_stream(res, cfg.params())
+
+
+def _assert_one_stream(res, params):
+    """The session metered one pass of n samples and sent them once."""
+    assert res.verifier_queries == params.n
+    assert res.channel_counters["bits_v_to_p"] == params.n * params.b
+
+
+class _StreamShoppingProver(HonestStreamProver):
+    """Announces one widening more than it needs whenever its honest verdict
+    is not "uniform", as if an extra widening could buy a fresh stream."""
+
+    name = "stream-shopping"
+    honest = False
+
+    def __init__(self, params):
+        self.params = params
+
+    def widenings(self, degree_cap, n):
+        verdict = collision_verdict(self.claim_collisions(), self.params.collision_threshold)
+        return super().widenings(degree_cap, n) + (verdict != "uniform")
+
+
+class TestStreamShopping:
+    def test_extra_widening_does_not_change_the_verdict(self):
+        # 98 of 256 values: near the collision threshold, so both verdicts occur
+        cfg = UniformityConfig(
+            k=256,
+            epsilon=0.9,
+            distribution="support_fraction",
+            support_fraction=0.385,
+            allow_small_epsilon=True,
+        )
+        hidden = cfg.make_distribution("support_fraction")
+        assert hidden.support == 98
+        shopped = set()
+        for i in range(40):
+            honest = cfg.run_one(hidden, HonestStreamProver(), seed=10_000 + i)
+            shopper = cfg.run_one(hidden, _StreamShoppingProver(cfg.params()), seed=10_000 + i)
+            assert honest.accepted and shopper.accepted
+            assert shopper.output == honest.output
+            extra = shopper.extras["attempts"] - honest.extras["attempts"]
+            assert extra == (honest.output != "uniform")
+            shopped.add(extra)
+            _assert_one_stream(shopper, cfg.params())
+        assert shopped == {0, 1}  # both verdicts were seen
 
 
 class TestInstrumentation:

@@ -161,8 +161,8 @@ class Report:
     wall_time_s: float
     transcript_digests: list = field(default_factory=list)
 
-    def body(self, include_timing: bool = False) -> dict:
-        out = {
+    def body(self) -> dict:
+        return {
             "config": self.config,
             "version": self.version,
             "rows": self.rows,
@@ -172,12 +172,9 @@ class Report:
             "formula_comparison": self.formula_comparison,
             "transcript_digests": self.transcript_digests,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
-    def to_json(self, include_timing: bool = False) -> str:
-        return json.dumps(self.body(include_timing), sort_keys=True, indent=1)
+    def to_json(self) -> str:
+        return json.dumps(self.body(), sort_keys=True, indent=1)
 
 
 def _aggregate(values):
@@ -248,7 +245,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Report, list[harness.Sessi
     return Report(
         config=config.echo(),
         rows=rows,
-        rates=record.rates(),
+        rates=record.rates(correct=getattr(protocol, "answers_on_abort", False)),
         meter_aggregates={
             "verifier": _aggregate([r.verifier_queries for r in results]),
             "prover": _aggregate([r.prover_queries for r in results]),
@@ -282,7 +279,7 @@ def emit_report(report: Report, results, out_dir: str, transcripts: bool = False
     out.mkdir(parents=True, exist_ok=True)
     written = []
     report_path = out / "report.json"
-    report_path.write_text(report.to_json(include_timing=False) + "\n")
+    report_path.write_text(report.to_json() + "\n")
     written.append(str(report_path))
     csv_path = out / "trials.csv"
     lines = [",".join(CSV_COLUMNS)]
@@ -348,7 +345,7 @@ def main(argv=None) -> int:
         for path in emit_report(report, results, args.out, config.transcripts):
             print(f"wrote {path}")
     else:
-        print(report.to_json(include_timing=False))
+        print(report.to_json())
     return 0
 
 

@@ -21,7 +21,6 @@ from typing import Any, Callable
 import numpy as np
 
 
-
 class MemoryPolicyError(RuntimeError):
     """The verifier exceeded its live-copy budget. Hard failure, never a verdict."""
 
@@ -82,9 +81,6 @@ class QueryMeter:
             raise ValueError("meter increments are non-negative")
         self.total += n
         self.by_kind[kind] = self.by_kind.get(kind, 0) + n
-
-    def snapshot(self) -> dict:
-        return {"total": self.total, "by_kind": dict(sorted(self.by_kind.items()))}
 
 
 class LiveCopyTracker:
@@ -176,7 +172,9 @@ class CopyStream(Sequence):
 
 
 class CopyOracle:
-    """Hidden instance plus a per-party query meter; one copy per query.
+    """Hidden instance plus a per-party query meter; one copy per query, or
+    a batch of samples when the instance is a classical distribution (it has
+    ``draw_batch``).
 
     ``ideal_access`` marks harness-internal oracles whose owner is allowed
     to read the hidden instance directly (ideal-mode contract provers and
@@ -190,16 +188,14 @@ class CopyOracle:
         meter: QueryMeter | None = None,
         tracker: LiveCopyTracker | None = None,
         ideal_access: bool = False,
-        instance_kind: str = "quantum-state",
     ):
         self._hidden = hidden_instance
         self.meter = meter if meter is not None else QueryMeter()
         self.tracker = tracker
         self.ideal_access = ideal_access
-        self.instance_kind = instance_kind
 
     def query(self, kind: str = "query") -> Copy:
-        if self.instance_kind != "quantum-state":
+        if hasattr(self._hidden, "draw_batch"):
             raise TypeError("query() yields state copies; use sample_batch() for distributions")
         self.meter.charge(1, kind)
         if self.tracker is not None:
@@ -244,7 +240,7 @@ class CopyOracle:
         return CopyStream(copy.consume(), n)
 
     def sample_batch(self, rng: np.random.Generator, size: int, kind: str = "sample"):
-        if self.instance_kind != "classical-distribution":
+        if not hasattr(self._hidden, "draw_batch"):
             raise TypeError("sample_batch() is for classical distributions")
         self.meter.charge(size, kind)
         return self._hidden.draw_batch(rng, size)
@@ -376,25 +372,13 @@ class ProverStrategy:
 
 
 class Session:
-    """One verifier-prover interaction: oracles, channel, rng streams, policy."""
+    """One verifier-prover interaction: oracles, channel and rng streams."""
 
-    def __init__(
-        self,
-        *,
-        oracle_v: CopyOracle,
-        oracle_p: CopyOracle,
-        channel: Channel,
-        seed: int,
-        memory_limit: int | None = 1,
-    ):
+    def __init__(self, *, oracle_v: CopyOracle, oracle_p: CopyOracle, channel: Channel, seed: int):
         self.oracle_v = oracle_v
         self.oracle_p = oracle_p
         self.channel = channel
         self.seed = int(seed)
-        self.tracker = oracle_v.tracker
-        if self.tracker is None:
-            self.tracker = LiveCopyTracker(limit=memory_limit)
-            oracle_v.tracker = self.tracker
         self.round_index = 0
 
     def rng(self, label: str) -> np.random.Generator:
@@ -421,7 +405,7 @@ class SessionResult:
     extras: dict = field(default_factory=dict)
     transcript_lines: tuple = ()
 
-    def serialize(self, include_timing: bool = False) -> str:
+    def serialize(self) -> str:
         body = {
             "accepted": self.accepted,
             "output_digest": payload_digest(self.output) if self.output is not None else None,
@@ -435,8 +419,6 @@ class SessionResult:
             "seed": self.seed,
             "extras": {k: _jsonable(v) for k, v in sorted(self.extras.items())},
         }
-        if include_timing:
-            body["wall_time_s"] = self.wall_time
         return json.dumps(body, sort_keys=True)
 
 
@@ -454,20 +436,30 @@ def _jsonable(v):
     return v
 
 
-def run_session(verifier, prover: ProverStrategy, oracles, channel: Channel, seed: int) -> SessionResult:
-    """Executes one session round-by-round and returns verdict plus full meters.
+def run_session(
+    verifier,
+    prover: ProverStrategy,
+    hidden,
+    seed: int,
+    *,
+    record_transcript: bool = False,
+    prover_hidden=None,
+) -> SessionResult:
+    """Builds one session on ``hidden``, executes it round-by-round and
+    returns verdict plus full meters.
 
-    Channel-type and memory-policy violations raise; they are harness errors,
-    never verdicts. Protocol aborts become ``accepted=False`` results.
+    The verifier's oracle tracks live copies against ``verifier.memory_limit``
+    and never has ideal access; the prover's oracle holds ``prover_hidden``
+    (``hidden`` when None) with ideal access. The channel is of
+    ``verifier.channel_kind``. Channel-type and memory-policy violations
+    raise; they are harness errors, never verdicts. Protocol aborts become
+    ``accepted=False`` results.
     """
-    oracle_v, oracle_p = oracles
-    session = Session(
-        oracle_v=oracle_v,
-        oracle_p=oracle_p,
-        channel=channel,
-        seed=seed,
-        memory_limit=getattr(verifier, "memory_limit", 1),
-    )
+    tracker = LiveCopyTracker(limit=verifier.memory_limit)
+    oracle_v = CopyOracle(hidden, tracker=tracker)
+    oracle_p = CopyOracle(hidden if prover_hidden is None else prover_hidden, ideal_access=True)
+    channel = Channel(verifier.channel_kind, record_transcript=record_transcript)
+    session = Session(oracle_v=oracle_v, oracle_p=oracle_p, channel=channel, seed=seed)
     t0 = time.perf_counter()
     accepted, output, reason = False, None, None
     try:
@@ -482,10 +474,10 @@ def run_session(verifier, prover: ProverStrategy, oracles, channel: Channel, see
         abort_reason=reason,
         verifier_queries=oracle_v.meter.total,
         prover_queries=oracle_p.meter.total,
-        verifier_breakdown=oracle_v.meter.snapshot()["by_kind"],
-        prover_breakdown=oracle_p.meter.snapshot()["by_kind"],
+        verifier_breakdown=dict(sorted(oracle_v.meter.by_kind.items())),
+        prover_breakdown=dict(sorted(oracle_p.meter.by_kind.items())),
         channel_counters=channel.counters(),
-        peak_live_copies=session.tracker.peak,
+        peak_live_copies=tracker.peak,
         seed=int(seed),
         wall_time=wall,
         extras=dict(getattr(verifier, "extras", {})),
@@ -500,13 +492,10 @@ def run_session(verifier, prover: ProverStrategy, oracles, channel: Channel, see
 
 @dataclass
 class ManyVsOneTask:
-    """Triple (accept instance, reject sampler, instance set) plus metadata."""
+    """Accept instance, reject sampler and the output that names the accept side."""
 
-    name: str
     accept_instance: Any
     reject_sampler: Callable[[np.random.Generator], Any]
-    instance_kind: str = "quantum-state"
-    dim: int = 0
     accept_output: Any = "accept"
 
     def __post_init__(self):
@@ -542,17 +531,26 @@ class RateRecord:
     accept_and_valid: int
     accept_and_invalid: int
     abort: int
+    correct: int = 0  # judged valid, aborted trials included
 
-    def rates(self) -> dict:
-        out = {}
-        for label, count in (
-            ("accept_and_valid", self.accept_and_valid),
-            ("accept_and_invalid", self.accept_and_invalid),
-            ("abort", self.abort),
-        ):
-            lo, hi = wilson_interval(count, self.trials)
-            out[label] = {"count": count, "rate": count / self.trials, "wilson95": [lo, hi]}
-        return out
+    def rates(self, correct: bool = False) -> dict:
+        """Count, rate and Wilson interval of each outcome; with ``correct``
+        also of the valid answers, for runs whose aborted trials answer too."""
+        counts = {
+            "accept_and_valid": self.accept_and_valid,
+            "accept_and_invalid": self.accept_and_invalid,
+            "abort": self.abort,
+        }
+        if correct:
+            counts["correct"] = self.correct
+        return {
+            label: {
+                "count": count,
+                "rate": count / self.trials,
+                "wilson95": list(wilson_interval(count, self.trials)),
+            }
+            for label, count in counts.items()
+        }
 
 
 def run_trials(
@@ -591,7 +589,7 @@ def run_trials(
             av += 1
         else:
             ai += 1
-    return RateRecord(trials, av, ai, ab), results, valids
+    return RateRecord(trials, av, ai, ab, valids.count(True)), results, valids
 
 
 def batch_rates(
@@ -711,28 +709,24 @@ def delegated_measure(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DecideValid:
-    """Sampled decide-valid subroutine with stated cost and failure probability."""
-
-    check: Callable  # (oracle_v, hypothesis, rng) -> bool; queries the oracle itself
-    failure_prob: float
-    description: str = "decide-valid"
-
-
 class TrivialValidationIP:
-    """Composed IP: prover sends a hypothesis, verifier runs decide-valid."""
+    """Composed IP: prover sends a hypothesis, verifier runs decide-valid.
+
+    ``check(oracle_v, hypothesis, rng) -> bool`` is the decide-valid
+    subroutine; it queries the oracle itself.
+    """
 
     memory_limit = 1
+    channel_kind = "quantum"
 
-    def __init__(self, decide_valid: DecideValid):
-        self.decide_valid = decide_valid
-        self.extras = {"decide_valid": decide_valid.description}
+    def __init__(self, check: Callable, description: str = "decide-valid"):
+        self.check = check
+        self.extras = {"decide_valid": description}
 
     def run(self, session: Session, prover):
         hyp = prover.solve(session.oracle_p, session.rng("prover-solve"))
         session.channel.send_structured("p->v", hyp, session.next_round())
-        ok = self.decide_valid.check(session.oracle_v, hyp, session.rng("decide-valid"))
+        ok = self.check(session.oracle_v, hyp, session.rng("decide-valid"))
         if not ok:
             raise ProtocolAbort("decide-valid rejected the hypothesis")
         return hyp

@@ -403,6 +403,7 @@ ADVERSARIES = {
 
 class LowRankVerifier:
     memory_limit = 1
+    channel_kind = "quantum"
 
     def __init__(self, params: LowRankParams):
         self.params = params
@@ -498,14 +499,9 @@ class LowRankConfig:
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.DensityMatrix:
         return qcore.sample_state(self.d, self.d, rng)
 
-    def run_one(self, hidden, prover, seed: int, prover_hidden=None) -> SessionResult:
+    def run_one(self, hidden, prover, seed: int) -> SessionResult:
         verifier = LowRankVerifier(self.params())
-        oracle_v = CopyOracle(hidden)
-        oracle_p = CopyOracle(
-            prover_hidden if prover_hidden is not None else hidden, ideal_access=True
-        )
-        channel = Channel("quantum", record_transcript=self.record_transcript)
-        return run_session(verifier, prover, (oracle_v, oracle_p), channel, seed)
+        return run_session(verifier, prover, hidden, seed, record_transcript=self.record_transcript)
 
     def optimal_loss(self, hidden) -> float:
         alpha = qcore.eig_sorted(hidden).values

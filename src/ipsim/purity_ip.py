@@ -223,6 +223,7 @@ class PurityVerifier:
     """Runs Algorithm-style round scheduling and the abort/consistency rule."""
 
     memory_limit = 1
+    channel_kind = "quantum"
 
     def __init__(self, params: PurityParams, kind_seed: int | None = None):
         self.params = params
@@ -294,11 +295,8 @@ class PurityConfig:
     def task(self) -> ManyVsOneTask:
         d = self.d
         return ManyVsOneTask(
-            name="purity",
             accept_instance=qcore.maximally_mixed(d),
             reject_sampler=lambda rng: qcore.sample_pure_state(d, rng).density(),
-            instance_kind="quantum-state",
-            dim=d,
             accept_output=OUTPUT_MIXED,
         )
 
@@ -310,11 +308,14 @@ class PurityConfig:
         raise ValueError(f"unknown instance source {which}")
 
     def run_one(self, hidden, prover: ProverStrategy, seed: int, prover_hidden=None) -> SessionResult:
-        verifier = PurityVerifier(self.params(), kind_seed=self.kind_seed)
-        oracle_v = CopyOracle(hidden)
-        oracle_p = CopyOracle(prover_hidden if prover_hidden is not None else hidden)
-        channel = Channel("quantum", record_transcript=self.record_transcript)
-        return run_session(verifier, prover, (oracle_v, oracle_p), channel, seed)
+        return run_session(
+            PurityVerifier(self.params(), kind_seed=self.kind_seed),
+            prover,
+            hidden,
+            seed,
+            record_transcript=self.record_transcript,
+            prover_hidden=prover_hidden,
+        )
 
     def judge(self, output, hidden) -> bool:
         """Exact validity: the answer must match the hidden instance type."""
@@ -337,6 +338,7 @@ class NogoConfig:
     delta: float = 1 / 3
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"instance": "accept"}
+    answers_on_abort: ClassVar[bool] = True  # the report gives the rate of correct answers
 
     def __post_init__(self):
         self.ip = PurityConfig(d=self.d, delta=self.delta, record_transcript=self.record_transcript)

@@ -21,7 +21,6 @@ from . import qcore, qmeas
 from .harness import (
     Channel,
     CopyOracle,
-    DecideValid,
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
@@ -35,6 +34,11 @@ STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080, 4: 36720}
 INSTANCE_MIX = 0.12  # max squared overlap an instance moves toward a Haar direction
 
 
+def _check_qubits(n: int):
+    if not 1 <= n <= 4:
+        raise ValueError(f"n must be in 1..4 (the enumerated stabilizer states), got {n}")
+
+
 @dataclass(frozen=True)
 class StabParams:
     epsilon: float
@@ -45,6 +49,7 @@ class StabParams:
     def __post_init__(self):
         if not (0 < self.epsilon < 1 and 0 < self.delta < 1):
             raise ValueError("epsilon, delta in (0,1)")
+        _check_qubits(self.n)
         if self.mode not in ("ideal", "sampled"):
             raise ValueError("mode in {ideal, sampled}")
 
@@ -446,6 +451,7 @@ ADVERSARIES = {
 
 class StabVerifier:
     memory_limit = 1
+    channel_kind = "quantum"
 
     def __init__(self, params: StabParams):
         self.params = params
@@ -489,6 +495,9 @@ class StabConfig:
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
+    def __post_init__(self):
+        self.params()  # rejects a bad n before sample_instance enumerates states
+
     def params(self) -> StabParams:
         return StabParams(epsilon=self.epsilon, delta=self.delta, n=self.n, mode=self.mode)
 
@@ -520,14 +529,9 @@ class StabConfig:
         amps = math.sqrt(1 - t) * base + math.sqrt(t) * orth
         return qcore.PureState(amps / np.linalg.norm(amps))
 
-    def run_one(self, hidden, prover, seed: int, prover_hidden=None) -> SessionResult:
+    def run_one(self, hidden, prover, seed: int) -> SessionResult:
         verifier = StabVerifier(self.params())
-        oracle_v = CopyOracle(hidden)
-        oracle_p = CopyOracle(
-            prover_hidden if prover_hidden is not None else hidden, ideal_access=True
-        )
-        channel = Channel("quantum", record_transcript=self.record_transcript)
-        return run_session(verifier, prover, (oracle_v, oracle_p), channel, seed)
+        return run_session(verifier, prover, hidden, seed, record_transcript=self.record_transcript)
 
     def judge(self, output: StabilizerStateDesc, hidden: qcore.PureState) -> bool:
         loss = 1.0 - qcore.fidelity_pure(hidden, output.projector())
@@ -579,6 +583,9 @@ class TrivialConfig:
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
+    def __post_init__(self):
+        _check_qubits(self.n)  # before sample_instance enumerates states
+
     def shots(self) -> int:
         return math.ceil(math.log(2 / self.delta) / (2 * (self.epsilon / 2) ** 2))
 
@@ -595,9 +602,7 @@ class TrivialConfig:
             "exact-test": self._check_exact,
         }
         check = choose("checker", self.checker, checks)
-        return TrivialValidationIP(
-            DecideValid(check=check, failure_prob=self.delta, description=f"stab-fidelity-{self.checker}")
-        )
+        return TrivialValidationIP(check, f"stab-fidelity-{self.checker}")
 
     def _check_sampled(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
         return estimate_stab_loss(oracle_v, hyp, self.shots(), rng, "decide-valid") <= self.epsilon / 2
@@ -617,17 +622,9 @@ class TrivialConfig:
         return states[int(rng.integers(0, len(states)))].dense
 
     def run_one(self, hidden, prover, seed: int) -> SessionResult:
-        oracle_v = CopyOracle(hidden)
-        oracle_p = CopyOracle(hidden, ideal_access=True)
-        channel = Channel("quantum", record_transcript=self.record_transcript)
-        return run_session(self.verifier(), prover, (oracle_v, oracle_p), channel, seed)
+        return run_session(self.verifier(), prover, hidden, seed, record_transcript=self.record_transcript)
 
     def judge(self, output: StabilizerStateDesc, hidden: qcore.PureState) -> bool:
         loss = 1.0 - float(np.abs(np.vdot(output.dense.amplitudes, hidden.amplitudes)) ** 2)
         return loss <= self.epsilon + 1e-9
 
-
-def make_trivial_stab_ip(n: int, epsilon: float, delta: float, checker: str, adversary: str):
-    """(verifier, prover) of the trivial validation IP."""
-    cfg = TrivialConfig(n=n, epsilon=epsilon, delta=delta, checker=checker)
-    return cfg.verifier(), cfg.make_prover(adversary)

@@ -44,8 +44,7 @@ import numpy as np
 
 from . import m61
 from .harness import (
-    Channel,
-    CopyOracle,
+    ManyVsOneTask,
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
@@ -56,27 +55,11 @@ from .m61 import Q, fadd, fmul, fsub, vadd, vmul, vsub, vsum
 
 FIELD_BITS = 61
 MAX_WIDENINGS = 4  # the cap may double at most this often: D <= 16 * D0
-
-
-@dataclass(frozen=True)
-class SumcheckRoundMsg:
-    """One round polynomial given by its values on the integer nodes
-    0..degree_bound+1; length is pinned to degree_bound + 2."""
-
-    evaluations: tuple
-    degree_bound: int
-
-    def __post_init__(self):
-        if len(self.evaluations) != self.degree_bound + 2:
-            raise ValueError(
-                f"round message needs {self.degree_bound + 2} evaluations, got {len(self.evaluations)}"
-            )
-
-    def __len__(self):
-        return len(self.evaluations)
-
-    def __iter__(self):
-        return iter(self.evaluations)
+SUMCHECK_NAMES = {
+    "unique": "unique-count sum-check",
+    "range": "range certificate",
+    "collisions": "collision-count sum-check",
+}
 
 
 @dataclass(frozen=True)
@@ -257,32 +240,46 @@ class StreamVerifierState:
         return acc
 
 
-def lagrange_h_eval(h_values, t: int, weights=None) -> int:
-    """Degree <= D interpolant of values on nodes 0..D evaluated at t."""
-    return m61.lagrange_eval(h_values, t, weights)
-
-
 @lru_cache(maxsize=64)
 def _weights_cached(num_nodes: int) -> tuple[int, ...]:
     return tuple(m61.lagrange_weights(num_nodes))
 
 
-@lru_cache(maxsize=64)
-def _unique_h_constant(degree_cap: int) -> int:
-    """c with h_hat(y) = c * prod_{i in 0..D, i != 1} (y - i)."""
-    denom = 1
-    for i in range(degree_cap + 1):
-        if i != 1:
-            denom = fmul(denom, fsub(1, i % Q))
-    return m61.finv(denom)
+@lru_cache(maxsize=256)
+def composed_factors(kind: str, degree_cap: int) -> tuple[tuple[int, ...], int]:
+    """(factors, c) with the sum-check polynomial g(y) = c * prod_i (y - i).
+
+    "unique": the degree <= D interpolant of [y == 1] on the nodes 0..D,
+    whose only nonzero node value is at y = 1. "range": prod_{i=0..D} (y - i),
+    which vanishes on every frequency within the cap (the verifier multiplies
+    it by chi(x, zeta)). "collisions": y(y - 1)/2, the colliding pairs among
+    y equal samples, exact at every degree; the cap is ignored. A round
+    message of g takes len(factors) + 2 node values.
+    """
+    if kind == "unique":
+        factors = tuple(i for i in range(degree_cap + 1) if i != 1)
+        denom = 1
+        for i in factors:
+            denom = fmul(denom, fsub(1, i))
+        return factors, m61.finv(denom)
+    if kind == "range":
+        return tuple(range(degree_cap + 1)), 1
+    if kind == "collisions":
+        return (0, 1), m61.finv(2)
+    raise ValueError(kind)
 
 
-_INV2 = m61.finv(2)
+def composed_value(kind: str, degree_cap: int, y: int) -> int:
+    """g(y) of ``composed_factors(kind, degree_cap)`` at a field element y."""
+    factors, acc = composed_factors(kind, degree_cap)
+    for i in factors:
+        acc = fmul(acc, fsub(y, i))
+    return acc
 
 
 def collision_h(y: int) -> int:
     """h(y) = y(y-1)/2: the number of colliding pairs among y equal samples."""
-    return fmul(_INV2, fmul(y, fsub(y, 1)))
+    return composed_value("collisions", 2, y)
 
 
 # ---------------------------------------------------------------------------
@@ -331,11 +328,10 @@ def _blend(u: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
 class _SumcheckEngine:
     """Honest table-folding prover for one b-variate sum-check.
 
-    ``kind`` selects the composed polynomial: "unique" evaluates the capped
-    unique-indicator interpolant of the frequency extension; "range"
-    evaluates chi(x, zeta) * prod_{i=0..D} (a(x) - i); "collisions" evaluates
-    the exact a(x)(a(x)-1)/2 and ignores the cap. Messages are the round
-    polynomial on integer nodes 0..L-1.
+    ``kind`` selects g = ``composed_factors(kind, degree_cap)``; the engine
+    sums g(a(x)) over the cube, times ``chi_table`` (chi(x, zeta)) for
+    "range". Messages are the round polynomial on the integer nodes 0..L-1,
+    L = len(factors) + 2.
 
     Early rounds bucket identical (value, difference) pairs, which collapses
     the work by orders of magnitude while the folded tables still carry few
@@ -355,44 +351,29 @@ class _SumcheckEngine:
         self.degree_cap = degree_cap
         self.kind = kind
         self.chi = chi_table
-        if kind == "unique":
-            # degree bound D+1 per spec message framing (true degree <= D)
-            self.degree_bound = degree_cap
-            self.factors = [i for i in range(degree_cap + 1) if i != 1]
-            self.constant = _unique_h_constant(degree_cap)
-        elif kind == "range":
-            self.degree_bound = degree_cap + 1
-            self.factors = list(range(degree_cap + 1))
-            self.constant = 1
-        elif kind == "collisions":
-            self.degree_bound = 2
-            self.factors = [0, 1]
-            self.constant = _INV2
-        else:
-            raise ValueError(kind)
-        self.num_nodes = self.degree_bound + 2
+        self.factors, self.constant = composed_factors(kind, degree_cap)
+        self.num_nodes = len(self.factors) + 2
         self.runs = _factor_runs(self.factors)
 
-    def round_message(self) -> SumcheckRoundMsg:
+    def round_message(self) -> tuple[int, ...]:
         u = self.table[0::2]
         d = vsub(self.table[1::2], u)
-        if self.kind == "range":
-            uc = self.chi[0::2]
-            dc = vsub(self.chi[1::2], uc)
-            reps = self._bucket_range(u, d, uc, dc)
-            if reps is not None:
-                u, d, wc_u, wc_d = reps
-                evals = self._evaluate(u, d, chi_u=wc_u, chi_d=wc_d)
+        extra = {}
+        if self.chi is not None:
+            extra = {"chi_u": self.chi[0::2], "chi_d": vsub(self.chi[1::2], self.chi[0::2])}
+        grouped = self._group(u, d)
+        if grouped is not None:
+            # one column per distinct (u, d) pair, weighted by its multiplicity
+            # or by the sums of its chi columns
+            uniq, inverse = grouped
+            u, d = uniq[:, 0].copy(), uniq[:, 1].copy()
+            if self.chi is None:
+                extra["counts"] = np.bincount(inverse).astype(np.uint64) % np.uint64(Q)
             else:
-                evals = self._evaluate(u, d, chi_u=uc, chi_d=dc)
-        else:
-            reps = self._bucket_unique(u, d)
-            if reps is not None:
-                u, d, counts = reps
-                evals = self._evaluate(u, d, counts=counts)
-            else:
-                evals = self._evaluate(u, d)
-        return SumcheckRoundMsg(tuple(evals), self.degree_bound)
+                order = np.argsort(inverse, kind="stable")
+                starts = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
+                extra = {key: _segment_sums_mod(col[order], starts) for key, col in extra.items()}
+        return tuple(self._evaluate(u, d, **extra))
 
     @staticmethod
     def _group(u: np.ndarray, d: np.ndarray):
@@ -405,25 +386,6 @@ class _SumcheckEngine:
             return None
         uniq = np.stack([u_vals[keys // d_vals.size], d_vals[keys % d_vals.size]], axis=1)
         return uniq, inverse.reshape(-1)
-
-    def _bucket_unique(self, u, d):
-        grouped = self._group(u, d)
-        if grouped is None:
-            return None
-        uniq, inverse = grouped
-        counts = np.bincount(inverse).astype(np.uint64) % np.uint64(Q)
-        return uniq[:, 0].copy(), uniq[:, 1].copy(), counts
-
-    def _bucket_range(self, u, d, uc, dc):
-        grouped = self._group(u, d)
-        if grouped is None:
-            return None
-        uniq, inverse = grouped
-        order = np.argsort(inverse, kind="stable")
-        starts = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
-        sum_uc = _segment_sums_mod(uc[order], starts)
-        sum_dc = _segment_sums_mod(dc[order], starts)
-        return uniq[:, 0].copy(), uniq[:, 1].copy(), sum_uc, sum_dc
 
     def _evaluate(self, u, d, counts=None, chi_u=None, chi_d=None) -> list[int]:
         L = self.num_nodes
@@ -474,17 +436,8 @@ class _SumcheckEngine:
 
     def final_value(self) -> int:
         assert self.table.size == 1
-        if self.kind == "range":
-            val = int(self.chi[0])
-            y = int(self.table[0])
-            for i in self.factors:
-                val = fmul(val, fsub(y, i % Q))
-            return val
-        y = int(self.table[0])
-        acc = self.constant
-        for i in self.factors:
-            acc = fmul(acc, fsub(y, i % Q))
-        return acc
+        value = composed_value(self.kind, self.degree_cap, int(self.table[0]))
+        return value if self.chi is None else fmul(int(self.chi[0]), value)
 
 
 def chi_table_for_point(k: int, point: list[int]) -> np.ndarray:
@@ -528,7 +481,7 @@ def run_sumcheck(
 
     ``prover_rounds(j, r_prev)`` returns round j's node evaluations (the
     prover binds r_prev first); messages are streamed through constant-memory
-    node evaluation; ``final_eval(rs)`` must equal the surviving claim.
+    node evaluation; ``final_eval()`` must equal the surviving claim.
     """
     weights = _weights_cached(num_nodes)
     current = claim % Q
@@ -552,6 +505,45 @@ def run_sumcheck(
     return SumcheckOutcome(True, len(rs))
 
 
+def engine_rounds(engine: _SumcheckEngine):
+    """``prover_rounds`` callback for run_sumcheck backed by one engine."""
+
+    def rounds(j, r_prev):
+        if r_prev is not None:
+            engine.bind(r_prev)
+        return engine.round_message()
+
+    return rounds
+
+
+def verify_sumcheck(
+    kind: str,
+    claim: int,
+    engine: _SumcheckEngine,
+    point: list[int],
+    degree_cap: int,
+    a_value: int,
+    chi: int = 1,
+    on_message=None,
+) -> SumcheckOutcome:
+    """Verifies the prover ``engine``'s sum-check of chi * g(a(x)) against
+    ``claim`` at ``point``, for g = ``composed_factors(kind, degree_cap)``.
+
+    The verifier fixes the message length at len(factors) + 2 and closes the
+    last round with chi * g(a_value), where a_value is the frequency
+    extension it maintained at ``point``.
+    """
+    factors, _ = composed_factors(kind, degree_cap)
+    return run_sumcheck(
+        claim,
+        engine_rounds(engine),
+        point,
+        len(factors) + 2,
+        lambda: fmul(chi, composed_value(kind, degree_cap, a_value)),
+        on_message=on_message,
+    )
+
+
 # ---------------------------------------------------------------------------
 # Prover strategies
 # ---------------------------------------------------------------------------
@@ -568,9 +560,6 @@ class HonestStreamProver(ProverStrategy):
         self.freq = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k).astype(np.uint64)
         self.k = k
 
-    def effective_freq(self, degree_cap: int) -> np.ndarray:
-        return self.freq
-
     def widenings(self, degree_cap: int, n: int) -> int:
         """Fewest doublings j of the cap with min(cap * 2^j, n) >= max f."""
         top = int(self.freq.max(initial=0))
@@ -580,13 +569,12 @@ class HonestStreamProver(ProverStrategy):
         return j
 
     def claim_unique(self, degree_cap: int) -> int:
-        return int((self.effective_freq(degree_cap) == 1).sum())
+        return int((self.freq == 1).sum())
 
     def build_engines(self, degree_cap: int, zeta: list[int]):
-        freq = self.effective_freq(degree_cap)
-        main = _SumcheckEngine(freq, degree_cap, "unique")
+        main = _SumcheckEngine(self.freq, degree_cap, "unique")
         rng_chi = chi_table_for_point(self.k, zeta)
-        rng_eng = _SumcheckEngine(freq, degree_cap, "range", chi_table=rng_chi)
+        rng_eng = _SumcheckEngine(self.freq, degree_cap, "range", chi_table=rng_chi)
         return main, rng_eng
 
     def collision_freq(self) -> np.ndarray:
@@ -711,12 +699,10 @@ class RangeClampProver(HonestStreamProver):
     def claim_unique(self, degree_cap: int) -> int:
         # internally consistent total of the capped interpolant over the
         # true table, so the main sum-check verifies
-        h_values = [1 if i == 1 else 0 for i in range(degree_cap + 1)]
-        weights = list(_weights_cached(degree_cap + 1))
         vals, counts = np.unique(self.freq, return_counts=True)
         total = 0
         for v, c in zip(vals, counts):
-            total = fadd(total, fmul(lagrange_h_eval(h_values, int(v), weights), int(c) % Q))
+            total = fadd(total, fmul(composed_value("unique", degree_cap, int(v)), int(c) % Q))
         return total
 
     def build_engines(self, degree_cap: int, zeta: list[int]):
@@ -746,27 +732,9 @@ def collision_verdict(c_verified: int, collision_threshold: float) -> str:
     return "not uniform" if c_verified > collision_threshold else "uniform"
 
 
-def engine_rounds(engine: _SumcheckEngine):
-    """``prover_rounds`` callback for run_sumcheck backed by one engine."""
-
-    def rounds(j, r_prev):
-        if r_prev is not None:
-            engine.bind(r_prev)
-        return engine.round_message()
-
-    return rounds
-
-
-def range_final_value(state: StreamVerifierState, degree_cap: int) -> int:
-    """chi(r2, zeta) * prod_{i=0..D} (a(r2) - i) from the verifier's registers."""
-    acc = state.chi_pair(state.r2, state.zeta)
-    for i in range(degree_cap + 1):
-        acc = fmul(acc, fsub(state.a_at_r2, i % Q))
-    return acc
-
-
 class UniformityVerifier:
     memory_limit = None  # classical protocol; no quantum copies at all
+    channel_kind = "classical"
 
     def __init__(self, params: UniformityParams):
         self.params = params
@@ -809,43 +777,19 @@ class UniformityVerifier:
             counter["fe"] += len(message)
             session.channel.count_raw_bits("p->v", FIELD_BITS * len(message), note="sumcheck-msg")
 
-        h_values = [1 if i == 1 else 0 for i in range(degree_cap + 1)]
-        main_out = run_sumcheck(
-            z_claim % Q,
-            engine_rounds(main_eng),
-            state.r,
-            degree_cap + 2,
-            lambda: lagrange_h_eval(h_values, state.a_at_r, list(_weights_cached(degree_cap + 1))),
-            on_message=count_msg,
-        )
-        if not main_out.verified:
-            raise ProtocolAbort(f"unique-count sum-check rejected: {main_out.reason}")
+        def check(kind, claim, engine, point, a_value, chi=1):
+            out = verify_sumcheck(kind, claim, engine, point, degree_cap, a_value, chi, count_msg)
+            if not out.verified:
+                raise ProtocolAbort(f"{SUMCHECK_NAMES[kind]} rejected: {out.reason}")
 
+        check("unique", z_claim, main_eng, state.r, state.a_at_r)
         # the certificate asserts a zero total, whatever the prover says
-        range_out = run_sumcheck(
-            0,
-            engine_rounds(range_eng),
-            state.r2,
-            degree_cap + 3,
-            lambda: range_final_value(state, degree_cap),
-            on_message=count_msg,
-        )
-        if not range_out.verified:
-            raise ProtocolAbort(f"range certificate rejected: {range_out.reason}")
+        check("range", 0, range_eng, state.r2, state.a_at_r2, state.chi_pair(state.r2, state.zeta))
         if collisions:
             c_claim = prover.claim_collisions()
             session.channel.send_structured("p->v", c_claim, session.next_round())
             counter["fe"] += 1
-            coll_out = run_sumcheck(
-                c_claim % Q,
-                engine_rounds(prover.build_collision_engine()),
-                state.r3,
-                4,
-                lambda: collision_h(state.a_at_r3),
-                on_message=count_msg,
-            )
-            if not coll_out.verified:
-                raise ProtocolAbort(f"collision-count sum-check rejected: {coll_out.reason}")
+            check("collisions", c_claim, prover.build_collision_engine(), state.r3, state.a_at_r3)
         self.extras["prover_field_elements"] = counter["fe"]
         self.extras["peak_field_elements"] = state.peak_field_elements
         self.extras["z_verified"] = z_claim
@@ -853,19 +797,6 @@ class UniformityVerifier:
             self.extras["c_verified"] = c_claim
             return collision_verdict(c_claim, p.collision_threshold)
         return uniformity_verdict(z_claim, p.threshold_count)
-
-
-def range_certificate(freq: np.ndarray, degree_cap: int, state: StreamVerifierState) -> SumcheckOutcome:
-    """Standalone range-certificate run against an honest table (test hook)."""
-    eng = _SumcheckEngine(
-        np.asarray(freq, dtype=np.uint64),
-        degree_cap,
-        "range",
-        chi_table=chi_table_for_point(freq.size, state.zeta),
-    )
-    return run_sumcheck(
-        0, engine_rounds(eng), state.r2, degree_cap + 3, lambda: range_final_value(state, degree_cap)
-    )
 
 
 @dataclass
@@ -907,14 +838,9 @@ class UniformityConfig:
     def task(self):
         """Many-vs-one task view: uniform vs far distributions (classical
         channel); feeds the distinguisher transformation."""
-        from .harness import ManyVsOneTask
-
         return ManyVsOneTask(
-            name="uniformity",
             accept_instance=self.make_distribution("uniform"),
             reject_sampler=lambda rng: self.make_distribution("support_fraction"),
-            instance_kind="classical-distribution",
-            dim=self.k,
             accept_output="uniform",
         )
 
@@ -926,14 +852,14 @@ class UniformityConfig:
         return self.make_distribution(self.distribution)
 
     def run_one(self, hidden, prover, seed: int, prover_hidden=None) -> SessionResult:
-        verifier = UniformityVerifier(self.params())
-        oracle_v = CopyOracle(hidden, instance_kind="classical-distribution")
-        oracle_p = CopyOracle(
-            prover_hidden if prover_hidden is not None else hidden,
-            instance_kind="classical-distribution",
+        return run_session(
+            UniformityVerifier(self.params()),
+            prover,
+            hidden,
+            seed,
+            record_transcript=self.record_transcript,
+            prover_hidden=prover_hidden,
         )
-        channel = Channel("classical", record_transcript=self.record_transcript)
-        return run_session(verifier, prover, (oracle_v, oracle_p), channel, seed)
 
     def make_prover(self, name: str) -> ProverStrategy:
         if name == "decision-flip":

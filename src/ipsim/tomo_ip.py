@@ -46,6 +46,11 @@ class TomoParams:
     def __post_init__(self):
         if not (0 < self.epsilon < 1 and 0 < self.delta < 1):
             raise ValueError("epsilon, delta in (0,1)")
+        if self.d < 2:
+            raise ValueError("d must be >= 2")
+        for key in ("c_v", "c_p"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0")
         if self.mode not in ("ideal", "sampled"):
             raise ValueError("mode is ideal or sampled")
         if self.rank_k is not None and self.mode != "ideal":
@@ -324,6 +329,7 @@ ADVERSARIES = {
 
 class TomoVerifier:
     memory_limit = 1
+    channel_kind = "quantum"
 
     def __init__(self, params: TomoParams):
         self.params = params
@@ -394,14 +400,9 @@ class TomoConfig:
         rank = int(rng.integers(1, self.d + 1))
         return qcore.sample_state(self.d, rank, rng)
 
-    def run_one(self, hidden, prover, seed: int, prover_hidden=None) -> SessionResult:
+    def run_one(self, hidden, prover, seed: int) -> SessionResult:
         verifier = TomoVerifier(self.params())
-        oracle_v = CopyOracle(hidden)
-        oracle_p = CopyOracle(
-            prover_hidden if prover_hidden is not None else hidden, ideal_access=True
-        )
-        channel = Channel("quantum", record_transcript=self.record_transcript)
-        return run_session(verifier, prover, (oracle_v, oracle_p), channel, seed)
+        return run_session(verifier, prover, hidden, seed, record_transcript=self.record_transcript)
 
     def judge(self, output, hidden) -> bool:
         return qcore.one_norm_distance(output, hidden) <= self.epsilon

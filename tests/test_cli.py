@@ -36,6 +36,24 @@ class TestConfigParsing:
     def test_bad_range_rejected_as_config_error(self):
         assert main(["purity", "--trials", "1", "delta=1.5"]) == 2
 
+    @pytest.mark.parametrize(
+        "protocol, item",
+        [
+            ("tomo", "d=1"),
+            ("tomo", "c_v=-1"),
+            ("tomo", "c_v=0"),
+            ("tomo", "c_p=0"),
+            ("stab", "n=0"),
+            ("stab", "n=-1"),
+            ("stab", "n=5"),
+            ("trivial", "n=0"),
+        ],
+    )
+    def test_out_of_range_key_is_a_config_error_naming_it(self, protocol, item, capsys):
+        assert main([protocol, "--trials", "1", item]) == 2
+        key = item.split("=")[0]
+        assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_degree_cap_below_one_rejected(self, cap, capsys):
         argv = ["uniformity", "--trials", "2", "--seed", "1", "k=16", "epsilon=0.9"]
@@ -266,12 +284,13 @@ CONFIG_FILE = "d = 4\ndelta = 0.25\nadversary = best-effort-liar\nseed = 11\n"
 GOLDEN = {
     "nogo-abort-row": (
         ["nogo", "--trials", "10", "--seed", "3", "d=4", "instance=reject"],
-        "d1c3dc7df5b1b8352b6d52a9d2c34b8ceec205d7c01f21096d98bfc925151597",
+        # rates carry "correct": 10 of 10, the aborted row's "reject" included
+        "4f24aefdb0f130bf522162143e7d8dd02094665051cf4b36acf4491319a20d53",
         "617ea2a895bd67dae67d5cb0d27acedb02c2847dfcc6dc43d8a714b1a04c0ec3",
     ),
     "nogo-accept": (
         ["nogo", "--trials", "6", "--seed", "3", "d=4"],
-        "26f39513e3bb488bf20e59ab07bbe42ead975df23874d767a27f5e3e2b672945",
+        "95c6302dbcdd56d65f238df7222012af6da048670e1a05ecadb47fda5e4a351d",
         "716e8bc6281352b7c4b420fb6e87ed2d79b660f04d4764b4b462256e77d6887a",
     ),
     "uniformity-tau-negative": (
@@ -405,9 +424,13 @@ class TestGoldenReports:
         if name.startswith("uniformity-") and name != "uniformity-tau-negative":
             _, results = runs[0]
             assert [res.extras["attempts"] for res in results] == [1, 1, 1]  # the cap never widened
+        # only the distinguisher reports its rate of correct answers
+        assert ("correct" in report["rates"]) == name.startswith("nogo-")
         if name == "nogo-abort-row":
             # an aborted distinguisher run answers "reject" and is judged on that
             assert {"verdict": "aborted", "valid": True}.items() <= report["rows"][0].items()
+            assert report["rates"]["abort"]["count"] == 1
+            assert report["rates"]["correct"]["count"] == 10
 
     def test_nogo_transcripts_are_recorded(self, tmp_path):
         out = tmp_path / "out"
@@ -481,3 +504,30 @@ class TestModeKey:
         path.write_text("mode = sampled\nd = 4\n")
         assert main(["purity", "--config", str(path), "--trials", "1"]) == 2
         assert "has no mode" in capsys.readouterr().err
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ipsim commands of README's "Running experiments" block, without "ipsim"."""
+    text = (Path(__file__).parents[1] / "README.md").read_text()
+    block = text.split("## Running experiments", 1)[1].split("```bash", 1)[1].split("```", 1)[0]
+    return [line.split()[1:] for line in block.splitlines() if line.startswith("ipsim ")]
+
+
+README_COMMANDS = _readme_commands()
+
+
+class TestReadmeCommands:
+    def test_block_found(self):
+        assert {argv[0] for argv in README_COMMANDS} == set(cli.PROTOCOLS)
+
+    @pytest.mark.parametrize(
+        "argv", README_COMMANDS, ids=[f"{argv[0]}-{i}" for i, argv in enumerate(README_COMMANDS)]
+    )
+    def test_runs_with_one_trial(self, argv, tmp_path):
+        argv = list(argv)
+        argv[argv.index("--trials") + 1] = "1"
+        if "--out" in argv:
+            at = argv.index("--out")
+            del argv[at : at + 2]
+        assert main(argv + ["--out", str(tmp_path)]) == 0
+        assert (tmp_path / "report.json").exists()

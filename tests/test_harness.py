@@ -24,7 +24,7 @@ from ipsim.harness import (
     derive_rng,
     wilson_interval,
 )
-from ipsim.stab_ip import enumerate_stabilizers, make_trivial_stab_ip
+from ipsim.stab_ip import TrivialConfig, enumerate_stabilizers
 
 
 class TestMeterAndTracker:
@@ -260,14 +260,12 @@ class TestTask:
     def test_reject_sampler_cannot_hit_accept(self):
         with pytest.raises(ValueError):
             ManyVsOneTask(
-                name="bad",
                 accept_instance=qcore.maximally_mixed(2),
                 reject_sampler=lambda rng: qcore.maximally_mixed(2),
             )
 
     def test_classify(self):
         task = ManyVsOneTask(
-            name="purity",
             accept_instance=qcore.maximally_mixed(2),
             reject_sampler=lambda rng: qcore.sample_pure_state(2, rng).density(),
             accept_output="maximally mixed",
@@ -299,15 +297,11 @@ class TestDeriveRng:
 
 class TestTrivialValidationIP:
     def _run(self, checker, adversary, seed):
-        from ipsim import stab_ip
-
-        verifier, prover = make_trivial_stab_ip(2, 0.3, 1 / 3, checker, adversary)
+        cfg = TrivialConfig(n=2, epsilon=0.3, delta=1 / 3, checker=checker)
         rng = derive_rng(seed, "inst")
-        states = stab_ip.enumerate_stabilizers(2)
+        states = enumerate_stabilizers(2)
         hidden = states[int(rng.integers(0, len(states)))].dense
-        oracle_v = CopyOracle(hidden)
-        oracle_p = CopyOracle(hidden, ideal_access=True)
-        return harness.run_session(verifier, prover, (oracle_v, oracle_p), Channel("quantum"), seed)
+        return cfg.run_one(hidden, cfg.make_prover(adversary), seed)
 
     def test_completeness_sampled(self):
         ok = sum(self._run("sampled", "honest", 100 + i).accepted for i in range(40))
@@ -321,6 +315,50 @@ class TestTrivialValidationIP:
         res = self._run("exact-test", "honest", 5)
         assert res.accepted
         assert res.verifier_queries == 0
+
+
+class _SessionProbe:
+    """A verifier that keeps the session it was handed."""
+
+    memory_limit = 1
+    channel_kind = "classical"
+
+    def run(self, session, prover):
+        self.session = session
+        return "done"
+
+
+class TestRunSession:
+    def test_builds_oracles_channel_and_tracker(self):
+        hidden, prover_hidden = qcore.maximally_mixed(2), qcore.maximally_mixed(4)
+        probe = _SessionProbe()
+        res = harness.run_session(probe, harness.ProverStrategy(), hidden, 3, prover_hidden=prover_hidden)
+        session = probe.session
+        assert res.accepted and res.output == "done" and res.seed == 3
+        assert session.oracle_p.ideal_peek() is prover_hidden
+        with pytest.raises(PermissionError):
+            session.oracle_v.ideal_peek()
+        assert session.oracle_v.judge_peek() is hidden
+        assert session.channel.kind == "classical" and not session.channel.record_transcript
+        assert session.oracle_v.tracker.limit == 1 and session.oracle_p.tracker is None
+
+    def test_prover_shares_the_instance_by_default(self):
+        probe = _SessionProbe()
+        hidden = qcore.maximally_mixed(2)
+        harness.run_session(probe, harness.ProverStrategy(), hidden, 3, record_transcript=True)
+        assert probe.session.oracle_p.ideal_peek() is hidden
+        assert probe.session.channel.record_transcript
+
+    def test_distribution_oracle_samples_and_never_copies(self):
+        from ipsim.stream_ip import UniformDistribution
+
+        oracle = CopyOracle(UniformDistribution(8))
+        assert oracle.sample_batch(np.random.default_rng(0), 5).shape == (5,)
+        assert oracle.meter.total == 5
+        with pytest.raises(TypeError):
+            oracle.query()
+        with pytest.raises(TypeError):
+            CopyOracle(qcore.maximally_mixed(2)).sample_batch(np.random.default_rng(0), 5)
 
 
 class TestSessionDeterminism:

@@ -18,11 +18,12 @@ from ipsim.stream_ip import (
     chi_table_for_point,
     collision_h,
     collision_verdict,
+    composed_factors,
+    composed_value,
     engine_rounds,
-    lagrange_h_eval,
-    range_certificate,
     uniformity_params,
     uniformity_verdict,
+    verify_sumcheck,
 )
 
 
@@ -72,8 +73,8 @@ class TestLagrange:
     def test_node_values(self):
         vals = [1 if i == 1 else 0 for i in range(5)]
         w = lagrange_weights(5)
-        assert lagrange_h_eval(vals, 1, w) == 1
-        assert lagrange_h_eval(vals, 3, w) == 0
+        assert lagrange_eval(vals, 1, w) == 1
+        assert lagrange_eval(vals, 3, w) == 0
 
     def test_matches_naive_interpolation(self):
         g = rng(4)
@@ -103,6 +104,40 @@ class TestLagrange:
             num = fmul(num, fsub(7, i))
             den = fmul(den, fsub(1, i))
         assert direct == fmul(num, m61.finv(den))
+
+
+def _node_values(kind, degree_cap):
+    """Each sum-check polynomial's values on the nodes 0..deg, from its
+    definition: [y == 1] below the cap, the vanishing product over 0..D,
+    and y(y-1)/2."""
+    if kind == "unique":
+        return [int(i == 1) for i in range(degree_cap + 1)]
+    if kind == "range":
+        return [math.prod(i - j for j in range(degree_cap + 1)) % Q for i in range(degree_cap + 2)]
+    return [i * (i - 1) // 2 for i in range(3)]
+
+
+class TestComposedPolynomials:
+    """composed_value against the Lagrange interpolant of the node values,
+    the verifier's closing check before the polynomials had one definition."""
+
+    @pytest.mark.parametrize("kind", ["unique", "range", "collisions"])
+    @pytest.mark.parametrize("degree_cap", [1, 2, 7, 8, 32, 33, 128])
+    def test_equals_lagrange_of_node_values(self, kind, degree_cap):
+        values = _node_values(kind, degree_cap)
+        factors, _ = composed_factors(kind, degree_cap)
+        assert len(factors) + 1 == len(values)  # degree len(factors), so len(factors) + 2 message nodes
+        g = rng(degree_cap)
+        points = [m61.rand_fe(g) for _ in range(20)]
+        points += list(range(len(values) + 6))  # the nodes and integers past them
+        points += [int(x) for x in g.integers(len(values), 1 << 20, 5)] + [Q - 1]
+        weights = lagrange_weights(len(values))
+        for y in points:
+            assert composed_value(kind, degree_cap, y) == lagrange_eval(values, y, weights), y
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(ValueError):
+            composed_factors("median", 4)
 
 
 class TestVerifierState:
@@ -240,15 +275,10 @@ class TestSumcheckMechanics:
                 eng.bind(r_prev)
             return eng.round_message()
 
-        h_values = [1 if i == 1 else 0 for i in range(5)]
-        out = stream_ip.run_sumcheck(
-            0,
-            rounds,
-            st.r,
-            6,
-            lambda: lagrange_h_eval(h_values, st.a_at_r, list(lagrange_weights(5))),
-        )
+        out = stream_ip.run_sumcheck(0, rounds, st.r, 6, lambda: composed_value("unique", 4, st.a_at_r))
         assert out.verified
+        eng = stream_ip._SumcheckEngine(freq, 4, "unique")
+        assert verify_sumcheck("unique", 0, eng, st.r, 4, st.a_at_r).verified
 
     def test_shift_liar_rejected_every_time(self):
         cfg = UniformityConfig(k=16, epsilon=0.9, degree_cap=8, allow_small_epsilon=True)
@@ -266,8 +296,8 @@ class TestSumcheckMechanics:
         msg_bucketed = a.round_message()  # large table: bucket path kicks in
         b = stream_ip._SumcheckEngine(freq.copy(), 8, "unique")
         direct = b._evaluate(b.table[0::2], m61.vsub(b.table[1::2], b.table[0::2]))
-        assert list(msg_bucketed.evaluations) == direct
-        assert len(msg_bucketed) == msg_bucketed.degree_bound + 2
+        assert list(msg_bucketed) == direct
+        assert len(msg_bucketed) == a.num_nodes == 8 + 2
 
 
 def _reference_evaluate(engine, u, d, counts=None, chi_u=None, chi_d=None):
@@ -310,7 +340,7 @@ def _transcript_sha256(k, lam, degree_cap, kind, seed):
     for j in range(len(st.r)):
         if j:
             eng.bind(st.r[j - 1])
-        h.update(repr(eng.round_message().evaluations).encode())
+        h.update(repr(eng.round_message()).encode())
     eng.bind(st.r[-1])
     h.update(repr(eng.final_value()).encode())
     return h.hexdigest()
@@ -351,7 +381,7 @@ class TestEngineAgainstReference:
             if kind == "range":
                 extra = {"chi_u": chi[0::2], "chi_d": m61.vsub(chi[1::2], chi[0::2])}
             want = _reference_evaluate(eng, u, d, **extra)
-            assert list(eng.round_message().evaluations) == want
+            assert list(eng.round_message()) == want
 
     def test_group_matches_row_unique(self):
         g = rng(30)
@@ -424,7 +454,7 @@ class TestCollisionSumcheck:
             assert (bucketed is not None) == (k // 2 >= 1024)
             first = eng.round_message()
             brute, out = self._run_engine(freq, st)
-            assert fadd(first.evaluations[0], first.evaluations[1]) == brute % Q
+            assert fadd(first[0], first[1]) == brute % Q
             assert out.verified, out.reason
 
     def test_collision_h_on_integers(self):
@@ -486,6 +516,13 @@ class TestCollisionSumcheck:
         assert res.extras["peak_field_elements"] == 3 * 14 + 12
 
 
+def _range_certificate(freq, degree_cap, st):
+    """The range certificate of an honest table, closed by st's registers."""
+    chi = chi_table_for_point(freq.size, st.zeta)
+    eng = stream_ip._SumcheckEngine(freq, degree_cap, "range", chi_table=chi)
+    return verify_sumcheck("range", 0, eng, st.r2, degree_cap, st.a_at_r2, st.chi_pair(st.r2, st.zeta))
+
+
 class TestRangeCertificate:
     def test_in_cap_table_passes(self):
         g = rng(13)
@@ -494,7 +531,7 @@ class TestRangeCertificate:
         st = StreamVerifierState(k, rng(14))
         samples = np.repeat(np.arange(k), freq.astype(np.int64))
         st.update_batch(samples)
-        assert range_certificate(freq, 8, st).verified
+        assert _range_certificate(freq, 8, st).verified
 
     def test_planted_over_cap_frequency_rejected(self):
         # honest-looking prover clamps the planted frequency and claims 0;
@@ -536,7 +573,7 @@ class TestRangeCertificate:
         freq = np.bincount(samples, minlength=k).astype(np.uint64)
         st = StreamVerifierState(k, rng(16))
         st.update_batch(samples)
-        assert range_certificate(freq, n_small, st).verified  # D = n
+        assert _range_certificate(freq, n_small, st).verified  # D = n
 
     def test_widening_path(self):
         # max frequency slightly above the initial cap: the honest prover

@@ -43,6 +43,8 @@ class LowRankParams:
     def __post_init__(self):
         if not (0 < self.epsilon < 1 and 0 < self.delta < 1):
             raise ValueError("epsilon, delta in (0,1)")
+        if self.d < 2:
+            raise ValueError("d must be >= 2")
         if not 1 <= self.k <= self.d:
             raise ValueError("1 <= k <= d required")
         if self.variant not in ("standard", "wide", "state"):

@@ -60,7 +60,7 @@ def purity_params(delta: float, d: int, mask_ensemble: str = "haar") -> PurityPa
     if not 0 < delta < 1:
         raise ValueError("delta in (0,1) required")
     if d < 2:
-        raise ValueError("d >= 2 required")
+        raise ValueError("d must be >= 2")
     if mask_ensemble not in MASK_ENSEMBLES:
         raise ValueError(f"mask_ensemble must be one of {MASK_ENSEMBLES}")
     n_rounds = math.ceil(max(72 * math.log(6 / delta), 4 * math.log2(2 / delta)))
@@ -342,6 +342,7 @@ class NogoConfig:
 
     def __post_init__(self):
         self.ip = PurityConfig(d=self.d, delta=self.delta, record_transcript=self.record_transcript)
+        self.ip.params()  # purity's own checks (d >= 2, delta) before the task samples states
         self.task = self.ip.task()
 
     def formula(self) -> dict:

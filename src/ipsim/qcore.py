@@ -224,14 +224,33 @@ def truncate_rank_k(rho: DensityMatrix, k: int, normalize: bool = False):
     return SubnormalizedPSD(mat)
 
 
-def sample_haar_unitary(d: int, rng: np.random.Generator) -> UnitaryOp:
-    """Haar-uniform unitary: QR of a complex Gaussian with phase-fixed diagonal."""
+def _haar_stack(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """QR of n complex Gaussians with phase-fixed diagonals, not yet checked.
+
+    One draw holds the real-part and then the imaginary-part block of each
+    matrix in turn, so n = 1 draws what each of n successive calls would.
+    """
     if d < 2:
         raise DimensionError("d must be >= 2")
-    g = (rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))) / np.sqrt(2)
-    q, r = np.linalg.qr(g)
-    phases = np.diag(r) / np.abs(np.diag(r))
-    return UnitaryOp(q * phases)
+    g = rng.standard_normal((n, 2, d, d))
+    q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[:, None, :]
+
+
+def sample_haar_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-uniform d x d unitaries, shape (n, d, d): the same matrices and
+    the same draws as n successive ``sample_haar_unitary`` calls."""
+    u = _haar_stack(n, d, rng)
+    resid = np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(d)).max()
+    if resid > UNITARY_ATOL:
+        raise InvariantError(f"unitarity residual {resid} > {UNITARY_ATOL}")
+    return u
+
+
+def sample_haar_unitary(d: int, rng: np.random.Generator) -> UnitaryOp:
+    """Haar-uniform unitary: QR of a complex Gaussian with phase-fixed diagonal."""
+    return UnitaryOp(_haar_stack(1, d, rng)[0])
 
 
 def sample_pure_state(d: int, rng: np.random.Generator) -> PureState:

@@ -137,13 +137,19 @@ def measure_in_basis(rho, u: UnitaryOp, rng: np.random.Generator) -> int:
     return int(rng.choice(probs.size, p=probs))
 
 
-def basis_probabilities(mat: np.ndarray, u: UnitaryOp) -> np.ndarray:
-    ue = u.entries
-    probs = np.real(np.einsum("ji,jk,ki->i", ue.conj(), mat, ue))
+def basis_probabilities(mat: np.ndarray, u: UnitaryOp | np.ndarray) -> np.ndarray:
+    """Born probabilities <i|U+ mat U|i> of measuring in the columns of ``u``.
+
+    ``u`` is a UnitaryOp or a stack (..., d, d) of checked unitaries, such as
+    ``qcore.sample_haar_unitaries`` returns; a stack gives a row per unitary.
+    """
+    ue = u.entries if isinstance(u, UnitaryOp) else u
+    probs = np.real(np.einsum("...ji,jk,...ki->...i", ue.conj(), mat, ue))
     probs = np.clip(probs, 0.0, None)
-    total = probs.sum()
-    if abs(total - 1.0) > 1e-9:
-        raise InvariantError(f"outcome probabilities sum to {total}")
+    total = probs.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > 1e-9
+    if off.any():
+        raise InvariantError(f"outcome probabilities sum to {total[off][0]}")
     return probs / total
 
 

@@ -53,6 +53,8 @@ class TomoParams:
                 raise ValueError(f"{key} must be > 0")
         if self.mode not in ("ideal", "sampled"):
             raise ValueError("mode is ideal or sampled")
+        if self.rank_k is not None and not 1 <= self.rank_k <= self.d:
+            raise ValueError(f"rank_k must be in [1, d] = [1, {self.d}]")
         if self.rank_k is not None and self.mode != "ideal":
             raise ValueError("rank-k variant is ideal mode only")
 
@@ -167,42 +169,39 @@ def prover_tomography(
     return _sampled_tomography(oracle_p, target, params, rng)
 
 
-def _linear_inversion(bases, freqs, d: int) -> qcore.DensityMatrix:
-    rows, y = [], []
-    for u, f in zip(bases, freqs):
-        ue = u.entries
-        for j in range(d):
-            e = np.outer(ue[:, j], ue[:, j].conj())
-            rows.append(e.conj().reshape(-1))
-            y.append(f[j])
-    a = np.array(rows)
-    sol, *_ = np.linalg.lstsq(a, np.array(y), rcond=None)
-    return qcore.project_to_density(sol.reshape(d, d))
-
-
 def _sampled_tomography(oracle_p: CopyOracle, target: float, params: TomoParams, rng):
+    """Split-sample tomography in 3d Haar bases, doubling the shots per basis
+    until the two halves' estimates agree to within the target."""
     d = params.d
     n_bases = 3 * d
     shots = max(64, 8 * d)
     for _ in range(14):
-        bases = [qcore.sample_haar_unitary(d, rng) for _ in range(n_bases)]
-        halves = []
-        all_freqs = []
+        bases = qcore.sample_haar_unitaries(n_bases, d, rng)
+        # design-matrix row (b, j) is the flattened conjugate of the
+        # projector onto column j of basis b, so row . vec(rho) = p_bj
+        cols = bases.swapaxes(1, 2)
+        a = (cols[:, :, :, None] * cols[:, :, None, :].conj()).conj().reshape(-1, d * d)
+        freqs = np.empty((2, n_bases, d))
+        probs = None
         for half in range(2):
-            freqs = []
-            for u in bases:
+            for b in range(n_bases):
                 copy_state = oracle_p.stream(shots, "tomography")[0]
-                probs = qmeas.basis_probabilities(copy_state, u)
-                counts = rng.multinomial(shots, probs)
-                freqs.append(counts / shots)
-            halves.append(_linear_inversion(bases, freqs, d))
-            all_freqs.extend(freqs)
+                if probs is None:
+                    # every copy has the hidden state's one description, so
+                    # one table of Born probabilities serves the attempt
+                    probs = qmeas.basis_probabilities(copy_state, bases)
+                freqs[half, b] = rng.multinomial(shots, probs[b]) / shots
+        freqs = freqs.reshape(2, -1)
+        # both halves in one solve; its last bits can differ from those of two
+        # one-column solves, but only the test below reads the halves
+        sols, *_ = np.linalg.lstsq(a, freqs.T, rcond=None)
+        halves = [qcore.project_to_density(sol.reshape(d, d)) for sol in sols.T]
         split_dist = qcore.one_norm_distance(halves[0], halves[1])
         # split halves are independent estimates, so their gap is roughly
         # twice the pooled error; certify with a safety margin
         if split_dist * 0.9 <= target:
-            pooled = _linear_inversion(bases + bases, all_freqs, d)
-            return HypothesisState(pooled)
+            pooled, *_ = np.linalg.lstsq(np.vstack([a, a]), freqs.reshape(-1), rcond=None)
+            return HypothesisState(qcore.project_to_density(pooled.reshape(d, d)))
         shots *= 2
     raise ProtocolAbort("sampled tomography failed to certify its target")
 
@@ -371,6 +370,9 @@ class TomoConfig:
     c_p: float = 1.0
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
+
+    def __post_init__(self):
+        self.params()  # a bad rank_k fails here, not in the first instance draw
 
     def params(self) -> TomoParams:
         return TomoParams(

@@ -47,12 +47,22 @@ class TestConfigParsing:
             ("stab", "n=-1"),
             ("stab", "n=5"),
             ("trivial", "n=0"),
+            ("tomo", "rank_k=0"),
+            ("tomo", "rank_k=5"),
+            ("lowrank", "d=1"),
+            ("purity", "d=1"),
+            ("nogo", "d=1"),
         ],
     )
     def test_out_of_range_key_is_a_config_error_naming_it(self, protocol, item, capsys):
         assert main([protocol, "--trials", "1", item]) == 2
         key = item.split("=")[0]
         assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+    @pytest.mark.parametrize("mode", ["ideal", "sampled"])
+    def test_lowrank_d_below_two_rejected_in_both_modes(self, mode, capsys):
+        assert main(["lowrank", "--mode", mode, "--trials", "1", "d=1"]) == 2
+        assert capsys.readouterr().err.startswith("config error: d must be >= 2")
 
     @pytest.mark.parametrize("cap", ["0", "-3"])
     def test_degree_cap_below_one_rejected(self, cap, capsys):

@@ -16,6 +16,7 @@ from ipsim.qcore import (
     maximally_mixed,
     one_norm_distance,
     purity,
+    sample_haar_unitaries,
     sample_haar_unitary,
     sample_state,
     schatten_norm,
@@ -155,6 +156,46 @@ class TestSampling:
         mean = np.mean(vals)
         se = np.std(vals) / np.sqrt(len(vals))
         assert abs(mean - 0.5) < 3 * se + 1e-3
+
+    @staticmethod
+    def _reference_haar_unitary(d, g):
+        """The one-matrix-at-a-time formula the batched draw replaced."""
+        z = (g.standard_normal((d, d)) + 1j * g.standard_normal((d, d))) / np.sqrt(2)
+        q, r = np.linalg.qr(z)
+        return q * (np.diag(r) / np.abs(np.diag(r)))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_haar_matches_reference_draw_for_draw(self, d):
+        for seed in range(20):
+            g_new, g_ref = rng(seed), rng(seed)
+            for _ in range(3):
+                u = sample_haar_unitary(d, g_new).entries
+                assert np.array_equal(u, self._reference_haar_unitary(d, g_ref))
+            assert g_new.bit_generator.state == g_ref.bit_generator.state
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_batched_haar_equals_single_draws(self, d):
+        for seed in range(20):
+            g_batch, g_single = rng(seed), rng(seed)
+            n = 3 * d
+            stack = sample_haar_unitaries(n, d, g_batch)
+            assert stack.shape == (n, d, d)
+            for u in stack:
+                assert np.array_equal(u, sample_haar_unitary(d, g_single).entries)
+            assert g_batch.bit_generator.state == g_single.bit_generator.state
+
+    def test_batched_haar_checks_unitarity(self, monkeypatch):
+        stack = sample_haar_unitaries(3, 4, rng(9))
+        stack[1, 0, 0] *= 1.001
+        monkeypatch.setattr(qcore, "_haar_stack", lambda n, d, g: stack)
+        with pytest.raises(InvariantError, match="unitarity residual"):
+            sample_haar_unitaries(3, 4, rng(9))
+
+    def test_haar_rejects_d_below_two(self):
+        with pytest.raises(DimensionError):
+            sample_haar_unitary(1, rng())
+        with pytest.raises(DimensionError):
+            sample_haar_unitaries(4, 1, rng())
 
     def test_sample_state_rank(self):
         g = rng(13)

@@ -82,6 +82,29 @@ class TestMeasureInBasis:
         counts = np.bincount(g.choice(4, size=shots, p=probs), minlength=4)
         assert chi_square_pvalue(counts, [shots / 4] * 4) > 0.01
 
+    @staticmethod
+    def _reference_probabilities(mat, ue):
+        """The one-basis Born table the stacked one replaced."""
+        probs = np.clip(np.real(np.einsum("ji,jk,ki->i", ue.conj(), mat, ue)), 0.0, None)
+        return probs / probs.sum()
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_stacked_probabilities_match_per_basis(self, d):
+        g = rng(7)
+        for _ in range(20):
+            rho = qcore.sample_state(d, int(g.integers(1, d + 1)), g).entries
+            bases = qcore.sample_haar_unitaries(3 * d, d, g)
+            table = qmeas.basis_probabilities(rho, bases)
+            assert table.shape == (3 * d, d)
+            for row, ue in zip(table, bases):
+                assert np.array_equal(row, self._reference_probabilities(rho, ue))
+                assert np.array_equal(row, qmeas.basis_probabilities(rho, UnitaryOp(ue)))
+
+    def test_stacked_probabilities_check_every_row(self):
+        bases = qcore.sample_haar_unitaries(4, 2, rng(8))
+        with pytest.raises(InvariantError, match="sum to"):
+            qmeas.basis_probabilities(np.eye(2) * 0.6, bases)
+
     def test_born_frequencies(self):
         g = rng(6)
         rho = qcore.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))

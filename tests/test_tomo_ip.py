@@ -4,7 +4,7 @@ tomography and certification, adversaries, rank-k variant."""
 import numpy as np
 import pytest
 
-from ipsim import qcore, tomo_ip
+from ipsim import qcore, qmeas, tomo_ip
 from ipsim.harness import CopyOracle, batch_rates
 from ipsim.tomo_ip import (
     CLOSE,
@@ -141,6 +141,67 @@ class TestSampledMode:
             for i in range(20)
         )
         assert far_hits >= 16
+
+
+def _reference_linear_inversion(bases, freqs, d):
+    """Per-basis design matrix, one np.outer per basis column."""
+    rows, y = [], []
+    for u, f in zip(bases, freqs):
+        ue = u.entries
+        for j in range(d):
+            e = np.outer(ue[:, j], ue[:, j].conj())
+            rows.append(e.conj().reshape(-1))
+            y.append(f[j])
+    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(y), rcond=None)
+    return qcore.project_to_density(sol.reshape(d, d))
+
+
+def _reference_sampled_tomography(oracle_p, params, rng):
+    """The per-basis prover: a Haar draw, a Born table and a design matrix
+    per basis, and one design matrix per solve."""
+    target = params.prover_target
+    d = params.d
+    n_bases = 3 * d
+    shots = max(64, 8 * d)
+    for _ in range(14):
+        bases = [qcore.sample_haar_unitary(d, rng) for _ in range(n_bases)]
+        halves, all_freqs = [], []
+        for half in range(2):
+            freqs = []
+            for u in bases:
+                copy_state = oracle_p.stream(shots, "tomography")[0]
+                probs = qmeas.basis_probabilities(copy_state, u)
+                freqs.append(rng.multinomial(shots, probs) / shots)
+            halves.append(_reference_linear_inversion(bases, freqs, d))
+            all_freqs.extend(freqs)
+        if qcore.one_norm_distance(halves[0], halves[1]) * 0.9 <= target:
+            return tomo_ip.HypothesisState(_reference_linear_inversion(bases + bases, all_freqs, d))
+        shots *= 2
+    raise ProtocolAbort("sampled tomography failed to certify its target")
+
+
+class TestSampledReference:
+    # at d = 8 the two-column solve of the halves rounds differently from
+    # two one-column solves; the hypothesis and the draws must not move
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
+    def test_batched_prover_matches_reference_draw_for_draw(self, d):
+        p = TomoParams(epsilon=0.5, delta=1 / 3, d=d, mode="sampled")
+        attempts = []
+        for seed in range(6):
+            hidden = qcore.sample_state(d, 1 + seed % d, np.random.default_rng(seed))
+            runs = []
+            for prover in (prover_tomography, _reference_sampled_tomography):
+                oracle, rng = CopyOracle(hidden), np.random.default_rng(100 + seed)
+                hyp = prover(oracle, p, rng)
+                runs.append((hyp.matrix.entries, oracle.meter.by_kind, rng.bit_generator.state))
+            (new, new_meter, new_state), (ref, ref_meter, ref_state) = runs
+            assert np.array_equal(new, ref)
+            assert new_meter == ref_meter
+            assert new_state == ref_state
+            # copies per attempt are 2 * 3d * shots, and shots double
+            per_first = 6 * d * max(64, 8 * d)
+            attempts.append(int(np.log2(new_meter["tomography"] // per_first + 1)))
+        assert max(attempts) >= 2  # sessions that double their shots are covered
 
 
 class TestSessions:

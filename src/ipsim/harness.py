@@ -468,6 +468,11 @@ def run_session(
     except ProtocolAbort as abort:
         reason = abort.reason
     wall = time.perf_counter() - t0
+    lines, last = [], None
+    for message in channel.transcript:  # send_stream repeats one Message object n times
+        if message is not last:
+            last, line = message, message.line()
+        lines.append(line)
     return SessionResult(
         accepted=accepted,
         output=output,
@@ -481,7 +486,7 @@ def run_session(
         seed=int(seed),
         wall_time=wall,
         extras=dict(getattr(verifier, "extras", {})),
-        transcript_lines=tuple(m.line() for m in channel.transcript),
+        transcript_lines=tuple(lines),
     )
 
 

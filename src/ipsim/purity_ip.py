@@ -84,28 +84,29 @@ class RoundRecord:
     pass_flag: int | None  # set for test rounds only
 
 
-def _sample_mask(ensemble: str, d: int, rng: np.random.Generator) -> qcore.UnitaryOp:
+def sample_masks(ensemble: str, d: int, n: int, rng: np.random.Generator) -> list[qcore.UnitaryOp]:
+    """n masks in draw order: one checked Haar stack, or n Clifford or Pauli draws."""
     if ensemble == "haar":
-        return qcore.sample_haar_unitary(d, rng)
-    n = int(round(math.log2(d)))
-    if (1 << n) != d:
+        return qcore.sample_haar_ops(n, d, rng)
+    nq = int(round(math.log2(d)))
+    if (1 << nq) != d:
         raise ValueError(f"{ensemble} masks need a power-of-two dimension, got {d}")
     if ensemble == "clifford":
-        return qmeas.sample_uniform_clifford(n, rng)
-    label = qmeas.PauliLabel.from_index(n, int(rng.integers(0, 4**n)))
-    return qcore.UnitaryOp(qmeas.dense_pauli(label))
+        return [qmeas.sample_uniform_clifford(nq, rng) for _ in range(n)]
+    labels = (qmeas.PauliLabel.from_index(nq, int(rng.integers(0, 4**nq))) for _ in range(n))
+    return [qcore.UnitaryOp(qmeas.dense_pauli(label)) for label in labels]
 
 
 def prepare_round_state(
     kind: str,
     oracle_v: CopyOracle,
     params: PurityParams,
-    rng,
+    mask: qcore.UnitaryOp | None,
     channel: Channel,
     round_index: int,
 ) -> tuple[CopyStream, qcore.UnitaryOp | None]:
     """Sends one round's m copies v->p, one at a time; returns the copies the
-    prover received and the private mask.
+    prover received and the round's private mask.
 
     Mixed test rounds cost no oracle queries and carry no mask; pure test
     rounds mask |0><0|; compute rounds mask m fresh oracle copies.
@@ -114,7 +115,6 @@ def prepare_round_state(
     if kind == "m":
         state = np.eye(d, dtype=complex) / d
         return channel.send_stream("v->p", state, params.m, round_index), None
-    mask = _sample_mask(params.mask_ensemble, d, rng)
     if kind == "p":
         ue = mask.entries
         state = np.outer(ue[:, 0], ue[:, 0].conj())
@@ -131,15 +131,13 @@ def swap_outcomes(states, rng: np.random.Generator):
     """Pairwise SWAP tests of copies 2i and 2i+1, one ``rng.random()`` each,
     drawn lazily as the outcomes are consumed.
 
-    The accept probability is computed once per distinct pair of description
-    objects, so a round of m copies of one description costs one overlap.
+    The accept probability is recomputed only when a pair differs from the
+    previous one, so a round of m copies of one description costs one overlap.
     """
-    probs = {}
+    a0 = b0 = p = None
     for a, b in zip(states[0::2], states[1::2]):
-        key = (id(a), id(b))
-        p = probs.get(key)
-        if p is None:
-            p = probs[key] = qmeas.swap_probability(a, b)
+        if not (a is a0 and b is b0):
+            a0, b0, p = a, b, qmeas.swap_probability(a, b)
         yield int(rng.random() < p)
 
 
@@ -240,21 +238,18 @@ class PurityVerifier:
 
     def run(self, session, prover) -> str:
         p = self.params
-        rng_kinds = (
-            derive_rng(self.kind_seed, "round-kinds")
-            if self.kind_seed is not None
-            else session.rng("round-kinds")
-        )
-        rng_mask = session.rng("masks")
+        kind_seed = self.kind_seed
+        rng_kinds = session.rng("round-kinds") if kind_seed is None else derive_rng(kind_seed, "round-kinds")
+        kinds = ("m", "p", "c")
+        # all kinds, then all masks: each generator draws nothing else, so the values are the per-round ones
+        round_kinds = [kinds[i] for i in rng_kinds.integers(0, 3, size=p.N)]
+        masks = iter(sample_masks(p.mask_ensemble, p.d, p.N - round_kinds.count("m"), session.rng("masks")))
         rng_prover = session.rng("prover")
         records: list[RoundRecord] = []
-        kinds = ("m", "p", "c")
-        for _ in range(p.N):
-            kind = kinds[int(rng_kinds.integers(0, 3))]
+        for kind in round_kinds:
             round_idx = session.next_round()
-            received, mask = prepare_round_state(
-                kind, session.oracle_v, p, rng_mask, session.channel, round_idx
-            )
+            mask = None if kind == "m" else next(masks)
+            received, _ = prepare_round_state(kind, session.oracle_v, p, mask, session.channel, round_idx)
             answer = int(prover.answer_round(received, p, rng_prover))
             session.channel.send_bits("p->v", [answer], round_idx)
             if kind == "m":
@@ -264,10 +259,8 @@ class PurityVerifier:
             else:
                 pass_flag = None
             records.append(RoundRecord(kind, mask, answer, pass_flag))
-        self.extras["compute_rounds"] = sum(1 for r in records if r.kind == "c")
-        self.extras["round_kind_counts"] = {
-            k: sum(1 for r in records if r.kind == k) for k in kinds
-        }
+        self.extras["compute_rounds"] = round_kinds.count("c")
+        self.extras["round_kind_counts"] = {k: round_kinds.count(k) for k in kinds}
         return purity_verdict(records)
 
 

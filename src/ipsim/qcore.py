@@ -253,6 +253,28 @@ def sample_haar_unitary(d: int, rng: np.random.Generator) -> UnitaryOp:
     return UnitaryOp(_haar_stack(1, d, rng)[0])
 
 
+HAAR_BLOCK_ENTRIES = 1 << 16  # matrix entries per stacked draw of sample_haar_ops
+
+
+def sample_haar_ops(n: int, d: int, rng: np.random.Generator) -> list[UnitaryOp]:
+    """n ``sample_haar_unitary`` results, drawn as stacks of at most
+    ``HAAR_BLOCK_ENTRIES`` entries.
+
+    ``sample_haar_unitaries`` has held every matrix to ``UNITARY_ATOL``, so the
+    ops skip ``UnitaryOp``'s own check; no other path may build one unchecked.
+    """
+    per_block = max(1, HAAR_BLOCK_ENTRIES // (d * d))
+    ops = []
+    for start in range(0, n, per_block):
+        stack = sample_haar_unitaries(min(per_block, n - start), d, rng)
+        stack.setflags(write=False)
+        for u in stack:
+            op = object.__new__(UnitaryOp)
+            object.__setattr__(op, "entries", u)
+            ops.append(op)
+    return ops
+
+
 def sample_pure_state(d: int, rng: np.random.Generator) -> PureState:
     """Haar-random pure state."""
     v = rng.standard_normal(d) + 1j * rng.standard_normal(d)

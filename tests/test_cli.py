@@ -334,6 +334,22 @@ GOLDEN = {
         "63c9a895d848dbf656ebac106bd63700f695b410d1cc6b559abf595035eac027",
         "37b29079ef08e0a5f08fdf5a59a5e80c767f26b7e930d94702eebb1ce7eac0d6",
     ),
+    # Clifford and Pauli masks, and Haar masks on pure instances under a liar
+    "purity-clifford-masks": (
+        ["purity", "--trials", "4", "--seed", "5", "d=4", "mask_ensemble=clifford"],
+        "e473a08b2786910541683cc9e2ec1d5d5ba0ebfb8b3e4556caf3c812dddea433",
+        "baeb1fe0be972e282c6dcbdeefcb0e1c2d2f166cb23eae951e8b00984daf88ec",
+    ),
+    "purity-pauli-masks": (
+        ["purity", "--trials", "4", "--seed", "5", "d=4", "mask_ensemble=pauli"],
+        "8f099c433b1bce3412e720ea230b0f7460b700dc3832fa5787749eb0cc380ff9",
+        "baeb1fe0be972e282c6dcbdeefcb0e1c2d2f166cb23eae951e8b00984daf88ec",
+    ),
+    "purity-reject-liar": (
+        ["purity", "--trials", "3", "--seed", "5", "d=8", "instance=reject", "adversary=best-effort-liar"],
+        "d9a768e4f89f484399674c9064d3049078d39ec6bc4b00e0c63518d892c2db2c",
+        "67303c6e0fdb52930095fd9ca217e3e79542131a6a6f7b31c573d2c907c08c0e",
+    ),
     "trivial-exact-garbage": (
         ["trivial", "--trials", "5", "--seed", "5", "checker=exact-test", "adversary=garbage"],
         # bits_c counts the hypothesis's canonical generator encoding (200 bits)

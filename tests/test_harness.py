@@ -349,6 +349,22 @@ class TestRunSession:
         assert probe.session.oracle_p.ideal_peek() is hidden
         assert probe.session.channel.record_transcript
 
+    def test_transcript_lines_encode_every_entry(self):
+        class Sender(_SessionProbe):
+            channel_kind = "quantum"
+
+            def run(self, session, prover):
+                ch = session.channel
+                ch.send_stream("v->p", np.eye(2) / 2, 3, 1)
+                ch.send_bits("p->v", [1], 1)
+                ch.send_stream("v->p", np.eye(2) / 2, 2, 2)
+                return super().run(session, prover)
+
+        probe = Sender()
+        res = harness.run_session(probe, harness.ProverStrategy(), qcore.maximally_mixed(2), 3, record_transcript=True)
+        assert res.transcript_lines == tuple(m.line() for m in probe.session.channel.transcript)
+        assert len(res.transcript_lines) == 6 and len(set(res.transcript_lines)) == 3
+
     def test_distribution_oracle_samples_and_never_copies(self):
         from ipsim.stream_ip import UniformDistribution
 

@@ -1,11 +1,21 @@
 """Purity-testing IP: parameter formulas, round preparation, honest answers,
 verdict rule and small-batch session behavior."""
 
+import math
+
 import numpy as np
 import pytest
 
 from ipsim import purity_ip, qcore, qmeas
-from ipsim.harness import Channel, CopyOracle, CopyStream, LiveCopyTracker, ProtocolAbort, batch_rates
+from ipsim.harness import (
+    Channel,
+    CopyOracle,
+    CopyStream,
+    LiveCopyTracker,
+    ProtocolAbort,
+    batch_rates,
+    derive_rng,
+)
 from ipsim.purity_ip import (
     MIXED,
     PURE,
@@ -17,6 +27,7 @@ from ipsim.purity_ip import (
     prepare_round_state,
     purity_params,
     purity_verdict,
+    sample_masks,
 )
 
 
@@ -52,7 +63,8 @@ class TestPrepareRoundState:
     @staticmethod
     def _send(kind, oracle, p, seed):
         channel = Channel("quantum")
-        copies, mask = prepare_round_state(kind, oracle, p, np.random.default_rng(seed), channel, 0)
+        mask = None if kind == "m" else sample_masks(p.mask_ensemble, p.d, 1, np.random.default_rng(seed))[0]
+        copies, mask = prepare_round_state(kind, oracle, p, mask, channel, 0)
         assert channel.qudits_v_to_p == len(copies) == p.m
         return copies, mask
 
@@ -86,6 +98,87 @@ class TestPrepareRoundState:
             oracle = CopyOracle(qcore.maximally_mixed(4))
             _, mask = self._send("p", oracle, p, 3)
             assert mask.dim == 4
+
+
+def _reference_mask(ensemble, d, rng):
+    """The one-mask-per-round draw the stacked session draw replaced."""
+    if ensemble == "haar":
+        return qcore.sample_haar_unitary(d, rng)
+    n = int(round(math.log2(d)))
+    if ensemble == "clifford":
+        return qmeas.sample_uniform_clifford(n, rng)
+    label = qmeas.PauliLabel.from_index(n, int(rng.integers(0, 4**n)))
+    return qcore.UnitaryOp(qmeas.dense_pauli(label))
+
+
+class TestSessionMasks:
+    """The kinds and masks drawn up front are those the per-round loop drew."""
+
+    @staticmethod
+    def _reference_rounds(p, seed, kind_seed):
+        rng_kinds = derive_rng(seed if kind_seed is None else kind_seed, "round-kinds")
+        rng_mask = derive_rng(seed, "masks")
+        rounds = []
+        for _ in range(p.N):
+            kind = ("m", "p", "c")[int(rng_kinds.integers(0, 3))]
+            rounds.append((kind, None if kind == "m" else _reference_mask(p.mask_ensemble, p.d, rng_mask)))
+        return rounds, rng_mask
+
+    @pytest.mark.parametrize("ensemble", ["haar", "clifford", "pauli"])
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    @pytest.mark.parametrize("kind_seed", [None, 991])
+    def test_session_draws_match_per_round_draws(self, ensemble, d, kind_seed, monkeypatch):
+        if ensemble == "haar" and kind_seed is None:
+            # blocks of 7 matrices, so the session's draw crosses block boundaries
+            monkeypatch.setattr(qcore, "HAAR_BLOCK_ENTRIES", 7 * d * d)
+        seen, mask_rngs = [], []
+        real_prepare, real_sample = purity_ip.prepare_round_state, purity_ip.sample_masks
+
+        def prepare(kind, oracle, params, mask, channel, round_index):
+            seen.append((kind, mask))
+            return real_prepare(kind, oracle, params, mask, channel, round_index)
+
+        def sample(ensemble, d, n, rng):
+            mask_rngs.append(rng)
+            return real_sample(ensemble, d, n, rng)
+
+        monkeypatch.setattr(purity_ip, "prepare_round_state", prepare)
+        monkeypatch.setattr(purity_ip, "sample_masks", sample)
+        cfg = PurityConfig(d=d, mask_ensemble=ensemble, kind_seed=kind_seed)
+        for seed in (3, 17):
+            seen.clear(), mask_rngs.clear()
+            cfg.run_one(cfg.sample_instance("reject", np.random.default_rng(seed)), HonestSwapProver(), seed)
+            want, ref_rng = self._reference_rounds(cfg.params(), seed, kind_seed)
+            assert [kind for kind, _ in seen] == [kind for kind, _ in want]
+            for (_, mask), (_, ref) in zip(seen, want):
+                assert (mask is None) == (ref is None)
+                assert mask is None or np.array_equal(mask.entries, ref.entries)
+            assert mask_rngs[0].bit_generator.state == ref_rng.bit_generator.state
+
+    def test_kinds_drawn_as_one_block_equal_single_draws(self):
+        for seed in range(50):
+            block, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            kinds = block.integers(0, 3, size=209)
+            assert kinds.tolist() == [int(single.integers(0, 3)) for _ in range(209)]
+            assert block.bit_generator.state == single.bit_generator.state
+
+    def test_corrupted_haar_stack_raises_through_the_session(self, monkeypatch):
+        real = qcore._haar_stack
+
+        def corrupt(n, d, g):
+            stack = real(n, d, g)
+            stack[n - 1, 1, 0] += 1e-6
+            return stack
+
+        monkeypatch.setattr(qcore, "_haar_stack", corrupt)
+        cfg = PurityConfig(d=4)
+        with pytest.raises(qcore.InvariantError, match="unitarity residual"):
+            cfg.run_one(qcore.maximally_mixed(4), HonestSwapProver(), seed=5)
+
+    def test_clifford_and_pauli_masks_need_a_power_of_two(self):
+        for ensemble in ("clifford", "pauli"):
+            with pytest.raises(ValueError, match="power-of-two"):
+                sample_masks(ensemble, 6, 3, np.random.default_rng(0))
 
 
 class TestHonestAnswer:

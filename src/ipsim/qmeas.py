@@ -1,7 +1,8 @@
 """Measurement and sampling primitives.
 
-Basis measurements, two-outcome POVMs, SWAP tests, Bell-difference sampling,
-two-copy Pauli-moment sampling and exact-uniform Clifford sampling. All
+Basis measurements, SWAP tests, Bell-difference and two-copy Pauli-moment
+sampling (one batched law each, which the scalar samplers and
+``stab_ip.estimate_A3`` run) and exact-uniform Clifford sampling. All
 sampling is exact-law: outcome probabilities are computed from the classical
 state descriptions the simulator holds, then sampled. Pauli phase convention
 is fixed globally to the Hermitian form W = i^(x.z) X^x Z^z, so every Pauli
@@ -48,10 +49,6 @@ class PauliLabel:
     def from_index(cls, n: int, index: int) -> "PauliLabel":
         mask = (1 << n) - 1
         return cls(n=n, x=index & mask, z=(index >> n) & mask)
-
-    @property
-    def is_identity(self) -> bool:
-        return self.x == 0 and self.z == 0
 
 
 @lru_cache(maxsize=16384)
@@ -117,8 +114,9 @@ def pauli_expectations(psi) -> np.ndarray:
     return out
 
 
-def characteristic_distribution(psi: PureState) -> np.ndarray:
-    """p(a) = 2^-n <psi|W_a|psi>^2; sums to 1 for pure states."""
+def characteristic_distribution(psi) -> np.ndarray:
+    """p(a) = 2^-n tr(rho W_a)^2 of a PureState or of a density matrix given
+    as a d x d array. It sums to tr(rho^2), so a mixed state raises."""
     n = num_qubits(psi)
     exps = pauli_expectations(psi)
     p = exps**2 / (1 << n)
@@ -126,15 +124,6 @@ def characteristic_distribution(psi: PureState) -> np.ndarray:
     if abs(total - 1.0) > 1e-8:
         raise InvariantError(f"characteristic distribution sums to {total}, state not pure?")
     return p / total
-
-
-def measure_in_basis(rho, u: UnitaryOp, rng: np.random.Generator) -> int:
-    """Outcome i with probability <i|U+ rho U|i>."""
-    mat = rho.entries if hasattr(rho, "entries") else np.asarray(rho, dtype=complex)
-    if mat.shape[0] != u.dim:
-        raise DimensionError(f"dim mismatch {mat.shape[0]} vs {u.dim}")
-    probs = basis_probabilities(mat, u)
-    return int(rng.choice(probs.size, p=probs))
 
 
 def basis_probabilities(mat: np.ndarray, u: UnitaryOp | np.ndarray) -> np.ndarray:
@@ -151,19 +140,6 @@ def basis_probabilities(mat: np.ndarray, u: UnitaryOp | np.ndarray) -> np.ndarra
     if off.any():
         raise InvariantError(f"outcome probabilities sum to {total[off][0]}")
     return probs / total
-
-
-def two_outcome_measure(rho, proj: np.ndarray, rng: np.random.Generator) -> int:
-    """1 with probability Tr[proj rho]; proj must be an orthogonal projector."""
-    proj = np.asarray(proj, dtype=complex)
-    if np.abs(proj - proj.conj().T).max() > 1e-8 or np.abs(proj @ proj - proj).max() > 1e-8:
-        raise InvariantError("two_outcome_measure needs an idempotent Hermitian projector")
-    mat = rho.entries if hasattr(rho, "entries") else np.asarray(rho, dtype=complex)
-    if mat.shape != proj.shape:
-        raise DimensionError("projector/state dimension mismatch")
-    p = float(np.real(np.vdot(proj, mat)))
-    p = min(max(p, 0.0), 1.0)
-    return int(rng.random() < p)
 
 
 def swap_test(rho, sigma, rng: np.random.Generator) -> int:
@@ -194,21 +170,51 @@ def swap_purity_estimate(states, rng: np.random.Generator) -> float:
     return 2 * hits / pairs - 1
 
 
+def bell_difference_labels(p: np.ndarray, size: int, rng: np.random.Generator) -> np.ndarray:
+    """``size`` Bell-difference labels, each distributed as q = p * p, the
+    XOR self-convolution of the characteristic distribution ``p``.
+
+    Physically a 4-copy procedure; realized here by drawing 2 * size labels
+    from p by inverse CDF and XOR-ing them pairwise, which is
+    distribution-identical. The draw is ``Generator.choice``'s own algorithm,
+    so labels and generator end state equal those of
+    ``rng.choice(p.size, size=(size, 2), p=p)``.
+    """
+    if p.min() < 0:
+        raise InvariantError("characteristic distribution has a negative entry")
+    cdf = p.cumsum()
+    if not abs(cdf[-1] - 1.0) <= 1e-8:
+        raise InvariantError(f"characteristic distribution sums to {cdf[-1]}")
+    cdf /= cdf[-1]
+    idx = cdf.searchsorted(rng.random(2 * size), side="right")
+    return idx[0::2] ^ idx[1::2]
+
+
+def pauli_moment_bits(expectations, rng: np.random.Generator) -> np.ndarray:
+    """One two-copy Pauli-moment bit per expectation <W>.
+
+    W is measured on two independent copies, each outcome +1 with probability
+    (1 + <W>) / 2; all first outcomes z1 are drawn before all second ones z2.
+    The bit is (z1*z2 + 1)/2, i.e. 1 iff the outcomes agree, so its mean is
+    (<W>^2 + 1)/2; callers map the mean back through m -> 2m - 1.
+    """
+    p_plus = (1.0 + np.asarray(expectations)) / 2.0
+    z1 = rng.random(p_plus.shape) < p_plus
+    z2 = rng.random(p_plus.shape) < p_plus
+    return (z1 == z2).astype(np.int64)
+
+
 def bell_difference_sample(
     psi: PureState,
     rng: np.random.Generator,
     char_dist: np.ndarray | None = None,
 ) -> PauliLabel:
-    """One Bell-difference sample: a Pauli label distributed as q(x) = (p * p)(x).
+    """One Bell-difference sample (``bell_difference_labels`` of size 1).
 
-    Physically a 4-copy procedure; realized here by sampling the characteristic
-    distribution twice and XOR-ing the labels, which is distribution-identical.
     Pass ``char_dist`` to reuse a precomputed characteristic distribution.
     """
-    n = num_qubits(psi)
     p = characteristic_distribution(psi) if char_dist is None else char_dist
-    a1, a2 = rng.choice(p.size, size=2, p=p)
-    return PauliLabel.from_index(n, int(a1) ^ int(a2))
+    return PauliLabel.from_index(num_qubits(psi), int(bell_difference_labels(p, 1, rng)[0]))
 
 
 def pauli_moment_sample(
@@ -217,19 +223,13 @@ def pauli_moment_sample(
     rng: np.random.Generator,
     expectation: float | None = None,
 ) -> int:
-    """Bit from measuring W on two independent copies and multiplying outcomes.
-
-    The returned bit is (z1*z2 + 1)/2 for the two +-1 outcomes, so its mean is
-    (<W>^2 + 1)/2; callers map the mean back through m -> 2m - 1.
-    """
+    """One two-copy Pauli-moment bit for W = ``label`` (``pauli_moment_bits``
+    of one expectation)."""
     if expectation is None:
         if (1 << label.n) != psi.dim:
             raise DimensionError("pauli label qubit count mismatch")
         expectation = float(pauli_expectations(psi)[label.index])
-    p_plus = (1.0 + expectation) / 2.0
-    z1 = 1 if rng.random() < p_plus else -1
-    z2 = 1 if rng.random() < p_plus else -1
-    return (z1 * z2 + 1) // 2
+    return int(pauli_moment_bits(expectation, rng))
 
 
 # ---------------------------------------------------------------------------

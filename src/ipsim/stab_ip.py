@@ -361,9 +361,11 @@ def estimate_A3(
 
     Sampled mode: S primitive samples, each one Bell-difference sample (4
     copies) plus one two-copy Pauli-moment sample routed through the
-    delegation channel; the raw mean of the +-1 products is exactly unbiased
-    for the moment (verified against the exact oracle in the calibration
-    suite). Ideal mode: exact value + seeded noise, same 6S accounting.
+    delegation channel, drawn by ``qmeas.bell_difference_labels`` and
+    ``qmeas.pauli_moment_bits``, the laws the calibration suite checks
+    against exact oracles; the raw mean of the +-1 products is exactly
+    unbiased for the moment. Ideal mode: exact value + seeded noise, same 6S
+    accounting.
     """
     samples = params.a3_samples()
     if params.mode == "ideal":
@@ -375,16 +377,10 @@ def estimate_A3(
 
     def measurement(states, r):
         exps = qmeas.pauli_expectations(states[0])  # the copies share one density matrix
-        p_char = exps**2 / (1 << params.n)
-        p_char = np.clip(p_char, 0, None)
-        p_char /= p_char.sum()
-        idx = r.choice(p_char.size, size=(samples, 2), p=p_char)
-        labels = idx[:, 0] ^ idx[:, 1]
-        e_x = exps[labels]
-        p_plus = (1.0 + e_x) / 2.0
-        z1 = np.where(r.random(samples) < p_plus, 1.0, -1.0)
-        z2 = np.where(r.random(samples) < p_plus, 1.0, -1.0)
-        return float(np.mean(z1 * z2))
+        p_char = qmeas.characteristic_distribution(states[0])
+        labels = qmeas.bell_difference_labels(p_char, samples, r)
+        bits = qmeas.pauli_moment_bits(exps[labels], r)
+        return float(np.mean(2 * bits - 1))
 
     return delegated_measure(
         measurement,

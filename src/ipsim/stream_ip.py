@@ -277,11 +277,6 @@ def composed_value(kind: str, degree_cap: int, y: int) -> int:
     return acc
 
 
-def collision_h(y: int) -> int:
-    """h(y) = y(y-1)/2: the number of colliding pairs among y equal samples."""
-    return composed_value("collisions", 2, y)
-
-
 # ---------------------------------------------------------------------------
 # Honest prover sum-check engines
 # ---------------------------------------------------------------------------
@@ -434,6 +429,7 @@ class _SumcheckEngine:
         vmul(folded, r, out=folded)
         return vadd(u, folded, out=folded)
 
+    # test-only: the pinned engine transcript hashes in tests/test_stream_ip.py close on it
     def final_value(self) -> int:
         assert self.table.size == 1
         value = composed_value(self.kind, self.degree_cap, int(self.table[0]))

@@ -395,6 +395,23 @@ GOLDEN = {
         "36761f1b2d4a0e24f589b38c2ac26fac36ae61436c74051e60354c6fb2f7f7c4",
         "2083484ee10fcd8e1247df3da4def87d7ed9d654c5b4aa2e36f1b362699bc107",
     ),
+    # the sampled moment estimator at n = 1 and 3, honest and under a liar; computed
+    # while it kept its own copy of the Bell-difference and Pauli-moment laws
+    "stab-sampled-n1": (
+        ["stab", "--mode", "sampled", "--trials", "3", "--seed", "5", "n=1"],
+        "63563375d675abfb5b97a5eac4e8ecb60659c2552be8521ea5e43e32f39ef694",
+        "30bd1971cf08938470a9c7ec0d6dfe0623857e54afcd5a05666d5cd7f98ed814",
+    ),
+    "stab-sampled-n3": (
+        ["stab", "--mode", "sampled", "--trials", "3", "--seed", "5", "n=3"],
+        "04b028c5a914858ca69dc72114b878b753df722db202b397dcee79b1a868cd59",
+        "a69f78efc7881aa04597242c05b42ca22e9fd1d7606a6616603c1d465ea2832c",
+    ),
+    "stab-sampled-n3-worst": (
+        ["stab", "--mode", "sampled", "--trials", "3", "--seed", "5", "n=3", "adversary=worst-stabilizer"],
+        "a641bdd1560e4090723556ba621a7fffa413bf699e50656b96c77ebf35556d01",
+        "85a5738c3d317cd460acb07bc227230cce936d97fa2d70afe6844d9b4a30db4c",
+    ),
 }
 
 # each protocol's keys: its config fields (less mode and record_transcript)

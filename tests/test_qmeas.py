@@ -1,6 +1,9 @@
 """Tests for measurement primitives: Born-rule laws, SWAP test, Bell sampling,
 Pauli moments and uniform Clifford sampling."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,15 +11,16 @@ from ipsim import qcore, qmeas
 from ipsim.qcore import InvariantError, UnitaryOp, basis_state, maximally_mixed
 from ipsim.qmeas import (
     PauliLabel,
+    bell_difference_labels,
     bell_difference_sample,
     characteristic_distribution,
     dense_pauli,
-    measure_in_basis,
+    num_qubits,
     pauli_expectations,
+    pauli_moment_bits,
     pauli_moment_sample,
     sample_uniform_clifford,
     swap_test,
-    two_outcome_measure,
 )
 
 
@@ -68,12 +72,6 @@ class TestPauliMachinery:
 
 
 class TestMeasureInBasis:
-    def test_deterministic_on_eigenstate(self):
-        g = rng(4)
-        ident = UnitaryOp(np.eye(2, dtype=complex))
-        for _ in range(20):
-            assert measure_in_basis(basis_state(2, 0).density(), ident, g) == 0
-
     def test_uniform_chi_square(self):
         g = rng(5)
         u = qcore.sample_haar_unitary(4, g)
@@ -104,34 +102,6 @@ class TestMeasureInBasis:
         bases = qcore.sample_haar_unitaries(4, 2, rng(8))
         with pytest.raises(InvariantError, match="sum to"):
             qmeas.basis_probabilities(np.eye(2) * 0.6, bases)
-
-    def test_born_frequencies(self):
-        g = rng(6)
-        rho = qcore.DensityMatrix(np.diag([0.7, 0.3]).astype(complex))
-        ident = UnitaryOp(np.eye(2, dtype=complex))
-        shots = 10_000
-        zeros = sum(measure_in_basis(rho, ident, g) == 0 for _ in range(shots))
-        sigma = np.sqrt(0.7 * 0.3 / shots)
-        assert abs(zeros / shots - 0.7) < 3 * sigma + 0.005
-
-
-class TestTwoOutcome:
-    def test_deterministic_cases(self):
-        g = rng(7)
-        p0 = basis_state(2, 0).density().entries
-        assert all(two_outcome_measure(basis_state(2, 0).density(), p0, g) == 1 for _ in range(10))
-        assert all(two_outcome_measure(basis_state(2, 1).density(), p0, g) == 0 for _ in range(10))
-
-    def test_born_rule_half(self):
-        g = rng(8)
-        p0 = basis_state(2, 0).density().entries
-        shots = 10_000
-        ones = sum(two_outcome_measure(maximally_mixed(2), p0, g) for _ in range(shots))
-        assert abs(ones / shots - 0.5) < 3 * 0.5 / np.sqrt(shots) + 0.005
-
-    def test_rejects_non_projector(self):
-        with pytest.raises(InvariantError):
-            two_outcome_measure(maximally_mixed(2), np.diag([0.5, 0.5]), rng(9))
 
 
 class TestSwapTest:
@@ -197,7 +167,7 @@ class TestBellDifference:
         target = float((p**2).sum())
         samples = 60_000
         hits = sum(
-            bell_difference_sample(psi, g, char_dist=p).is_identity for _ in range(samples)
+            bell_difference_sample(psi, g, char_dist=p).index == 0 for _ in range(samples)
         )
         sigma = np.sqrt(target * (1 - target) / samples)
         assert abs(hits / samples - target) < 4 * sigma + 0.01
@@ -210,8 +180,7 @@ class TestBellDifference:
             q = np.zeros(16)
             for a in range(16):
                 q[a ^ np.arange(16)] += p[a] * p
-            idx = g.choice(16, size=(100_000, 2), p=p)
-            counts = np.bincount(idx[:, 0] ^ idx[:, 1], minlength=16)
+            counts = np.bincount(bell_difference_labels(p, 100_000, g), minlength=16)
             tv = 0.5 * np.abs(counts / 100_000 - q).sum()
             assert tv < 0.03
 
@@ -250,6 +219,98 @@ class TestPauliMoment:
             ]
             sigma = np.sqrt(max(1 - e**4, 1e-4) / shots)
             assert abs(np.mean(prods) - e**2) < 4 * sigma + 0.02
+
+
+def _reference_bell_difference_sample(psi, rng, char_dist=None):
+    """The scalar Bell-difference draw that ``bell_difference_labels`` replaced."""
+    n = num_qubits(psi)
+    p = characteristic_distribution(psi) if char_dist is None else char_dist
+    a1, a2 = rng.choice(p.size, size=2, p=p)
+    return PauliLabel.from_index(n, int(a1) ^ int(a2))
+
+
+def _reference_pauli_moment_sample(psi, label, rng, expectation=None):
+    """The scalar Pauli-moment draw that ``pauli_moment_bits`` replaced."""
+    if expectation is None:
+        expectation = float(pauli_expectations(psi)[label.index])
+    p_plus = (1.0 + expectation) / 2.0
+    z1 = 1 if rng.random() < p_plus else -1
+    z2 = 1 if rng.random() < p_plus else -1
+    return (z1 * z2 + 1) // 2
+
+
+def _reference_block(p, exps, size, rng):
+    """The block draw ``stab_ip.estimate_A3`` made inline: Bell-difference
+    labels by ``choice``, then z1 and z2 blocks, as (labels, bits)."""
+    idx = rng.choice(p.size, size=(size, 2), p=p)
+    labels = idx[:, 0] ^ idx[:, 1]
+    p_plus = (1.0 + exps[labels]) / 2.0
+    z1 = np.where(rng.random(size) < p_plus, 1.0, -1.0)
+    z2 = np.where(rng.random(size) < p_plus, 1.0, -1.0)
+    return labels, (z1 * z2 + 1) / 2
+
+
+class TestBatchedLawsAgainstReferences:
+    """The batched laws against the routines they replaced, draw for draw and
+    down to the generator's end state."""
+
+    @pytest.mark.parametrize("size", [1, 7, 5000])
+    def test_block_draws_match_reference(self, size):
+        for seed in range(12):
+            n = 1 + seed % 3
+            psi = qcore.sample_pure_state(1 << n, rng(900 + seed))
+            p, exps = characteristic_distribution(psi), pauli_expectations(psi)
+            a, b = rng(seed), rng(seed)
+            want_labels, want_bits = _reference_block(p, exps, size, a)
+            labels = bell_difference_labels(p, size, b)
+            bits = pauli_moment_bits(exps[labels], b)
+            assert np.array_equal(labels, want_labels)
+            assert np.array_equal(bits, want_bits)
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_scalar_bell_matches_reference(self):
+        for seed in range(200):
+            n = 1 + seed % 3
+            psi = qcore.sample_pure_state(1 << n, rng(1000 + seed))
+            p = characteristic_distribution(psi) if seed % 2 else None
+            a, b = rng(seed), rng(seed)
+            for _ in range(3):
+                want = _reference_bell_difference_sample(psi, a, char_dist=p)
+                assert bell_difference_sample(psi, b, char_dist=p) == want
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_scalar_moment_matches_reference(self):
+        for seed in range(200):
+            n = 1 + seed % 3
+            psi = qcore.sample_pure_state(1 << n, rng(1200 + seed))
+            lab = PauliLabel.from_index(n, seed % (4**n))
+            e = float(pauli_expectations(psi)[lab.index]) if seed % 2 else None
+            a, b = rng(seed), rng(seed)
+            for _ in range(3):
+                want = _reference_pauli_moment_sample(psi, lab, a, expectation=e)
+                got = pauli_moment_sample(psi, lab, b, expectation=e)
+                assert got == want and type(got) is int
+            assert a.bit_generator.state == b.bit_generator.state
+
+    def test_labels_reject_negative_entry(self):
+        p = np.array([0.6, -0.1, 0.5])
+        with pytest.raises(InvariantError, match="negative"):
+            bell_difference_labels(p, 4, rng(0))
+
+    @pytest.mark.parametrize("total", [0.9, 1.0 + 1e-6, np.nan])
+    def test_labels_reject_off_sum(self, total):
+        p = np.full(4, total / 4)
+        with pytest.raises(InvariantError, match="sums to"):
+            bell_difference_labels(p, 4, rng(0))
+
+    def test_characteristic_distribution_of_density_matrices(self):
+        g = rng(40)
+        for n in (1, 2, 3):
+            psi = qcore.sample_pure_state(1 << n, g)
+            rho = np.outer(psi.amplitudes, psi.amplitudes.conj())
+            assert np.allclose(characteristic_distribution(rho), characteristic_distribution(psi))
+        with pytest.raises(InvariantError, match="sums to"):
+            characteristic_distribution(maximally_mixed(4).entries)
 
 
 class TestCliffordSampling:
@@ -306,3 +367,17 @@ class TestCliffordSampling:
             counts[k] = counts.get(k, 0) + 1
         assert len(counts) == 24
         assert chi_square_pvalue(list(counts.values()), [samples / 24] * 24) > 0.01
+
+
+def test_only_qmeas_draws_by_choice():
+    """``Generator.choice`` draws belong to qmeas's sampling laws; a module
+    that calls ``.choice(`` itself holds a copy of one of them."""
+    offenders = []
+    for path in sorted(Path(qmeas.__file__).parent.glob("*.py")):
+        if path.name == "qmeas.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute):
+                if node.func.attr == "choice":
+                    offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ipsim import qcore, qmeas, stab_ip
-from ipsim.harness import CopyOracle, ProtocolAbort, batch_rates
+from ipsim.harness import CopyOracle, ProtocolAbort, batch_rates, delegated_measure
 from ipsim.stab_ip import (
     STABILIZER_COUNTS,
     HonestBruteForceProver,
@@ -311,6 +311,51 @@ class TestEstimators:
             if abs(a_hat - exact_A3(psi)) <= p.eps3:
                 hits += 1
         assert hits / runs >= (1 - p.delta3) - 0.05
+
+    @staticmethod
+    def _reference_estimate_A3(oracle_v, params, rng, tamper=None):
+        """The sampled moment estimator with the inline copy of the Bell and
+        Pauli-moment laws it ran before it called qmeas."""
+        samples = params.a3_samples()
+
+        def measurement(states, r):
+            exps = qmeas.pauli_expectations(states[0])
+            p_char = exps**2 / (1 << params.n)
+            p_char = np.clip(p_char, 0, None)
+            p_char /= p_char.sum()
+            idx = r.choice(p_char.size, size=(samples, 2), p=p_char)
+            labels = idx[:, 0] ^ idx[:, 1]
+            p_plus = (1.0 + exps[labels]) / 2.0
+            z1 = np.where(r.random(samples) < p_plus, 1.0, -1.0)
+            z2 = np.where(r.random(samples) < p_plus, 1.0, -1.0)
+            return float(np.mean(z1 * z2))
+
+        copies = oracle_v.stream(6 * samples, "a3-bell")
+        return delegated_measure(measurement, copies, tamper=tamper, delta=2 * params.delta3, rng=rng)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("tampered", [False, True], ids=["honest", "tamper"])
+    def test_sampled_a3_matches_inline_reference(self, n, tampered):
+        """Same estimate to the last bit (the tamper sees it before the trap
+        check), same meter and same generator end state as the inline law,
+        on near-stabilizer and Haar instances."""
+        p = StabParams(0.4, 1 / 3, n, mode="sampled")
+        cfg = StabConfig(n=n)
+        for seed in range(6):
+            g = np.random.default_rng(500 + seed)
+            psi = cfg.sample_instance("x", g) if seed % 2 else qcore.sample_pure_state(1 << n, g)
+            runs = []
+            for estimate in (self._reference_estimate_A3, estimate_A3):
+                r = np.random.default_rng(seed)
+                oracle = CopyOracle(psi)
+                measured = []
+                tamper = (lambda a: measured.append(a) or a + 0.5) if tampered else None
+                try:
+                    outcome = estimate(oracle, p, r, tamper=tamper)
+                except ProtocolAbort as err:
+                    outcome = str(err)
+                runs.append((outcome, measured, oracle.meter.total, r.bit_generator.state))
+            assert runs[0] == runs[1]
 
     def test_ideal_a3_meter(self):
         p = StabParams(epsilon=0.4, delta=1 / 3, n=2)

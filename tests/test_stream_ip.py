@@ -16,7 +16,6 @@ from ipsim.stream_ip import (
     StreamVerifierState,
     UniformityConfig,
     chi_table_for_point,
-    collision_h,
     collision_verdict,
     composed_factors,
     composed_value,
@@ -437,7 +436,11 @@ class TestCollisionSumcheck:
         a_at_r = m61.vsum(m61.vmul(freq.astype(np.uint64), chi))
         eng = stream_ip._SumcheckEngine(freq.astype(np.uint64), 2, "collisions")
         out = stream_ip.run_sumcheck(
-            brute % Q, engine_rounds(eng), st.r, 4, lambda: collision_h(a_at_r)
+            brute % Q,
+            engine_rounds(eng),
+            st.r,
+            4,
+            lambda: composed_value("collisions", 2, a_at_r),
         )
         return brute, out
 
@@ -459,8 +462,8 @@ class TestCollisionSumcheck:
 
     def test_collision_h_on_integers(self):
         for y in range(12):
-            assert collision_h(y) == y * (y - 1) // 2
-        assert collision_h(Q - 1) == 1  # h(-1) = 1
+            assert composed_value("collisions", 2, y) == y * (y - 1) // 2
+        assert composed_value("collisions", 2, Q - 1) == 1  # h(-1) = 1
 
     def test_verified_count_equals_brute_force(self):
         cfg = UniformityConfig(k=256, epsilon=0.9, allow_small_epsilon=True)

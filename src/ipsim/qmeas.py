@@ -77,13 +77,28 @@ def _popcount_array(a: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=8)
-def _hadamard_sign_matrix(n: int) -> np.ndarray:
-    """H[z, m] = (-1)^popcount(z & m), the Sylvester-Hadamard sign matrix."""
+def hadamard_sign_matrix(n: int) -> np.ndarray:
+    """H[z, m] = (-1)^popcount(z & m), the Sylvester-Hadamard sign matrix
+    (cached, read-only)."""
     h = np.array([[1.0]])
     block = np.array([[1.0, 1.0], [1.0, -1.0]])
     for _ in range(n):
         h = np.kron(h, block)
+    h.setflags(write=False)
     return h
+
+
+@lru_cache(maxsize=8)
+def _expectation_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(XOR, PHASE), both (d, d), cached and read-only: XOR[x, m] = m ^ x and
+    PHASE[z, x] = i^popcount(x & z), the phase of W_(x,z) = i^(x.z) X^x Z^z."""
+    d = 1 << n
+    j = np.arange(d)
+    xor = j[None, :] ^ j[:, None]
+    phase = 1j ** (_popcount_array(j[:, None] & j[None, :]) % 4)
+    xor.setflags(write=False)
+    phase.setflags(write=False)
+    return xor, phase
 
 
 def num_qubits(psi) -> int:
@@ -97,21 +112,22 @@ def num_qubits(psi) -> int:
 
 def pauli_expectations(psi) -> np.ndarray:
     """All 4^n expectations tr(rho W_a), indexed by a = x + (z << n), of a
-    PureState or of a density matrix given as a d x d array."""
-    rho = psi if isinstance(psi, np.ndarray) else None
+    PureState or of a density matrix given as a d x d array.
+
+    <W_(x,z)> = i^(x.z) sum_m (-1)^(z.m) rho_(m, m^x), where a pure state has
+    rho_(m, m') = psi_m conj(psi_m'): one (d, d) gather V[x, m] = rho_(m, m^x),
+    one Hadamard product per row and one phase table. The rows go through a
+    stacked matrix-vector product, so each sum is the one a single row's
+    product gives.
+    """
     n = num_qubits(psi)
-    d = 1 << n
-    h = _hadamard_sign_matrix(n)
-    j = np.arange(d)
-    out = np.empty(d * d)
-    for x in range(d):
-        # <W_(x,z)> = i^(x.z) sum_m (-1)^(z.m) rho_(m, m^x), where a pure
-        # state has rho_(m, m') = psi_m conj(psi_m')
-        v = rho[j, j ^ x] if rho is not None else psi.amplitudes * psi.amplitudes[j ^ x].conj()
-        vals = h @ v
-        phases = 1j ** (_popcount_array(np.full(d, x) & np.arange(d)) % 4)
-        out[x + (np.arange(d) << n)] = np.real(phases * vals)
-    return out
+    xor, phase = _expectation_tables(n)
+    if isinstance(psi, np.ndarray):
+        v = psi[np.arange(1 << n), xor]
+    else:
+        v = psi.amplitudes * psi.amplitudes[xor].conj()
+    vals = np.matmul(hadamard_sign_matrix(n), v[:, :, None])[:, :, 0]  # [x, z]
+    return np.real(phase * vals.T).ravel()
 
 
 def characteristic_distribution(psi) -> np.ndarray:

@@ -412,6 +412,26 @@ GOLDEN = {
         "a641bdd1560e4090723556ba621a7fffa413bf699e50656b96c77ebf35556d01",
         "85a5738c3d317cd460acb07bc227230cce936d97fa2d70afe6844d9b4a30db4c",
     ),
+    # the benchmark's n = 4 path, honest and under the farthest-state liar; computed
+    # while fidelities came from the complex amplitude-table product
+    "stab-n4": (
+        ["stab", "--trials", "20", "--seed", "5", "n=4"],
+        "e3f186f791c46520cf74beef4d21d18eb97a5368a6372bcb02795d48854b1141",
+        "d26c85bf0ae2e7545d2a77f2faa78ebe72fc38b8a4f2e6d494cc13bbc3148676",
+    ),
+    "stab-n4-worst": (
+        ["stab", "--trials", "20", "--seed", "5", "--transcripts", "n=4", "adversary=worst-stabilizer"],
+        "1c56407b3e78dff7e061a12831fe34ce3f6789a99859ff2bfaed358932074583",
+        "3a6f3b3206bd116f09558449eea87d4cd77558d22bb896b914a3c8994a21f245",
+    ),
+    # the garbage prover sends the first state within 1e-12 of the least
+    # fidelity; pinned once that rule replaced argmin, whose pick among the
+    # orthogonal states moved with float noise (trials 1 and 8 here)
+    "trivial-garbage-n3": (
+        ["trivial", "--trials", "10", "--seed", "3", "--transcripts", "n=3", "adversary=garbage"],
+        "909fd6f33b27e3cad6f0f7e2889daaa43562bd47bc074d3b8e6076164ab2f989",
+        "eb57b1b1f82a817acd7314e35161a8735756e6082c57bc38165a1db4c4522a23",
+    ),
 }
 
 # each protocol's keys: its config fields (less mode and record_transcript)

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ipsim import qcore, qmeas
+from ipsim import qcore, qmeas, stab_ip
 from ipsim.qcore import InvariantError, UnitaryOp, basis_state, maximally_mixed
 from ipsim.qmeas import (
     PauliLabel,
@@ -69,6 +69,59 @@ class TestPauliMachinery:
             p = characteristic_distribution(qcore.sample_pure_state(2**n, g))
             assert abs(p.sum() - 1.0) < 1e-12
             assert p.min() >= 0
+
+
+def _reference_pauli_expectations(psi) -> np.ndarray:
+    """The per-x loop that ``pauli_expectations`` replaced: one Hadamard
+    product and one bit-by-bit phase per value of x."""
+    rho = psi if isinstance(psi, np.ndarray) else None
+    n = num_qubits(psi)
+    d = 1 << n
+    h = qmeas.hadamard_sign_matrix(n)
+    j = np.arange(d)
+    out = np.empty(d * d)
+    for x in range(d):
+        v = rho[j, j ^ x] if rho is not None else psi.amplitudes * psi.amplitudes[j ^ x].conj()
+        vals = h @ v
+        popcount = np.array([bin(x & z).count("1") for z in range(d)])
+        phases = 1j ** (popcount % 4)
+        out[x + (np.arange(d) << n)] = np.real(phases * vals)
+    return out
+
+
+def _expectation_inputs(n: int, g: np.random.Generator) -> list:
+    """Haar states, near-stabilizer session instances, enumerated stabilizer
+    states, and mixed density matrices of rank 2..d."""
+    d = 1 << n
+    states = stab_ip.enumerate_stabilizers(n)
+    config = stab_ip.StabConfig(n=n)
+    out = [qcore.sample_pure_state(d, g) for _ in range(8)]
+    out += [config.sample_instance("accept", g) for _ in range(8)]
+    out += [states[int(i)].dense for i in g.integers(0, len(states), size=8)]
+    out += [qcore.sample_state(d, int(r), g).entries for r in g.integers(2, d + 1, size=8)]
+    out += [psi.density().entries for psi in out[:2]]
+    return out
+
+
+class TestPauliExpectationsAgainstReference:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_loop_reference(self, n):
+        for psi in _expectation_inputs(n, rng(40 + n)):
+            assert np.abs(pauli_expectations(psi) - _reference_pauli_expectations(psi)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_same_bits_as_loop_reference(self, n):
+        """Each row goes through the matrix-vector product the loop made, so
+        the sums, and the moment draws that read them, keep every bit."""
+        for psi in _expectation_inputs(n, rng(50 + n)):
+            assert pauli_expectations(psi).tobytes() == _reference_pauli_expectations(psi).tobytes()
+
+    def test_tables_read_only(self):
+        for n in (1, 4):
+            for table in (qmeas.hadamard_sign_matrix(n), *qmeas._expectation_tables(n)):
+                assert not table.flags.writeable
+                with pytest.raises(ValueError):
+                    table[0, 0] = 0
 
 
 class TestMeasureInBasis:

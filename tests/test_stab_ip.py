@@ -222,6 +222,114 @@ class TestEnumeration:
             validate_candidate(bad, 2)
 
 
+def _reference_all_fidelities(psi):
+    """The amplitude-table product that ``all_fidelities`` replaced."""
+    table = stab_ip.stabilizer_amplitude_table(qmeas.num_qubits(psi))
+    return np.abs(table @ psi.amplitudes.conj()) ** 2
+
+
+def _fidelity_inputs(n, rng):
+    """Haar states, near-stabilizer session instances and enumerated
+    stabilizer states."""
+    states = enumerate_stabilizers(n)
+    cfg = StabConfig(n=n)
+    out = [qcore.sample_pure_state(1 << n, rng) for _ in range(8)]
+    out += [cfg.sample_instance("x", rng) for _ in range(8)]
+    out += [states[int(i)].dense for i in rng.integers(0, len(states), size=8)]
+    return out
+
+
+class TestWalshFidelities:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_matches_amplitude_reference(self, n):
+        for psi in _fidelity_inputs(n, np.random.default_rng(60 + n)):
+            fids = all_fidelities(psi)
+            assert fids.shape == (STABILIZER_COUNTS[n],)
+            assert np.abs(fids - _reference_all_fidelities(psi)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_argmax_agrees_on_session_instances(self, n):
+        cfg = StabConfig(n=n)
+        rng = np.random.default_rng(70 + n)
+        for _ in range(200):
+            psi = cfg.sample_instance("x", rng)
+            assert np.argmax(all_fidelities(psi)) == np.argmax(_reference_all_fidelities(psi))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_each_state_has_fidelity_one_with_itself(self, n):
+        states = enumerate_stabilizers(n)
+        stride = 1 if n < 4 else 7  # 5246 of the 36 720 states at n = 4
+        for i in range(0, len(states), stride):
+            assert all_fidelities(states[i].dense)[i] == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_sign_patterns_of_a_subspace_sum_to_one(self, n):
+        """The 2^n states of one subspace form an orthonormal basis."""
+        rng = np.random.default_rng(80 + n)
+        for psi in _fidelity_inputs(n, rng):
+            sums = all_fidelities(psi).reshape(-1, 1 << n).sum(axis=1)
+            assert np.abs(sums - 1.0).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_group_index_is_the_dense_generator_products(self, n):
+        """Entry k decodes to c_k = +-1 and l_k with c_k W_(l_k) equal to the
+        product of the subspace's generators in the bit set k."""
+        index = stab_ip.stabilizer_group_index(n)
+        assert index.shape == (STABILIZER_COUNTS[n] >> n, 1 << n)
+        assert not index.flags.writeable
+        assert index.min() >= 0 and index.max() < 2 << (2 * n)
+        labels, negative = index % (1 << (2 * n)), index >> (2 * n)
+        assert np.all(labels[:, 0] == 0) and not negative[:, 0].any()
+        states = enumerate_stabilizers(n)
+        step = 1 if n < 4 else 17
+        for sub in range(0, len(index), step):
+            gens = [p for p, _ in states[sub << n].packed_rows()]
+            for k in range(1 << n):
+                prod = np.eye(1 << n, dtype=complex)
+                for i in range(n):
+                    if (k >> i) & 1:
+                        prod = prod @ qmeas.dense_pauli(qmeas.PauliLabel.from_index(n, gens[i]))
+                c = 1 - 2 * int(negative[sub, k])
+                w = qmeas.dense_pauli(qmeas.PauliLabel.from_index(n, int(labels[sub, k])))
+                assert np.abs(prod - c * w).max() < 1e-12
+
+    def test_group_index_rejects_anticommuting_generators(self):
+        # X and Z on qubit 0 multiply to -i W_Y
+        with pytest.raises(qcore.InvariantError, match="commute"):
+            stab_ip._group_index(2, [[0b0001, 0b0100]])
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_group_index_read_only(self, n):
+        with pytest.raises(ValueError):
+            stab_ip.stabilizer_group_index(n)[0, 0] = 0
+
+    def test_tables_stay_small_at_n4(self):
+        assert stab_ip.stabilizer_group_index(4).nbytes < 1 << 20
+
+
+class TestFarthestState:
+    def test_first_index_within_tolerance(self):
+        fids = np.array([0.5, 1e-13, 0.0, 3e-13, 0.2])
+        assert stab_ip.farthest_index(fids) == 1
+        assert stab_ip.farthest_index(np.array([0.3, 0.1, 0.2])) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_liars_pick_the_first_orthogonal_state(self, n):
+        """On exact stabilizer instances both farthest-state provers send the
+        first state within 1e-12 of the least reference fidelity."""
+        states = enumerate_stabilizers(n)
+        rng = np.random.default_rng(90 + n)
+        params = StabParams(0.4, 1 / 3, n)
+        for i in rng.integers(0, len(states), size=25):
+            psi = states[int(i)].dense
+            ref = _reference_all_fidelities(psi)
+            first = int(np.flatnonzero(ref <= ref.min() + 1e-12)[0])
+            oracle = CopyOracle(psi, ideal_access=True)
+            sent = stab_ip.WorstStabilizerLiar().produce_candidate(oracle, params, rng)
+            assert np.array_equal(sent, states[first].generators)
+            assert stab_ip.TrivialGarbage(n).solve(oracle, rng) is states[first]
+
+
 class TestBruteForce:
     def test_stabilizer_input_returns_itself(self):
         rng = np.random.default_rng(3)

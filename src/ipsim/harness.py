@@ -656,10 +656,6 @@ class NogoDistinguisher:
         return self.task.classify_output(result.output), result
 
 
-def build_nogo_distinguisher(task: ManyVsOneTask, ip_runner: Callable, honest_prover) -> NogoDistinguisher:
-    return NogoDistinguisher(task, ip_runner, honest_prover)
-
-
 # ---------------------------------------------------------------------------
 # Delegation-channel contract (multi-copy measurement via untrusted prover)
 # ---------------------------------------------------------------------------

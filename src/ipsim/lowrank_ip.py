@@ -32,61 +32,6 @@ from .harness import (
 
 
 @dataclass(frozen=True)
-class LowRankParams:
-    epsilon: float
-    delta: float
-    k: int
-    d: int
-    mode: str = "ideal"
-    variant: str = "standard"
-
-    def __post_init__(self):
-        if not (0 < self.epsilon < 1 and 0 < self.delta < 1):
-            raise ValueError("epsilon, delta in (0,1)")
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if not 1 <= self.k <= self.d:
-            raise ValueError("1 <= k <= d required")
-        if self.variant not in ("standard", "wide", "state"):
-            raise ValueError("variant in {standard, wide, state}")
-        if self.mode not in ("ideal", "sampled"):
-            raise ValueError("mode in {ideal, sampled}")
-
-    @property
-    def run_epsilon(self) -> float:
-        """Accuracy the pipeline actually runs at: eps/2 for normalized outputs."""
-        return self.epsilon / 2 if self.variant in ("state", "wide") else self.epsilon
-
-    @property
-    def eps1(self) -> float:
-        return self.run_epsilon / 10
-
-    @property
-    def eps2(self) -> float:
-        return self.run_epsilon**2 / (96 * self.k)
-
-    @property
-    def f(self) -> float:
-        return math.sqrt(6 * self.k * self.eps2) + 2 * self.eps1 + self.eps2
-
-    @property
-    def delta_tilde(self) -> float:
-        return self.delta / 5
-
-    def purity_pairs_budget(self) -> int:
-        return math.ceil(math.log(1 / self.delta_tilde) / self.eps1**2)
-
-    def topk_budget(self) -> int:
-        return math.ceil(self.k**2 * math.log(1 / self.delta_tilde) / self.eps1**2)
-
-    def prover_budget(self) -> int:
-        return math.ceil(self.d**2 * math.log(1 / self.delta_tilde) / self.eps2**2)
-
-    def basis_shots(self) -> int:
-        return math.ceil(math.log(2 / self.delta_tilde) / (2 * self.eps2**2))
-
-
-@dataclass(frozen=True)
 class SpectralHypothesis:
     """Claimed eigendecomposition: rho' = U'+ diag(alpha') U'.
 
@@ -143,7 +88,7 @@ def validate_spectral_hypothesis(raw_u, raw_alpha, d: int) -> SpectralHypothesis
 
 def delegated_purity_estimate(
     oracle_v: CopyOracle,
-    params: LowRankParams,
+    cfg: LowRankConfig,
     rng: np.random.Generator,
     channel: Channel | None = None,
     tamper=None,
@@ -157,39 +102,39 @@ def delegated_purity_estimate(
     the delegation contract, where a prover's ``tamper`` is caught except
     with the escape probability.
     """
-    pairs = params.purity_pairs_budget()
-    if params.mode == "ideal":
+    pairs = cfg.purity_pairs_budget()
+    if cfg.mode == "ideal":
         oracle_v.charge_accounting(2 * pairs, "purity-accounting")
-        noisy = qcore.purity(oracle_v.judge_peek()) + params.eps2 * rng.uniform(-1.0, 1.0)
+        noisy = qcore.purity(oracle_v.judge_peek()) + cfg.eps2 * rng.uniform(-1.0, 1.0)
         measurement, copies = (lambda states, r: noisy), []
     else:
         measurement = qmeas.swap_purity_estimate
         copies = oracle_v.stream(2 * pairs, "purity-swap", channel=channel)
     return delegated_measure(
-        measurement, copies, tamper=tamper, delta=2 * params.delta_tilde, rng=rng
+        measurement, copies, tamper=tamper, delta=2 * cfg.delta_tilde, rng=rng
     )
 
 
 def topk_spectrum_estimate(
-    oracle_v: CopyOracle, params: LowRankParams, rng: np.random.Generator
+    oracle_v: CopyOracle, cfg: LowRankConfig, rng: np.random.Generator
 ) -> np.ndarray:
     """Top-k eigenvalue estimate, exact + perturbation with total variation <= eps1.
 
     Ideal-contract only; charges ceil(k^2 ln(1/dt) / eps1^2).
     """
-    oracle_v.charge_accounting(params.topk_budget(), "topk-accounting")
+    oracle_v.charge_accounting(cfg.topk_budget(), "topk-accounting")
     spec = qcore.eig_sorted(oracle_v.judge_peek())
-    alpha = spec.values[: params.k]
-    noise = rng.uniform(-1.0, 1.0, size=params.k)
+    alpha = spec.values[: cfg.k]
+    noise = rng.uniform(-1.0, 1.0, size=cfg.k)
     total = np.abs(noise).sum()
     if total > 0:
-        noise *= params.eps1 * rng.random() / total
+        noise *= cfg.eps1 * rng.random() / total
     est = np.clip(alpha + noise, 0.0, 1.0)
     return np.sort(est)[::-1]
 
 
 def prover_spectral_tomography(
-    oracle_p: CopyOracle, params: LowRankParams, rng: np.random.Generator
+    oracle_p: CopyOracle, cfg: LowRankConfig, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Honest prover output (U', alpha') meeting both completeness conditions.
 
@@ -198,20 +143,17 @@ def prover_spectral_tomography(
     <= eps2 and (b) ||rho'-rho||_1 <= eps2 both hold with exact values.
     Sampled mode runs generic sampled tomography at target eps2.
     """
-    k, d = params.k, params.d
-    if params.mode == "sampled":
-        tparams = tomo_ip.TomoParams(
-            epsilon=min(0.99, params.eps2 * 2), delta=2 * params.delta_tilde, d=d, mode="sampled"
-        )
-        hyp = tomo_ip._sampled_tomography(oracle_p, params.eps2, tparams, rng)
+    k, d = cfg.k, cfg.d
+    if cfg.mode == "sampled":
+        hyp = tomo_ip._sampled_tomography(oracle_p, cfg.eps2, d, rng)
         spec = qcore.eig_sorted(hyp.matrix)
         return spec.basis.entries.conj().T, spec.values
     rho = oracle_p.ideal_peek()
-    oracle_p.charge_accounting(params.prover_budget(), "spectral-tomography-accounting")
+    oracle_p.charge_accounting(cfg.prover_budget(), "spectral-tomography-accounting")
     spec = qcore.eig_sorted(rho)
     alpha_true = spec.values
     top_sum = alpha_true[:k].sum()
-    scale = params.eps2 / 4
+    scale = cfg.eps2 / 4
     for _ in range(40):
         dir_h = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         dir_h = (dir_h - dir_h.conj().T) / 2  # anti-Hermitian generator
@@ -225,8 +167,8 @@ def prover_spectral_tomography(
         dist2 = qcore.schatten_norm(rho_prime - rho.entries, 2)
         proj = u_cols[:, :k] @ u_cols[:, :k].conj().T
         p_val = float(np.real(np.vdot(proj, rho.entries)))
-        cond_a = math.sqrt(2 * k) * dist2 + 1 - p_val - (1 - top_sum) <= params.eps2
-        cond_b = dist1 <= params.eps2
+        cond_a = math.sqrt(2 * k) * dist2 + 1 - p_val - (1 - top_sum) <= cfg.eps2
+        cond_b = dist1 <= cfg.eps2
         if cond_a and cond_b:
             return u_cols.conj().T, alpha
         scale *= 0.5
@@ -244,7 +186,7 @@ def _expm_antihermitian(a: np.ndarray) -> np.ndarray:
 def verifier_basis_estimates(
     oracle_v: CopyOracle,
     hyp: SpectralHypothesis,
-    params: LowRankParams,
+    cfg: LowRankConfig,
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Single-copy estimates (o_hat, p_hat) in the claimed eigenbasis.
@@ -253,14 +195,14 @@ def verifier_basis_estimates(
     projector on the top-k claimed eigenvectors; Hoeffding shot count
     ceil(ln(2/dt) / (2 eps2^2)) for each.
     """
-    shots = params.basis_shots()
+    shots = cfg.basis_shots()
     basis = hyp.measurement_basis()
     state = oracle_v.stream(2 * shots, "basis-estimates")[0]
     probs = qmeas.basis_probabilities(state, basis)
     counts_o = rng.multinomial(shots, probs)
     counts_p = rng.multinomial(shots, probs)
     o_hat = float(counts_o @ hyp.alpha_prime) / shots
-    p_hat = float(counts_p[: params.k].sum()) / shots
+    p_hat = float(counts_p[: cfg.k].sum()) / shots
     return o_hat, p_hat
 
 
@@ -270,7 +212,7 @@ def lowrank_check(
     o_hat: float,
     p_hat: float,
     alpha_hat_topk: np.ndarray,
-    params: LowRankParams,
+    cfg: LowRankConfig,
     alpha_prime: np.ndarray | None = None,
 ) -> bool:
     """The acceptance inequality; radicand clamped at zero against noise.
@@ -280,21 +222,21 @@ def lowrank_check(
     wide:     with pur'_{1:k} substituted, against
               (sqrt(2k) + 1) * tail(alpha') + run_epsilon.
     """
-    k = params.k
+    k = cfg.k
     radicand = max(0.0, pur_prime + pur_hat - 2 * o_hat)
     lhs = math.sqrt(2 * k * radicand) + 1 - p_hat
-    if params.variant == "wide":
+    if cfg.variant == "wide":
         if alpha_prime is None:
             raise ValueError("wide variant needs the transmitted spectrum")
         tail = float(alpha_prime[k:].sum())
-        return lhs <= (math.sqrt(2 * k) + 1) * tail + params.run_epsilon
-    return lhs <= 1 - float(np.sum(alpha_hat_topk)) + params.f
+        return lhs <= (math.sqrt(2 * k) + 1) * tail + cfg.run_epsilon
+    return lhs <= 1 - float(np.sum(alpha_hat_topk)) + cfg.f
 
 
-def lowrank_output(hyp: SpectralHypothesis, params: LowRankParams):
-    if params.variant == "standard":
-        return hyp.truncated(params.k, normalize=False)
-    return hyp.truncated(params.k, normalize=True)
+def lowrank_output(hyp: SpectralHypothesis, cfg: LowRankConfig):
+    if cfg.variant == "standard":
+        return hyp.truncated(cfg.k, normalize=False)
+    return hyp.truncated(cfg.k, normalize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -342,8 +284,8 @@ class HonestSpectralProver(ProverStrategy):
     name = "honest-spectral"
     honest = True
 
-    def produce_spectral_hypothesis(self, oracle_p, params, rng):
-        return prover_spectral_tomography(oracle_p, params, rng)
+    def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
+        return prover_spectral_tomography(oracle_p, cfg, rng)
 
 
 class RandomBasisLiar(ProverStrategy):
@@ -352,9 +294,9 @@ class RandomBasisLiar(ProverStrategy):
     name = "random-basis-liar"
     honest = False
 
-    def produce_spectral_hypothesis(self, oracle_p, params, rng):
+    def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
         alpha = np.clip(qcore.eig_sorted(oracle_p.ideal_peek()).values, 0.0, 1.0)
-        u = qcore.sample_haar_unitary(params.d, rng)
+        u = qcore.sample_haar_unitary(cfg.d, rng)
         return u.entries, alpha
 
 
@@ -364,9 +306,9 @@ class ForeignSpectrumLiar(ProverStrategy):
     name = "foreign-spectrum-liar"
     honest = False
 
-    def produce_spectral_hypothesis(self, oracle_p, params, rng):
+    def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
         spec = qcore.eig_sorted(oracle_p.ideal_peek())
-        other = qcore.sample_state(params.d, params.d, rng)
+        other = qcore.sample_state(cfg.d, cfg.d, rng)
         alpha = np.clip(qcore.eig_sorted(other).values, 0.0, 1.0)
         return spec.basis.entries.conj().T, alpha
 
@@ -377,8 +319,8 @@ class NonUnitaryLiar(ProverStrategy):
     name = "non-unitary-liar"
     honest = False
 
-    def produce_spectral_hypothesis(self, oracle_p, params, rng):
-        u = qcore.sample_haar_unitary(params.d, rng).entries.copy()
+    def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
+        u = qcore.sample_haar_unitary(cfg.d, rng).entries.copy()
         u[0, :] *= 1.05
         alpha = np.clip(qcore.eig_sorted(oracle_p.ideal_peek()).values, 0.0, 1.0)
         return u, alpha
@@ -390,9 +332,9 @@ class UnsortedSpectrumLiar(ProverStrategy):
     name = "unsorted-spectrum-liar"
     honest = False
 
-    def produce_spectral_hypothesis(self, oracle_p, params, rng):
+    def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
         spec = qcore.eig_sorted(oracle_p.ideal_peek())
-        alpha = np.zeros(params.d)
+        alpha = np.zeros(cfg.d)
         alpha[0], alpha[1] = 0.3, 0.7  # explicitly increasing
         return spec.basis.entries.conj().T, alpha
 
@@ -407,27 +349,27 @@ class LowRankVerifier:
     memory_limit = 1
     channel_kind = "quantum"
 
-    def __init__(self, params: LowRankParams):
-        self.params = params
+    def __init__(self, cfg: LowRankConfig):
+        self.cfg = cfg
         self.extras = {
-            "epsilon": params.epsilon,
-            "run_epsilon": params.run_epsilon,
-            "delta": params.delta,
-            "k": params.k,
-            "d": params.d,
-            "variant": params.variant,
-            "eps1": params.eps1,
-            "eps2": params.eps2,
-            "f": params.f,
-            "delta_tilde": params.delta_tilde,
-            "purity_pairs_budget": params.purity_pairs_budget(),
-            "topk_budget": params.topk_budget(),
-            "prover_budget": params.prover_budget(),
-            "basis_shots": params.basis_shots(),
+            "epsilon": cfg.epsilon,
+            "run_epsilon": cfg.run_epsilon,
+            "delta": cfg.delta,
+            "k": cfg.k,
+            "d": cfg.d,
+            "variant": cfg.variant,
+            "eps1": cfg.eps1,
+            "eps2": cfg.eps2,
+            "f": cfg.f,
+            "delta_tilde": cfg.delta_tilde,
+            "purity_pairs_budget": cfg.purity_pairs_budget(),
+            "topk_budget": cfg.topk_budget(),
+            "prover_budget": cfg.prover_budget(),
+            "basis_shots": cfg.basis_shots(),
         }
 
     def run(self, session, prover):
-        p = self.params
+        p = self.cfg
         pur_hat = delegated_purity_estimate(
             session.oracle_v,
             p,
@@ -461,8 +403,11 @@ class LowRankVerifier:
         return lowrank_output(hyp, p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class LowRankConfig:
+    """The rank-k tomography IP's validated parameter set, which its verifier
+    reads, with the experiment settings."""
+
     d: int = 4
     k: int = 1
     epsilon: float = 0.6
@@ -472,27 +417,63 @@ class LowRankConfig:
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
-    def params(self) -> LowRankParams:
-        return LowRankParams(
-            epsilon=self.epsilon,
-            delta=self.delta,
-            k=self.k,
-            d=self.d,
-            mode=self.mode,
-            variant=self.variant,
-        )
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("d must be >= 2")
+        if not 1 <= self.k <= self.d:
+            raise ValueError(f"k must be in [1, d] = [1, {self.d}]")
+        if not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must be in (0, 1)")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must be in (0, 1)")
+        if self.variant not in ("standard", "wide", "state"):
+            raise ValueError("variant must be one of standard, wide, state")
+        if self.mode not in ("ideal", "sampled"):
+            raise ValueError("mode must be ideal or sampled")
+
+    @property
+    def run_epsilon(self) -> float:
+        """Accuracy the pipeline actually runs at: eps/2 for normalized outputs."""
+        return self.epsilon / 2 if self.variant in ("state", "wide") else self.epsilon
+
+    @property
+    def eps1(self) -> float:
+        return self.run_epsilon / 10
+
+    @property
+    def eps2(self) -> float:
+        return self.run_epsilon**2 / (96 * self.k)
+
+    @property
+    def f(self) -> float:
+        return math.sqrt(6 * self.k * self.eps2) + 2 * self.eps1 + self.eps2
+
+    @property
+    def delta_tilde(self) -> float:
+        return self.delta / 5
+
+    def purity_pairs_budget(self) -> int:
+        return math.ceil(math.log(1 / self.delta_tilde) / self.eps1**2)
+
+    def topk_budget(self) -> int:
+        return math.ceil(self.k**2 * math.log(1 / self.delta_tilde) / self.eps1**2)
+
+    def prover_budget(self) -> int:
+        return math.ceil(self.d**2 * math.log(1 / self.delta_tilde) / self.eps2**2)
+
+    def basis_shots(self) -> int:
+        return math.ceil(math.log(2 / self.delta_tilde) / (2 * self.eps2**2))
 
     def formula(self) -> dict:
-        p = self.params()
         return {
-            "eps1": p.eps1,
-            "eps2": p.eps2,
-            "f": p.f,
-            "delta_tilde": p.delta_tilde,
-            "purity_pairs_budget": p.purity_pairs_budget(),
-            "topk_budget": p.topk_budget(),
-            "prover_budget": p.prover_budget(),
-            "basis_shots": p.basis_shots(),
+            "eps1": self.eps1,
+            "eps2": self.eps2,
+            "f": self.f,
+            "delta_tilde": self.delta_tilde,
+            "purity_pairs_budget": self.purity_pairs_budget(),
+            "topk_budget": self.topk_budget(),
+            "prover_budget": self.prover_budget(),
+            "basis_shots": self.basis_shots(),
         }
 
     def make_prover(self, name: str) -> ProverStrategy:
@@ -502,7 +483,7 @@ class LowRankConfig:
         return qcore.sample_state(self.d, self.d, rng)
 
     def run_one(self, hidden, prover, seed: int) -> SessionResult:
-        verifier = LowRankVerifier(self.params())
+        verifier = LowRankVerifier(self)
         return run_session(verifier, prover, hidden, seed, record_transcript=self.record_transcript)
 
     def optimal_loss(self, hidden) -> float:

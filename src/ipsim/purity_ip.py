@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import ClassVar
 
 import numpy as np
@@ -20,10 +21,10 @@ from .harness import (
     CopyOracle,
     CopyStream,
     ManyVsOneTask,
+    NogoDistinguisher,
     ProtocolAbort,
     ProverStrategy,
     SessionResult,
-    build_nogo_distinguisher,
     choose,
     derive_rng,
     run_session,
@@ -36,44 +37,6 @@ OUTPUT_PURE = "pure"
 OUTPUT_MIXED = "maximally mixed"
 
 MASK_ENSEMBLES = ("haar", "clifford", "pauli")
-
-
-@dataclass(frozen=True)
-class PurityParams:
-    delta: float
-    d: int
-    N: int
-    delta_tilde: float
-    m: int
-    mask_ensemble: str = "haar"
-
-
-def purity_params(delta: float, d: int, mask_ensemble: str = "haar") -> PurityParams:
-    """Round count, per-round failure budget and SWAP-test copy budget.
-
-    N = ceil(max{72 ln(6/delta), 4 log2(2/delta)}); delta_tilde = delta/(2N).
-    m comes from the exact SWAP analysis: maximally mixed copies pass a single
-    test with probability (1+1/d)/2, so t = ceil(ln(1/dt)/ln(2/(1+1/d))) tests
-    (m = 2t copies) push the wrong-answer probability below delta_tilde; pure
-    copies never fail a test.
-    """
-    if not 0 < delta < 1:
-        raise ValueError("delta in (0,1) required")
-    if d < 2:
-        raise ValueError("d must be >= 2")
-    if mask_ensemble not in MASK_ENSEMBLES:
-        raise ValueError(f"mask_ensemble must be one of {MASK_ENSEMBLES}")
-    n_rounds = math.ceil(max(72 * math.log(6 / delta), 4 * math.log2(2 / delta)))
-    delta_tilde = delta / (2 * n_rounds)
-    tests = math.ceil(math.log(1 / delta_tilde) / math.log(2 / (1 + 1 / d)))
-    return PurityParams(
-        delta=delta,
-        d=d,
-        N=n_rounds,
-        delta_tilde=delta_tilde,
-        m=2 * tests,
-        mask_ensemble=mask_ensemble,
-    )
 
 
 @dataclass
@@ -100,7 +63,7 @@ def sample_masks(ensemble: str, d: int, n: int, rng: np.random.Generator) -> lis
 def prepare_round_state(
     kind: str,
     oracle_v: CopyOracle,
-    params: PurityParams,
+    cfg: PurityConfig,
     mask: qcore.UnitaryOp | None,
     channel: Channel,
     round_index: int,
@@ -111,17 +74,17 @@ def prepare_round_state(
     Mixed test rounds cost no oracle queries and carry no mask; pure test
     rounds mask |0><0|; compute rounds mask m fresh oracle copies.
     """
-    d = params.d
+    d = cfg.d
     if kind == "m":
         state = np.eye(d, dtype=complex) / d
-        return channel.send_stream("v->p", state, params.m, round_index), None
+        return channel.send_stream("v->p", state, cfg.m, round_index), None
     if kind == "p":
         ue = mask.entries
         state = np.outer(ue[:, 0], ue[:, 0].conj())
-        return channel.send_stream("v->p", state, params.m, round_index), mask
+        return channel.send_stream("v->p", state, cfg.m, round_index), mask
     if kind == "c":
         copies = oracle_v.stream(
-            params.m, "compute-round", channel=channel, unitary=mask, round_index=round_index
+            cfg.m, "compute-round", channel=channel, unitary=mask, round_index=round_index
         )
         return copies, mask
     raise ValueError(f"unknown round kind {kind}")
@@ -167,7 +130,7 @@ class HonestSwapProver(ProverStrategy):
     name = "honest-swap"
     honest = True
 
-    def answer_round(self, states, params: PurityParams, rng) -> int:
+    def answer_round(self, states, cfg: PurityConfig, rng) -> int:
         return honest_purity_answer(states, rng)
 
 
@@ -175,7 +138,7 @@ class AlwaysPure(ProverStrategy):
     name = "always-pure"
     honest = False
 
-    def answer_round(self, states, params, rng) -> int:
+    def answer_round(self, states, cfg, rng) -> int:
         return PURE
 
 
@@ -183,7 +146,7 @@ class AlwaysMixed(ProverStrategy):
     name = "always-mixed"
     honest = False
 
-    def answer_round(self, states, params, rng) -> int:
+    def answer_round(self, states, cfg, rng) -> int:
         return MIXED
 
 
@@ -191,7 +154,7 @@ class UniformRandomAnswer(ProverStrategy):
     name = "uniform-random"
     honest = False
 
-    def answer_round(self, states, params, rng) -> int:
+    def answer_round(self, states, cfg, rng) -> int:
         return int(rng.integers(0, 2))
 
 
@@ -203,11 +166,11 @@ class BestEffortLiar(ProverStrategy):
     name = "best-effort-liar"
     honest = False
 
-    def answer_round(self, states, params, rng) -> int:
+    def answer_round(self, states, cfg, rng) -> int:
         accepts = sum(swap_outcomes(states, rng))
         frac = accepts / (len(states) // 2)
         honest = PURE if accepts == len(states) // 2 else MIXED
-        compute_prediction = (1 + 1 / params.d) / 2
+        compute_prediction = (1 + 1 / cfg.d) / 2
         believes_compute = abs(frac - compute_prediction) <= abs(frac - 1.0)
         return 1 - honest if believes_compute else honest
 
@@ -223,34 +186,31 @@ class PurityVerifier:
     memory_limit = 1
     channel_kind = "quantum"
 
-    def __init__(self, params: PurityParams, kind_seed: int | None = None):
-        self.params = params
-        # kind_seed decouples round-kind randomness from the session seed so
-        # meter structure can be compared across dimensions
-        self.kind_seed = kind_seed
+    def __init__(self, cfg: PurityConfig):
+        self.cfg = cfg
         self.extras: dict = {
-            "N": params.N,
-            "m": params.m,
-            "delta_tilde": params.delta_tilde,
-            "d": params.d,
-            "mask_ensemble": params.mask_ensemble,
+            "N": cfg.N,
+            "m": cfg.m,
+            "delta_tilde": cfg.delta_tilde,
+            "d": cfg.d,
+            "mask_ensemble": cfg.mask_ensemble,
         }
 
     def run(self, session, prover) -> str:
-        p = self.params
-        kind_seed = self.kind_seed
+        cfg = self.cfg
+        kind_seed = cfg.kind_seed
         rng_kinds = session.rng("round-kinds") if kind_seed is None else derive_rng(kind_seed, "round-kinds")
         kinds = ("m", "p", "c")
         # all kinds, then all masks: each generator draws nothing else, so the values are the per-round ones
-        round_kinds = [kinds[i] for i in rng_kinds.integers(0, 3, size=p.N)]
-        masks = iter(sample_masks(p.mask_ensemble, p.d, p.N - round_kinds.count("m"), session.rng("masks")))
+        round_kinds = [kinds[i] for i in rng_kinds.integers(0, 3, size=cfg.N)]
+        masks = iter(sample_masks(cfg.mask_ensemble, cfg.d, cfg.N - round_kinds.count("m"), session.rng("masks")))
         rng_prover = session.rng("prover")
         records: list[RoundRecord] = []
         for kind in round_kinds:
             round_idx = session.next_round()
             mask = None if kind == "m" else next(masks)
-            received, _ = prepare_round_state(kind, session.oracle_v, p, mask, session.channel, round_idx)
-            answer = int(prover.answer_round(received, p, rng_prover))
+            received, _ = prepare_round_state(kind, session.oracle_v, cfg, mask, session.channel, round_idx)
+            answer = int(prover.answer_round(received, cfg, rng_prover))
             session.channel.send_bits("p->v", [answer], round_idx)
             if kind == "m":
                 pass_flag = 1 if answer == MIXED else 0
@@ -264,23 +224,51 @@ class PurityVerifier:
         return purity_verdict(records)
 
 
-@dataclass
+@dataclass(frozen=True)
 class PurityConfig:
-    """Experiment-level configuration; builds sessions, tasks and judges."""
+    """The purity IP's validated parameter set, which its verifier reads, with
+    the experiment settings; builds sessions, tasks and judges."""
 
     d: int = 8
     delta: float = 1 / 3
     mask_ensemble: str = "haar"
     record_transcript: bool = False
+    # kind_seed decouples round-kind randomness from the session seed so
+    # meter structure can be compared across dimensions
     kind_seed: int | None = field(default=None, metadata={"cli": False})  # set by tests only
     trial_keys: ClassVar[dict] = {"adversary": "honest", "instance": "accept"}
 
-    def params(self) -> PurityParams:
-        return purity_params(self.delta, self.d, self.mask_ensemble)
+    def __post_init__(self):
+        if self.d < 2:
+            raise ValueError("d must be >= 2")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must be in (0, 1)")
+        if self.mask_ensemble not in MASK_ENSEMBLES:
+            raise ValueError(f"mask_ensemble must be one of {MASK_ENSEMBLES}")
+
+    # Round count, per-round failure budget and SWAP-test copy budget, computed
+    # once per config: a session reads them on every round.
+    @cached_property
+    def N(self) -> int:
+        """N = ceil(max{72 ln(6/delta), 4 log2(2/delta)})."""
+        return math.ceil(max(72 * math.log(6 / self.delta), 4 * math.log2(2 / self.delta)))
+
+    @cached_property
+    def delta_tilde(self) -> float:
+        """delta_tilde = delta/(2N)."""
+        return self.delta / (2 * self.N)
+
+    @cached_property
+    def m(self) -> int:
+        """m comes from the exact SWAP analysis: maximally mixed copies pass a
+        single test with probability (1+1/d)/2, so t = ceil(ln(1/dt)/ln(2/(1+1/d)))
+        tests (m = 2t copies) push the wrong-answer probability below
+        delta_tilde; pure copies never fail a test."""
+        tests = math.ceil(math.log(1 / self.delta_tilde) / math.log(2 / (1 + 1 / self.d)))
+        return 2 * tests
 
     def formula(self) -> dict:
-        p = self.params()
-        return {"N": p.N, "m": p.m, "delta_tilde": p.delta_tilde}
+        return {"N": self.N, "m": self.m, "delta_tilde": self.delta_tilde}
 
     def make_prover(self, name: str) -> ProverStrategy:
         return choose("adversary", name, {"honest": HonestSwapProver, **ADVERSARIES})()
@@ -302,7 +290,7 @@ class PurityConfig:
 
     def run_one(self, hidden, prover: ProverStrategy, seed: int, prover_hidden=None) -> SessionResult:
         return run_session(
-            PurityVerifier(self.params(), kind_seed=self.kind_seed),
+            PurityVerifier(self),
             prover,
             hidden,
             seed,
@@ -321,11 +309,11 @@ class PurityConfig:
 
 @dataclass
 class NogoConfig:
-    """The distinguisher that ``build_nogo_distinguisher`` builds from the
-    purity IP and its honest prover, run on accept (maximally mixed) or
-    reject (Haar-random pure) instances. A trial's validity is whether the
-    distinguisher named the instance's side, also when it answered "reject"
-    because the simulated verifier aborted."""
+    """The ``NogoDistinguisher`` built from the purity IP and its honest
+    prover, run on accept (maximally mixed) or reject (Haar-random pure)
+    instances. A trial's validity is whether the distinguisher named the
+    instance's side, also when it answered "reject" because the simulated
+    verifier aborted."""
 
     d: int = 8
     delta: float = 1 / 3
@@ -335,12 +323,10 @@ class NogoConfig:
 
     def __post_init__(self):
         self.ip = PurityConfig(d=self.d, delta=self.delta, record_transcript=self.record_transcript)
-        self.ip.params()  # purity's own checks (d >= 2, delta) before the task samples states
         self.task = self.ip.task()
 
     def formula(self) -> dict:
-        p = self.ip.params()
-        return {"N": p.N, "m": p.m}
+        return {"N": self.ip.N, "m": self.ip.m}
 
     def make_prover(self, name: str) -> ProverStrategy:
         return self.ip.make_prover(name)
@@ -350,7 +336,7 @@ class NogoConfig:
 
     def run_one(self, hidden, prover: ProverStrategy, seed: int) -> SessionResult:
         """The simulated session, with the distinguisher's answer as its output."""
-        distinguisher = build_nogo_distinguisher(self.task, self.ip.run_one, prover)
+        distinguisher = NogoDistinguisher(self.task, self.ip.run_one, prover)
         answer, res = distinguisher.run(hidden, seed)
         return replace(res, output=answer)
 

@@ -130,11 +130,14 @@ def pauli_expectations(psi) -> np.ndarray:
     return np.real(phase * vals.T).ravel()
 
 
-def characteristic_distribution(psi) -> np.ndarray:
+def characteristic_distribution(psi, expectations: np.ndarray | None = None) -> np.ndarray:
     """p(a) = 2^-n tr(rho W_a)^2 of a PureState or of a density matrix given
-    as a d x d array. It sums to tr(rho^2), so a mixed state raises."""
+    as a d x d array. It sums to tr(rho^2), so a mixed state raises.
+
+    Pass ``expectations`` to reuse a precomputed ``pauli_expectations(psi)``.
+    """
     n = num_qubits(psi)
-    exps = pauli_expectations(psi)
+    exps = pauli_expectations(psi) if expectations is None else expectations
     p = exps**2 / (1 << n)
     total = p.sum()
     if abs(total - 1.0) > 1e-8:

@@ -40,47 +40,6 @@ def _check_qubits(n: int):
         raise ValueError(f"n must be in 1..4 (the enumerated stabilizer states), got {n}")
 
 
-@dataclass(frozen=True)
-class StabParams:
-    epsilon: float
-    delta: float
-    n: int
-    mode: str = "ideal"
-
-    def __post_init__(self):
-        if not (0 < self.epsilon < 1 and 0 < self.delta < 1):
-            raise ValueError("epsilon, delta in (0,1)")
-        _check_qubits(self.n)
-        if self.mode not in ("ideal", "sampled"):
-            raise ValueError("mode in {ideal, sampled}")
-
-    @property
-    def eps1(self) -> float:
-        return self.epsilon / 5
-
-    @property
-    def eps2(self) -> float:
-        return self.epsilon / 5
-
-    @property
-    def eps3(self) -> float:
-        return 3 * self.epsilon / 20
-
-    @property
-    def delta1(self) -> float:
-        return self.delta / 3
-
-    delta2 = delta1
-    delta3 = delta1
-
-    def loss_shots(self) -> int:
-        return math.ceil(math.log(2 / self.delta2) / (2 * self.eps2**2))
-
-    def a3_samples(self) -> int:
-        # per-sample values lie in [-1, 1]: range-2 Hoeffding constant 2
-        return math.ceil(2 * math.log(2 / self.delta3) / self.eps3**2)
-
-
 def exact_A3(psi: qcore.PureState) -> float:
     """2^-n sum over all 4^n Hermitian Paulis of <psi|P|psi>^6, exactly."""
     n = qmeas.num_qubits(psi)
@@ -370,18 +329,18 @@ def optimal_stab_loss(psi: qcore.PureState) -> tuple[float, int]:
 
 
 def brute_force_best_stabilizer(
-    oracle_p: CopyOracle, params: StabParams, rng: np.random.Generator
+    oracle_p: CopyOracle, cfg: StabConfig, rng: np.random.Generator
 ) -> StabilizerStateDesc:
     """1-agnostic optimum by enumeration; sampled mode estimates per-candidate
     fidelities with a union-bounded Hoeffding budget."""
     psi = oracle_p.ideal_peek()
-    states = enumerate_stabilizers(params.n)
+    states = enumerate_stabilizers(cfg.n)
     fids = all_fidelities(psi)
-    if params.mode == "ideal":
+    if cfg.mode == "ideal":
         oracle_p.charge_accounting(len(states), "brute-force-accounting")
         return states[int(np.argmax(fids))]
     num = len(states)
-    shots = math.ceil(2 * math.log(2 * num / params.delta1) / params.eps1**2)
+    shots = math.ceil(2 * math.log(2 * num / cfg.delta1) / cfg.eps1**2)
     oracle_p.charge_accounting(shots * num, "brute-force-sampled")
     estimates = rng.binomial(shots, np.clip(fids, 0, 1)) / shots
     return states[int(np.argmax(estimates))]
@@ -413,7 +372,7 @@ def estimate_stab_loss(
 
 def estimate_A3(
     oracle_v: CopyOracle,
-    params: StabParams,
+    cfg: StabConfig,
     rng: np.random.Generator,
     channel: Channel | None = None,
     tamper=None,
@@ -428,17 +387,17 @@ def estimate_A3(
     unbiased for the moment. Ideal mode: exact value + seeded noise, same 6S
     accounting.
     """
-    samples = params.a3_samples()
-    if params.mode == "ideal":
+    samples = cfg.a3_samples()
+    if cfg.mode == "ideal":
         oracle_v.charge_accounting(6 * samples, "a3-accounting")
-        value = exact_A3(oracle_v.judge_peek()) + params.eps3 * rng.uniform(-1.0, 1.0)
+        value = exact_A3(oracle_v.judge_peek()) + cfg.eps3 * rng.uniform(-1.0, 1.0)
         return delegated_measure(
-            lambda states, r: value, [], tamper=tamper, delta=2 * params.delta3, rng=rng
+            lambda states, r: value, [], tamper=tamper, delta=2 * cfg.delta3, rng=rng
         )
 
     def measurement(states, r):
         exps = qmeas.pauli_expectations(states[0])  # the copies share one density matrix
-        p_char = qmeas.characteristic_distribution(states[0])
+        p_char = qmeas.characteristic_distribution(states[0], exps)
         labels = qmeas.bell_difference_labels(p_char, samples, r)
         bits = qmeas.pauli_moment_bits(exps[labels], r)
         return float(np.mean(2 * bits - 1))
@@ -447,7 +406,7 @@ def estimate_A3(
         measurement,
         oracle_v.stream(6 * samples, "a3-bell", channel=channel),
         tamper=tamper,
-        delta=2 * params.delta3,
+        delta=2 * cfg.delta3,
         rng=rng,
     )
 
@@ -467,16 +426,16 @@ class HonestBruteForceProver(ProverStrategy):
     name = "honest-brute-force"
     honest = True
 
-    def produce_candidate(self, oracle_p, params, rng):
-        return brute_force_best_stabilizer(oracle_p, params, rng).generators
+    def produce_candidate(self, oracle_p, cfg, rng):
+        return brute_force_best_stabilizer(oracle_p, cfg, rng).generators
 
 
 class RandomStabilizerLiar(ProverStrategy):
     name = "random-stabilizer"
     honest = False
 
-    def produce_candidate(self, oracle_p, params, rng):
-        states = enumerate_stabilizers(params.n)
+    def produce_candidate(self, oracle_p, cfg, rng):
+        states = enumerate_stabilizers(cfg.n)
         return states[int(rng.integers(0, len(states)))].generators
 
 
@@ -484,9 +443,9 @@ class WorstStabilizerLiar(ProverStrategy):
     name = "worst-stabilizer"
     honest = False
 
-    def produce_candidate(self, oracle_p, params, rng):
+    def produce_candidate(self, oracle_p, cfg, rng):
         fids = all_fidelities(oracle_p.ideal_peek())
-        return enumerate_stabilizers(params.n)[farthest_index(fids)].generators
+        return enumerate_stabilizers(cfg.n)[farthest_index(fids)].generators
 
 
 class ForeignBestLiar(ProverStrategy):
@@ -495,10 +454,10 @@ class ForeignBestLiar(ProverStrategy):
     name = "foreign-best"
     honest = False
 
-    def produce_candidate(self, oracle_p, params, rng):
-        other = qcore.sample_pure_state(1 << params.n, rng)
+    def produce_candidate(self, oracle_p, cfg, rng):
+        other = qcore.sample_pure_state(1 << cfg.n, rng)
         _, best = optimal_stab_loss(other)
-        return enumerate_stabilizers(params.n)[best].generators
+        return enumerate_stabilizers(cfg.n)[best].generators
 
 
 ADVERSARIES = {
@@ -510,22 +469,22 @@ class StabVerifier:
     memory_limit = 1
     channel_kind = "quantum"
 
-    def __init__(self, params: StabParams):
-        self.params = params
+    def __init__(self, cfg: StabConfig):
+        self.cfg = cfg
         self.extras = {
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "n": params.n,
-            "mode": params.mode,
-            "eps1": params.eps1,
-            "eps2": params.eps2,
-            "eps3": params.eps3,
-            "loss_shots": params.loss_shots(),
-            "a3_samples": params.a3_samples(),
+            "epsilon": cfg.epsilon,
+            "delta": cfg.delta,
+            "n": cfg.n,
+            "mode": cfg.mode,
+            "eps1": cfg.eps1,
+            "eps2": cfg.eps2,
+            "eps3": cfg.eps3,
+            "loss_shots": cfg.loss_shots(),
+            "a3_samples": cfg.a3_samples(),
         }
 
     def run(self, session, prover):
-        p = self.params
+        p = self.cfg
         raw = prover.produce_candidate(session.oracle_p, p, session.rng("prover"))
         session.channel.send_structured("p->v", raw, session.next_round())
         candidate = validate_candidate(raw, p.n)
@@ -543,8 +502,11 @@ class StabVerifier:
         return candidate
 
 
-@dataclass
+@dataclass(frozen=True)
 class StabConfig:
+    """The stabilizer-learning IP's validated parameter set, which its
+    verifier reads, with the experiment settings."""
+
     n: int = 3
     epsilon: float = 0.4
     delta: float = 1 / 3
@@ -553,19 +515,47 @@ class StabConfig:
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
     def __post_init__(self):
-        self.params()  # rejects a bad n before sample_instance enumerates states
+        _check_qubits(self.n)  # before sample_instance enumerates states
+        if not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must be in (0, 1)")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must be in (0, 1)")
+        if self.mode not in ("ideal", "sampled"):
+            raise ValueError("mode must be ideal or sampled")
 
-    def params(self) -> StabParams:
-        return StabParams(epsilon=self.epsilon, delta=self.delta, n=self.n, mode=self.mode)
+    @property
+    def eps1(self) -> float:
+        return self.epsilon / 5
+
+    @property
+    def eps2(self) -> float:
+        return self.epsilon / 5
+
+    @property
+    def eps3(self) -> float:
+        return 3 * self.epsilon / 20
+
+    @property
+    def delta1(self) -> float:
+        return self.delta / 3
+
+    delta2 = delta1
+    delta3 = delta1
+
+    def loss_shots(self) -> int:
+        return math.ceil(math.log(2 / self.delta2) / (2 * self.eps2**2))
+
+    def a3_samples(self) -> int:
+        # per-sample values lie in [-1, 1]: range-2 Hoeffding constant 2
+        return math.ceil(2 * math.log(2 / self.delta3) / self.eps3**2)
 
     def formula(self) -> dict:
-        p = self.params()
         return {
-            "eps1": p.eps1,
-            "eps2": p.eps2,
-            "eps3": p.eps3,
-            "loss_shots": p.loss_shots(),
-            "a3_samples": p.a3_samples(),
+            "eps1": self.eps1,
+            "eps2": self.eps2,
+            "eps3": self.eps3,
+            "loss_shots": self.loss_shots(),
+            "a3_samples": self.a3_samples(),
         }
 
     def make_prover(self, name: str) -> ProverStrategy:
@@ -587,7 +577,7 @@ class StabConfig:
         return qcore.PureState(amps / np.linalg.norm(amps))
 
     def run_one(self, hidden, prover, seed: int) -> SessionResult:
-        verifier = StabVerifier(self.params())
+        verifier = StabVerifier(self)
         return run_session(verifier, prover, hidden, seed, record_transcript=self.record_transcript)
 
     def judge(self, output: StabilizerStateDesc, hidden: qcore.PureState) -> bool:

@@ -62,64 +62,6 @@ SUMCHECK_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class UniformityParams:
-    k: int
-    epsilon: float
-    degree_cap: int = 32
-    # waives epsilon >= 12/k^(1/4); such configs carry in_regime = False and,
-    # where tau <= 0 makes the unique-count rule constant, decide on the
-    # verified collision count instead (see decision_statistic)
-    allow_small_epsilon: bool = False
-
-    def __post_init__(self):
-        if self.k & (self.k - 1) or self.k < 2:
-            raise ValueError("k must be a power of two >= 2")
-        if self.degree_cap < 1:
-            raise ValueError("degree_cap must be >= 1")
-        if not self.allow_small_epsilon and not self.in_regime:
-            raise ValueError(f"epsilon must be >= 12/k^(1/4) = {12 / self.k**0.25}")
-        if not 0 < self.epsilon <= 1:
-            raise ValueError("epsilon in (0, 1]")
-
-    @property
-    def in_regime(self) -> bool:
-        return self.epsilon >= 12 / self.k**0.25 - 1e-12
-
-    @property
-    def b(self) -> int:
-        return self.k.bit_length() - 1
-
-    @property
-    def n(self) -> int:
-        return math.ceil(140 * math.sqrt(self.k) / self.epsilon**2)
-
-    @property
-    def tau(self) -> float:
-        n = self.n
-        return (1 - 1 / self.k) ** (n - 1) - n * self.epsilon**2 / (8 * self.k)
-
-    @property
-    def threshold_count(self) -> float:
-        # the appendix compares a count with the per-sample rate tau; the
-        # count is checked against n * tau for dimensional consistency
-        return self.n * self.tau
-
-    @property
-    def decision_statistic(self) -> str:
-        """"unique" (the appendix's rule) unless tau <= 0 makes it constant."""
-        return "unique" if self.tau > 0 else "collisions"
-
-    @property
-    def collision_threshold(self) -> float:
-        # halfway between C(n,2)/k (uniform) and C(n,2)(1+4 eps^2)/k (eps-far)
-        return self.n * (self.n - 1) / 2 * (1 + 2 * self.epsilon**2) / self.k
-
-
-def uniformity_params(k: int, epsilon: float, degree_cap: int = 32, **kw) -> UniformityParams:
-    return UniformityParams(k=k, epsilon=epsilon, degree_cap=degree_cap, **kw)
-
-
 # ---------------------------------------------------------------------------
 # Hidden instances: classical distributions over [0, k)
 # ---------------------------------------------------------------------------
@@ -603,22 +545,22 @@ class DecisionFlipProver(HonestStreamProver):
     name = "decision-flip"
     honest = False
 
-    def __init__(self, params: UniformityParams):
-        self.params = params
+    def __init__(self, cfg: UniformityConfig):
+        self.cfg = cfg
 
     def ingest(self, samples, k):
         super().ingest(samples, k)
-        if self.params.decision_statistic == "collisions":
-            self.doctored = _flip_collisions(self.freq, self.params.collision_threshold)
+        if self.cfg.decision_statistic == "collisions":
+            self.doctored = _flip_collisions(self.freq, self.cfg.collision_threshold)
             return
         freq = self.freq.astype(np.int64)
         z = int((freq == 1).sum())
-        target = int(2 * self.params.threshold_count - z)
+        target = int(2 * self.cfg.threshold_count - z)
         target = max(0, min(target, freq.sum()))
         uniques = np.flatnonzero(freq == 1)
         zeros = np.flatnonzero(freq == 0)
         heavy = np.flatnonzero(freq >= 2)
-        if z > self.params.threshold_count:
+        if z > self.cfg.threshold_count:
             # merge unique pairs until the claim crosses below
             need = (z - target + 1) // 2
             for i in range(min(need, uniques.size // 2)):
@@ -639,7 +581,7 @@ class DecisionFlipProver(HonestStreamProver):
         self.freq = freq.astype(np.uint64)
 
     def collision_freq(self) -> np.ndarray:
-        return self.doctored if self.params.decision_statistic == "collisions" else self.freq
+        return self.doctored if self.cfg.decision_statistic == "collisions" else self.freq
 
 
 def _flip_collisions(freq: np.ndarray, collision_threshold: float) -> np.ndarray:
@@ -732,24 +674,24 @@ class UniformityVerifier:
     memory_limit = None  # classical protocol; no quantum copies at all
     channel_kind = "classical"
 
-    def __init__(self, params: UniformityParams):
-        self.params = params
+    def __init__(self, cfg: UniformityConfig):
+        self.cfg = cfg
         self.extras = {
-            "k": params.k,
-            "epsilon": params.epsilon,
-            "n": params.n,
-            "tau": params.tau,
-            "threshold_count": params.threshold_count,
-            "degree_cap": params.degree_cap,
-            "b": params.b,
-            "in_regime": params.in_regime,
-            "decision_statistic": params.decision_statistic,
+            "k": cfg.k,
+            "epsilon": cfg.epsilon,
+            "n": cfg.n,
+            "tau": cfg.tau,
+            "threshold_count": cfg.threshold_count,
+            "degree_cap": cfg.degree_cap,
+            "b": cfg.b,
+            "in_regime": cfg.in_regime,
+            "decision_statistic": cfg.decision_statistic,
         }
-        if params.decision_statistic == "collisions":
-            self.extras["collision_threshold"] = params.collision_threshold
+        if cfg.decision_statistic == "collisions":
+            self.extras["collision_threshold"] = cfg.collision_threshold
 
     def run(self, session, prover):
-        p = self.params
+        p = self.cfg
         collisions = p.decision_statistic == "collisions"
         state = StreamVerifierState(p.k, session.rng("points"), session.rng("collision-point") if collisions else None)
         samples = session.oracle_v.sample_batch(session.rng("stream"), p.n)
@@ -795,31 +737,71 @@ class UniformityVerifier:
         return uniformity_verdict(z_claim, p.threshold_count)
 
 
-@dataclass
+@dataclass(frozen=True)
 class UniformityConfig:
+    """The uniformity IP's validated parameter set, which its verifier reads,
+    with the experiment settings."""
+
     k: int = 1 << 16
     epsilon: float = 0.75
     degree_cap: int = 32
     distribution: str = "uniform"
     support_fraction: float = 1 / 8
+    # waives epsilon >= 12/k^(1/4); such configs carry in_regime = False and,
+    # where tau <= 0 makes the unique-count rule constant, decide on the
+    # verified collision count instead (see decision_statistic)
     allow_small_epsilon: bool = False
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
-    def params(self) -> UniformityParams:
-        return UniformityParams(
-            k=self.k,
-            epsilon=self.epsilon,
-            degree_cap=self.degree_cap,
-            allow_small_epsilon=self.allow_small_epsilon,
-        )
+    def __post_init__(self):
+        if self.k & (self.k - 1) or self.k < 2:
+            raise ValueError("k must be a power of two >= 2")
+        if not 0 < self.epsilon <= 1:
+            raise ValueError("epsilon must be in (0, 1]")
+        if not self.allow_small_epsilon and not self.in_regime:
+            raise ValueError(f"epsilon must be >= 12/k^(1/4) = {12 / self.k**0.25}")
+        if self.degree_cap < 1:
+            raise ValueError("degree_cap must be >= 1")
+
+    @property
+    def in_regime(self) -> bool:
+        return self.epsilon >= 12 / self.k**0.25 - 1e-12
+
+    @property
+    def b(self) -> int:
+        return self.k.bit_length() - 1
+
+    @property
+    def n(self) -> int:
+        return math.ceil(140 * math.sqrt(self.k) / self.epsilon**2)
+
+    @property
+    def tau(self) -> float:
+        n = self.n
+        return (1 - 1 / self.k) ** (n - 1) - n * self.epsilon**2 / (8 * self.k)
+
+    @property
+    def threshold_count(self) -> float:
+        # the appendix compares a count with the per-sample rate tau; the
+        # count is checked against n * tau for dimensional consistency
+        return self.n * self.tau
+
+    @property
+    def decision_statistic(self) -> str:
+        """"unique" (the appendix's rule) unless tau <= 0 makes it constant."""
+        return "unique" if self.tau > 0 else "collisions"
+
+    @property
+    def collision_threshold(self) -> float:
+        # halfway between C(n,2)/k (uniform) and C(n,2)(1+4 eps^2)/k (eps-far)
+        return self.n * (self.n - 1) / 2 * (1 + 2 * self.epsilon**2) / self.k
 
     def formula(self) -> dict:
-        p = self.params()
-        out = {"n": p.n, "tau": p.tau, "threshold_count": p.threshold_count, "b": p.b}
-        if p.decision_statistic == "collisions":
+        out = {"n": self.n, "tau": self.tau, "threshold_count": self.threshold_count, "b": self.b}
+        if self.decision_statistic == "collisions":
             # tau <= 0: the collision threshold is the one that decides
-            out["collision_threshold"] = p.collision_threshold
+            out["collision_threshold"] = self.collision_threshold
         return out
 
     def make_distribution(self, which: str):
@@ -849,7 +831,7 @@ class UniformityConfig:
 
     def run_one(self, hidden, prover, seed: int, prover_hidden=None) -> SessionResult:
         return run_session(
-            UniformityVerifier(self.params()),
+            UniformityVerifier(self),
             prover,
             hidden,
             seed,
@@ -859,7 +841,7 @@ class UniformityConfig:
 
     def make_prover(self, name: str) -> ProverStrategy:
         if name == "decision-flip":
-            return DecisionFlipProver(self.params())
+            return DecisionFlipProver(self)
         return choose("adversary", name, {"honest": HonestStreamProver, **ADVERSARIES})()
 
     def judge(self, output, hidden) -> bool:

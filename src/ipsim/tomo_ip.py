@@ -34,61 +34,6 @@ FAR = 0
 
 
 @dataclass(frozen=True)
-class TomoParams:
-    epsilon: float
-    delta: float
-    d: int
-    mode: str = "ideal"
-    rank_k: int | None = None
-    c_v: float = 1.0
-    c_p: float = 1.0
-
-    def __post_init__(self):
-        if not (0 < self.epsilon < 1 and 0 < self.delta < 1):
-            raise ValueError("epsilon, delta in (0,1)")
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        for key in ("c_v", "c_p"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be > 0")
-        if self.mode not in ("ideal", "sampled"):
-            raise ValueError("mode is ideal or sampled")
-        if self.rank_k is not None and not 1 <= self.rank_k <= self.d:
-            raise ValueError(f"rank_k must be in [1, d] = [1, {self.d}]")
-        if self.rank_k is not None and self.mode != "ideal":
-            raise ValueError("rank-k variant is ideal mode only")
-
-    @property
-    def delta_v(self) -> float:
-        return self.delta / 2
-
-    @property
-    def delta_p(self) -> float:
-        return self.delta / 2
-
-    @property
-    def prover_target(self) -> float:
-        # sampled mode certifies in Hilbert-Schmidt; the honest prover
-        # tightens its trace-norm target to eps/(2 sqrt(d)) so the surrogate
-        # promise gap [(eps/2)^2/d, eps^2/d] stays wide enough to resolve
-        # with a sane number of shots
-        if self.mode == "ideal":
-            return 0.99 * self.epsilon
-        return 0.5 * self.epsilon / math.sqrt(self.d)
-
-    def prover_query_budget(self) -> int:
-        target = self.prover_target
-        if self.rank_k is not None:
-            return math.ceil(self.c_p * self.rank_k * self.d * math.log(1 / self.delta_p) / target**2)
-        return math.ceil(self.c_p * self.d**2 * math.log(1 / self.delta_p) / target**2)
-
-    def verifier_query_budget(self) -> int:
-        if self.rank_k is not None:
-            return math.ceil(self.c_v * self.rank_k * math.log(1 / self.delta_v) / self.epsilon**2)
-        return math.ceil(self.c_v * self.d * math.log(1 / self.delta_v) / self.epsilon**2)
-
-
-@dataclass(frozen=True)
 class HypothesisState:
     matrix: qcore.DensityMatrix
 
@@ -151,28 +96,27 @@ def perturbed_state_at_distance(
 
 def prover_tomography(
     oracle_p: CopyOracle,
-    params: TomoParams,
+    cfg: TomoConfig,
     rng: np.random.Generator,
 ) -> HypothesisState:
-    """Honest tomography at accuracy ``params.prover_target``.
+    """Honest tomography at accuracy ``cfg.prover_target``.
 
     Ideal mode reads the hidden state, applies a seeded perturbation inside
     the target ball and charges the accounting budget; sampled mode measures
     real copies in random bases with least squares, projection and a
     split-sample certificate, doubling copies until certified.
     """
-    target = params.prover_target
-    if params.mode == "ideal":
+    target = cfg.prover_target
+    if cfg.mode == "ideal":
         rho = oracle_p.ideal_peek()
-        oracle_p.charge_accounting(params.prover_query_budget(), "tomography-accounting")
+        oracle_p.charge_accounting(cfg.prover_query_budget(), "tomography-accounting")
         return HypothesisState(perturbed_state_at_distance(rho, target, rng))
-    return _sampled_tomography(oracle_p, target, params, rng)
+    return _sampled_tomography(oracle_p, target, cfg.d, rng)
 
 
-def _sampled_tomography(oracle_p: CopyOracle, target: float, params: TomoParams, rng):
+def _sampled_tomography(oracle_p: CopyOracle, target: float, d: int, rng):
     """Split-sample tomography in 3d Haar bases, doubling the shots per basis
     until the two halves' estimates agree to within the target."""
-    d = params.d
     n_bases = 3 * d
     shots = max(64, 8 * d)
     for _ in range(14):
@@ -209,7 +153,7 @@ def _sampled_tomography(oracle_p: CopyOracle, target: float, params: TomoParams,
 def certify_closeness(
     oracle_v: CopyOracle,
     hyp: HypothesisState,
-    params: TomoParams,
+    cfg: TomoConfig,
     rng: np.random.Generator,
     channel: Channel | None = None,
     tamper=None,
@@ -223,22 +167,22 @@ def certify_closeness(
     with the escape probability. Sampled mode estimates the Hilbert-Schmidt
     surrogate with real measurements.
     """
-    eps = params.epsilon
-    if params.mode == "ideal":
+    eps = cfg.epsilon
+    if cfg.mode == "ideal":
         rho = oracle_v.judge_peek()
-        oracle_v.charge_accounting(params.verifier_query_budget(), "certification-accounting")
+        oracle_v.charge_accounting(cfg.verifier_query_budget(), "certification-accounting")
         dist = qcore.one_norm_distance(rho, hyp.matrix)
         midpoint = (0.99 * eps + eps) / 2
         truth = CLOSE if dist <= midpoint else FAR
-        answer = truth if rng.random() >= params.delta_v else 1 - truth
+        answer = truth if rng.random() >= cfg.delta_v else 1 - truth
         return delegated_measure(
-            lambda states, r: answer, [], tamper=tamper, delta=params.delta_v, rng=rng
+            lambda states, r: answer, [], tamper=tamper, delta=cfg.delta_v, rng=rng
         )
-    return _sampled_certify(oracle_v, hyp, params, rng, channel, tamper)
+    return _sampled_certify(oracle_v, hyp, cfg, rng, channel, tamper)
 
 
-def _sampled_certify(oracle_v, hyp, params: TomoParams, rng, channel, tamper):
-    eps, d = params.epsilon, params.d
+def _sampled_certify(oracle_v, hyp, cfg: TomoConfig, rng, channel, tamper):
+    eps, d = cfg.epsilon, cfg.d
     tau_lo = (0.5 * eps) ** 2 / d
     tau_hi = eps**2 / d
     tau_accept = (tau_lo + tau_hi) / 2
@@ -246,18 +190,18 @@ def _sampled_certify(oracle_v, hyp, params: TomoParams, rng, channel, tamper):
 
     # two-copy purity of rho through the delegation channel (SWAP pairs)
     a1 = margin / 2
-    pairs = math.ceil(2 * math.log(4 / params.delta_v) / a1**2)
+    pairs = math.ceil(2 * math.log(4 / cfg.delta_v) / a1**2)
     pur_rho = delegated_measure(
         qmeas.swap_purity_estimate,
         oracle_v.stream(2 * pairs, "certify-swap", channel=channel),
         tamper=tamper,
-        delta=params.delta_v,
+        delta=cfg.delta_v,
         rng=rng,
     )
 
     # single-copy overlap Tr[rho rho_hat]: measure in the hypothesis eigenbasis
     a2 = margin / 4
-    shots = math.ceil(math.log(4 / params.delta_v) / (2 * a2**2))
+    shots = math.ceil(math.log(4 / cfg.delta_v) / (2 * a2**2))
     spec = qcore.eig_sorted(hyp.matrix)
     one = oracle_v.stream(shots, "certify-overlap")[0]
     probs = qmeas.basis_probabilities(one, spec.basis)
@@ -278,8 +222,8 @@ class HonestTomographyProver(ProverStrategy):
     name = "honest-tomography"
     honest = True
 
-    def produce_hypothesis(self, oracle_p, params: TomoParams, rng):
-        return prover_tomography(oracle_p, params, rng).matrix.entries
+    def produce_hypothesis(self, oracle_p, cfg: TomoConfig, rng):
+        return prover_tomography(oracle_p, cfg, rng).matrix.entries
 
 
 class MaximallyMixedLiar(ProverStrategy):
@@ -288,8 +232,8 @@ class MaximallyMixedLiar(ProverStrategy):
     name = "maximally-mixed-liar"
     honest = False
 
-    def produce_hypothesis(self, oracle_p, params, rng):
-        return np.eye(params.d, dtype=complex) / params.d
+    def produce_hypothesis(self, oracle_p, cfg, rng):
+        return np.eye(cfg.d, dtype=complex) / cfg.d
 
 
 class FixedOffsetLiar(ProverStrategy):
@@ -298,9 +242,9 @@ class FixedOffsetLiar(ProverStrategy):
     name = "fixed-offset-liar"
     honest = False
 
-    def produce_hypothesis(self, oracle_p, params, rng):
+    def produce_hypothesis(self, oracle_p, cfg, rng):
         rho = oracle_p.ideal_peek()
-        off = perturbed_state_at_distance(rho, 1.5 * params.epsilon, rng, exact=True)
+        off = perturbed_state_at_distance(rho, 1.5 * cfg.epsilon, rng, exact=True)
         return off.entries
 
 
@@ -310,8 +254,8 @@ class DelegationTamperer(ProverStrategy):
     name = "delegation-tamperer"
     honest = False
 
-    def produce_hypothesis(self, oracle_p, params, rng):
-        return prover_tomography(oracle_p, params, rng).matrix.entries
+    def produce_hypothesis(self, oracle_p, cfg, rng):
+        return prover_tomography(oracle_p, cfg, rng).matrix.entries
 
     @staticmethod
     def tamper(outcome):
@@ -330,27 +274,27 @@ class TomoVerifier:
     memory_limit = 1
     channel_kind = "quantum"
 
-    def __init__(self, params: TomoParams):
-        self.params = params
+    def __init__(self, cfg: TomoConfig):
+        self.cfg = cfg
         self.extras = {
-            "epsilon": params.epsilon,
-            "delta": params.delta,
-            "d": params.d,
-            "mode": params.mode,
-            "rank_k": params.rank_k,
-            "prover_target": params.prover_target,
-            "verifier_budget": params.verifier_query_budget(),
-            "prover_budget": params.prover_query_budget(),
+            "epsilon": cfg.epsilon,
+            "delta": cfg.delta,
+            "d": cfg.d,
+            "mode": cfg.mode,
+            "rank_k": cfg.rank_k,
+            "prover_target": cfg.prover_target,
+            "verifier_budget": cfg.verifier_query_budget(),
+            "prover_budget": cfg.prover_query_budget(),
         }
 
     def run(self, session, prover):
-        raw = prover.produce_hypothesis(session.oracle_p, self.params, session.rng("prover-tomo"))
+        raw = prover.produce_hypothesis(session.oracle_p, self.cfg, session.rng("prover-tomo"))
         session.channel.send_structured("p->v", raw, session.next_round())
-        hyp = validate_hypothesis(raw, self.params.d)
+        hyp = validate_hypothesis(raw, self.cfg.d)
         bit = certify_closeness(
             session.oracle_v,
             hyp,
-            self.params,
+            self.cfg,
             session.rng("certify"),
             channel=session.channel,
             tamper=prover.tamper,
@@ -359,8 +303,11 @@ class TomoVerifier:
         return tomography_verdict(bit, hyp).matrix
 
 
-@dataclass
+@dataclass(frozen=True)
 class TomoConfig:
+    """The tomography IP's validated parameter set, which its verifier reads,
+    with the experiment settings."""
+
     d: int = 4
     epsilon: float = 0.5
     delta: float = 1 / 3
@@ -372,25 +319,56 @@ class TomoConfig:
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
     def __post_init__(self):
-        self.params()  # a bad rank_k fails here, not in the first instance draw
+        if self.d < 2:
+            raise ValueError("d must be >= 2")
+        if not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must be in (0, 1)")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must be in (0, 1)")
+        for key in ("c_v", "c_p"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0")
+        if self.mode not in ("ideal", "sampled"):
+            raise ValueError("mode must be ideal or sampled")
+        if self.rank_k is not None and not 1 <= self.rank_k <= self.d:
+            raise ValueError(f"rank_k must be in [1, d] = [1, {self.d}]")
+        if self.rank_k is not None and self.mode != "ideal":
+            raise ValueError("rank_k must be unset in sampled mode (the rank-k variant is ideal only)")
 
-    def params(self) -> TomoParams:
-        return TomoParams(
-            epsilon=self.epsilon,
-            delta=self.delta,
-            d=self.d,
-            mode=self.mode,
-            rank_k=self.rank_k,
-            c_v=self.c_v,
-            c_p=self.c_p,
-        )
+    @property
+    def delta_v(self) -> float:
+        return self.delta / 2
+
+    @property
+    def delta_p(self) -> float:
+        return self.delta / 2
+
+    @property
+    def prover_target(self) -> float:
+        # sampled mode certifies in Hilbert-Schmidt; the honest prover
+        # tightens its trace-norm target to eps/(2 sqrt(d)) so the surrogate
+        # promise gap [(eps/2)^2/d, eps^2/d] stays wide enough to resolve
+        # with a sane number of shots
+        if self.mode == "ideal":
+            return 0.99 * self.epsilon
+        return 0.5 * self.epsilon / math.sqrt(self.d)
+
+    def prover_query_budget(self) -> int:
+        target = self.prover_target
+        if self.rank_k is not None:
+            return math.ceil(self.c_p * self.rank_k * self.d * math.log(1 / self.delta_p) / target**2)
+        return math.ceil(self.c_p * self.d**2 * math.log(1 / self.delta_p) / target**2)
+
+    def verifier_query_budget(self) -> int:
+        if self.rank_k is not None:
+            return math.ceil(self.c_v * self.rank_k * math.log(1 / self.delta_v) / self.epsilon**2)
+        return math.ceil(self.c_v * self.d * math.log(1 / self.delta_v) / self.epsilon**2)
 
     def formula(self) -> dict:
-        p = self.params()
         return {
-            "verifier_budget": p.verifier_query_budget(),
-            "prover_budget": p.prover_query_budget(),
-            "prover_target": p.prover_target,
+            "verifier_budget": self.verifier_query_budget(),
+            "prover_budget": self.prover_query_budget(),
+            "prover_target": self.prover_target,
         }
 
     def make_prover(self, name: str) -> ProverStrategy:
@@ -403,7 +381,7 @@ class TomoConfig:
         return qcore.sample_state(self.d, rank, rng)
 
     def run_one(self, hidden, prover, seed: int) -> SessionResult:
-        verifier = TomoVerifier(self.params())
+        verifier = TomoVerifier(self)
         return run_session(verifier, prover, hidden, seed, record_transcript=self.record_transcript)
 
     def judge(self, output, hidden) -> bool:

@@ -1,5 +1,6 @@
 """CLI and report tests: config validation, dispatch, determinism, exit codes."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -52,6 +53,14 @@ class TestConfigParsing:
             ("lowrank", "d=1"),
             ("purity", "d=1"),
             ("nogo", "d=1"),
+            ("tomo", "epsilon=1.5"),
+            ("stab", "delta=0"),
+            ("lowrank", "k=5"),
+            ("lowrank", "variant=nope"),
+            ("purity", "delta=1.5"),
+            ("nogo", "delta=0"),
+            ("uniformity", "k=100"),
+            ("uniformity", "epsilon=1.5"),
         ],
     )
     def test_out_of_range_key_is_a_config_error_naming_it(self, protocol, item, capsys):
@@ -432,6 +441,37 @@ GOLDEN = {
         "909fd6f33b27e3cad6f0f7e2889daaa43562bd47bc074d3b8e6076164ab2f989",
         "eb57b1b1f82a817acd7314e35161a8735756e6082c57bc38165a1db4c4522a23",
     ),
+    # paths that read derived parameters: the lowrank variants, tomo's rank-k
+    # budgets and the decision-flip prover on the collision rule (k = 256) and
+    # on the unique-count rule (k = 16384); computed while each protocol kept
+    # a parameter class apart from its config
+    "lowrank-wide": (
+        ["lowrank", "--trials", "10", "--seed", "5", "variant=wide"],
+        "9a6e17cc08853ee32af16327b8d6c42ca7081004de79d7d3e285bd500dd47264",
+        "6e558718d2c5e2d9f9d5f814d23cff41c7e51c8fc061f8eb181b46c375140fd8",
+    ),
+    "lowrank-state": (
+        ["lowrank", "--trials", "10", "--seed", "5", "variant=state"],
+        "1f51063e0e793815105e68ccef34990ab70729d4970b2e464c80183d71454831",
+        "6e558718d2c5e2d9f9d5f814d23cff41c7e51c8fc061f8eb181b46c375140fd8",
+    ),
+    "tomo-rank-k": (
+        ["tomo", "--trials", "10", "--seed", "5", "d=4", "rank_k=2"],
+        "81fc5083126cdf9a9b98f51ce776de5aef43b23c0eceb90a0a653dc00b69bcb4",
+        "1d5ee7d533d6712435dca80eee0e28ef6772bbce24d41b49236d0e30332e597a",
+    ),
+    "uniformity-decision-flip-collisions": (
+        ["uniformity", "--trials", "2", "--seed", "5", "k=256", "epsilon=0.9",
+         "allow_small_epsilon=true", "adversary=decision-flip"],
+        "f90d72ab42dbddaf7fdaa74c48c0ce6fc43154100e7c4ae8be874dc1ddaec309",
+        "ac48c0b2aba9428ae7453e9f2402f063f86b455cbd032df0682b84373f610302",
+    ),
+    "uniformity-decision-flip-unique": (
+        ["uniformity", "--trials", "2", "--seed", "5", "k=16384", "epsilon=1.0",
+         "allow_small_epsilon=true", "adversary=decision-flip"],
+        "6dd5740d92f6fca821d78a6e8ea0fdd4f99f78e2fc56f284e86db83edef1a900",
+        "f99f8e9fc46a33bd1640b790b95607f82cc00bb15b0b45b79bc7a940f1644157",
+    ),
 }
 
 # each protocol's keys: its config fields (less mode and record_transcript)
@@ -486,7 +526,7 @@ class TestGoldenReports:
             _check_digests(report, out)
         if name.startswith("uniformity-") and name != "uniformity-tau-negative":
             _, results = runs[0]
-            assert [res.extras["attempts"] for res in results] == [1, 1, 1]  # the cap never widened
+            assert [res.extras["attempts"] for res in results] == [1] * len(results)  # the cap never widened
         # only the distinguisher reports its rate of correct answers
         assert ("correct" in report["rates"]) == name.startswith("nogo-")
         if name == "nogo-abort-row":
@@ -505,6 +545,12 @@ class TestGoldenReports:
 class TestProtocolKeys:
     def test_key_sets(self):
         assert {name: set(cli.protocol_keys(cls)) for name, cls in cli.PROTOCOLS.items()} == KEY_SETS
+
+    @pytest.mark.parametrize("protocol", ["purity", "tomo", "lowrank", "stab", "uniformity"])
+    def test_parameter_configs_are_frozen(self, protocol):
+        cfg = cli.PROTOCOLS[protocol]()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.record_transcript = True
 
     @pytest.mark.parametrize("protocol", sorted(KEY_SETS))
     def test_unknown_key_names_the_allowed_keys(self, protocol):

@@ -402,7 +402,7 @@ class TestNogoDistinguisher:
 
         cfg = purity_ip.PurityConfig(d=4)
         task = cfg.task()
-        d = harness.build_nogo_distinguisher(task, cfg.run_one, purity_ip.HonestSwapProver())
+        d = harness.NogoDistinguisher(task, cfg.run_one, purity_ip.HonestSwapProver())
         hidden = qcore.maximally_mixed(4)
         answer, res = d.run(hidden, seed=77)
         # identical seed, direct session with prover oracle = accept instance

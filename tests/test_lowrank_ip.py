@@ -11,7 +11,7 @@ from ipsim.harness import CopyOracle, ProtocolAbort, batch_rates
 from ipsim.lowrank_ip import (
     HonestSpectralProver,
     LowRankConfig,
-    LowRankParams,
+    LowRankConfig,
     delegated_purity_estimate,
     lowrank_check,
     prover_spectral_tomography,
@@ -24,7 +24,7 @@ from ipsim.lowrank_ip import (
 
 
 def params(eps=0.6, delta=1 / 3, k=1, d=4, **kw):
-    return LowRankParams(epsilon=eps, delta=delta, k=k, d=d, **kw)
+    return LowRankConfig(epsilon=eps, delta=delta, k=k, d=d, **kw)
 
 
 class TestParams:

@@ -25,7 +25,6 @@ from ipsim.purity_ip import (
     RoundRecord,
     honest_purity_answer,
     prepare_round_state,
-    purity_params,
     purity_verdict,
     sample_masks,
 )
@@ -33,7 +32,7 @@ from ipsim.purity_ip import (
 
 class TestParams:
     def test_spec_values_at_delta_third(self):
-        p = purity_params(1 / 3, 8)
+        p = PurityConfig(delta=1 / 3, d=8)
         assert p.N == 209
         assert p.delta_tilde == pytest.approx(1 / 1254)
         assert p.m == 26
@@ -41,7 +40,7 @@ class TestParams:
     def test_m_even_and_grows_with_confidence(self):
         for d in (2, 4, 8, 16):
             for delta in (0.4, 1 / 3, 0.1, 0.02):
-                p = purity_params(delta, d)
+                p = PurityConfig(delta=delta, d=d)
                 assert p.m % 2 == 0
                 tests = p.m // 2
                 # SWAP budget: mixed copies pass all tests w.p. <= delta_tilde
@@ -49,16 +48,16 @@ class TestParams:
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
-            purity_params(1.5, 4)
+            PurityConfig(delta=1.5, d=4)
         with pytest.raises(ValueError):
-            purity_params(0.3, 1)
+            PurityConfig(delta=0.3, d=1)
         with pytest.raises(ValueError):
-            purity_params(0.3, 4, mask_ensemble="fourier")
+            PurityConfig(delta=0.3, d=4, mask_ensemble="fourier")
 
 
 class TestPrepareRoundState:
     def _params(self, d=4):
-        return purity_params(1 / 3, d)
+        return PurityConfig(delta=1 / 3, d=d)
 
     @staticmethod
     def _send(kind, oracle, p, seed):
@@ -94,7 +93,7 @@ class TestPrepareRoundState:
 
     def test_pauli_and_clifford_masks(self):
         for ensemble in ("pauli", "clifford"):
-            p = purity_params(1 / 3, 4, mask_ensemble=ensemble)
+            p = PurityConfig(delta=1 / 3, d=4, mask_ensemble=ensemble)
             oracle = CopyOracle(qcore.maximally_mixed(4))
             _, mask = self._send("p", oracle, p, 3)
             assert mask.dim == 4
@@ -148,7 +147,7 @@ class TestSessionMasks:
         for seed in (3, 17):
             seen.clear(), mask_rngs.clear()
             cfg.run_one(cfg.sample_instance("reject", np.random.default_rng(seed)), HonestSwapProver(), seed)
-            want, ref_rng = self._reference_rounds(cfg.params(), seed, kind_seed)
+            want, ref_rng = self._reference_rounds(cfg, seed, kind_seed)
             assert [kind for kind, _ in seen] == [kind for kind, _ in want]
             for (_, mask), (_, ref) in zip(seen, want):
                 assert (mask is None) == (ref is None)
@@ -190,7 +189,7 @@ class TestHonestAnswer:
 
     def test_mixed_copies_error_rate_within_budget(self):
         rng = np.random.default_rng(5)
-        p = purity_params(1 / 3, 8)
+        p = PurityConfig(delta=1 / 3, d=8)
         mixed = [np.eye(8) / 8] * p.m
         wrong = sum(honest_purity_answer(mixed, rng) == PURE for _ in range(20_000))
         budget = ((1 + 1 / 8) / 2) ** (p.m // 2)
@@ -240,11 +239,11 @@ class TestHonestAnswer:
         assert honest_purity_answer(lists["shared-pure"], np.random.default_rng(0)) == PURE
         assert len(calls) == 1  # 13 tests drawn, one overlap computed
         calls.clear()
-        BestEffortLiar().answer_round(lists["distinct"], purity_params(1 / 3, 4), np.random.default_rng(0))
+        BestEffortLiar().answer_round(lists["distinct"], PurityConfig(delta=1 / 3, d=4), np.random.default_rng(0))
         assert len(calls) == 13
 
     def test_best_effort_liar_same_answer_and_rng_state(self):
-        params = purity_params(1 / 3, 4)
+        params = PurityConfig(delta=1 / 3, d=4)
         for name, states in self._round_lists().items():
             for seed in range(20):
                 ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
@@ -288,10 +287,9 @@ class TestVerdict:
 class TestSessions:
     def test_verifier_meter_is_m_times_compute_rounds(self):
         cfg = PurityConfig(d=4)
-        p = cfg.params()
         for seed in range(5):
             res = cfg.run_one(qcore.maximally_mixed(4), HonestSwapProver(), seed=seed)
-            assert res.verifier_queries == p.m * res.extras["compute_rounds"]
+            assert res.verifier_queries == cfg.m * res.extras["compute_rounds"]
 
     def test_compute_round_structure_shared_across_d(self):
         # identical round-kind seeds => identical compute-round counts for all d
@@ -300,14 +298,14 @@ class TestSessions:
             cfg = PurityConfig(d=d, kind_seed=991)
             res = cfg.run_one(qcore.maximally_mixed(d), HonestSwapProver(), seed=17)
             counts[d] = res.extras["compute_rounds"]
-            assert res.verifier_queries == cfg.params().m * counts[d]
+            assert res.verifier_queries == cfg.m * counts[d]
         assert len(set(counts.values())) == 1
 
     def test_round_kind_frequencies(self):
         cfg = PurityConfig(d=2)
         res = cfg.run_one(qcore.maximally_mixed(2), HonestSwapProver(), seed=23)
         kinds = res.extras["round_kind_counts"]
-        n_rounds = cfg.params().N
+        n_rounds = cfg.N
         assert sum(kinds.values()) == n_rounds
         for k in ("m", "p", "c"):
             assert kinds[k] >= n_rounds / 4  # the Hoeffding event, whp per session
@@ -315,7 +313,7 @@ class TestSessions:
     def test_round_kind_concentration_empirical(self):
         # every kind appears >= N/4 times with probability >= 1 - delta/2
         cfg = PurityConfig(d=2)
-        n_rounds = cfg.params().N
+        n_rounds = cfg.N
         bad = 0
         sessions = 100
         for seed in range(sessions):

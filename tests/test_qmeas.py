@@ -313,6 +313,7 @@ class TestBatchedLawsAgainstReferences:
             n = 1 + seed % 3
             psi = qcore.sample_pure_state(1 << n, rng(900 + seed))
             p, exps = characteristic_distribution(psi), pauli_expectations(psi)
+            assert np.array_equal(characteristic_distribution(psi, exps), p)
             a, b = rng(seed), rng(seed)
             want_labels, want_bits = _reference_block(p, exps, size, a)
             labels = bell_difference_labels(p, size, b)

@@ -13,7 +13,6 @@ from ipsim.stab_ip import (
     STABILIZER_COUNTS,
     HonestBruteForceProver,
     StabConfig,
-    StabParams,
     all_fidelities,
     brute_force_best_stabilizer,
     enumerate_stabilizers,
@@ -319,7 +318,7 @@ class TestFarthestState:
         first state within 1e-12 of the least reference fidelity."""
         states = enumerate_stabilizers(n)
         rng = np.random.default_rng(90 + n)
-        params = StabParams(0.4, 1 / 3, n)
+        params = StabConfig(epsilon=0.4, delta=1 / 3, n=n)
         for i in rng.integers(0, len(states), size=25):
             psi = states[int(i)].dense
             ref = _reference_all_fidelities(psi)
@@ -336,12 +335,12 @@ class TestBruteForce:
         states = enumerate_stabilizers(2)
         psi = states[17].dense
         oracle = CopyOracle(psi, ideal_access=True)
-        best = brute_force_best_stabilizer(oracle, StabParams(0.4, 1 / 3, 2), rng)
+        best = brute_force_best_stabilizer(oracle, StabConfig(epsilon=0.4, delta=1 / 3, n=2), rng)
         assert abs(qcore.fidelity_pure(psi, best.projector()) - 1.0) < 1e-9
 
     def test_t_state_best_loss(self):
         oracle = CopyOracle(t_state(), ideal_access=True)
-        best = brute_force_best_stabilizer(oracle, StabParams(0.4, 1 / 3, 1), np.random.default_rng(0))
+        best = brute_force_best_stabilizer(oracle, StabConfig(epsilon=0.4, delta=1 / 3, n=1), np.random.default_rng(0))
         loss = 1 - qcore.fidelity_pure(t_state(), best.projector())
         assert loss == pytest.approx(1 - (2 + math.sqrt(2)) / 4, abs=1e-9)
 
@@ -350,13 +349,13 @@ class TestBruteForce:
         for _ in range(10):
             psi = qcore.sample_pure_state(4, rng)
             oracle = CopyOracle(psi, ideal_access=True)
-            best = brute_force_best_stabilizer(oracle, StabParams(0.4, 1 / 3, 2), rng)
+            best = brute_force_best_stabilizer(oracle, StabConfig(epsilon=0.4, delta=1 / 3, n=2), rng)
             loss = 1 - qcore.fidelity_pure(psi, best.projector())
             l_star, _ = optimal_stab_loss(psi)
             assert loss == pytest.approx(l_star, abs=1e-9)
 
     def test_sampled_mode_near_optimal(self):
-        p = StabParams(0.4, 1 / 3, 2, mode="sampled")
+        p = StabConfig(epsilon=0.4, delta=1 / 3, n=2, mode="sampled")
         rng = np.random.default_rng(5)
         hits = 0
         for i in range(30):
@@ -373,13 +372,13 @@ class TestBruteForce:
 class TestEstimators:
     def test_loss_shots_formula(self):
         # spec example: eps2 = 0.1, delta2 = 1/9 -> ceil(ln 18 / 0.02) = 145
-        p = StabParams(epsilon=0.5, delta=1 / 3, n=2)
+        p = StabConfig(epsilon=0.5, delta=1 / 3, n=2)
         assert p.eps2 == pytest.approx(0.1)
         assert p.delta2 == pytest.approx(1 / 9)
         assert p.loss_shots() == 145
 
     def test_loss_estimate_concentrates(self):
-        p = StabParams(0.4, 1 / 3, 2)
+        p = StabConfig(epsilon=0.4, delta=1 / 3, n=2)
         states = enumerate_stabilizers(2)
         psi = states[3].dense
         oracle = CopyOracle(psi)
@@ -407,7 +406,7 @@ class TestEstimators:
                 assert composed_mean == pytest.approx(exact_A3(psi), abs=1e-12)
 
     def test_sampled_a3_estimate_concentrates(self):
-        p = StabParams(0.4, 1 / 3, 2, mode="sampled")
+        p = StabConfig(epsilon=0.4, delta=1 / 3, n=2, mode="sampled")
         hits = 0
         runs = 50
         for i in range(runs):
@@ -447,7 +446,7 @@ class TestEstimators:
         """Same estimate to the last bit (the tamper sees it before the trap
         check), same meter and same generator end state as the inline law,
         on near-stabilizer and Haar instances."""
-        p = StabParams(0.4, 1 / 3, n, mode="sampled")
+        p = StabConfig(epsilon=0.4, delta=1 / 3, n=n, mode="sampled")
         cfg = StabConfig(n=n)
         for seed in range(6):
             g = np.random.default_rng(500 + seed)
@@ -466,11 +465,11 @@ class TestEstimators:
             assert runs[0] == runs[1]
 
     def test_ideal_a3_meter(self):
-        p = StabParams(epsilon=0.4, delta=1 / 3, n=2)
+        p = StabConfig(epsilon=0.4, delta=1 / 3, n=2)
         assert p.eps3 == pytest.approx(0.06)
         oracle = CopyOracle(t_state(), ideal_access=True)
         # t-state has n=1; rebuild params accordingly
-        p1 = StabParams(epsilon=0.4, delta=1 / 3, n=1)
+        p1 = StabConfig(epsilon=0.4, delta=1 / 3, n=1)
         estimate_A3(oracle, p1, np.random.default_rng(0))
         assert oracle.meter.total == 6 * p1.a3_samples()
 
@@ -526,8 +525,7 @@ class TestSessions:
             est = res.extras["estimates"]
             loss = 1 - qcore.fidelity_pure(hidden, res.output.projector())
             l_star, _ = optimal_stab_loss(hidden)
-            p = cfg.params()
-            if abs(est["a_hat"] - exact_A3(hidden)) <= p.eps3 and abs(est["l_hat"] - loss) <= p.eps2:
+            if abs(est["a_hat"] - exact_A3(hidden)) <= cfg.eps3 and abs(est["l_hat"] - loss) <= cfg.eps2:
                 assert loss <= 8 * l_star + cfg.epsilon + 1e-9
                 checked += 1
         assert checked >= 30
@@ -541,7 +539,7 @@ class TestSessions:
         """The 6 * a3_samples copies of the delegated Bell sampling go v->p."""
         cfg = StabConfig(n=2, mode="sampled", record_transcript=True)
         res = cfg.run_one(cfg.sample_instance("x", np.random.default_rng(1)), HonestBruteForceProver(), seed=11)
-        sent = 6 * cfg.params().a3_samples()
+        sent = 6 * cfg.a3_samples()
         assert res.verifier_breakdown["a3-bell"] == sent
         assert res.channel_counters["qudits_v_to_p"] == sent
         assert sum('"qudits"' in line for line in res.transcript_lines) == sent

@@ -20,7 +20,6 @@ from ipsim.stream_ip import (
     composed_factors,
     composed_value,
     engine_rounds,
-    uniformity_params,
     uniformity_verdict,
     verify_sumcheck,
 )
@@ -202,20 +201,20 @@ class TestVerifierState:
 
 class TestParams:
     def test_full_scale_values(self):
-        p = uniformity_params(1 << 16, 0.75)
+        p = UniformityConfig(k=1 << 16, epsilon=0.75)
         assert p.n == 63_716
         assert p.tau == pytest.approx(0.30988, abs=2e-5)
         assert p.threshold_count == pytest.approx(19_744.4, abs=1.0)
 
     def test_epsilon_boundary_accepted(self):
-        uniformity_params(1 << 16, 12 / (1 << 16) ** 0.25)  # exactly the bound
+        UniformityConfig(k=1 << 16, epsilon=12 / (1 << 16) ** 0.25)  # exactly the bound
 
     def test_epsilon_below_bound_rejected(self):
         with pytest.raises(ValueError):
-            uniformity_params(1 << 16, 0.7)
+            UniformityConfig(k=1 << 16, epsilon=0.7)
 
     def test_mechanics_waiver(self):
-        p = uniformity_params(256, 0.5, allow_small_epsilon=True)
+        p = UniformityConfig(k=256, epsilon=0.5, allow_small_epsilon=True)
         assert p.n == math.ceil(140 * 16 / 0.25)
 
     def test_verdict_rule(self):
@@ -229,10 +228,10 @@ class TestParams:
         assert collision_verdict(119_000, 39_136.2) == "not uniform"
 
     def test_regime_and_decision_statistic(self):
-        full = uniformity_params(1 << 16, 0.75)
+        full = UniformityConfig(k=1 << 16, epsilon=0.75)
         assert full.in_regime and full.tau > 0
         assert full.decision_statistic == "unique"
-        small = uniformity_params(256, 0.9, allow_small_epsilon=True)
+        small = UniformityConfig(k=256, epsilon=0.9, allow_small_epsilon=True)
         assert not small.in_regime
         assert small.n == 2766 and small.tau == pytest.approx(-1.09395, abs=1e-4)
         assert small.decision_statistic == "collisions"
@@ -240,7 +239,7 @@ class TestParams:
         assert small.collision_threshold == pytest.approx(2766 * 2765 / 2 * 2.62 / 256)
         assert small.collision_threshold == pytest.approx(39_136.2, abs=0.1)
         # out of regime but tau > 0: the appendix's rule still decides
-        mid = uniformity_params(1 << 14, 1.0, allow_small_epsilon=True)
+        mid = UniformityConfig(k=1 << 14, epsilon=1.0, allow_small_epsilon=True)
         assert not mid.in_regime and mid.tau > 0
         assert mid.decision_statistic == "unique"
 
@@ -256,10 +255,9 @@ class TestSumcheckMechanics:
             assert res.accepted, res.abort_reason
             # claimed-and-verified Z equals the brute-force unique count of
             # the session's one stream (replayed from the same derived rng)
-            p = cfg.params()
             from ipsim.harness import derive_rng
 
-            samples = cfg.make_distribution("uniform").draw_batch(derive_rng(res.seed, "stream"), p.n)
+            samples = cfg.make_distribution("uniform").draw_batch(derive_rng(res.seed, "stream"), cfg.n)
             z_brute = int((np.bincount(samples, minlength=cfg.k) == 1).sum())
             assert res.extras["z_verified"] == z_brute
 
@@ -476,7 +474,7 @@ class TestCollisionSumcheck:
                 assert res.extras["decision_statistic"] == "collisions"
                 assert not res.extras["in_regime"]
                 stream_rng = derive_rng(res.seed, "stream")
-                samples = cfg.make_distribution(which).draw_batch(stream_rng, cfg.params().n)
+                samples = cfg.make_distribution(which).draw_batch(stream_rng, cfg.n)
                 f = np.bincount(samples, minlength=cfg.k)
                 assert res.extras["c_verified"] == int((f * (f - 1) // 2).sum())
                 want = "uniform" if which == "uniform" else "not uniform"
@@ -485,7 +483,7 @@ class TestCollisionSumcheck:
     @pytest.mark.parametrize("offset", [1, -1])
     def test_off_by_one_claim_rejected_every_time(self, offset):
         cfg = UniformityConfig(k=16, epsilon=0.9, degree_cap=64, allow_small_epsilon=True)
-        assert cfg.params().decision_statistic == "collisions"
+        assert cfg.decision_statistic == "collisions"
         for i in range(100):
             res = cfg.run_one(
                 cfg.make_distribution("uniform"), _CollisionOffsetProver(offset), seed=9000 + i
@@ -498,7 +496,7 @@ class TestCollisionSumcheck:
         # count across the collision threshold, and keeps the unique count and
         # the range certificate honest
         cfg = UniformityConfig(k=256, epsilon=0.9, allow_small_epsilon=True)
-        threshold = cfg.params().collision_threshold
+        threshold = cfg.collision_threshold
         for t in range(20):
             which = "uniform" if t % 2 == 0 else "support_fraction"
             prover = cfg.make_prover("decision-flip")
@@ -512,7 +510,7 @@ class TestCollisionSumcheck:
 
     def test_positive_tau_session_has_no_collision_registers(self):
         cfg = UniformityConfig(k=1 << 14, epsilon=1.0, allow_small_epsilon=True)
-        assert cfg.params().decision_statistic == "unique"
+        assert cfg.decision_statistic == "unique"
         res = cfg.run_one(cfg.make_distribution("uniform"), HonestStreamProver(), seed=3)
         assert res.accepted
         assert "c_verified" not in res.extras
@@ -599,7 +597,7 @@ class TestRangeCertificate:
                 completed += 1
                 if res.extras["attempts"] > 1:
                     widened += 1
-            _assert_one_stream(res, cfg.params())
+            _assert_one_stream(res, cfg)
         assert completed == 10
         assert widened == 10  # lambda = 17.5 per cell always exceeds cap 8
 
@@ -611,16 +609,16 @@ class TestRangeCertificate:
         )
         prover = HonestStreamProver()
         res = cfg.run_one(cfg.make_distribution("point_mass"), prover, seed=6100)
-        assert prover.widenings(4, cfg.params().n) == 9 > stream_ip.MAX_WIDENINGS
+        assert prover.widenings(4, cfg.n) == 9 > stream_ip.MAX_WIDENINGS
         assert not res.accepted
         assert res.abort_reason == "prover asked for 9 cap widenings, more than 4"
-        _assert_one_stream(res, cfg.params())
+        _assert_one_stream(res, cfg)
 
 
-def _assert_one_stream(res, params):
+def _assert_one_stream(res, cfg):
     """The session metered one pass of n samples and sent them once."""
-    assert res.verifier_queries == params.n
-    assert res.channel_counters["bits_v_to_p"] == params.n * params.b
+    assert res.verifier_queries == cfg.n
+    assert res.channel_counters["bits_v_to_p"] == cfg.n * cfg.b
 
 
 class _StreamShoppingProver(HonestStreamProver):
@@ -630,11 +628,11 @@ class _StreamShoppingProver(HonestStreamProver):
     name = "stream-shopping"
     honest = False
 
-    def __init__(self, params):
-        self.params = params
+    def __init__(self, cfg):
+        self.cfg = cfg
 
     def widenings(self, degree_cap, n):
-        verdict = collision_verdict(self.claim_collisions(), self.params.collision_threshold)
+        verdict = collision_verdict(self.claim_collisions(), self.cfg.collision_threshold)
         return super().widenings(degree_cap, n) + (verdict != "uniform")
 
 
@@ -653,13 +651,13 @@ class TestStreamShopping:
         shopped = set()
         for i in range(40):
             honest = cfg.run_one(hidden, HonestStreamProver(), seed=10_000 + i)
-            shopper = cfg.run_one(hidden, _StreamShoppingProver(cfg.params()), seed=10_000 + i)
+            shopper = cfg.run_one(hidden, _StreamShoppingProver(cfg), seed=10_000 + i)
             assert honest.accepted and shopper.accepted
             assert shopper.output == honest.output
             extra = shopper.extras["attempts"] - honest.extras["attempts"]
             assert extra == (honest.output != "uniform")
             shopped.add(extra)
-            _assert_one_stream(shopper, cfg.params())
+            _assert_one_stream(shopper, cfg)
         assert shopped == {0, 1}  # both verdicts were seen
 
 

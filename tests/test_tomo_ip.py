@@ -11,7 +11,7 @@ from ipsim.tomo_ip import (
     FAR,
     HonestTomographyProver,
     TomoConfig,
-    TomoParams,
+    TomoConfig,
     certify_closeness,
     perturbed_state_at_distance,
     prover_tomography,
@@ -22,30 +22,30 @@ from ipsim.harness import ProtocolAbort
 
 class TestParams:
     def test_accounting_formulas_frozen(self):
-        p = TomoParams(epsilon=0.5, delta=1 / 3, d=4)
+        p = TomoConfig(epsilon=0.5, delta=1 / 3, d=4)
         # ceil(16 ln6 / 0.495^2): exact value 117.0009... -> 118
         assert p.prover_query_budget() == 118
         assert p.verifier_query_budget() == 29
 
     def test_verifier_budget_linear_in_d(self):
         for d in (2, 4, 8, 16):
-            a = TomoParams(epsilon=0.5, delta=1 / 3, d=d).verifier_query_budget()
-            b = TomoParams(epsilon=0.5, delta=1 / 3, d=2 * d).verifier_query_budget()
+            a = TomoConfig(epsilon=0.5, delta=1 / 3, d=d).verifier_query_budget()
+            b = TomoConfig(epsilon=0.5, delta=1 / 3, d=2 * d).verifier_query_budget()
             assert abs(b - 2 * a) <= 1  # factor 2 within rounding
 
     def test_prover_budget_quadratic_in_d(self):
         for d in (2, 4, 8):
-            a = TomoParams(epsilon=0.5, delta=1 / 3, d=d).prover_query_budget()
-            b = TomoParams(epsilon=0.5, delta=1 / 3, d=2 * d).prover_query_budget()
+            a = TomoConfig(epsilon=0.5, delta=1 / 3, d=d).prover_query_budget()
+            b = TomoConfig(epsilon=0.5, delta=1 / 3, d=2 * d).prover_query_budget()
             assert abs(b - 4 * a) <= 3
 
     def test_verifier_cheaper_than_prover(self):
         for d in (2, 4, 8, 16):
-            p = TomoParams(epsilon=0.5, delta=1 / 3, d=d)
+            p = TomoConfig(epsilon=0.5, delta=1 / 3, d=d)
             assert p.verifier_query_budget() < p.prover_query_budget()
 
     def test_rank_k_budgets(self):
-        p = TomoParams(epsilon=0.5, delta=1 / 3, d=8, rank_k=2)
+        p = TomoConfig(epsilon=0.5, delta=1 / 3, d=8, rank_k=2)
         import math
 
         assert p.prover_query_budget() == math.ceil(2 * 8 * math.log(6) / (0.99 * 0.5) ** 2)
@@ -55,7 +55,7 @@ class TestParams:
 class TestIdealProver:
     def test_distance_bound_holds_exactly(self):
         rng = np.random.default_rng(0)
-        p = TomoParams(epsilon=0.4, delta=1 / 3, d=4)
+        p = TomoConfig(epsilon=0.4, delta=1 / 3, d=4)
         for i in range(25):
             hidden = qcore.sample_state(4, int(rng.integers(1, 5)), rng)
             oracle = CopyOracle(hidden, ideal_access=True)
@@ -64,7 +64,7 @@ class TestIdealProver:
             assert oracle.meter.total == p.prover_query_budget()
 
     def test_maximally_mixed_target(self):
-        p = TomoParams(epsilon=0.2, delta=1 / 3, d=4)
+        p = TomoConfig(epsilon=0.2, delta=1 / 3, d=4)
         oracle = CopyOracle(qcore.maximally_mixed(4), ideal_access=True)
         hyp = prover_tomography(oracle, p, np.random.default_rng(3))
         assert qcore.one_norm_distance(hyp.matrix, qcore.maximally_mixed(4)) <= 0.99 * 0.2
@@ -82,7 +82,7 @@ class TestExactOffset:
 class TestCertify:
     def test_exact_hypothesis_mostly_close(self):
         rng = np.random.default_rng(2)
-        p = TomoParams(epsilon=0.5, delta=1 / 3, d=4)
+        p = TomoConfig(epsilon=0.5, delta=1 / 3, d=4)
         hidden = qcore.sample_state(4, 4, rng)
         hyp = validate_hypothesis(hidden.entries, 4)
         hits = sum(
@@ -93,7 +93,7 @@ class TestCertify:
 
     def test_far_hypothesis_mostly_far(self):
         rng = np.random.default_rng(3)
-        p = TomoParams(epsilon=0.5, delta=1 / 3, d=4)
+        p = TomoConfig(epsilon=0.5, delta=1 / 3, d=4)
         hidden = qcore.sample_state(4, 4, rng)
         far = perturbed_state_at_distance(hidden, 1.5 * p.epsilon, rng, exact=True)
         hyp = validate_hypothesis(far.entries, 4)
@@ -112,7 +112,7 @@ class TestCertify:
 
 class TestSampledMode:
     def test_sampled_prover_meets_target_on_pure_states(self):
-        p = TomoParams(epsilon=0.8, delta=1 / 3, d=2, mode="sampled")
+        p = TomoConfig(epsilon=0.8, delta=1 / 3, d=2, mode="sampled")
         hits = 0
         runs = 60
         for i in range(runs):
@@ -125,7 +125,7 @@ class TestSampledMode:
         assert hits / runs >= 1 - p.delta_p
 
     def test_sampled_certify_both_sides(self):
-        p = TomoParams(epsilon=0.8, delta=1 / 3, d=2, mode="sampled")
+        p = TomoConfig(epsilon=0.8, delta=1 / 3, d=2, mode="sampled")
         rng = np.random.default_rng(7)
         hidden = qcore.sample_pure_state(2, rng).density()
         exact_hyp = validate_hypothesis(hidden.entries, 2)
@@ -185,7 +185,7 @@ class TestSampledReference:
     # two one-column solves; the hypothesis and the draws must not move
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
     def test_batched_prover_matches_reference_draw_for_draw(self, d):
-        p = TomoParams(epsilon=0.5, delta=1 / 3, d=d, mode="sampled")
+        p = TomoConfig(epsilon=0.5, delta=1 / 3, d=d, mode="sampled")
         attempts = []
         for seed in range(6):
             hidden = qcore.sample_state(d, 1 + seed % d, np.random.default_rng(seed))
@@ -237,6 +237,5 @@ class TestSessions:
         hidden = cfg.sample_instance("learning", rng)
         assert np.linalg.matrix_rank(hidden.entries, tol=1e-9) <= 2
         res = cfg.run_one(hidden, HonestTomographyProver(), seed=19)
-        p = cfg.params()
-        assert res.prover_queries == p.prover_query_budget()
-        assert res.verifier_queries == p.verifier_query_budget()
+        assert res.prover_queries == cfg.prover_query_budget()
+        assert res.verifier_queries == cfg.verifier_query_budget()

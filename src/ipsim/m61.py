@@ -6,12 +6,23 @@ are cross-checked against the scalar reference in the test suite. q = 2^61-1.
 
 Vector contract: array inputs hold canonical elements (< q) and every output
 is canonical. ``vadd``, ``vsub`` and ``vmul`` take ``b`` as an array of the
-same shape as ``a`` (``vadd`` and ``vsub`` also broadcast it) or as a
-scalar, and an optional ``out`` array of ``a``'s shape; ``out`` may be ``a``
-or ``b`` itself (the result overwrites it, every element read before it is
-written). Without ``out`` a new array is returned. ``vmul`` works through
-long 1-D arrays in chunks of ``CHUNK`` elements so that the buffers of one
-pass stay in cache.
+same shape as ``a``, an array that broadcasts to it, or a scalar, and an
+optional ``out`` array of ``a``'s shape; ``out`` may be ``a`` or a
+same-shape ``b`` itself (the result overwrites it, every element read before
+it is written). Without ``out`` a new array is returned. ``vmul`` works
+through long 1-D arrays in chunks of ``CHUNK`` elements so that the buffers
+of one pass stay in cache.
+
+``matmul(a, b)`` is the matrix product a @ b mod q through float64 GEMMs,
+exact by this bound: each operand is split into three limbs of 21, 21 and
+19 bits, held as float64, so a product of two limbs is below (2^21 - 1)^2 <
+2^42. One GEMM contracts at most ``GEMM_BLOCK`` = 2^11 terms, and every
+partial sum it forms, in whatever blocking, order or thread count the BLAS
+library picks, is a sum of at most 2^11 such nonnegative integer products:
+at most 2^11 (2^21 - 1)^2 < 2^53, which float64 holds exactly. Limb pair
+(i, j) then carries the weight 2^(21(i+j)), which mod q is a 61-bit
+rotation (2^61 = 1), and the nine limb-pair sums fold into one canonical
+element.
 """
 
 from __future__ import annotations
@@ -98,10 +109,10 @@ def vmul(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
     if a.ndim != 1 or a.size <= CHUNK:
         _vmul_block(a, b, out)
         return out
-    array_b = isinstance(b, np.ndarray)
+    full_b = isinstance(b, np.ndarray) and b.shape == a.shape
     for lo in range(0, a.size, CHUNK):
         hi = lo + CHUNK
-        _vmul_block(a[lo:hi], b[lo:hi] if array_b else b, out[lo:hi])
+        _vmul_block(a[lo:hi], b[lo:hi] if full_b else b, out[lo:hi])
     return out
 
 
@@ -109,22 +120,25 @@ def _vmul_block(a: np.ndarray, b, out: np.ndarray):
     a_hi = a >> _S31
     a_lo = a & _MASK31
     # a and b are fully read into limbs before ``out`` (possibly a or b) is written
-    if isinstance(b, np.ndarray):
+    if isinstance(b, np.ndarray) and b.shape == a.shape:
         b_hi = b >> _S31
         b_lo = b & _MASK31
         t = np.multiply(a_hi, b_hi, out=out)  # hh < 2^60; hh * 2^62 = 2*hh mod Q
         mm = np.multiply(a_hi, b_lo, out=a_hi)
         mm += np.multiply(a_lo, b_hi, out=b_hi)  # < 2^62; contributes mm * 2^31
         ll = np.multiply(a_lo, b_lo, out=b_lo)  # < 2^62
-        scratch = a_lo
     else:
-        b = int(b)
-        b_hi, b_lo = np.uint64(b >> 31), np.uint64(b & ((1 << 31) - 1))
+        # a scalar or a smaller array broadcast over a: its limbs stay small
+        if isinstance(b, np.ndarray):
+            b_hi, b_lo = b >> _S31, b & _MASK31
+        else:
+            b = int(b)
+            b_hi, b_lo = np.uint64(b >> 31), np.uint64(b & ((1 << 31) - 1))
         t = np.multiply(a_hi, b_hi, out=out)
         ll = a_lo * b_lo
         mm = np.multiply(a_hi, b_lo, out=a_hi)
         mm += np.multiply(a_lo, b_hi, out=a_lo)
-        scratch = a_lo
+    scratch = a_lo
     t <<= _ONE
     t += ll
     t += np.right_shift(mm, _S30, out=scratch)
@@ -138,6 +152,65 @@ def _vmul_block(a: np.ndarray, b, out: np.ndarray):
     np.minimum(t, scratch, out=t)
 
 
+# terms per float64 GEMM dot product in matmul: GEMM_BLOCK * (2^21 - 1)^2 < 2^53
+GEMM_BLOCK = 1 << 11
+_LIMB_MASKS = np.array([(1 << 21) - 1, ((1 << 21) - 1) << 21, ((1 << 19) - 1) << 42], dtype=np.uint64)
+_LIMB_SCALES = np.array([1.0, 2.0**-21, 2.0**-42])
+_S2 = np.uint64(2)
+_S21 = np.uint64(21)
+_S42 = np.uint64(42)
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a @ b) mod Q for canonical a of shape (P, K) and b of shape (K, R);
+    exact (see the module docstring), one float64 GEMM per GEMM_BLOCK of K."""
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
+    for lo in range(0, a.shape[1], GEMM_BLOCK):
+        inner = slice(lo, lo + GEMM_BLOCK)
+        sums = _limbs(a[:, inner]) @ _limbs(b[inner].T).T
+        vadd(out, _combine_limbs(sums), out=out)
+    return out
+
+
+def _combine_limbs(sums: np.ndarray) -> np.ndarray:
+    """Canonical (P, R) values of a (3P, 3R) GEMM of limbs, whose entries
+    are integers below 2^53."""
+    rows, cols = sums.shape[0] // 3, sums.shape[1] // 3
+    g = sums.astype(np.uint64).reshape(3, rows, 3, cols)  # [i, :, j, :] = limb pair (i, j)
+    # weight 2^(21(i+j)) mod Q: 1, 2^21, 2^42, 2^63 = 4 and 2^84 = 2^23 = 4 * 2^21
+    low = g[0, :, 0] + (np.add(g[1, :, 2], g[2, :, 1]) << _S2)  # < 2^57
+    mid = g[0, :, 1] + g[1, :, 0]
+    mid += g[2, :, 2] << _S2  # < 2^56
+    high = g[0, :, 2] + g[1, :, 1]
+    high += g[2, :, 0]  # < 2^55
+    low += _rotate(mid, _S21)
+    low += _rotate(high, _S42)  # < 2^57 + 2^62
+    return _fold(low)
+
+
+def _fold(x: np.ndarray) -> np.ndarray:
+    """x mod Q, canonical, for any uint64 x."""
+    x = (x & _QV) + (x >> _S61)  # < Q + 8
+    return np.minimum(x, x - _QV, out=x)
+
+
+def _rotate(x: np.ndarray, e: np.uint64) -> np.ndarray:
+    """x * 2^e mod Q for x < 2^61: the 61-bit rotation of x by e."""
+    out = np.left_shift(x, e)
+    out &= _QV
+    out |= x >> (_S61 - e)
+    return out
+
+
+def _limbs(x: np.ndarray) -> np.ndarray:
+    """(3 * rows, K) float64 limbs of the (rows, K) array x: row i * rows + r
+    holds limb i of row r."""
+    out = np.empty((3,) + x.shape)
+    np.bitwise_and(x, _LIMB_MASKS[:, None, None], out=out, casting="unsafe")
+    out *= _LIMB_SCALES[:, None, None]  # exact: each limb has at most 21 significant bits
+    return out.reshape(-1, x.shape[-1])
+
+
 def vsum(a: np.ndarray) -> int:
     """Sum of canonical elements mod Q."""
     return vsum_rows(np.asarray(a, dtype=np.uint64).reshape(1, -1))[0]
@@ -148,9 +221,9 @@ def vsum_rows(a: np.ndarray) -> list[int]:
 
     Summing the 32-bit halves apart keeps each uint64 total exact for rows
     of up to 2^32 elements."""
-    hi = np.sum(a >> _S32, axis=1)
+    hi = np.sum(a >> _S32, axis=1)  # < 2^61
     lo = np.sum(a & _MASK32, axis=1)
-    return [((int(h) << 32) + int(l)) % Q for h, l in zip(hi, lo)]
+    return vadd(_rotate(_fold(hi), _S32), _fold(lo)).tolist()
 
 
 def lagrange_weights(num_nodes: int) -> list[int]:

@@ -632,6 +632,11 @@ class TrivialConfig:
 
     def __post_init__(self):
         _check_qubits(self.n)  # before sample_instance enumerates states
+        if not 0 < self.epsilon < 1:
+            raise ValueError("epsilon must be in (0, 1)")
+        if not 0 < self.delta < 1:
+            raise ValueError("delta must be in (0, 1)")
+        choose("checker", self.checker, self._checks())
 
     def shots(self) -> int:
         return math.ceil(math.log(2 / self.delta) / (2 * (self.epsilon / 2) ** 2))
@@ -642,14 +647,11 @@ class TrivialConfig:
     def make_prover(self, name: str) -> ProverStrategy:
         return choose("adversary", name, {"honest": TrivialSolver, "garbage": TrivialGarbage})(self.n)
 
+    def _checks(self) -> dict:
+        return {"sampled": self._check_sampled, "ideal": self._check_ideal, "exact-test": self._check_exact}
+
     def verifier(self) -> TrivialValidationIP:
-        checks = {
-            "sampled": self._check_sampled,
-            "ideal": self._check_ideal,
-            "exact-test": self._check_exact,
-        }
-        check = choose("checker", self.checker, checks)
-        return TrivialValidationIP(check, f"stab-fidelity-{self.checker}")
+        return TrivialValidationIP(self._checks()[self.checker], f"stab-fidelity-{self.checker}")
 
     def _check_sampled(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
         return estimate_stab_loss(oracle_v, hyp, self.shots(), rng, "decide-valid") <= self.epsilon / 2

@@ -51,7 +51,7 @@ from .harness import (
     choose,
     run_session,
 )
-from .m61 import Q, fadd, fmul, fsub, vadd, vmul, vsub, vsum
+from .m61 import Q, fadd, fmul, fsub, vadd, vmul, vsub
 
 FIELD_BITS = 61
 MAX_WIDENINGS = 4  # the cap may double at most this often: D <= 16 * D0
@@ -156,21 +156,25 @@ class StreamVerifierState:
 
     def update_batch(self, samples: np.ndarray):
         """Vectorized transcript of per-sample updates (same arithmetic,
-        same persistent registers; asserted equal to sequential updates)."""
-        samples = np.asarray(samples, dtype=np.uint64)
+        same persistent registers; asserted equal to sequential updates),
+        streamed in chunks of m61.CHUNK samples."""
+        samples = np.asarray(samples)
         if samples.size == 0:
             return
-        if int(samples.max()) >= self.k:
+        if int(samples.min()) < 0 or int(samples.max()) >= self.k:
             raise ValueError("sample index out of range")
-        bits = [((samples >> np.uint64(j)) & np.uint64(1)).astype(np.intp) for j in range(self.b)]
-        factor = np.empty(samples.size, dtype=np.uint64)
-        for point, value in self.maintained:
-            point = getattr(self, point)
-            chi = np.ones(samples.size, dtype=np.uint64)
+        points = [getattr(self, point) for point, _ in self.maintained]
+        # pairs[j, i] = (1 - p_j, p_j) for point i: chi's factor at bit j = 0, 1
+        pairs = np.array([[[fsub(1, p[j]), p[j]] for p in points] for j in range(self.b)], dtype=np.uint64)
+        totals = [0] * len(points)
+        for lo in range(0, samples.size, m61.CHUNK):
+            chunk = samples[lo : lo + m61.CHUNK].astype(np.intp)
+            chi = np.ones((len(points), chunk.size), dtype=np.uint64)
             for j in range(self.b):
-                pair = np.array([fsub(1, point[j]), point[j]], dtype=np.uint64)
-                vmul(chi, np.take(pair, bits[j], out=factor), out=chi)
-            setattr(self, value, fadd(getattr(self, value), vsum(chi)))
+                vmul(chi, np.take(pairs[j], (chunk >> j) & 1, axis=1), out=chi)
+            totals = [fadd(total, part) for total, part in zip(totals, m61.vsum_rows(chi))]
+        for (_, value), total in zip(self.maintained, totals):
+            setattr(self, value, fadd(getattr(self, value), total))
         self.sample_count += samples.size
 
     def chi_pair(self, point: list[int], other: list[int]) -> int:
@@ -185,6 +189,12 @@ class StreamVerifierState:
 @lru_cache(maxsize=64)
 def _weights_cached(num_nodes: int) -> tuple[int, ...]:
     return tuple(m61.lagrange_weights(num_nodes))
+
+
+# power-ladder elements per column block of a round message: with the
+# block's float64 limbs about 2 MB; a k = 2^16 uniformity session ran faster
+# with this budget than with 2^14, 2^15 or 2^17 (one BLAS thread, 2-vCPU Xeon)
+_LADDER_ELEMS = 1 << 16
 
 
 @lru_cache(maxsize=256)
@@ -233,32 +243,54 @@ def _segment_sums_mod(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
     return vadd(vmul(seg_hi, np.uint64((1 << 32) % Q)), seg_lo)
 
 
-def _factor_runs(factors: list[int]) -> list[tuple[int, list[int], int | None]]:
-    """Split sorted factors into runs lo..hi of consecutive integers, each as
-    (S, pair constants, middle): with S = lo + hi and w = y(y - S),
-    (y - i)(y - (S - i)) = w + i(S - i) for i = lo, lo + 1, ... below S/2,
-    and an odd-length run leaves the single factor (y - S/2)."""
-    runs = []
-    for _, group in itertools.groupby(enumerate(factors), lambda pair: pair[1] - pair[0]):
-        run = [f for _, f in group]
-        total = run[0] + run[-1]
-        consts = [i * (total - i) % Q for i in run[: len(run) // 2]]
-        runs.append((total, consts, run[len(run) // 2] if len(run) % 2 else None))
-    return runs
+@lru_cache(maxsize=64)
+def _moment_tables(kind: str, degree_cap: int) -> tuple[np.ndarray, np.ndarray]:
+    """(triangle, vandermonde) for g = ``composed_factors(kind, degree_cap)``.
+
+    With g's monomial coefficients g_j (j < n = deg g + 1),
+    triangle[a, p] = g_(a+p) C(a+p, a), zero where a + p >= n, so that
+    g(u + t d) = sum_a t^a d^a sum_p triangle[a, p] u^p; and
+    vandermonde[t, a] = t^a on the n + 1 message nodes t = 0..n.
+    """
+    factors, constant = composed_factors(kind, degree_cap)
+    coeffs = [constant]  # lowest degree first
+    for i in factors:  # times (y - i)
+        coeffs = [fsub(prev, fmul(i, same)) for prev, same in zip([0, *coeffs], [*coeffs, 0])]
+    n = len(coeffs)
+    binom = [1] * n  # C(a+p, a) along p; a step is a running sum (hockey stick)
+    triangle = []
+    for a in range(n):
+        if a:
+            binom = list(itertools.accumulate(binom, fadd))
+        triangle.append([fmul(coeffs[a + p], binom[p]) if a + p < n else 0 for p in range(n)])
+    vandermonde = []
+    for t in range(n + 1):
+        row = [1]
+        for _ in range(n):
+            row.append(fmul(row[-1], t))
+        vandermonde.append(row)
+    return np.array(triangle, dtype=np.uint64), np.array(vandermonde, dtype=np.uint64)
 
 
-def _blend(u: np.ndarray, d: np.ndarray, rows: int) -> np.ndarray:
-    """rows x m array with row t = u + t*d, built by doubling."""
-    out = np.empty((rows, u.size), dtype=np.uint64)
-    out[0] = u
-    step = d
-    filled = 1
-    while filled < rows:
-        take = min(filled, rows - filled)
-        vadd(out[:take], step, out=out[filled : filled + take])
-        filled += take
-        if filled < rows:
-            step = vadd(step, step)
+def _moment_ladders(u: np.ndarray, d: np.ndarray, weights: list[np.ndarray], num_powers: int) -> np.ndarray:
+    """(2 + len(weights), num_powers, m) array of the ladders u^p, d^p and
+    w * d^p for each weight w, p = 0..num_powers-1. Built by doubling: rows
+    h+1..2h are rows 1..h times the pure powers u^h, d^h of row h, one
+    stacked vmul per step for every ladder at once."""
+    out = np.empty((2 + len(weights), num_powers, u.size), dtype=np.uint64)
+    out[:2, 0] = 1
+    for row, w in enumerate(weights, start=2):
+        out[row, 0] = w
+    out[0, 1] = u
+    out[1, 1] = d
+    if weights:
+        vmul(out[2:, 0], d, out=out[2:, 1])
+    pure = [0] + [1] * (1 + len(weights))
+    h = 1
+    while h + 1 < num_powers:
+        top = min(2 * h, num_powers - 1)
+        vmul(out[:, 1 : top - h + 1], out[pure, h][:, None], out=out[:, h + 1 : top + 1])
+        h = top
     return out
 
 
@@ -268,19 +300,29 @@ class _SumcheckEngine:
     ``kind`` selects g = ``composed_factors(kind, degree_cap)``; the engine
     sums g(a(x)) over the cube, times ``chi_table`` (chi(x, zeta)) for
     "range". Messages are the round polynomial on the integer nodes 0..L-1,
-    L = len(factors) + 2.
+    L = len(factors) + 2 = deg g + 2.
 
     Early rounds bucket identical (value, difference) pairs, which collapses
     the work by orders of magnitude while the folded tables still carry few
     distinct values; the buckets come from a 1-D ``np.unique`` of each column
-    and of the combined int64 key, in (value, difference) order. A round
-    evaluates each pair's blend y = u + t*d at the L nodes in blocks of
-    m61.CHUNK // L columns, so every L x block buffer stays in cache, and
-    adds up each node's partial sums mod Q. Within a run lo..hi of consecutive
-    factors, S = lo + hi pairs them as (y - i)(y - (S - i)) = w + i(S - i)
-    with w = y(y - S) computed once, so the product costs about D/2 + 2
-    field multiplies instead of D + 1. Every step is exact arithmetic in
-    GF(Q), so the messages equal the direct product's.
+    and of the combined int64 key, in (value, difference) order.
+
+    A round message comes from power moments. With y = u + t d on each
+    column and a weight w per column (1, the bucket counts, or chi's u and d
+    parts), sum w g(u + t d) = sum_a t^a sum_p T[a, p] M_w[a, p], where
+    M_w[a, p] = sum w d^a u^p are the moments and T[a, p] = g_(a+p) C(a+p, a)
+    is the coefficient-binomial triangle of ``_moment_tables``. The columns
+    are taken in blocks whose power ladders (``_moment_ladders``) hold about
+    ``_LADDER_ELEMS`` elements. A block with at least as many columns as its
+    moment matrix has rows (n = deg g + 1 per weight) forms its moments with
+    one exact limb-split float64 GEMM (``m61.matmul``) and contracts them
+    with T. A narrower block, which the last rounds of every sum-check and
+    every small table have, contracts the powers first,
+    h_a = sum_p T[a, p] u^p, so that its GEMM output is n x m rather than
+    n x n per weight. The Vandermonde matrix
+    of the nodes turns the coefficients in t into node values, and chi's d
+    part carries one more power of t. Every step is exact arithmetic in
+    GF(Q), so the messages equal those of evaluating g at every node.
     """
 
     def __init__(self, table: np.ndarray, degree_cap: int, kind: str, chi_table: np.ndarray | None = None):
@@ -288,9 +330,8 @@ class _SumcheckEngine:
         self.degree_cap = degree_cap
         self.kind = kind
         self.chi = chi_table
-        self.factors, self.constant = composed_factors(kind, degree_cap)
-        self.num_nodes = len(self.factors) + 2
-        self.runs = _factor_runs(self.factors)
+        self.triangle, self.vandermonde = _moment_tables(kind, degree_cap)
+        self.num_nodes = len(self.vandermonde)
 
     def round_message(self) -> tuple[int, ...]:
         u = self.table[0::2]
@@ -325,38 +366,29 @@ class _SumcheckEngine:
         return uniq, inverse.reshape(-1)
 
     def _evaluate(self, u, d, counts=None, chi_u=None, chi_d=None) -> list[int]:
-        L = self.num_nodes
-        out = [0] * L
-        block = max(1, m61.CHUNK // L)
+        weights = [] if chi_u is None else [chi_u, chi_d]
+        if counts is not None:
+            weights = [vmul(w, counts) for w in weights] or [counts]
+        n = len(self.triangle)  # powers 0..deg g
+        spread = max(1, len(weights))
+        sums = np.zeros(spread * n, dtype=np.uint64)  # [w * n + a]: sum w d^a sum_p triangle[a, p] u^p
+        block = max(1, _LADDER_ELEMS // (n * (2 + len(weights))))
         for lo in range(0, u.size, block):
             cols = slice(lo, lo + block)
-            acc = self._factor_product(_blend(u[cols], d[cols], L))
-            if chi_u is not None:
-                vmul(acc, _blend(chi_u[cols], chi_d[cols], L), out=acc)
-            if counts is not None:
-                vmul(acc, np.broadcast_to(counts[cols], acc.shape).copy(), out=acc)
-            out = [fadd(total, part) for total, part in zip(out, m61.vsum_rows(acc))]
-        if self.constant != 1:
-            out = [fmul(self.constant, v) for v in out]
-        return out
-
-    def _factor_product(self, y: np.ndarray) -> np.ndarray:
-        """prod over self.factors of (y - i), elementwise."""
-        acc = None
-        for factor in self._paired_factors(y, np.empty_like(y)):
-            acc = factor.copy() if acc is None else vmul(acc, factor, out=acc)
-        return acc
-
-    def _paired_factors(self, y: np.ndarray, term: np.ndarray):
-        """Yields the paired factors w + i(S - i) and the single ones, each
-        written into ``term``."""
-        for total, consts, middle in self.runs:
-            if consts:
-                w = vmul(y, vsub(y, total, out=term))
-                for c in consts:
-                    yield vadd(w, c, out=term)
-            if middle is not None:
-                yield vsub(y, middle, out=term)
+            ladders = _moment_ladders(u[cols], d[cols], [w[cols] for w in weights], n)
+            powers, scaled = ladders[0], ladders[2:] if weights else ladders[1:2]
+            if powers.shape[1] >= spread * n:
+                # M_w[a, p] = sum w d^a u^p, an n x n GEMM output per weight
+                moments = m61.matmul(scaled.reshape(spread * n, -1), powers.T)
+                terms = vmul(moments.reshape(spread, n, n), self.triangle)
+            else:
+                # w d^a h_a(u) per column, an n x m GEMM output
+                terms = vmul(scaled, m61.matmul(self.triangle, powers))
+            vadd(sums, np.array(m61.vsum_rows(terms.reshape(spread * n, -1)), dtype=np.uint64), out=sums)
+        coeffs = np.zeros(n + 1, dtype=np.uint64)  # of the round polynomial in t
+        for w in range(spread):  # chi's d part (w = 1) carries one more power of t
+            vadd(coeffs[w : w + n], sums[w * n : (w + 1) * n], out=coeffs[w : w + n])
+        return m61.vsum_rows(vmul(self.vandermonde, coeffs))
 
     def bind(self, r: int):
         self.table = self._fold(self.table, r)
@@ -763,6 +795,10 @@ class UniformityConfig:
             raise ValueError(f"epsilon must be >= 12/k^(1/4) = {12 / self.k**0.25}")
         if self.degree_cap < 1:
             raise ValueError("degree_cap must be >= 1")
+        if self.distribution not in ("uniform", "support_fraction", "point_mass"):
+            raise ValueError("distribution must be uniform, support_fraction or point_mass")
+        if not 0 < self.support_fraction <= 1:
+            raise ValueError("support_fraction must be in (0, 1]")
 
     @property
     def in_regime(self) -> bool:

@@ -61,6 +61,11 @@ class TestConfigParsing:
             ("nogo", "delta=0"),
             ("uniformity", "k=100"),
             ("uniformity", "epsilon=1.5"),
+            ("uniformity", "support_fraction=0"),
+            ("uniformity", "support_fraction=1.5"),
+            ("uniformity", "distribution=nope"),
+            ("trivial", "epsilon=0"),
+            ("trivial", "delta=2"),
         ],
     )
     def test_out_of_range_key_is_a_config_error_naming_it(self, protocol, item, capsys):

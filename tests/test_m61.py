@@ -98,6 +98,46 @@ def test_two_dimensional_operands():
         assert out.ravel().tolist() == [ref(int(x), int(y)) for x, y in zip(a.ravel(), b.ravel())]
 
 
+def test_broadcast_operand():
+    # vmul, vadd and vsub broadcast a smaller b over a, also into out=a
+    g = np.random.default_rng(2)
+    a = g.integers(0, Q, (3, 4, 5), dtype=np.uint64)
+    a[0, 0, : len(EDGE) - 2] = EDGE[2:]
+    b = g.integers(0, Q, (3, 1, 5), dtype=np.uint64)
+    b[0, 0, :] = EDGE[:5]
+    full = np.broadcast_to(b, a.shape)
+    for kernel, ref in KERNELS:
+        want = [ref(int(x), int(y)) for x, y in zip(a.ravel(), full.ravel())]
+        assert kernel(a, b).ravel().tolist() == want
+        alias = a.copy()
+        kernel(alias, b, out=alias)
+        assert alias.ravel().tolist() == want
+
+
+def _int_matmul(a, b):
+    return [[sum(int(x) * int(y) for x, y in zip(row, col)) % Q for col in b.T] for row in a]
+
+
+@given(st.integers(1, 4), st.integers(1, 9), st.integers(1, 4), st.lists(elements, min_size=72, max_size=72))
+def test_matmul_matches_int_products(rows, inner, cols, values):
+    a = arr((values * 2)[: rows * inner]).reshape(rows, inner)
+    b = arr((values[::-1] * 2)[: inner * cols]).reshape(inner, cols)
+    assert m61.matmul(a, b).tolist() == _int_matmul(a, b)
+
+
+def test_matmul_at_the_limb_magnitude_limit():
+    # the canonical element with the largest low limbs, 2^21 - 1 twice, and
+    # Q - 1, over one full GEMM block and across a block boundary
+    top = ((1 << 21) - 1) * (1 + (1 << 21)) + (((1 << 19) - 2) << 42)
+    assert top < Q
+    for value in (top, Q - 1):
+        for inner in (m61.GEMM_BLOCK, 2 * m61.GEMM_BLOCK + 1):
+            a = np.full((2, inner), value, dtype=np.uint64)
+            b = np.full((inner, 3), value, dtype=np.uint64)
+            want = inner * value * value % Q
+            assert m61.matmul(a, b).tolist() == [[want] * 3] * 2
+
+
 @given(st.lists(elements, max_size=64))
 def test_vsum_matches_int_sum(values):
     assert m61.vsum(arr(values)) == sum(values) % Q

@@ -4,6 +4,7 @@ memory/communication instrumentation."""
 
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -168,7 +169,7 @@ class TestVerifierState:
     def test_batch_equals_sequential(self):
         g = rng(8)
         k = 64
-        samples = g.integers(0, k, size=500)
+        samples = g.integers(0, k, size=2 * m61.CHUNK + 5)  # three update_batch chunks
         seq = StreamVerifierState(k, rng(9))
         bat = StreamVerifierState(k, rng(9))
         for s in samples:
@@ -181,7 +182,7 @@ class TestVerifierState:
     def test_batch_equals_sequential_with_collision_point(self):
         g = rng(18)
         k = 64
-        samples = g.integers(0, k, size=500)
+        samples = g.integers(0, k, size=2 * m61.CHUNK + 5)
         seq = StreamVerifierState(k, rng(9), rng(19))
         bat = StreamVerifierState(k, rng(9), rng(19))
         for s in samples:
@@ -300,14 +301,15 @@ class TestSumcheckMechanics:
 def _reference_evaluate(engine, u, d, counts=None, chi_u=None, chi_d=None):
     """The direct round evaluation: every node's blend in one array, one
     factor (y - i) at a time, no pairing and no column blocks."""
-    L = engine.num_nodes
+    factors, constant = composed_factors(engine.kind, engine.degree_cap)
+    L = len(factors) + 2
     blends = np.empty((L, u.size), dtype=np.uint64)
     blends[0] = u
     for t in range(1, L):
         blends[t] = m61.vadd(blends[t - 1], d)
     flat = blends.reshape(-1)
     acc = np.ones_like(flat)
-    for i in engine.factors:
+    for i in factors:
         acc = m61.vmul(acc, m61.vsub(flat, i % Q))
     if chi_u is not None:
         chib = np.empty((L, u.size), dtype=np.uint64)
@@ -319,8 +321,8 @@ def _reference_evaluate(engine, u, d, counts=None, chi_u=None, chi_d=None):
         acc = m61.vmul(acc, np.broadcast_to(counts, (L, u.size)).reshape(-1))
     acc = acc.reshape(L, u.size)
     out = [m61.vsum(acc[t]) for t in range(L)]
-    if engine.constant != 1:
-        out = [fmul(engine.constant, v) for v in out]
+    if constant != 1:
+        out = [fmul(constant, v) for v in out]
     return out
 
 
@@ -347,20 +349,62 @@ ENGINE_CASES = [(kind, D) for kind in ("unique", "range") for D in (2, 7, 8, 32,
 
 
 class TestEngineAgainstReference:
-    """The paired-factor, column-blocked evaluation and the 1-D grouping
-    against the direct formula; exact arithmetic, so equal to the last bit."""
+    """The column-blocked moment evaluation and the 1-D grouping against the
+    direct formula; exact arithmetic, so equal to the last bit."""
+
+    @staticmethod
+    def _weights(g, m, value=None):
+        """The three weightings a round passes: none, bucket counts, chi."""
+        if value is not None:
+            full = np.full(m, value, dtype=np.uint64)
+            return [{}, {"counts": full}, {"chi_u": full, "chi_d": full}]
+        counts = g.integers(1, 1 << 20, m).astype(np.uint64)
+        cu, cd = (g.integers(0, Q, m, dtype=np.uint64) for _ in range(2))
+        return [{}, {"counts": counts}, {"chi_u": cu, "chi_d": cd}]
 
     @pytest.mark.parametrize("kind,degree_cap", ENGINE_CASES)
     def test_evaluate_equals_reference(self, kind, degree_cap):
         eng = stream_ip._SumcheckEngine(np.zeros(2, dtype=np.uint64), degree_cap, kind)
-        block = max(1, m61.CHUNK // eng.num_nodes)
+        n = eng.num_nodes - 1  # powers 0..deg g
         g = rng(degree_cap)
-        for m in (block - 1, block, 2 * block + 5):
-            u, d, cu, cd = (g.integers(0, Q, m, dtype=np.uint64) for _ in range(4))
-            u[:3] = [0, 1, Q - 1]  # blends through 0, small integers and the wrap at Q
-            counts = g.integers(1, 1 << 20, m).astype(np.uint64)
-            for extra in ({}, {"counts": counts}, {"chi_u": cu, "chi_d": cd}):
-                assert eng._evaluate(u, d, **extra) == _reference_evaluate(eng, u, d, **extra)
+        # the column block of the paired-factor evaluation this kernel replaced
+        old_block = max(1, m61.CHUNK // eng.num_nodes)
+        for num_weights in range(3):
+            block = stream_ip._LADDER_ELEMS // (n * (2 + num_weights))
+            switch = max(1, num_weights) * n  # narrower blocks contract the powers first
+            sizes = {old_block - 1, old_block, 2 * old_block + 5, block - 1, block, 2 * block + 5, switch - 1, switch}
+            for m in sorted(sizes):
+                u, d = (g.integers(0, Q, m, dtype=np.uint64) for _ in range(2))
+                u[:3] = [0, 1, Q - 1][:m]  # blends through 0, small integers and the wrap at Q
+                extra = self._weights(g, m)[num_weights]
+                assert eng._evaluate(u, d, **extra) == _reference_evaluate(eng, u, d, **extra), (num_weights, m)
+
+    @pytest.mark.parametrize("kind,degree_cap", ENGINE_CASES)
+    def test_full_block_of_maximal_elements(self, kind, degree_cap):
+        # every column and weight Q - 1: the largest limbs the GEMMs see, on
+        # one full column block of each weighting
+        eng = stream_ip._SumcheckEngine(np.zeros(2, dtype=np.uint64), degree_cap, kind)
+        n = eng.num_nodes - 1
+        for num_weights in range(3):
+            m = stream_ip._LADDER_ELEMS // (n * (2 + num_weights))
+            u = np.full(m, Q - 1, dtype=np.uint64)
+            extra = self._weights(None, m, Q - 1)[num_weights]
+            assert eng._evaluate(u, u, **extra) == _reference_evaluate(eng, u, u, **extra), num_weights
+
+    @pytest.mark.parametrize("kind", ["unique", "range"])
+    def test_widened_cap_on_small_table(self, kind):
+        # D = 512, the widest cap a D0 = 32 session can reach, on 64 entries
+        g = rng(512)
+        table = g.integers(0, Q, 64, dtype=np.uint64)
+        chi = g.integers(0, Q, 64, dtype=np.uint64) if kind == "range" else None
+        eng = stream_ip._SumcheckEngine(table, 512, kind, chi_table=chi)
+        extra = {} if chi is None else {"chi_u": chi[0::2], "chi_d": m61.vsub(chi[1::2], chi[0::2])}
+        want = _reference_evaluate(eng, table[0::2], m61.vsub(table[1::2], table[0::2]), **extra)
+        assert list(eng.round_message()) == want
+
+    def test_gemm_block_keeps_limb_sums_exact(self):
+        # a GEMM dot product of GEMM_BLOCK limb products stays below 2^53
+        assert m61.GEMM_BLOCK * ((1 << 21) - 1) ** 2 < 1 << 53
 
     @pytest.mark.parametrize("kind,degree_cap", ENGINE_CASES)
     def test_round_message_equals_reference(self, kind, degree_cap):
@@ -659,6 +703,39 @@ class TestStreamShopping:
             shopped.add(extra)
             _assert_one_stream(shopper, cfg)
         assert shopped == {0, 1}  # both verdicts were seen
+
+
+class TestTransientMemory:
+    """tracemalloc peaks of the verifier's stream pass and one prover round
+    at k = 2^16, guards against whole-stream or whole-table scratch."""
+
+    def test_update_batch_peak(self):
+        cfg = UniformityConfig(k=1 << 16, epsilon=0.75)
+        samples = rng(40).integers(0, cfg.k, size=cfg.n)
+        st = StreamVerifierState(cfg.k, rng(41), rng(42))
+        tracemalloc.start()
+        try:
+            st.update_batch(samples)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 << 20
+
+    @pytest.mark.parametrize("kind", ["unique", "range"])
+    def test_round_message_peak_on_bound_table(self, kind):
+        g = rng(43)
+        freq = g.poisson(1.0, size=1 << 15).astype(np.uint64)
+        chi = chi_table_for_point(1 << 15, [m61.rand_fe(g) for _ in range(15)]) if kind == "range" else None
+        eng = stream_ip._SumcheckEngine(freq, 32, kind, chi_table=chi)
+        eng.bind(m61.rand_fe(g))
+        assert eng.table.size == 1 << 14
+        tracemalloc.start()
+        try:
+            eng.round_message()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 << 20
 
 
 class TestInstrumentation:

@@ -32,7 +32,6 @@ import numpy as np
 Q = (1 << 61) - 1
 
 # field elements are canonical Python ints in [0, Q)
-FieldElement = int
 _MASK31 = np.uint64((1 << 31) - 1)
 _MASK30 = np.uint64((1 << 30) - 1)
 _QV = np.uint64(Q)

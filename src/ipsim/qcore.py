@@ -16,7 +16,6 @@ HERM_ATOL = 1e-10
 EIG_FLOOR = -1e-10
 TRACE_ATOL = 1e-10
 UNITARY_ATOL = 1e-9
-RECON_ATOL = 1e-8
 
 
 class DimensionError(ValueError):

@@ -23,10 +23,6 @@ from .qcore import (
     UnitaryOp,
 )
 
-_I2 = np.eye(2, dtype=complex)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
 
 @dataclass(frozen=True)
 class PauliLabel:

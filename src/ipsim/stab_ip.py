@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import ClassVar
 
 import numpy as np
@@ -82,7 +82,8 @@ def _commute_masks(n: int) -> list[int]:
     return [int.from_bytes(row.tobytes(), "little") for row in rows]
 
 
-def _maximal_isotropic_subspaces(n: int) -> list[list[int]]:
+@lru_cache(maxsize=4)
+def _maximal_isotropic_subspaces(n: int) -> tuple[list[int], ...]:
     """All maximal isotropic subspaces of F_2^{2n}; each as a generator list.
 
     Breadth-first by dimension: a subspace E grows by each v outside E that
@@ -91,6 +92,7 @@ def _maximal_isotropic_subspaces(n: int) -> list[list[int]]:
     E + <v> leaves the candidates, since every later v' in it yields the same
     superspace.
     """
+    _check_qubits(n)
     commute = _commute_masks(n)
     everything = (1 << (1 << (2 * n))) - 1
     frontier = {1: ([0], [])}  # element bitmask -> (elements, generators)
@@ -108,7 +110,7 @@ def _maximal_isotropic_subspaces(n: int) -> list[list[int]]:
                     nxt[superspace] = (elements + coset, gens + [v])
                 candidates &= ~superspace
         frontier = nxt
-    return [gens for _, gens in frontier.values()]
+    return tuple(gens for _, gens in frontier.values())
 
 
 def _pack_generators(n: int, subspaces: list[list[int]]) -> np.ndarray:
@@ -139,12 +141,12 @@ class StabilizerStateDesc:
 
     __slots__ = ("n", "generators", "_dense")
 
-    def __init__(self, n: int, generators: np.ndarray, dense: np.ndarray | None = None):
+    def __init__(self, n: int, generators: np.ndarray):
         self.n = n
         self.generators = np.asarray(generators, dtype=np.int8)
         if self.generators.shape != (n, 2 * n + 1):
             raise ValueError(f"generators must be {n} x {2*n+1}")
-        self._dense = dense
+        self._dense = None
 
     def packed_rows(self) -> list[tuple[int, int]]:
         """(packed xz label, sign) per generator row."""
@@ -172,7 +174,7 @@ class StabilizerStateDesc:
     @property
     def dense(self) -> qcore.PureState:
         if self._dense is None:
-            self._dense = _render(self.generators[None])[0]
+            self._dense = _render(self.n, self.generators)
         return qcore.PureState(self._dense)
 
     def projector(self) -> np.ndarray:
@@ -180,50 +182,35 @@ class StabilizerStateDesc:
         return np.outer(amps, amps.conj())
 
 
-_RENDER_CHUNK = 256  # states per batched product; 4096 adds ~50 MB of peak RSS at n = 4
-
-
 @lru_cache(maxsize=4)
 def _projector_factors(n: int) -> np.ndarray:
-    """(2, 4^n, 2^n, 2^n): I + (-1)^s W for sign bit s and every Pauli label."""
+    """(2, 4^n, 2^n, 2^n): (I + (-1)^s W) / 2 for sign bit s and every Pauli label."""
     d = 1 << n
     out = np.empty((2, 1 << (2 * n), d, d), dtype=complex)
     for label in range(1 << (2 * n)):
         w = qmeas.dense_pauli(qmeas.PauliLabel.from_index(n, label))
         for sign in (0, 1):
-            out[sign, label] = np.eye(d) + (-1) ** sign * w
+            out[sign, label] = (np.eye(d) + (-1) ** sign * w) / 2
     out.setflags(write=False)
     return out
 
 
-def _render(generators: np.ndarray) -> np.ndarray:
-    """(B, 2^n) amplitudes of the B stabilizer states with (B, n, 2n+1)
-    generator arrays.
+def _render(n: int, generators: np.ndarray) -> np.ndarray:
+    """2^n amplitudes of the stabilizer state with n x (2n+1) generator array.
 
-    Each state is the largest column of the product of its projectors
+    The state is the largest column of the product of its projectors
     (I + (-1)^s W) / 2, normalized, with the first significant entry made
     real positive. Every projector entry is a dyadic rational, so the
-    products are exact: the bits do not depend on how states are batched.
+    product is exact.
     """
-    count, n = generators.shape[:2]
-    d = 1 << n
-    factors = _projector_factors(n)
-    labels = _packed_labels(generators)
-    signs = generators[:, :, 2 * n]
-    out = np.empty((count, d), dtype=complex)
-    for lo in range(0, count, _RENDER_CHUNK):
-        hi = min(lo + _RENDER_CHUNK, count)
-        proj = factors[signs[lo:hi, 0], labels[lo:hi, 0]] / 2
-        for i in range(1, n):
-            proj = proj @ factors[signs[lo:hi, i], labels[lo:hi, i]] / 2
-        norms = np.linalg.norm(proj, axis=1)
-        rows = np.arange(hi - lo)
-        col = norms.argmax(axis=1)
-        v = proj[rows, :, col] / norms[rows, col][:, None]
-        # canonical global phase: first significant entry real positive
-        first = v[rows, (np.abs(v) > 1e-8).argmax(axis=1)]
-        out[lo:hi] = v * (first.conj() / np.abs(first))[:, None]
-    return out
+    factors = _projector_factors(n)[generators[:, 2 * n], _packed_labels(generators)]
+    proj = reduce(np.matmul, factors)
+    norms = np.linalg.norm(proj, axis=0)
+    col = norms.argmax()
+    v = proj[:, col] / norms[col]
+    # canonical global phase: first significant entry real positive
+    first = v[(np.abs(v) > 1e-8).argmax()]
+    return v * (first.conj() / np.abs(first))
 
 
 def _group_index(n: int, subspaces: list[list[int]]) -> np.ndarray:
@@ -258,40 +245,22 @@ def _group_index(n: int, subspaces: list[list[int]]) -> np.ndarray:
     return index
 
 
-_AMPLITUDE_TABLES: dict[int, np.ndarray] = {}  # filled by enumerate_stabilizers
-_GROUP_INDEX: dict[int, np.ndarray] = {}  # filled by enumerate_stabilizers
-
-
 @lru_cache(maxsize=4)
 def enumerate_stabilizers(n: int) -> tuple[StabilizerStateDesc, ...]:
     """Every pure n-qubit stabilizer state exactly once (n <= 4)."""
-    if n > 4:
-        raise ValueError("enumeration capped at n = 4")
-    subspaces = _maximal_isotropic_subspaces(n)
-    generators = _pack_generators(n, subspaces)
+    generators = _pack_generators(n, _maximal_isotropic_subspaces(n))
     assert len(generators) == STABILIZER_COUNTS[n]
     generators.setflags(write=False)
-    table = _render(generators)
-    table.setflags(write=False)
-    _AMPLITUDE_TABLES[n] = table
-    _GROUP_INDEX[n] = _group_index(n, subspaces)
-    return tuple(StabilizerStateDesc(n, g, row) for g, row in zip(generators, table))
+    return tuple(StabilizerStateDesc(n, g) for g in generators)
 
 
-def stabilizer_amplitude_table(n: int) -> np.ndarray:
-    """(num_states, 2^n) read-only amplitudes; row i is the dense rendering
-    of ``enumerate_stabilizers(n)[i]``."""
-    enumerate_stabilizers(n)
-    return _AMPLITUDE_TABLES[n]
-
-
+@lru_cache(maxsize=4)
 def stabilizer_group_index(n: int) -> np.ndarray:
     """(num_states / 2^n, 2^n) read-only table, one row per isotropic subspace
     in enumeration order: entry k is l_k + 4^n [c_k = -1], so that
     ``concatenate([exps, -exps])[entry]`` is c_k <W_(l_k)>, where c_k W_(l_k)
     is the product of the subspace's generators in the bit set k."""
-    enumerate_stabilizers(n)
-    return _GROUP_INDEX[n]
+    return _group_index(n, _maximal_isotropic_subspaces(n))
 
 
 def all_fidelities(psi: qcore.PureState) -> np.ndarray:
@@ -616,7 +585,7 @@ class TrivialGarbage(TrivialSolver):
         return enumerate_stabilizers(self.n)[farthest_index(fids)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrivialConfig:
     """Obs-2.5-style IP on realizable stabilizer learning: the prover solves,
     the verifier runs a stabilizer-fidelity decide-valid check (``checker``:

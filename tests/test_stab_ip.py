@@ -3,10 +3,15 @@ brute-force prover, estimator calibration, verdict rule, sessions."""
 
 import hashlib
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ipsim
 from ipsim import qcore, qmeas, stab_ip
 from ipsim.harness import CopyOracle, ProtocolAbort, batch_rates, delegated_measure
 from ipsim.stab_ip import (
@@ -145,6 +150,11 @@ N4_GENERATORS_SHA256 = "d26da0d016a90810d2637cbe93059c7d71bf46bcc6c4cb7b8794e43a
 N4_TABLE_SHA256 = "ebc02b157f89c4a5fe6d27f55b4058b32de92fbe2de5d269a9b3f6195bd80166"
 
 
+def _amplitude_table(n):
+    """(num_states, 2^n) dense renderings of ``enumerate_stabilizers(n)``."""
+    return np.stack([s.dense.amplitudes for s in enumerate_stabilizers(n)])
+
+
 class TestEnumeration:
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_counts(self, n):
@@ -156,13 +166,13 @@ class TestEnumeration:
             assert STABILIZER_COUNTS[n] == expected
 
     def test_states_distinct(self):
-        tab = stab_ip.stabilizer_amplitude_table(2)
+        tab = _amplitude_table(2)
         overlaps = np.abs(tab.conj() @ tab.T) ** 2
         off = overlaps - np.eye(len(tab))
         assert off.max() < 1 - 1e-9  # no duplicated state
 
     def test_pairwise_fidelity_spectrum_n2(self):
-        tab = stab_ip.stabilizer_amplitude_table(2)
+        tab = _amplitude_table(2)
         vals = np.unique(np.round(np.abs(tab.conj() @ tab.T) ** 2, 9))
         assert set(vals.tolist()) == {0.0, 0.25, 0.5, 1.0}
 
@@ -182,29 +192,50 @@ class TestEnumeration:
         generators, table = _reference_enumeration(n)
         states = enumerate_stabilizers(n)
         assert np.array_equal(np.stack([s.generators for s in states]), generators)
-        assert stab_ip.stabilizer_amplitude_table(n).tobytes() == table.tobytes()
+        assert _amplitude_table(n).tobytes() == table.tobytes()
 
     def test_n4_matches_pinned_digests(self):
         states = enumerate_stabilizers(4)
         generators = np.stack([s.generators for s in states]).tobytes()
         assert hashlib.sha256(generators).hexdigest() == N4_GENERATORS_SHA256
-        table = stab_ip.stabilizer_amplitude_table(4)
+        table = _amplitude_table(4)
         assert hashlib.sha256(table.tobytes()).hexdigest() == N4_TABLE_SHA256
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_table_rows_are_the_dense_renderings(self, n):
-        table = stab_ip.stabilizer_amplitude_table(n)
-        assert table.dtype == complex and table.flags.c_contiguous
+        table = _amplitude_table(n)
+        assert table.dtype == complex
         assert table.shape == (STABILIZER_COUNTS[n], 1 << n)
-        assert not table.flags.writeable
         for desc, row in zip(enumerate_stabilizers(n), table):
-            assert np.array_equal(desc.dense.amplitudes, row)
+            fresh = stab_ip.StabilizerStateDesc(n, desc.generators.copy())
+            assert np.array_equal(fresh.dense.amplitudes, row)
 
     def test_lazy_render_matches_table(self):
-        table = stab_ip.stabilizer_amplitude_table(3)
+        table = _amplitude_table(3)
         for i, desc in enumerate(enumerate_stabilizers(3)[::37]):
             fresh = validate_candidate(desc.generators, 3)
             assert fresh.dense.amplitudes.tobytes() == table[37 * i].tobytes()
+
+    def test_cold_enumeration_renders_nothing(self):
+        """A cold n = 4 enumeration keeps generators and descriptions only:
+        the 36 720 rendered states alone would take 9.4 MB."""
+        code = (
+            "import gc, tracemalloc\n"
+            "from ipsim import stab_ip\n"
+            "tracemalloc.start()\n"
+            "stab_ip.enumerate_stabilizers(4)\n"
+            "gc.collect()\n"
+            "print(tracemalloc.get_traced_memory()[0])\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(ipsim.__file__).parents[1]))
+        run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
+        assert int(run.stdout) < 12 << 20
+
+    def test_more_than_four_qubits_rejected(self):
+        with pytest.raises(ValueError, match="1..4"):
+            enumerate_stabilizers(5)
+        with pytest.raises(ValueError, match="1..4"):
+            all_fidelities(qcore.basis_state(1 << 5, 0))
 
     def test_non_bit_entries_rejected(self):
         bad = enumerate_stabilizers(2)[7].generators.copy()
@@ -223,7 +254,7 @@ class TestEnumeration:
 
 def _reference_all_fidelities(psi):
     """The amplitude-table product that ``all_fidelities`` replaced."""
-    table = stab_ip.stabilizer_amplitude_table(qmeas.num_qubits(psi))
+    table = _amplitude_table(qmeas.num_qubits(psi))
     return np.abs(table @ psi.amplitudes.conj()) ** 2
 
 

@@ -109,8 +109,9 @@ class PointMassDistribution:
 
 class StreamVerifierState:
     """Persistent verifier registers: three b-element random points, two
-    maintained extension values, claims and counters. Everything else used
-    during updates or round streaming is O(1) transient scratch.
+    maintained extension values, claims and counters: the O(b) registers
+    ``peak_field_elements`` models, with O(1) transient scratch besides. The
+    2^(b/2)-entry eq tables of ``update_batch`` only vectorize the simulation.
 
     Given ``collision_rng``, a fourth point r3 is drawn from it and the
     extension value at r3 is maintained too (b + 1 more registers), for the
@@ -155,23 +156,24 @@ class StreamVerifierState:
         self.sample_count += 1
 
     def update_batch(self, samples: np.ndarray):
-        """Vectorized transcript of per-sample updates (same arithmetic,
-        same persistent registers; asserted equal to sequential updates),
-        streamed in chunks of m61.CHUNK samples."""
+        """Vectorized transcript of per-sample updates (same per-sample values,
+        same persistent registers; asserted equal to sequential updates) in
+        chunks of m61.CHUNK samples: chi_x(p) = low[x mod 2^h] high[x >> h],
+        h = b // 2, from the eq tables of p's two halves."""
         samples = np.asarray(samples)
         if samples.size == 0:
             return
         if int(samples.min()) < 0 or int(samples.max()) >= self.k:
             raise ValueError("sample index out of range")
         points = [getattr(self, point) for point, _ in self.maintained]
-        # pairs[j, i] = (1 - p_j, p_j) for point i: chi's factor at bit j = 0, 1
-        pairs = np.array([[[fsub(1, p[j]), p[j]] for p in points] for j in range(self.b)], dtype=np.uint64)
+        h = self.b // 2
+        low = np.stack([chi_table_for_point(1 << h, p[:h]) for p in points])
+        high = np.stack([chi_table_for_point(1 << (self.b - h), p[h:]) for p in points])
         totals = [0] * len(points)
         for lo in range(0, samples.size, m61.CHUNK):
             chunk = samples[lo : lo + m61.CHUNK].astype(np.intp)
-            chi = np.ones((len(points), chunk.size), dtype=np.uint64)
-            for j in range(self.b):
-                vmul(chi, np.take(pairs[j], (chunk >> j) & 1, axis=1), out=chi)
+            chi = np.take(low, chunk & ((1 << h) - 1), axis=1)
+            vmul(chi, np.take(high, chunk >> h, axis=1), out=chi)
             totals = [fadd(total, part) for total, part in zip(totals, m61.vsum_rows(chi))]
         for (_, value), total in zip(self.maintained, totals):
             setattr(self, value, fadd(getattr(self, value), total))
@@ -272,20 +274,19 @@ def _moment_tables(kind: str, degree_cap: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(triangle, dtype=np.uint64), np.array(vandermonde, dtype=np.uint64)
 
 
-def _moment_ladders(u: np.ndarray, d: np.ndarray, weights: list[np.ndarray], num_powers: int) -> np.ndarray:
-    """(2 + len(weights), num_powers, m) array of the ladders u^p, d^p and
-    w * d^p for each weight w, p = 0..num_powers-1. Built by doubling: rows
+def _moment_ladders(u: np.ndarray, d: np.ndarray, weight: np.ndarray | None, num_powers: int) -> np.ndarray:
+    """(2, num_powers, m) array of the ladders u^p and d^p, p = 0..num_powers-1,
+    with a third ladder w * d^p given a weight w. Built by doubling: rows
     h+1..2h are rows 1..h times the pure powers u^h, d^h of row h, one
     stacked vmul per step for every ladder at once."""
-    out = np.empty((2 + len(weights), num_powers, u.size), dtype=np.uint64)
+    rows = 2 if weight is None else 3
+    out = np.empty((rows, num_powers, u.size), dtype=np.uint64)
     out[:2, 0] = 1
-    for row, w in enumerate(weights, start=2):
-        out[row, 0] = w
-    out[0, 1] = u
-    out[1, 1] = d
-    if weights:
-        vmul(out[2:, 0], d, out=out[2:, 1])
-    pure = [0] + [1] * (1 + len(weights))
+    out[:2, 1] = u, d
+    if weight is not None:
+        out[2, 0] = weight
+        vmul(weight, d, out=out[2, 1])
+    pure = [0, 1, 1][:rows]
     h = 1
     while h + 1 < num_powers:
         top = min(2 * h, num_powers - 1)
@@ -298,9 +299,11 @@ class _SumcheckEngine:
     """Honest table-folding prover for one b-variate sum-check.
 
     ``kind`` selects g = ``composed_factors(kind, degree_cap)``; the engine
-    sums g(a(x)) over the cube, times ``chi_table`` (chi(x, zeta)) for
-    "range". Messages are the round polynomial on the integer nodes 0..L-1,
-    L = len(factors) + 2 = deg g + 2.
+    sums g(a(x)) over the cube, times chi(x, zeta) = prod_j eq(x_j, zeta_j)
+    for "range" (``chi_point`` = zeta). Messages are the round polynomial on
+    the integer nodes 0..L-1, L = len(factors) + 2 = deg g + 2. chi stays
+    factored: round j weights column x by the eq suffix chi(x, zeta_(j+1..))
+    and multiplies the sum by the line prod_(i<j) eq(r_i, zeta_i) eq(t, zeta_j).
 
     Early rounds bucket identical (value, difference) pairs, which collapses
     the work by orders of magnitude while the folded tables still carry few
@@ -308,50 +311,56 @@ class _SumcheckEngine:
     and of the combined int64 key, in (value, difference) order.
 
     A round message comes from power moments. With y = u + t d on each
-    column and a weight w per column (1, the bucket counts, or chi's u and d
-    parts), sum w g(u + t d) = sum_a t^a sum_p T[a, p] M_w[a, p], where
-    M_w[a, p] = sum w d^a u^p are the moments and T[a, p] = g_(a+p) C(a+p, a)
+    column and a weight w per column (1, the bucket counts, or the eq
+    suffix), sum w g(u + t d) = sum_a t^a sum_p T[a, p] M[a, p], where
+    M[a, p] = sum w d^a u^p are the moments and T[a, p] = g_(a+p) C(a+p, a)
     is the coefficient-binomial triangle of ``_moment_tables``. The columns
     are taken in blocks whose power ladders (``_moment_ladders``) hold about
     ``_LADDER_ELEMS`` elements. A block with at least as many columns as its
-    moment matrix has rows (n = deg g + 1 per weight) forms its moments with
-    one exact limb-split float64 GEMM (``m61.matmul``) and contracts them
-    with T. A narrower block, which the last rounds of every sum-check and
-    every small table have, contracts the powers first,
-    h_a = sum_p T[a, p] u^p, so that its GEMM output is n x m rather than
-    n x n per weight. The Vandermonde matrix
-    of the nodes turns the coefficients in t into node values, and chi's d
-    part carries one more power of t. Every step is exact arithmetic in
-    GF(Q), so the messages equal those of evaluating g at every node.
+    moment matrix has rows (n = deg g + 1) forms its moments with one exact
+    limb-split float64 GEMM (``m61.matmul``) and contracts them with T. A
+    narrower block, which the last rounds of every sum-check and every small
+    table have, contracts the powers first, h_a = sum_p T[a, p] u^p, so that
+    its GEMM output is n x m rather than n x n. The Vandermonde matrix of
+    the nodes turns the coefficients in t, times the line, into node values.
+    Every step is exact arithmetic in GF(Q), so the messages equal those of
+    evaluating chi g at every node.
     """
 
-    def __init__(self, table: np.ndarray, degree_cap: int, kind: str, chi_table: np.ndarray | None = None):
+    def __init__(self, table: np.ndarray, degree_cap: int, kind: str, chi_point: list[int] | None = None):
         self.table = np.ascontiguousarray(table, dtype=np.uint64)
         self.degree_cap = degree_cap
         self.kind = kind
-        self.chi = chi_table
+        self.zeta = None if chi_point is None else list(chi_point)  # the coordinates not yet bound
+        self.prefix = 1  # prod of eq(r_i, zeta_i) over the bound rounds
         self.triangle, self.vandermonde = _moment_tables(kind, degree_cap)
         self.num_nodes = len(self.vandermonde)
+
+    def _line(self) -> tuple[int, int]:
+        """(alpha, beta) with prefix * eq(t, zeta_j) = alpha + beta t."""
+        z = self.zeta[0]
+        return fmul(self.prefix, fsub(1, z)), fmul(self.prefix, fsub(fadd(z, z), 1))
 
     def round_message(self) -> tuple[int, ...]:
         u = self.table[0::2]
         d = vsub(self.table[1::2], u)
-        extra = {}
-        if self.chi is not None:
-            extra = {"chi_u": self.chi[0::2], "chi_d": vsub(self.chi[1::2], self.chi[0::2])}
+        weight = line = None
+        if self.zeta is not None:
+            weight = chi_table_for_point(u.size, self.zeta[1:])
+            line = self._line()
         grouped = self._group(u, d)
         if grouped is not None:
             # one column per distinct (u, d) pair, weighted by its multiplicity
-            # or by the sums of its chi columns
+            # or by the sum of its eq suffix entries
             uniq, inverse = grouped
             u, d = uniq[:, 0].copy(), uniq[:, 1].copy()
-            if self.chi is None:
-                extra["counts"] = np.bincount(inverse).astype(np.uint64) % np.uint64(Q)
+            if weight is None:
+                weight = np.bincount(inverse).astype(np.uint64) % np.uint64(Q)
             else:
                 order = np.argsort(inverse, kind="stable")
                 starts = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
-                extra = {key: _segment_sums_mod(col[order], starts) for key, col in extra.items()}
-        return tuple(self._evaluate(u, d, **extra))
+                weight = _segment_sums_mod(weight[order], starts)
+        return tuple(self._evaluate(u, d, weight, line))
 
     @staticmethod
     def _group(u: np.ndarray, d: np.ndarray):
@@ -365,35 +374,33 @@ class _SumcheckEngine:
         uniq = np.stack([u_vals[keys // d_vals.size], d_vals[keys % d_vals.size]], axis=1)
         return uniq, inverse.reshape(-1)
 
-    def _evaluate(self, u, d, counts=None, chi_u=None, chi_d=None) -> list[int]:
-        weights = [] if chi_u is None else [chi_u, chi_d]
-        if counts is not None:
-            weights = [vmul(w, counts) for w in weights] or [counts]
+    def _evaluate(self, u, d, weight=None, line=None) -> list[int]:
+        """Node values of (alpha + beta t) sum w g(u + t d); 1 for a None line or weight."""
         n = len(self.triangle)  # powers 0..deg g
-        spread = max(1, len(weights))
-        sums = np.zeros(spread * n, dtype=np.uint64)  # [w * n + a]: sum w d^a sum_p triangle[a, p] u^p
-        block = max(1, _LADDER_ELEMS // (n * (2 + len(weights))))
+        sums = np.zeros(n, dtype=np.uint64)  # [a]: sum w d^a sum_p triangle[a, p] u^p
+        block = max(1, _LADDER_ELEMS // (n * (2 if weight is None else 3)))
         for lo in range(0, u.size, block):
             cols = slice(lo, lo + block)
-            ladders = _moment_ladders(u[cols], d[cols], [w[cols] for w in weights], n)
-            powers, scaled = ladders[0], ladders[2:] if weights else ladders[1:2]
-            if powers.shape[1] >= spread * n:
-                # M_w[a, p] = sum w d^a u^p, an n x n GEMM output per weight
-                moments = m61.matmul(scaled.reshape(spread * n, -1), powers.T)
-                terms = vmul(moments.reshape(spread, n, n), self.triangle)
+            ladders = _moment_ladders(u[cols], d[cols], None if weight is None else weight[cols], n)
+            powers, scaled = ladders[0], ladders[-1]
+            if powers.shape[1] >= n:
+                # M[a, p] = sum w d^a u^p, an n x n GEMM output
+                terms = vmul(m61.matmul(scaled, powers.T), self.triangle)
             else:
                 # w d^a h_a(u) per column, an n x m GEMM output
                 terms = vmul(scaled, m61.matmul(self.triangle, powers))
-            vadd(sums, np.array(m61.vsum_rows(terms.reshape(spread * n, -1)), dtype=np.uint64), out=sums)
-        coeffs = np.zeros(n + 1, dtype=np.uint64)  # of the round polynomial in t
-        for w in range(spread):  # chi's d part (w = 1) carries one more power of t
-            vadd(coeffs[w : w + n], sums[w * n : (w + 1) * n], out=coeffs[w : w + n])
+            vadd(sums, np.array(m61.vsum_rows(terms), dtype=np.uint64), out=sums)
+        coeffs = np.append(sums, np.uint64(0))  # of the round polynomial in t
+        if line is not None:  # times alpha + beta t: beta shifts one power up
+            coeffs = vadd(vmul(coeffs, line[0]), np.roll(vmul(coeffs, line[1]), 1))
         return m61.vsum_rows(vmul(self.vandermonde, coeffs))
 
     def bind(self, r: int):
         self.table = self._fold(self.table, r)
-        if self.chi is not None:
-            self.chi = self._fold(self.chi, r)
+        if self.zeta is not None:
+            alpha, beta = self._line()
+            self.prefix = fadd(alpha, fmul(beta, r))
+            self.zeta = self.zeta[1:]
 
     @staticmethod
     def _fold(table: np.ndarray, r: int) -> np.ndarray:
@@ -406,8 +413,7 @@ class _SumcheckEngine:
     # test-only: the pinned engine transcript hashes in tests/test_stream_ip.py close on it
     def final_value(self) -> int:
         assert self.table.size == 1
-        value = composed_value(self.kind, self.degree_cap, int(self.table[0]))
-        return value if self.chi is None else fmul(int(self.chi[0]), value)
+        return fmul(self.prefix, composed_value(self.kind, self.degree_cap, int(self.table[0])))
 
 
 def chi_table_for_point(k: int, point: list[int]) -> np.ndarray:
@@ -528,7 +534,6 @@ class HonestStreamProver(ProverStrategy):
 
     def ingest(self, samples: np.ndarray, k: int):
         self.freq = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k).astype(np.uint64)
-        self.k = k
 
     def widenings(self, degree_cap: int, n: int) -> int:
         """Fewest doublings j of the cap with min(cap * 2^j, n) >= max f."""
@@ -543,9 +548,7 @@ class HonestStreamProver(ProverStrategy):
 
     def build_engines(self, degree_cap: int, zeta: list[int]):
         main = _SumcheckEngine(self.freq, degree_cap, "unique")
-        rng_chi = chi_table_for_point(self.k, zeta)
-        rng_eng = _SumcheckEngine(self.freq, degree_cap, "range", chi_table=rng_chi)
-        return main, rng_eng
+        return main, _SumcheckEngine(self.freq, degree_cap, "range", chi_point=zeta)
 
     def collision_freq(self) -> np.ndarray:
         return self.freq
@@ -678,10 +681,7 @@ class RangeClampProver(HonestStreamProver):
     def build_engines(self, degree_cap: int, zeta: list[int]):
         main = _SumcheckEngine(self.freq, degree_cap, "unique")
         clamped = np.minimum(self.freq, np.uint64(degree_cap))
-        rng_eng = _SumcheckEngine(
-            clamped, degree_cap, "range", chi_table=chi_table_for_point(self.k, zeta)
-        )
-        return main, rng_eng
+        return main, _SumcheckEngine(clamped, degree_cap, "range", chi_point=zeta)
 
 
 ADVERSARIES = {

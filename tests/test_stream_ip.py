@@ -194,6 +194,29 @@ class TestVerifierState:
         assert (plain.r, plain.r2, plain.zeta) == (bat.r, bat.r2, bat.zeta)
         assert plain.r3 is None
 
+    @pytest.mark.parametrize("collision", [False, True])
+    @pytest.mark.parametrize("k", [2, 8, 128])
+    def test_batch_equals_sequential_on_uneven_splits(self, k, collision):
+        # b = 1, 3, 7: h = b // 2 = 0, 1, 3 low bits, so the halves differ in size
+        samples = rng(k).integers(0, k, size=2 * m61.CHUNK + 5)
+        seq, bat = (StreamVerifierState(k, rng(9), rng(19) if collision else None) for _ in range(2))
+        for s in samples:
+            seq.update(int(s))
+        bat.update_batch(samples)
+        values = [value for _, value in seq.maintained]
+        assert len(values) == 2 + collision
+        assert [getattr(seq, v) for v in values] == [getattr(bat, v) for v in values]
+
+    @pytest.mark.parametrize("b", [1, 3, 7, 16])
+    def test_chi_table_splits_into_halves(self, b):
+        g = rng(b)
+        p = [m61.rand_fe(g) for _ in range(b)]
+        h = b // 2
+        low = chi_table_for_point(1 << h, p[:h])
+        high = chi_table_for_point(1 << (b - h), p[h:])
+        x = np.arange(1 << b)
+        assert np.array_equal(chi_table_for_point(1 << b, p), m61.vmul(low[x % (1 << h)], high[x >> h]))
+
     def test_out_of_range_rejected(self):
         st = StreamVerifierState(16, rng(10))
         with pytest.raises(ValueError):
@@ -326,6 +349,11 @@ def _reference_evaluate(engine, u, d, counts=None, chi_u=None, chi_d=None):
     return out
 
 
+def _chi_parts(chi):
+    """chi's u and d parts on a round's pairs, as ``_reference_evaluate`` takes them."""
+    return {"chi_u": chi[0::2], "chi_d": m61.vsub(chi[1::2], chi[0::2])}
+
+
 def _transcript_sha256(k, lam, degree_cap, kind, seed):
     """sha256 over every round message and the final value of one engine run
     on a Poisson(lam) table capped at degree_cap, bound at StreamVerifierState
@@ -333,8 +361,7 @@ def _transcript_sha256(k, lam, degree_cap, kind, seed):
     g = rng(seed)
     freq = np.minimum(g.poisson(lam, size=k), degree_cap).astype(np.uint64)
     st = StreamVerifierState(k, g)
-    chi = chi_table_for_point(k, st.zeta) if kind == "range" else None
-    eng = stream_ip._SumcheckEngine(freq, degree_cap, kind, chi_table=chi)
+    eng = stream_ip._SumcheckEngine(freq, degree_cap, kind, chi_point=st.zeta if kind == "range" else None)
     h = hashlib.sha256()
     for j in range(len(st.r)):
         if j:
@@ -354,13 +381,19 @@ class TestEngineAgainstReference:
 
     @staticmethod
     def _weights(g, m, value=None):
-        """The three weightings a round passes: none, bucket counts, chi."""
+        """The three weightings a round passes, as (``_evaluate`` arguments,
+        ``_reference_evaluate`` arguments): none, bucket counts, and a weight
+        w times a line alpha + beta t, which is chi with u and d parts
+        alpha w and beta w."""
         if value is not None:
-            full = np.full(m, value, dtype=np.uint64)
-            return [{}, {"counts": full}, {"chi_u": full, "chi_d": full}]
-        counts = g.integers(1, 1 << 20, m).astype(np.uint64)
-        cu, cd = (g.integers(0, Q, m, dtype=np.uint64) for _ in range(2))
-        return [{}, {"counts": counts}, {"chi_u": cu, "chi_d": cd}]
+            counts = w = np.full(m, value, dtype=np.uint64)
+            alpha = beta = value
+        else:
+            counts = g.integers(1, 1 << 20, m).astype(np.uint64)
+            w = g.integers(0, Q, m, dtype=np.uint64)
+            alpha, beta = m61.rand_fe(g), m61.rand_fe(g)
+        chi = {"chi_u": m61.vmul(w, alpha), "chi_d": m61.vmul(w, beta)}
+        return [({}, {}), ({"weight": counts}, {"counts": counts}), ({"weight": w, "line": (alpha, beta)}, chi)]
 
     @pytest.mark.parametrize("kind,degree_cap", ENGINE_CASES)
     def test_evaluate_equals_reference(self, kind, degree_cap):
@@ -369,15 +402,15 @@ class TestEngineAgainstReference:
         g = rng(degree_cap)
         # the column block of the paired-factor evaluation this kernel replaced
         old_block = max(1, m61.CHUNK // eng.num_nodes)
-        for num_weights in range(3):
-            block = stream_ip._LADDER_ELEMS // (n * (2 + num_weights))
-            switch = max(1, num_weights) * n  # narrower blocks contract the powers first
+        for case in range(3):
+            block = stream_ip._LADDER_ELEMS // (n * (2 + min(case, 1)))  # a weight adds a ladder
+            switch = n  # narrower blocks contract the powers first
             sizes = {old_block - 1, old_block, 2 * old_block + 5, block - 1, block, 2 * block + 5, switch - 1, switch}
             for m in sorted(sizes):
                 u, d = (g.integers(0, Q, m, dtype=np.uint64) for _ in range(2))
                 u[:3] = [0, 1, Q - 1][:m]  # blends through 0, small integers and the wrap at Q
-                extra = self._weights(g, m)[num_weights]
-                assert eng._evaluate(u, d, **extra) == _reference_evaluate(eng, u, d, **extra), (num_weights, m)
+                extra, ref = self._weights(g, m)[case]
+                assert eng._evaluate(u, d, **extra) == _reference_evaluate(eng, u, d, **ref), (case, m)
 
     @pytest.mark.parametrize("kind,degree_cap", ENGINE_CASES)
     def test_full_block_of_maximal_elements(self, kind, degree_cap):
@@ -385,20 +418,20 @@ class TestEngineAgainstReference:
         # one full column block of each weighting
         eng = stream_ip._SumcheckEngine(np.zeros(2, dtype=np.uint64), degree_cap, kind)
         n = eng.num_nodes - 1
-        for num_weights in range(3):
-            m = stream_ip._LADDER_ELEMS // (n * (2 + num_weights))
+        for case in range(3):
+            m = stream_ip._LADDER_ELEMS // (n * (2 + min(case, 1)))
             u = np.full(m, Q - 1, dtype=np.uint64)
-            extra = self._weights(None, m, Q - 1)[num_weights]
-            assert eng._evaluate(u, u, **extra) == _reference_evaluate(eng, u, u, **extra), num_weights
+            extra, ref = self._weights(None, m, Q - 1)[case]
+            assert eng._evaluate(u, u, **extra) == _reference_evaluate(eng, u, u, **ref), case
 
     @pytest.mark.parametrize("kind", ["unique", "range"])
     def test_widened_cap_on_small_table(self, kind):
         # D = 512, the widest cap a D0 = 32 session can reach, on 64 entries
         g = rng(512)
         table = g.integers(0, Q, 64, dtype=np.uint64)
-        chi = g.integers(0, Q, 64, dtype=np.uint64) if kind == "range" else None
-        eng = stream_ip._SumcheckEngine(table, 512, kind, chi_table=chi)
-        extra = {} if chi is None else {"chi_u": chi[0::2], "chi_d": m61.vsub(chi[1::2], chi[0::2])}
+        zeta = [m61.rand_fe(g) for _ in range(6)] if kind == "range" else None
+        eng = stream_ip._SumcheckEngine(table, 512, kind, chi_point=zeta)
+        extra = {} if zeta is None else _chi_parts(chi_table_for_point(64, zeta))
         want = _reference_evaluate(eng, table[0::2], m61.vsub(table[1::2], table[0::2]), **extra)
         assert list(eng.round_message()) == want
 
@@ -411,16 +444,15 @@ class TestEngineAgainstReference:
         g = rng(100 + degree_cap)
         for table in (
             g.integers(0, min(degree_cap, 4) + 1, 4096).astype(np.uint64),  # buckets
-            g.integers(0, Q, 300, dtype=np.uint64),  # too small to bucket
+            # too small to bucket; a range table spans a cube, as chi does
+            g.integers(0, Q, 256 if kind == "range" else 300, dtype=np.uint64),
         ):
-            chi = g.integers(0, Q, table.size, dtype=np.uint64) if kind == "range" else None
-            eng = stream_ip._SumcheckEngine(table, degree_cap, kind, chi_table=chi)
+            zeta = [m61.rand_fe(g) for _ in range(table.size.bit_length() - 1)] if kind == "range" else None
+            eng = stream_ip._SumcheckEngine(table, degree_cap, kind, chi_point=zeta)
             u = table[0::2]
             d = m61.vsub(table[1::2], u)
             assert (eng._group(u, d) is not None) == (table.size == 4096)
-            extra = {}
-            if kind == "range":
-                extra = {"chi_u": chi[0::2], "chi_d": m61.vsub(chi[1::2], chi[0::2])}
+            extra = {} if zeta is None else _chi_parts(chi_table_for_point(table.size, zeta))
             want = _reference_evaluate(eng, u, d, **extra)
             assert list(eng.round_message()) == want
 
@@ -440,6 +472,35 @@ class TestEngineAgainstReference:
         zeros = np.zeros(1024, dtype=np.uint64)
         assert stream_ip._SumcheckEngine._group(zeros[:1023], zeros[:1023]) is None
         assert stream_ip._SumcheckEngine._group(zeros, zeros) is not None
+
+    @pytest.mark.parametrize(
+        "k,degree_cap,grouped",
+        [(4096, 2, True), (4096, 32, True), (256, 2, False), (256, 32, False), (64, 512, False)]
+        + [(2, D, False) for D in (2, 32, 512)],
+    )
+    def test_factored_range_rounds_equal_folded_chi(self, k, degree_cap, grouped):
+        # the range engine keeps chi factored; the reference folds the full
+        # chi table with the frequency table each round and takes chi's u and
+        # d parts from it
+        g = rng(k + degree_cap)
+        if grouped:
+            freq = g.poisson(1.0, size=k).astype(np.uint64)
+        else:
+            freq = g.integers(0, Q, k, dtype=np.uint64)
+        st = StreamVerifierState(k, g)
+        eng = stream_ip._SumcheckEngine(freq, degree_cap, "range", chi_point=st.zeta)
+        table, chi = freq, chi_table_for_point(k, st.zeta)
+        for j, r in enumerate(st.r):
+            u, d = table[0::2], m61.vsub(table[1::2], table[0::2])
+            if j == 0:
+                assert (eng._group(u, d) is not None) == grouped
+            assert list(eng.round_message()) == _reference_evaluate(eng, u, d, **_chi_parts(chi))
+            eng.bind(r)
+            table, chi = (stream_ip._SumcheckEngine._fold(x, r) for x in (table, chi))
+        assert np.array_equal(eng.table, table)
+        a_at_r = m61.vsum(m61.vmul(freq, chi_table_for_point(k, st.r)))
+        want = fmul(st.chi_pair(st.r, st.zeta), composed_value("range", degree_cap, a_at_r))
+        assert eng.final_value() == want == fmul(int(chi[0]), composed_value("range", degree_cap, int(table[0])))
 
     # computed with the direct, unpaired and unblocked evaluation
     PINNED = {
@@ -563,8 +624,7 @@ class TestCollisionSumcheck:
 
 def _range_certificate(freq, degree_cap, st):
     """The range certificate of an honest table, closed by st's registers."""
-    chi = chi_table_for_point(freq.size, st.zeta)
-    eng = stream_ip._SumcheckEngine(freq, degree_cap, "range", chi_table=chi)
+    eng = stream_ip._SumcheckEngine(freq, degree_cap, "range", chi_point=st.zeta)
     return verify_sumcheck("range", 0, eng, st.r2, degree_cap, st.a_at_r2, st.chi_pair(st.r2, st.zeta))
 
 
@@ -725,8 +785,8 @@ class TestTransientMemory:
     def test_round_message_peak_on_bound_table(self, kind):
         g = rng(43)
         freq = g.poisson(1.0, size=1 << 15).astype(np.uint64)
-        chi = chi_table_for_point(1 << 15, [m61.rand_fe(g) for _ in range(15)]) if kind == "range" else None
-        eng = stream_ip._SumcheckEngine(freq, 32, kind, chi_table=chi)
+        zeta = [m61.rand_fe(g) for _ in range(15)] if kind == "range" else None
+        eng = stream_ip._SumcheckEngine(freq, 32, kind, chi_point=zeta)
         eng.bind(m61.rand_fe(g))
         assert eng.table.size == 1 << 14
         tracemalloc.start()

@@ -120,10 +120,6 @@ class Copy:
         self.tracker = tracker
         self.alive = True
 
-    @property
-    def dim(self) -> int:
-        return self.state.shape[0]
-
     def with_unitary(self, u) -> "Copy":
         """Masked copy U rho U+; the live token transfers to the new handle."""
         ue = u.entries if hasattr(u, "entries") else np.asarray(u)
@@ -245,10 +241,6 @@ class CopyOracle:
         self.meter.charge(size, kind)
         return self._hidden.draw_batch(rng, size)
 
-    def charge_accounting(self, n: int, kind: str):
-        """Meter bump for contract-level (ideal-mode) subroutine accounting."""
-        self.meter.charge(n, kind)
-
     def ideal_peek(self):
         if not self.ideal_access:
             raise PermissionError("oracle not flagged for ideal-mode hidden access")
@@ -364,7 +356,6 @@ class ProverStrategy:
     """Base for pluggable honest or adversarial prover behaviors."""
 
     name = "honest"
-    honest = True
     tamper = None  # a cheating prover's map on the outcome of a delegated measurement
 
     def __repr__(self):
@@ -506,21 +497,23 @@ class ManyVsOneTask:
     def __post_init__(self):
         probe = np.random.default_rng(0)
         for _ in range(4):
-            rej = self.reject_sampler(probe)
-            if self._same(rej, self.accept_instance):
+            if self.is_accept(self.reject_sampler(probe)):
                 raise ValueError("reject sampler produced the accept instance")
 
-    @staticmethod
-    def _same(a, b) -> bool:
-        if hasattr(a, "entries") and hasattr(b, "entries"):
-            return bool(np.allclose(a.entries, b.entries, atol=1e-9))
-        return a == b
+    def is_accept(self, instance) -> bool:
+        """Whether ``instance`` is the accept instance (density matrices to
+        within 1e-9 entrywise)."""
+        accept = self.accept_instance
+        if hasattr(instance, "entries") and hasattr(accept, "entries"):
+            return bool(np.allclose(instance.entries, accept.entries, atol=1e-9))
+        return instance == accept
 
     def classify_output(self, output) -> str:
         return "accept" if output == self.accept_output else "reject"
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> tuple[float, float]:
+def wilson_interval(successes: int, trials: int) -> tuple[float, float]:
+    z = 1.96  # two-sided 95%
     if trials <= 0:
         return (0.0, 1.0)
     phat = successes / trials
@@ -720,9 +713,8 @@ class TrivialValidationIP:
     memory_limit = 1
     channel_kind = "quantum"
 
-    def __init__(self, check: Callable, description: str = "decide-valid"):
+    def __init__(self, check: Callable):
         self.check = check
-        self.extras = {"decide_valid": description}
 
     def run(self, session: Session, prover):
         hyp = prover.solve(session.oracle_p, session.rng("prover-solve"))

@@ -104,7 +104,7 @@ def delegated_purity_estimate(
     """
     pairs = cfg.purity_pairs_budget()
     if cfg.mode == "ideal":
-        oracle_v.charge_accounting(2 * pairs, "purity-accounting")
+        oracle_v.meter.charge(2 * pairs, "purity-accounting")
         noisy = qcore.purity(oracle_v.judge_peek()) + cfg.eps2 * rng.uniform(-1.0, 1.0)
         measurement, copies = (lambda states, r: noisy), []
     else:
@@ -122,7 +122,7 @@ def topk_spectrum_estimate(
 
     Ideal-contract only; charges ceil(k^2 ln(1/dt) / eps1^2).
     """
-    oracle_v.charge_accounting(cfg.topk_budget(), "topk-accounting")
+    oracle_v.meter.charge(cfg.topk_budget(), "topk-accounting")
     spec = qcore.eig_sorted(oracle_v.judge_peek())
     alpha = spec.values[: cfg.k]
     noise = rng.uniform(-1.0, 1.0, size=cfg.k)
@@ -146,10 +146,10 @@ def prover_spectral_tomography(
     k, d = cfg.k, cfg.d
     if cfg.mode == "sampled":
         hyp = tomo_ip._sampled_tomography(oracle_p, cfg.eps2, d, rng)
-        spec = qcore.eig_sorted(hyp.matrix)
+        spec = qcore.eig_sorted(hyp)
         return spec.basis.entries.conj().T, spec.values
     rho = oracle_p.ideal_peek()
-    oracle_p.charge_accounting(cfg.prover_budget(), "spectral-tomography-accounting")
+    oracle_p.meter.charge(cfg.prover_budget(), "spectral-tomography-accounting")
     spec = qcore.eig_sorted(rho)
     alpha_true = spec.values
     top_sum = alpha_true[:k].sum()
@@ -233,12 +233,6 @@ def lowrank_check(
     return lhs <= 1 - float(np.sum(alpha_hat_topk)) + cfg.f
 
 
-def lowrank_output(hyp: SpectralHypothesis, cfg: LowRankConfig):
-    if cfg.variant == "standard":
-        return hyp.truncated(cfg.k, normalize=False)
-    return hyp.truncated(cfg.k, normalize=True)
-
-
 # ---------------------------------------------------------------------------
 # Exact bound oracles for the truncation/approximation lemma suites
 # ---------------------------------------------------------------------------
@@ -282,7 +276,6 @@ def truncation_approx_margin(
 
 class HonestSpectralProver(ProverStrategy):
     name = "honest-spectral"
-    honest = True
 
     def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
         return prover_spectral_tomography(oracle_p, cfg, rng)
@@ -292,7 +285,6 @@ class RandomBasisLiar(ProverStrategy):
     """Correct spectrum, freshly random eigenbasis."""
 
     name = "random-basis-liar"
-    honest = False
 
     def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
         alpha = np.clip(qcore.eig_sorted(oracle_p.ideal_peek()).values, 0.0, 1.0)
@@ -304,7 +296,6 @@ class ForeignSpectrumLiar(ProverStrategy):
     """Correct eigenbasis, spectrum of an unrelated random state."""
 
     name = "foreign-spectrum-liar"
-    honest = False
 
     def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
         spec = qcore.eig_sorted(oracle_p.ideal_peek())
@@ -317,7 +308,6 @@ class NonUnitaryLiar(ProverStrategy):
     """Breaks the line-5 unitarity validation deterministically."""
 
     name = "non-unitary-liar"
-    honest = False
 
     def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
         u = qcore.sample_haar_unitary(cfg.d, rng).entries.copy()
@@ -330,7 +320,6 @@ class UnsortedSpectrumLiar(ProverStrategy):
     """Breaks the line-5 spectrum validation deterministically."""
 
     name = "unsorted-spectrum-liar"
-    honest = False
 
     def produce_spectral_hypothesis(self, oracle_p, cfg, rng):
         spec = qcore.eig_sorted(oracle_p.ideal_peek())
@@ -352,12 +341,6 @@ class LowRankVerifier:
     def __init__(self, cfg: LowRankConfig):
         self.cfg = cfg
         self.extras = {
-            "epsilon": cfg.epsilon,
-            "run_epsilon": cfg.run_epsilon,
-            "delta": cfg.delta,
-            "k": cfg.k,
-            "d": cfg.d,
-            "variant": cfg.variant,
             "eps1": cfg.eps1,
             "eps2": cfg.eps2,
             "f": cfg.f,
@@ -400,7 +383,7 @@ class LowRankVerifier:
         )
         if not ok:
             raise ProtocolAbort("rank-k certification inequality failed")
-        return lowrank_output(hyp, p)
+        return hyp.truncated(p.k, normalize=p.variant != "standard")
 
 
 @dataclass(frozen=True)

@@ -42,9 +42,7 @@ MASK_ENSEMBLES = ("haar", "clifford", "pauli")
 @dataclass
 class RoundRecord:
     kind: str  # "m" | "p" | "c"
-    mask: qcore.UnitaryOp | None
     prover_answer: int
-    pass_flag: int | None  # set for test rounds only
 
 
 def sample_masks(ensemble: str, d: int, n: int, rng: np.random.Generator) -> list[qcore.UnitaryOp]:
@@ -67,9 +65,9 @@ def prepare_round_state(
     mask: qcore.UnitaryOp | None,
     channel: Channel,
     round_index: int,
-) -> tuple[CopyStream, qcore.UnitaryOp | None]:
+) -> CopyStream:
     """Sends one round's m copies v->p, one at a time; returns the copies the
-    prover received and the round's private mask.
+    prover received.
 
     Mixed test rounds cost no oracle queries and carry no mask; pure test
     rounds mask |0><0|; compute rounds mask m fresh oracle copies.
@@ -77,16 +75,15 @@ def prepare_round_state(
     d = cfg.d
     if kind == "m":
         state = np.eye(d, dtype=complex) / d
-        return channel.send_stream("v->p", state, cfg.m, round_index), None
+        return channel.send_stream("v->p", state, cfg.m, round_index)
     if kind == "p":
         ue = mask.entries
         state = np.outer(ue[:, 0], ue[:, 0].conj())
-        return channel.send_stream("v->p", state, cfg.m, round_index), mask
+        return channel.send_stream("v->p", state, cfg.m, round_index)
     if kind == "c":
-        copies = oracle_v.stream(
+        return oracle_v.stream(
             cfg.m, "compute-round", channel=channel, unitary=mask, round_index=round_index
         )
-        return copies, mask
     raise ValueError(f"unknown round kind {kind}")
 
 
@@ -112,9 +109,11 @@ def honest_purity_answer(states, rng: np.random.Generator) -> int:
 
 
 def purity_verdict(records: list[RoundRecord]) -> str:
-    """Abort on any failed test or inconsistent/missing compute answers."""
+    """Abort on any failed test or inconsistent/missing compute answers. A
+    mixed-test round passes on a MIXED answer, a pure-test round on PURE."""
+    passing = {"m": MIXED, "p": PURE}
     for rec in records:
-        if rec.kind in ("m", "p") and rec.pass_flag == 0:
+        if rec.kind in passing and rec.prover_answer != passing[rec.kind]:
             raise ProtocolAbort(f"failed {rec.kind}-test round")
     compute_answers = [rec.prover_answer for rec in records if rec.kind == "c"]
     if not compute_answers:
@@ -128,7 +127,6 @@ class HonestSwapProver(ProverStrategy):
     """Distinguishes pure from maximally mixed via m/2 pairwise SWAP tests."""
 
     name = "honest-swap"
-    honest = True
 
     def answer_round(self, states, cfg: PurityConfig, rng) -> int:
         return honest_purity_answer(states, rng)
@@ -136,7 +134,6 @@ class HonestSwapProver(ProverStrategy):
 
 class AlwaysPure(ProverStrategy):
     name = "always-pure"
-    honest = False
 
     def answer_round(self, states, cfg, rng) -> int:
         return PURE
@@ -144,7 +141,6 @@ class AlwaysPure(ProverStrategy):
 
 class AlwaysMixed(ProverStrategy):
     name = "always-mixed"
-    honest = False
 
     def answer_round(self, states, cfg, rng) -> int:
         return MIXED
@@ -152,7 +148,6 @@ class AlwaysMixed(ProverStrategy):
 
 class UniformRandomAnswer(ProverStrategy):
     name = "uniform-random"
-    honest = False
 
     def answer_round(self, states, cfg, rng) -> int:
         return int(rng.integers(0, 2))
@@ -164,7 +159,6 @@ class BestEffortLiar(ProverStrategy):
     (1+1/d)/2 than to the pure prediction 1."""
 
     name = "best-effort-liar"
-    honest = False
 
     def answer_round(self, states, cfg, rng) -> int:
         accepts = sum(swap_outcomes(states, rng))
@@ -192,8 +186,6 @@ class PurityVerifier:
             "N": cfg.N,
             "m": cfg.m,
             "delta_tilde": cfg.delta_tilde,
-            "d": cfg.d,
-            "mask_ensemble": cfg.mask_ensemble,
         }
 
     def run(self, session, prover) -> str:
@@ -209,16 +201,10 @@ class PurityVerifier:
         for kind in round_kinds:
             round_idx = session.next_round()
             mask = None if kind == "m" else next(masks)
-            received, _ = prepare_round_state(kind, session.oracle_v, cfg, mask, session.channel, round_idx)
+            received = prepare_round_state(kind, session.oracle_v, cfg, mask, session.channel, round_idx)
             answer = int(prover.answer_round(received, cfg, rng_prover))
             session.channel.send_bits("p->v", [answer], round_idx)
-            if kind == "m":
-                pass_flag = 1 if answer == MIXED else 0
-            elif kind == "p":
-                pass_flag = 1 if answer == PURE else 0
-            else:
-                pass_flag = None
-            records.append(RoundRecord(kind, mask, answer, pass_flag))
+            records.append(RoundRecord(kind, answer))
         self.extras["compute_rounds"] = round_kinds.count("c")
         self.extras["round_kind_counts"] = {k: round_kinds.count(k) for k in kinds}
         return purity_verdict(records)
@@ -307,7 +293,7 @@ class PurityConfig:
         return True  # outside the promise both answers are valid
 
 
-@dataclass
+@dataclass(frozen=True)
 class NogoConfig:
     """The ``NogoDistinguisher`` built from the purity IP and its honest
     prover, run on accept (maximally mixed) or reject (Haar-random pure)
@@ -322,8 +308,15 @@ class NogoConfig:
     answers_on_abort: ClassVar[bool] = True  # the report gives the rate of correct answers
 
     def __post_init__(self):
-        self.ip = PurityConfig(d=self.d, delta=self.delta, record_transcript=self.record_transcript)
-        self.task = self.ip.task()
+        self.task  # validates d and delta and probes the task before any session
+
+    @cached_property
+    def ip(self) -> PurityConfig:
+        return PurityConfig(d=self.d, delta=self.delta, record_transcript=self.record_transcript)
+
+    @cached_property
+    def task(self) -> ManyVsOneTask:
+        return self.ip.task()
 
     def formula(self) -> dict:
         return {"N": self.ip.N, "m": self.ip.m}
@@ -341,5 +334,4 @@ class NogoConfig:
         return replace(res, output=answer)
 
     def judge(self, output, hidden) -> bool:
-        mixed = np.allclose(hidden.entries, np.eye(self.d) / self.d, atol=1e-9)
-        return output == ("accept" if mixed else "reject")
+        return output == ("accept" if self.task.is_accept(hidden) else "reject")

@@ -26,7 +26,7 @@ class InvariantError(ValueError):
     """A domain-type invariant failed on construction."""
 
 
-def _as_complex_array(a, shape_hint=None) -> np.ndarray:
+def _as_complex_array(a) -> np.ndarray:
     arr = np.array(a, dtype=complex)
     arr.setflags(write=False)
     return arr

@@ -168,10 +168,6 @@ def swap_probability(rho, sigma) -> float:
     b = sigma.entries if hasattr(sigma, "entries") else np.asarray(sigma, dtype=complex)
     if a.shape != b.shape:
         raise DimensionError("swap_test dimension mismatch")
-    return swap_accept_probability(a, b)
-
-
-def swap_accept_probability(a: np.ndarray, b: np.ndarray) -> float:
     # Tr[a b] for Hermitian a equals <a, b> elementwise
     overlap = float(np.real(np.vdot(a, b)))
     return min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
@@ -181,7 +177,7 @@ def swap_purity_estimate(states, rng: np.random.Generator) -> float:
     """Purity estimate 2h/m - 1 from SWAP tests on the m = len(states) // 2
     pairs of ``states``, all copies of one state, with h the accepted pairs."""
     pairs = len(states) // 2
-    hits = int(rng.binomial(pairs, swap_accept_probability(states[0], states[1])))
+    hits = int(rng.binomial(pairs, swap_probability(states[0], states[1])))
     return 2 * hits / pairs - 1
 
 

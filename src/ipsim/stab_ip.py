@@ -306,11 +306,11 @@ def brute_force_best_stabilizer(
     states = enumerate_stabilizers(cfg.n)
     fids = all_fidelities(psi)
     if cfg.mode == "ideal":
-        oracle_p.charge_accounting(len(states), "brute-force-accounting")
+        oracle_p.meter.charge(len(states), "brute-force-accounting")
         return states[int(np.argmax(fids))]
     num = len(states)
     shots = math.ceil(2 * math.log(2 * num / cfg.delta1) / cfg.eps1**2)
-    oracle_p.charge_accounting(shots * num, "brute-force-sampled")
+    oracle_p.meter.charge(shots * num, "brute-force-sampled")
     estimates = rng.binomial(shots, np.clip(fids, 0, 1)) / shots
     return states[int(np.argmax(estimates))]
 
@@ -358,7 +358,7 @@ def estimate_A3(
     """
     samples = cfg.a3_samples()
     if cfg.mode == "ideal":
-        oracle_v.charge_accounting(6 * samples, "a3-accounting")
+        oracle_v.meter.charge(6 * samples, "a3-accounting")
         value = exact_A3(oracle_v.judge_peek()) + cfg.eps3 * rng.uniform(-1.0, 1.0)
         return delegated_measure(
             lambda states, r: value, [], tamper=tamper, delta=2 * cfg.delta3, rng=rng
@@ -393,7 +393,6 @@ def stab_verdict(l_hat: float, a_hat: float, epsilon: float) -> bool:
 
 class HonestBruteForceProver(ProverStrategy):
     name = "honest-brute-force"
-    honest = True
 
     def produce_candidate(self, oracle_p, cfg, rng):
         return brute_force_best_stabilizer(oracle_p, cfg, rng).generators
@@ -401,7 +400,6 @@ class HonestBruteForceProver(ProverStrategy):
 
 class RandomStabilizerLiar(ProverStrategy):
     name = "random-stabilizer"
-    honest = False
 
     def produce_candidate(self, oracle_p, cfg, rng):
         states = enumerate_stabilizers(cfg.n)
@@ -410,7 +408,6 @@ class RandomStabilizerLiar(ProverStrategy):
 
 class WorstStabilizerLiar(ProverStrategy):
     name = "worst-stabilizer"
-    honest = False
 
     def produce_candidate(self, oracle_p, cfg, rng):
         fids = all_fidelities(oracle_p.ideal_peek())
@@ -421,7 +418,6 @@ class ForeignBestLiar(ProverStrategy):
     """Best stabilizer state for an unrelated instance."""
 
     name = "foreign-best"
-    honest = False
 
     def produce_candidate(self, oracle_p, cfg, rng):
         other = qcore.sample_pure_state(1 << cfg.n, rng)
@@ -441,10 +437,6 @@ class StabVerifier:
     def __init__(self, cfg: StabConfig):
         self.cfg = cfg
         self.extras = {
-            "epsilon": cfg.epsilon,
-            "delta": cfg.delta,
-            "n": cfg.n,
-            "mode": cfg.mode,
             "eps1": cfg.eps1,
             "eps2": cfg.eps2,
             "eps3": cfg.eps3,
@@ -564,7 +556,6 @@ class TrivialSolver(ProverStrategy):
     """Sends the stabilizer state closest to the instance."""
 
     name = "brute-force-solver"
-    honest = True
 
     def __init__(self, n: int):
         self.n = n
@@ -578,7 +569,6 @@ class TrivialGarbage(TrivialSolver):
     """Sends the stabilizer state farthest from the instance."""
 
     name = "garbage"
-    honest = False
 
     def solve(self, oracle_p, rng):
         fids = all_fidelities(oracle_p.ideal_peek())
@@ -620,13 +610,13 @@ class TrivialConfig:
         return {"sampled": self._check_sampled, "ideal": self._check_ideal, "exact-test": self._check_exact}
 
     def verifier(self) -> TrivialValidationIP:
-        return TrivialValidationIP(self._checks()[self.checker], f"stab-fidelity-{self.checker}")
+        return TrivialValidationIP(self._checks()[self.checker])
 
     def _check_sampled(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
         return estimate_stab_loss(oracle_v, hyp, self.shots(), rng, "decide-valid") <= self.epsilon / 2
 
     def _check_ideal(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
-        oracle_v.charge_accounting(self.shots(), "decide-valid-accounting")
+        oracle_v.meter.charge(self.shots(), "decide-valid-accounting")
         ok = self._check_exact(oracle_v, hyp, rng)
         return ok if rng.random() >= self.delta / 2 else not ok
 

@@ -530,7 +530,6 @@ class HonestStreamProver(ProverStrategy):
     count, answers sum-checks from honest table folding."""
 
     name = "honest-stream"
-    honest = True
 
     def ingest(self, samples: np.ndarray, k: int):
         self.freq = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k).astype(np.uint64)
@@ -578,7 +577,6 @@ class DecisionFlipProver(HonestStreamProver):
     honest, so the collision sum-check's final check is the one that fires."""
 
     name = "decision-flip"
-    honest = False
 
     def __init__(self, cfg: UniformityConfig):
         self.cfg = cfg
@@ -651,7 +649,6 @@ class ShiftClaimProver(HonestStreamProver):
     """Claims Z + 1 with otherwise honest messages; dies at round one."""
 
     name = "shift-claim"
-    honest = False
 
     def claim_unique(self, degree_cap: int) -> int:
         return super().claim_unique(degree_cap) + 1
@@ -664,7 +661,6 @@ class RangeClampProver(HonestStreamProver):
     maintained extension value exposes the clamped table at the final check."""
 
     name = "range-clamp"
-    honest = False
 
     def widenings(self, degree_cap: int, n: int) -> int:
         return 0  # lies about the cap
@@ -709,12 +705,9 @@ class UniformityVerifier:
     def __init__(self, cfg: UniformityConfig):
         self.cfg = cfg
         self.extras = {
-            "k": cfg.k,
-            "epsilon": cfg.epsilon,
             "n": cfg.n,
             "tau": cfg.tau,
             "threshold_count": cfg.threshold_count,
-            "degree_cap": cfg.degree_cap,
             "b": cfg.b,
             "in_regime": cfg.in_regime,
             "decision_statistic": cfg.decision_statistic,

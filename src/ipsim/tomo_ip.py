@@ -33,18 +33,13 @@ CLOSE = 1
 FAR = 0
 
 
-@dataclass(frozen=True)
-class HypothesisState:
-    matrix: qcore.DensityMatrix
-
-
-def validate_hypothesis(raw, d: int) -> HypothesisState:
+def validate_hypothesis(raw, d: int) -> qcore.DensityMatrix:
     """DensityMatrix invariants enforced on receipt; violations abort."""
     try:
         mat = np.asarray(raw, dtype=complex)
         if mat.shape != (d, d):
             raise qcore.DimensionError(f"hypothesis shape {mat.shape} != ({d},{d})")
-        return HypothesisState(qcore.DensityMatrix(mat))
+        return qcore.DensityMatrix(mat)
     except (ValueError, qcore.InvariantError, qcore.DimensionError) as err:
         raise ProtocolAbort(f"malformed hypothesis: {err}") from None
 
@@ -98,7 +93,7 @@ def prover_tomography(
     oracle_p: CopyOracle,
     cfg: TomoConfig,
     rng: np.random.Generator,
-) -> HypothesisState:
+) -> qcore.DensityMatrix:
     """Honest tomography at accuracy ``cfg.prover_target``.
 
     Ideal mode reads the hidden state, applies a seeded perturbation inside
@@ -109,8 +104,8 @@ def prover_tomography(
     target = cfg.prover_target
     if cfg.mode == "ideal":
         rho = oracle_p.ideal_peek()
-        oracle_p.charge_accounting(cfg.prover_query_budget(), "tomography-accounting")
-        return HypothesisState(perturbed_state_at_distance(rho, target, rng))
+        oracle_p.meter.charge(cfg.prover_query_budget(), "tomography-accounting")
+        return perturbed_state_at_distance(rho, target, rng)
     return _sampled_tomography(oracle_p, target, cfg.d, rng)
 
 
@@ -145,14 +140,14 @@ def _sampled_tomography(oracle_p: CopyOracle, target: float, d: int, rng):
         # twice the pooled error; certify with a safety margin
         if split_dist * 0.9 <= target:
             pooled, *_ = np.linalg.lstsq(np.vstack([a, a]), freqs.reshape(-1), rcond=None)
-            return HypothesisState(qcore.project_to_density(pooled.reshape(d, d)))
+            return qcore.project_to_density(pooled.reshape(d, d))
         shots *= 2
     raise ProtocolAbort("sampled tomography failed to certify its target")
 
 
 def certify_closeness(
     oracle_v: CopyOracle,
-    hyp: HypothesisState,
+    hyp: qcore.DensityMatrix,
     cfg: TomoConfig,
     rng: np.random.Generator,
     channel: Channel | None = None,
@@ -170,8 +165,8 @@ def certify_closeness(
     eps = cfg.epsilon
     if cfg.mode == "ideal":
         rho = oracle_v.judge_peek()
-        oracle_v.charge_accounting(cfg.verifier_query_budget(), "certification-accounting")
-        dist = qcore.one_norm_distance(rho, hyp.matrix)
+        oracle_v.meter.charge(cfg.verifier_query_budget(), "certification-accounting")
+        dist = qcore.one_norm_distance(rho, hyp)
         midpoint = (0.99 * eps + eps) / 2
         truth = CLOSE if dist <= midpoint else FAR
         answer = truth if rng.random() >= cfg.delta_v else 1 - truth
@@ -202,35 +197,27 @@ def _sampled_certify(oracle_v, hyp, cfg: TomoConfig, rng, channel, tamper):
     # single-copy overlap Tr[rho rho_hat]: measure in the hypothesis eigenbasis
     a2 = margin / 4
     shots = math.ceil(math.log(4 / cfg.delta_v) / (2 * a2**2))
-    spec = qcore.eig_sorted(hyp.matrix)
+    spec = qcore.eig_sorted(hyp)
     one = oracle_v.stream(shots, "certify-overlap")[0]
     probs = qmeas.basis_probabilities(one, spec.basis)
     counts = rng.multinomial(shots, probs)
     overlap = float(counts @ spec.values) / shots
 
-    d2_sq = pur_rho + qcore.purity(hyp.matrix) - 2 * overlap
+    d2_sq = pur_rho + qcore.purity(hyp) - 2 * overlap
     return CLOSE if d2_sq <= tau_accept else FAR
-
-
-def tomography_verdict(certification: int, hyp: HypothesisState) -> HypothesisState:
-    if certification != CLOSE:
-        raise ProtocolAbort("certification returned far")
-    return hyp
 
 
 class HonestTomographyProver(ProverStrategy):
     name = "honest-tomography"
-    honest = True
 
     def produce_hypothesis(self, oracle_p, cfg: TomoConfig, rng):
-        return prover_tomography(oracle_p, cfg, rng).matrix.entries
+        return prover_tomography(oracle_p, cfg, rng).entries
 
 
 class MaximallyMixedLiar(ProverStrategy):
     """Sends the maximally mixed state no matter what the instance is."""
 
     name = "maximally-mixed-liar"
-    honest = False
 
     def produce_hypothesis(self, oracle_p, cfg, rng):
         return np.eye(cfg.d, dtype=complex) / cfg.d
@@ -240,7 +227,6 @@ class FixedOffsetLiar(ProverStrategy):
     """Sends a state at distance exactly 1.5 eps in a random direction."""
 
     name = "fixed-offset-liar"
-    honest = False
 
     def produce_hypothesis(self, oracle_p, cfg, rng):
         rho = oracle_p.ideal_peek()
@@ -252,10 +238,9 @@ class DelegationTamperer(ProverStrategy):
     """Sends the correct hypothesis but tampers inside the delegated check."""
 
     name = "delegation-tamperer"
-    honest = False
 
     def produce_hypothesis(self, oracle_p, cfg, rng):
-        return prover_tomography(oracle_p, cfg, rng).matrix.entries
+        return prover_tomography(oracle_p, cfg, rng).entries
 
     @staticmethod
     def tamper(outcome):
@@ -277,11 +262,6 @@ class TomoVerifier:
     def __init__(self, cfg: TomoConfig):
         self.cfg = cfg
         self.extras = {
-            "epsilon": cfg.epsilon,
-            "delta": cfg.delta,
-            "d": cfg.d,
-            "mode": cfg.mode,
-            "rank_k": cfg.rank_k,
             "prover_target": cfg.prover_target,
             "verifier_budget": cfg.verifier_query_budget(),
             "prover_budget": cfg.prover_query_budget(),
@@ -300,7 +280,9 @@ class TomoVerifier:
             tamper=prover.tamper,
         )
         session.channel.send_bits("p->v", [bit], session.next_round())
-        return tomography_verdict(bit, hyp).matrix
+        if bit != CLOSE:
+            raise ProtocolAbort("certification returned far")
+        return hyp
 
 
 @dataclass(frozen=True)

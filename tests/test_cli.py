@@ -551,7 +551,7 @@ class TestProtocolKeys:
     def test_key_sets(self):
         assert {name: set(cli.protocol_keys(cls)) for name, cls in cli.PROTOCOLS.items()} == KEY_SETS
 
-    @pytest.mark.parametrize("protocol", ["purity", "tomo", "lowrank", "stab", "uniformity", "trivial"])
+    @pytest.mark.parametrize("protocol", ["purity", "tomo", "lowrank", "stab", "uniformity", "nogo", "trivial"])
     def test_parameter_configs_are_frozen(self, protocol):
         cfg = cli.PROTOCOLS[protocol]()
         with pytest.raises(dataclasses.FrozenInstanceError):

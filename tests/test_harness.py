@@ -223,11 +223,11 @@ class TestDelegation:
         rho = qcore.maximally_mixed(2).entries
         hits = 0
         trials = 4000
-        from ipsim.qmeas import swap_accept_probability
+        from ipsim.qmeas import swap_probability
 
         for _ in range(trials):
             out = delegated_measure(
-                lambda states, r: int(r.random() < swap_accept_probability(states[0], states[1])),
+                lambda states, r: int(r.random() < swap_probability(states[0], states[1])),
                 [Copy(rho, None), Copy(rho, None)],
                 delta=1 / 3,
                 rng=rng,

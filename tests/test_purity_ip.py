@@ -63,7 +63,7 @@ class TestPrepareRoundState:
     def _send(kind, oracle, p, seed):
         channel = Channel("quantum")
         mask = None if kind == "m" else sample_masks(p.mask_ensemble, p.d, 1, np.random.default_rng(seed))[0]
-        copies, mask = prepare_round_state(kind, oracle, p, mask, channel, 0)
+        copies = prepare_round_state(kind, oracle, p, mask, channel, 0)
         assert channel.qudits_v_to_p == len(copies) == p.m
         return copies, mask
 
@@ -259,29 +259,34 @@ class TestHonestAnswer:
 class TestVerdict:
     def test_all_pass_consistent_pure(self):
         records = [
-            RoundRecord("m", None, MIXED, 1),
-            RoundRecord("c", None, PURE, None),
-            RoundRecord("p", None, PURE, 1),
-            RoundRecord("c", None, PURE, None),
+            RoundRecord("m", MIXED),
+            RoundRecord("c", PURE),
+            RoundRecord("p", PURE),
+            RoundRecord("c", PURE),
         ]
         assert purity_verdict(records) == "pure"
 
     def test_failed_test_round_aborts(self):
-        records = [RoundRecord("m", None, PURE, 0), RoundRecord("c", None, PURE, None)]
+        records = [RoundRecord("m", PURE), RoundRecord("c", PURE)]
         with pytest.raises(ProtocolAbort):
+            purity_verdict(records)
+
+    def test_failed_pure_test_round_aborts_first(self):
+        records = [RoundRecord("c", PURE), RoundRecord("p", MIXED), RoundRecord("m", PURE)]
+        with pytest.raises(ProtocolAbort, match="^failed p-test round$"):
             purity_verdict(records)
 
     def test_inconsistent_compute_answers_abort(self):
         records = [
-            RoundRecord("c", None, PURE, None),
-            RoundRecord("c", None, MIXED, None),
+            RoundRecord("c", PURE),
+            RoundRecord("c", MIXED),
         ]
         with pytest.raises(ProtocolAbort):
             purity_verdict(records)
 
     def test_no_compute_round_aborts(self):
         with pytest.raises(ProtocolAbort):
-            purity_verdict([RoundRecord("m", None, MIXED, 1)])
+            purity_verdict([RoundRecord("m", MIXED)])
 
 
 class TestSessions:

@@ -6,6 +6,7 @@ import math
 import os
 import subprocess
 import sys
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -150,9 +151,13 @@ N4_GENERATORS_SHA256 = "d26da0d016a90810d2637cbe93059c7d71bf46bcc6c4cb7b8794e43a
 N4_TABLE_SHA256 = "ebc02b157f89c4a5fe6d27f55b4058b32de92fbe2de5d269a9b3f6195bd80166"
 
 
+@lru_cache(maxsize=None)
 def _amplitude_table(n):
-    """(num_states, 2^n) dense renderings of ``enumerate_stabilizers(n)``."""
-    return np.stack([s.dense.amplitudes for s in enumerate_stabilizers(n)])
+    """(num_states, 2^n) dense renderings of ``enumerate_stabilizers(n)``,
+    built once per n and read-only."""
+    table = np.stack([s.dense.amplitudes for s in enumerate_stabilizers(n)])
+    table.setflags(write=False)
+    return table
 
 
 class TestEnumeration:

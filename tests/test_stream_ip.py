@@ -520,7 +520,6 @@ class TestEngineAgainstReference:
 
 class _CollisionOffsetProver(HonestStreamProver):
     name = "collision-offset"
-    honest = False
 
     def __init__(self, offset):
         self.offset = offset
@@ -730,7 +729,6 @@ class _StreamShoppingProver(HonestStreamProver):
     is not "uniform", as if an extra widening could buy a fresh stream."""
 
     name = "stream-shopping"
-    honest = False
 
     def __init__(self, cfg):
         self.cfg = cfg

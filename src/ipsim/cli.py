@@ -161,20 +161,10 @@ class Report:
     wall_time_s: float
     transcript_digests: list = field(default_factory=list)
 
-    def body(self) -> dict:
-        return {
-            "config": self.config,
-            "version": self.version,
-            "rows": self.rows,
-            "rates": self.rates,
-            "meter_aggregates": self.meter_aggregates,
-            "channel_aggregates": self.channel_aggregates,
-            "formula_comparison": self.formula_comparison,
-            "transcript_digests": self.transcript_digests,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.body(), sort_keys=True, indent=1)
+        """Every field but the wall time, so equal runs give equal bytes."""
+        body = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "wall_time_s"}
+        return json.dumps(body, sort_keys=True, indent=1)
 
 
 def _aggregate(values):

@@ -251,29 +251,23 @@ class CopyOracle:
         return self._hidden
 
 
-@dataclass
-class Message:
-    round_index: int
-    direction: str
-    payload_kind: str
-    size: int
-    digest: str
-
-    def line(self) -> str:
-        return json.dumps(
-            {
-                "round": self.round_index,
-                "direction": self.direction,
-                "payload_kind": self.payload_kind,
-                "size_bits_or_qudits": self.size,
-                "digest": self.digest,
-            },
-            sort_keys=True,
-        )
+def transcript_line(round_index: int, direction: str, payload_kind: str, size: int, digest: str) -> str:
+    """One channel message as its JSONL transcript line."""
+    return json.dumps(
+        {
+            "round": round_index,
+            "direction": direction,
+            "payload_kind": payload_kind,
+            "size_bits_or_qudits": size,
+            "digest": digest,
+        },
+        sort_keys=True,
+    )
 
 
 class Channel:
-    """Typed message channel with per-direction bit/qudit counters."""
+    """Typed message channel with per-direction bit/qudit counters and, when
+    recording, the transcript as its JSONL lines."""
 
     def __init__(self, kind: str = "quantum", record_transcript: bool = True):
         if kind not in ("classical", "quantum"):
@@ -283,7 +277,7 @@ class Channel:
         self.bits_p_to_v = 0
         self.qudits_v_to_p = 0
         self.qudits_p_to_v = 0
-        self.transcript: list[Message] = []
+        self.transcript: list[str] = []
         self.record_transcript = record_transcript
 
     def _count_bits(self, direction: str, nbits: int):
@@ -296,7 +290,7 @@ class Channel:
         bits = list(bits)
         self._count_bits(direction, len(bits))
         if self.record_transcript:
-            self.transcript.append(Message(round_index, direction, "bits", len(bits), payload_digest(bits)))
+            self.transcript.append(transcript_line(round_index, direction, "bits", len(bits), payload_digest(bits)))
         return bits
 
     def send_structured(self, direction: str, obj, round_index: int = 0):
@@ -304,7 +298,7 @@ class Channel:
         nbits = 8 * len(payload)
         self._count_bits(direction, nbits)
         if self.record_transcript:
-            self.transcript.append(Message(round_index, direction, "structured", nbits, payload_digest(obj)))
+            self.transcript.append(transcript_line(round_index, direction, "structured", nbits, payload_digest(obj)))
         return obj
 
     def count_raw_bits(self, direction: str, nbits: int, round_index: int = 0, note: str = "stream"):
@@ -312,7 +306,7 @@ class Channel:
         without materializing per-item messages."""
         self._count_bits(direction, nbits)
         if self.record_transcript:
-            self.transcript.append(Message(round_index, direction, note, nbits, "-"))
+            self.transcript.append(transcript_line(round_index, direction, note, nbits, "-"))
 
     def send_qudits(self, direction: str, copies, round_index: int = 0):
         """Transfers copies; sending releases the sender's live slots."""
@@ -325,7 +319,7 @@ class Channel:
         else:
             self.qudits_p_to_v += n
         if self.record_transcript:
-            self.transcript.append(Message(round_index, direction, "qudits", n, payload_digest(states)))
+            self.transcript.append(transcript_line(round_index, direction, "qudits", n, payload_digest(states)))
         return states
 
     def send_stream(self, direction: str, copy, n: int, round_index: int = 0) -> CopyStream:
@@ -339,8 +333,8 @@ class Channel:
         else:
             self.qudits_p_to_v += n
         if self.record_transcript:
-            message = Message(round_index, direction, "qudits", 1, payload_digest([state]))
-            self.transcript.extend([message] * n)
+            line = transcript_line(round_index, direction, "qudits", 1, payload_digest([state]))
+            self.transcript.extend([line] * n)
         return CopyStream(state, n)
 
     def counters(self) -> dict:
@@ -396,36 +390,6 @@ class SessionResult:
     extras: dict = field(default_factory=dict)
     transcript_lines: tuple = ()
 
-    def serialize(self) -> str:
-        body = {
-            "accepted": self.accepted,
-            "output_digest": payload_digest(self.output) if self.output is not None else None,
-            "abort_reason": self.abort_reason,
-            "verifier_queries": self.verifier_queries,
-            "prover_queries": self.prover_queries,
-            "verifier_breakdown": self.verifier_breakdown,
-            "prover_breakdown": self.prover_breakdown,
-            "channel": self.channel_counters,
-            "peak_live_copies": self.peak_live_copies,
-            "seed": self.seed,
-            "extras": {k: _jsonable(v) for k, v in sorted(self.extras.items())},
-        }
-        return json.dumps(body, sort_keys=True)
-
-
-def _jsonable(v):
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, np.ndarray):
-        return v.tolist()
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
-
 
 def run_session(
     verifier,
@@ -459,11 +423,6 @@ def run_session(
     except ProtocolAbort as abort:
         reason = abort.reason
     wall = time.perf_counter() - t0
-    lines, last = [], None
-    for message in channel.transcript:  # send_stream repeats one Message object n times
-        if message is not last:
-            last, line = message, message.line()
-        lines.append(line)
     return SessionResult(
         accepted=accepted,
         output=output,
@@ -477,13 +436,22 @@ def run_session(
         seed=int(seed),
         wall_time=wall,
         extras=dict(getattr(verifier, "extras", {})),
-        transcript_lines=tuple(lines),
+        transcript_lines=tuple(channel.transcript),
     )
 
 
 # ---------------------------------------------------------------------------
 # Tasks and rate estimation
 # ---------------------------------------------------------------------------
+
+
+def same_instance(instance, other) -> bool:
+    """Whether two hidden instances are the same: density matrices by
+    ``np.allclose`` with atol 1e-9 (and its default rtol 1e-5), anything else
+    by equality."""
+    if hasattr(instance, "entries") and hasattr(other, "entries"):
+        return bool(np.allclose(instance.entries, other.entries, atol=1e-9))
+    return instance == other
 
 
 @dataclass
@@ -501,12 +469,8 @@ class ManyVsOneTask:
                 raise ValueError("reject sampler produced the accept instance")
 
     def is_accept(self, instance) -> bool:
-        """Whether ``instance`` is the accept instance (density matrices to
-        within 1e-9 entrywise)."""
-        accept = self.accept_instance
-        if hasattr(instance, "entries") and hasattr(accept, "entries"):
-            return bool(np.allclose(instance.entries, accept.entries, atol=1e-9))
-        return instance == accept
+        """Whether ``instance`` is the accept instance."""
+        return same_instance(instance, self.accept_instance)
 
     def classify_output(self, output) -> str:
         return "accept" if output == self.accept_output else "reject"

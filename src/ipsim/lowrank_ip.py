@@ -340,16 +340,7 @@ class LowRankVerifier:
 
     def __init__(self, cfg: LowRankConfig):
         self.cfg = cfg
-        self.extras = {
-            "eps1": cfg.eps1,
-            "eps2": cfg.eps2,
-            "f": cfg.f,
-            "delta_tilde": cfg.delta_tilde,
-            "purity_pairs_budget": cfg.purity_pairs_budget(),
-            "topk_budget": cfg.topk_budget(),
-            "prover_budget": cfg.prover_budget(),
-            "basis_shots": cfg.basis_shots(),
-        }
+        self.extras = cfg.formula()
 
     def run(self, session, prover):
         p = self.cfg

@@ -28,6 +28,7 @@ from .harness import (
     choose,
     derive_rng,
     run_session,
+    same_instance,
 )
 
 PURE = 1
@@ -182,11 +183,7 @@ class PurityVerifier:
 
     def __init__(self, cfg: PurityConfig):
         self.cfg = cfg
-        self.extras: dict = {
-            "N": cfg.N,
-            "m": cfg.m,
-            "delta_tilde": cfg.delta_tilde,
-        }
+        self.extras = cfg.formula()
 
     def run(self, session, prover) -> str:
         cfg = self.cfg
@@ -288,7 +285,7 @@ class PurityConfig:
         """Exact validity: the answer must match the hidden instance type."""
         if qcore.purity(hidden) > 1 - 1e-9:
             return output == OUTPUT_PURE
-        if np.allclose(hidden.entries, np.eye(self.d) / self.d, atol=1e-9):
+        if same_instance(hidden, qcore.maximally_mixed(self.d)):
             return output == OUTPUT_MIXED
         return True  # outside the promise both answers are valid
 

@@ -436,13 +436,7 @@ class StabVerifier:
 
     def __init__(self, cfg: StabConfig):
         self.cfg = cfg
-        self.extras = {
-            "eps1": cfg.eps1,
-            "eps2": cfg.eps2,
-            "eps3": cfg.eps3,
-            "loss_shots": cfg.loss_shots(),
-            "a3_samples": cfg.a3_samples(),
-        }
+        self.extras = cfg.formula()
 
     def run(self, session, prover):
         p = self.cfg

@@ -231,6 +231,15 @@ def composed_value(kind: str, degree_cap: int, y: int) -> int:
     return acc
 
 
+def table_total(kind: str, degree_cap: int, table: np.ndarray) -> int:
+    """sum_x g(table[x]) in GF(Q) for g = ``composed_factors(kind, degree_cap)``:
+    the total a sum-check of ``kind`` over ``table`` verifies."""
+    total = 0
+    for value, count in zip(*np.unique(table, return_counts=True)):
+        total = fadd(total, fmul(composed_value(kind, degree_cap, int(value)), int(count) % Q))
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Honest prover sum-check engines
 # ---------------------------------------------------------------------------
@@ -526,8 +535,11 @@ def verify_sumcheck(
 
 
 class HonestStreamProver(ProverStrategy):
-    """Stores the stream, claims the true unique (and, when asked, collision)
-    count, answers sum-checks from honest table folding."""
+    """Stores the stream's frequency table and answers each sum-check from
+    ``table(kind, degree_cap)``: its claim is the table's total and its
+    messages come from folding the table. With honest widenings the cap is at
+    least every frequency, so the unique-count total is the number of
+    frequencies equal to 1."""
 
     name = "honest-stream"
 
@@ -542,26 +554,15 @@ class HonestStreamProver(ProverStrategy):
             j += 1
         return j
 
-    def claim_unique(self, degree_cap: int) -> int:
-        return int((self.freq == 1).sum())
-
-    def build_engines(self, degree_cap: int, zeta: list[int]):
-        main = _SumcheckEngine(self.freq, degree_cap, "unique")
-        return main, _SumcheckEngine(self.freq, degree_cap, "range", chi_point=zeta)
-
-    def collision_freq(self) -> np.ndarray:
+    def table(self, kind: str, degree_cap: int) -> np.ndarray:
+        """The frequency table the sum-check of ``kind`` runs on."""
         return self.freq
 
-    def claim_collisions(self) -> int:
-        return _collision_count(self.collision_freq())
+    def claim(self, kind: str, degree_cap: int) -> int:
+        return table_total(kind, degree_cap, self.table(kind, degree_cap))
 
-    def build_collision_engine(self):
-        return _SumcheckEngine(self.collision_freq(), 2, "collisions")
-
-
-def _collision_count(freq: np.ndarray) -> int:
-    f = freq.astype(np.int64)
-    return int((f * (f - 1) // 2).sum())
+    def engine(self, kind: str, degree_cap: int, zeta: list[int] | None = None) -> _SumcheckEngine:
+        return _SumcheckEngine(self.table(kind, degree_cap), degree_cap, kind, chi_point=zeta)
 
 
 class DecisionFlipProver(HonestStreamProver):
@@ -611,10 +612,10 @@ class DecisionFlipProver(HonestStreamProver):
                 freq[zeros[i]] = 1
                 freq[heavy[hi]] -= 1
             # note: splitting may also turn a heavy bin into a unique
-        self.freq = freq.astype(np.uint64)
+        self.freq = self.doctored = freq.astype(np.uint64)
 
-    def collision_freq(self) -> np.ndarray:
-        return self.doctored if self.cfg.decision_statistic == "collisions" else self.freq
+    def table(self, kind, degree_cap):
+        return self.doctored if kind == "collisions" else self.freq
 
 
 def _flip_collisions(freq: np.ndarray, collision_threshold: float) -> np.ndarray:
@@ -623,7 +624,7 @@ def _flip_collisions(freq: np.ndarray, collision_threshold: float) -> np.ndarray
     fullest to the emptiest bin to lower it, until the target is crossed or
     no move helps."""
     freq = freq.astype(np.int64)
-    count = _collision_count(freq)
+    count = table_total("collisions", 2, freq)
     target = 2 * collision_threshold - count
     raise_count = count <= collision_threshold
     no_donor = np.iinfo(np.int64).max
@@ -650,8 +651,8 @@ class ShiftClaimProver(HonestStreamProver):
 
     name = "shift-claim"
 
-    def claim_unique(self, degree_cap: int) -> int:
-        return super().claim_unique(degree_cap) + 1
+    def claim(self, kind, degree_cap):
+        return super().claim(kind, degree_cap) + (kind == "unique")
 
 
 class RangeClampProver(HonestStreamProver):
@@ -665,19 +666,10 @@ class RangeClampProver(HonestStreamProver):
     def widenings(self, degree_cap: int, n: int) -> int:
         return 0  # lies about the cap
 
-    def claim_unique(self, degree_cap: int) -> int:
-        # internally consistent total of the capped interpolant over the
-        # true table, so the main sum-check verifies
-        vals, counts = np.unique(self.freq, return_counts=True)
-        total = 0
-        for v, c in zip(vals, counts):
-            total = fadd(total, fmul(composed_value("unique", degree_cap, int(v)), int(c) % Q))
-        return total
-
-    def build_engines(self, degree_cap: int, zeta: list[int]):
-        main = _SumcheckEngine(self.freq, degree_cap, "unique")
-        clamped = np.minimum(self.freq, np.uint64(degree_cap))
-        return main, _SumcheckEngine(clamped, degree_cap, "range", chi_point=zeta)
+    def table(self, kind, degree_cap):
+        if kind == "range":
+            return np.minimum(self.freq, np.uint64(degree_cap))
+        return self.freq
 
 
 ADVERSARIES = {
@@ -704,16 +696,8 @@ class UniformityVerifier:
 
     def __init__(self, cfg: UniformityConfig):
         self.cfg = cfg
-        self.extras = {
-            "n": cfg.n,
-            "tau": cfg.tau,
-            "threshold_count": cfg.threshold_count,
-            "b": cfg.b,
-            "in_regime": cfg.in_regime,
-            "decision_statistic": cfg.decision_statistic,
-        }
-        if cfg.decision_statistic == "collisions":
-            self.extras["collision_threshold"] = cfg.collision_threshold
+        self.extras = cfg.formula()
+        self.extras.update(in_regime=cfg.in_regime, decision_statistic=cfg.decision_statistic)
 
     def run(self, session, prover):
         p = self.cfg
@@ -731,28 +715,28 @@ class UniformityVerifier:
         degree_cap = min(p.degree_cap << widenings, p.n)
         self.extras["attempts"] = widenings + 1  # caps tried: D0, 2 D0, ..., D
         self.extras["final_degree_cap"] = degree_cap
-        z_claim = prover.claim_unique(degree_cap)
+        z_claim = prover.claim("unique", degree_cap)
         session.channel.send_structured("p->v", z_claim, session.next_round())
-        main_eng, range_eng = prover.build_engines(degree_cap, state.zeta)
         counter = {"fe": 1}  # the claim
 
         def count_msg(message):
             counter["fe"] += len(message)
             session.channel.count_raw_bits("p->v", FIELD_BITS * len(message), note="sumcheck-msg")
 
-        def check(kind, claim, engine, point, a_value, chi=1):
+        def check(kind, claim, point, a_value, chi=1, zeta=None):
+            engine = prover.engine(kind, degree_cap, zeta)
             out = verify_sumcheck(kind, claim, engine, point, degree_cap, a_value, chi, count_msg)
             if not out.verified:
                 raise ProtocolAbort(f"{SUMCHECK_NAMES[kind]} rejected: {out.reason}")
 
-        check("unique", z_claim, main_eng, state.r, state.a_at_r)
+        check("unique", z_claim, state.r, state.a_at_r)
         # the certificate asserts a zero total, whatever the prover says
-        check("range", 0, range_eng, state.r2, state.a_at_r2, state.chi_pair(state.r2, state.zeta))
+        check("range", 0, state.r2, state.a_at_r2, state.chi_pair(state.r2, state.zeta), state.zeta)
         if collisions:
-            c_claim = prover.claim_collisions()
+            c_claim = prover.claim("collisions", degree_cap)
             session.channel.send_structured("p->v", c_claim, session.next_round())
             counter["fe"] += 1
-            check("collisions", c_claim, prover.build_collision_engine(), state.r3, state.a_at_r3)
+            check("collisions", c_claim, state.r3, state.a_at_r3)
         self.extras["prover_field_elements"] = counter["fe"]
         self.extras["peak_field_elements"] = state.peak_field_elements
         self.extras["z_verified"] = z_claim

@@ -261,11 +261,7 @@ class TomoVerifier:
 
     def __init__(self, cfg: TomoConfig):
         self.cfg = cfg
-        self.extras = {
-            "prover_target": cfg.prover_target,
-            "verifier_budget": cfg.verifier_query_budget(),
-            "prover_budget": cfg.prover_query_budget(),
-        }
+        self.extras = cfg.formula()
 
     def run(self, session, prover):
         raw = prover.produce_hypothesis(session.oracle_p, self.cfg, session.rng("prover-tomo"))

@@ -359,6 +359,15 @@ class TestSessions:
             )
             assert rec.accept_and_invalid == 0
 
+    @pytest.mark.parametrize("offset", [0.0, 1e-10, 1e-6, 1e-3])
+    def test_judge_accept_side_is_the_task_accept_instance(self, offset):
+        cfg = PurityConfig(d=4)
+        hidden = qcore.DensityMatrix(np.eye(4) / 4 + np.diag([offset, -offset, 0.0, 0.0]))
+        on_accept_side = not cfg.judge(purity_ip.OUTPUT_PURE, hidden)
+        assert on_accept_side == cfg.task().is_accept(hidden)
+        assert on_accept_side == (offset < 1e-4)  # np.allclose: atol 1e-9 plus rtol 1e-5 of 1/d
+        assert cfg.judge(purity_ip.OUTPUT_MIXED, hidden)
+
     def test_pauli_mask_mode_runs(self):
         cfg = PurityConfig(d=4, mask_ensemble="pauli")
         res = cfg.run_one(qcore.maximally_mixed(4), HonestSwapProver(), seed=9)

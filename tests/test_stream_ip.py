@@ -21,6 +21,7 @@ from ipsim.stream_ip import (
     composed_factors,
     composed_value,
     engine_rounds,
+    table_total,
     uniformity_verdict,
     verify_sumcheck,
 )
@@ -137,6 +138,38 @@ class TestComposedPolynomials:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             composed_factors("median", 4)
+
+
+class TestTableTotal:
+    """table_total, the provers' one claim formula, against brute force."""
+
+    def _tables(self):
+        g = rng(50)
+        for k in (16, 256, 4096):
+            freq = g.integers(0, 6, size=k)
+            freq[g.integers(0, k, size=3)] = g.integers(40, 1000, size=3)  # a few heavy entries
+            yield freq.astype(np.uint64)
+
+    def test_unique_total_within_the_cap_is_the_unique_count(self):
+        for freq in self._tables():
+            top = int(freq.max())
+            for cap in (top, top + 7):
+                total = table_total("unique", cap, freq)
+                assert type(total) is int and total == int((freq == 1).sum())
+
+    def test_collision_total_is_the_pair_count(self):
+        for freq in self._tables():
+            f = freq.astype(np.int64)
+            for cap in (1, 2, 32):
+                assert table_total("collisions", cap, freq) == int((f * (f - 1) // 2).sum())
+
+    def test_over_cap_total_sums_the_capped_interpolant(self):
+        # the claim of RangeClampProver, whose table has entries above the cap
+        for freq in self._tables():
+            for cap in (2, 8, 32):
+                assert int(freq.max()) > cap
+                brute = sum(composed_value("unique", cap, int(y)) for y in freq) % Q
+                assert table_total("unique", cap, freq) == brute
 
 
 class TestVerifierState:
@@ -524,8 +557,8 @@ class _CollisionOffsetProver(HonestStreamProver):
     def __init__(self, offset):
         self.offset = offset
 
-    def claim_collisions(self):
-        return super().claim_collisions() + self.offset
+    def claim(self, kind, degree_cap):
+        return super().claim(kind, degree_cap) + self.offset * (kind == "collisions")
 
 
 class TestCollisionSumcheck:
@@ -606,8 +639,9 @@ class TestCollisionSumcheck:
             prover = cfg.make_prover("decision-flip")
             assert isinstance(prover, DecisionFlipProver)
             res = cfg.run_one(cfg.make_distribution(which), prover, seed=9300 + t)
-            true_c = stream_ip._collision_count(prover.freq)
-            claimed_c = prover.claim_collisions()
+            f = prover.freq.astype(np.int64)  # honest: only the collision table is doctored
+            true_c = int((f * (f - 1) // 2).sum())
+            claimed_c = prover.claim("collisions", 2)
             assert (true_c > threshold) != (claimed_c > threshold)
             assert not res.accepted
             assert res.abort_reason == "collision-count sum-check rejected: final evaluation mismatch"
@@ -658,8 +692,8 @@ class TestRangeCertificate:
         # certificate on the true table, whose total is not zero: the verifier
         # fixes the claimed total at zero, so round one fails every time
         class CapLiar(stream_ip.RangeClampProver):
-            def build_engines(self, degree_cap, zeta):
-                return HonestStreamProver.build_engines(self, degree_cap, zeta)
+            def table(self, kind, degree_cap):
+                return self.freq
 
         cfg = UniformityConfig(
             k=64, epsilon=0.9, degree_cap=4, distribution="point_mass", allow_small_epsilon=True
@@ -734,7 +768,7 @@ class _StreamShoppingProver(HonestStreamProver):
         self.cfg = cfg
 
     def widenings(self, degree_cap, n):
-        verdict = collision_verdict(self.claim_collisions(), self.cfg.collision_threshold)
+        verdict = collision_verdict(self.claim("collisions", degree_cap), self.cfg.collision_threshold)
         return super().widenings(degree_cap, n) + (verdict != "uniform")
 
 

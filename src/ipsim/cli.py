@@ -115,6 +115,14 @@ def protocol_keys(cls) -> dict:
     return keys
 
 
+def check_type(key: str, value, expected):
+    """Raises ConfigError unless ``value`` is of type ``expected``: a bool
+    only where a bool is expected, and an int also where a float is."""
+    accepted = (int, float) if expected is float else expected
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
+        raise ConfigError(f"key {key!r} expects {getattr(expected, '__name__', expected)}")
+
+
 def build_protocol(config: ExperimentConfig):
     """The protocol's config, its prover and its instance source."""
     if config.protocol not in PROTOCOLS:
@@ -127,10 +135,7 @@ def build_protocol(config: ExperimentConfig):
                 f"unknown key {key!r} for protocol {config.protocol}; "
                 f"allowed: {', '.join(sorted(keys))}"
             )
-        expected = keys[key]
-        accepted = (int, float) if expected is float else expected  # an int serves as a float
-        if isinstance(value, bool) != (expected is bool) or not isinstance(value, accepted):
-            raise ConfigError(f"key {key!r} expects {getattr(expected, '__name__', expected)}")
+        check_type(key, value, keys[key])
     settings = dict(config.protocol_keys)
     trial = {key: settings.pop(key, default) for key, default in cls.trial_keys.items()}
     if any(f.name == "mode" for f in fields(cls)):
@@ -308,15 +313,17 @@ def main(argv=None) -> int:
             key, _, value = item.partition("=")
             merged[key] = _parse_value(value)
         reserved = {}
+        hints = get_type_hints(ExperimentConfig)
         for key in ("trials", "seed", "mode", "transcripts"):
             if key in merged:
                 reserved[key] = merged.pop(key)
+                check_type(key, reserved[key], hints[key])
         config = ExperimentConfig(
             protocol=args.protocol,
-            trials=args.trials if args.trials is not None else int(reserved.get("trials", 10)),
-            seed=args.seed if args.seed is not None else int(reserved.get("seed", 0)),
-            mode=args.mode or str(reserved.get("mode", "ideal")),
-            transcripts=args.transcripts or bool(reserved.get("transcripts", False)),
+            trials=args.trials if args.trials is not None else reserved.get("trials", 10),
+            seed=args.seed if args.seed is not None else reserved.get("seed", 0),
+            mode=args.mode or reserved.get("mode", "ideal"),
+            transcripts=args.transcripts or reserved.get("transcripts", False),
             protocol_keys=merged,
         )
         report, results = run_experiment(config)

@@ -46,24 +46,27 @@ class RoundRecord:
     prover_answer: int
 
 
-def sample_masks(ensemble: str, d: int, n: int, rng: np.random.Generator) -> list[qcore.UnitaryOp]:
-    """n masks in draw order: one checked Haar stack, or n Clifford or Pauli draws."""
+def sample_masks(ensemble: str, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n unitary masks in draw order, shape (n, d, d): one checked Haar stack,
+    or the entries of n ``UnitaryOp``-checked Clifford or Pauli draws."""
     if ensemble == "haar":
-        return qcore.sample_haar_ops(n, d, rng)
+        return qcore.sample_haar_unitaries(n, d, rng)
     nq = int(round(math.log2(d)))
     if (1 << nq) != d:
         raise ValueError(f"{ensemble} masks need a power-of-two dimension, got {d}")
     if ensemble == "clifford":
-        return [qmeas.sample_uniform_clifford(nq, rng) for _ in range(n)]
-    labels = (qmeas.PauliLabel.from_index(nq, int(rng.integers(0, 4**nq))) for _ in range(n))
-    return [qcore.UnitaryOp(qmeas.dense_pauli(label)) for label in labels]
+        ops = [qmeas.sample_uniform_clifford(nq, rng) for _ in range(n)]
+    else:
+        labels = (qmeas.PauliLabel.from_index(nq, int(rng.integers(0, 4**nq))) for _ in range(n))
+        ops = [qcore.UnitaryOp(qmeas.dense_pauli(label)) for label in labels]
+    return np.array([op.entries for op in ops], dtype=complex).reshape(n, d, d)
 
 
 def prepare_round_state(
     kind: str,
     oracle_v: CopyOracle,
     cfg: PurityConfig,
-    mask: qcore.UnitaryOp | None,
+    mask: np.ndarray | None,
     channel: Channel,
     round_index: int,
 ) -> CopyStream:
@@ -78,8 +81,7 @@ def prepare_round_state(
         state = np.eye(d, dtype=complex) / d
         return channel.send_stream("v->p", state, cfg.m, round_index)
     if kind == "p":
-        ue = mask.entries
-        state = np.outer(ue[:, 0], ue[:, 0].conj())
+        state = np.outer(mask[:, 0], mask[:, 0].conj())
         return channel.send_stream("v->p", state, cfg.m, round_index)
     if kind == "c":
         return oracle_v.stream(

@@ -239,9 +239,10 @@ def _haar_stack(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
 
 def sample_haar_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
     """n Haar-uniform d x d unitaries, shape (n, d, d): the same matrices and
-    the same draws as n successive ``sample_haar_unitary`` calls."""
+    the same draws as n successive ``sample_haar_unitary`` calls, each held
+    to ``UNITARY_ATOL`` like a ``UnitaryOp``."""
     u = _haar_stack(n, d, rng)
-    resid = np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(d)).max()
+    resid = np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(d)).max(initial=0.0)
     if resid > UNITARY_ATOL:
         raise InvariantError(f"unitarity residual {resid} > {UNITARY_ATOL}")
     return u
@@ -250,28 +251,6 @@ def sample_haar_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarra
 def sample_haar_unitary(d: int, rng: np.random.Generator) -> UnitaryOp:
     """Haar-uniform unitary: QR of a complex Gaussian with phase-fixed diagonal."""
     return UnitaryOp(_haar_stack(1, d, rng)[0])
-
-
-HAAR_BLOCK_ENTRIES = 1 << 16  # matrix entries per stacked draw of sample_haar_ops
-
-
-def sample_haar_ops(n: int, d: int, rng: np.random.Generator) -> list[UnitaryOp]:
-    """n ``sample_haar_unitary`` results, drawn as stacks of at most
-    ``HAAR_BLOCK_ENTRIES`` entries.
-
-    ``sample_haar_unitaries`` has held every matrix to ``UNITARY_ATOL``, so the
-    ops skip ``UnitaryOp``'s own check; no other path may build one unchecked.
-    """
-    per_block = max(1, HAAR_BLOCK_ENTRIES // (d * d))
-    ops = []
-    for start in range(0, n, per_block):
-        stack = sample_haar_unitaries(min(per_block, n - start), d, rng)
-        stack.setflags(write=False)
-        for u in stack:
-            op = object.__new__(UnitaryOp)
-            object.__setattr__(op, "entries", u)
-            ops.append(op)
-    return ops
 
 
 def sample_pure_state(d: int, rng: np.random.Generator) -> PureState:

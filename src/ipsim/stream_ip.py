@@ -68,38 +68,16 @@ SUMCHECK_NAMES = {
 
 
 @dataclass(frozen=True)
-class UniformDistribution:
-    k: int
-    name: str = "uniform"
-
-    def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return rng.integers(0, self.k, size=size)
-
-
-@dataclass(frozen=True)
-class SupportFractionDistribution:
-    """Uniform over the first k*fraction values; TV distance 1 - fraction."""
+class SupportDistribution:
+    """Uniform over the first ``support`` of the k values; TV distance
+    1 - support/k from uniform."""
 
     k: int
-    fraction: float
-    name: str = "support-fraction"
-
-    @property
-    def support(self) -> int:
-        return max(1, int(self.k * self.fraction))
+    support: int
+    name: str
 
     def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
         return rng.integers(0, self.support, size=size)
-
-
-@dataclass(frozen=True)
-class PointMassDistribution:
-    k: int
-    value: int = 0
-    name: str = "point-mass"
-
-    def draw_batch(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        return np.full(size, self.value, dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -140,19 +118,14 @@ class StreamVerifierState:
             self.maintained.append(("r3", "a_at_r3"))
         self.peak_field_elements = self.register_count
 
-    def _chi_factors(self, point: list[int], index: int) -> int:
-        acc = 1
-        for j in range(self.b):
-            rj = point[j]
-            acc = fmul(acc, rj if (index >> j) & 1 else fsub(1, rj))
-        return acc
-
     def update(self, index: int):
-        """One stream sample: a(r) += chi_index(r) at every maintained point."""
+        """One stream sample: a(r) += chi_index(r) = chi(r, bits of index) at
+        every maintained point."""
         if not 0 <= index < self.k:
             raise ValueError("sample index out of range")
+        bits = [(index >> j) & 1 for j in range(self.b)]
         for point, value in self.maintained:
-            setattr(self, value, fadd(getattr(self, value), self._chi_factors(getattr(self, point), index)))
+            setattr(self, value, fadd(getattr(self, value), self.chi_pair(getattr(self, point), bits)))
         self.sample_count += 1
 
     def update_batch(self, samples: np.ndarray):
@@ -313,6 +286,8 @@ class _SumcheckEngine:
     the integer nodes 0..L-1, L = len(factors) + 2 = deg g + 2. chi stays
     factored: round j weights column x by the eq suffix chi(x, zeta_(j+1..))
     and multiplies the sum by the line prod_(i<j) eq(r_i, zeta_i) eq(t, zeta_j).
+    The suffix table is built once; each bind sums its entry pairs, which
+    drops its lowest coordinate since eq(0, z) + eq(1, z) = 1.
 
     Early rounds bucket identical (value, difference) pairs, which collapses
     the work by orders of magnitude while the folded tables still carry few
@@ -342,6 +317,8 @@ class _SumcheckEngine:
         self.kind = kind
         self.zeta = None if chi_point is None else list(chi_point)  # the coordinates not yet bound
         self.prefix = 1  # prod of eq(r_i, zeta_i) over the bound rounds
+        # the eq suffix chi(x, zeta_(j+1..)) of every column x of the current round j
+        self.suffix = None if chi_point is None else chi_table_for_point(self.table.size // 2, self.zeta[1:])
         self.triangle, self.vandermonde = _moment_tables(kind, degree_cap)
         self.num_nodes = len(self.vandermonde)
 
@@ -355,8 +332,7 @@ class _SumcheckEngine:
         d = vsub(self.table[1::2], u)
         weight = line = None
         if self.zeta is not None:
-            weight = chi_table_for_point(u.size, self.zeta[1:])
-            line = self._line()
+            weight, line = self.suffix, self._line()
         grouped = self._group(u, d)
         if grouped is not None:
             # one column per distinct (u, d) pair, weighted by its multiplicity
@@ -410,6 +386,7 @@ class _SumcheckEngine:
             alpha, beta = self._line()
             self.prefix = fadd(alpha, fmul(beta, r))
             self.zeta = self.zeta[1:]
+            self.suffix = vadd(self.suffix[0::2], self.suffix[1::2])
 
     @staticmethod
     def _fold(table: np.ndarray, r: int) -> np.ndarray:
@@ -817,14 +794,13 @@ class UniformityConfig:
             out["collision_threshold"] = self.collision_threshold
         return out
 
-    def make_distribution(self, which: str):
-        if which == "uniform":
-            return UniformDistribution(self.k)
-        if which == "support_fraction":
-            return SupportFractionDistribution(self.k, self.support_fraction)
-        if which == "point_mass":
-            return PointMassDistribution(self.k)
-        raise ValueError(f"unknown distribution {which}")
+    def make_distribution(self, which: str) -> SupportDistribution:
+        supports = {
+            "uniform": self.k,
+            "support_fraction": max(1, int(self.k * self.support_fraction)),
+            "point_mass": 1,
+        }
+        return SupportDistribution(self.k, choose("distribution", which, supports), which)
 
     def task(self):
         """Many-vs-one task view: uniform vs far distributions (classical

@@ -291,8 +291,6 @@ class TomoConfig:
     delta: float = 1 / 3
     mode: str = "ideal"
     rank_k: int | None = None
-    c_v: float = 1.0
-    c_p: float = 1.0
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
 
@@ -303,9 +301,6 @@ class TomoConfig:
             raise ValueError("epsilon must be in (0, 1)")
         if not 0 < self.delta < 1:
             raise ValueError("delta must be in (0, 1)")
-        for key in ("c_v", "c_p"):
-            if getattr(self, key) <= 0:
-                raise ValueError(f"{key} must be > 0")
         if self.mode not in ("ideal", "sampled"):
             raise ValueError("mode must be ideal or sampled")
         if self.rank_k is not None and not 1 <= self.rank_k <= self.d:
@@ -334,13 +329,13 @@ class TomoConfig:
     def prover_query_budget(self) -> int:
         target = self.prover_target
         if self.rank_k is not None:
-            return math.ceil(self.c_p * self.rank_k * self.d * math.log(1 / self.delta_p) / target**2)
-        return math.ceil(self.c_p * self.d**2 * math.log(1 / self.delta_p) / target**2)
+            return math.ceil(self.rank_k * self.d * math.log(1 / self.delta_p) / target**2)
+        return math.ceil(self.d**2 * math.log(1 / self.delta_p) / target**2)
 
     def verifier_query_budget(self) -> int:
         if self.rank_k is not None:
-            return math.ceil(self.c_v * self.rank_k * math.log(1 / self.delta_v) / self.epsilon**2)
-        return math.ceil(self.c_v * self.d * math.log(1 / self.delta_v) / self.epsilon**2)
+            return math.ceil(self.rank_k * math.log(1 / self.delta_v) / self.epsilon**2)
+        return math.ceil(self.d * math.log(1 / self.delta_v) / self.epsilon**2)
 
     def formula(self) -> dict:
         return {

@@ -41,9 +41,9 @@ class TestConfigParsing:
         "protocol, item",
         [
             ("tomo", "d=1"),
-            ("tomo", "c_v=-1"),
-            ("tomo", "c_v=0"),
-            ("tomo", "c_p=0"),
+            ("tomo", "delta=0"),
+            ("tomo", "delta=1"),
+            ("tomo", "epsilon=0"),
             ("stab", "n=0"),
             ("stab", "n=-1"),
             ("stab", "n=5"),
@@ -72,6 +72,21 @@ class TestConfigParsing:
         assert main([protocol, "--trials", "1", item]) == 2
         key = item.split("=")[0]
         assert capsys.readouterr().err.startswith(f"config error: {key} must be")
+
+    @pytest.mark.parametrize("item", ["trials=2.7", "seed=2.9", "transcripts=no", "mode=1", "trials=true"])
+    def test_reserved_key_of_wrong_type_exits_2_naming_it(self, item, tmp_path, capsys):
+        key = item.split("=")[0]
+        path = tmp_path / "exp.cfg"
+        path.write_text(item.replace("=", " = ") + "\n")
+        for argv in (["purity", item], ["purity", "--config", str(path)]):
+            assert main(argv + ["d=4"]) == 2
+            assert capsys.readouterr().err.startswith(f"config error: key {key!r} expects")
+
+    def test_reserved_keys_of_the_right_type_are_echoed(self, tmp_path):
+        items = ["trials=1", "seed=2", "mode=ideal", "transcripts=true"]
+        assert main(["purity", "d=4", *items, "--out", str(tmp_path)]) == 0
+        echo = json.loads((tmp_path / "report.json").read_text())["config"]
+        assert (echo["trials"], echo["seed"], echo["mode"], echo["transcripts"]) == (1, 2, "ideal", True)
 
     @pytest.mark.parametrize("mode", ["ideal", "sampled"])
     def test_lowrank_d_below_two_rejected_in_both_modes(self, mode, capsys):
@@ -483,7 +498,7 @@ GOLDEN = {
 # plus adversary, and instance for purity and nogo
 KEY_SETS = {
     "purity": {"d", "delta", "mask_ensemble", "adversary", "instance"},
-    "tomo": {"d", "epsilon", "delta", "rank_k", "adversary", "c_v", "c_p"},
+    "tomo": {"d", "epsilon", "delta", "rank_k", "adversary"},
     "lowrank": {"d", "k", "epsilon", "delta", "variant", "adversary"},
     "stab": {"n", "epsilon", "delta", "adversary"},
     "uniformity": {
@@ -578,9 +593,11 @@ class TestProtocolKeys:
         assert "unknown key" in capsys.readouterr().err
 
     def test_value_types(self):
-        ok = {"d": 2, "rank_k": 1, "c_v": 2}  # an int is accepted for a float
+        ok = {"d": 2, "rank_k": 1}
         run_experiment(ExperimentConfig(protocol="tomo", trials=1, protocol_keys=ok))
-        for bad in ({"d": 2.0}, {"d": True}, {"rank_k": 1.5}, {"c_v": True}, {"adversary": 3}):
+        protocol, _, _ = cli.build_protocol(ExperimentConfig(protocol="uniformity", protocol_keys={"epsilon": 1}))
+        assert protocol.epsilon == 1  # an int is accepted for a float
+        for bad in ({"d": 2.0}, {"d": True}, {"rank_k": 1.5}, {"epsilon": True}, {"adversary": 3}):
             with pytest.raises(cli.ConfigError, match="expects"):
                 run_experiment(ExperimentConfig(protocol="tomo", trials=1, protocol_keys=bad))
 

@@ -367,9 +367,9 @@ class TestRunSession:
         assert len(res.transcript_lines) == 6 and len(set(res.transcript_lines)) == 3
 
     def test_distribution_oracle_samples_and_never_copies(self):
-        from ipsim.stream_ip import UniformDistribution
+        from ipsim.stream_ip import SupportDistribution
 
-        oracle = CopyOracle(UniformDistribution(8))
+        oracle = CopyOracle(SupportDistribution(8, 8, "uniform"))
         assert oracle.sample_batch(np.random.default_rng(0), 5).shape == (5,)
         assert oracle.meter.total == 5
         with pytest.raises(TypeError):

@@ -16,7 +16,6 @@ from ipsim.qcore import (
     maximally_mixed,
     one_norm_distance,
     purity,
-    sample_haar_ops,
     sample_haar_unitaries,
     sample_haar_unitary,
     sample_state,
@@ -177,13 +176,13 @@ class TestSampling:
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
     def test_batched_haar_equals_single_draws(self, d):
         for seed in range(20):
-            g_batch, g_single = rng(seed), rng(seed)
-            n = 3 * d
-            stack = sample_haar_unitaries(n, d, g_batch)
-            assert stack.shape == (n, d, d)
-            for u in stack:
-                assert np.array_equal(u, sample_haar_unitary(d, g_single).entries)
-            assert g_batch.bit_generator.state == g_single.bit_generator.state
+            for n in (0, 3 * d):
+                g_batch, g_single = rng(seed), rng(seed)
+                stack = sample_haar_unitaries(n, d, g_batch)
+                assert stack.shape == (n, d, d)
+                for u in stack:
+                    assert np.array_equal(u, sample_haar_unitary(d, g_single).entries)
+                assert g_batch.bit_generator.state == g_single.bit_generator.state
 
     def test_batched_haar_checks_unitarity(self, monkeypatch):
         stack = sample_haar_unitaries(3, 4, rng(9))
@@ -191,47 +190,6 @@ class TestSampling:
         monkeypatch.setattr(qcore, "_haar_stack", lambda n, d, g: stack)
         with pytest.raises(InvariantError, match="unitarity residual"):
             sample_haar_unitaries(3, 4, rng(9))
-
-    @pytest.mark.parametrize("d", [2, 4, 8])
-    @pytest.mark.parametrize("block", [None, 1, 3])
-    def test_haar_ops_equal_single_draws(self, d, block, monkeypatch):
-        """Across block boundaries too: blocks of 1 or 3 matrices (or one block)."""
-        if block is not None:
-            monkeypatch.setattr(qcore, "HAAR_BLOCK_ENTRIES", block * d * d + d)
-        for seed in range(5):
-            g_ops, g_single = rng(seed), rng(seed)
-            ops = sample_haar_ops(10, d, g_ops)
-            assert len(ops) == 10 and all(isinstance(op, UnitaryOp) for op in ops)
-            for op in ops:
-                assert not op.entries.flags.writeable
-                assert np.array_equal(op.entries, sample_haar_unitary(d, g_single).entries)
-            assert g_ops.bit_generator.state == g_single.bit_generator.state
-
-    def test_haar_ops_block_size(self, monkeypatch):
-        sizes = []
-        real = qcore.sample_haar_unitaries
-        monkeypatch.setattr(qcore, "sample_haar_unitaries", lambda n, d, g: sizes.append(n) or real(n, d, g))
-        monkeypatch.setattr(qcore, "HAAR_BLOCK_ENTRIES", 3 * 16)
-        sample_haar_ops(7, 4, rng())
-        assert sizes == [3, 3, 1]
-        sizes.clear()
-        monkeypatch.setattr(qcore, "HAAR_BLOCK_ENTRIES", 15)  # under one matrix: one per block
-        sample_haar_ops(2, 4, rng())
-        assert sizes == [1, 1]
-        sizes.clear()
-        assert sample_haar_ops(0, 4, rng()) == [] and sizes == []
-
-    def test_haar_ops_keep_the_stack_check(self, monkeypatch):
-        real = qcore._haar_stack
-
-        def corrupt(n, d, g):
-            stack = real(n, d, g)
-            stack[n // 2, 0, 0] *= 1.001
-            return stack
-
-        monkeypatch.setattr(qcore, "_haar_stack", corrupt)
-        with pytest.raises(InvariantError, match="unitarity residual"):
-            sample_haar_ops(5, 4, rng())
 
     def test_haar_rejects_d_below_two(self):
         with pytest.raises(DimensionError):

@@ -274,6 +274,11 @@ class TestParams:
         p = UniformityConfig(k=256, epsilon=0.5, allow_small_epsilon=True)
         assert p.n == math.ceil(140 * 16 / 0.25)
 
+    def test_point_mass_draws_int64_zeros(self):
+        cfg = UniformityConfig(k=64, epsilon=0.9, allow_small_epsilon=True)
+        samples = cfg.make_distribution("point_mass").draw_batch(rng(3), 1000)
+        assert samples.dtype == np.int64 and samples.shape == (1000,) and not samples.any()
+
     def test_verdict_rule(self):
         assert uniformity_verdict(24_000, 19_744.4) == "uniform"
         assert uniformity_verdict(27, 19_744.4) == "not uniform"
@@ -511,7 +516,7 @@ class TestEngineAgainstReference:
         [(4096, 2, True), (4096, 32, True), (256, 2, False), (256, 32, False), (64, 512, False)]
         + [(2, D, False) for D in (2, 32, 512)],
     )
-    def test_factored_range_rounds_equal_folded_chi(self, k, degree_cap, grouped):
+    def test_factored_range_rounds_equal_folded_chi(self, k, degree_cap, grouped, monkeypatch):
         # the range engine keeps chi factored; the reference folds the full
         # chi table with the frequency table each round and takes chi's u and
         # d parts from it
@@ -521,9 +526,15 @@ class TestEngineAgainstReference:
         else:
             freq = g.integers(0, Q, k, dtype=np.uint64)
         st = StreamVerifierState(k, g)
+        builds = []
+        monkeypatch.setattr(
+            stream_ip, "chi_table_for_point", lambda n, p: builds.append(n) or chi_table_for_point(n, p)
+        )
         eng = stream_ip._SumcheckEngine(freq, degree_cap, "range", chi_point=st.zeta)
         table, chi = freq, chi_table_for_point(k, st.zeta)
         for j, r in enumerate(st.r):
+            # the eq suffix, built once and folded by every bind
+            assert np.array_equal(eng.suffix, chi_table_for_point(table.size // 2, st.zeta[j + 1 :]))
             u, d = table[0::2], m61.vsub(table[1::2], table[0::2])
             if j == 0:
                 assert (eng._group(u, d) is not None) == grouped
@@ -531,6 +542,7 @@ class TestEngineAgainstReference:
             eng.bind(r)
             table, chi = (stream_ip._SumcheckEngine._fold(x, r) for x in (table, chi))
         assert np.array_equal(eng.table, table)
+        assert builds == [k // 2]
         a_at_r = m61.vsum(m61.vmul(freq, chi_table_for_point(k, st.r)))
         want = fmul(st.chi_pair(st.r, st.zeta), composed_value("range", degree_cap, a_at_r))
         assert eng.final_value() == want == fmul(int(chi[0]), composed_value("range", degree_cap, int(table[0])))

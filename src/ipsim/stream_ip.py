@@ -166,12 +166,6 @@ def _weights_cached(num_nodes: int) -> tuple[int, ...]:
     return tuple(m61.lagrange_weights(num_nodes))
 
 
-# power-ladder elements per column block of a round message: with the
-# block's float64 limbs about 2 MB; a k = 2^16 uniformity session ran faster
-# with this budget than with 2^14, 2^15 or 2^17 (one BLAS thread, 2-vCPU Xeon)
-_LADDER_ELEMS = 1 << 16
-
-
 @lru_cache(maxsize=256)
 def composed_factors(kind: str, degree_cap: int) -> tuple[tuple[int, ...], int]:
     """(factors, c) with the sum-check polynomial g(y) = c * prod_i (y - i).
@@ -218,13 +212,56 @@ def table_total(kind: str, degree_cap: int, table: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _segment_sums_mod(values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Per-segment sums mod Q of a sorted-by-segment uint64 array."""
-    hi = (values >> np.uint64(32)).astype(np.int64)
-    lo = (values & np.uint64(0xFFFFFFFF)).astype(np.int64)
-    seg_hi = np.add.reduceat(hi, starts).astype(np.uint64) % np.uint64(Q)
-    seg_lo = np.add.reduceat(lo, starts).astype(np.uint64) % np.uint64(Q)
-    return vadd(vmul(seg_hi, np.uint64((1 << 32) % Q)), seg_lo)
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(order, starts, inverse) of a 1-D array: its argsort, the start of each
+    run of equal keys in that order, and the run index of every key."""
+    order = np.argsort(keys)
+    ordered = keys[order]
+    new = np.empty(keys.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    del ordered  # freed before the inverse is built, which lowers the peak on a whole table
+    run = np.cumsum(new)
+    run -= 1
+    inverse = np.empty_like(run)
+    inverse[order] = run
+    return order, np.flatnonzero(new), inverse
+
+
+def _segment_sums_mod(values: np.ndarray, starts: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+    """Sums mod Q of the segments of canonical ``values`` that begin at
+    ``starts`` along the last axis, each element times its integer count.
+
+    The 29-bit high and 32-bit low halves of the elements are summed apart
+    in uint64, exact by this bound: a segment whose counts add up to c sums
+    its high halves to below 2^29 c and its low halves to below 2^32 c,
+    which for c <= 2^32 stay below 2^61 and 2^64. The counts of one round
+    add up to its number of columns, at most 2^31 for any table of at most
+    2^32 entries, and a segment without counts has at most that many
+    elements. The high sum, below 2^61, times 2^32 mod Q is its 61-bit
+    rotation by 32 (2^61 = 1), at most Q. Folding 2^61 = 1 takes the low
+    sum below Q + 8 and then their sum below Q + 3, which one subtraction
+    makes canonical."""
+    q = np.uint64(Q)
+    hi = values >> np.uint64(32)
+    lo = values & np.uint64(0xFFFFFFFF)
+    if counts is not None:
+        hi *= counts
+        lo *= counts
+    hi = np.add.reduceat(hi, starts, axis=-1)
+    lo = np.add.reduceat(lo, starts, axis=-1)
+    top = hi >> np.uint64(29)  # in place from here on, which keeps a block's peak memory down
+    hi <<= np.uint64(32)
+    hi &= q
+    hi |= top
+    np.right_shift(lo, np.uint64(61), out=top)
+    lo &= q
+    hi += lo
+    hi += top
+    np.right_shift(hi, np.uint64(61), out=top)
+    hi &= q
+    hi += top
+    return np.minimum(hi, hi - q, out=hi)
 
 
 @lru_cache(maxsize=64)
@@ -256,25 +293,25 @@ def _moment_tables(kind: str, degree_cap: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(triangle, dtype=np.uint64), np.array(vandermonde, dtype=np.uint64)
 
 
-def _moment_ladders(u: np.ndarray, d: np.ndarray, weight: np.ndarray | None, num_powers: int) -> np.ndarray:
-    """(2, num_powers, m) array of the ladders u^p and d^p, p = 0..num_powers-1,
-    with a third ladder w * d^p given a weight w. Built by doubling: rows
-    h+1..2h are rows 1..h times the pure powers u^h, d^h of row h, one
-    stacked vmul per step for every ladder at once."""
-    rows = 2 if weight is None else 3
-    out = np.empty((rows, num_powers, u.size), dtype=np.uint64)
-    out[:2, 0] = 1
-    out[:2, 1] = u, d
-    if weight is not None:
-        out[2, 0] = weight
-        vmul(weight, d, out=out[2, 1])
-    pure = [0, 1, 1][:rows]
+def _powers(x: np.ndarray, num_powers: int) -> np.ndarray:
+    """(num_powers, m) array of x^p, p = 0..num_powers-1, built by doubling:
+    rows h+1..2h are rows 1..h times row h, one vmul per step."""
+    out = np.empty((num_powers, x.size), dtype=np.uint64)
+    out[0] = 1
+    out[1] = x
     h = 1
     while h + 1 < num_powers:
         top = min(2 * h, num_powers - 1)
-        vmul(out[:, 1 : top - h + 1], out[pure, h][:, None], out=out[:, h + 1 : top + 1])
+        vmul(out[1 : top - h + 1], out[h], out=out[h + 1 : top + 1])
         h = top
     return out
+
+
+# power-ladder elements per block of a round message, whose pairs have at most
+# as many distinct d and distinct u as the block has pairs; a k = 2^16 range
+# sum-check peaked at 2.9 MiB of traced allocations with this budget, and
+# both k = 2^16 sum-checks ran slower with 2^15 (one BLAS thread, 2-vCPU Xeon)
+_LADDER_ELEMS = 1 << 16
 
 
 class _SumcheckEngine:
@@ -289,38 +326,60 @@ class _SumcheckEngine:
     The suffix table is built once; each bind sums its entry pairs, which
     drops its lowest coordinate since eq(0, z) + eq(1, z) = 1.
 
-    Early rounds bucket identical (value, difference) pairs, which collapses
-    the work by orders of magnitude while the folded tables still carry few
-    distinct values; the buckets come from a 1-D ``np.unique`` of each column
-    and of the combined int64 key, in (value, difference) order.
+    The table is kept as ``values[ids]``: a few distinct values and one id
+    per entry. Each round buckets its column pairs (ids[2x], ids[2x+1]) by
+    one int64 key, sorted with the u-id first, and weights each distinct
+    pair (u, d = v - u) by its count or by the sum of its columns' eq suffix
+    entries; ``bind(r)`` folds only the distinct pairs, u + r d, and the pair
+    indices become the next ids. A frequency table has few distinct pairs in
+    its early rounds, and far fewer distinct u and d than pairs after that.
 
     A round message comes from power moments. With y = u + t d on each
-    column and a weight w per column (1, the bucket counts, or the eq
-    suffix), sum w g(u + t d) = sum_a t^a sum_p T[a, p] M[a, p], where
-    M[a, p] = sum w d^a u^p are the moments and T[a, p] = g_(a+p) C(a+p, a)
-    is the coefficient-binomial triangle of ``_moment_tables``. The columns
-    are taken in blocks whose power ladders (``_moment_ladders``) hold about
-    ``_LADDER_ELEMS`` elements. A block with at least as many columns as its
-    moment matrix has rows (n = deg g + 1) forms its moments with one exact
-    limb-split float64 GEMM (``m61.matmul``) and contracts them with T. A
-    narrower block, which the last rounds of every sum-check and every small
-    table have, contracts the powers first, h_a = sum_p T[a, p] u^p, so that
-    its GEMM output is n x m rather than n x n. The Vandermonde matrix of
+    pair and its weight w, sum w g(u + t d) = sum_a t^a sum_p T[a, p] M[a, p],
+    where M[a, p] = sum w d^a u^p are the moments and T[a, p] =
+    g_(a+p) C(a+p, a) is the coefficient-binomial triangle of
+    ``_moment_tables``. The pairs are taken in blocks of
+    ``_LADDER_ELEMS`` / 2n (n = deg g + 1), so that the power ladder of a
+    block's distinct d and distinct u holds at most ``_LADDER_ELEMS``
+    elements. A block gathers the powers of its distinct d per pair, weights
+    them and sums them over each run of equal u into S[a, s] = sum w d^a, so
+    that M = S U^T with U[p, s] = u_s^p built once per distinct u; a run cut
+    by the block's end carries its partial sums into the next block. A block
+    with at least n distinct u forms M with one exact limb-split float64
+    GEMM (``m61.matmul``) and contracts it with T. A narrower block, which
+    the last rounds of every sum-check and every small table have,
+    contracts the powers first, h_a = sum_p T[a, p] u^p, so that its GEMM
+    output is n x s rather than n x n. A round whose u are all distinct is
+    the same computation with runs of one pair. The Vandermonde matrix of
     the nodes turns the coefficients in t, times the line, into node values.
     Every step is exact arithmetic in GF(Q), so the messages equal those of
     evaluating chi g at every node.
     """
 
     def __init__(self, table: np.ndarray, degree_cap: int, kind: str, chi_point: list[int] | None = None):
-        self.table = np.ascontiguousarray(table, dtype=np.uint64)
+        table = np.ascontiguousarray(table, dtype=np.uint64)
+        order, starts, self.ids = _runs(table)
+        self.values = table[order[starts]]
         self.degree_cap = degree_cap
         self.kind = kind
         self.zeta = None if chi_point is None else list(chi_point)  # the coordinates not yet bound
         self.prefix = 1  # prod of eq(r_i, zeta_i) over the bound rounds
         # the eq suffix chi(x, zeta_(j+1..)) of every column x of the current round j
-        self.suffix = None if chi_point is None else chi_table_for_point(self.table.size // 2, self.zeta[1:])
+        self.suffix = None if chi_point is None else chi_table_for_point(table.size // 2, self.zeta[1:])
         self.triangle, self.vandermonde = _moment_tables(kind, degree_cap)
         self.num_nodes = len(self.vandermonde)
+        self._pair_up()
+
+    def _pair_up(self):
+        """This round's distinct column pairs (``pairs``, rows of (u-id, v-id)
+        in key order), their weights and the pair index of every column."""
+        columns = self.ids.reshape(-1, 2)
+        order, starts, self.pair_of_column = _runs(columns[:, 0] * self.values.size + columns[:, 1])
+        self.pairs = columns[order[starts]]
+        if self.zeta is None:
+            self.weight = np.diff(starts, append=order.size).astype(np.uint64)
+        else:
+            self.weight = _segment_sums_mod(self.suffix[order], starts)
 
     def _line(self) -> tuple[int, int]:
         """(alpha, beta) with prefix * eq(t, zeta_j) = alpha + beta t."""
@@ -328,52 +387,39 @@ class _SumcheckEngine:
         return fmul(self.prefix, fsub(1, z)), fmul(self.prefix, fsub(fadd(z, z), 1))
 
     def round_message(self) -> tuple[int, ...]:
-        u = self.table[0::2]
-        d = vsub(self.table[1::2], u)
-        weight = line = None
-        if self.zeta is not None:
-            weight, line = self.suffix, self._line()
-        grouped = self._group(u, d)
-        if grouped is not None:
-            # one column per distinct (u, d) pair, weighted by its multiplicity
-            # or by the sum of its eq suffix entries
-            uniq, inverse = grouped
-            u, d = uniq[:, 0].copy(), uniq[:, 1].copy()
-            if weight is None:
-                weight = np.bincount(inverse).astype(np.uint64) % np.uint64(Q)
-            else:
-                order = np.argsort(inverse, kind="stable")
-                starts = np.searchsorted(inverse[order], np.arange(uniq.shape[0]))
-                weight = _segment_sums_mod(weight[order], starts)
-        return tuple(self._evaluate(u, d, weight, line))
+        u = self.values[self.pairs[:, 0]]
+        d = vsub(self.values[self.pairs[:, 1]], u)
+        return tuple(self._evaluate(u, d, self.weight, None if self.zeta is None else self._line()))
 
-    @staticmethod
-    def _group(u: np.ndarray, d: np.ndarray):
-        if u.size < 1024:
-            return None
-        u_vals, u_idx = np.unique(u, return_inverse=True)
-        d_vals, d_idx = np.unique(d, return_inverse=True)
-        keys, inverse = np.unique(u_idx.astype(np.int64) * d_vals.size + d_idx, return_inverse=True)
-        if keys.size > 0.7 * u.size:
-            return None
-        uniq = np.stack([u_vals[keys // d_vals.size], d_vals[keys % d_vals.size]], axis=1)
-        return uniq, inverse.reshape(-1)
-
-    def _evaluate(self, u, d, weight=None, line=None) -> list[int]:
-        """Node values of (alpha + beta t) sum w g(u + t d); 1 for a None line or weight."""
+    def _evaluate(self, u, d, weight, line=None) -> list[int]:
+        """Node values of (alpha + beta t) sum_i w_i g(u_i + t d_i) over the
+        pairs i; pairs with equal u next to each other share one run. Without
+        a line the weights are integer counts and the line is 1."""
         n = len(self.triangle)  # powers 0..deg g
         sums = np.zeros(n, dtype=np.uint64)  # [a]: sum w d^a sum_p triangle[a, p] u^p
-        block = max(1, _LADDER_ELEMS // (n * (2 if weight is None else 3)))
+        block = max(1, _LADDER_ELEMS // (2 * n))
+        carry = None  # sum w d^a of a run of u cut by the previous block's end
         for lo in range(0, u.size, block):
-            cols = slice(lo, lo + block)
-            ladders = _moment_ladders(u[cols], d[cols], None if weight is None else weight[cols], n)
-            powers, scaled = ladders[0], ladders[-1]
-            if powers.shape[1] >= n:
-                # M[a, p] = sum w d^a u^p, an n x n GEMM output
-                terms = vmul(m61.matmul(scaled, powers.T), self.triangle)
+            hi = min(lo + block, u.size)
+            runs = np.flatnonzero(np.concatenate(([True], u[lo + 1 : hi] != u[lo : hi - 1])))  # runs of equal u
+            whole = runs.size - (hi < u.size and u[hi] == u[hi - 1])  # the last run may go on
+            d_order, d_starts, d_ids = _runs(d[lo:hi])
+            powers = _powers(np.concatenate([d[lo:hi][d_order[d_starts]], u[lo:hi][runs[:whole]]]), n)
+            scaled = np.take(powers[:, : d_starts.size], d_ids, axis=1)  # d^a per pair
+            if line is None:
+                moments = _segment_sums_mod(scaled, runs, weight[lo:hi])
             else:
-                # w d^a h_a(u) per column, an n x m GEMM output
-                terms = vmul(scaled, m61.matmul(self.triangle, powers))
+                moments = _segment_sums_mod(vmul(scaled, weight[lo:hi], out=scaled), runs)
+            if carry is not None:
+                vadd(moments[:, 0], carry, out=moments[:, 0])
+            carry = moments[:, whole] if whole < runs.size else None
+            moments, u_powers = moments[:, :whole], powers[:, d_starts.size :]
+            if u_powers.shape[1] >= n:
+                # M[a, p] = sum w d^a u^p, an n x n GEMM output
+                terms = vmul(m61.matmul(moments, u_powers.T), self.triangle)
+            else:
+                # S[a, s] h_a(u_s), an n x s GEMM output
+                terms = vmul(moments, m61.matmul(self.triangle, u_powers))
             vadd(sums, np.array(m61.vsum_rows(terms), dtype=np.uint64), out=sums)
         coeffs = np.append(sums, np.uint64(0))  # of the round polynomial in t
         if line is not None:  # times alpha + beta t: beta shifts one power up
@@ -381,12 +427,15 @@ class _SumcheckEngine:
         return m61.vsum_rows(vmul(self.vandermonde, coeffs))
 
     def bind(self, r: int):
-        self.table = self._fold(self.table, r)
+        self.values = self._fold(self.values[self.pairs].reshape(-1), r)
+        self.ids = self.pair_of_column
         if self.zeta is not None:
             alpha, beta = self._line()
             self.prefix = fadd(alpha, fmul(beta, r))
             self.zeta = self.zeta[1:]
             self.suffix = vadd(self.suffix[0::2], self.suffix[1::2])
+        if self.ids.size > 1:
+            self._pair_up()
 
     @staticmethod
     def _fold(table: np.ndarray, r: int) -> np.ndarray:
@@ -398,8 +447,8 @@ class _SumcheckEngine:
 
     # test-only: the pinned engine transcript hashes in tests/test_stream_ip.py close on it
     def final_value(self) -> int:
-        assert self.table.size == 1
-        return fmul(self.prefix, composed_value(self.kind, self.degree_cap, int(self.table[0])))
+        assert self.ids.size == 1
+        return fmul(self.prefix, composed_value(self.kind, self.degree_cap, int(self.values[self.ids[0]])))
 
 
 def chi_table_for_point(k: int, point: list[int]) -> np.ndarray:

@@ -352,9 +352,11 @@ class TestSumcheckMechanics:
         g = rng(12)
         freq = g.integers(0, 5, size=2048).astype(np.uint64)
         a = stream_ip._SumcheckEngine(freq.copy(), 8, "unique")
-        msg_bucketed = a.round_message()  # large table: bucket path kicks in
-        b = stream_ip._SumcheckEngine(freq.copy(), 8, "unique")
-        direct = b._evaluate(b.table[0::2], m61.vsub(b.table[1::2], b.table[0::2]))
+        msg_bucketed = a.round_message()
+        assert len(a.pairs) <= 25 < freq.size // 2  # 1024 column pairs of 5 x 5 values
+        # every column pair on its own, count 1, in table order
+        u, d = freq[0::2], m61.vsub(freq[1::2], freq[0::2])
+        direct = a._evaluate(u, d, np.ones(u.size, dtype=np.uint64))
         assert list(msg_bucketed) == direct
         assert len(msg_bucketed) == a.num_nodes == 8 + 2
 
@@ -414,24 +416,30 @@ ENGINE_CASES = [(kind, D) for kind in ("unique", "range") for D in (2, 7, 8, 32,
 
 
 class TestEngineAgainstReference:
-    """The column-blocked moment evaluation and the 1-D grouping against the
+    """The pair-blocked moment evaluation and the pair bucketing against the
     direct formula; exact arithmetic, so equal to the last bit."""
 
     @staticmethod
-    def _weights(g, m, value=None):
+    def _weights(g, m, value=None, count=None):
         """The three weightings a round passes, as (``_evaluate`` arguments,
-        ``_reference_evaluate`` arguments): none, bucket counts, and a weight
-        w times a line alpha + beta t, which is chi with u and d parts
-        alpha w and beta w."""
+        ``_reference_evaluate`` arguments): none (every count 1), bucket
+        counts, and a weight w times a line alpha + beta t, which is chi with
+        u and d parts alpha w and beta w."""
+        ones = np.ones(m, dtype=np.uint64)
         if value is not None:
-            counts = w = np.full(m, value, dtype=np.uint64)
+            counts = np.full(m, count, dtype=np.uint64)
+            w = np.full(m, value, dtype=np.uint64)
             alpha = beta = value
         else:
             counts = g.integers(1, 1 << 20, m).astype(np.uint64)
             w = g.integers(0, Q, m, dtype=np.uint64)
             alpha, beta = m61.rand_fe(g), m61.rand_fe(g)
         chi = {"chi_u": m61.vmul(w, alpha), "chi_d": m61.vmul(w, beta)}
-        return [({}, {}), ({"weight": counts}, {"counts": counts}), ({"weight": w, "line": (alpha, beta)}, chi)]
+        return [
+            ({"weight": ones}, {}),
+            ({"weight": counts}, {"counts": counts}),
+            ({"weight": w, "line": (alpha, beta)}, chi),
+        ]
 
     @pytest.mark.parametrize("kind,degree_cap", ENGINE_CASES)
     def test_evaluate_equals_reference(self, kind, degree_cap):
@@ -440,10 +448,10 @@ class TestEngineAgainstReference:
         g = rng(degree_cap)
         # the column block of the paired-factor evaluation this kernel replaced
         old_block = max(1, m61.CHUNK // eng.num_nodes)
+        block = stream_ip._LADDER_ELEMS // (2 * n)  # pairs per block
+        switch = n  # blocks of fewer distinct u contract the powers first
+        sizes = {old_block - 1, old_block, 2 * old_block + 5, block - 1, block, 2 * block + 5, switch - 1, switch}
         for case in range(3):
-            block = stream_ip._LADDER_ELEMS // (n * (2 + min(case, 1)))  # a weight adds a ladder
-            switch = n  # narrower blocks contract the powers first
-            sizes = {old_block - 1, old_block, 2 * old_block + 5, block - 1, block, 2 * block + 5, switch - 1, switch}
             for m in sorted(sizes):
                 u, d = (g.integers(0, Q, m, dtype=np.uint64) for _ in range(2))
                 u[:3] = [0, 1, Q - 1][:m]  # blends through 0, small integers and the wrap at Q
@@ -452,14 +460,15 @@ class TestEngineAgainstReference:
 
     @pytest.mark.parametrize("kind,degree_cap", ENGINE_CASES)
     def test_full_block_of_maximal_elements(self, kind, degree_cap):
-        # every column and weight Q - 1: the largest limbs the GEMMs see, on
-        # one full column block of each weighting
+        # every pair and field weight Q - 1: the largest limbs the GEMMs see,
+        # on one full block of each weighting; the pairs form one run of
+        # equal u whose counts add up to 2^32, the most its segment sums hold
         eng = stream_ip._SumcheckEngine(np.zeros(2, dtype=np.uint64), degree_cap, kind)
         n = eng.num_nodes - 1
+        m = stream_ip._LADDER_ELEMS // (2 * n)
+        u = np.full(m, Q - 1, dtype=np.uint64)
         for case in range(3):
-            m = stream_ip._LADDER_ELEMS // (n * (2 + min(case, 1)))
-            u = np.full(m, Q - 1, dtype=np.uint64)
-            extra, ref = self._weights(None, m, Q - 1)[case]
+            extra, ref = self._weights(None, m, Q - 1, (1 << 32) // m)[case]
             assert eng._evaluate(u, u, **extra) == _reference_evaluate(eng, u, u, **ref), case
 
     @pytest.mark.parametrize("kind", ["unique", "range"])
@@ -482,34 +491,35 @@ class TestEngineAgainstReference:
         g = rng(100 + degree_cap)
         for table in (
             g.integers(0, min(degree_cap, 4) + 1, 4096).astype(np.uint64),  # buckets
-            # too small to bucket; a range table spans a cube, as chi does
+            # every pair distinct; a range table spans a cube, as chi does
             g.integers(0, Q, 256 if kind == "range" else 300, dtype=np.uint64),
         ):
             zeta = [m61.rand_fe(g) for _ in range(table.size.bit_length() - 1)] if kind == "range" else None
             eng = stream_ip._SumcheckEngine(table, degree_cap, kind, chi_point=zeta)
             u = table[0::2]
             d = m61.vsub(table[1::2], u)
-            assert (eng._group(u, d) is not None) == (table.size == 4096)
+            assert (len(eng.pairs) < u.size) == (table.size == 4096)
             extra = {} if zeta is None else _chi_parts(chi_table_for_point(table.size, zeta))
             want = _reference_evaluate(eng, u, d, **extra)
             assert list(eng.round_message()) == want
 
     def test_group_matches_row_unique(self):
+        # the first round's pairs are the distinct (u, v) column pairs in
+        # row-unique order, with their counts, and each column's pair index
         g = rng(30)
         for u_vals, d_vals in ((3, 5), (40, 2), (600, 600)):
             u = g.integers(0, u_vals, 5000).astype(np.uint64) * np.uint64(1 << 40)
             d = g.integers(Q - d_vals, Q, 5000, dtype=np.uint64)
-            grouped = stream_ip._SumcheckEngine._group(u, d)
-            uniq, inverse = np.unique(np.stack([u, d], axis=1), axis=0, return_inverse=True)
-            if uniq.shape[0] > 0.7 * u.size:
-                assert grouped is None
-                continue
-            assert np.array_equal(grouped[0], uniq)
-            assert np.array_equal(grouped[1], inverse.reshape(-1))
-        # bucketing starts at 1024 pairs, however few distinct pairs there are
-        zeros = np.zeros(1024, dtype=np.uint64)
-        assert stream_ip._SumcheckEngine._group(zeros[:1023], zeros[:1023]) is None
-        assert stream_ip._SumcheckEngine._group(zeros, zeros) is not None
+            columns = np.stack([u, m61.vadd(u, d)], axis=1)
+            eng = stream_ip._SumcheckEngine(columns.reshape(-1), 2, "collisions")
+            uniq, inverse, counts = np.unique(columns, axis=0, return_inverse=True, return_counts=True)
+            assert np.array_equal(eng.values[eng.pairs], uniq)
+            assert np.array_equal(eng.pair_of_column, inverse.reshape(-1))
+            assert np.array_equal(eng.weight, counts)
+        # bucketing runs at every size, below the 1024 pairs where it once began
+        for pairs in (1, 1023, 1024):
+            eng = stream_ip._SumcheckEngine(np.zeros(2 * pairs, dtype=np.uint64), 2, "collisions")
+            assert eng.pairs.tolist() == [[0, 0]] and eng.weight.tolist() == [pairs]
 
     @pytest.mark.parametrize(
         "k,degree_cap,grouped",
@@ -537,15 +547,52 @@ class TestEngineAgainstReference:
             assert np.array_equal(eng.suffix, chi_table_for_point(table.size // 2, st.zeta[j + 1 :]))
             u, d = table[0::2], m61.vsub(table[1::2], table[0::2])
             if j == 0:
-                assert (eng._group(u, d) is not None) == grouped
+                assert (len(eng.pairs) < u.size) == grouped
             assert list(eng.round_message()) == _reference_evaluate(eng, u, d, **_chi_parts(chi))
             eng.bind(r)
             table, chi = (stream_ip._SumcheckEngine._fold(x, r) for x in (table, chi))
-        assert np.array_equal(eng.table, table)
+            assert np.array_equal(eng.values[eng.ids], table)
         assert builds == [k // 2]
         a_at_r = m61.vsum(m61.vmul(freq, chi_table_for_point(k, st.r)))
         want = fmul(st.chi_pair(st.r, st.zeta), composed_value("range", degree_cap, a_at_r))
         assert eng.final_value() == want == fmul(int(chi[0]), composed_value("range", degree_cap, int(table[0])))
+
+    @pytest.mark.parametrize("kind", ["unique", "range"])
+    @pytest.mark.parametrize("pairs_per_block", [None, 16])
+    def test_factored_path_on_few_distinct_u(self, kind, pairs_per_block, monkeypatch):
+        # Poisson(1) at k = 2^14: rounds 1-3 have far fewer distinct u than
+        # pairs. Every round's message equals the direct formula on the
+        # folded table (bucket counts for "unique", eq suffix and line for
+        # "range"), and the unweighted sum over the round's distinct pairs
+        # equals it too. Round 3 at the default block, and rounds 2 and 3 at
+        # 16 pairs per block, have runs of equal u cut by a block boundary;
+        # at 16 pairs some runs span whole blocks.
+        g = rng(60)
+        freq = g.poisson(1.0, size=1 << 14).astype(np.uint64)
+        st = StreamVerifierState(freq.size, g)
+        zeta = st.zeta if kind == "range" else None
+        eng = stream_ip._SumcheckEngine(freq, 32, kind, chi_point=zeta)
+        n = eng.num_nodes - 1
+        if pairs_per_block is not None:
+            monkeypatch.setattr(stream_ip, "_LADDER_ELEMS", 2 * n * pairs_per_block)
+        block = stream_ip._LADDER_ELEMS // (2 * n)
+        table, chi = freq, None if zeta is None else chi_table_for_point(freq.size, zeta)
+        segmented = cut = 0
+        for j, r in enumerate(st.r):
+            u = eng.values[eng.pairs[:, 0]]
+            d = m61.vsub(eng.values[eng.pairs[:, 1]], u)
+            segmented += np.unique(u).size < u.size
+            cut += any(u[b - 1] == u[b] for b in range(block, u.size, block))
+            extra = {} if chi is None else _chi_parts(chi)
+            want = _reference_evaluate(eng, table[0::2], m61.vsub(table[1::2], table[0::2]), **extra)
+            assert list(eng.round_message()) == want, j
+            ones = np.ones(u.size, dtype=np.uint64)
+            assert eng._evaluate(u, d, ones) == _reference_evaluate(eng, u, d), j
+            eng.bind(r)
+            table = stream_ip._SumcheckEngine._fold(table, r)
+            if chi is not None:
+                chi = stream_ip._SumcheckEngine._fold(chi, r)
+        assert segmented >= 3 and cut >= 1
 
     # computed with the direct, unpaired and unblocked evaluation
     PINNED = {
@@ -599,9 +646,8 @@ class TestCollisionSumcheck:
             freq[g.integers(0, k, size=3)] = 1000 + trial  # a few heavy hitters
             st = StreamVerifierState(k, rng(trial))
             eng = stream_ip._SumcheckEngine(freq.astype(np.uint64), 2, "collisions")
-            # the first round buckets only from 1024 (value, difference) pairs on
-            bucketed = eng._group(eng.table[0::2], m61.vsub(eng.table[1::2], eng.table[0::2]))
-            assert (bucketed is not None) == (k // 2 >= 1024)
+            # the first round buckets at every k: one pair per distinct (value, value) column pair
+            assert len(eng.pairs) == np.unique(freq.reshape(-1, 2), axis=0).shape[0] < k // 2
             first = eng.round_message()
             brute, out = self._run_engine(freq, st)
             assert fadd(first[0], first[1]) == brute % Q
@@ -832,7 +878,7 @@ class TestTransientMemory:
         zeta = [m61.rand_fe(g) for _ in range(15)] if kind == "range" else None
         eng = stream_ip._SumcheckEngine(freq, 32, kind, chi_point=zeta)
         eng.bind(m61.rand_fe(g))
-        assert eng.table.size == 1 << 14
+        assert eng.ids.size == 1 << 14
         tracemalloc.start()
         try:
             eng.round_message()
@@ -840,6 +886,27 @@ class TestTransientMemory:
         finally:
             tracemalloc.stop()
         assert peak <= 3 << 20
+
+    def test_range_sumcheck_peak(self):
+        # one whole range certificate at k = 2^16, D = 33, on a Poisson table
+        # of the default config's n = 63716 samples: the engine's values and
+        # ids, each round's pair buckets and the pair blocks of its message.
+        # 3.8 MiB is 1.5 times the 2.56 MiB the column-blocked engine this one
+        # replaced peaked at; it guards the uniformity-k65536 benchmark's
+        # peak_rss_mb, which may grow by at most 5%
+        cfg = UniformityConfig(k=1 << 16, epsilon=0.75)
+        g = rng(44)
+        freq = g.poisson(cfg.n / cfg.k, size=cfg.k).astype(np.uint64)
+        st = StreamVerifierState(cfg.k, g)
+        tracemalloc.start()
+        try:
+            eng = stream_ip._SumcheckEngine(freq, 33, "range", chi_point=st.zeta)
+            for message in map(engine_rounds(eng), range(cfg.b), [None, *st.r[:-1]]):
+                assert len(message) == 33 + 3  # deg g + 2 nodes, deg g = D + 1
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.8 * (1 << 20)
 
 
 class TestInstrumentation:

@@ -11,7 +11,8 @@ optional ``out`` array of ``a``'s shape; ``out`` may be ``a`` or a
 same-shape ``b`` itself (the result overwrites it, every element read before
 it is written). Without ``out`` a new array is returned. ``vmul`` works
 through long 1-D arrays in chunks of ``CHUNK`` elements so that the buffers
-of one pass stay in cache.
+of one pass stay in cache; the limb temporaries of a larger array of more
+than one dimension go to an optional ``work`` buffer.
 
 ``matmul(a, b)`` is the matrix product a @ b mod q through float64 GEMMs,
 exact by this bound: each operand is split into three limbs of 21, 21 and
@@ -22,7 +23,10 @@ library picks, is a sum of at most 2^11 such nonnegative integer products:
 at most 2^11 (2^21 - 1)^2 < 2^53, which float64 holds exactly. Limb pair
 (i, j) then carries the weight 2^(21(i+j)), which mod q is a 61-bit
 rotation (2^61 = 1), and the nine limb-pair sums fold into one canonical
-element.
+element. The limbs are written to a pair of float64 buffers, which a caller
+that multiplies many times may own and pass in as ``limbs``, so that its
+calls reuse the same pages (the limb arrays are the largest arrays a call
+makes); the result is always a new array that shares no memory with them.
 """
 
 from __future__ import annotations
@@ -101,12 +105,17 @@ def vsub(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
 CHUNK = 1 << 13
 
 
-def vmul(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
-    """(a * b) mod Q elementwise; inputs must be canonical (< Q)."""
+def vmul(a: np.ndarray, b, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
+    """(a * b) mod Q elementwise; inputs must be canonical (< Q).
+
+    ``work``, if given, is a 1-D uint64 buffer of at least 4 a.size
+    elements, apart from a, b and out. An array of more than one dimension
+    and more than CHUNK elements, which is not split into chunks, writes its
+    limb temporaries there."""
     if out is None:
         out = np.empty(a.shape, dtype=np.uint64)
     if a.ndim != 1 or a.size <= CHUNK:
-        _vmul_block(a, b, out)
+        _vmul_block(a, b, out, None if a.size <= CHUNK else work)
         return out
     full_b = isinstance(b, np.ndarray) and b.shape == a.shape
     for lo in range(0, a.size, CHUNK):
@@ -115,13 +124,17 @@ def vmul(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
-def _vmul_block(a: np.ndarray, b, out: np.ndarray):
-    a_hi = a >> _S31
-    a_lo = a & _MASK31
+_NO_TEMPS = (None,) * 4  # each limb temporary a new array
+
+
+def _vmul_block(a: np.ndarray, b, out: np.ndarray, work: np.ndarray | None = None):
+    temps = _NO_TEMPS if work is None else work[: 4 * a.size].reshape((4,) + a.shape)
+    a_hi = np.right_shift(a, _S31, out=temps[0])
+    a_lo = np.bitwise_and(a, _MASK31, out=temps[1])
     # a and b are fully read into limbs before ``out`` (possibly a or b) is written
     if isinstance(b, np.ndarray) and b.shape == a.shape:
-        b_hi = b >> _S31
-        b_lo = b & _MASK31
+        b_hi = np.right_shift(b, _S31, out=temps[2])
+        b_lo = np.bitwise_and(b, _MASK31, out=temps[3])
         t = np.multiply(a_hi, b_hi, out=out)  # hh < 2^60; hh * 2^62 = 2*hh mod Q
         mm = np.multiply(a_hi, b_lo, out=a_hi)
         mm += np.multiply(a_lo, b_hi, out=b_hi)  # < 2^62; contributes mm * 2^31
@@ -134,7 +147,7 @@ def _vmul_block(a: np.ndarray, b, out: np.ndarray):
             b = int(b)
             b_hi, b_lo = np.uint64(b >> 31), np.uint64(b & ((1 << 31) - 1))
         t = np.multiply(a_hi, b_hi, out=out)
-        ll = a_lo * b_lo
+        ll = np.multiply(a_lo, b_lo, out=temps[2])
         mm = np.multiply(a_hi, b_lo, out=a_hi)
         mm += np.multiply(a_lo, b_hi, out=a_lo)
     scratch = a_lo
@@ -160,13 +173,20 @@ _S21 = np.uint64(21)
 _S42 = np.uint64(42)
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def matmul(a: np.ndarray, b: np.ndarray, limbs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """(a @ b) mod Q for canonical a of shape (P, K) and b of shape (K, R);
-    exact (see the module docstring), one float64 GEMM per GEMM_BLOCK of K."""
+    exact (see the module docstring), one float64 GEMM per GEMM_BLOCK of K.
+
+    ``limbs``, if given, is a pair of 1-D float64 buffers of at least
+    3 P min(K, GEMM_BLOCK) and 3 R min(K, GEMM_BLOCK) elements that the
+    limbs of a and b are written to; without it they are allocated."""
+    width = min(a.shape[1], GEMM_BLOCK)
+    if limbs is None:
+        limbs = np.empty(3 * a.shape[0] * width), np.empty(3 * b.shape[1] * width)
     out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
     for lo in range(0, a.shape[1], GEMM_BLOCK):
         inner = slice(lo, lo + GEMM_BLOCK)
-        sums = _limbs(a[:, inner]) @ _limbs(b[inner].T).T
+        sums = _limbs(a[:, inner], limbs[0]) @ _limbs(b[inner].T, limbs[1]).T
         vadd(out, _combine_limbs(sums), out=out)
     return out
 
@@ -201,10 +221,11 @@ def _rotate(x: np.ndarray, e: np.uint64) -> np.ndarray:
     return out
 
 
-def _limbs(x: np.ndarray) -> np.ndarray:
-    """(3 * rows, K) float64 limbs of the (rows, K) array x: row i * rows + r
-    holds limb i of row r."""
-    out = np.empty((3,) + x.shape)
+def _limbs(x: np.ndarray, buffer: np.ndarray) -> np.ndarray:
+    """(3 * rows, K) float64 limbs of the (rows, K) array x, written to the
+    front of the 1-D float64 ``buffer``: row i * rows + r holds limb i of
+    row r."""
+    out = buffer[: 3 * x.size].reshape((3,) + x.shape)
     np.bitwise_and(x, _LIMB_MASKS[:, None, None], out=out, casting="unsafe")
     out *= _LIMB_SCALES[:, None, None]  # exact: each limb has at most 21 significant bits
     return out.reshape(-1, x.shape[-1])

@@ -38,7 +38,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
@@ -201,15 +201,41 @@ def composed_value(kind: str, degree_cap: int, y: int) -> int:
 def table_total(kind: str, degree_cap: int, table: np.ndarray) -> int:
     """sum_x g(table[x]) in GF(Q) for g = ``composed_factors(kind, degree_cap)``:
     the total a sum-check of ``kind`` over ``table`` verifies."""
-    total = 0
-    for value, count in zip(*np.unique(table, return_counts=True)):
-        total = fadd(total, fmul(composed_value(kind, degree_cap, int(value)), int(count) % Q))
-    return total
+    return DistinctTable.of(table).total(kind, degree_cap)
 
 
 # ---------------------------------------------------------------------------
 # Honest prover sum-check engines
 # ---------------------------------------------------------------------------
+
+
+class DistinctTable(NamedTuple):
+    """A table as its sorted distinct entries and, per entry, the index of
+    its value among them: table = values[ids]."""
+
+    values: np.ndarray
+    ids: np.ndarray
+
+    @classmethod
+    def of(cls, table: np.ndarray) -> DistinctTable:
+        table = np.ascontiguousarray(table, dtype=np.uint64)
+        if 0 < table.size < 1 << 31 and int(table.max()) < table.size:
+            # a frequency table's entries are small: rank them by counting,
+            # into int32 ids, which halves the array kept between sum-checks
+            seen = np.bincount(table.view(np.int64)) > 0
+            rank = np.cumsum(seen, dtype=np.int32)
+            rank -= 1
+            return cls(np.flatnonzero(seen).astype(np.uint64), rank[table.view(np.int64)])
+        order, starts, ids = _runs(table)
+        return cls(table[order[starts]], ids)
+
+    def total(self, kind: str, degree_cap: int) -> int:
+        """``table_total`` of the table: sum over the distinct values y of
+        count(y) g(y) in GF(Q)."""
+        total = 0
+        for value, count in zip(self.values, np.bincount(self.ids, minlength=self.values.size)):
+            total = fadd(total, fmul(composed_value(kind, degree_cap, int(value)), int(count) % Q))
+        return total
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,40 +254,85 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return order, np.flatnonzero(new), inverse
 
 
-def _segment_sums_mod(values: np.ndarray, starts: np.ndarray, counts: np.ndarray | None = None) -> np.ndarray:
+def _segment_sums_mod(
+    values: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray | None = None,
+    out: np.ndarray | None = None,
+    work: np.ndarray | None = None,
+) -> np.ndarray:
     """Sums mod Q of the segments of canonical ``values`` that begin at
-    ``starts`` along the last axis, each element times its integer count.
+    ``starts`` along the last axis, each element times its integer count,
+    written to ``out`` if given; scratch goes into the 1-D uint64 ``work``
+    (at least 2 ``values.size`` elements) if given.
 
-    The 29-bit high and 32-bit low halves of the elements are summed apart
-    in uint64, exact by this bound: a segment whose counts add up to c sums
-    its high halves to below 2^29 c and its low halves to below 2^32 c,
-    which for c <= 2^32 stay below 2^61 and 2^64. The counts of one round
-    add up to its number of columns, at most 2^31 for any table of at most
-    2^32 entries, and a segment without counts has at most that many
-    elements. The high sum, below 2^61, times 2^32 mod Q is its 61-bit
-    rotation by 32 (2^61 = 1), at most Q. Folding 2^61 = 1 takes the low
-    sum below Q + 8 and then their sum below Q + 3, which one subtraction
-    makes canonical."""
+    Counts that are all 1 are dropped. Without counts and with no segment
+    of more than 8 elements, each segment's first element is copied through
+    and only the segments of two or more elements are summed, in uint64
+    directly: 8 elements below 2^61 sum below 2^64, and folding 2^61 = 1
+    takes the sum below Q + 8.
+
+    Otherwise the 29-bit high and 32-bit low halves of the elements are
+    summed apart in uint64, exact by this bound: a segment whose counts add
+    up to c sums its high halves to below 2^29 c and its low halves to below
+    2^32 c, which for c <= 2^32 stay below 2^61 and 2^64. The counts of one
+    round add up to its number of columns, at most 2^31 for any table of at
+    most 2^32 entries, and a segment without counts has at most that many
+    elements. The high sum, below 2^61, times 2^32 mod Q
+    is its 61-bit rotation by 32 (2^61 = 1), at most Q. Folding 2^61 = 1
+    takes the low sum below Q + 8 and then their sum below Q + 3, which one
+    subtraction makes canonical."""
+    sums_shape = values.shape[:-1] + starts.shape
+    if out is None:
+        out = np.empty(sums_shape, dtype=np.uint64)
+    if counts is not None and counts.max(initial=1) == 1:
+        counts = None
+    sizes = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
+    sizes[-1] = values.shape[-1] - starts[-1]
+    longest = int(sizes.max())
+    if counts is None and longest == 1:
+        np.copyto(out, values)
+        return out
     q = np.uint64(Q)
-    hi = values >> np.uint64(32)
-    lo = values & np.uint64(0xFFFFFFFF)
-    if counts is not None:
-        hi *= counts
-        lo *= counts
-    hi = np.add.reduceat(hi, starts, axis=-1)
-    lo = np.add.reduceat(lo, starts, axis=-1)
-    top = hi >> np.uint64(29)  # in place from here on, which keeps a block's peak memory down
-    hi <<= np.uint64(32)
-    hi &= q
-    hi |= top
-    np.right_shift(lo, np.uint64(61), out=top)
-    lo &= q
-    hi += lo
-    hi += top
-    np.right_shift(hi, np.uint64(61), out=top)
-    hi &= q
-    hi += top
-    return np.minimum(hi, hi - q, out=hi)
+    if counts is None and longest <= 8:
+        values.take(starts, axis=-1, out=out, mode="clip")  # each segment's first element
+        multi = np.flatnonzero(sizes > 1)
+        heads = starts[multi]
+        sums = values.take(heads, axis=-1)
+        sums += values.take(heads + 1, axis=-1)
+        for k in range(2, longest):
+            ahead = np.flatnonzero(sizes[multi] > k)
+            sums[..., ahead] += values.take(heads[ahead] + k, axis=-1)
+        top = sums >> np.uint64(61)
+    else:
+        if work is None:
+            work = np.empty(2 * values.size, dtype=np.uint64)
+        hi, lo = work[: values.size].reshape(values.shape), work[values.size : 2 * values.size].reshape(values.shape)
+        np.right_shift(values, np.uint64(32), out=hi)
+        np.bitwise_and(values, np.uint64(0xFFFFFFFF), out=lo)
+        if counts is not None:
+            hi *= counts
+            lo *= counts
+        sums = np.add.reduceat(hi, starts, axis=-1, out=out)
+        low_sums = np.add.reduceat(lo, starts, axis=-1, out=hi.reshape(-1)[: out.size].reshape(sums_shape))
+        top = lo.reshape(-1)[: out.size].reshape(sums_shape)
+        np.right_shift(sums, np.uint64(29), out=top)
+        sums <<= np.uint64(32)
+        sums &= q
+        sums |= top
+        np.right_shift(low_sums, np.uint64(61), out=top)
+        low_sums &= q
+        sums += low_sums
+        sums += top
+        np.right_shift(sums, np.uint64(61), out=top)
+    sums &= q
+    sums += top
+    np.subtract(sums, q, out=top)
+    np.minimum(sums, top, out=sums)
+    if sums is not out:
+        out[..., multi] = sums
+    return out
 
 
 @lru_cache(maxsize=64)
@@ -293,24 +364,25 @@ def _moment_tables(kind: str, degree_cap: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(triangle, dtype=np.uint64), np.array(vandermonde, dtype=np.uint64)
 
 
-def _powers(x: np.ndarray, num_powers: int) -> np.ndarray:
-    """(num_powers, m) array of x^p, p = 0..num_powers-1, built by doubling:
-    rows h+1..2h are rows 1..h times row h, one vmul per step."""
-    out = np.empty((num_powers, x.size), dtype=np.uint64)
+def _powers(x: np.ndarray, num_powers: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+    """x^p, p = 0..num_powers-1, into the (num_powers, m) array ``out``,
+    built by doubling: rows h+1..2h are rows 1..h times row h, one vmul per
+    step, with its temporaries in ``work`` (2 num_powers m elements)."""
     out[0] = 1
     out[1] = x
     h = 1
     while h + 1 < num_powers:
         top = min(2 * h, num_powers - 1)
-        vmul(out[1 : top - h + 1], out[h], out=out[h + 1 : top + 1])
+        vmul(out[1 : top - h + 1], out[h], out=out[h + 1 : top + 1], work=work)
         h = top
     return out
 
 
 # power-ladder elements per block of a round message, whose pairs have at most
 # as many distinct d and distinct u as the block has pairs; a k = 2^16 range
-# sum-check peaked at 2.9 MiB of traced allocations with this budget, and
-# both k = 2^16 sum-checks ran slower with 2^15 (one BLAS thread, 2-vCPU Xeon)
+# sum-check peaked at 3.1 MiB of traced allocations with this budget, the
+# engine's scratch included, and both k = 2^16 sum-checks ran slower with
+# 2^15 (one BLAS thread, 2-vCPU Xeon)
 _LADDER_ELEMS = 1 << 16
 
 
@@ -350,31 +422,42 @@ class _SumcheckEngine:
     the last rounds of every sum-check and every small table have,
     contracts the powers first, h_a = sum_p T[a, p] u^p, so that its GEMM
     output is n x s rather than n x n. A round whose u are all distinct is
-    the same computation with runs of one pair. The Vandermonde matrix of
+    the same computation with runs of one pair, which the segment sums copy
+    through: they sum only the runs that merge. The Vandermonde matrix of
     the nodes turns the coefficients in t, times the line, into node values.
     Every step is exact arithmetic in GF(Q), so the messages equal those of
     evaluating chi g at every node.
+
+    The engine keeps one scratch buffer for as long as it lives, grown to
+    its largest block (9 ``_LADDER_ELEMS`` / 2 elements at most). Each block
+    writes its power ladder, gathered d-powers, segment-sum scratch and the
+    GEMM's float64 limbs into it, so that a round makes no large array and
+    touches no fresh pages. ``table`` is an array or a ``DistinctTable``
+    already made from one, which lets sum-checks over one table share a sort.
     """
 
-    def __init__(self, table: np.ndarray, degree_cap: int, kind: str, chi_point: list[int] | None = None):
-        table = np.ascontiguousarray(table, dtype=np.uint64)
-        order, starts, self.ids = _runs(table)
-        self.values = table[order[starts]]
+    def __init__(self, table, degree_cap: int, kind: str, chi_point: list[int] | None = None):
+        if not isinstance(table, DistinctTable):
+            table = DistinctTable.of(table)
+        self.values, self.ids = table
         self.degree_cap = degree_cap
         self.kind = kind
         self.zeta = None if chi_point is None else list(chi_point)  # the coordinates not yet bound
         self.prefix = 1  # prod of eq(r_i, zeta_i) over the bound rounds
         # the eq suffix chi(x, zeta_(j+1..)) of every column x of the current round j
-        self.suffix = None if chi_point is None else chi_table_for_point(table.size // 2, self.zeta[1:])
+        self.suffix = None if chi_point is None else chi_table_for_point(self.ids.size // 2, self.zeta[1:])
         self.triangle, self.vandermonde = _moment_tables(kind, degree_cap)
         self.num_nodes = len(self.vandermonde)
+        self._scratch = np.empty(0, dtype=np.uint64)  # grown by _evaluate, kept until the engine goes
         self._pair_up()
 
     def _pair_up(self):
         """This round's distinct column pairs (``pairs``, rows of (u-id, v-id)
         in key order), their weights and the pair index of every column."""
         columns = self.ids.reshape(-1, 2)
-        order, starts, self.pair_of_column = _runs(columns[:, 0] * self.values.size + columns[:, 1])
+        keys = np.multiply(columns[:, 0], self.values.size, dtype=np.int64)
+        keys += columns[:, 1]
+        order, starts, self.pair_of_column = _runs(keys)
         self.pairs = columns[order[starts]]
         if self.zeta is None:
             self.weight = np.diff(starts, append=order.size).astype(np.uint64)
@@ -396,34 +479,54 @@ class _SumcheckEngine:
         pairs i; pairs with equal u next to each other share one run. Without
         a line the weights are integer counts and the line is 1."""
         n = len(self.triangle)  # powers 0..deg g
-        sums = np.zeros(n, dtype=np.uint64)  # [a]: sum w d^a sum_p triangle[a, p] u^p
+        # [a]: sum w d^a sum_p triangle[a, p] u^p, the coefficients of the
+        # round polynomial in t, with room for the line's power n
+        coeffs = np.zeros(n + 1, dtype=np.uint64)
+        sums = coeffs[:n]
         block = max(1, _LADDER_ELEMS // (2 * n))
+        span = n * min(block, u.size)  # elements of one block's n x pairs array
+        if self._scratch.size < 9 * span:
+            del self._scratch  # freed before the larger one is made, which keeps the peak down
+            self._scratch = np.empty(9 * span, dtype=np.uint64)
+        # two spans hold the ladder and one the moments; the last six hold the
+        # gathered d-powers and the segment sums' scratch, then the GEMM's limbs
+        scratch = self._scratch
+        ladder, moment_space, shared = scratch[: 2 * span], scratch[2 * span : 3 * span], scratch[3 * span : 9 * span]
+        limbs = shared.view(np.float64)
         carry = None  # sum w d^a of a run of u cut by the previous block's end
         for lo in range(0, u.size, block):
             hi = min(lo + block, u.size)
             runs = np.flatnonzero(np.concatenate(([True], u[lo + 1 : hi] != u[lo : hi - 1])))  # runs of equal u
             whole = runs.size - (hi < u.size and u[hi] == u[hi - 1])  # the last run may go on
             d_order, d_starts, d_ids = _runs(d[lo:hi])
-            powers = _powers(np.concatenate([d[lo:hi][d_order[d_starts]], u[lo:hi][runs[:whole]]]), n)
-            scaled = np.take(powers[:, : d_starts.size], d_ids, axis=1)  # d^a per pair
-            if line is None:
-                moments = _segment_sums_mod(scaled, runs, weight[lo:hi])
-            else:
-                moments = _segment_sums_mod(vmul(scaled, weight[lo:hi], out=scaled), runs)
+            distinct = np.concatenate([d[lo:hi][d_order[d_starts]], u[lo:hi][runs[:whole]]])
+            powers = _powers(distinct, n, out=ladder[: n * distinct.size].reshape(n, -1), work=shared)
+            # d^a per pair; "clip" (the ids are in range) writes straight to out, "raise" would buffer
+            scaled = shared[: n * (hi - lo)].reshape(n, -1)
+            powers[:, : d_starts.size].take(d_ids, axis=1, out=scaled, mode="clip")
+            counts = weight[lo:hi] if line is None else None
+            if line is not None:
+                vmul(scaled, weight[lo:hi], out=scaled, work=shared[scaled.size :])
+            moments = _segment_sums_mod(
+                scaled, runs, counts, out=moment_space[: n * runs.size].reshape(n, -1), work=shared[scaled.size :]
+            )
             if carry is not None:
                 vadd(moments[:, 0], carry, out=moments[:, 0])
-            carry = moments[:, whole] if whole < runs.size else None
+            carry = moments[:, whole].copy() if whole < runs.size else None
             moments, u_powers = moments[:, :whole], powers[:, d_starts.size :]
             if u_powers.shape[1] >= n:
                 # M[a, p] = sum w d^a u^p, an n x n GEMM output
-                terms = vmul(m61.matmul(moments, u_powers.T), self.triangle)
+                pair = limbs[: 3 * moments.size], limbs[3 * moments.size : 6 * moments.size]
+                terms = vmul(m61.matmul(moments, u_powers.T, limbs=pair), self.triangle)
             else:
                 # S[a, s] h_a(u_s), an n x s GEMM output
                 terms = vmul(moments, m61.matmul(self.triangle, u_powers))
             vadd(sums, np.array(m61.vsum_rows(terms), dtype=np.uint64), out=sums)
-        coeffs = np.append(sums, np.uint64(0))  # of the round polynomial in t
         if line is not None:  # times alpha + beta t: beta shifts one power up
-            coeffs = vadd(vmul(coeffs, line[0]), np.roll(vmul(coeffs, line[1]), 1))
+            up = vmul(coeffs, line[1])
+            up[1:] = up[:-1]
+            up[0] = 0
+            coeffs = vadd(vmul(coeffs, line[0]), up)
         return m61.vsum_rows(vmul(self.vandermonde, coeffs))
 
     def bind(self, r: int):
@@ -571,6 +674,7 @@ class HonestStreamProver(ProverStrategy):
 
     def ingest(self, samples: np.ndarray, k: int):
         self.freq = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k).astype(np.uint64)
+        self._sorted = (None, None)  # (table, its DistinctTable)
 
     def widenings(self, degree_cap: int, n: int) -> int:
         """Fewest doublings j of the cap with min(cap * 2^j, n) >= max f."""
@@ -584,11 +688,20 @@ class HonestStreamProver(ProverStrategy):
         """The frequency table the sum-check of ``kind`` runs on."""
         return self.freq
 
+    def distinct(self, kind: str, degree_cap: int) -> DistinctTable:
+        """``table(kind, degree_cap)`` as a ``DistinctTable``. The last table
+        sorted is kept, so the claims and engines of sum-checks that run on
+        the same table object share one sort."""
+        table = self.table(kind, degree_cap)
+        if self._sorted[0] is not table:
+            self._sorted = (table, DistinctTable.of(table))
+        return self._sorted[1]
+
     def claim(self, kind: str, degree_cap: int) -> int:
-        return table_total(kind, degree_cap, self.table(kind, degree_cap))
+        return self.distinct(kind, degree_cap).total(kind, degree_cap)
 
     def engine(self, kind: str, degree_cap: int, zeta: list[int] | None = None) -> _SumcheckEngine:
-        return _SumcheckEngine(self.table(kind, degree_cap), degree_cap, kind, chi_point=zeta)
+        return _SumcheckEngine(self.distinct(kind, degree_cap), degree_cap, kind, chi_point=zeta)
 
 
 class DecisionFlipProver(HonestStreamProver):

@@ -88,6 +88,24 @@ def test_chunked_and_strided_operands():
         assert kernel(view, y).tolist() == [ref(int(x), y) for x in view]
 
 
+def test_vmul_temporaries_in_caller_owned_work():
+    # full, broadcast and scalar b into a stale work buffer, with out
+    # separate and out aliasing a: a 2-D array over CHUNK elements writes its
+    # temporaries there, a smaller one and a 1-D one over chunks do not
+    g = np.random.default_rng(5)
+    for shape in ((3, m61.CHUNK // 2 + 7), (6, 35), (2 * m61.CHUNK + 5,)):
+        a = g.integers(0, Q, shape, dtype=np.uint64)
+        a.reshape(-1)[: len(EDGE)] = EDGE
+        for b in (g.integers(0, Q, shape, dtype=np.uint64), g.integers(0, Q, shape[-1:], dtype=np.uint64), Q - 1):
+            full = np.broadcast_to(np.asarray(b, dtype=np.uint64), shape)
+            want = [fmul(int(x), int(y)) for x, y in zip(a.ravel(), full.ravel())]
+            work = np.full(4 * a.size, Q + 3, dtype=np.uint64)
+            assert m61.vmul(a, b, work=work).ravel().tolist() == want
+            alias = a.copy()
+            m61.vmul(alias, b, out=alias, work=work)
+            assert alias.ravel().tolist() == want
+
+
 def test_two_dimensional_operands():
     g = np.random.default_rng(1)
     a = g.integers(0, Q, (7, 33), dtype=np.uint64)
@@ -123,6 +141,27 @@ def test_matmul_matches_int_products(rows, inner, cols, values):
     a = arr((values * 2)[: rows * inner]).reshape(rows, inner)
     b = arr((values[::-1] * 2)[: inner * cols]).reshape(inner, cols)
     assert m61.matmul(a, b).tolist() == _int_matmul(a, b)
+
+
+def test_matmul_into_caller_owned_limbs():
+    # one limb pair serves a larger product across a GEMM block boundary and
+    # then a smaller one; each result is a fresh array, apart from the limbs
+    g = np.random.default_rng(4)
+    shapes = [(3, 2 * m61.GEMM_BLOCK + 5, 3), (2, m61.GEMM_BLOCK, 3), (2, 7, 1)]
+    rows, inner, cols = shapes[0]
+    scratch = np.empty(3 * (rows + cols) * m61.GEMM_BLOCK)
+    limbs = scratch[: 3 * rows * m61.GEMM_BLOCK], scratch[3 * rows * m61.GEMM_BLOCK :]
+    results = []
+    for rows, inner, cols in shapes:
+        a = g.integers(0, Q, (rows, inner), dtype=np.uint64)
+        b = g.integers(0, Q, (inner, cols), dtype=np.uint64)
+        a[0, : len(EDGE)] = EDGE
+        result = m61.matmul(a, b, limbs=limbs)
+        assert result.tolist() == _int_matmul(a, b)
+        assert not np.shares_memory(result, scratch)
+        results.append((result, result.copy()))
+    for result, first in results:  # later calls left earlier results alone
+        assert np.array_equal(result, first)
 
 
 def test_matmul_at_the_limb_magnitude_limit():

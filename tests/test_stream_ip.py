@@ -8,6 +8,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from ipsim import m61, stream_ip
 from ipsim.m61 import Q, fadd, fmul, fsub, lagrange_eval, lagrange_weights
@@ -413,6 +415,147 @@ def _transcript_sha256(k, lam, degree_cap, kind, seed):
 
 
 ENGINE_CASES = [(kind, D) for kind in ("unique", "range") for D in (2, 7, 8, 32, 33, 128)] + [("collisions", 2)]
+
+
+def _int_segment_sums(values, starts, counts=None):
+    """Python-int sums mod Q of each row's segments, each element times its count."""
+    m = values.shape[-1]
+    ends = [*starts[1:].tolist(), m]
+    c = [1] * m if counts is None else counts.tolist()
+    return [
+        [sum(row[i] * c[i] for i in range(lo, hi)) % Q for lo, hi in zip(starts.tolist(), ends)]
+        for row in values.reshape(-1, m).tolist()
+    ]
+
+
+class TestSegmentSums:
+    """``_segment_sums_mod`` against Python-int sums mod Q: runs of one
+    element copied through, short runs summed directly, long or counted
+    runs through the split halves."""
+
+    LAYOUTS = {
+        "mixed": [1, 3, 1, 1, 2, 8, 1, 9, 1, 5, 1],
+        "short and single": [2, 1, 8, 3, 1, 1, 7],
+        "all single": [1] * 12,
+        "one run": [40],
+    }
+
+    @staticmethod
+    def _check(values, starts, counts):
+        before = values.copy()
+        want = _int_segment_sums(values, starts, counts)
+        assert stream_ip._segment_sums_mod(values, starts, counts).reshape(-1, starts.size).tolist() == want
+        out = np.empty(values.shape[:-1] + starts.shape, dtype=np.uint64)
+        work = np.full(2 * values.size, Q + 5, dtype=np.uint64)  # stale scratch must not leak in
+        assert stream_ip._segment_sums_mod(values, starts, counts, out=out, work=work) is out
+        assert out.reshape(-1, starts.size).tolist() == want
+        assert np.array_equal(values, before)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("weighting", ["none", "ones", "counts", "most"])
+    @pytest.mark.parametrize("top", [False, True])
+    def test_matches_int_sums(self, layout, rows, weighting, top):
+        sizes = np.array(self.LAYOUTS[layout])
+        starts = np.cumsum(sizes) - sizes
+        m = int(sizes.sum())
+        g = rng(m)
+        shape = (m,) if rows is None else (rows, m)
+        values = np.full(shape, Q - 1, dtype=np.uint64) if top else g.integers(0, Q, shape, dtype=np.uint64)
+        values[..., 1::4] = Q - 1
+        counts = None
+        if weighting == "ones":
+            counts = np.ones(m, dtype=np.uint64)
+        elif weighting == "counts":
+            counts = g.integers(1, 1 << 20, m).astype(np.uint64)
+            single = starts[sizes == 1]
+            counts[single] = 2 + np.arange(single.size) % 3  # single runs with counts other than 1
+        elif weighting == "most":
+            counts = np.full(m, (1 << 32) // m, dtype=np.uint64)  # all counts add up to just under 2^32
+        self._check(values, starts, counts)
+
+    @given(
+        st.lists(st.integers(1, 12), min_size=1, max_size=24),
+        st.sampled_from([None, 2, 5]),
+        st.booleans(),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_random_layouts(self, sizes, rows, counted, seed):
+        sizes = np.array(sizes)
+        starts = np.cumsum(sizes) - sizes
+        m = int(sizes.sum())
+        g = rng(seed)
+        values = g.integers(0, Q, (m,) if rows is None else (rows, m), dtype=np.uint64)
+        values[..., g.random(m) < 0.3] = Q - 1
+        counts = g.integers(1, 4, m).astype(np.uint64) if counted else None
+        self._check(values, starts, counts)
+
+
+class TestDistinctTable:
+    def test_counting_and_sorting_agree_with_unique(self):
+        g = rng(70)
+        for table in (
+            g.poisson(1.0, 4096).astype(np.uint64),  # small entries: ranked by counting
+            np.full(8, 7, dtype=np.uint64),  # entries above the size: sorted
+            g.integers(0, Q, 300, dtype=np.uint64),
+            np.array([0, 5, 3, 5], dtype=np.uint64),
+        ):
+            values, ids = stream_ip.DistinctTable.of(table)
+            uniq, inverse, counts = np.unique(table, return_inverse=True, return_counts=True)
+            assert np.array_equal(values, uniq) and values.dtype == np.uint64
+            assert np.array_equal(ids, inverse.reshape(-1))
+            for kind, cap in (("unique", 4), ("range", 7), ("collisions", 2)):
+                assert stream_ip.DistinctTable.of(table).total(kind, cap) == table_total(kind, cap, table)
+
+
+class TestOneSort:
+    """The honest prover sorts its table once per session; a lying prover
+    whose sum-check runs on another table sorts that table itself."""
+
+    @staticmethod
+    def _sorted_tables(monkeypatch, cfg, prover, which):
+        """The session's result and the tables sorted after the prover
+        ingested the stream (a doctoring prover may total a table there)."""
+        tables = []
+        sort = stream_ip.DistinctTable.of
+        monkeypatch.setattr(stream_ip.DistinctTable, "of", lambda table: tables.append(table) or sort(table))
+        ingest = prover.ingest
+        monkeypatch.setattr(prover, "ingest", lambda *args: (ingest(*args), tables.clear()))
+        res = cfg.run_one(cfg.make_distribution(which), prover, seed=91)
+        return res, tables
+
+    def _cfg(self, **keys):
+        return UniformityConfig(k=256, epsilon=0.9, allow_small_epsilon=True, **keys)
+
+    def test_honest_sumchecks_share_one_sort(self, monkeypatch):
+        cfg = self._cfg()
+        assert cfg.decision_statistic == "collisions"  # unique, range and collision sum-checks all run
+        prover = HonestStreamProver()
+        res, tables = self._sorted_tables(monkeypatch, cfg, prover, "uniform")
+        assert res.accepted, res.abort_reason
+        assert len(tables) == 1 and tables[0] is prover.freq
+        zeta = [m61.rand_fe(rng(1)) for _ in range(cfg.b)]
+        unique, range_ = prover.engine("unique", 32), prover.engine("range", 32, zeta)
+        assert unique.values is range_.values and unique.ids is range_.ids
+        assert len(tables) == 1
+
+    def test_range_clamp_sorts_its_clamped_table(self, monkeypatch):
+        cfg = self._cfg(degree_cap=4, distribution="point_mass")
+        prover = stream_ip.RangeClampProver()
+        res, tables = self._sorted_tables(monkeypatch, cfg, prover, "point_mass")
+        assert not res.accepted
+        assert tables[0] is prover.freq
+        assert tables[1] is not prover.freq
+        assert np.array_equal(tables[1], np.minimum(prover.freq, np.uint64(4)))
+
+    def test_decision_flip_sorts_its_doctored_collision_table(self, monkeypatch):
+        cfg = self._cfg()
+        prover = DecisionFlipProver(cfg)
+        res, tables = self._sorted_tables(monkeypatch, cfg, prover, "uniform")
+        assert not res.accepted and "collision-count sum-check rejected" in res.abort_reason
+        assert len(tables) == 2
+        assert tables[0] is prover.freq and tables[1] is prover.doctored
+        assert not np.array_equal(prover.doctored, prover.freq)
 
 
 class TestEngineAgainstReference:

@@ -220,8 +220,11 @@ class DistinctTable(NamedTuple):
     def of(cls, table: np.ndarray) -> DistinctTable:
         table = np.ascontiguousarray(table, dtype=np.uint64)
         if 0 < table.size < 1 << 31 and int(table.max()) < table.size:
-            # a frequency table's entries are small: rank them by counting,
-            # into int32 ids, which halves the array kept between sum-checks
+            # a frequency table's entries are small: rank them by counting
+            # (1 ms less than the sort at k = 2^16), into int32 ids, which
+            # halves the array kept between sum-checks. With int64 ids a
+            # k = 2^16 session's heap outgrew glibc's trim threshold and
+            # re-faulted about 1100 pages per session
             seen = np.bincount(table.view(np.int64)) > 0
             rank = np.cumsum(seen, dtype=np.int32)
             rank -= 1
@@ -285,18 +288,17 @@ def _segment_sums_mod(
     sums_shape = values.shape[:-1] + starts.shape
     if out is None:
         out = np.empty(sums_shape, dtype=np.uint64)
-    if counts is not None and counts.max(initial=1) == 1:
+    if counts is not None and counts.min(initial=1) == counts.max(initial=1) == 1:
         counts = None
     sizes = np.empty_like(starts)
     np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
     sizes[-1] = values.shape[-1] - starts[-1]
     longest = int(sizes.max())
-    if counts is None and longest == 1:
-        np.copyto(out, values)
-        return out
     q = np.uint64(Q)
     if counts is None and longest <= 8:
         values.take(starts, axis=-1, out=out, mode="clip")  # each segment's first element
+        if longest == 1:  # nothing to add
+            return out
         multi = np.flatnonzero(sizes > 1)
         heads = starts[multi]
         sums = values.take(heads, axis=-1)
@@ -448,7 +450,11 @@ class _SumcheckEngine:
         self.suffix = None if chi_point is None else chi_table_for_point(self.ids.size // 2, self.zeta[1:])
         self.triangle, self.vandermonde = _moment_tables(kind, degree_cap)
         self.num_nodes = len(self.vandermonde)
-        self._scratch = np.empty(0, dtype=np.uint64)  # grown by _evaluate, kept until the engine goes
+        # grown by _evaluate and kept until the engine goes; allocating even
+        # the ladder's vmul temporaries (0.7 MB) per call instead made a
+        # k = 2^16 session's heap outgrow glibc's trim threshold and re-fault
+        # about 1100 pages per session
+        self._scratch = np.empty(0, dtype=np.uint64)
         self._pair_up()
 
     def _pair_up(self):
@@ -523,10 +529,8 @@ class _SumcheckEngine:
                 terms = vmul(moments, m61.matmul(self.triangle, u_powers))
             vadd(sums, np.array(m61.vsum_rows(terms), dtype=np.uint64), out=sums)
         if line is not None:  # times alpha + beta t: beta shifts one power up
-            up = vmul(coeffs, line[1])
-            up[1:] = up[:-1]
-            up[0] = 0
-            coeffs = vadd(vmul(coeffs, line[0]), up)
+            coeffs[1:] = vadd(vmul(coeffs[1:], line[0]), vmul(coeffs[:-1], line[1]))
+            coeffs[0] = fmul(int(coeffs[0]), line[0])
         return m61.vsum_rows(vmul(self.vandermonde, coeffs))
 
     def bind(self, r: int):

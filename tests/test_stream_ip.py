@@ -453,7 +453,7 @@ class TestSegmentSums:
 
     @pytest.mark.parametrize("layout", sorted(LAYOUTS))
     @pytest.mark.parametrize("rows", [None, 3])
-    @pytest.mark.parametrize("weighting", ["none", "ones", "counts", "most"])
+    @pytest.mark.parametrize("weighting", ["none", "ones", "zeros and ones", "counts", "most"])
     @pytest.mark.parametrize("top", [False, True])
     def test_matches_int_sums(self, layout, rows, weighting, top):
         sizes = np.array(self.LAYOUTS[layout])
@@ -466,6 +466,9 @@ class TestSegmentSums:
         counts = None
         if weighting == "ones":
             counts = np.ones(m, dtype=np.uint64)
+        elif weighting == "zeros and ones":
+            counts = np.ones(m, dtype=np.uint64)
+            counts[::3] = 0  # not all ones: summed with its counts, not dropped
         elif weighting == "counts":
             counts = g.integers(1, 1 << 20, m).astype(np.uint64)
             single = starts[sizes == 1]
@@ -487,7 +490,7 @@ class TestSegmentSums:
         g = rng(seed)
         values = g.integers(0, Q, (m,) if rows is None else (rows, m), dtype=np.uint64)
         values[..., g.random(m) < 0.3] = Q - 1
-        counts = g.integers(1, 4, m).astype(np.uint64) if counted else None
+        counts = g.integers(0, 4, m).astype(np.uint64) if counted else None
         self._check(values, starts, counts)
 
 

@@ -71,11 +71,6 @@ def finv(a: int) -> int:
     return pow(a, Q - 2, Q)
 
 
-def fe(x: int) -> int:
-    """Canonical representative in [0, Q)."""
-    return x % Q
-
-
 def rand_fe(rng: np.random.Generator) -> int:
     """Uniform field element (rejection over 61 random bits)."""
     while True:

@@ -54,8 +54,8 @@ def dense_pauli(label: PauliLabel) -> np.ndarray:
     d = 1 << n
     j = np.arange(d)
     cols = j ^ x
-    signs = 1 - 2 * (_popcount_array(j & z) & 1)
-    phase = 1j ** (bin(x & z).count("1") % 4)
+    signs = 1 - 2 * (popcount_table(n)[j & z] & 1)
+    phase = 1j ** ((x & z).bit_count() % 4)
     mat = np.zeros((d, d), dtype=complex)
     # W|j> = i^(x.z) (-1)^(z.j) |j ^ x>
     mat[cols, j] = phase * signs
@@ -63,13 +63,12 @@ def dense_pauli(label: PauliLabel) -> np.ndarray:
     return mat
 
 
-def _popcount_array(a: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(a)
-    v = a.copy()
-    while np.any(v):
-        out += v & 1
-        v >>= 1
-    return out
+@lru_cache(maxsize=8)
+def popcount_table(n: int) -> np.ndarray:
+    """popcount(w) for w in 0..2^n - 1 (cached, read-only)."""
+    table = np.array([w.bit_count() for w in range(1 << n)])
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=8)
@@ -91,7 +90,7 @@ def _expectation_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
     d = 1 << n
     j = np.arange(d)
     xor = j[None, :] ^ j[:, None]
-    phase = 1j ** (_popcount_array(j[:, None] & j[None, :]) % 4)
+    phase = 1j ** (popcount_table(n)[j[:, None] & j[None, :]] % 4)
     xor.setflags(write=False)
     phase.setflags(write=False)
     return xor, phase
@@ -246,109 +245,77 @@ def pauli_moment_sample(
 # ---------------------------------------------------------------------------
 # Uniform Clifford sampling via the symplectic-group index construction
 # (transvection decomposition), then dense synthesis from the tableau.
+# A vector of F_2^{2n} is one Python int in the interleaved layout: bit 2i is
+# x_i and bit 2i+1 is z_i. The symplectic product is then one masked
+# popcount, a transvection one XOR, and a matrix row one int.
 # ---------------------------------------------------------------------------
 
 
-def _symplectic_inner(v: np.ndarray, w: np.ndarray) -> int:
-    t = 0
-    for i in range(v.size >> 1):
-        t += v[2 * i] * w[2 * i + 1] + w[2 * i] * v[2 * i + 1]
-    return t % 2
+_MAX_SYMPLECTIC_QUBITS = 512
+_X_BITS = int("01" * _MAX_SYMPLECTIC_QUBITS, 2)  # bits 0, 2, 4, ...: every x bit
 
 
-def _transvection(k: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return (v + _symplectic_inner(k, v) * k) % 2
+def _symplectic_inner(v: int, w: int) -> int:
+    return (((v & (w >> 1)) ^ (w & (v >> 1))) & _X_BITS).bit_count() & 1
 
 
-def _int_to_bits(i: int, n: int) -> np.ndarray:
-    return np.array([(i >> j) & 1 for j in range(n)], dtype=np.int8)
+def _transvection(k: int, v: int) -> int:
+    return v ^ k if _symplectic_inner(k, v) else v
 
 
-def _find_transvection(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Pair (h1, h2) of transvections with y = Z_h1 Z_h2 x; rows may be zero."""
-    nn = x.size
-    out = np.zeros((2, nn), dtype=np.int8)
-    if np.array_equal(x, y):
-        return out
-    if _symplectic_inner(x, y) == 1:
-        out[0] = (x + y) % 2
-        return out
-    z = np.zeros(nn, dtype=np.int8)
-    for i in range(nn >> 1):
-        ii = 2 * i
-        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) != 0:
-            z[ii] = (x[ii] + y[ii]) % 2
-            z[ii + 1] = (x[ii + 1] + y[ii + 1]) % 2
-            if z[ii] + z[ii + 1] == 0:
-                z[ii + 1] = 1
-                if x[ii] != x[ii + 1]:
-                    z[ii] = 1
-            out[0] = (x + z) % 2
-            out[1] = (y + z) % 2
-            return out
-    for i in range(nn >> 1):
-        ii = 2 * i
-        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) == 0:
-            if x[ii] == x[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = x[ii]
-                z[ii] = x[ii + 1]
-            break
-    for i in range(nn >> 1):
-        ii = 2 * i
-        if (x[ii] + x[ii + 1]) == 0 and (y[ii] + y[ii + 1]) != 0:
-            if y[ii] == y[ii + 1]:
-                z[ii + 1] = 1
-            else:
-                z[ii + 1] = y[ii]
-                z[ii] = y[ii + 1]
-            break
-    out[0] = (x + z) % 2
-    out[1] = (y + z) % 2
-    return out
+def _find_transvection(x: int, y: int, n: int) -> tuple[int, int]:
+    """Pair (h1, h2) of transvections with y = Z_h1 Z_h2 x, for nonzero x and
+    y; either may be 0."""
+    if x == y:
+        return 0, 0
+    if _symplectic_inner(x, y):
+        return x ^ y, 0
+    # one-qubit parts, each 1 (X), 2 (Z) or 3 (Y) where nonzero
+    pairs = [((x >> 2 * i) & 3, (y >> 2 * i) & 3) for i in range(n)]
+    for i, (px, py) in enumerate(pairs):
+        if px and py:
+            z = ((px ^ py) or (2 if px == 3 else 3)) << 2 * i
+            return x ^ z, y ^ z
+    # x and y act on disjoint qubits: z anticommutes with each on its first one
+    z = 0
+    for side in (0, 1):
+        i = next(i for i, pair in enumerate(pairs) if pair[side])
+        z |= (1 if pairs[i][side] == 2 else 2) << 2 * i
+    return x ^ z, y ^ z
 
 
-def sample_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform 2n x 2n symplectic matrix over GF(2), interleaved (x1,z1,...) layout.
+def _symplectic_rows(n: int, rng: np.random.Generator) -> list[int]:
+    """Rows of a uniform 2n x 2n symplectic matrix over GF(2), one int each.
 
     Per-level uniform sub-indices replace the single canonical index of the
     published construction; the decomposition is a bijection, so uniformity
     is preserved.
     """
     nn = 2 * n
-    k = int(rng.integers(1, 1 << nn))
-    f1 = _int_to_bits(k, nn)
-    e1 = np.zeros(nn, dtype=np.int8)
-    e1[0] = 1
-    t_pair = _find_transvection(e1, f1)
-    bits = rng.integers(0, 2, size=nn - 1).astype(np.int8)
-    eprime = e1.copy()
-    for j in range(2, nn):
-        eprime[j] = bits[j - 1]
-    h0 = _transvection(t_pair[0], eprime)
-    h0 = _transvection(t_pair[1], h0)
-    if bits[0] == 1:
-        f1 = np.zeros(nn, dtype=np.int8)
-    if n == 1:
-        g = np.eye(2, dtype=np.int8)
-    else:
-        g = np.zeros((nn, nn), dtype=np.int8)
-        g[:2, :2] = np.eye(2, dtype=np.int8)
-        g[2:, 2:] = sample_symplectic(n - 1, rng)
-    for j in range(nn):
-        row = g[j]
-        row = _transvection(t_pair[0], row)
-        row = _transvection(t_pair[1], row)
-        row = _transvection(h0, row)
-        row = _transvection(f1, row)
-        g[j] = row
-    return g
+    f1 = int(rng.integers(1, 1 << nn))
+    h1, h2 = _find_transvection(1, f1, n)
+    bits = rng.integers(0, 2, size=nn - 1).tolist()
+    eprime = 1 | sum(b << j for j, b in enumerate(bits[1:], 2))
+    h0 = _transvection(h2, _transvection(h1, eprime))
+    if bits[0]:
+        f1 = 0
+    rows = [1, 2] + ([row << 2 for row in _symplectic_rows(n - 1, rng)] if n > 1 else [])
+    for k in (h1, h2, h0, f1):
+        rows = [_transvection(k, row) for row in rows]
+    return rows
 
 
-def _interleaved_to_label(n: int, v: np.ndarray) -> PauliLabel:
-    x = sum(int(v[2 * i]) << i for i in range(n))
-    z = sum(int(v[2 * i + 1]) << i for i in range(n))
+def sample_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform 2n x 2n symplectic int8 matrix over GF(2), interleaved (x1,z1,...) layout."""
+    if n > _MAX_SYMPLECTIC_QUBITS:
+        raise DimensionError(f"symplectic sampling capped at n = {_MAX_SYMPLECTIC_QUBITS}")
+    rows = _symplectic_rows(n, rng)
+    return np.array([[(row >> j) & 1 for j in range(2 * n)] for row in rows], dtype=np.int8)
+
+
+def _row_label(n: int, row: int) -> PauliLabel:
+    x = sum(((row >> 2 * i) & 1) << i for i in range(n))
+    z = sum(((row >> (2 * i + 1)) & 1) << i for i in range(n))
     return PauliLabel(n, x, z)
 
 
@@ -362,14 +329,14 @@ def sample_uniform_clifford(n: int, rng: np.random.Generator) -> UnitaryOp:
     if n > 6:
         raise DimensionError("dense Clifford sampling capped at n = 6")
     d = 1 << n
-    g = sample_symplectic(n, rng)
+    g = _symplectic_rows(n, rng)
     signs = rng.integers(0, 2, size=2 * n)
     # row 2j = image of X_j, row 2j+1 = image of Z_j
     img_x = []
     img_z = []
     for j in range(n):
-        gx = dense_pauli(_interleaved_to_label(n, g[2 * j])) * (-1) ** int(signs[2 * j])
-        gz = dense_pauli(_interleaved_to_label(n, g[2 * j + 1])) * (-1) ** int(signs[2 * j + 1])
+        gx = dense_pauli(_row_label(n, g[2 * j])) * (-1) ** int(signs[2 * j])
+        gz = dense_pauli(_row_label(n, g[2 * j + 1])) * (-1) ** int(signs[2 * j + 1])
         img_x.append(gx)
         img_z.append(gz)
     proj = np.eye(d, dtype=complex)

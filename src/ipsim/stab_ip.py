@@ -63,23 +63,16 @@ def stab_bounds(a: float) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 
 
-def _symp(n: int, a: int, b: int) -> int:
-    """Symplectic product of Pauli labels packed as x | (z << n)."""
-    mask = (1 << n) - 1
-    xa, za = a & mask, a >> n
-    xb, zb = b & mask, b >> n
-    return (bin(xa & zb).count("1") + bin(xb & za).count("1")) & 1
-
-
-def _commute_masks(n: int) -> list[int]:
-    """Entry u has bit v set iff the Pauli labels u and v commute."""
+@lru_cache(maxsize=4)
+def _commute_masks(n: int) -> tuple[int, ...]:
+    """Entry u has bit v set iff the Pauli labels u and v, packed as
+    x | (z << n), commute."""
     mask = (1 << n) - 1
     labels = np.arange(1 << (2 * n))
     x, z = labels & mask, labels >> n
-    parity = np.array([bin(w).count("1") & 1 for w in range(1 << n)], dtype=bool)
-    anticommute = parity[(x[:, None] & z[None, :]) ^ (z[:, None] & x[None, :])]
-    rows = np.packbits(~anticommute, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+    anticommute = qmeas.popcount_table(n)[(x[:, None] & z[None, :]) ^ (z[:, None] & x[None, :])] & 1
+    rows = np.packbits(anticommute == 0, axis=1, bitorder="little")
+    return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
 @lru_cache(maxsize=4)
@@ -157,10 +150,9 @@ class StabilizerStateDesc:
         if self.generators.min() < 0 or self.generators.max() > 1:
             raise ValueError("generator entries must be bits")
         rows = [p for p, _ in self.packed_rows()]
-        for i in range(len(rows)):
-            for j in range(i + 1, len(rows)):
-                if _symp(self.n, rows[i], rows[j]):
-                    raise ValueError("generators do not commute")
+        commute = _commute_masks(self.n)
+        if any(not (commute[a] >> b) & 1 for a in rows for b in rows):
+            raise ValueError("generators do not commute")
         # GF(2) independence via elimination
         basis = []
         for r in rows:
@@ -223,7 +215,7 @@ def _group_index(n: int, subspaces: list[list[int]]) -> np.ndarray:
     (dots are popcounts, c = a ^ b), so the phase exponents add mod 4.
     """
     mask = (1 << n) - 1
-    popcount = np.array([bin(w).count("1") for w in range(1 << n)])
+    popcount = qmeas.popcount_table(n)
 
     def xz(a):
         return popcount[(a & mask) & (a >> n)]

@@ -423,6 +423,137 @@ class TestCliffordSampling:
         assert chi_square_pvalue(list(counts.values()), [samples / 24] * 24) > 0.01
 
 
+# The int8 vector sampler that the int form replaced, kept as the reference:
+# the same routine, with the sampler renamed.
+
+
+def _symplectic_inner(v: np.ndarray, w: np.ndarray) -> int:
+    t = 0
+    for i in range(v.size >> 1):
+        t += v[2 * i] * w[2 * i + 1] + w[2 * i] * v[2 * i + 1]
+    return t % 2
+
+
+def _transvection(k: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return (v + _symplectic_inner(k, v) * k) % 2
+
+
+def _int_to_bits(i: int, n: int) -> np.ndarray:
+    return np.array([(i >> j) & 1 for j in range(n)], dtype=np.int8)
+
+
+def _find_transvection(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Pair (h1, h2) of transvections with y = Z_h1 Z_h2 x; rows may be zero."""
+    nn = x.size
+    out = np.zeros((2, nn), dtype=np.int8)
+    if np.array_equal(x, y):
+        return out
+    if _symplectic_inner(x, y) == 1:
+        out[0] = (x + y) % 2
+        return out
+    z = np.zeros(nn, dtype=np.int8)
+    for i in range(nn >> 1):
+        ii = 2 * i
+        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) != 0:
+            z[ii] = (x[ii] + y[ii]) % 2
+            z[ii + 1] = (x[ii + 1] + y[ii + 1]) % 2
+            if z[ii] + z[ii + 1] == 0:
+                z[ii + 1] = 1
+                if x[ii] != x[ii + 1]:
+                    z[ii] = 1
+            out[0] = (x + z) % 2
+            out[1] = (y + z) % 2
+            return out
+    for i in range(nn >> 1):
+        ii = 2 * i
+        if (x[ii] + x[ii + 1]) != 0 and (y[ii] + y[ii + 1]) == 0:
+            if x[ii] == x[ii + 1]:
+                z[ii + 1] = 1
+            else:
+                z[ii + 1] = x[ii]
+                z[ii] = x[ii + 1]
+            break
+    for i in range(nn >> 1):
+        ii = 2 * i
+        if (x[ii] + x[ii + 1]) == 0 and (y[ii] + y[ii + 1]) != 0:
+            if y[ii] == y[ii + 1]:
+                z[ii + 1] = 1
+            else:
+                z[ii + 1] = y[ii]
+                z[ii] = y[ii + 1]
+            break
+    out[0] = (x + z) % 2
+    out[1] = (y + z) % 2
+    return out
+
+
+def _reference_sample_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform 2n x 2n symplectic matrix over GF(2), interleaved (x1,z1,...) layout.
+
+    Per-level uniform sub-indices replace the single canonical index of the
+    published construction; the decomposition is a bijection, so uniformity
+    is preserved.
+    """
+    nn = 2 * n
+    k = int(rng.integers(1, 1 << nn))
+    f1 = _int_to_bits(k, nn)
+    e1 = np.zeros(nn, dtype=np.int8)
+    e1[0] = 1
+    t_pair = _find_transvection(e1, f1)
+    bits = rng.integers(0, 2, size=nn - 1).astype(np.int8)
+    eprime = e1.copy()
+    for j in range(2, nn):
+        eprime[j] = bits[j - 1]
+    h0 = _transvection(t_pair[0], eprime)
+    h0 = _transvection(t_pair[1], h0)
+    if bits[0] == 1:
+        f1 = np.zeros(nn, dtype=np.int8)
+    if n == 1:
+        g = np.eye(2, dtype=np.int8)
+    else:
+        g = np.zeros((nn, nn), dtype=np.int8)
+        g[:2, :2] = np.eye(2, dtype=np.int8)
+        g[2:, 2:] = _reference_sample_symplectic(n - 1, rng)
+    for j in range(nn):
+        row = g[j]
+        row = _transvection(t_pair[0], row)
+        row = _transvection(t_pair[1], row)
+        row = _transvection(h0, row)
+        row = _transvection(f1, row)
+        g[j] = row
+    return g
+
+
+class TestSymplecticAgainstReference:
+    @pytest.mark.parametrize("n, seeds", [(1, 2000), (2, 2000), (3, 2000), (4, 300), (5, 300), (6, 300)])
+    def test_same_matrix_and_generator_state(self, n, seeds):
+        for seed in range(seeds):
+            ref_rng, rng_ = rng(seed), rng(seed)
+            expected = _reference_sample_symplectic(n, ref_rng)
+            got = qmeas.sample_symplectic(n, rng_)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, expected), (n, seed)
+            assert rng_.bit_generator.state == ref_rng.bit_generator.state, (n, seed)
+
+    def test_clifford_cap_draws_nothing(self):
+        g = rng(34)
+        before = g.bit_generator.state
+        with pytest.raises(qcore.DimensionError, match="n = 6"):
+            sample_uniform_clifford(7, g)
+        with pytest.raises(qcore.DimensionError, match="n = 512"):
+            qmeas.sample_symplectic(513, g)
+        assert g.bit_generator.state == before
+
+    def test_popcount_table(self):
+        for n in (0, 1, 4, 8):
+            table = qmeas.popcount_table(n)
+            assert table.tolist() == [bin(w).count("1") for w in range(1 << n)]
+            assert table is qmeas.popcount_table(n)
+            assert not table.flags.writeable
+            with pytest.raises(ValueError):
+                table[0] = 1
+
+
 def test_only_qmeas_draws_by_choice():
     """``Generator.choice`` draws belong to qmeas's sampling laws; a module
     that calls ``.choice(`` itself holds a copy of one of them."""

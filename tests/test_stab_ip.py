@@ -257,6 +257,41 @@ class TestEnumeration:
             validate_candidate(bad, 2)
 
 
+def _signed_rows(n, rows):
+    """n x (2n+1) generator array of the packed labels ``rows``, every sign +1."""
+    out = np.zeros((n, 2 * n + 1), dtype=np.int8)
+    for i, packed in enumerate(rows):
+        out[i, : 2 * n] = [(packed >> j) & 1 for j in range(2 * n)]
+    return out
+
+
+class TestCandidateRejections:
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_anticommuting_rows(self, n):
+        """X_0 and Z_0, then Z_2 .. Z_(n-1): independent, but not commuting.
+        At n = 1 the one generator row commutes with itself, so no case."""
+        rows = [1, 1 << n] + [1 << (n + i) for i in range(2, n)]
+        with pytest.raises(ProtocolAbort, match="do not commute"):
+            validate_candidate(_signed_rows(n, rows), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_dependent_rows(self, n):
+        """Z_0 .. Z_(n-2), then their product: commuting, but dependent
+        (the identity row at n = 1)."""
+        rows = [1 << (n + i) for i in range(n - 1)]
+        rows.append(sum(rows))
+        with pytest.raises(ProtocolAbort, match="not independent"):
+            validate_candidate(_signed_rows(n, rows), n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_commute_masks_match_reference(self, n):
+        commute = stab_ip._commute_masks(n)
+        assert isinstance(commute, tuple) and commute is stab_ip._commute_masks(n)
+        labels = range(1 << (2 * n))
+        for u in labels:
+            assert [(commute[u] >> v) & 1 for v in labels] == [1 - _reference_symp(n, u, v) for v in labels]
+
+
 def _reference_all_fidelities(psi):
     """The amplitude-table product that ``all_fidelities`` replaced."""
     table = _amplitude_table(qmeas.num_qubits(psi))

@@ -66,10 +66,6 @@ class TestFieldArithmetic:
             if x:
                 assert fmul(x, m61.finv(x)) == 1
 
-    def test_canonical_representative(self):
-        assert m61.fe(Q) == 0
-        assert m61.fe(-1) == Q - 1
-
 
 class TestLagrange:
     def test_node_values(self):

@@ -121,13 +121,13 @@ class Copy:
         self.alive = True
 
     def with_unitary(self, u) -> "Copy":
-        """Masked copy U rho U+; the live token transfers to the new handle."""
+        """Masked copy U rho U+, or the stack of them for a stack of masks U;
+        the live token transfers to the new handle."""
         ue = u.entries if hasattr(u, "entries") else np.asarray(u)
         if not self.alive:
             raise MemoryPolicyError("cannot transform a consumed copy")
         self.alive = False
-        new = Copy(ue @ self.state @ ue.conj().T, self.tracker)
-        return new
+        return Copy(ue @ self.state @ ue.conj().swapaxes(-1, -2), self.tracker)
 
     def consume(self) -> np.ndarray:
         """Measure/send: returns the description and releases the live slot."""
@@ -222,15 +222,23 @@ class CopyOracle:
         one masking and one send. Meters, live-copy tracking and channel
         counters and transcript are those of n such single-copy cycles: the
         meter is charged n under ``kind``, and at most one copy is live.
+
+        ``unitary`` may be a stack of k masks, one per round, consumed by the
+        verifier (no channel): one query and one masking then give the stack
+        of the k rounds' descriptions, and the meter is charged n k.
         """
         if n < 0:
             raise ValueError("a stream holds n >= 0 copies")
-        if n == 0:
+        stacked = getattr(unitary, "ndim", 2) == 3
+        if stacked and channel is not None:
+            raise ValueError("a stack of masks gives descriptions to the verifier, not copies to send")
+        copies = n * (len(unitary) if stacked else 1)
+        if copies == 0:
             return CopyStream(None, 0)
         copy = self.query(kind)
         if unitary is not None:
             copy = copy.with_unitary(unitary)
-        self.meter.charge(n - 1, kind)
+        self.meter.charge(copies - 1, kind)
         if channel is not None:
             return channel.send_stream("v->p", copy, n, round_index)
         return CopyStream(copy.consume(), n)

@@ -4,6 +4,13 @@ The verifier alternates uniformly between mixed-test, pure-test and compute
 rounds, masking every round with a fresh private unitary. The honest prover
 answers each round with pairwise SWAP tests; the verifier aborts on any
 failed test round or inconsistent compute answers.
+
+The verifier draws every round kind and mask up front and decides only
+after the last round, so a session runs as array steps: the N round
+descriptions are prepared as one stack (the compute rounds masked in one
+``with_unitary``), and the prover answers all rounds in one call; the
+honest prover's one draw is what its per-pair loop drew. Metering, the
+memory policy and the transcript are still per round.
 """
 
 from __future__ import annotations
@@ -17,7 +24,6 @@ import numpy as np
 
 from . import qcore, qmeas
 from .harness import (
-    Channel,
     CopyOracle,
     CopyStream,
     ManyVsOneTask,
@@ -62,32 +68,20 @@ def sample_masks(ensemble: str, d: int, n: int, rng: np.random.Generator) -> np.
     return np.array([op.entries for op in ops], dtype=complex).reshape(n, d, d)
 
 
-def prepare_round_state(
-    kind: str,
-    oracle_v: CopyOracle,
-    cfg: PurityConfig,
-    mask: np.ndarray | None,
-    channel: Channel,
-    round_index: int,
-) -> CopyStream:
-    """Sends one round's m copies v->p, one at a time; returns the copies the
-    prover received.
-
-    Mixed test rounds cost no oracle queries and carry no mask; pure test
-    rounds mask |0><0|; compute rounds mask m fresh oracle copies.
-    """
-    d = cfg.d
-    if kind == "m":
-        state = np.eye(d, dtype=complex) / d
-        return channel.send_stream("v->p", state, cfg.m, round_index)
-    if kind == "p":
-        state = np.outer(mask[:, 0], mask[:, 0].conj())
-        return channel.send_stream("v->p", state, cfg.m, round_index)
-    if kind == "c":
-        return oracle_v.stream(
-            cfg.m, "compute-round", channel=channel, unitary=mask, round_index=round_index
-        )
-    raise ValueError(f"unknown round kind {kind}")
+def prepare_rounds(kinds: list[str], masks: np.ndarray, oracle_v: CopyOracle, cfg: PurityConfig) -> list:
+    """Every round's description, in round order, with ``masks`` the masks of
+    the non-mixed rounds in order: mixed rounds share one I/d, pure-test rounds
+    mask |0><0| and the compute rounds mask m oracle copies each, all in one
+    ``CopyOracle.stream`` over their stacked masks (charged m per round)."""
+    codes = np.array(kinds)
+    pure = codes[codes != "m"] == "p"
+    states = np.empty_like(masks)
+    first = masks[pure, :, 0]
+    states[pure] = first[:, :, None] * first[:, None, :].conj()
+    if not pure.all():
+        states[~pure] = oracle_v.stream(cfg.m, "compute-round", unitary=masks[~pure]).state
+    mixed, masked = np.eye(cfg.d, dtype=complex) / cfg.d, iter(states)
+    return [mixed if kind == "m" else next(masked) for kind in kinds]
 
 
 def swap_outcomes(states, rng: np.random.Generator):
@@ -126,7 +120,16 @@ def purity_verdict(records: list[RoundRecord]) -> str:
     return OUTPUT_PURE if compute_answers[0] == PURE else OUTPUT_MIXED
 
 
-class HonestSwapProver(ProverStrategy):
+class PurityProver(ProverStrategy):
+    """A purity-IP prover: answers each round's m copies with one bit."""
+
+    def answer_rounds(self, rounds, cfg: PurityConfig, rng) -> list[int]:
+        """One answer per round description, each from ``answer_round`` on
+        the round's m copies, in round order."""
+        return [self.answer_round(CopyStream(state, cfg.m), cfg, rng) for state in rounds]
+
+
+class HonestSwapProver(PurityProver):
     """Distinguishes pure from maximally mixed via m/2 pairwise SWAP tests."""
 
     name = "honest-swap"
@@ -134,29 +137,51 @@ class HonestSwapProver(ProverStrategy):
     def answer_round(self, states, cfg: PurityConfig, rng) -> int:
         return honest_purity_answer(states, rng)
 
+    def answer_rounds(self, rounds, cfg: PurityConfig, rng) -> list[int]:
+        """``answer_round`` on every round, with the uniforms of all m/2 tests
+        of all rounds drawn at once: each round reads the next ones up to its
+        first rejection, and the (PCG64) generator is then rewound to where
+        those per-pair draws leave it. One overlap per distinct description."""
+        distinct = {id(state): state for state in rounds}
+        accept = {key: qmeas.swap_accept(np.vdot(state, state)) for key, state in distinct.items()}
+        tests, bg = cfg.m // 2, rng.bit_generator
+        saved = bg.state
+        draws = rng.random(len(rounds) * tests).tolist()
+        answers, used = [], 0
+        for state in rounds:
+            p, end = accept[id(state)], used + tests
+            while used < end and draws[used] < p:
+                used += 1
+            answers.append(PURE if used == end else MIXED)
+            used = min(used + 1, end)  # a rejection is a draw too
+        bg.state = saved
+        # advance() drops a buffered 32-bit half-draw, which random() leaves in place
+        bg.state = {**saved, "state": bg.advance(used).state["state"]}
+        return answers
 
-class AlwaysPure(ProverStrategy):
+
+class AlwaysPure(PurityProver):
     name = "always-pure"
 
     def answer_round(self, states, cfg, rng) -> int:
         return PURE
 
 
-class AlwaysMixed(ProverStrategy):
+class AlwaysMixed(PurityProver):
     name = "always-mixed"
 
     def answer_round(self, states, cfg, rng) -> int:
         return MIXED
 
 
-class UniformRandomAnswer(ProverStrategy):
+class UniformRandomAnswer(PurityProver):
     name = "uniform-random"
 
     def answer_round(self, states, cfg, rng) -> int:
         return int(rng.integers(0, 2))
 
 
-class BestEffortLiar(ProverStrategy):
+class BestEffortLiar(PurityProver):
     """Runs the honest SWAP analysis, then inverts its answer on rounds whose
     SWAP-accept fraction sits closer to the mixed/compute prediction
     (1+1/d)/2 than to the pure prediction 1."""
@@ -194,14 +219,13 @@ class PurityVerifier:
         kinds = ("m", "p", "c")
         # all kinds, then all masks: each generator draws nothing else, so the values are the per-round ones
         round_kinds = [kinds[i] for i in rng_kinds.integers(0, 3, size=cfg.N)]
-        masks = iter(sample_masks(cfg.mask_ensemble, cfg.d, cfg.N - round_kinds.count("m"), session.rng("masks")))
-        rng_prover = session.rng("prover")
+        masks = sample_masks(cfg.mask_ensemble, cfg.d, cfg.N - round_kinds.count("m"), session.rng("masks"))
+        rounds = prepare_rounds(round_kinds, masks, session.oracle_v, cfg)
+        answers = prover.answer_rounds(rounds, cfg, session.rng("prover"))
         records: list[RoundRecord] = []
-        for kind in round_kinds:
+        for kind, state, answer in zip(round_kinds, rounds, map(int, answers)):
             round_idx = session.next_round()
-            mask = None if kind == "m" else next(masks)
-            received = prepare_round_state(kind, session.oracle_v, cfg, mask, session.channel, round_idx)
-            answer = int(prover.answer_round(received, cfg, rng_prover))
+            session.channel.send_stream("v->p", state, cfg.m, round_idx)
             session.channel.send_bits("p->v", [answer], round_idx)
             records.append(RoundRecord(kind, answer))
         self.extras["compute_rounds"] = round_kinds.count("c")

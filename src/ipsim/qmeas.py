@@ -168,8 +168,13 @@ def swap_probability(rho, sigma) -> float:
     if a.shape != b.shape:
         raise DimensionError("swap_test dimension mismatch")
     # Tr[a b] for Hermitian a equals <a, b> elementwise
-    overlap = float(np.real(np.vdot(a, b)))
-    return min(max((1.0 + overlap) / 2.0, 0.0), 1.0)
+    return swap_accept(np.vdot(a, b))
+
+
+def swap_accept(overlap) -> float:
+    """(1 + Re overlap) / 2, clamped to [0, 1]: the SWAP-test accept
+    probability of two states whose ``np.vdot`` is ``overlap``."""
+    return min(max((1.0 + float(overlap.real)) / 2.0, 0.0), 1.0)
 
 
 def swap_purity_estimate(states, rng: np.random.Generator) -> float:

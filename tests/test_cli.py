@@ -374,6 +374,24 @@ GOLDEN = {
         "8f099c433b1bce3412e720ea230b0f7460b700dc3832fa5787749eb0cc380ff9",
         "baeb1fe0be972e282c6dcbdeefcb0e1c2d2f166cb23eae951e8b00984daf88ec",
     ),
+    # sessions whose bytes the batched purity rounds must not move: the
+    # benchmark's honest d = 8 config, d = 8 nogo transcripts, and a prover
+    # that draws from its generator on every round
+    "purity-d8-benchmark": (
+        ["purity", "--trials", "20", "--seed", "7", "d=8", "delta=0.3333"],
+        "f210150d07597f4efbbce93eb0caf487fbc447077827de49fafef03ee750fe21",
+        "d24e590bc40e6329bd7415171b154432d9036daa32f0f8db6a4a7f57e7bbf2f2",
+    ),
+    "nogo-d8-transcripts": (
+        ["nogo", "--transcripts", "--trials", "4", "--seed", "5", "d=8"],
+        "5a3e8b68c69a3951bb70d45a5adbf34cf82619feaf396de9b6fa2c597cd94390",
+        "be4d0a3b5c3e34c3e876592f57de01e7e9d3805e9d9b2ccb971f340da1dbae1e",
+    ),
+    "purity-uniform-random": (
+        ["purity", "--trials", "6", "--seed", "5", "d=4", "adversary=uniform-random"],
+        "b6ee1010d38d0197d6796a7bb130a9296ea13d7d9d9cfe14caa810ccbf2e8a2b",
+        "3d0629b74232e0f4eb32dcbe571eae1186ba553e2d0d6b6eb6f3d1bc1ae58c91",
+    ),
     "purity-reject-liar": (
         ["purity", "--trials", "3", "--seed", "5", "d=8", "instance=reject", "adversary=best-effort-liar"],
         "d9a768e4f89f484399674c9064d3049078d39ec6bc4b00e0c63518d892c2db2c",

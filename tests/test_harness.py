@@ -25,6 +25,7 @@ from ipsim.harness import (
     derive_rng,
     wilson_interval,
 )
+from ipsim.purity_ip import sample_masks
 from ipsim.stab_ip import TrivialConfig, enumerate_stabilizers
 
 
@@ -166,6 +167,69 @@ class TestCopyStream:
         assert len(copies[0::2]) == 3 and len(copies[1::2]) == 2
         assert copies[1::2][1] is state
         assert all(x is state for x in copies)
+
+    @staticmethod
+    def _mask_stack(ensemble, d, k):
+        return sample_masks(ensemble, d, k, np.random.default_rng(d))
+
+    @pytest.mark.parametrize("ensemble", ["haar", "clifford", "pauli"])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_stacked_masks_equal_per_matrix_masking(self, ensemble, d):
+        masks = self._mask_stack(ensemble, d, 40)
+        rho = qcore.sample_state(d, 2, np.random.default_rng(5)).entries
+        masked = Copy(rho, None).with_unitary(masks).consume()
+        assert masked.shape == (40, d, d)
+        for u, got in zip(masks, masked):
+            assert np.array_equal(got, u @ rho @ u.conj().T)
+            assert np.array_equal(got, Copy(rho, None).with_unitary(u).consume())
+
+    @pytest.mark.parametrize("ensemble", ["haar", "clifford", "pauli"])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    @pytest.mark.parametrize("transcript", [False, True])
+    def test_stacked_stream_matches_per_round_loop(self, ensemble, d, transcript):
+        masks, n = self._mask_stack(ensemble, d, 7), 26
+        runs = []
+        for stacked in (False, True):
+            oracle = CopyOracle(qcore.sample_state(d, 2, np.random.default_rng(11)), tracker=LiveCopyTracker(1))
+            oracle.meter.charge(3, "earlier")
+            channel = Channel("quantum", record_transcript=transcript)
+            if stacked:
+                states = oracle.stream(n, "compute-round", unitary=masks).state
+                for r, state in enumerate(states, 1):
+                    channel.send_stream("v->p", state, n, r)
+            else:
+                states = [
+                    _reference_stream(oracle, n, "compute-round", channel=channel, unitary=u, round_index=r)[0]
+                    for r, u in enumerate(masks, 1)
+                ]
+            runs.append((oracle, channel, states))
+        (ref_oracle, ref_channel, ref_states), (oracle, channel, states) = runs
+        assert (oracle.meter.total, oracle.meter.by_kind) == (ref_oracle.meter.total, ref_oracle.meter.by_kind)
+        assert oracle.meter.by_kind["compute-round"] == n * len(masks)
+        assert (oracle.tracker.live, oracle.tracker.peak) == (ref_oracle.tracker.live, ref_oracle.tracker.peak) == (0, 1)
+        assert all(np.array_equal(a, b) for a, b in zip(states, ref_states, strict=True))
+        assert channel.counters() == ref_channel.counters()
+        assert channel.transcript == ref_channel.transcript
+        assert len(channel.transcript) == (n * len(masks) if transcript else 0)
+
+    def test_empty_mask_stack_queries_nothing(self):
+        oracle, _ = _stream_setup(None)
+        states = oracle.stream(26, "compute-round", unitary=np.empty((0, 4, 4), dtype=complex))
+        assert len(states) == 0
+        assert (oracle.meter.total, oracle.tracker.peak) == (3, 0)
+
+    def test_a_mask_stack_is_not_sent(self):
+        oracle, channel = _stream_setup(True)
+        with pytest.raises(ValueError, match="not copies to send"):
+            oracle.stream(26, "compute-round", channel=channel, unitary=self._mask_stack("haar", 4, 2))
+        assert (oracle.meter.total, oracle.tracker.peak) == (3, 0)
+
+    def test_masking_a_consumed_copy_with_a_stack_raises(self):
+        masks = self._mask_stack("haar", 4, 3)
+        c = CopyOracle(qcore.maximally_mixed(4), tracker=LiveCopyTracker(1)).query()
+        c.consume()
+        with pytest.raises(MemoryPolicyError):
+            c.with_unitary(masks)
 
     def test_delegated_measure_reads_the_stream_without_copying(self):
         copies = CopyStream(np.eye(2) / 2, 10_000)

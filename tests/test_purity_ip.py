@@ -2,6 +2,8 @@
 verdict rule and small-batch session behavior."""
 
 import math
+from dataclasses import fields, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -12,22 +14,82 @@ from ipsim.harness import (
     CopyOracle,
     CopyStream,
     LiveCopyTracker,
+    NogoDistinguisher,
     ProtocolAbort,
+    SessionResult,
     batch_rates,
     derive_rng,
+    run_session,
 )
 from ipsim.purity_ip import (
+    ADVERSARIES,
     MIXED,
     PURE,
     BestEffortLiar,
     HonestSwapProver,
+    NogoConfig,
     PurityConfig,
+    PurityVerifier,
     RoundRecord,
     honest_purity_answer,
-    prepare_round_state,
     purity_verdict,
     sample_masks,
 )
+
+
+def prepare_round_state(
+    kind: str,
+    oracle_v: CopyOracle,
+    cfg: PurityConfig,
+    mask: np.ndarray | None,
+    channel: Channel,
+    round_index: int,
+) -> CopyStream:
+    """Sends one round's m copies v->p, one at a time; returns the copies the
+    prover received.
+
+    Mixed test rounds cost no oracle queries and carry no mask; pure test
+    rounds mask |0><0|; compute rounds mask m fresh oracle copies.
+    """
+    d = cfg.d
+    if kind == "m":
+        state = np.eye(d, dtype=complex) / d
+        return channel.send_stream("v->p", state, cfg.m, round_index)
+    if kind == "p":
+        state = np.outer(mask[:, 0], mask[:, 0].conj())
+        return channel.send_stream("v->p", state, cfg.m, round_index)
+    if kind == "c":
+        return oracle_v.stream(
+            cfg.m, "compute-round", channel=channel, unitary=mask, round_index=round_index
+        )
+    raise ValueError(f"unknown round kind {kind}")
+
+
+class ReferenceVerifier(PurityVerifier):
+    """The per-round session loop that ``PurityVerifier.run`` replaced, with
+    ``prepare_round_state`` above: one round prepared, sent, answered through
+    ``answer_round`` and recorded at a time."""
+
+    def run(self, session, prover) -> str:
+        cfg = self.cfg
+        kind_seed = cfg.kind_seed
+        rng_kinds = session.rng("round-kinds") if kind_seed is None else derive_rng(kind_seed, "round-kinds")
+        kinds = ("m", "p", "c")
+        # all kinds, then all masks: each generator draws nothing else, so the values are the per-round ones
+        round_kinds = [kinds[i] for i in rng_kinds.integers(0, 3, size=cfg.N)]
+        masks = iter(sample_masks(cfg.mask_ensemble, cfg.d, cfg.N - round_kinds.count("m"), session.rng("masks")))
+        rng_prover = session.rng("prover")
+        records: list[RoundRecord] = []
+        for kind in round_kinds:
+            round_idx = session.next_round()
+            mask = None if kind == "m" else next(masks)
+            received = prepare_round_state(kind, session.oracle_v, cfg, mask, session.channel, round_idx)
+            answer = int(prover.answer_round(received, cfg, rng_prover))
+            session.channel.send_bits("p->v", [answer], round_idx)
+            records.append(RoundRecord(kind, answer))
+        self.extras["compute_rounds"] = round_kinds.count("c")
+        self.extras["round_kind_counts"] = {k: round_kinds.count(k) for k in kinds}
+        return purity_verdict(records)
 
 
 class TestParams:
@@ -99,6 +161,34 @@ class TestPrepareRoundState:
             assert mask.shape == (4, 4)
 
 
+class TestPrepareRounds:
+    @pytest.mark.parametrize("ensemble", ["haar", "clifford", "pauli"])
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_rounds_equal_per_round_preparation(self, ensemble, d):
+        cfg = PurityConfig(d=d, mask_ensemble=ensemble)
+        kinds = [("m", "p", "c")[i] for i in np.random.default_rng(d).integers(0, 3, size=60)]
+        masks = sample_masks(ensemble, d, 60 - kinds.count("m"), np.random.default_rng(1))
+        hidden = qcore.sample_state(d, 2, np.random.default_rng(2))
+        oracle, ref_oracle = (CopyOracle(hidden, tracker=LiveCopyTracker(1)) for _ in range(2))
+        rounds = purity_ip.prepare_rounds(kinds, masks, oracle, cfg)
+        rest, channel = iter(masks), Channel("quantum")
+        for kind, state in zip(kinds, rounds, strict=True):
+            mask = None if kind == "m" else next(rest)
+            assert np.array_equal(state, prepare_round_state(kind, ref_oracle, cfg, mask, channel, 0)[0])
+        assert (oracle.meter.total, oracle.meter.by_kind) == (ref_oracle.meter.total, ref_oracle.meter.by_kind)
+        assert (oracle.tracker.live, oracle.tracker.peak) == (ref_oracle.tracker.live, ref_oracle.tracker.peak)
+        assert len({id(state) for kind, state in zip(kinds, rounds) if kind == "m"}) == 1  # one shared I/d
+
+    def test_rounds_without_compute_rounds_query_nothing(self):
+        cfg = PurityConfig(d=4)
+        oracle = CopyOracle(qcore.maximally_mixed(4), tracker=LiveCopyTracker(1))
+        masks = sample_masks("haar", 4, 2, np.random.default_rng(0))
+        rounds = purity_ip.prepare_rounds(["m", "p", "m", "p"], masks, oracle, cfg)
+        assert len(rounds) == 4 and rounds[0] is rounds[2]
+        assert np.array_equal(rounds[3], np.outer(masks[1][:, 0], masks[1][:, 0].conj()))
+        assert (oracle.meter.total, oracle.tracker.peak) == (0, 0)
+
+
 def _reference_mask(ensemble, d, rng):
     """The one-mask-per-round draw the stacked session draw replaced."""
     if ensemble == "haar":
@@ -128,17 +218,18 @@ class TestSessionMasks:
     @pytest.mark.parametrize("kind_seed", [None, 991])
     def test_session_draws_match_per_round_draws(self, ensemble, d, kind_seed, monkeypatch):
         seen, mask_rngs = [], []
-        real_prepare, real_sample = purity_ip.prepare_round_state, purity_ip.sample_masks
+        real_prepare, real_sample = purity_ip.prepare_rounds, purity_ip.sample_masks
 
-        def prepare(kind, oracle, params, mask, channel, round_index):
-            seen.append((kind, mask))
-            return real_prepare(kind, oracle, params, mask, channel, round_index)
+        def prepare(kinds, masks, oracle, params):
+            rest = iter(masks)
+            seen.extend((kind, None if kind == "m" else next(rest)) for kind in kinds)
+            return real_prepare(kinds, masks, oracle, params)
 
         def sample(ensemble, d, n, rng):
             mask_rngs.append(rng)
             return real_sample(ensemble, d, n, rng)
 
-        monkeypatch.setattr(purity_ip, "prepare_round_state", prepare)
+        monkeypatch.setattr(purity_ip, "prepare_rounds", prepare)
         monkeypatch.setattr(purity_ip, "sample_masks", sample)
         cfg = PurityConfig(d=d, mask_ensemble=ensemble, kind_seed=kind_seed)
         for seed in (3, 17):
@@ -251,6 +342,85 @@ class TestHonestAnswer:
                 believes_compute = abs(frac - (1 + 1 / 4) / 2) <= abs(frac - 1.0)
                 assert want == (1 - honest if believes_compute else honest), name
                 assert rng.bit_generator.state == ref_rng.bit_generator.state, name
+
+
+class TestBatchedHonestAnswers:
+    """``HonestSwapProver.answer_rounds`` against ``honest_purity_answer`` run
+    round by round on each round's copies."""
+
+    @staticmethod
+    def _rounds(d, n, seed):
+        """n round descriptions: the shared I/d (p = (1+1/d)/2), |0><0| (p = 1),
+        and random pure and mixed states."""
+        g = np.random.default_rng(seed)
+        mixed, basis = np.eye(d, dtype=complex) / d, np.zeros((d, d), dtype=complex)
+        basis[0, 0] = 1
+        pool = [mixed, basis]
+        pool += [qcore.sample_pure_state(d, g).density().entries for _ in range(3)]
+        pool += [qcore.sample_state(d, int(g.integers(2, d + 1)), g).entries for _ in range(3)]
+        # I/d and |0><0| are shared, as a session shares I/d; each other round is its own array
+        return [pool[i] if i < 2 else pool[i].copy() for i in g.integers(0, len(pool), size=n)]
+
+    @staticmethod
+    def _compare(rounds, tests, d, seed):
+        cfg = SimpleNamespace(d=d, m=2 * tests)
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = [honest_purity_answer(CopyStream(state, 2 * tests), ref_rng) for state in rounds]
+        assert HonestSwapProver().answer_rounds(rounds, cfg, rng) == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        return want, rng
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    @pytest.mark.parametrize("n", [1, 2, 209])
+    @pytest.mark.parametrize("tests", [1, 13])
+    def test_same_answers_and_rng_state_as_per_round_answers(self, d, n, tests):
+        for seed in range(12):
+            self._compare(self._rounds(d, n, seed), tests, d, seed)
+
+    def test_rng_with_a_buffered_half_word(self):
+        rounds = self._rounds(4, 209, 0)
+        ref_rng, rng = np.random.default_rng(3), np.random.default_rng(3)
+        for g in (ref_rng, rng):
+            g.integers(0, 2, dtype=np.uint32)  # leaves a 32-bit half of a draw buffered
+        assert rng.bit_generator.state["has_uint32"] == 1
+        cfg = PurityConfig(d=4)
+        want = [honest_purity_answer(CopyStream(state, cfg.m), ref_rng) for state in rounds]
+        assert HonestSwapProver().answer_rounds(rounds, cfg, rng) == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @pytest.mark.parametrize("d", [2, 4, 8, 16])
+    def test_accept_probabilities_are_swap_probability_bits(self, d, monkeypatch):
+        rounds = self._rounds(d, 209, d)
+        seen = []
+        real = qmeas.swap_accept
+
+        def record(overlap):
+            seen.append(real(overlap))
+            return seen[-1]
+
+        monkeypatch.setattr(qmeas, "swap_accept", record)
+        HonestSwapProver().answer_rounds(rounds, PurityConfig(d=d), np.random.default_rng(0))
+        got, distinct = list(seen), list({id(state): state for state in rounds}.values())
+        assert len(got) == len(distinct) < len(rounds)  # the shared I/d once
+        want = [qmeas.swap_probability(state, state) for state in distinct]
+        assert got == want
+        assert (1 + 1 / d) / 2 in want and 1.0 in want  # the shared I/d and |0><0|
+
+    def test_no_round_rejects(self):
+        d, tests = 4, 13
+        basis = np.zeros((d, d), dtype=complex)
+        basis[0, 0] = 1
+        start = np.random.default_rng(5)
+        want, rng = self._compare([basis] * 209, tests, d, 5)
+        assert want == [PURE] * 209
+        assert rng.bit_generator.state == start.bit_generator.advance(209 * tests).state
+
+    def test_every_round_rejects_on_its_first_draw(self, monkeypatch):
+        monkeypatch.setattr(qmeas, "swap_accept", lambda overlap: 0.0)
+        start = np.random.default_rng(6)
+        want, rng = self._compare(self._rounds(8, 209, 6), 13, 8, 6)
+        assert want == [MIXED] * 209
+        assert rng.bit_generator.state == start.bit_generator.advance(209).state
 
 
 class TestVerdict:
@@ -369,3 +539,40 @@ class TestSessions:
         cfg = PurityConfig(d=4, mask_ensemble="pauli")
         res = cfg.run_one(qcore.maximally_mixed(4), HonestSwapProver(), seed=9)
         assert res.accepted and res.output == "maximally mixed"
+
+
+def _fields(res):
+    return {f.name: getattr(res, f.name) for f in fields(SessionResult) if f.name != "wall_time"}
+
+
+class TestReferenceSession:
+    """Whole sessions, transcripts on, against ``ReferenceVerifier``'s per-round loop."""
+
+    @pytest.mark.parametrize("prover", ["honest", *ADVERSARIES])
+    @pytest.mark.parametrize("ensemble", ["haar", "clifford", "pauli"])
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_every_field_equals_the_per_round_loop(self, prover, ensemble, d):
+        cfg = PurityConfig(d=d, mask_ensemble=ensemble, record_transcript=True)
+        for seed, instance in ((11, "accept"), (12, "reject")):
+            hidden = cfg.sample_instance(instance, np.random.default_rng(seed))
+            res = cfg.run_one(hidden, cfg.make_prover(prover), seed)
+            ref = run_session(ReferenceVerifier(cfg), cfg.make_prover(prover), hidden, seed, record_transcript=True)
+            assert _fields(res) == _fields(ref)
+            assert len(res.transcript_lines) == cfg.N * (cfg.m + 1)
+            assert res.peak_live_copies <= 1
+            assert res.verifier_queries == cfg.m * res.extras["compute_rounds"]
+
+    @pytest.mark.parametrize("d", [2, 4, 8])
+    def test_nogo_sessions_equal_the_per_round_loop(self, d):
+        cfg = NogoConfig(d=d, record_transcript=True)
+
+        def reference_ip(hidden, prover, seed, prover_hidden=None):
+            verifier = ReferenceVerifier(cfg.ip)
+            return run_session(verifier, prover, hidden, seed, record_transcript=True, prover_hidden=prover_hidden)
+
+        for seed, instance in ((21, "accept"), (22, "reject"), (23, "reject")):
+            hidden = cfg.sample_instance(instance, np.random.default_rng(seed))
+            res = cfg.run_one(hidden, cfg.make_prover("honest"), seed)
+            answer, ref = NogoDistinguisher(cfg.task, reference_ip, cfg.make_prover("honest")).run(hidden, seed)
+            assert res.output == answer
+            assert _fields(res) == _fields(replace(ref, output=answer))

@@ -38,10 +38,18 @@ class ProtocolAbort(Exception):
 
 
 def derive_rng(seed: int, *labels) -> np.random.Generator:
-    """Deterministic per-purpose generator from a session seed and string labels."""
+    """Deterministic per-purpose generator from a session seed and string labels.
+
+    The generator is PCG64 seeded by ``SeedSequence(entropy=e,
+    spawn_key=w)``, with e the seed's low 64 bits and w the first four
+    little-endian 32-bit words of sha256(repr((seed, *labels))). That
+    sequence pools e's 32-bit words, zero-padded to its pool size of four,
+    followed by the key words; those eight words are passed here as one
+    entropy array, which builds the same pool without coercing each word.
+    """
     h = hashlib.sha256(repr((int(seed),) + tuple(labels)).encode()).digest()
-    words = tuple(int.from_bytes(h[i : i + 4], "little") for i in range(0, 16, 4))
-    return np.random.default_rng(np.random.SeedSequence(entropy=int(seed) & ((1 << 64) - 1), spawn_key=words))
+    entropy = (int(seed) & ((1 << 64) - 1)).to_bytes(16, "little") + h[:16]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.frombuffer(entropy, dtype="<u4"))))
 
 
 def canonical_bytes(obj) -> bytes:

@@ -8,6 +8,7 @@ All randomness comes in through an explicit numpy Generator handle.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,27 @@ class PureState:
 
     def density(self) -> "DensityMatrix":
         return DensityMatrix(np.outer(self.amplitudes, self.amplitudes.conj()))
+
+
+def last_state_cache(fn):
+    """One-slot cache for an array-valued ``fn(psi)`` of a PureState.
+
+    The result for the last state is kept, keyed on its amplitude bytes, and
+    returned read-only, so a caller can neither see another state's values
+    nor change the ones the next caller reads.
+    """
+    slot: list = [None, None]  # [amplitude bytes, result]
+
+    @functools.wraps(fn)
+    def cached(psi: PureState) -> np.ndarray:
+        key = psi.amplitudes.tobytes()
+        if key != slot[0]:
+            value = fn(psi)
+            value.setflags(write=False)
+            slot[:] = key, value
+        return slot[1]
+
+    return cached
 
 
 def _check_psd_matrix(entries: np.ndarray, trace_range, label: str) -> np.ndarray:

@@ -21,6 +21,7 @@ from .qcore import (
     InvariantError,
     PureState,
     UnitaryOp,
+    last_state_cache,
 )
 
 
@@ -99,10 +100,9 @@ def _expectation_tables(n: int) -> tuple[np.ndarray, np.ndarray]:
 def num_qubits(psi) -> int:
     """Qubit count of a PureState or of a d x d density-matrix array."""
     dim = len(psi) if isinstance(psi, np.ndarray) else psi.dim
-    n = int(round(np.log2(dim)))
-    if (1 << n) != dim:
+    if dim < 1 or dim & (dim - 1):
         raise DimensionError(f"dimension {dim} is not a power of two")
-    return n
+    return dim.bit_length() - 1
 
 
 def pauli_expectations(psi) -> np.ndarray:
@@ -113,8 +113,13 @@ def pauli_expectations(psi) -> np.ndarray:
     rho_(m, m') = psi_m conj(psi_m'): one (d, d) gather V[x, m] = rho_(m, m^x),
     one Hadamard product per row and one phase table. The rows go through a
     stacked matrix-vector product, so each sum is the one a single row's
-    product gives.
+    product gives. A PureState's vector is computed once while it is the
+    last state asked for (``qcore.last_state_cache``) and is read-only.
     """
+    return _expectations(psi) if isinstance(psi, np.ndarray) else _pure_expectations(psi)
+
+
+def _expectations(psi) -> np.ndarray:
     n = num_qubits(psi)
     xor, phase = _expectation_tables(n)
     if isinstance(psi, np.ndarray):
@@ -123,6 +128,9 @@ def pauli_expectations(psi) -> np.ndarray:
         v = psi.amplitudes * psi.amplitudes[xor].conj()
     vals = np.matmul(hadamard_sign_matrix(n), v[:, :, None])[:, :, 0]  # [x, z]
     return np.real(phase * vals.T).ravel()
+
+
+_pure_expectations = last_state_cache(_expectations)
 
 
 def characteristic_distribution(psi, expectations: np.ndarray | None = None) -> np.ndarray:

@@ -128,18 +128,30 @@ class StabilizerStateDesc:
     """Stabilizer state given by n signed generators.
 
     ``generators`` is the n x (2n+1) binary matrix with rows
-    (x bits | z bits | sign bit); the dense rendering is computed lazily and
-    is the +1 eigenstate of every signed generator.
+    (x bits | z bits | sign bit), row ``_row`` of the generator table
+    ``_table``: a candidate's own one-row table, or the one read-only table
+    that every enumerated state indexes. The dense rendering is the +1
+    eigenstate of every signed generator, rendered on use (``_rendered``).
     """
 
-    __slots__ = ("n", "generators", "_dense")
+    __slots__ = ("n", "_table", "_row")
 
     def __init__(self, n: int, generators: np.ndarray):
-        self.n = n
-        self.generators = np.asarray(generators, dtype=np.int8)
-        if self.generators.shape != (n, 2 * n + 1):
+        generators = np.asarray(generators, dtype=np.int8)
+        if generators.shape != (n, 2 * n + 1):
             raise ValueError(f"generators must be {n} x {2*n+1}")
-        self._dense = None
+        self.n, self._table, self._row = n, generators[None], 0
+
+    @classmethod
+    def table_row(cls, table: np.ndarray, row: int) -> StabilizerStateDesc:
+        """The state of row ``row`` of a (states, n, 2n+1) int8 generator table."""
+        desc = cls.__new__(cls)
+        desc.n, desc._table, desc._row = table.shape[1], table, row
+        return desc
+
+    @property
+    def generators(self) -> np.ndarray:
+        return self._table[self._row]
 
     def packed_rows(self) -> list[tuple[int, int]]:
         """(packed xz label, sign) per generator row."""
@@ -165,9 +177,7 @@ class StabilizerStateDesc:
 
     @property
     def dense(self) -> qcore.PureState:
-        if self._dense is None:
-            self._dense = _render(self.n, self.generators)
-        return qcore.PureState(self._dense)
+        return _rendered(self.n, self.generators.tobytes())
 
     def projector(self) -> np.ndarray:
         amps = self.dense.amplitudes
@@ -203,6 +213,14 @@ def _render(n: int, generators: np.ndarray) -> np.ndarray:
     # canonical global phase: first significant entry real positive
     first = v[(np.abs(v) > 1e-8).argmax()]
     return v * (first.conj() / np.abs(first))
+
+
+@lru_cache(maxsize=64)
+def _rendered(n: int, generator_bytes: bytes) -> qcore.PureState:
+    """The state ``_render`` gives for the n x (2n+1) int8 generator array
+    with these bytes. A trial renders its instance's base state and, from
+    the honest prover, the same generators again; this renders them once."""
+    return qcore.PureState(_render(n, np.frombuffer(generator_bytes, dtype=np.int8).reshape(n, 2 * n + 1)))
 
 
 def _group_index(n: int, subspaces: list[list[int]]) -> np.ndarray:
@@ -243,7 +261,7 @@ def enumerate_stabilizers(n: int) -> tuple[StabilizerStateDesc, ...]:
     generators = _pack_generators(n, _maximal_isotropic_subspaces(n))
     assert len(generators) == STABILIZER_COUNTS[n]
     generators.setflags(write=False)
-    return tuple(StabilizerStateDesc(n, g) for g in generators)
+    return tuple(StabilizerStateDesc.table_row(generators, i) for i in range(len(generators)))
 
 
 @lru_cache(maxsize=4)
@@ -255,6 +273,7 @@ def stabilizer_group_index(n: int) -> np.ndarray:
     return _group_index(n, _maximal_isotropic_subspaces(n))
 
 
+@qcore.last_state_cache
 def all_fidelities(psi: qcore.PureState) -> np.ndarray:
     """<psi|S|psi> for every enumerated stabilizer state S, in enumeration
     order, from the Pauli expectations of psi.
@@ -262,7 +281,10 @@ def all_fidelities(psi: qcore.PureState) -> np.ndarray:
     State S * 2^n + s stabilizes generator i with sign (-1)^((s >> i) & 1),
     so its projector is 2^-n sum_k (-1)^popcount(s & k) c_k W_(l_k), and
     F[S, s] = 2^-n sum_k (-1)^popcount(s & k) c_k <W_(l_k)>: one Walsh-Hadamard
-    transform per subspace. Entries may come out a few ulps below 0.
+    transform per subspace. Entries may come out a few ulps below 0. The
+    vector is computed once while psi is the last state asked for
+    (``qcore.last_state_cache``) and is read-only, so the honest prover and
+    the judge of a trial read one pass.
     """
     n = qmeas.num_qubits(psi)
     exps = qmeas.pauli_expectations(psi)

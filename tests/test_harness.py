@@ -1,6 +1,7 @@
 """Harness tests: meters, memory policy, channels, delegation contract,
 distinguisher transformation, trivial validation IP, determinism."""
 
+import hashlib
 import json
 from dataclasses import replace
 
@@ -358,6 +359,18 @@ class TestDeriveRng:
         b = derive_rng(7, "y").integers(0, 2**31)
         c = derive_rng(7, "x").integers(0, 2**31)
         assert a == c and a != b
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63 - 2, 2**64 - 1, -3, 2**70])
+    @pytest.mark.parametrize("labels", [(), ("x",), ("instance", 3)])
+    def test_states_of_the_spawn_key_construction(self, seed, labels):
+        """Pinned to the seeding every report was made with: the seed's low 64
+        bits as entropy and four sha256 words as the spawn key."""
+        h = hashlib.sha256(repr((int(seed),) + labels).encode()).digest()
+        words = tuple(int.from_bytes(h[i : i + 4], "little") for i in range(0, 16, 4))
+        reference = np.random.default_rng(
+            np.random.SeedSequence(entropy=int(seed) & ((1 << 64) - 1), spawn_key=words)
+        )
+        assert derive_rng(seed, *labels).bit_generator.state == reference.bit_generator.state
 
 
 class TestTrivialValidationIP:

@@ -2,6 +2,7 @@
 Pauli moments and uniform Clifford sampling."""
 
 import ast
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -122,6 +123,40 @@ class TestPauliExpectationsAgainstReference:
                 assert not table.flags.writeable
                 with pytest.raises(ValueError):
                     table[0, 0] = 0
+
+    def test_alternating_pure_states_keep_their_own_values(self):
+        """The one-slot cache hands each state its own vector, also when two
+        states take turns and when a density matrix comes in between."""
+        a, b = qcore.sample_pure_state(8, rng(3)), qcore.sample_pure_state(8, rng(4))
+        for psi in (a, b, a, a, b, a.density().entries, a, b):
+            assert pauli_expectations(psi).tobytes() == _reference_pauli_expectations(psi).tobytes()
+
+    def test_equal_amplitudes_share_one_vector(self):
+        a = qcore.sample_pure_state(4, rng(5))
+        assert pauli_expectations(a) is pauli_expectations(qcore.PureState(a.amplitudes.copy()))
+
+    def test_pure_state_vector_read_only(self):
+        exps = pauli_expectations(qcore.sample_pure_state(4, rng(6)))
+        with pytest.raises(ValueError):
+            exps[0] = 0.5
+
+
+class TestNumQubits:
+    @pytest.mark.parametrize("d", [1, 2, 8, 64])
+    def test_powers_of_two(self, d):
+        assert num_qubits(np.eye(d)) == d.bit_length() - 1
+        assert num_qubits(basis_state(d, 0)) == d.bit_length() - 1
+
+    def test_empty_array_is_a_dimension_error(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(qcore.DimensionError, match="dimension 0"):
+                num_qubits(np.zeros((0, 0)))
+
+    @pytest.mark.parametrize("d", [3, 6, 12])
+    def test_other_dimensions_are_dimension_errors(self, d):
+        with pytest.raises(qcore.DimensionError, match=f"dimension {d} is not a power of two"):
+            num_qubits(np.eye(d))
 
 
 class TestMeasureInBasis:

@@ -1,11 +1,13 @@
 """Stabilizer-learning IP: exact moment values, loss bounds, enumeration,
 brute-force prover, estimator calibration, verdict rule, sessions."""
 
+import gc
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from functools import lru_cache
 from pathlib import Path
 
@@ -236,6 +238,20 @@ class TestEnumeration:
         run = subprocess.run([sys.executable, "-c", code], env=env, check=True, capture_output=True, text=True)
         assert int(run.stdout) < 12 << 20
 
+    def test_descriptions_share_one_generator_table(self):
+        """The n = 4 descriptions index one shared generator table: an array
+        view per state would add about 3.4 MB."""
+        stab_ip._maximal_isotropic_subspaces(4)
+        tracemalloc.start()
+        try:
+            states = enumerate_stabilizers.__wrapped__(4)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert len(states) == STABILIZER_COUNTS[4]
+        assert held < 6 << 20
+
     def test_more_than_four_qubits_rejected(self):
         with pytest.raises(ValueError, match="1..4"):
             enumerate_stabilizers(5)
@@ -283,6 +299,28 @@ class TestCandidateRejections:
         with pytest.raises(ProtocolAbort, match="not independent"):
             validate_candidate(_signed_rows(n, rows), n)
 
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_render_cache_hit_still_aborts(self, n):
+        """Dependent rows render to a state, so their bytes can sit in the
+        render cache; the candidate is still validated and the session aborts."""
+        rows = [1 << (n + i) for i in range(n - 1)]
+        bad = _signed_rows(n, rows + [sum(rows)])
+        stab_ip.StabilizerStateDesc(n, bad).dense
+        hits = stab_ip._rendered.cache_info().hits
+        stab_ip.StabilizerStateDesc(n, bad.copy()).dense
+        assert stab_ip._rendered.cache_info().hits == hits + 1
+        with pytest.raises(ProtocolAbort, match="not independent"):
+            validate_candidate(bad, n)
+
+        class CachedLiar(HonestBruteForceProver):
+            def produce_candidate(self, oracle_p, cfg, rng):
+                return bad.copy()
+
+        cfg = StabConfig(n=n)
+        res = cfg.run_one(cfg.sample_instance("x", np.random.default_rng(n)), CachedLiar(), seed=5)
+        assert not res.accepted
+        assert res.abort_reason.startswith("malformed stabilizer candidate")
+
     @pytest.mark.parametrize("n", [1, 2, 3])
     def test_commute_masks_match_reference(self, n):
         commute = stab_ip._commute_masks(n)
@@ -316,6 +354,23 @@ class TestWalshFidelities:
             fids = all_fidelities(psi)
             assert fids.shape == (STABILIZER_COUNTS[n],)
             assert np.abs(fids - _reference_all_fidelities(psi)).max() < 1e-12
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_alternating_states_keep_their_own_fidelities(self, n):
+        """The one-slot cache hands each state its own vector when two states
+        take turns, bit for bit the uncached computation's."""
+        cfg = StabConfig(n=n)
+        rng = np.random.default_rng(80 + n)
+        a, b = cfg.sample_instance("x", rng), cfg.sample_instance("x", rng)
+        for psi in (a, b, a, a, b, a):
+            fids = all_fidelities(psi)
+            assert fids.tobytes() == all_fidelities.__wrapped__(psi).tobytes()
+            assert np.abs(fids - _reference_all_fidelities(psi)).max() < 1e-12
+
+    def test_fidelities_read_only(self):
+        fids = all_fidelities(StabConfig(n=2).sample_instance("x", np.random.default_rng(8)))
+        with pytest.raises(ValueError):
+            fids[0] = 1.0
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4])
     def test_argmax_agrees_on_session_instances(self, n):
@@ -582,6 +637,29 @@ class TestSessions:
                 seed=72,
             )
             assert rec.accept_and_invalid / 40 < 1 / 3, name
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_foreign_best_judged_as_fresh(self, n):
+        """A foreign-best trial ranks another state's fidelities between the
+        instance's honest ranking and its judging; the judge still reads the
+        instance's own."""
+
+        class Recording(stab_ip.ForeignBestLiar):
+            def produce_candidate(self, oracle_p, cfg, rng):
+                self.sent = super().produce_candidate(oracle_p, cfg, rng)
+                return self.sent
+
+        cfg = StabConfig(n=n)
+        for i in range(12):
+            hidden = cfg.sample_instance("x", np.random.default_rng(300 + i))
+            all_fidelities(hidden)
+            prover = Recording()
+            cfg.run_one(hidden, prover, seed=400 + i)
+            output = validate_candidate(prover.sent, n)
+            loss = 1.0 - qcore.fidelity_pure(hidden, output.projector())
+            ref = _reference_all_fidelities(hidden)
+            assert cfg.judge(output, hidden) == (loss <= 8 * (1.0 - ref.max()) + cfg.epsilon + 1e-9)
+            assert np.abs(all_fidelities(hidden) - ref).max() < 1e-12
 
     def test_soundness_chain_on_accepted_runs(self):
         """Accepted runs with in-tolerance estimates satisfy l <= 8 l* + eps."""

@@ -326,6 +326,11 @@ def main(argv=None) -> int:
             transcripts=args.transcripts or reserved.get("transcripts", False),
             protocol_keys=merged,
         )
+        if args.out:
+            try:
+                Path(args.out).mkdir(parents=True, exist_ok=True)
+            except OSError as err:
+                raise ConfigError(f"cannot write --out {args.out}: {err.strerror}") from None
         report, results = run_experiment(config)
     except (ConfigError, ValueError) as err:
         print(f"config error: {err}", file=sys.stderr)

@@ -11,8 +11,8 @@ optional ``out`` array of ``a``'s shape; ``out`` may be ``a`` or a
 same-shape ``b`` itself (the result overwrites it, every element read before
 it is written). Without ``out`` a new array is returned. ``vmul`` works
 through long 1-D arrays in chunks of ``CHUNK`` elements so that the buffers
-of one pass stay in cache; the limb temporaries of a larger array of more
-than one dimension go to an optional ``work`` buffer.
+of one pass stay in cache; an array of more than one dimension is one pass,
+with new limb temporaries.
 
 ``matmul(a, b)`` is the matrix product a @ b mod q through float64 GEMMs,
 exact by this bound: each operand is split into three limbs of 21, 21 and
@@ -100,17 +100,12 @@ def vsub(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
 CHUNK = 1 << 13
 
 
-def vmul(a: np.ndarray, b, out: np.ndarray | None = None, work: np.ndarray | None = None) -> np.ndarray:
-    """(a * b) mod Q elementwise; inputs must be canonical (< Q).
-
-    ``work``, if given, is a 1-D uint64 buffer of at least 4 a.size
-    elements, apart from a, b and out. An array of more than one dimension
-    and more than CHUNK elements, which is not split into chunks, writes its
-    limb temporaries there."""
+def vmul(a: np.ndarray, b, out: np.ndarray | None = None) -> np.ndarray:
+    """(a * b) mod Q elementwise; inputs must be canonical (< Q)."""
     if out is None:
         out = np.empty(a.shape, dtype=np.uint64)
     if a.ndim != 1 or a.size <= CHUNK:
-        _vmul_block(a, b, out, None if a.size <= CHUNK else work)
+        _vmul_block(a, b, out)
         return out
     full_b = isinstance(b, np.ndarray) and b.shape == a.shape
     for lo in range(0, a.size, CHUNK):
@@ -119,17 +114,13 @@ def vmul(a: np.ndarray, b, out: np.ndarray | None = None, work: np.ndarray | Non
     return out
 
 
-_NO_TEMPS = (None,) * 4  # each limb temporary a new array
-
-
-def _vmul_block(a: np.ndarray, b, out: np.ndarray, work: np.ndarray | None = None):
-    temps = _NO_TEMPS if work is None else work[: 4 * a.size].reshape((4,) + a.shape)
-    a_hi = np.right_shift(a, _S31, out=temps[0])
-    a_lo = np.bitwise_and(a, _MASK31, out=temps[1])
+def _vmul_block(a: np.ndarray, b, out: np.ndarray):
+    a_hi = a >> _S31
+    a_lo = a & _MASK31
     # a and b are fully read into limbs before ``out`` (possibly a or b) is written
     if isinstance(b, np.ndarray) and b.shape == a.shape:
-        b_hi = np.right_shift(b, _S31, out=temps[2])
-        b_lo = np.bitwise_and(b, _MASK31, out=temps[3])
+        b_hi = b >> _S31
+        b_lo = b & _MASK31
         t = np.multiply(a_hi, b_hi, out=out)  # hh < 2^60; hh * 2^62 = 2*hh mod Q
         mm = np.multiply(a_hi, b_lo, out=a_hi)
         mm += np.multiply(a_lo, b_hi, out=b_hi)  # < 2^62; contributes mm * 2^31
@@ -142,7 +133,7 @@ def _vmul_block(a: np.ndarray, b, out: np.ndarray, work: np.ndarray | None = Non
             b = int(b)
             b_hi, b_lo = np.uint64(b >> 31), np.uint64(b & ((1 << 31) - 1))
         t = np.multiply(a_hi, b_hi, out=out)
-        ll = np.multiply(a_lo, b_lo, out=temps[2])
+        ll = a_lo * b_lo
         mm = np.multiply(a_hi, b_lo, out=a_hi)
         mm += np.multiply(a_lo, b_hi, out=a_lo)
     scratch = a_lo
@@ -251,15 +242,6 @@ def lagrange_weights(num_nodes: int) -> list[int]:
                 denom = fmul(denom, fsub(j % Q, i % Q))
         weights.append(finv(denom))
     return weights
-
-
-def lagrange_eval(values, t: int, weights: list[int] | None = None) -> int:
-    """Unique degree <= L-1 interpolant through (j, values[j]) at t, O(L)."""
-    values = list(values)
-    ev = StreamedNodeEval(t, len(values), lagrange_weights(len(values)) if weights is None else weights)
-    for v in values:
-        ev.feed(v)
-    return ev.result()
 
 
 class StreamedNodeEval:

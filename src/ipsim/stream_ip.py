@@ -118,16 +118,6 @@ class StreamVerifierState:
             self.maintained.append(("r3", "a_at_r3"))
         self.peak_field_elements = self.register_count
 
-    def update(self, index: int):
-        """One stream sample: a(r) += chi_index(r) = chi(r, bits of index) at
-        every maintained point."""
-        if not 0 <= index < self.k:
-            raise ValueError("sample index out of range")
-        bits = [(index >> j) & 1 for j in range(self.b)]
-        for point, value in self.maintained:
-            setattr(self, value, fadd(getattr(self, value), self.chi_pair(getattr(self, point), bits)))
-        self.sample_count += 1
-
     def update_batch(self, samples: np.ndarray):
         """Vectorized transcript of per-sample updates (same per-sample values,
         same persistent registers; asserted equal to sequential updates) in
@@ -221,10 +211,10 @@ class DistinctTable(NamedTuple):
         table = np.ascontiguousarray(table, dtype=np.uint64)
         if 0 < table.size < 1 << 31 and int(table.max()) < table.size:
             # a frequency table's entries are small: rank them by counting
-            # (1 ms less than the sort at k = 2^16), into int32 ids, which
-            # halves the array kept between sum-checks. With int64 ids a
-            # k = 2^16 session's heap outgrew glibc's trim threshold and
-            # re-faulted about 1100 pages per session
+            # (0.19 ms against the sort's 1.19 ms at k = 2^16), into int32
+            # ids, half the size of _runs' int64 ids. An engine holds its ids
+            # for its first round; nothing keeps them between sum-checks, and
+            # warm k = 2^16 sessions read near 0 minor faults with either width
             seen = np.bincount(table.view(np.int64)) > 0
             rank = np.cumsum(seen, dtype=np.int32)
             rank -= 1
@@ -366,16 +356,16 @@ def _moment_tables(kind: str, degree_cap: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(triangle, dtype=np.uint64), np.array(vandermonde, dtype=np.uint64)
 
 
-def _powers(x: np.ndarray, num_powers: int, out: np.ndarray, work: np.ndarray) -> np.ndarray:
+def _powers(x: np.ndarray, num_powers: int, out: np.ndarray) -> np.ndarray:
     """x^p, p = 0..num_powers-1, into the (num_powers, m) array ``out``,
     built by doubling: rows h+1..2h are rows 1..h times row h, one vmul per
-    step, with its temporaries in ``work`` (2 num_powers m elements)."""
+    step."""
     out[0] = 1
     out[1] = x
     h = 1
     while h + 1 < num_powers:
         top = min(2 * h, num_powers - 1)
-        vmul(out[1 : top - h + 1], out[h], out=out[h + 1 : top + 1], work=work)
+        vmul(out[1 : top - h + 1], out[h], out=out[h + 1 : top + 1])
         h = top
     return out
 
@@ -433,15 +423,32 @@ class _SumcheckEngine:
     The engine keeps one scratch buffer for as long as it lives, grown to
     its largest block (9 ``_LADDER_ELEMS`` / 2 elements at most). Each block
     writes its power ladder, gathered d-powers, segment-sum scratch and the
-    GEMM's float64 limbs into it, so that a round makes no large array and
-    touches no fresh pages. ``table`` is an array or a ``DistinctTable``
-    already made from one, which lets sum-checks over one table share a sort.
+    GEMM's float64 limbs into it, so that a round touches no fresh pages;
+    its ``vmul`` temporaries are new arrays. Each engine ranks its own table
+    (``DistinctTable.of``).
+
+    Each fork stays because removing it measured slower (median
+    ``process_time``, one BLAS thread, 2-vCPU Xeon):
+    - the wide GEMM branch: narrow-only sum-checks took x1.84 at k = 2^16
+      and x1.30 at k = 4096;
+    - the narrow GEMM branch: wide-only took x2.48 at k = 256, D = 128;
+    - the short uint64 segment sums: split halves only took x1.11 at
+      k = 2^16 and x1.09 at k = 4096;
+    - the per-block d dedup (``_runs(d)`` and the gather): full k = 2^16
+      sessions took x1.018 and x1.023 without it;
+    - the scratch and the ``out``/``work``/``limbs`` buffers of
+      ``_segment_sums_mod`` and ``m61.matmul``: without them a warm k = 2^16
+      session went from 0 to 3434 minor faults and about 8% more CPU;
+    - 2^16 ladder elements per block: 2^15 and 2^14 took 96-113 and
+      140-144 ms a k = 2^16 session, against 83-97 ms;
+    - the counting rank of ``DistinctTable.of``: a sort takes 1.19 ms
+      against 0.19 ms per ranking at k = 2^16, three rankings a session;
+    - the verifier's Lagrange weight table (``_weights_cached``): a streamed
+      evaluation without it took 126 us per 35-node round, against 90 us.
     """
 
-    def __init__(self, table, degree_cap: int, kind: str, chi_point: list[int] | None = None):
-        if not isinstance(table, DistinctTable):
-            table = DistinctTable.of(table)
-        self.values, self.ids = table
+    def __init__(self, table: np.ndarray, degree_cap: int, kind: str, chi_point: list[int] | None = None):
+        self.values, self.ids = DistinctTable.of(table)
         self.degree_cap = degree_cap
         self.kind = kind
         self.zeta = None if chi_point is None else list(chi_point)  # the coordinates not yet bound
@@ -450,10 +457,11 @@ class _SumcheckEngine:
         self.suffix = None if chi_point is None else chi_table_for_point(self.ids.size // 2, self.zeta[1:])
         self.triangle, self.vandermonde = _moment_tables(kind, degree_cap)
         self.num_nodes = len(self.vandermonde)
-        # grown by _evaluate and kept until the engine goes; allocating even
-        # the ladder's vmul temporaries (0.7 MB) per call instead made a
-        # k = 2^16 session's heap outgrow glibc's trim threshold and re-fault
-        # about 1100 pages per session
+        # grown by _evaluate and kept until the engine goes; made per block
+        # instead, it lets a warm k = 2^16 session's heap outgrow glibc's
+        # trim threshold and re-fault about 3400 pages per session, while the
+        # per-call vmul temporaries (0.7 MB) of its blocks leave that count
+        # near 0 (a few sessions in 25 re-fault up to about 60 pages)
         self._scratch = np.empty(0, dtype=np.uint64)
         self._pair_up()
 
@@ -506,13 +514,13 @@ class _SumcheckEngine:
             whole = runs.size - (hi < u.size and u[hi] == u[hi - 1])  # the last run may go on
             d_order, d_starts, d_ids = _runs(d[lo:hi])
             distinct = np.concatenate([d[lo:hi][d_order[d_starts]], u[lo:hi][runs[:whole]]])
-            powers = _powers(distinct, n, out=ladder[: n * distinct.size].reshape(n, -1), work=shared)
+            powers = _powers(distinct, n, out=ladder[: n * distinct.size].reshape(n, -1))
             # d^a per pair; "clip" (the ids are in range) writes straight to out, "raise" would buffer
             scaled = shared[: n * (hi - lo)].reshape(n, -1)
             powers[:, : d_starts.size].take(d_ids, axis=1, out=scaled, mode="clip")
             counts = weight[lo:hi] if line is None else None
             if line is not None:
-                vmul(scaled, weight[lo:hi], out=scaled, work=shared[scaled.size :])
+                vmul(scaled, weight[lo:hi], out=scaled)
             moments = _segment_sums_mod(
                 scaled, runs, counts, out=moment_space[: n * runs.size].reshape(n, -1), work=shared[scaled.size :]
             )
@@ -551,11 +559,6 @@ class _SumcheckEngine:
         folded = vsub(table[1::2], u)
         vmul(folded, r, out=folded)
         return vadd(u, folded, out=folded)
-
-    # test-only: the pinned engine transcript hashes in tests/test_stream_ip.py close on it
-    def final_value(self) -> int:
-        assert self.ids.size == 1
-        return fmul(self.prefix, composed_value(self.kind, self.degree_cap, int(self.values[self.ids[0]])))
 
 
 def chi_table_for_point(k: int, point: list[int]) -> np.ndarray:
@@ -678,7 +681,6 @@ class HonestStreamProver(ProverStrategy):
 
     def ingest(self, samples: np.ndarray, k: int):
         self.freq = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k).astype(np.uint64)
-        self._sorted = (None, None)  # (table, its DistinctTable)
 
     def widenings(self, degree_cap: int, n: int) -> int:
         """Fewest doublings j of the cap with min(cap * 2^j, n) >= max f."""
@@ -692,20 +694,11 @@ class HonestStreamProver(ProverStrategy):
         """The frequency table the sum-check of ``kind`` runs on."""
         return self.freq
 
-    def distinct(self, kind: str, degree_cap: int) -> DistinctTable:
-        """``table(kind, degree_cap)`` as a ``DistinctTable``. The last table
-        sorted is kept, so the claims and engines of sum-checks that run on
-        the same table object share one sort."""
-        table = self.table(kind, degree_cap)
-        if self._sorted[0] is not table:
-            self._sorted = (table, DistinctTable.of(table))
-        return self._sorted[1]
-
     def claim(self, kind: str, degree_cap: int) -> int:
-        return self.distinct(kind, degree_cap).total(kind, degree_cap)
+        return table_total(kind, degree_cap, self.table(kind, degree_cap))
 
     def engine(self, kind: str, degree_cap: int, zeta: list[int] | None = None) -> _SumcheckEngine:
-        return _SumcheckEngine(self.distinct(kind, degree_cap), degree_cap, kind, chi_point=zeta)
+        return _SumcheckEngine(self.table(kind, degree_cap), degree_cap, kind, chi_point=zeta)
 
 
 class DecisionFlipProver(HonestStreamProver):

@@ -120,17 +120,13 @@ def _sampled_tomography(oracle_p: CopyOracle, target: float, d: int, rng):
         # projector onto column j of basis b, so row . vec(rho) = p_bj
         cols = bases.swapaxes(1, 2)
         a = (cols[:, :, :, None] * cols[:, :, None, :].conj()).conj().reshape(-1, d * d)
-        freqs = np.empty((2, n_bases, d))
-        probs = None
-        for half in range(2):
-            for b in range(n_bases):
-                copy_state = oracle_p.stream(shots, "tomography")[0]
-                if probs is None:
-                    # every copy has the hidden state's one description, so
-                    # one table of Born probabilities serves the attempt
-                    probs = qmeas.basis_probabilities(copy_state, bases)
-                freqs[half, b] = rng.multinomial(shots, probs[b]) / shots
-        freqs = freqs.reshape(2, -1)
+        # shots copies per basis and half, one stream: every copy has the
+        # hidden state's one description, so one table of Born probabilities
+        # serves the attempt, and the rows of one multinomial draw the counts
+        # of the halves and bases in turn
+        copy_state = oracle_p.stream(2 * n_bases * shots, "tomography")[0]
+        probs = qmeas.basis_probabilities(copy_state, bases)
+        freqs = (rng.multinomial(shots, np.tile(probs, (2, 1))) / shots).reshape(2, -1)
         # both halves in one solve; its last bits can differ from those of two
         # one-column solves, but only the test below reads the halves
         sols, *_ = np.linalg.lstsq(a, freqs.T, rcond=None)

@@ -1,0 +1,39 @@
+"""References the tests compare the program against: the per-sample
+verifier update, the engine's closing value and Lagrange evaluation at a
+point, each the body it had in the program."""
+
+from ipsim.m61 import StreamedNodeEval, fadd, fmul, lagrange_weights
+from ipsim.stream_ip import StreamVerifierState, _SumcheckEngine, composed_value
+
+
+def lagrange_eval(values, t: int, weights: list[int] | None = None) -> int:
+    """Unique degree <= L-1 interpolant through (j, values[j]) at t, O(L)."""
+    values = list(values)
+    ev = StreamedNodeEval(t, len(values), lagrange_weights(len(values)) if weights is None else weights)
+    for v in values:
+        ev.feed(v)
+    return ev.result()
+
+
+class SequentialState(StreamVerifierState):
+    """Verifier registers that also take one sample at a time, the reference
+    ``update_batch`` is checked against."""
+
+    def update(self, index: int):
+        """One stream sample: a(r) += chi_index(r) = chi(r, bits of index) at
+        every maintained point."""
+        if not 0 <= index < self.k:
+            raise ValueError("sample index out of range")
+        bits = [(index >> j) & 1 for j in range(self.b)]
+        for point, value in self.maintained:
+            setattr(self, value, fadd(getattr(self, value), self.chi_pair(getattr(self, point), bits)))
+        self.sample_count += 1
+
+
+class ClosingEngine(_SumcheckEngine):
+    """An honest engine that also gives chi g at its one bound point, which
+    the pinned engine transcripts close on."""
+
+    def final_value(self) -> int:
+        assert self.ids.size == 1
+        return fmul(self.prefix, composed_value(self.kind, self.degree_cap, int(self.values[self.ids[0]])))

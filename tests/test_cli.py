@@ -634,6 +634,19 @@ class TestUnknownChoices:
         assert err.startswith("config error: unknown adversary 'nope'; choose from ")
         assert "honest" in err
 
+    def test_out_under_a_file_exits_2_before_any_session(self, tmp_path, monkeypatch, capsys):
+        def no_session(*args, **kwargs):
+            raise AssertionError("a session ran before --out was checked")
+
+        monkeypatch.setattr(PurityConfig, "run_one", no_session)
+        blocker = tmp_path / "a-file"
+        blocker.write_text("")
+        out = blocker / "x"
+        assert main(["purity", "--trials", "2", "--transcripts", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot write --out {out}: ")
+        assert not out.exists()
+
     def test_unknown_checker_exits_2(self, capsys):
         assert main(["trivial", "--trials", "1", "checker=nope"]) == 2
         err = capsys.readouterr().err

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from ipsim import m61
 from ipsim.m61 import Q, fadd, fmul, fsub
+from references import lagrange_eval
 
 EDGE = [0, 1, Q - 1, Q - 2, (1 << 31) - 1, 1 << 31, (1 << 60) + 7]
 KERNELS = [(m61.vmul, fmul), (m61.vadd, fadd), (m61.vsub, fsub)]
@@ -88,10 +89,10 @@ def test_chunked_and_strided_operands():
         assert kernel(view, y).tolist() == [ref(int(x), y) for x in view]
 
 
-def test_vmul_temporaries_in_caller_owned_work():
-    # full, broadcast and scalar b into a stale work buffer, with out
-    # separate and out aliasing a: a 2-D array over CHUNK elements writes its
-    # temporaries there, a smaller one and a 1-D one over chunks do not
+def test_vmul_shapes_broadcasts_and_aliasing():
+    # full, broadcast and scalar b, with out separate and out aliasing a: a
+    # 2-D array over CHUNK elements in one pass, a smaller one, and a 1-D one
+    # over chunks
     g = np.random.default_rng(5)
     for shape in ((3, m61.CHUNK // 2 + 7), (6, 35), (2 * m61.CHUNK + 5,)):
         a = g.integers(0, Q, shape, dtype=np.uint64)
@@ -99,10 +100,9 @@ def test_vmul_temporaries_in_caller_owned_work():
         for b in (g.integers(0, Q, shape, dtype=np.uint64), g.integers(0, Q, shape[-1:], dtype=np.uint64), Q - 1):
             full = np.broadcast_to(np.asarray(b, dtype=np.uint64), shape)
             want = [fmul(int(x), int(y)) for x, y in zip(a.ravel(), full.ravel())]
-            work = np.full(4 * a.size, Q + 3, dtype=np.uint64)
-            assert m61.vmul(a, b, work=work).ravel().tolist() == want
+            assert m61.vmul(a, b).ravel().tolist() == want
             alias = a.copy()
-            m61.vmul(alias, b, out=alias, work=work)
+            m61.vmul(alias, b, out=alias)
             assert alias.ravel().tolist() == want
 
 
@@ -234,7 +234,7 @@ def test_streamed_node_eval_matches_per_node_inversions(message):
         ev.feed(v)
     want = _reference_node_eval(values, t, weights)
     assert (ev.at_zero, ev.at_one, ev.result()) == want
-    assert m61.lagrange_eval(values, t, weights) == want[2]
+    assert lagrange_eval(values, t, weights) == want[2]
 
 
 def test_streamed_node_eval_needs_no_inversion(monkeypatch):
@@ -250,4 +250,4 @@ def test_streamed_node_eval_needs_no_inversion(monkeypatch):
     for v in values:
         ev.feed(v)
     assert ev.result() == want
-    assert m61.lagrange_eval(values, 12345, weights) == want
+    assert lagrange_eval(values, 12345, weights) == want

@@ -12,7 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ipsim import m61, stream_ip
-from ipsim.m61 import Q, fadd, fmul, fsub, lagrange_eval, lagrange_weights
+from ipsim.m61 import Q, fadd, fmul, fsub, lagrange_weights
 from ipsim.stream_ip import (
     DecisionFlipProver,
     HonestStreamProver,
@@ -27,6 +27,7 @@ from ipsim.stream_ip import (
     uniformity_verdict,
     verify_sumcheck,
 )
+from references import ClosingEngine, SequentialState, lagrange_eval
 
 
 def rng(seed=0):
@@ -176,7 +177,7 @@ class TestVerifierState:
         assert st.a_at_r == 0 and st.a_at_r2 == 0
 
     def test_single_sample_all_zero_point(self):
-        st = StreamVerifierState(16, rng(6))
+        st = SequentialState(16, rng(6))
         st.r = [0, 0, 0, 0]
         st.update(0)
         assert st.a_at_r == 1  # chi_0(0) = 1
@@ -184,7 +185,7 @@ class TestVerifierState:
     def test_matches_dense_extension_oracle(self):
         g = rng(7)
         k = 256
-        st = StreamVerifierState(k, g)
+        st = SequentialState(k, g)
         samples = g.integers(0, k, size=1000)
         for s in samples:
             st.update(int(s))
@@ -201,7 +202,7 @@ class TestVerifierState:
         g = rng(8)
         k = 64
         samples = g.integers(0, k, size=2 * m61.CHUNK + 5)  # three update_batch chunks
-        seq = StreamVerifierState(k, rng(9))
+        seq = SequentialState(k, rng(9))
         bat = StreamVerifierState(k, rng(9))
         for s in samples:
             seq.update(int(s))
@@ -214,7 +215,7 @@ class TestVerifierState:
         g = rng(18)
         k = 64
         samples = g.integers(0, k, size=2 * m61.CHUNK + 5)
-        seq = StreamVerifierState(k, rng(9), rng(19))
+        seq = SequentialState(k, rng(9), rng(19))
         bat = StreamVerifierState(k, rng(9), rng(19))
         for s in samples:
             seq.update(int(s))
@@ -230,7 +231,7 @@ class TestVerifierState:
     def test_batch_equals_sequential_on_uneven_splits(self, k, collision):
         # b = 1, 3, 7: h = b // 2 = 0, 1, 3 low bits, so the halves differ in size
         samples = rng(k).integers(0, k, size=2 * m61.CHUNK + 5)
-        seq, bat = (StreamVerifierState(k, rng(9), rng(19) if collision else None) for _ in range(2))
+        seq, bat = (SequentialState(k, rng(9), rng(19) if collision else None) for _ in range(2))
         for s in samples:
             seq.update(int(s))
         bat.update_batch(samples)
@@ -249,7 +250,7 @@ class TestVerifierState:
         assert np.array_equal(chi_table_for_point(1 << b, p), m61.vmul(low[x % (1 << h)], high[x >> h]))
 
     def test_out_of_range_rejected(self):
-        st = StreamVerifierState(16, rng(10))
+        st = SequentialState(16, rng(10))
         with pytest.raises(ValueError):
             st.update(16)
 
@@ -399,7 +400,7 @@ def _transcript_sha256(k, lam, degree_cap, kind, seed):
     g = rng(seed)
     freq = np.minimum(g.poisson(lam, size=k), degree_cap).astype(np.uint64)
     st = StreamVerifierState(k, g)
-    eng = stream_ip._SumcheckEngine(freq, degree_cap, kind, chi_point=st.zeta if kind == "range" else None)
+    eng = ClosingEngine(freq, degree_cap, kind, chi_point=st.zeta if kind == "range" else None)
     h = hashlib.sha256()
     for j in range(len(st.r)):
         if j:
@@ -506,18 +507,38 @@ class TestDistinctTable:
             for kind, cap in (("unique", 4), ("range", 7), ("collisions", 2)):
                 assert stream_ip.DistinctTable.of(table).total(kind, cap) == table_total(kind, cap, table)
 
+    def test_small_entries_rank_by_counting_into_int32_ids(self, monkeypatch):
+        # entries below the table's size are ranked by counting, into the
+        # int32 ids an engine holds for its first round; one entry at or
+        # above the size sends the table to _runs, whose ids are int64
+        sorted_keys = []
+        runs = stream_ip._runs
+        monkeypatch.setattr(stream_ip, "_runs", lambda keys: sorted_keys.append(keys) or runs(keys))
+        freq = rng(71).poisson(1.0, 4096).astype(np.uint64)
+        assert int(freq.max()) < freq.size
+        assert stream_ip.DistinctTable.of(freq).ids.dtype == np.int32 and not sorted_keys
+        assert stream_ip._SumcheckEngine(freq, 4, "unique").ids.dtype == np.int32
+        sorted_keys.clear()  # the engine's first round sorts its column pairs
+        for top in (freq.size, Q - 1):
+            table = freq.copy()
+            table[5] = top
+            values, ids = stream_ip.DistinctTable.of(table)
+            assert len(sorted_keys) == 1 and np.array_equal(sorted_keys.pop(), table)
+            assert ids.dtype == np.int64 and np.array_equal(values[ids], table)
 
-class TestOneSort:
-    """The honest prover sorts its table once per session; a lying prover
-    whose sum-check runs on another table sorts that table itself."""
+
+class TestRankedTables:
+    """Every claim and engine ranks the table that ``table(kind, degree_cap)``
+    returns: the honest prover's frequency table, or a lying prover's
+    clamped or doctored one."""
 
     @staticmethod
-    def _sorted_tables(monkeypatch, cfg, prover, which):
-        """The session's result and the tables sorted after the prover
+    def _ranked_tables(monkeypatch, cfg, prover, which):
+        """The session's result and the tables ranked after the prover
         ingested the stream (a doctoring prover may total a table there)."""
         tables = []
-        sort = stream_ip.DistinctTable.of
-        monkeypatch.setattr(stream_ip.DistinctTable, "of", lambda table: tables.append(table) or sort(table))
+        rank = stream_ip.DistinctTable.of
+        monkeypatch.setattr(stream_ip.DistinctTable, "of", lambda table: tables.append(table) or rank(table))
         ingest = prover.ingest
         monkeypatch.setattr(prover, "ingest", lambda *args: (ingest(*args), tables.clear()))
         res = cfg.run_one(cfg.make_distribution(which), prover, seed=91)
@@ -526,34 +547,36 @@ class TestOneSort:
     def _cfg(self, **keys):
         return UniformityConfig(k=256, epsilon=0.9, allow_small_epsilon=True, **keys)
 
-    def test_honest_sumchecks_share_one_sort(self, monkeypatch):
+    def test_honest_sumchecks_rank_the_frequency_table(self, monkeypatch):
         cfg = self._cfg()
         assert cfg.decision_statistic == "collisions"  # unique, range and collision sum-checks all run
         prover = HonestStreamProver()
-        res, tables = self._sorted_tables(monkeypatch, cfg, prover, "uniform")
+        res, tables = self._ranked_tables(monkeypatch, cfg, prover, "uniform")
         assert res.accepted, res.abort_reason
-        assert len(tables) == 1 and tables[0] is prover.freq
+        # the unique claim and engine, the range engine, the collision claim and engine
+        assert len(tables) == 5 and all(table is prover.freq for table in tables)
         zeta = [m61.rand_fe(rng(1)) for _ in range(cfg.b)]
-        unique, range_ = prover.engine("unique", 32), prover.engine("range", 32, zeta)
-        assert unique.values is range_.values and unique.ids is range_.ids
-        assert len(tables) == 1
+        prover.engine("unique", 32)
+        prover.engine("range", 32, zeta)
+        prover.claim("collisions", 32)
+        assert len(tables) == 8 and all(table is prover.freq for table in tables)
 
-    def test_range_clamp_sorts_its_clamped_table(self, monkeypatch):
+    def test_range_clamp_ranks_its_clamped_table(self, monkeypatch):
         cfg = self._cfg(degree_cap=4, distribution="point_mass")
         prover = stream_ip.RangeClampProver()
-        res, tables = self._sorted_tables(monkeypatch, cfg, prover, "point_mass")
-        assert not res.accepted
-        assert tables[0] is prover.freq
-        assert tables[1] is not prover.freq
-        assert np.array_equal(tables[1], np.minimum(prover.freq, np.uint64(4)))
+        res, tables = self._ranked_tables(monkeypatch, cfg, prover, "point_mass")
+        assert not res.accepted and "range certificate rejected" in res.abort_reason
+        # the unique claim and engine, then the range engine
+        assert [table is prover.freq for table in tables] == [True, True, False]
+        assert np.array_equal(tables[2], np.minimum(prover.freq, np.uint64(4)))
 
-    def test_decision_flip_sorts_its_doctored_collision_table(self, monkeypatch):
+    def test_decision_flip_ranks_its_doctored_collision_table(self, monkeypatch):
         cfg = self._cfg()
         prover = DecisionFlipProver(cfg)
-        res, tables = self._sorted_tables(monkeypatch, cfg, prover, "uniform")
+        res, tables = self._ranked_tables(monkeypatch, cfg, prover, "uniform")
         assert not res.accepted and "collision-count sum-check rejected" in res.abort_reason
-        assert len(tables) == 2
-        assert tables[0] is prover.freq and tables[1] is prover.doctored
+        assert [table is prover.freq for table in tables] == [True] * 3 + [False] * 2
+        assert all(table is prover.doctored for table in tables[3:])
         assert not np.array_equal(prover.doctored, prover.freq)
 
 
@@ -682,7 +705,7 @@ class TestEngineAgainstReference:
         monkeypatch.setattr(
             stream_ip, "chi_table_for_point", lambda n, p: builds.append(n) or chi_table_for_point(n, p)
         )
-        eng = stream_ip._SumcheckEngine(freq, degree_cap, "range", chi_point=st.zeta)
+        eng = ClosingEngine(freq, degree_cap, "range", chi_point=st.zeta)
         table, chi = freq, chi_table_for_point(k, st.zeta)
         for j, r in enumerate(st.r):
             # the eq suffix, built once and folded by every bind

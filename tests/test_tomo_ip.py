@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ipsim import qcore, qmeas, tomo_ip
-from ipsim.harness import CopyOracle, batch_rates
+from ipsim.harness import CopyOracle, LiveCopyTracker, batch_rates
 from ipsim.tomo_ip import (
     CLOSE,
     FAR,
@@ -202,6 +202,65 @@ class TestSampledReference:
             per_first = 6 * d * max(64, 8 * d)
             attempts.append(int(np.log2(new_meter["tomography"] // per_first + 1)))
         assert max(attempts) >= 2  # sessions that double their shots are covered
+
+
+def _per_basis_stream_tomography(oracle_p, target, d, rng):
+    """``tomo_ip._sampled_tomography`` with one stream and one multinomial
+    draw per basis and half: the loop its one stream and one draw replaced."""
+    n_bases = 3 * d
+    shots = max(64, 8 * d)
+    for _ in range(14):
+        bases = qcore.sample_haar_unitaries(n_bases, d, rng)
+        # design-matrix row (b, j) is the flattened conjugate of the
+        # projector onto column j of basis b, so row . vec(rho) = p_bj
+        cols = bases.swapaxes(1, 2)
+        a = (cols[:, :, :, None] * cols[:, :, None, :].conj()).conj().reshape(-1, d * d)
+        freqs = np.empty((2, n_bases, d))
+        probs = None
+        for half in range(2):
+            for b in range(n_bases):
+                copy_state = oracle_p.stream(shots, "tomography")[0]
+                if probs is None:
+                    # every copy has the hidden state's one description, so
+                    # one table of Born probabilities serves the attempt
+                    probs = qmeas.basis_probabilities(copy_state, bases)
+                freqs[half, b] = rng.multinomial(shots, probs[b]) / shots
+        freqs = freqs.reshape(2, -1)
+        # both halves in one solve; its last bits can differ from those of two
+        # one-column solves, but only the test below reads the halves
+        sols, *_ = np.linalg.lstsq(a, freqs.T, rcond=None)
+        halves = [qcore.project_to_density(sol.reshape(d, d)) for sol in sols.T]
+        split_dist = qcore.one_norm_distance(halves[0], halves[1])
+        # split halves are independent estimates, so their gap is roughly
+        # twice the pooled error; certify with a safety margin
+        if split_dist * 0.9 <= target:
+            pooled, *_ = np.linalg.lstsq(np.vstack([a, a]), freqs.reshape(-1), rcond=None)
+            return qcore.project_to_density(pooled.reshape(d, d))
+        shots *= 2
+    raise ProtocolAbort("sampled tomography failed to certify its target")
+
+
+class TestOneStream:
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_one_stream_matches_per_basis_loop(self, d):
+        # same hypothesis, meter, generator state and peak of one live copy;
+        # sampled lowrank runs the same function at its own target
+        attempts = []
+        for seed in range(6):
+            hidden = qcore.sample_state(d, 1 + seed % d, np.random.default_rng(seed))
+            for target in (TomoConfig(d=d, mode="sampled").prover_target, 0.1):
+                runs = []
+                for tomography in (tomo_ip._sampled_tomography, _per_basis_stream_tomography):
+                    tracker = LiveCopyTracker()
+                    oracle, rng = CopyOracle(hidden, tracker=tracker), np.random.default_rng(200 + seed)
+                    hyp = tomography(oracle, target, d, rng)
+                    runs.append((hyp.entries, oracle.meter.by_kind, rng.bit_generator.state, tracker.peak))
+                (new, new_meter, new_state, new_peak), (ref, *ref_rest) = runs
+                assert np.array_equal(new, ref)
+                assert [new_meter, new_state, new_peak] == ref_rest and new_peak == 1
+                # copies per attempt are 2 * 3d * shots, and shots double
+                attempts.append(int(np.log2(new_meter["tomography"] // (6 * d * max(64, 8 * d)) + 1)))
+        assert max(attempts) >= 2  # attempts that double their shots are covered
 
 
 class TestSessions:

@@ -353,6 +353,19 @@ class Channel:
             self.transcript.extend([line] * n)
         return CopyStream(state, n)
 
+    def send_rounds(self, states, n: int, answers, first_round: int) -> None:
+        """Round ``first_round + i`` sends n copies of ``states[i]`` v->p and
+        the bit ``answers[i]`` p->v: the counters and transcript lines, in
+        order, of a ``send_stream`` and a ``send_bits`` per round."""
+        if self.kind == "classical":
+            raise ChannelTypeError("classical channel rejects qudit payloads")
+        self.qudits_v_to_p += n * len(states)
+        self.bits_p_to_v += len(answers)
+        if self.record_transcript:
+            for r, (state, answer) in enumerate(zip(states, answers), first_round):
+                self.transcript += [transcript_line(r, "v->p", "qudits", 1, payload_digest([state]))] * n
+                self.transcript.append(transcript_line(r, "p->v", "bits", 1, payload_digest([answer])))
+
     def counters(self) -> dict:
         return {
             "bits_v_to_p": self.bits_v_to_p,
@@ -385,9 +398,10 @@ class Session:
     def rng(self, label: str) -> np.random.Generator:
         return derive_rng(self.seed, label)
 
-    def next_round(self) -> int:
-        self.round_index += 1
-        return self.round_index
+    def next_round(self, n: int = 1) -> int:
+        """Starts the next n rounds; returns the index of the first."""
+        self.round_index += n
+        return self.round_index - n + 1
 
 
 @dataclass(frozen=True)
@@ -465,7 +479,7 @@ def same_instance(instance, other) -> bool:
     """Whether two hidden instances are the same: density matrices to within
     1e-9 entrywise, anything else by equality."""
     if hasattr(instance, "entries") and hasattr(other, "entries"):
-        return bool(np.allclose(instance.entries, other.entries, rtol=0.0, atol=1e-9))
+        return bool(np.abs(instance.entries - other.entries).max() <= 1e-9)
     return instance == other
 
 

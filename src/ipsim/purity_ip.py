@@ -6,11 +6,14 @@ answers each round with pairwise SWAP tests; the verifier aborts on any
 failed test round or inconsistent compute answers.
 
 The verifier draws every round kind and mask up front and decides only
-after the last round, so a session runs as array steps: the N round
-descriptions are prepared as one stack (the compute rounds masked in one
-``with_unitary``), and the prover answers all rounds in one call; the
-honest prover's one draw is what its per-pair loop drew. Metering, the
-memory policy and the transcript are still per round.
+after the last round, so a session runs as array steps that compute only
+what the rounds read. A pure-test round reads only its mask's first column,
+so it takes the QR of that column alone, whose bits are the full QR's: the
+first Householder reflector reads nothing else. The compute rounds are
+masked in one ``with_unitary``; the honest prover takes every overlap in
+one product and its uniforms in one draw, which is what its per-pair loop
+drew; the channel accounts all N rounds in one step. Meters, the memory
+policy and the transcript are those of the per-round loop.
 """
 
 from __future__ import annotations
@@ -52,36 +55,40 @@ class RoundRecord:
     prover_answer: int
 
 
-def sample_masks(ensemble: str, d: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n unitary masks in draw order, shape (n, d, d): one checked Haar stack,
-    or the entries of n ``UnitaryOp``-checked Clifford or Pauli draws."""
+def sample_masks(ensemble: str, d: int, kinds: list[str], rng: np.random.Generator) -> tuple:
+    """What the session reads of the masks of its non-mixed ``kinds``, drawn
+    in round order: column 0 of each pure-test round's mask, shape (p, d),
+    and each compute round's mask, shape (c, d, d). Haar masks come from one
+    ``standard_normal((p + c, 2, d, d))`` stack, a pure-test round's from
+    the QR of its first column only, whose bits are the full QR's; Clifford
+    and Pauli masks are drawn whole, as ``UnitaryOp``-checked operators."""
+    codes = np.array(kinds)
+    pure = codes[codes != "m"] == "p"
     if ensemble == "haar":
-        return qcore.sample_haar_unitaries(n, d, rng)
+        g = rng.standard_normal((len(pure), 2, d, d))
+        return qcore.haar_factors(g[pure, :, :, :1])[:, :, 0], qcore.haar_factors(g[~pure])
     nq = int(round(math.log2(d)))
     if (1 << nq) != d:
         raise ValueError(f"{ensemble} masks need a power-of-two dimension, got {d}")
     if ensemble == "clifford":
-        ops = [qmeas.sample_uniform_clifford(nq, rng) for _ in range(n)]
+        ops = [qmeas.sample_uniform_clifford(nq, rng) for _ in pure]
     else:
-        labels = (qmeas.PauliLabel.from_index(nq, int(rng.integers(0, 4**nq))) for _ in range(n))
+        labels = (qmeas.PauliLabel.from_index(nq, int(rng.integers(0, 4**nq))) for _ in pure)
         ops = [qcore.UnitaryOp(qmeas.dense_pauli(label)) for label in labels]
-    return np.array([op.entries for op in ops], dtype=complex).reshape(n, d, d)
+    masks = np.array([op.entries for op in ops], dtype=complex).reshape(len(pure), d, d)
+    return masks[pure, :, 0], masks[~pure]
 
 
-def prepare_rounds(kinds: list[str], masks: np.ndarray, oracle_v: CopyOracle, cfg: PurityConfig) -> list:
-    """Every round's description, in round order, with ``masks`` the masks of
-    the non-mixed rounds in order: mixed rounds share one I/d, pure-test rounds
-    mask |0><0| and the compute rounds mask m oracle copies each, all in one
-    ``CopyOracle.stream`` over their stacked masks (charged m per round)."""
-    codes = np.array(kinds)
-    pure = codes[codes != "m"] == "p"
-    states = np.empty_like(masks)
-    first = masks[pure, :, 0]
-    states[pure] = first[:, :, None] * first[:, None, :].conj()
-    if not pure.all():
-        states[~pure] = oracle_v.stream(cfg.m, "compute-round", unitary=masks[~pure]).state
-    mixed, masked = np.eye(cfg.d, dtype=complex) / cfg.d, iter(states)
-    return [mixed if kind == "m" else next(masked) for kind in kinds]
+def prepare_rounds(kinds: list[str], columns, masks, oracle_v: CopyOracle, cfg: PurityConfig) -> list:
+    """Every round's description, in round order, from ``sample_masks``'s
+    ``columns`` and ``masks``: mixed rounds share one I/d, a pure-test round
+    masks |0><0| (its mask's first column c gives c c+), and the compute
+    rounds mask m oracle copies each, all in one ``CopyOracle.stream`` over
+    their stacked masks (charged m per round)."""
+    pure = iter(columns[:, :, None] * columns[:, None, :].conj())
+    compute = iter(oracle_v.stream(cfg.m, "compute-round", unitary=masks).state if len(masks) else ())
+    mixed = cfg.mixed.entries
+    return [mixed if kind == "m" else next(pure if kind == "p" else compute) for kind in kinds]
 
 
 def swap_outcomes(states, rng: np.random.Generator):
@@ -141,15 +148,20 @@ class HonestSwapProver(PurityProver):
         """``answer_round`` on every round, with the uniforms of all m/2 tests
         of all rounds drawn at once: each round reads the next ones up to its
         first rejection, and the (PCG64) generator is then rewound to where
-        those per-pair draws leave it. One overlap per distinct description."""
+        those per-pair draws leave it. The overlaps of the distinct
+        descriptions come from one stacked product."""
         distinct = {id(state): state for state in rounds}
-        accept = {key: qmeas.swap_accept(np.vdot(state, state)) for key, state in distinct.items()}
+        f = np.array(list(distinct.values())).reshape(len(distinct), 1, -1)
+        overlaps = (f.conj() @ f.swapaxes(1, 2)).ravel()  # the bits of each np.vdot(state, state)
+        accept = {key: qmeas.swap_accept(overlap) for key, overlap in zip(distinct, overlaps)}
         tests, bg = cfg.m // 2, rng.bit_generator
         saved = bg.state
         draws = rng.random(len(rounds) * tests).tolist()
         answers, used = [], 0
         for state in rounds:
             p, end = accept[id(state)], used + tests
+            if p >= 1.0:  # every draw, being below 1, accepts
+                used = end
             while used < end and draws[used] < p:
                 used += 1
             answers.append(PURE if used == end else MIXED)
@@ -219,15 +231,11 @@ class PurityVerifier:
         kinds = ("m", "p", "c")
         # all kinds, then all masks: each generator draws nothing else, so the values are the per-round ones
         round_kinds = [kinds[i] for i in rng_kinds.integers(0, 3, size=cfg.N)]
-        masks = sample_masks(cfg.mask_ensemble, cfg.d, cfg.N - round_kinds.count("m"), session.rng("masks"))
-        rounds = prepare_rounds(round_kinds, masks, session.oracle_v, cfg)
-        answers = prover.answer_rounds(rounds, cfg, session.rng("prover"))
-        records: list[RoundRecord] = []
-        for kind, state, answer in zip(round_kinds, rounds, map(int, answers)):
-            round_idx = session.next_round()
-            session.channel.send_stream("v->p", state, cfg.m, round_idx)
-            session.channel.send_bits("p->v", [answer], round_idx)
-            records.append(RoundRecord(kind, answer))
+        masks = sample_masks(cfg.mask_ensemble, cfg.d, round_kinds, session.rng("masks"))
+        rounds = prepare_rounds(round_kinds, *masks, session.oracle_v, cfg)
+        answers = list(map(int, prover.answer_rounds(rounds, cfg, session.rng("prover"))))
+        session.channel.send_rounds(rounds, cfg.m, answers, session.next_round(cfg.N))
+        records = [RoundRecord(kind, answer) for kind, answer in zip(round_kinds, answers)]
         self.extras["compute_rounds"] = round_kinds.count("c")
         self.extras["round_kind_counts"] = {k: round_kinds.count(k) for k in kinds}
         return purity_verdict(records)
@@ -276,6 +284,11 @@ class PurityConfig:
         tests = math.ceil(math.log(1 / self.delta_tilde) / math.log(2 / (1 + 1 / self.d)))
         return 2 * tests
 
+    @cached_property
+    def mixed(self) -> qcore.DensityMatrix:
+        """I/d, built once: the accept instance and the mixed rounds' description."""
+        return qcore.maximally_mixed(self.d)
+
     def formula(self) -> dict:
         return {"N": self.N, "m": self.m, "delta_tilde": self.delta_tilde}
 
@@ -285,14 +298,14 @@ class PurityConfig:
     def task(self) -> ManyVsOneTask:
         d = self.d
         return ManyVsOneTask(
-            accept_instance=qcore.maximally_mixed(d),
+            accept_instance=self.mixed,
             reject_sampler=lambda rng: qcore.sample_pure_state(d, rng).density(),
             accept_output=OUTPUT_MIXED,
         )
 
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.DensityMatrix:
         if which == "accept":
-            return qcore.maximally_mixed(self.d)
+            return self.mixed
         if which == "reject":
             return qcore.sample_pure_state(self.d, rng).density()
         raise ValueError(f"unknown instance source {which}")
@@ -311,7 +324,7 @@ class PurityConfig:
         """Exact validity: the answer must match the hidden instance type."""
         if qcore.purity(hidden) > 1 - 1e-9:
             return output == OUTPUT_PURE
-        if same_instance(hidden, qcore.maximally_mixed(self.d)):
+        if same_instance(hidden, self.mixed):
             return output == OUTPUT_MIXED
         return True  # outside the promise both answers are valid
 

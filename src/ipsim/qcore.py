@@ -80,7 +80,7 @@ def last_state_cache(fn):
 def _check_psd_matrix(entries: np.ndarray, trace_range, label: str) -> np.ndarray:
     if entries.ndim != 2 or entries.shape[0] != entries.shape[1]:
         raise DimensionError(f"{label} entries must be square")
-    if not np.allclose(entries, entries.conj().T, rtol=0.0, atol=HERM_ATOL):
+    if not np.abs(entries - entries.conj().T).max() <= HERM_ATOL:  # False on NaN too
         raise InvariantError(f"{label} not Hermitian within {HERM_ATOL}")
     evals = np.linalg.eigvalsh(entries)
     if evals.min() < EIG_FLOOR:
@@ -245,34 +245,40 @@ def truncate_rank_k(rho: DensityMatrix, k: int, normalize: bool = False):
     return SubnormalizedPSD(mat)
 
 
-def _haar_stack(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """QR of n complex Gaussians with phase-fixed diagonals, not yet checked.
-
-    One draw holds the real-part and then the imaginary-part block of each
-    matrix in turn, so n = 1 draws what each of n successive calls would.
-    """
-    if d < 2:
+def _haar_factors(g: np.ndarray) -> np.ndarray:
+    """Q of the QR of the complex Gaussians (g[:, 0] + i g[:, 1]) / sqrt(2),
+    phases fixed by R's diagonal (Mezzadri, math-ph/0609050), unchecked. At
+    g of shape (n, 2, d, k < d) these are the first k columns of the d x d
+    factors, bit for bit: the first k Householder reflectors read only them."""
+    if g.shape[-2] < 2:
         raise DimensionError("d must be >= 2")
-    g = rng.standard_normal((n, 2, d, d))
     q, r = np.linalg.qr((g[:, 0] + 1j * g[:, 1]) / np.sqrt(2))
     diag = np.diagonal(r, axis1=-2, axis2=-1)
     return q * (diag / np.abs(diag))[:, None, :]
 
 
-def sample_haar_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
-    """n Haar-uniform d x d unitaries, shape (n, d, d): the same matrices and
-    the same draws as n successive ``sample_haar_unitary`` calls, each held
-    to ``UNITARY_ATOL`` like a ``UnitaryOp``."""
-    u = _haar_stack(n, d, rng)
-    resid = np.abs(u @ u.conj().swapaxes(-1, -2) - np.eye(d)).max(initial=0.0)
+def haar_factors(g: np.ndarray) -> np.ndarray:
+    """``_haar_factors(g)``, each factor's columns held orthonormal to
+    ``UNITARY_ATOL`` in max entry norm: a full factor is then unitary like
+    a ``UnitaryOp``, and a one-column factor a unit vector."""
+    q = _haar_factors(g)
+    resid = np.abs(q.conj().swapaxes(-1, -2) @ q - np.eye(q.shape[-1])).max(initial=0.0)
     if resid > UNITARY_ATOL:
         raise InvariantError(f"unitarity residual {resid} > {UNITARY_ATOL}")
-    return u
+    return q
+
+
+def sample_haar_unitaries(n: int, d: int, rng: np.random.Generator) -> np.ndarray:
+    """n Haar-uniform d x d unitaries, shape (n, d, d), from one
+    ``standard_normal((n, 2, d, d))`` draw: the real-part and then the
+    imaginary-part block of each matrix in turn, so the same matrices and
+    draws as n successive ``sample_haar_unitary`` calls."""
+    return haar_factors(rng.standard_normal((n, 2, d, d)))
 
 
 def sample_haar_unitary(d: int, rng: np.random.Generator) -> UnitaryOp:
     """Haar-uniform unitary: QR of a complex Gaussian with phase-fixed diagonal."""
-    return UnitaryOp(_haar_stack(1, d, rng)[0])
+    return UnitaryOp(_haar_factors(rng.standard_normal((1, 2, d, d)))[0])
 
 
 def sample_pure_state(d: int, rng: np.random.Generator) -> PureState:

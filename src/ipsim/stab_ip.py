@@ -124,6 +124,9 @@ def _packed_labels(generators: np.ndarray) -> np.ndarray:
     return (generators[..., :two_n].astype(np.int64) << np.arange(two_n)).sum(axis=-1)
 
 
+_BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
 class StabilizerStateDesc:
     """Stabilizer state given by n signed generators.
 
@@ -154,16 +157,17 @@ class StabilizerStateDesc:
         return self._table[self._row]
 
     def packed_rows(self) -> list[tuple[int, int]]:
-        """(packed xz label, sign) per generator row."""
-        signs = self.generators[:, 2 * self.n]
-        return [(int(p), int(s)) for p, s in zip(_packed_labels(self.generators), signs)]
+        """(packed xz label, sign) per generator row, on Python ints: a row's
+        bits, read from bit 2n - 1 down, are the binary digits of its label."""
+        digits, w = self.generators.tobytes().translate(_BIT_DIGITS), 2 * self.n + 1
+        return [(int(digits[i : i + w - 1][::-1], 2), int(digits[i + w - 1 : i + w])) for i in range(0, len(digits), w)]
 
     def validate_group(self):
-        if self.generators.min() < 0 or self.generators.max() > 1:
+        if self.generators.tobytes().translate(None, b"\x00\x01"):
             raise ValueError("generator entries must be bits")
         rows = [p for p, _ in self.packed_rows()]
-        commute = _commute_masks(self.n)
-        if any(not (commute[a] >> b) & 1 for a in rows for b in rows):
+        commute, span = _commute_masks(self.n), sum(1 << b for b in set(rows))
+        if any(commute[a] & span != span for a in rows):
             raise ValueError("generators do not commute")
         # GF(2) independence via elimination
         basis = []

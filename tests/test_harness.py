@@ -171,7 +171,7 @@ class TestCopyStream:
 
     @staticmethod
     def _mask_stack(ensemble, d, k):
-        return sample_masks(ensemble, d, k, np.random.default_rng(d))
+        return sample_masks(ensemble, d, ["c"] * k, np.random.default_rng(d))[1]  # k compute rounds' masks
 
     @pytest.mark.parametrize("ensemble", ["haar", "clifford", "pauli"])
     @pytest.mark.parametrize("d", [2, 4, 8, 16])

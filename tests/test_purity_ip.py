@@ -11,6 +11,7 @@ import pytest
 from ipsim import purity_ip, qcore, qmeas
 from ipsim.harness import (
     Channel,
+    ChannelTypeError,
     CopyOracle,
     CopyStream,
     LiveCopyTracker,
@@ -75,14 +76,13 @@ class ReferenceVerifier(PurityVerifier):
         kind_seed = cfg.kind_seed
         rng_kinds = session.rng("round-kinds") if kind_seed is None else derive_rng(kind_seed, "round-kinds")
         kinds = ("m", "p", "c")
-        # all kinds, then all masks: each generator draws nothing else, so the values are the per-round ones
+        # all kinds first: that generator draws nothing else, so the values are the per-round ones
         round_kinds = [kinds[i] for i in rng_kinds.integers(0, 3, size=cfg.N)]
-        masks = iter(sample_masks(cfg.mask_ensemble, cfg.d, cfg.N - round_kinds.count("m"), session.rng("masks")))
-        rng_prover = session.rng("prover")
+        rng_masks, rng_prover = session.rng("masks"), session.rng("prover")
         records: list[RoundRecord] = []
         for kind in round_kinds:
             round_idx = session.next_round()
-            mask = None if kind == "m" else next(masks)
+            mask = None if kind == "m" else _reference_mask(cfg.mask_ensemble, cfg.d, rng_masks).entries
             received = prepare_round_state(kind, session.oracle_v, cfg, mask, session.channel, round_idx)
             answer = int(prover.answer_round(received, cfg, rng_prover))
             session.channel.send_bits("p->v", [answer], round_idx)
@@ -124,7 +124,7 @@ class TestPrepareRoundState:
     @staticmethod
     def _send(kind, oracle, p, seed):
         channel = Channel("quantum")
-        mask = None if kind == "m" else sample_masks(p.mask_ensemble, p.d, 1, np.random.default_rng(seed))[0]
+        mask = None if kind == "m" else _full_masks(p.mask_ensemble, p.d, 1, np.random.default_rng(seed))[0]
         copies = prepare_round_state(kind, oracle, p, mask, channel, 0)
         assert channel.qudits_v_to_p == len(copies) == p.m
         return copies, mask
@@ -167,10 +167,11 @@ class TestPrepareRounds:
     def test_rounds_equal_per_round_preparation(self, ensemble, d):
         cfg = PurityConfig(d=d, mask_ensemble=ensemble)
         kinds = [("m", "p", "c")[i] for i in np.random.default_rng(d).integers(0, 3, size=60)]
-        masks = sample_masks(ensemble, d, 60 - kinds.count("m"), np.random.default_rng(1))
+        masks = _full_masks(ensemble, d, 60 - kinds.count("m"), np.random.default_rng(1))
         hidden = qcore.sample_state(d, 2, np.random.default_rng(2))
         oracle, ref_oracle = (CopyOracle(hidden, tracker=LiveCopyTracker(1)) for _ in range(2))
-        rounds = purity_ip.prepare_rounds(kinds, masks, oracle, cfg)
+        drawn = sample_masks(ensemble, d, kinds, np.random.default_rng(1))  # the same draws, as a session reads them
+        rounds = purity_ip.prepare_rounds(kinds, *drawn, oracle, cfg)
         rest, channel = iter(masks), Channel("quantum")
         for kind, state in zip(kinds, rounds, strict=True):
             mask = None if kind == "m" else next(rest)
@@ -182,11 +183,18 @@ class TestPrepareRounds:
     def test_rounds_without_compute_rounds_query_nothing(self):
         cfg = PurityConfig(d=4)
         oracle = CopyOracle(qcore.maximally_mixed(4), tracker=LiveCopyTracker(1))
-        masks = sample_masks("haar", 4, 2, np.random.default_rng(0))
-        rounds = purity_ip.prepare_rounds(["m", "p", "m", "p"], masks, oracle, cfg)
+        kinds = ["m", "p", "m", "p"]
+        columns, masks = sample_masks("haar", 4, kinds, np.random.default_rng(0))
+        assert (columns.shape, masks.shape) == ((2, 4), (0, 4, 4))
+        rounds = purity_ip.prepare_rounds(kinds, columns, masks, oracle, cfg)
         assert len(rounds) == 4 and rounds[0] is rounds[2]
-        assert np.array_equal(rounds[3], np.outer(masks[1][:, 0], masks[1][:, 0].conj()))
+        assert np.array_equal(rounds[3], np.outer(columns[1], columns[1].conj()))
         assert (oracle.meter.total, oracle.tracker.peak) == (0, 0)
+
+
+def _full_masks(ensemble, d, n, rng):
+    """n whole masks in draw order: the masks of n compute rounds."""
+    return sample_masks(ensemble, d, ["c"] * n, rng)[1]
 
 
 def _reference_mask(ensemble, d, rng):
@@ -217,30 +225,25 @@ class TestSessionMasks:
     @pytest.mark.parametrize("d", [2, 4, 8])
     @pytest.mark.parametrize("kind_seed", [None, 991])
     def test_session_draws_match_per_round_draws(self, ensemble, d, kind_seed, monkeypatch):
-        seen, mask_rngs = [], []
-        real_prepare, real_sample = purity_ip.prepare_rounds, purity_ip.sample_masks
+        draws = []
+        real_sample = purity_ip.sample_masks
 
-        def prepare(kinds, masks, oracle, params):
-            rest = iter(masks)
-            seen.extend((kind, None if kind == "m" else next(rest)) for kind in kinds)
-            return real_prepare(kinds, masks, oracle, params)
+        def sample(ensemble, d, kinds, rng):
+            draws.append((list(kinds), rng, real_sample(ensemble, d, kinds, rng)))
+            return draws[-1][2]
 
-        def sample(ensemble, d, n, rng):
-            mask_rngs.append(rng)
-            return real_sample(ensemble, d, n, rng)
-
-        monkeypatch.setattr(purity_ip, "prepare_rounds", prepare)
         monkeypatch.setattr(purity_ip, "sample_masks", sample)
         cfg = PurityConfig(d=d, mask_ensemble=ensemble, kind_seed=kind_seed)
         for seed in (3, 17):
-            seen.clear(), mask_rngs.clear()
+            draws.clear()
             cfg.run_one(cfg.sample_instance("reject", np.random.default_rng(seed)), HonestSwapProver(), seed)
             want, ref_rng = self._reference_rounds(cfg, seed, kind_seed)
-            assert [kind for kind, _ in seen] == [kind for kind, _ in want]
-            for (_, mask), (_, ref) in zip(seen, want):
-                assert (mask is None) == (ref is None)
-                assert mask is None or np.array_equal(mask, ref.entries)
-            assert mask_rngs[0].bit_generator.state == ref_rng.bit_generator.state
+            [(kinds, mask_rng, (columns, masks))] = draws
+            assert kinds == [kind for kind, _ in want]
+            # a compute round reads its whole mask, a pure-test round its mask's first column
+            assert np.array_equal(masks, np.array([ref.entries for kind, ref in want if kind == "c"]).reshape(-1, d, d))
+            assert np.array_equal(columns, np.array([ref.entries[:, 0] for kind, ref in want if kind == "p"]))
+            assert mask_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_kinds_drawn_as_one_block_equal_single_draws(self):
         for seed in range(50):
@@ -250,22 +253,24 @@ class TestSessionMasks:
             assert block.bit_generator.state == single.bit_generator.state
 
     def test_corrupted_haar_stack_raises_through_the_session(self, monkeypatch):
-        real = qcore._haar_stack
-
-        def corrupt(n, d, g):
-            stack = real(n, d, g)
-            stack[n - 1, 1, 0] += 1e-6
-            return stack
-
-        monkeypatch.setattr(qcore, "_haar_stack", corrupt)
+        real = qcore._haar_factors
         cfg = PurityConfig(d=4)
-        with pytest.raises(qcore.InvariantError, match="unitarity residual"):
-            cfg.run_one(qcore.maximally_mixed(4), HonestSwapProver(), seed=5)
+        for width in (cfg.d, 1):  # the compute rounds' masks, then the pure-test rounds' columns
+
+            def corrupt(g, width=width):
+                stack = real(g)
+                if stack.shape[-1] == width:
+                    stack[-1] *= 1 + 1e-6
+                return stack
+
+            monkeypatch.setattr(qcore, "_haar_factors", corrupt)
+            with pytest.raises(qcore.InvariantError, match="unitarity residual"):
+                cfg.run_one(qcore.maximally_mixed(4), HonestSwapProver(), seed=5)
 
     def test_clifford_and_pauli_masks_need_a_power_of_two(self):
         for ensemble in ("clifford", "pauli"):
             with pytest.raises(ValueError, match="power-of-two"):
-                sample_masks(ensemble, 6, 3, np.random.default_rng(0))
+                sample_masks(ensemble, 6, ["p", "c", "m"], np.random.default_rng(0))
 
 
 class TestHonestAnswer:
@@ -406,6 +411,19 @@ class TestBatchedHonestAnswers:
         assert got == want
         assert (1 + 1 / d) / 2 in want and 1.0 in want  # the shared I/d and |0><0|
 
+    @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
+    def test_stacked_overlaps_are_vdot_bit_for_bit(self, d, monkeypatch):
+        """The one stacked product gives each distinct description's overlap
+        with itself byte for byte as ``np.vdot`` does."""
+        seen = []
+        monkeypatch.setattr(qmeas, "swap_accept", lambda overlap: seen.append(overlap) or 0.5)
+        for seed in range(5):
+            rounds = self._rounds(d, 209, seed)
+            seen.clear()
+            HonestSwapProver().answer_rounds(rounds, PurityConfig(d=d), np.random.default_rng(seed))
+            distinct = {id(state): state for state in rounds}.values()
+            assert [x.tobytes() for x in seen] == [np.vdot(state, state).tobytes() for state in distinct]
+
     def test_no_round_rejects(self):
         d, tests = 4, 13
         basis = np.zeros((d, d), dtype=complex)
@@ -421,6 +439,36 @@ class TestBatchedHonestAnswers:
         want, rng = self._compare(self._rounds(8, 209, 6), 13, 8, 6)
         assert want == [MIXED] * 209
         assert rng.bit_generator.state == start.bit_generator.advance(209).state
+
+
+class TestRoundAccounting:
+    """``Channel.send_rounds`` against a ``send_stream`` and a ``send_bits``
+    per round, the loop a session ran before."""
+
+    @pytest.mark.parametrize("transcript", [False, True])
+    def test_counters_and_transcript_equal_per_round_sends(self, transcript):
+        cfg, g = PurityConfig(d=4), np.random.default_rng(0)
+        kinds = [("m", "p", "c")[i] for i in g.integers(0, 3, size=40)]
+        oracle = CopyOracle(qcore.sample_state(4, 2, g), tracker=LiveCopyTracker(1))
+        rounds = purity_ip.prepare_rounds(kinds, *sample_masks("haar", 4, kinds, g), oracle, cfg)
+        answers = g.integers(0, 2, size=len(rounds)).tolist()
+        bulk, ref = (Channel("quantum", record_transcript=transcript) for _ in range(2))
+        for channel in (bulk, ref):
+            channel.send_bits("v->p", [1, 0], 0)  # earlier traffic
+        bulk.send_rounds(rounds, cfg.m, answers, 3)
+        for r, (state, answer) in enumerate(zip(rounds, answers), 3):
+            ref.send_stream("v->p", state, cfg.m, r)
+            ref.send_bits("p->v", [answer], r)
+        assert bulk.counters() == ref.counters()
+        assert bulk.transcript == ref.transcript
+        assert len(bulk.transcript) == (1 + 40 * (cfg.m + 1) if transcript else 0)
+
+    def test_classical_channel_rejects_the_rounds(self):
+        channel = Channel("classical")
+        with pytest.raises(ChannelTypeError, match="classical channel rejects qudit payloads"):
+            channel.send_rounds([np.eye(2) / 2], 2, [0], 1)
+        assert channel.counters() == Channel("classical").counters()
+        assert channel.transcript == []
 
 
 class TestVerdict:

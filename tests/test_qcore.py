@@ -49,6 +49,16 @@ class TestTypes:
         with pytest.raises(InvariantError):
             qcore.SubnormalizedPSD(np.diag([1.3, 0.2]).astype(complex))
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf - inf
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0), (0, 1)])
+    def test_non_finite_entries_rejected(self, bad, where):
+        m = np.eye(2, dtype=complex) / 2
+        m[where] = bad
+        for kind in (DensityMatrix, qcore.SubnormalizedPSD):
+            with pytest.raises(InvariantError, match="not Hermitian"):
+                kind(m)
+
     def test_unitary_residual_checked(self):
         with pytest.raises(InvariantError):
             UnitaryOp(np.array([[1.0, 0.0], [0.0, 1.0 + 1e-6]]))
@@ -187,9 +197,27 @@ class TestSampling:
     def test_batched_haar_checks_unitarity(self, monkeypatch):
         stack = sample_haar_unitaries(3, 4, rng(9))
         stack[1, 0, 0] *= 1.001
-        monkeypatch.setattr(qcore, "_haar_stack", lambda n, d, g: stack)
+        monkeypatch.setattr(qcore, "_haar_factors", lambda g: stack)
         with pytest.raises(InvariantError, match="unitarity residual"):
             sample_haar_unitaries(3, 4, rng(9))
+
+    @pytest.mark.parametrize("d", [2, 3, 8, 16, 129, 256])
+    def test_one_column_factor_is_the_full_first_column_bit_for_bit(self, d):
+        """The d x 1 QR a pure-test round takes gives, byte for byte, column 0
+        of the d x d factor of the same Gaussians: LAPACK's first reflector
+        reads only that column, here on both sides of its blocking size."""
+        g = rng(d).standard_normal((200 if d <= 16 else 2, 2, d, d))
+        full, first = qcore.haar_factors(g), qcore.haar_factors(g[..., :1])
+        assert first.shape == (len(g), d, 1)
+        assert first.tobytes() == np.ascontiguousarray(full[..., :1]).tobytes()
+
+    def test_one_column_factor_held_to_unit_norm(self, monkeypatch):
+        g = rng(4).standard_normal((3, 2, 4, 1))
+        column = qcore._haar_factors(g)
+        column[1] *= 1 + 1e-6
+        monkeypatch.setattr(qcore, "_haar_factors", lambda g: column)
+        with pytest.raises(InvariantError, match="unitarity residual"):
+            qcore.haar_factors(g)
 
     def test_haar_rejects_d_below_two(self):
         with pytest.raises(DimensionError):

@@ -160,8 +160,6 @@ class HonestSwapProver(PurityProver):
         answers, used = [], 0
         for state in rounds:
             p, end = accept[id(state)], used + tests
-            if p >= 1.0:  # every draw, being below 1, accepts
-                used = end
             while used < end and draws[used] < p:
                 used += 1
             answers.append(PURE if used == end else MIXED)

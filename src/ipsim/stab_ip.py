@@ -118,13 +118,15 @@ def _pack_generators(n: int, subspaces: list[list[int]]) -> np.ndarray:
     return out.reshape(-1, n, 2 * n + 1)
 
 
-def _packed_labels(generators: np.ndarray) -> np.ndarray:
-    """Pauli labels x | (z << n) of generator rows, over any leading shape."""
-    two_n = generators.shape[-1] - 1
-    return (generators[..., :two_n].astype(np.int64) << np.arange(two_n)).sum(axis=-1)
-
-
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _packed_rows(n: int, generator_bytes: bytes) -> list[tuple[int, int]]:
+    """(Pauli label x | (z << n), sign) per row of the n x (2n+1) int8 bit
+    array with these bytes, on Python ints: a row's bits, read from bit
+    2n - 1 down, are the binary digits of its label."""
+    digits, w = generator_bytes.translate(_BIT_DIGITS), 2 * n + 1
+    return [(int(digits[i : i + w - 1][::-1], 2), int(digits[i + w - 1 : i + w])) for i in range(0, len(digits), w)]
 
 
 class StabilizerStateDesc:
@@ -157,10 +159,8 @@ class StabilizerStateDesc:
         return self._table[self._row]
 
     def packed_rows(self) -> list[tuple[int, int]]:
-        """(packed xz label, sign) per generator row, on Python ints: a row's
-        bits, read from bit 2n - 1 down, are the binary digits of its label."""
-        digits, w = self.generators.tobytes().translate(_BIT_DIGITS), 2 * self.n + 1
-        return [(int(digits[i : i + w - 1][::-1], 2), int(digits[i + w - 1 : i + w])) for i in range(0, len(digits), w)]
+        """(packed xz label, sign) per generator row."""
+        return _packed_rows(self.n, self.generators.tobytes())
 
     def validate_group(self):
         if self.generators.tobytes().translate(None, b"\x00\x01"):
@@ -201,30 +201,25 @@ def _projector_factors(n: int) -> np.ndarray:
     return out
 
 
-def _render(n: int, generators: np.ndarray) -> np.ndarray:
-    """2^n amplitudes of the stabilizer state with n x (2n+1) generator array.
+@lru_cache(maxsize=64)
+def _rendered(n: int, generator_bytes: bytes) -> qcore.PureState:
+    """The stabilizer state of the n x (2n+1) int8 generator array with these
+    bytes. A trial renders its instance's base state and, from the honest
+    prover, the same generators again; this renders them once.
 
     The state is the largest column of the product of its projectors
     (I + (-1)^s W) / 2, normalized, with the first significant entry made
     real positive. Every projector entry is a dyadic rational, so the
     product is exact.
     """
-    factors = _projector_factors(n)[generators[:, 2 * n], _packed_labels(generators)]
-    proj = reduce(np.matmul, factors)
+    labels, signs = zip(*_packed_rows(n, generator_bytes))
+    proj = reduce(np.matmul, _projector_factors(n)[list(signs), list(labels)])
     norms = np.linalg.norm(proj, axis=0)
     col = norms.argmax()
     v = proj[:, col] / norms[col]
     # canonical global phase: first significant entry real positive
     first = v[(np.abs(v) > 1e-8).argmax()]
-    return v * (first.conj() / np.abs(first))
-
-
-@lru_cache(maxsize=64)
-def _rendered(n: int, generator_bytes: bytes) -> qcore.PureState:
-    """The state ``_render`` gives for the n x (2n+1) int8 generator array
-    with these bytes. A trial renders its instance's base state and, from
-    the honest prover, the same generators again; this renders them once."""
-    return qcore.PureState(_render(n, np.frombuffer(generator_bytes, dtype=np.int8).reshape(n, 2 * n + 1)))
+    return qcore.PureState(v * (first.conj() / np.abs(first)))
 
 
 def _group_index(n: int, subspaces: list[list[int]]) -> np.ndarray:

@@ -89,6 +89,13 @@ class ExperimentConfig:
 # run_one(hidden, prover, seed) and judge(output, hidden); formula() gives the
 # closed forms every session's extras must match. Its trial_keys, with their
 # defaults, pick the prover ("adversary") and the instance source ("instance").
+# What differs between protocols a config declares: its ``verifier`` class (a
+# ``harness.Verifier``) and its ``provers`` ({"honest": P, **ADVERSARIES}).
+# The rest is harness's, bound in each config's own class body as
+# ``run_one = harness.run_protocol`` (``nogo``: ``harness.run_distinguisher``)
+# and ``make_prover = harness.make_prover``, not inherited: the benchmark
+# reads ``cls.__dict__["run_one"]``, ``["sample_instance"]`` and
+# ``["judge"]`` of its configs and ``cls.__dict__["run"]`` of their verifiers.
 PROTOCOLS = {
     "purity": purity_ip.PurityConfig,
     "tomo": tomo_ip.TomoConfig,

@@ -2,7 +2,8 @@
 
 Many-vs-one tasks, copy oracles with query meters, typed channels with
 transcripts, the single-copy verifier memory policy, session execution,
-Monte-Carlo rate estimation with Wilson intervals, the generic
+Monte-Carlo rate estimation with Wilson intervals, the one protocol
+interface (``Verifier``, ``run_protocol``, ``make_prover``), the generic
 IP-to-distinguisher transformation, the delegation-channel contract and the
 trivial validation IP.
 """
@@ -15,7 +16,7 @@ import json
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable
 
 import numpy as np
@@ -376,10 +377,14 @@ class Channel:
 
 
 class ProverStrategy:
-    """Base for pluggable honest or adversarial prover behaviors."""
+    """Base for pluggable honest or adversarial prover behaviors, built from
+    the protocol config (``make_prover``); most ignore it."""
 
     name = "honest"
     tamper = None  # a cheating prover's map on the outcome of a delegated measurement
+
+    def __init__(self, cfg=None):
+        self.cfg = cfg
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name}>"
@@ -611,6 +616,42 @@ def choose(what: str, name: str, choices: dict):
 
 
 # ---------------------------------------------------------------------------
+# The protocol interface (see the comment on ``cli.PROTOCOLS``)
+# ---------------------------------------------------------------------------
+
+
+class Verifier:
+    """Base of a config's ``verifier``: ``run(session, prover)`` returns V's
+    output or raises ``ProtocolAbort``. A quantum verifier holds one live
+    copy at a time; a session's ``extras`` start as the config's closed forms."""
+
+    memory_limit = 1
+    channel_kind = "quantum"
+
+    def __init__(self, cfg):
+        self.cfg = cfg
+        self.extras = cfg.formula()
+
+
+def run_protocol(cfg, hidden, prover: ProverStrategy, seed: int, prover_hidden=None) -> SessionResult:
+    """One session of ``cfg``'s verifier against ``prover`` on ``hidden``
+    (the prover's oracle on ``prover_hidden``, default ``hidden``)."""
+    return run_session(
+        cfg.verifier(cfg),
+        prover,
+        hidden,
+        seed,
+        record_transcript=cfg.record_transcript,
+        prover_hidden=prover_hidden,
+    )
+
+
+def make_prover(cfg, name: str) -> ProverStrategy:
+    """The prover ``cfg.provers[name]`` built from ``cfg``; an unknown name is a ValueError."""
+    return choose("adversary", name, cfg.provers)(cfg)
+
+
+# ---------------------------------------------------------------------------
 # The IP -> distinguisher transformation
 # ---------------------------------------------------------------------------
 
@@ -640,6 +681,13 @@ class NogoDistinguisher:
         if not result.accepted:
             return "reject", result
         return self.task.classify_output(result.output), result
+
+
+def run_distinguisher(cfg, hidden, prover: ProverStrategy, seed: int) -> SessionResult:
+    """One session of ``cfg.ip`` run by the distinguisher for ``cfg.task``,
+    with its answer as the output: the ``run_one`` of a config that wraps an IP."""
+    answer, result = NogoDistinguisher(cfg.task, cfg.ip.run_one, prover).run(hidden, seed)
+    return replace(result, output=answer)
 
 
 # ---------------------------------------------------------------------------
@@ -696,23 +744,17 @@ def delegated_measure(
 # ---------------------------------------------------------------------------
 
 
-class TrivialValidationIP:
+class TrivialValidationIP(Verifier):
     """Composed IP: prover sends a hypothesis, verifier runs decide-valid.
 
-    ``check(oracle_v, hypothesis, rng) -> bool`` is the decide-valid
+    ``cfg.check(oracle_v, hypothesis, rng) -> bool`` is the decide-valid
     subroutine; it queries the oracle itself.
     """
-
-    memory_limit = 1
-    channel_kind = "quantum"
-
-    def __init__(self, check: Callable):
-        self.check = check
 
     def run(self, session: Session, prover):
         hyp = prover.solve(session.oracle_p, session.rng("prover-solve"))
         session.channel.send_structured("p->v", hyp, session.next_round())
-        ok = self.check(session.oracle_v, hyp, session.rng("decide-valid"))
+        ok = self.cfg.check(session.oracle_v, hyp, session.rng("decide-valid"))
         if not ok:
             raise ProtocolAbort("decide-valid rejected the hypothesis")
         return hyp

@@ -24,10 +24,10 @@ from .harness import (
     CopyOracle,
     ProtocolAbort,
     ProverStrategy,
-    SessionResult,
-    choose,
+    Verifier,
     delegated_measure,
-    run_session,
+    make_prover,
+    run_protocol,
 )
 
 
@@ -334,14 +334,7 @@ ADVERSARIES = {
 }
 
 
-class LowRankVerifier:
-    memory_limit = 1
-    channel_kind = "quantum"
-
-    def __init__(self, cfg: LowRankConfig):
-        self.cfg = cfg
-        self.extras = cfg.formula()
-
+class LowRankVerifier(Verifier):
     def run(self, session, prover):
         p = self.cfg
         pur_hat = delegated_purity_estimate(
@@ -390,6 +383,10 @@ class LowRankConfig:
     variant: str = "standard"
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
+    verifier: ClassVar[type] = LowRankVerifier
+    provers: ClassVar[dict] = {"honest": HonestSpectralProver, **ADVERSARIES}
+    run_one = run_protocol
+    make_prover = make_prover
 
     def __post_init__(self):
         if self.d < 2:
@@ -450,15 +447,8 @@ class LowRankConfig:
             "basis_shots": self.basis_shots(),
         }
 
-    def make_prover(self, name: str) -> ProverStrategy:
-        return choose("adversary", name, {"honest": HonestSpectralProver, **ADVERSARIES})()
-
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.DensityMatrix:
         return qcore.sample_state(self.d, self.d, rng)
-
-    def run_one(self, hidden, prover, seed: int) -> SessionResult:
-        verifier = LowRankVerifier(self)
-        return run_session(verifier, prover, hidden, seed, record_transcript=self.record_transcript)
 
     def optimal_loss(self, hidden) -> float:
         alpha = qcore.eig_sorted(hidden).values

@@ -31,6 +31,8 @@ makes); the result is always a new array that shares no memory with them.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
 Q = (1 << 61) - 1
@@ -255,7 +257,7 @@ class StreamedNodeEval:
     in the fed values, so no node needs an inversion.
     """
 
-    def __init__(self, t: int, num_nodes: int, weights: list[int]):
+    def __init__(self, t: int, num_nodes: int, weights: Sequence[int]):
         self.t = t % Q
         self.num_nodes = num_nodes
         self.weights = weights  # shared constant table, not per-message state

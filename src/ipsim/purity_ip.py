@@ -19,7 +19,7 @@ policy and the transcript are those of the per-round loop.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
 
@@ -30,13 +30,13 @@ from .harness import (
     CopyOracle,
     CopyStream,
     ManyVsOneTask,
-    NogoDistinguisher,
     ProtocolAbort,
     ProverStrategy,
-    SessionResult,
-    choose,
+    Verifier,
     derive_rng,
-    run_session,
+    make_prover,
+    run_distinguisher,
+    run_protocol,
     same_instance,
 )
 
@@ -212,15 +212,8 @@ ADVERSARIES = {
 }
 
 
-class PurityVerifier:
+class PurityVerifier(Verifier):
     """Runs Algorithm-style round scheduling and the abort/consistency rule."""
-
-    memory_limit = 1
-    channel_kind = "quantum"
-
-    def __init__(self, cfg: PurityConfig):
-        self.cfg = cfg
-        self.extras = cfg.formula()
 
     def run(self, session, prover) -> str:
         cfg = self.cfg
@@ -252,6 +245,10 @@ class PurityConfig:
     # meter structure can be compared across dimensions
     kind_seed: int | None = field(default=None, metadata={"cli": False})  # set by tests only
     trial_keys: ClassVar[dict] = {"adversary": "honest", "instance": "accept"}
+    verifier: ClassVar[type] = PurityVerifier
+    provers: ClassVar[dict] = {"honest": HonestSwapProver, **ADVERSARIES}
+    run_one = run_protocol
+    make_prover = make_prover
 
     def __post_init__(self):
         if self.d < 2:
@@ -290,9 +287,6 @@ class PurityConfig:
     def formula(self) -> dict:
         return {"N": self.N, "m": self.m, "delta_tilde": self.delta_tilde}
 
-    def make_prover(self, name: str) -> ProverStrategy:
-        return choose("adversary", name, {"honest": HonestSwapProver, **ADVERSARIES})()
-
     def task(self) -> ManyVsOneTask:
         d = self.d
         return ManyVsOneTask(
@@ -307,16 +301,6 @@ class PurityConfig:
         if which == "reject":
             return qcore.sample_pure_state(self.d, rng).density()
         raise ValueError(f"unknown instance source {which}")
-
-    def run_one(self, hidden, prover: ProverStrategy, seed: int, prover_hidden=None) -> SessionResult:
-        return run_session(
-            PurityVerifier(self),
-            prover,
-            hidden,
-            seed,
-            record_transcript=self.record_transcript,
-            prover_hidden=prover_hidden,
-        )
 
     def judge(self, output, hidden) -> bool:
         """Exact validity: the answer must match the hidden instance type."""
@@ -340,6 +324,9 @@ class NogoConfig:
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"instance": "accept"}
     answers_on_abort: ClassVar[bool] = True  # the report gives the rate of correct answers
+    provers: ClassVar[dict] = PurityConfig.provers
+    run_one = run_distinguisher  # the wrapped IP's session, answered by the distinguisher
+    make_prover = make_prover
 
     def __post_init__(self):
         self.task  # validates d and delta and probes the task before any session
@@ -355,17 +342,8 @@ class NogoConfig:
     def formula(self) -> dict:
         return {"N": self.ip.N, "m": self.ip.m}
 
-    def make_prover(self, name: str) -> ProverStrategy:
-        return self.ip.make_prover(name)
-
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.DensityMatrix:
         return self.ip.sample_instance(which, rng)
-
-    def run_one(self, hidden, prover: ProverStrategy, seed: int) -> SessionResult:
-        """The simulated session, with the distinguisher's answer as its output."""
-        distinguisher = NogoDistinguisher(self.task, self.ip.run_one, prover)
-        answer, res = distinguisher.run(hidden, seed)
-        return replace(res, output=answer)
 
     def judge(self, output, hidden) -> bool:
         return output == ("accept" if self.task.is_accept(hidden) else "reject")

@@ -23,11 +23,12 @@ from .harness import (
     CopyOracle,
     ProtocolAbort,
     ProverStrategy,
-    SessionResult,
     TrivialValidationIP,
+    Verifier,
     choose,
     delegated_measure,
-    run_session,
+    make_prover,
+    run_protocol,
 )
 
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080, 4: 36720}
@@ -443,14 +444,7 @@ ADVERSARIES = {
 }
 
 
-class StabVerifier:
-    memory_limit = 1
-    channel_kind = "quantum"
-
-    def __init__(self, cfg: StabConfig):
-        self.cfg = cfg
-        self.extras = cfg.formula()
-
+class StabVerifier(Verifier):
     def run(self, session, prover):
         p = self.cfg
         raw = prover.produce_candidate(session.oracle_p, p, session.rng("prover"))
@@ -481,6 +475,10 @@ class StabConfig:
     mode: str = "ideal"
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
+    verifier: ClassVar[type] = StabVerifier
+    provers: ClassVar[dict] = {"honest": HonestBruteForceProver, **ADVERSARIES}
+    run_one = run_protocol
+    make_prover = make_prover
 
     def __post_init__(self):
         _check_qubits(self.n)  # before sample_instance enumerates states
@@ -526,9 +524,6 @@ class StabConfig:
             "a3_samples": self.a3_samples(),
         }
 
-    def make_prover(self, name: str) -> ProverStrategy:
-        return choose("adversary", name, {"honest": HonestBruteForceProver, **ADVERSARIES})()
-
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.PureState:
         """Near-stabilizer pure state: random stabilizer state nudged toward
         a Haar direction so the optimal loss is small but nonzero."""
@@ -543,10 +538,6 @@ class StabConfig:
         t = INSTANCE_MIX * rng.random()
         amps = math.sqrt(1 - t) * base + math.sqrt(t) * orth
         return qcore.PureState(amps / np.linalg.norm(amps))
-
-    def run_one(self, hidden, prover, seed: int) -> SessionResult:
-        verifier = StabVerifier(self)
-        return run_session(verifier, prover, hidden, seed, record_transcript=self.record_transcript)
 
     def judge(self, output: StabilizerStateDesc, hidden: qcore.PureState) -> bool:
         loss = 1.0 - qcore.fidelity_pure(hidden, output.projector())
@@ -564,12 +555,10 @@ class TrivialSolver(ProverStrategy):
 
     name = "brute-force-solver"
 
-    def __init__(self, n: int):
-        self.n = n
-
     def solve(self, oracle_p, rng):
-        _, best = optimal_stab_loss(oracle_p.ideal_peek())
-        return enumerate_stabilizers(self.n)[best]
+        psi = oracle_p.ideal_peek()
+        _, best = optimal_stab_loss(psi)
+        return enumerate_stabilizers(qmeas.num_qubits(psi))[best]
 
 
 class TrivialGarbage(TrivialSolver):
@@ -578,8 +567,8 @@ class TrivialGarbage(TrivialSolver):
     name = "garbage"
 
     def solve(self, oracle_p, rng):
-        fids = all_fidelities(oracle_p.ideal_peek())
-        return enumerate_stabilizers(self.n)[farthest_index(fids)]
+        psi = oracle_p.ideal_peek()
+        return enumerate_stabilizers(qmeas.num_qubits(psi))[farthest_index(all_fidelities(psi))]
 
 
 @dataclass(frozen=True)
@@ -595,6 +584,10 @@ class TrivialConfig:
     checker: str = "sampled"
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
+    verifier: ClassVar[type] = TrivialValidationIP
+    provers: ClassVar[dict] = {"honest": TrivialSolver, "garbage": TrivialGarbage}
+    run_one = run_protocol
+    make_prover = make_prover
 
     def __post_init__(self):
         _check_qubits(self.n)  # before sample_instance enumerates states
@@ -610,14 +603,12 @@ class TrivialConfig:
     def formula(self) -> dict:
         return {}
 
-    def make_prover(self, name: str) -> ProverStrategy:
-        return choose("adversary", name, {"honest": TrivialSolver, "garbage": TrivialGarbage})(self.n)
-
     def _checks(self) -> dict:
         return {"sampled": self._check_sampled, "ideal": self._check_ideal, "exact-test": self._check_exact}
 
-    def verifier(self) -> TrivialValidationIP:
-        return TrivialValidationIP(self._checks()[self.checker])
+    def check(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
+        """The decide-valid subroutine of ``checker``."""
+        return self._checks()[self.checker](oracle_v, hyp, rng)
 
     def _check_sampled(self, oracle_v, hyp: StabilizerStateDesc, rng) -> bool:
         return estimate_stab_loss(oracle_v, hyp, self.shots(), rng, "decide-valid") <= self.epsilon / 2
@@ -635,9 +626,6 @@ class TrivialConfig:
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.PureState:
         states = enumerate_stabilizers(self.n)
         return states[int(rng.integers(0, len(states)))].dense
-
-    def run_one(self, hidden, prover, seed: int) -> SessionResult:
-        return run_session(self.verifier(), prover, hidden, seed, record_transcript=self.record_transcript)
 
     def judge(self, output: StabilizerStateDesc, hidden: qcore.PureState) -> bool:
         loss = 1.0 - float(np.abs(np.vdot(output.dense.amplitudes, hidden.amplitudes)) ** 2)

@@ -8,12 +8,18 @@ degree D) plus a vanishing-product range certificate that catches
 frequencies above the cap. Decision: "not uniform" iff the verified Z is at
 most n * tau.
 
-The verifier reads the stream once. Its registers do not depend on D, so
+The verifier reads the stream once. What it keeps from the pass, the
+random points and the extension values at them, does not depend on D, so
 after the pass the prover announces how often the initial cap D0 must double,
 as the unary message [1] * j + [0], and the verifier sets
 D = min(D0 * 2^j, n); it aborts if j > MAX_WIDENINGS. A prover that asks for
 too small a cap is caught by the range certificate, and one that asks for a
-larger cap than needed gains nothing, because the verdict does not depend on D.
+larger cap than needed gains nothing, because the verdict does not depend on
+D. The ``peak_field_elements`` a session records is the fixed O(b) register
+count of ``StreamVerifierState``. It leaves out the Lagrange weight tables
+(D + 2 entries for the unique count, D + 3 for the range certificate) that
+the sum-checks' streamed evaluations read, so the verifier's memory also
+grows with D.
 
 Outside the appendix's regime n can exceed k by so much that tau <= 0, and
 then the rule above answers "uniform" for every stream (Z >= 0 > n * tau).
@@ -47,9 +53,10 @@ from .harness import (
     ManyVsOneTask,
     ProtocolAbort,
     ProverStrategy,
-    SessionResult,
+    Verifier,
     choose,
-    run_session,
+    make_prover,
+    run_protocol,
 )
 from .m61 import Q, fadd, fmul, fsub, vadd, vmul, vsub
 
@@ -87,9 +94,12 @@ class SupportDistribution:
 
 class StreamVerifierState:
     """Persistent verifier registers: three b-element random points, two
-    maintained extension values, claims and counters: the O(b) registers
-    ``peak_field_elements`` models, with O(1) transient scratch besides. The
-    2^(b/2)-entry eq tables of ``update_batch`` only vectorize the simulation.
+    maintained extension values, claims and counters: the fixed O(b)
+    register count ``peak_field_elements`` gives, with O(1) transient
+    scratch besides. It does not count the sum-checks' (D + 2)- and
+    (D + 3)-entry Lagrange weight tables, which ``run_sumcheck`` hands every
+    round's ``StreamedNodeEval``. The 2^(b/2)-entry eq tables of
+    ``update_batch`` only vectorize the simulation.
 
     Given ``collision_rng``, a fourth point r3 is drawn from it and the
     extension value at r3 is maintained too (b + 1 more registers), for the
@@ -613,7 +623,7 @@ def run_sumcheck(
             on_message(message)
         if len(message) != num_nodes:
             return SumcheckOutcome(False, j, "bad message length")
-        stream = m61.StreamedNodeEval(r, num_nodes, list(weights))
+        stream = m61.StreamedNodeEval(r, num_nodes, weights)
         for v in message:
             stream.feed(int(v) % Q)
         if fadd(stream.at_zero, stream.at_one) != current:
@@ -714,9 +724,6 @@ class DecisionFlipProver(HonestStreamProver):
     honest, so the collision sum-check's final check is the one that fires."""
 
     name = "decision-flip"
-
-    def __init__(self, cfg: UniformityConfig):
-        self.cfg = cfg
 
     def ingest(self, samples, k):
         super().ingest(samples, k)
@@ -826,24 +833,20 @@ def collision_verdict(c_verified: int, collision_threshold: float) -> str:
     return "not uniform" if c_verified > collision_threshold else "uniform"
 
 
-class UniformityVerifier:
+class UniformityVerifier(Verifier):
     memory_limit = None  # classical protocol; no quantum copies at all
     channel_kind = "classical"
 
-    def __init__(self, cfg: UniformityConfig):
-        self.cfg = cfg
-        self.extras = cfg.formula()
-        self.extras.update(in_regime=cfg.in_regime, decision_statistic=cfg.decision_statistic)
-
     def run(self, session, prover):
         p = self.cfg
+        self.extras.update(in_regime=p.in_regime, decision_statistic=p.decision_statistic)
         collisions = p.decision_statistic == "collisions"
         state = StreamVerifierState(p.k, session.rng("points"), session.rng("collision-point") if collisions else None)
         samples = session.oracle_v.sample_batch(session.rng("stream"), p.n)
         state.update_batch(samples)
         session.channel.count_raw_bits("v->p", p.n * p.b, note="sample-stream")
         prover.ingest(samples, p.k)
-        # the registers do not depend on the cap, so it widens after the pass
+        # what the pass kept does not depend on the cap, so it widens after the pass
         message = [1] * prover.widenings(p.degree_cap, p.n) + [0]
         widenings = len(session.channel.send_bits("p->v", message, session.next_round())) - 1
         if widenings > MAX_WIDENINGS:
@@ -898,6 +901,10 @@ class UniformityConfig:
     allow_small_epsilon: bool = False
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
+    verifier: ClassVar[type] = UniformityVerifier
+    provers: ClassVar[dict] = {"honest": HonestStreamProver, **ADVERSARIES}
+    run_one = run_protocol
+    make_prover = make_prover
 
     def __post_init__(self):
         if self.k & (self.k - 1) or self.k < 2:
@@ -976,21 +983,6 @@ class UniformityConfig:
         if which == "reject":
             return self.make_distribution(self.distribution if self.distribution != "uniform" else "support_fraction")
         return self.make_distribution(self.distribution)
-
-    def run_one(self, hidden, prover, seed: int, prover_hidden=None) -> SessionResult:
-        return run_session(
-            UniformityVerifier(self),
-            prover,
-            hidden,
-            seed,
-            record_transcript=self.record_transcript,
-            prover_hidden=prover_hidden,
-        )
-
-    def make_prover(self, name: str) -> ProverStrategy:
-        if name == "decision-flip":
-            return DecisionFlipProver(self)
-        return choose("adversary", name, {"honest": HonestStreamProver, **ADVERSARIES})()
 
     def judge(self, output, hidden) -> bool:
         """Valid iff the verdict matches the hidden distribution side."""

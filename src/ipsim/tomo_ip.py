@@ -23,10 +23,10 @@ from .harness import (
     CopyOracle,
     ProtocolAbort,
     ProverStrategy,
-    SessionResult,
-    choose,
+    Verifier,
     delegated_measure,
-    run_session,
+    make_prover,
+    run_protocol,
 )
 
 CLOSE = 1
@@ -251,14 +251,7 @@ ADVERSARIES = {
 }
 
 
-class TomoVerifier:
-    memory_limit = 1
-    channel_kind = "quantum"
-
-    def __init__(self, cfg: TomoConfig):
-        self.cfg = cfg
-        self.extras = cfg.formula()
-
+class TomoVerifier(Verifier):
     def run(self, session, prover):
         raw = prover.produce_hypothesis(session.oracle_p, self.cfg, session.rng("prover-tomo"))
         session.channel.send_structured("p->v", raw, session.next_round())
@@ -289,6 +282,10 @@ class TomoConfig:
     rank_k: int | None = None
     record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"adversary": "honest"}
+    verifier: ClassVar[type] = TomoVerifier
+    provers: ClassVar[dict] = {"honest": HonestTomographyProver, **ADVERSARIES}
+    run_one = run_protocol
+    make_prover = make_prover
 
     def __post_init__(self):
         if self.d < 2:
@@ -340,18 +337,11 @@ class TomoConfig:
             "prover_target": self.prover_target,
         }
 
-    def make_prover(self, name: str) -> ProverStrategy:
-        return choose("adversary", name, {"honest": HonestTomographyProver, **ADVERSARIES})()
-
     def sample_instance(self, which: str, rng: np.random.Generator) -> qcore.DensityMatrix:
         if self.rank_k is not None:
             return qcore.sample_state(self.d, self.rank_k, rng)
         rank = int(rng.integers(1, self.d + 1))
         return qcore.sample_state(self.d, rank, rng)
-
-    def run_one(self, hidden, prover, seed: int) -> SessionResult:
-        verifier = TomoVerifier(self)
-        return run_session(verifier, prover, hidden, seed, record_transcript=self.record_transcript)
 
     def judge(self, output, hidden) -> bool:
         return qcore.one_norm_distance(output, hidden) <= self.epsilon

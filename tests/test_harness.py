@@ -1,5 +1,6 @@
 """Harness tests: meters, memory policy, channels, delegation contract,
-distinguisher transformation, trivial validation IP, determinism."""
+distinguisher transformation, trivial validation IP, the protocol interface,
+determinism."""
 
 import hashlib
 import json
@@ -8,7 +9,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ipsim import harness, qcore
+from ipsim import cli, harness, qcore
 from ipsim.harness import (
     Channel,
     ChannelTypeError,
@@ -487,3 +488,57 @@ class TestNogoDistinguisher:
         direct = cfg.run_one(hidden, purity_ip.HonestSwapProver(), seed=77, prover_hidden=task.accept_instance)
         assert res.verifier_queries == direct.verifier_queries
         assert answer in ("accept", "reject")
+
+
+# keys for one short session of each protocol
+SMALL_KEYS = {
+    "purity": {"d": 2},
+    "tomo": {"d": 2},
+    "lowrank": {"d": 2},
+    "stab": {"n": 2},
+    "uniformity": {"k": 256, "epsilon": 0.9, "allow_small_epsilon": True},
+    "nogo": {"d": 2},
+    "trivial": {"n": 2},
+}
+
+
+class TestProtocolInterface:
+    def test_small_keys_cover_every_protocol(self):
+        assert set(SMALL_KEYS) == set(cli.PROTOCOLS)
+
+    @pytest.mark.parametrize("name", sorted(set(cli.PROTOCOLS) - {"nogo"}))
+    def test_run_one_takes_prover_hidden(self, name):
+        """Every protocol's session takes the prover's own instance; given
+        the hidden instance itself, it is the plain session."""
+        experiment = cli.ExperimentConfig(protocol=name, transcripts=True, protocol_keys=SMALL_KEYS[name])
+        protocol, prover, which = cli.build_protocol(experiment)
+        hidden = protocol.sample_instance(which, derive_rng(4, "instance", 0))
+        plain = protocol.run_one(hidden, prover, 11)
+        shared = protocol.run_one(hidden, prover, 11, prover_hidden=hidden)
+        assert plain.transcript_lines
+        assert canonical_bytes(shared.output) == canonical_bytes(plain.output)
+        assert replace(shared, wall_time=0.0, output=None) == replace(plain, wall_time=0.0, output=None)
+
+    @pytest.mark.parametrize("name", sorted(cli.PROTOCOLS))
+    def test_every_prover_builds_from_its_config(self, name):
+        """Each name in a config's ``provers`` builds through the CLI into
+        that class, holding the config it was built from (nogo takes no
+        adversary and runs the honest prover)."""
+        cls = cli.PROTOCOLS[name]
+        names = list(cls.provers) if "adversary" in cls.trial_keys else ["honest"]
+        for adversary in names:
+            keys = dict(SMALL_KEYS[name])
+            if "adversary" in cls.trial_keys:
+                keys["adversary"] = adversary
+            protocol, prover, _ = cli.build_protocol(cli.ExperimentConfig(protocol=name, protocol_keys=keys))
+            assert type(prover) is cls.provers[adversary]
+            assert prover.cfg is protocol
+
+    @pytest.mark.parametrize("name", sorted(set(cli.PROTOCOLS) - {"nogo"}))
+    def test_each_config_binds_the_harness_session(self, name):
+        """Each config runs the one harness session with its own verifier,
+        bound in its own class body."""
+        cls = cli.PROTOCOLS[name]
+        assert issubclass(cls.verifier, harness.Verifier)
+        assert cls.__dict__["run_one"] is harness.run_protocol
+        assert cls.__dict__["make_prover"] is harness.make_prover

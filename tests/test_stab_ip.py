@@ -452,7 +452,7 @@ class TestFarthestState:
             oracle = CopyOracle(psi, ideal_access=True)
             sent = stab_ip.WorstStabilizerLiar().produce_candidate(oracle, params, rng)
             assert np.array_equal(sent, states[first].generators)
-            assert stab_ip.TrivialGarbage(n).solve(oracle, rng) is states[first]
+            assert stab_ip.TrivialGarbage().solve(oracle, rng) is states[first]
 
 
 class TestBruteForce:

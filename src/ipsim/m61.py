@@ -31,6 +31,7 @@ makes); the result is always a new array that shares no memory with them.
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Sequence
 
 import numpy as np
@@ -234,16 +235,17 @@ def vsum_rows(a: np.ndarray) -> list[int]:
     return vadd(_rotate(_fold(hi), _S32), _fold(lo)).tolist()
 
 
+def factorials(n: int) -> tuple[list[int], list[int]]:
+    """(m!, 1/m!) in GF(Q) for m = 0..n-1 (n < Q), with one inversion."""
+    fact = list(itertools.accumulate(range(1, n), fmul, initial=1))
+    return fact, list(itertools.accumulate(range(n - 1, 0, -1), fmul, initial=finv(fact[-1])))[::-1]
+
+
 def lagrange_weights(num_nodes: int) -> list[int]:
-    """Barycentric weights for integer nodes 0..num_nodes-1 over GF(Q)."""
-    weights = []
-    for j in range(num_nodes):
-        denom = 1
-        for i in range(num_nodes):
-            if i != j:
-                denom = fmul(denom, fsub(j % Q, i % Q))
-        weights.append(finv(denom))
-    return weights
+    """Barycentric weights for integer nodes 0..num_nodes-1 over GF(Q):
+    w_j = 1 / prod_(i != j) (j - i) = (-1)^(num_nodes-1-j) / (j! (num_nodes-1-j)!)."""
+    _, inv = factorials(num_nodes)
+    return [fmul(fmul(inv[j], inv[-1 - j]), Q - 1 if (num_nodes - 1 - j) & 1 else 1) for j in range(num_nodes)]
 
 
 class StreamedNodeEval:

@@ -8,18 +8,16 @@ degree D) plus a vanishing-product range certificate that catches
 frequencies above the cap. Decision: "not uniform" iff the verified Z is at
 most n * tau.
 
-The verifier reads the stream once. What it keeps from the pass, the
-random points and the extension values at them, does not depend on D, so
-after the pass the prover announces how often the initial cap D0 must double,
-as the unary message [1] * j + [0], and the verifier sets
-D = min(D0 * 2^j, n); it aborts if j > MAX_WIDENINGS. A prover that asks for
-too small a cap is caught by the range certificate, and one that asks for a
-larger cap than needed gains nothing, because the verdict does not depend on
-D. The ``peak_field_elements`` a session records is the fixed O(b) register
-count of ``StreamVerifierState``. It leaves out the Lagrange weight tables
-(D + 2 entries for the unique count, D + 3 for the range certificate) that
-the sum-checks' streamed evaluations read, so the verifier's memory also
-grows with D.
+The verifier reads the stream once and forwards it to the prover, which
+answers from it, never from its own oracle (``prover_hidden`` changes
+nothing here). Nothing the pass keeps depends on D, so after it the prover
+announces D in ceiling.bit_length() bits; the verifier aborts unless
+1 <= D <= ceiling = min(D0 * 2^MAX_WIDENINGS, n), D0 = ``degree_cap``. The
+honest D is max f. D is fixed before any challenge: too small a D fails the
+range certificate, and a larger one gains nothing, as the verdict does not
+depend on D and each sum-check's soundness error, about b (D + 2) / q, grows
+with it. ``peak_field_elements`` (the O(b) registers) leaves out the weight
+tables of D + 2 and D + 3 entries: max f + 2 and max f + 3 when honest.
 
 Outside the appendix's regime n can exceed k by so much that tau <= 0, and
 then the rule above answers "uniform" for every stream (Z >= 0 > n * tau).
@@ -40,7 +38,6 @@ count 8 C(n,2)/k still clears the threshold by a factor of three.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -61,7 +58,7 @@ from .harness import (
 from .m61 import Q, fadd, fmul, fsub, vadd, vmul, vsub
 
 FIELD_BITS = 61
-MAX_WIDENINGS = 4  # the cap may double at most this often: D <= 16 * D0
+MAX_WIDENINGS = 4  # an announced cap is at most 2^MAX_WIDENINGS * D0 (and n)
 SUMCHECK_NAMES = {
     "unique": "unique-count sum-check",
     "range": "range certificate",
@@ -166,7 +163,6 @@ def _weights_cached(num_nodes: int) -> tuple[int, ...]:
     return tuple(m61.lagrange_weights(num_nodes))
 
 
-@lru_cache(maxsize=256)
 def composed_factors(kind: str, degree_cap: int) -> tuple[tuple[int, ...], int]:
     """(factors, c) with the sum-check polynomial g(y) = c * prod_i (y - i).
 
@@ -174,9 +170,14 @@ def composed_factors(kind: str, degree_cap: int) -> tuple[tuple[int, ...], int]:
     whose only nonzero node value is at y = 1. "range": prod_{i=0..D} (y - i),
     which vanishes on every frequency within the cap (the verifier multiplies
     it by chi(x, zeta)). "collisions": y(y - 1)/2, the colliding pairs among
-    y equal samples, exact at every degree; the cap is ignored. A round
-    message of g takes len(factors) + 2 node values.
+    y equal samples, exact at every degree; the cap is ignored and keys no
+    cache entry. A round message of g takes len(factors) + 2 node values.
     """
+    return _composed_factors(kind, None if kind == "collisions" else degree_cap)
+
+
+@lru_cache(maxsize=256)
+def _composed_factors(kind: str, degree_cap: int | None) -> tuple[tuple[int, ...], int]:
     if kind == "unique":
         factors = tuple(i for i in range(degree_cap + 1) if i != 1)
         denom = 1
@@ -337,33 +338,34 @@ def _segment_sums_mod(
     return out
 
 
-@lru_cache(maxsize=64)
-def _moment_tables(kind: str, degree_cap: int) -> tuple[np.ndarray, np.ndarray]:
-    """(triangle, vandermonde) for g = ``composed_factors(kind, degree_cap)``.
+# one entry per polynomial (criterion 2's 800 k = 256 sessions announce caps
+# that make 73), each built once, in 2.4 ms at D = 110 (the scalar build: 16 ms)
+@lru_cache(maxsize=128)
+def _moment_tables(factors: tuple[int, ...], constant: int) -> tuple[np.ndarray, np.ndarray]:
+    """(triangle, vandermonde) for g = constant * prod_i (y - i), that is
+    for (factors, constant) = ``composed_factors(kind, degree_cap)``.
 
     With g's monomial coefficients g_j (j < n = deg g + 1),
     triangle[a, p] = g_(a+p) C(a+p, a), zero where a + p >= n, so that
     g(u + t d) = sum_a t^a d^a sum_p triangle[a, p] u^p; and
     vandermonde[t, a] = t^a on the n + 1 message nodes t = 0..n.
     """
-    factors, constant = composed_factors(kind, degree_cap)
-    coeffs = [constant]  # lowest degree first
-    for i in factors:  # times (y - i)
-        coeffs = [fsub(prev, fmul(i, same)) for prev, same in zip([0, *coeffs], [*coeffs, 0])]
-    n = len(coeffs)
-    binom = [1] * n  # C(a+p, a) along p; a step is a running sum (hockey stick)
-    triangle = []
-    for a in range(n):
-        if a:
-            binom = list(itertools.accumulate(binom, fadd))
-        triangle.append([fmul(coeffs[a + p], binom[p]) if a + p < n else 0 for p in range(n)])
-    vandermonde = []
-    for t in range(n + 1):
-        row = [1]
-        for _ in range(n):
-            row.append(fmul(row[-1], t))
-        vandermonde.append(row)
-    return np.array(triangle, dtype=np.uint64), np.array(vandermonde, dtype=np.uint64)
+    n = len(factors) + 1
+    coeffs = np.zeros(n, dtype=np.uint64)  # lowest degree first
+    coeffs[0] = constant
+    for m, i in enumerate(factors, 1):  # times (y - i): c_j becomes c_(j-1) - i c_j
+        scaled = vmul(coeffs[:m], i)
+        coeffs[1 : m + 1], coeffs[0] = coeffs[:m], 0
+        vsub(coeffs[:m], scaled, out=coeffs[:m])
+    # g_(a+p) C(a+p, a) = g_(a+p) (a+p)! / (a! p!): the Hankel matrix of
+    # g_m m!, zero for m >= n, scaled by 1/a! down and 1/p! along
+    fact, inv_fact = (np.array(x, dtype=np.uint64) for x in m61.factorials(n))
+    hankel = np.zeros(2 * n - 1, dtype=np.uint64)
+    vmul(coeffs, fact, out=hankel[:n])
+    triangle = vmul(hankel[np.add.outer(np.arange(n), np.arange(n))], inv_fact)
+    vmul(triangle, inv_fact[:, None], out=triangle)
+    powers = _powers(np.arange(n + 1, dtype=np.uint64), n + 1, out=np.empty((n + 1, n + 1), dtype=np.uint64))
+    return triangle, np.ascontiguousarray(powers.T)
 
 
 def _powers(x: np.ndarray, num_powers: int, out: np.ndarray) -> np.ndarray:
@@ -465,7 +467,7 @@ class _SumcheckEngine:
         self.prefix = 1  # prod of eq(r_i, zeta_i) over the bound rounds
         # the eq suffix chi(x, zeta_(j+1..)) of every column x of the current round j
         self.suffix = None if chi_point is None else chi_table_for_point(self.ids.size // 2, self.zeta[1:])
-        self.triangle, self.vandermonde = _moment_tables(kind, degree_cap)
+        self.triangle, self.vandermonde = _moment_tables(*composed_factors(kind, degree_cap))
         self.num_nodes = len(self.vandermonde)
         # grown by _evaluate and kept until the engine goes; made per block
         # instead, it lets a warm k = 2^16 session's heap outgrow glibc's
@@ -683,22 +685,19 @@ def verify_sumcheck(
 class HonestStreamProver(ProverStrategy):
     """Stores the stream's frequency table and answers each sum-check from
     ``table(kind, degree_cap)``: its claim is the table's total and its
-    messages come from folding the table. With honest widenings the cap is at
-    least every frequency, so the unique-count total is the number of
-    frequencies equal to 1."""
+    messages come from folding the table. The announced cap is at least
+    every frequency, so the unique-count total is the number of frequencies
+    equal to 1."""
 
     name = "honest-stream"
 
     def ingest(self, samples: np.ndarray, k: int):
         self.freq = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k).astype(np.uint64)
 
-    def widenings(self, degree_cap: int, n: int) -> int:
-        """Fewest doublings j of the cap with min(cap * 2^j, n) >= max f."""
-        top = int(self.freq.max(initial=0))
-        j = 0
-        while min(degree_cap << j, n) < top:
-            j += 1
-        return j
+    def announced_cap(self, degree_cap: int) -> int:
+        """The cap D to announce after the pass, given the config's cap: the
+        largest frequency, the tightest cap whose range certificate passes."""
+        return int(self.freq.max(initial=0))
 
     def table(self, kind: str, degree_cap: int) -> np.ndarray:
         """The frequency table the sum-check of ``kind`` runs on."""
@@ -806,8 +805,8 @@ class RangeClampProver(HonestStreamProver):
 
     name = "range-clamp"
 
-    def widenings(self, degree_cap: int, n: int) -> int:
-        return 0  # lies about the cap
+    def announced_cap(self, degree_cap: int) -> int:
+        return degree_cap  # lies about the cap
 
     def table(self, kind, degree_cap):
         if kind == "range":
@@ -815,9 +814,7 @@ class RangeClampProver(HonestStreamProver):
         return self.freq
 
 
-ADVERSARIES = {
-    cls.name: cls for cls in (DecisionFlipProver, ShiftClaimProver, RangeClampProver)
-}
+ADVERSARIES = {cls.name: cls for cls in (DecisionFlipProver, ShiftClaimProver, RangeClampProver)}
 
 
 # ---------------------------------------------------------------------------
@@ -846,13 +843,14 @@ class UniformityVerifier(Verifier):
         state.update_batch(samples)
         session.channel.count_raw_bits("v->p", p.n * p.b, note="sample-stream")
         prover.ingest(samples, p.k)
-        # what the pass kept does not depend on the cap, so it widens after the pass
-        message = [1] * prover.widenings(p.degree_cap, p.n) + [0]
-        widenings = len(session.channel.send_bits("p->v", message, session.next_round())) - 1
-        if widenings > MAX_WIDENINGS:
-            raise ProtocolAbort(f"prover asked for {widenings} cap widenings, more than {MAX_WIDENINGS}")
-        degree_cap = min(p.degree_cap << widenings, p.n)
-        self.extras["attempts"] = widenings + 1  # caps tried: D0, 2 D0, ..., D
+        # what the pass kept does not depend on the cap, so it is announced after the pass
+        ceiling = min(p.degree_cap << MAX_WIDENINGS, p.n)
+        width = ceiling.bit_length()
+        # a cap of 2^width or more is sent as all ones: above the (even) ceiling if that is below n
+        message = [int(c) for c in format(min(prover.announced_cap(p.degree_cap), (1 << width) - 1), f"0{width}b")]
+        degree_cap = int("".join(map(str, session.channel.send_bits("p->v", message, session.next_round()))), 2)
+        if not 1 <= degree_cap <= ceiling:
+            raise ProtocolAbort(f"prover announced degree cap {degree_cap}, outside 1..{ceiling}")
         self.extras["final_degree_cap"] = degree_cap
         z_claim = prover.claim("unique", degree_cap)
         session.channel.send_structured("p->v", z_claim, session.next_round())
@@ -892,7 +890,7 @@ class UniformityConfig:
 
     k: int = 1 << 16
     epsilon: float = 0.75
-    degree_cap: int = 32
+    degree_cap: int = 32  # D0: the prover may announce a cap up to min(D0 * 2^MAX_WIDENINGS, n)
     distribution: str = "uniform"
     support_fraction: float = 1 / 8
     # waives epsilon >= 12/k^(1/4); such configs carry in_regime = False and,

@@ -3,6 +3,7 @@ extension updates, interpolation, sum-check mechanics, range certificate,
 memory/communication instrumentation."""
 
 import hashlib
+import json
 import math
 import tracemalloc
 
@@ -12,6 +13,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ipsim import m61, stream_ip
+from ipsim.harness import derive_rng
 from ipsim.m61 import Q, fadd, fmul, fsub, lagrange_weights
 from ipsim.stream_ip import (
     DecisionFlipProver,
@@ -91,6 +93,11 @@ class TestLagrange:
                 naive = fadd(naive, term)
             assert lagrange_eval(vals, t, w) == naive
 
+    def test_weights_equal_their_product_definition(self):
+        for num_nodes in range(1, 70):
+            want = [m61.finv(math.prod(j - i for i in range(num_nodes) if i != j) % Q) for j in range(num_nodes)]
+            assert lagrange_weights(num_nodes) == want, num_nodes
+
     def test_degree_d_interpolant_at_d_plus_values(self):
         # D=4, integer point 7 beyond the nodes
         vals = [1 if i == 1 else 0 for i in range(5)]
@@ -137,6 +144,27 @@ class TestComposedPolynomials:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
             composed_factors("median", 4)
+
+    @pytest.mark.parametrize("kind", ["unique", "range", "collisions"])
+    @pytest.mark.parametrize("degree_cap", [1, 2, 7, 8, 9, 33, 110])
+    def test_moment_tables_equal_their_definition(self, kind, degree_cap):
+        # g's coefficients times binomials, and powers of the nodes, in Python ints
+        factors, constant = composed_factors(kind, degree_cap)
+        coeffs = [constant]
+        for i in factors:
+            coeffs = [(prev - i * same) % Q for prev, same in zip([0, *coeffs], [*coeffs, 0])]
+        n = len(coeffs)
+        triangle, vandermonde = stream_ip._moment_tables(factors, constant)
+        assert triangle.tolist() == [
+            [coeffs[a + p] * math.comb(a + p, a) % Q if a + p < n else 0 for p in range(n)] for a in range(n)
+        ]
+        assert vandermonde.tolist() == [[pow(t, a, Q) for a in range(n + 1)] for t in range(n + 1)]
+
+    def test_collision_tables_are_shared_by_every_cap(self):
+        assert composed_factors("collisions", 2) is composed_factors("collisions", 64)
+        table = np.zeros(2, dtype=np.uint64)
+        engines = [stream_ip._SumcheckEngine(table, cap, "collisions") for cap in (2, 64)]
+        assert engines[0].triangle is engines[1].triangle
 
 
 class TestTableTotal:
@@ -938,7 +966,7 @@ class TestRangeCertificate:
 
     def test_widening_path(self):
         # max frequency slightly above the initial cap: the honest prover
-        # announces the widening after the one pass and the session completes
+        # announces D = max f after the one pass and the session completes
         cfg = UniformityConfig(
             k=256,
             epsilon=1.0,
@@ -955,23 +983,26 @@ class TestRangeCertificate:
             )
             if res.accepted:
                 completed += 1
-                if res.extras["attempts"] > 1:
+                samples = cfg.sample_instance("x", rng(i)).draw_batch(derive_rng(res.seed, "stream"), cfg.n)
+                assert res.extras["final_degree_cap"] == np.bincount(samples).max()
+                if res.extras["final_degree_cap"] > cfg.degree_cap:
                     widened += 1
             _assert_one_stream(res, cfg)
         assert completed == 10
         assert widened == 10  # lambda = 17.5 per cell always exceeds cap 8
 
     def test_too_many_widenings_abort_after_one_stream(self):
-        # a point mass puts all n = 1383 samples in one cell: cap 4 would have
-        # to double 9 times, more than MAX_WIDENINGS
+        # a point mass puts all n = 1383 samples in one cell: the cap it needs
+        # is above the ceiling 4 * 2^MAX_WIDENINGS = 64, and the 7-bit cap
+        # message can say no more than 127
         cfg = UniformityConfig(
             k=64, epsilon=0.9, degree_cap=4, distribution="point_mass", allow_small_epsilon=True
         )
         prover = HonestStreamProver()
         res = cfg.run_one(cfg.make_distribution("point_mass"), prover, seed=6100)
-        assert prover.widenings(4, cfg.n) == 9 > stream_ip.MAX_WIDENINGS
+        assert prover.announced_cap(4) == cfg.n == 1383 > 4 << stream_ip.MAX_WIDENINGS == 64
         assert not res.accepted
-        assert res.abort_reason == "prover asked for 9 cap widenings, more than 4"
+        assert res.abort_reason == "prover announced degree cap 127, outside 1..64"
         _assert_one_stream(res, cfg)
 
 
@@ -982,21 +1013,18 @@ def _assert_one_stream(res, cfg):
 
 
 class _StreamShoppingProver(HonestStreamProver):
-    """Announces one widening more than it needs whenever its honest verdict
-    is not "uniform", as if an extra widening could buy a fresh stream."""
+    """Announces a cap one above the one it needs whenever its honest verdict
+    is not "uniform", as if a wider cap could buy a fresh stream."""
 
     name = "stream-shopping"
 
-    def __init__(self, cfg):
-        self.cfg = cfg
-
-    def widenings(self, degree_cap, n):
+    def announced_cap(self, degree_cap):
         verdict = collision_verdict(self.claim("collisions", degree_cap), self.cfg.collision_threshold)
-        return super().widenings(degree_cap, n) + (verdict != "uniform")
+        return super().announced_cap(degree_cap) + (verdict != "uniform")
 
 
 class TestStreamShopping:
-    def test_extra_widening_does_not_change_the_verdict(self):
+    def test_wider_cap_does_not_change_the_verdict(self):
         # 98 of 256 values: near the collision threshold, so both verdicts occur
         cfg = UniformityConfig(
             k=256,
@@ -1013,11 +1041,75 @@ class TestStreamShopping:
             shopper = cfg.run_one(hidden, _StreamShoppingProver(cfg), seed=10_000 + i)
             assert honest.accepted and shopper.accepted
             assert shopper.output == honest.output
-            extra = shopper.extras["attempts"] - honest.extras["attempts"]
+            extra = shopper.extras["final_degree_cap"] - honest.extras["final_degree_cap"]
             assert extra == (honest.output != "uniform")
             shopped.add(extra)
             _assert_one_stream(shopper, cfg)
         assert shopped == {0, 1}  # both verdicts were seen
+
+
+class _FixedCapProver(HonestStreamProver):
+    """Honest, except that it announces ``cap`` as its degree cap."""
+
+    def __init__(self, cap):
+        super().__init__()
+        self.cap = cap
+
+    def announced_cap(self, degree_cap):
+        return self.cap
+
+
+class _PowerOfTwoCapProver(HonestStreamProver):
+    """Announces the cap the unary widening protocol ended at: the config's
+    cap doubled the fewest times to cover every frequency, at most n."""
+
+    def announced_cap(self, degree_cap):
+        cap = degree_cap
+        while cap < super().announced_cap(degree_cap):
+            cap *= 2
+        return min(cap, self.cfg.n)
+
+
+class TestCapAnnouncement:
+    CFG = UniformityConfig(k=256, epsilon=0.9, distribution="support_fraction", allow_small_epsilon=True)
+    CEILING = 32 << stream_ip.MAX_WIDENINGS  # 512 < n = 2766
+
+    @pytest.mark.parametrize("cap", [0, CEILING + 1])
+    def test_cap_outside_the_range_aborts_after_one_stream(self, cap):
+        cfg = self.CFG
+        res = cfg.run_one(cfg.make_distribution("uniform"), _FixedCapProver(cap), seed=6200)
+        assert not res.accepted
+        assert res.abort_reason == f"prover announced degree cap {cap}, outside 1..{self.CEILING}"
+        _assert_one_stream(res, cfg)
+
+    def test_ceiling_itself_is_accepted(self):
+        cfg = self.CFG
+        res = cfg.run_one(cfg.make_distribution("uniform"), _FixedCapProver(self.CEILING), seed=6201)
+        assert res.accepted and res.extras["final_degree_cap"] == self.CEILING
+
+    @pytest.mark.parametrize("which", ["uniform", "support_fraction"])
+    def test_honest_announcement_takes_the_ceilings_width(self, which):
+        cfg = UniformityConfig(
+            k=256, epsilon=0.9, distribution=which, allow_small_epsilon=True, record_transcript=True
+        )
+        res = cfg.run_one(cfg.make_distribution(which), HonestStreamProver(), seed=6202)
+        assert res.accepted
+        lines = [json.loads(line) for line in res.transcript_lines]
+        bits = [line for line in lines if line["payload_kind"] == "bits"]
+        assert [(line["direction"], line["size_bits_or_qudits"]) for line in bits] == [
+            ("p->v", self.CEILING.bit_length())
+        ]
+
+    @pytest.mark.parametrize("which", ["uniform", "support_fraction"])
+    def test_verdicts_match_the_power_of_two_cap(self, which):
+        cfg = self.CFG
+        hidden = cfg.make_distribution(which)
+        for seed in range(40):
+            tight = cfg.run_one(hidden, HonestStreamProver(), seed=seed)
+            old = cfg.run_one(hidden, _PowerOfTwoCapProver(cfg), seed=seed)
+            assert (tight.output, tight.accepted) == (old.output, old.accepted)
+            assert tight.accepted
+            assert tight.extras["final_degree_cap"] <= old.extras["final_degree_cap"]
 
 
 class TestTransientMemory:
@@ -1097,7 +1189,10 @@ class TestInstrumentation:
         res = cfg.run_one(cfg.make_distribution("uniform"), HonestStreamProver(), seed=77)
         assert res.accepted
         assert res.extras["prover_field_elements"] <= 1200
-        expected = 16 * (32 + 2) + 16 * (32 + 3) + 1
+        cap = res.extras["final_degree_cap"]
+        samples = cfg.make_distribution("uniform").draw_batch(derive_rng(res.seed, "stream"), cfg.n)
+        assert cap == np.bincount(samples).max()
+        expected = 16 * (cap + 2) + 16 * (cap + 3) + 1
         assert res.extras["prover_field_elements"] == expected
 
     def test_classical_channel_no_qudits(self):

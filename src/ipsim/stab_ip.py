@@ -11,6 +11,8 @@ brute-force enumerator over all pure stabilizer states (n <= 4).
 from __future__ import annotations
 
 import math
+import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import ClassVar
@@ -34,6 +36,7 @@ from .harness import (
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080, 4: 36720}
 INSTANCE_MIX = 0.12  # max squared overlap an instance moves toward a Haar direction
 FIDELITY_TIE = 1e-12  # fidelities this close to the least one tie for farthest
+_FRONTIER_BLOCK = 1024  # enumeration rows per pass: 256 KB of unpacked candidate bits at n = 4
 
 
 def _check_qubits(n: int):
@@ -77,46 +80,37 @@ def _commute_masks(n: int) -> tuple[int, ...]:
 
 
 @lru_cache(maxsize=4)
-def _maximal_isotropic_subspaces(n: int) -> tuple[list[int], ...]:
-    """All maximal isotropic subspaces of F_2^{2n}; each as a generator list.
+def _maximal_isotropic_subspaces(n: int) -> np.ndarray:
+    """All maximal isotropic subspaces of F_2^{2n}: a read-only (count, n)
+    uint8 array of generator lists, in breadth-first order.
 
-    Breadth-first by dimension: a subspace E grows by each v outside E that
-    commutes with its generators, in increasing order of v. Subspaces are
-    keyed by the bitmask of their elements. Once v yields E + <v>, all of
-    E + <v> leaves the candidates, since every later v' in it yields the same
-    superspace.
+    Level 1 is <v> for each v > 0; level k + 1 grows each E of level k by
+    each commuting v that is the least of its coset v + E. So each generator
+    has no bit at an earlier one's top bit (pivot), and v is the least of
+    v + E iff it has no bit at a pivot, iff v < v ^ g for every generator g.
+    A level is one array pass, an AND of one packed row per generator, and
+    ``np.nonzero`` lists the children row by row, v increasing. A child
+    reached again (keyed by its sorted elements) keeps its first generators
+    and place, as growing each E by every commuting v in turn would.
     """
     _check_qubits(n)
-    commute = _commute_masks(n)
-    everything = (1 << (1 << (2 * n))) - 1
-    frontier = {1: ([0], [])}  # element bitmask -> (elements, generators)
-    for _level in range(n):
-        nxt = {}
-        for span, (elements, gens) in frontier.items():
-            candidates = everything & ~span
-            for g in gens:
-                candidates &= commute[g]
-            while candidates:
-                v = (candidates & -candidates).bit_length() - 1
-                coset = [e ^ v for e in elements]
-                superspace = span | sum(1 << e for e in coset)
-                if superspace not in nxt:
-                    nxt[superspace] = (elements + coset, gens + [v])
-                candidates &= ~superspace
-        frontier = nxt
-    return tuple(gens for _, gens in frontier.values())
-
-
-def _pack_generators(n: int, subspaces: list[list[int]]) -> np.ndarray:
-    """(len(subspaces) * 2^n, n, 2n+1) int8 generator arrays: each subspace
-    under each of its 2^n sign patterns, sign pattern s giving row i sign bit
-    (s >> i) & 1."""
-    gens = np.array(subspaces, dtype=np.int64).reshape(len(subspaces), 1, n, 1)
-    signs = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    out = np.empty((len(subspaces), 1 << n, n, 2 * n + 1), dtype=np.int8)
-    out[..., : 2 * n] = (gens >> np.arange(2 * n)) & 1
-    out[..., 2 * n] = signs
-    return out.reshape(-1, n, 2 * n + 1)
+    labels = np.arange(1 << (2 * n), dtype=np.uint8)  # n <= 4: a label fits in a byte
+    commute = b"".join(m.to_bytes(-(-len(labels) // 8), "little") for m in _commute_masks(n))
+    least = np.packbits((0 < labels) & (labels < (labels[:, None] ^ labels)), axis=1, bitorder="little")
+    grows = np.frombuffer(commute, np.uint8).reshape(len(labels), -1) & least  # row g: v commutes, v < v ^ g
+    gens, elements = labels[1:, None], np.column_stack([0 * labels[1:], labels[1:]])
+    for _level in range(1, n):
+        found = []
+        for start in range(0, len(gens), _FRONTIER_BLOCK):
+            candidates = np.bitwise_and.reduce(grows[gens[start : start + _FRONTIER_BLOCK]], axis=1)
+            rows, vs = np.nonzero(np.unpackbits(candidates, axis=1, bitorder="little"))
+            found.append((rows + start, vs.astype(np.uint8)))
+        rows, vs = (np.concatenate(parts) for parts in zip(*found))
+        children = np.sort(np.concatenate([elements[rows], elements[rows] ^ vs[:, None]], axis=1), axis=1)
+        first = np.sort(np.unique(children.view(np.dtype((np.void, children.shape[1]))).ravel(), return_index=True)[1])
+        gens, elements = np.column_stack([gens[rows[first]], vs[first]]), children[first]
+    gens.setflags(write=False)
+    return gens
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -131,33 +125,17 @@ def _packed_rows(n: int, generator_bytes: bytes) -> list[tuple[int, int]]:
 
 
 class StabilizerStateDesc:
-    """Stabilizer state given by n signed generators.
+    """Stabilizer state given by n signed generators, the n x (2n+1) binary
+    matrix ``generators`` with rows (x bits | z bits | sign bit), rendered on
+    use (``_rendered``) as the +1 eigenstate of every signed generator."""
 
-    ``generators`` is the n x (2n+1) binary matrix with rows
-    (x bits | z bits | sign bit), row ``_row`` of the generator table
-    ``_table``: a candidate's own one-row table, or the one read-only table
-    that every enumerated state indexes. The dense rendering is the +1
-    eigenstate of every signed generator, rendered on use (``_rendered``).
-    """
-
-    __slots__ = ("n", "_table", "_row")
+    __slots__ = ("n", "generators", "__weakref__")
 
     def __init__(self, n: int, generators: np.ndarray):
         generators = np.asarray(generators, dtype=np.int8)
         if generators.shape != (n, 2 * n + 1):
             raise ValueError(f"generators must be {n} x {2*n+1}")
-        self.n, self._table, self._row = n, generators[None], 0
-
-    @classmethod
-    def table_row(cls, table: np.ndarray, row: int) -> StabilizerStateDesc:
-        """The state of row ``row`` of a (states, n, 2n+1) int8 generator table."""
-        desc = cls.__new__(cls)
-        desc.n, desc._table, desc._row = table.shape[1], table, row
-        return desc
-
-    @property
-    def generators(self) -> np.ndarray:
-        return self._table[self._row]
+        self.n, self.generators = n, generators
 
     def packed_rows(self) -> list[tuple[int, int]]:
         """(packed xz label, sign) per generator row."""
@@ -191,13 +169,13 @@ class StabilizerStateDesc:
 
 @lru_cache(maxsize=4)
 def _projector_factors(n: int) -> np.ndarray:
-    """(2, 4^n, 2^n, 2^n): (I + (-1)^s W) / 2 for sign bit s and every Pauli label."""
-    d = 1 << n
-    out = np.empty((2, 1 << (2 * n), d, d), dtype=complex)
-    for label in range(1 << (2 * n)):
-        w = qmeas.dense_pauli(qmeas.PauliLabel.from_index(n, label))
-        for sign in (0, 1):
-            out[sign, label] = (np.eye(d) + (-1) ** sign * w) / 2
+    """(2, 4^n, 2^n, 2^n): (I + (-1)^s W) / 2 for sign bit s and every Pauli W, as in ``qmeas.dense_pauli``."""
+    d, popcount = 1 << n, qmeas.popcount_table(n)
+    labels, j = np.arange(d * d)[:, None], np.arange(d)
+    x, z = labels & (d - 1), labels >> n
+    w = np.zeros((d * d, d, d), dtype=complex)
+    w[labels, j ^ x, j] = np.array([1j**k for k in range(4)])[popcount[x & z] % 4] * (1 - 2 * (popcount[j & z] & 1))
+    out = (np.eye(d) + np.array([1, -1])[:, None, None, None] * w) / 2
     out.setflags(write=False)
     return out
 
@@ -223,7 +201,7 @@ def _rendered(n: int, generator_bytes: bytes) -> qcore.PureState:
     return qcore.PureState(v * (first.conj() / np.abs(first)))
 
 
-def _group_index(n: int, subspaces: list[list[int]]) -> np.ndarray:
+def _group_index(n: int, subspaces: np.ndarray) -> np.ndarray:
     """(len(subspaces), 2^n) index of c_k <W_(l_k)> in [exps, -exps].
 
     Element k of a subspace's group is the product of the generators in the
@@ -255,13 +233,35 @@ def _group_index(n: int, subspaces: list[list[int]]) -> np.ndarray:
     return index
 
 
+class _StateTable(Sequence):
+    """The states of a read-only (states, n, 2n+1) generator table, each described
+    when read; as in a tuple, a state read again while its description lives gets it."""
+
+    def __init__(self, table: np.ndarray):
+        self.table, self.alive = table, weakref.WeakValueDictionary()
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __getitem__(self, i):
+        rows = self.table[i]
+        if rows.ndim == 3:
+            return _StateTable(rows)
+        return self.alive.setdefault(i % len(self.table), StabilizerStateDesc(len(rows), rows))
+
+
 @lru_cache(maxsize=4)
-def enumerate_stabilizers(n: int) -> tuple[StabilizerStateDesc, ...]:
-    """Every pure n-qubit stabilizer state exactly once (n <= 4)."""
-    generators = _pack_generators(n, _maximal_isotropic_subspaces(n))
-    assert len(generators) == STABILIZER_COUNTS[n]
+def enumerate_stabilizers(n: int) -> Sequence[StabilizerStateDesc]:
+    """Every pure n-qubit stabilizer state exactly once (n <= 4): state
+    S * 2^n + s is isotropic subspace S with sign bit (s >> i) & 1 on row i."""
+    subspaces = _maximal_isotropic_subspaces(n)
+    if len(subspaces) << n != STABILIZER_COUNTS[n]:
+        raise qcore.InvariantError(f"{len(subspaces) << n} stabilizer states at n = {n}, not {STABILIZER_COUNTS[n]}")
+    generators = np.empty((len(subspaces), 1 << n, n, 2 * n + 1), dtype=np.int8)
+    generators[..., : 2 * n] = np.unpackbits(subspaces[:, None, :, None], axis=-1, count=2 * n, bitorder="little")
+    generators[..., 2 * n] = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
     generators.setflags(write=False)
-    return tuple(StabilizerStateDesc.table_row(generators, i) for i in range(len(generators)))
+    return _StateTable(generators.reshape(-1, n, 2 * n + 1))
 
 
 @lru_cache(maxsize=4)

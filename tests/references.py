@@ -1,7 +1,10 @@
 """References the tests compare the program against: the per-sample
-verifier update, the engine's closing value and Lagrange evaluation at a
-point, each the body it had in the program."""
+verifier update, the engine's closing value, Lagrange evaluation at a point
+and the stabilizer projector factors, each the body it had in the program."""
 
+import numpy as np
+
+from ipsim import qmeas
 from ipsim.m61 import StreamedNodeEval, fadd, fmul, lagrange_weights
 from ipsim.stream_ip import StreamVerifierState, _SumcheckEngine, composed_value
 
@@ -37,3 +40,15 @@ class ClosingEngine(_SumcheckEngine):
     def final_value(self) -> int:
         assert self.ids.size == 1
         return fmul(self.prefix, composed_value(self.kind, self.degree_cap, int(self.values[self.ids[0]])))
+
+
+def projector_factors(n: int) -> np.ndarray:
+    """(2, 4^n, 2^n, 2^n): (I + (-1)^s W) / 2 for sign bit s and every Pauli
+    label, one ``qmeas.dense_pauli`` matrix per label."""
+    d = 1 << n
+    out = np.empty((2, 1 << (2 * n), d, d), dtype=complex)
+    for label in range(1 << (2 * n)):
+        w = qmeas.dense_pauli(qmeas.PauliLabel.from_index(n, label))
+        for sign in (0, 1):
+            out[sign, label] = (np.eye(d) + (-1) ** sign * w) / 2
+    return out

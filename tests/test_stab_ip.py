@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from references import projector_factors
 
 import ipsim
 from ipsim import qcore, qmeas, stab_ip
@@ -252,6 +253,44 @@ class TestEnumeration:
         assert len(states) == STABILIZER_COUNTS[4]
         assert held < 6 << 20
 
+    def test_cold_subspace_search_peak_memory(self):
+        """The array passes run over fixed blocks of frontier rows. The Python
+        bitmask search they replaced traced a 5.82 MB peak, and unblocked
+        passes, with a frontier x 256 candidate array, trace 5.74 MB."""
+        stab_ip._commute_masks(4)
+        tracemalloc.start()
+        try:
+            stab_ip._maximal_isotropic_subspaces.__wrapped__(4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 << 20
+
+    def test_states_are_a_sequence(self):
+        """A state is described when read, and read again while that
+        description is alive it is the same object, as in a tuple."""
+        states = enumerate_stabilizers(3)
+        last = states[-1]
+        assert last is states[len(states) - 1] is states[np.int64(-1)]
+        assert not last.generators.flags.writeable
+        picked = states[5:50:9]
+        assert len(picked) == 5
+        for desc, i in zip(picked, range(5, 50, 9)):
+            assert np.array_equal(desc.generators, states[i].generators)
+        with pytest.raises(IndexError):
+            states[len(states)]
+
+    def test_wrong_count_raises_invariant_error(self, monkeypatch):
+        monkeypatch.setitem(STABILIZER_COUNTS, 2, 61)
+        enumerate_stabilizers.cache_clear()
+        with pytest.raises(qcore.InvariantError, match="60 stabilizer states at n = 2, not 61"):
+            enumerate_stabilizers(2)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_projector_factors_match_reference(self, n):
+        factors = stab_ip._projector_factors(n)
+        assert factors.tobytes() == projector_factors(n).tobytes() and not factors.flags.writeable
+
     def test_more_than_four_qubits_rejected(self):
         with pytest.raises(ValueError, match="1..4"):
             enumerate_stabilizers(5)
@@ -271,6 +310,64 @@ class TestEnumeration:
         bad[1] = bad[0]  # dependent rows
         with pytest.raises(ProtocolAbort):
             validate_candidate(bad, 2)
+
+
+def _extensions(n, gens, elements):
+    """The v outside the span ``elements`` that commute with every generator."""
+    return [v for v in range(1, 1 << (2 * n)) if v not in elements and not any(_reference_symp(n, v, g) for g in gens)]
+
+
+def _grown(gens, elements, v):
+    """E + <v> as (generators, elements), its new generator the least of the
+    coset v + E by brute force."""
+    coset = {e ^ v for e in elements}
+    return gens + [min(coset)], elements | coset
+
+
+def _isotropic_subspaces(n):
+    """Every isotropic subspace of F_2^{2n} of dimension 1..n once, as
+    (generators, elements), each generator the least of its coset over the
+    span of the earlier ones."""
+    found, level = [], [([], {0})]
+    for _dim in range(n):
+        grown = {}
+        for gens, elements in level:
+            for v in _extensions(n, gens, elements):
+                child = _grown(gens, elements, v)
+                grown.setdefault(frozenset(child[1]), child)
+        level = list(grown.values())
+        found += level
+    return found
+
+
+class TestCosetMinimumRule:
+    """The subspace search keeps v exactly when v is the least of v + E: no
+    bit at a generator's top bit (pivot), that is, v < v ^ g for every
+    generator g."""
+
+    @staticmethod
+    def _check(n, gens, elements):
+        pivots = sum(1 << (g.bit_length() - 1) for g in gens)
+        assert pivots.bit_count() == len(gens)
+        for v in range(1 << (2 * n)):
+            least = v == min(v ^ e for e in elements)
+            assert (v & pivots == 0) == least
+            assert all(v < v ^ g for g in gens) == least
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_every_isotropic_subspace(self, n):
+        subspaces = _isotropic_subspaces(n)
+        assert len(subspaces) == {1: 3, 2: 30, 3: 513}[n]
+        for gens, elements in subspaces:
+            self._check(n, gens, elements)
+
+    def test_seeded_sample_at_n4(self):
+        rng = np.random.default_rng(44)
+        for _chain in range(24):
+            gens, elements = [], {0}
+            for _dim in range(4):
+                gens, elements = _grown(gens, elements, int(rng.choice(_extensions(4, gens, elements))))
+                self._check(4, gens, elements)
 
 
 def _signed_rows(n, rows):

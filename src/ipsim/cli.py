@@ -84,18 +84,18 @@ class ExperimentConfig:
         return base
 
 
-# Each protocol is its config class. A config takes its keys as fields and
-# runs trials through make_prover(name), sample_instance(which, rng),
-# run_one(hidden, prover, seed) and judge(output, hidden); formula() gives the
-# closed forms every session's extras must match. Its trial_keys, with their
-# defaults, pick the prover ("adversary") and the instance source ("instance").
-# What differs between protocols a config declares: its ``verifier`` class (a
-# ``harness.Verifier``) and its ``provers`` ({"honest": P, **ADVERSARIES}).
-# The rest is harness's, bound in each config's own class body as
-# ``run_one = harness.run_protocol`` (``nogo``: ``harness.run_distinguisher``)
-# and ``make_prover = harness.make_prover``, not inherited: the benchmark
-# reads ``cls.__dict__["run_one"]``, ``["sample_instance"]`` and
-# ``["judge"]`` of its configs and ``cls.__dict__["run"]`` of their verifiers.
+# Each protocol is its config class, a ``harness.Protocol``. A config takes
+# its keys as fields and runs trials through make_prover(name),
+# sample_instance(which, rng), run_one(hidden, prover, seed) and
+# judge(output, hidden); formula() gives the closed forms every session's
+# extras must match. Its trial_keys, with their defaults, pick the prover
+# ("adversary") and the instance source ("instance"). What differs between
+# protocols a config declares: its ``verifier`` class (a ``harness.Verifier``)
+# and its ``provers`` ({"honest": P, **ADVERSARIES}). The rest it inherits,
+# and the base places ``run_one`` in each config's own namespace (``nogo``
+# defines its own, ``harness.run_distinguisher``): the benchmark reads
+# ``cls.__dict__["run_one"]``, ``["sample_instance"]`` and ``["judge"]`` of
+# its configs and ``cls.__dict__["run"]`` of their verifiers.
 PROTOCOLS = {
     "purity": purity_ip.PurityConfig,
     "tomo": tomo_ip.TomoConfig,
@@ -247,7 +247,7 @@ def run_experiment(config: ExperimentConfig) -> tuple[Report, list[harness.Sessi
     return Report(
         config=config.echo(),
         rows=rows,
-        rates=record.rates(correct=getattr(protocol, "answers_on_abort", False)),
+        rates=record.rates(correct=protocol.answers_on_abort),
         meter_aggregates={
             "verifier": _aggregate([r.verifier_queries for r in results]),
             "prover": _aggregate([r.prover_queries for r in results]),

@@ -3,7 +3,7 @@
 Many-vs-one tasks, copy oracles with query meters, typed channels with
 transcripts, the single-copy verifier memory policy, session execution,
 Monte-Carlo rate estimation with Wilson intervals, the one protocol
-interface (``Verifier``, ``run_protocol``, ``make_prover``), the generic
+interface (``Protocol``, ``Verifier``), the generic
 IP-to-distinguisher transformation, the delegation-channel contract and the
 trivial validation IP.
 """
@@ -17,7 +17,7 @@ import math
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable
+from typing import Any, Callable, ClassVar
 
 import numpy as np
 
@@ -186,16 +186,9 @@ class CopyOracle:
     test judges). Everything else goes through copies.
     """
 
-    def __init__(
-        self,
-        hidden_instance,
-        *,
-        meter: QueryMeter | None = None,
-        tracker: LiveCopyTracker | None = None,
-        ideal_access: bool = False,
-    ):
+    def __init__(self, hidden_instance, *, tracker: LiveCopyTracker | None = None, ideal_access: bool = False):
         self._hidden = hidden_instance
-        self.meter = meter if meter is not None else QueryMeter()
+        self.meter = QueryMeter()
         self.tracker = tracker
         self.ideal_access = ideal_access
 
@@ -214,18 +207,10 @@ class CopyOracle:
             state = self._hidden
         return Copy(state, self.tracker)
 
-    def stream(
-        self,
-        n: int,
-        kind: str = "query",
-        *,
-        channel: Channel | None = None,
-        unitary=None,
-        round_index: int = 0,
-    ) -> CopyStream:
+    def stream(self, n: int, kind: str = "query", *, channel: Channel | None = None, unitary=None) -> CopyStream:
         """n copies, each queried, masked with ``unitary`` (if given) and then
-        sent v->p over ``channel`` (or consumed by the verifier) before the
-        next one is queried.
+        sent v->p over ``channel`` in its current round (or consumed by the
+        verifier) before the next one is queried.
 
         All n copies share one (masked) description, so this costs one query,
         one masking and one send. Meters, live-copy tracking and channel
@@ -249,7 +234,7 @@ class CopyOracle:
             copy = copy.with_unitary(unitary)
         self.meter.charge(copies - 1, kind)
         if channel is not None:
-            return channel.send_stream("v->p", copy, n, round_index)
+            return channel.send_stream("v->p", copy, n, channel.round)
         return CopyStream(copy.consume(), n)
 
     def sample_batch(self, rng: np.random.Generator, size: int, kind: str = "sample"):
@@ -284,7 +269,12 @@ def transcript_line(round_index: int, direction: str, payload_kind: str, size: i
 
 class Channel:
     """Typed message channel with per-direction bit/qudit counters and, when
-    recording, the transcript as its JSONL lines."""
+    recording, the transcript as its JSONL lines.
+
+    ``round`` is the round the session opened last (``Session.next_round``);
+    bulk sends that name no round, a stream and a raw bit count, are stamped
+    with it, so a transcript's rounds never decrease.
+    """
 
     def __init__(self, kind: str = "quantum", record_transcript: bool = True):
         if kind not in ("classical", "quantum"):
@@ -296,6 +286,7 @@ class Channel:
         self.qudits_p_to_v = 0
         self.transcript: list[str] = []
         self.record_transcript = record_transcript
+        self.round = 0
 
     def _count_bits(self, direction: str, nbits: int):
         if direction == "v->p":
@@ -315,15 +306,15 @@ class Channel:
         nbits = 8 * len(payload)
         self._count_bits(direction, nbits)
         if self.record_transcript:
-            self.transcript.append(transcript_line(round_index, direction, "structured", nbits, payload_digest(obj)))
+            self.transcript.append(transcript_line(round_index, direction, "structured", nbits, payload_digest(payload)))
         return obj
 
-    def count_raw_bits(self, direction: str, nbits: int, round_index: int = 0, note: str = "stream"):
+    def count_raw_bits(self, direction: str, nbits: int, note: str = "stream"):
         """Accounts a bulk classical payload (e.g. a forwarded sample stream)
-        without materializing per-item messages."""
+        in the current round without materializing per-item messages."""
         self._count_bits(direction, nbits)
         if self.record_transcript:
-            self.transcript.append(transcript_line(round_index, direction, note, nbits, "-"))
+            self.transcript.append(transcript_line(self.round, direction, note, nbits, "-"))
 
     def send_qudits(self, direction: str, copies, round_index: int = 0):
         """Transfers copies; sending releases the sender's live slots."""
@@ -398,15 +389,15 @@ class Session:
         self.oracle_p = oracle_p
         self.channel = channel
         self.seed = int(seed)
-        self.round_index = 0
 
     def rng(self, label: str) -> np.random.Generator:
         return derive_rng(self.seed, label)
 
     def next_round(self, n: int = 1) -> int:
-        """Starts the next n rounds; returns the index of the first."""
-        self.round_index += n
-        return self.round_index - n + 1
+        """Starts the next n rounds; returns the index of the first. The
+        channel's current round is then the last of them."""
+        self.channel.round += n
+        return self.channel.round - n + 1
 
 
 @dataclass(frozen=True)
@@ -633,22 +624,54 @@ class Verifier:
         self.extras = cfg.formula()
 
 
-def run_protocol(cfg, hidden, prover: ProverStrategy, seed: int, prover_hidden=None) -> SessionResult:
-    """One session of ``cfg``'s verifier against ``prover`` on ``hidden``
-    (the prover's oracle on ``prover_hidden``, default ``hidden``)."""
-    return run_session(
-        cfg.verifier(cfg),
-        prover,
-        hidden,
-        seed,
-        record_transcript=cfg.record_transcript,
-        prover_hidden=prover_hidden,
-    )
+# The range rules several configs share: field -> (holds, message).
+RANGE_RULES = {
+    "d": (lambda d: d >= 2, "d must be >= 2"),
+    "epsilon": (lambda eps: 0 < eps < 1, "epsilon must be in (0, 1)"),
+    "delta": (lambda delta: 0 < delta < 1, "delta must be in (0, 1)"),
+    "mode": (lambda mode: mode in ("ideal", "sampled"), "mode must be ideal or sampled"),
+}
 
 
-def make_prover(cfg, name: str) -> ProverStrategy:
-    """The prover ``cfg.provers[name]`` built from ``cfg``; an unknown name is a ValueError."""
-    return choose("adversary", name, cfg.provers)(cfg)
+@dataclass(frozen=True)
+class Protocol:
+    """Base of every protocol config. A config declares its keys as fields,
+    its ``verifier`` class and its ``provers`` ({"honest": P, **ADVERSARIES});
+    the base gives it the experiment's transcript flag, the default trial
+    keys, the one session (``run_one``), the prover factory and the shared
+    range rules."""
+
+    record_transcript: bool = field(default=False, kw_only=True)
+    trial_keys: ClassVar[dict] = {"adversary": "honest"}
+    answers_on_abort: ClassVar[bool] = False  # True: the report also gives the rate of correct answers
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls.run_one = cls.run_one  # into the config's own namespace, where the benchmark times and traces it
+
+    def run_one(self, hidden, prover: ProverStrategy, seed: int, prover_hidden=None) -> SessionResult:
+        """One session of this config's verifier against ``prover`` on
+        ``hidden`` (the prover's oracle on ``prover_hidden``, default ``hidden``)."""
+        return run_session(
+            self.verifier(self),
+            prover,
+            hidden,
+            seed,
+            record_transcript=self.record_transcript,
+            prover_hidden=prover_hidden,
+        )
+
+    def make_prover(self, name: str) -> ProverStrategy:
+        """The prover ``provers[name]`` built from this config; an unknown name is a ValueError."""
+        return choose("adversary", name, self.provers)(self)
+
+    def require(self, *names: str) -> None:
+        """Applies the ``RANGE_RULES`` of the named fields in order; the first
+        that fails is a ValueError."""
+        for name in names:
+            holds, message = RANGE_RULES[name]
+            if not holds(getattr(self, name)):
+                raise ValueError(message)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,11 @@ from . import qcore, qmeas, tomo_ip
 from .harness import (
     Channel,
     CopyOracle,
+    Protocol,
     ProtocolAbort,
     ProverStrategy,
     Verifier,
     delegated_measure,
-    make_prover,
-    run_protocol,
 )
 
 
@@ -371,7 +370,7 @@ class LowRankVerifier(Verifier):
 
 
 @dataclass(frozen=True)
-class LowRankConfig:
+class LowRankConfig(Protocol):
     """The rank-k tomography IP's validated parameter set, which its verifier
     reads, with the experiment settings."""
 
@@ -381,26 +380,17 @@ class LowRankConfig:
     delta: float = 1 / 3
     mode: str = "ideal"
     variant: str = "standard"
-    record_transcript: bool = False
-    trial_keys: ClassVar[dict] = {"adversary": "honest"}
     verifier: ClassVar[type] = LowRankVerifier
     provers: ClassVar[dict] = {"honest": HonestSpectralProver, **ADVERSARIES}
-    run_one = run_protocol
-    make_prover = make_prover
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
+        self.require("d")
         if not 1 <= self.k <= self.d:
             raise ValueError(f"k must be in [1, d] = [1, {self.d}]")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
+        self.require("epsilon", "delta")
         if self.variant not in ("standard", "wide", "state"):
             raise ValueError("variant must be one of standard, wide, state")
-        if self.mode not in ("ideal", "sampled"):
-            raise ValueError("mode must be ideal or sampled")
+        self.require("mode")
 
     @property
     def run_epsilon(self) -> float:

@@ -30,13 +30,12 @@ from .harness import (
     CopyOracle,
     CopyStream,
     ManyVsOneTask,
+    Protocol,
     ProtocolAbort,
     ProverStrategy,
     Verifier,
     derive_rng,
-    make_prover,
     run_distinguisher,
-    run_protocol,
     same_instance,
 )
 
@@ -233,28 +232,22 @@ class PurityVerifier(Verifier):
 
 
 @dataclass(frozen=True)
-class PurityConfig:
+class PurityConfig(Protocol):
     """The purity IP's validated parameter set, which its verifier reads, with
     the experiment settings; builds sessions, tasks and judges."""
 
     d: int = 8
     delta: float = 1 / 3
     mask_ensemble: str = "haar"
-    record_transcript: bool = False
     # kind_seed decouples round-kind randomness from the session seed so
     # meter structure can be compared across dimensions
     kind_seed: int | None = field(default=None, metadata={"cli": False})  # set by tests only
     trial_keys: ClassVar[dict] = {"adversary": "honest", "instance": "accept"}
     verifier: ClassVar[type] = PurityVerifier
     provers: ClassVar[dict] = {"honest": HonestSwapProver, **ADVERSARIES}
-    run_one = run_protocol
-    make_prover = make_prover
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
+        self.require("d", "delta")
         if self.mask_ensemble not in MASK_ENSEMBLES:
             raise ValueError(f"mask_ensemble must be one of {MASK_ENSEMBLES}")
 
@@ -312,7 +305,7 @@ class PurityConfig:
 
 
 @dataclass(frozen=True)
-class NogoConfig:
+class NogoConfig(Protocol):
     """The ``NogoDistinguisher`` built from the purity IP and its honest
     prover, run on accept (maximally mixed) or reject (Haar-random pure)
     instances. A trial's validity is whether the distinguisher named the
@@ -321,12 +314,10 @@ class NogoConfig:
 
     d: int = 8
     delta: float = 1 / 3
-    record_transcript: bool = False
     trial_keys: ClassVar[dict] = {"instance": "accept"}
-    answers_on_abort: ClassVar[bool] = True  # the report gives the rate of correct answers
+    answers_on_abort: ClassVar[bool] = True
     provers: ClassVar[dict] = PurityConfig.provers
     run_one = run_distinguisher  # the wrapped IP's session, answered by the distinguisher
-    make_prover = make_prover
 
     def __post_init__(self):
         self.task  # validates d and delta and probes the task before any session

@@ -23,14 +23,13 @@ from . import qcore, qmeas
 from .harness import (
     Channel,
     CopyOracle,
+    Protocol,
     ProtocolAbort,
     ProverStrategy,
     TrivialValidationIP,
     Verifier,
     choose,
     delegated_measure,
-    make_prover,
-    run_protocol,
 )
 
 STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080, 4: 36720}
@@ -465,7 +464,7 @@ class StabVerifier(Verifier):
 
 
 @dataclass(frozen=True)
-class StabConfig:
+class StabConfig(Protocol):
     """The stabilizer-learning IP's validated parameter set, which its
     verifier reads, with the experiment settings."""
 
@@ -473,21 +472,12 @@ class StabConfig:
     epsilon: float = 0.4
     delta: float = 1 / 3
     mode: str = "ideal"
-    record_transcript: bool = False
-    trial_keys: ClassVar[dict] = {"adversary": "honest"}
     verifier: ClassVar[type] = StabVerifier
     provers: ClassVar[dict] = {"honest": HonestBruteForceProver, **ADVERSARIES}
-    run_one = run_protocol
-    make_prover = make_prover
 
     def __post_init__(self):
         _check_qubits(self.n)  # before sample_instance enumerates states
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
-        if self.mode not in ("ideal", "sampled"):
-            raise ValueError("mode must be ideal or sampled")
+        self.require("epsilon", "delta", "mode")
 
     @property
     def eps1(self) -> float:
@@ -572,7 +562,7 @@ class TrivialGarbage(TrivialSolver):
 
 
 @dataclass(frozen=True)
-class TrivialConfig:
+class TrivialConfig(Protocol):
     """Obs-2.5-style IP on realizable stabilizer learning: the prover solves,
     the verifier runs a stabilizer-fidelity decide-valid check (``checker``:
     "sampled" measures copies, "ideal" charges the shot budget and errs with
@@ -582,19 +572,12 @@ class TrivialConfig:
     epsilon: float = 0.3
     delta: float = 1 / 3
     checker: str = "sampled"
-    record_transcript: bool = False
-    trial_keys: ClassVar[dict] = {"adversary": "honest"}
     verifier: ClassVar[type] = TrivialValidationIP
     provers: ClassVar[dict] = {"honest": TrivialSolver, "garbage": TrivialGarbage}
-    run_one = run_protocol
-    make_prover = make_prover
 
     def __post_init__(self):
         _check_qubits(self.n)  # before sample_instance enumerates states
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
+        self.require("epsilon", "delta")
         choose("checker", self.checker, self._checks())
 
     def shots(self) -> int:

@@ -46,15 +46,7 @@ from typing import ClassVar, NamedTuple
 import numpy as np
 
 from . import m61
-from .harness import (
-    ManyVsOneTask,
-    ProtocolAbort,
-    ProverStrategy,
-    Verifier,
-    choose,
-    make_prover,
-    run_protocol,
-)
+from .harness import ManyVsOneTask, Protocol, ProtocolAbort, ProverStrategy, Verifier, choose
 from .m61 import Q, fadd, fmul, fsub, vadd, vmul, vsub
 
 FIELD_BITS = 61
@@ -884,7 +876,7 @@ class UniformityVerifier(Verifier):
 
 
 @dataclass(frozen=True)
-class UniformityConfig:
+class UniformityConfig(Protocol):
     """The uniformity IP's validated parameter set, which its verifier reads,
     with the experiment settings."""
 
@@ -897,12 +889,8 @@ class UniformityConfig:
     # where tau <= 0 makes the unique-count rule constant, decide on the
     # verified collision count instead (see decision_statistic)
     allow_small_epsilon: bool = False
-    record_transcript: bool = False
-    trial_keys: ClassVar[dict] = {"adversary": "honest"}
     verifier: ClassVar[type] = UniformityVerifier
     provers: ClassVar[dict] = {"honest": HonestStreamProver, **ADVERSARIES}
-    run_one = run_protocol
-    make_prover = make_prover
 
     def __post_init__(self):
         if self.k & (self.k - 1) or self.k < 2:

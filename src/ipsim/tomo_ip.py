@@ -21,12 +21,11 @@ from . import qcore, qmeas
 from .harness import (
     Channel,
     CopyOracle,
+    Protocol,
     ProtocolAbort,
     ProverStrategy,
     Verifier,
     delegated_measure,
-    make_prover,
-    run_protocol,
 )
 
 CLOSE = 1
@@ -271,7 +270,7 @@ class TomoVerifier(Verifier):
 
 
 @dataclass(frozen=True)
-class TomoConfig:
+class TomoConfig(Protocol):
     """The tomography IP's validated parameter set, which its verifier reads,
     with the experiment settings."""
 
@@ -280,22 +279,11 @@ class TomoConfig:
     delta: float = 1 / 3
     mode: str = "ideal"
     rank_k: int | None = None
-    record_transcript: bool = False
-    trial_keys: ClassVar[dict] = {"adversary": "honest"}
     verifier: ClassVar[type] = TomoVerifier
     provers: ClassVar[dict] = {"honest": HonestTomographyProver, **ADVERSARIES}
-    run_one = run_protocol
-    make_prover = make_prover
 
     def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("d must be >= 2")
-        if not 0 < self.epsilon < 1:
-            raise ValueError("epsilon must be in (0, 1)")
-        if not 0 < self.delta < 1:
-            raise ValueError("delta must be in (0, 1)")
-        if self.mode not in ("ideal", "sampled"):
-            raise ValueError("mode must be ideal or sampled")
+        self.require("d", "epsilon", "delta", "mode")
         if self.rank_k is not None and not 1 <= self.rank_k <= self.d:
             raise ValueError(f"rank_k must be in [1, d] = [1, {self.d}]")
         if self.rank_k is not None and self.mode != "ideal":

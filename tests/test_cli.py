@@ -345,7 +345,7 @@ GOLDEN = {
     "uniformity-uniform-transcripts": (
         ["uniformity", "--transcripts", "--trials", "3", "--seed", "5", "k=256", "epsilon=0.9",
          "allow_small_epsilon=true"],
-        "dcf1054839af88d4870c0e3038ddac33bd3dc9ba4f4e5f513404df60a32330ea",
+        "cbd372a3a60a606fcb60421d78dc38f29ae9262163f95ab66f650e3fb27071c3",
         "b0e2e3cb61b26be36a6caaf8ac40aca651e875608e755cb68ea1e52078277083",
     ),
     "uniformity-range-clamp": (
@@ -424,7 +424,7 @@ GOLDEN = {
     "tomo-sampled-tamperer": (
         ["tomo", "--mode", "sampled", "--transcripts", "--trials", "3", "--seed", "5",
          "d=2", "epsilon=0.8", "adversary=delegation-tamperer"],
-        "93f2bfa6865b97889afe23676f80a483d22b103924d00e7254abdb2bb9d8aa30",
+        "dec701e616587e0826cdac30f74b55db3191ccd979bf2d39df10c6b61e3c3218",
         "7f001408147b312822b4db47f868e2f896cfaadd5d483e52a9724b1da39d0a1f",
     ),
     "lowrank-ideal": (

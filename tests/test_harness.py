@@ -4,7 +4,7 @@ determinism."""
 
 import hashlib
 import json
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -80,26 +80,29 @@ class TestMeterAndTracker:
         assert CopyOracle(qcore.maximally_mixed(2), ideal_access=True).ideal_peek() is not None
 
 
-def _reference_stream(oracle, n, kind, channel=None, unitary=None, round_index=0):
+def _reference_stream(oracle, n, kind, channel=None, unitary=None):
     """The per-copy loop ``CopyOracle.stream`` replaces: query, mask, then send
-    or consume, one copy at a time."""
+    in the channel's current round or consume, one copy at a time."""
     states = []
     for _ in range(n):
         c = oracle.query(kind)
         if unitary is not None:
             c = c.with_unitary(unitary)
         if channel is not None:
-            states.extend(channel.send_qudits("v->p", [c], round_index))
+            states.extend(channel.send_qudits("v->p", [c], channel.round))
         else:
             states.append(c.consume())
     return states
 
 
 def _stream_setup(transcript):
-    """An oracle with a fresh tracker, and a channel (None, recording or not)."""
+    """An oracle with a fresh tracker, and a channel (None, recording or not)
+    in round 7."""
     oracle = CopyOracle(qcore.sample_state(4, 2, np.random.default_rng(11)), tracker=LiveCopyTracker(1))
     oracle.meter.charge(3, "earlier")  # the stream adds to an existing meter
     channel = None if transcript is None else Channel("quantum", record_transcript=transcript)
+    if channel is not None:
+        channel.round = 7
     return oracle, channel
 
 
@@ -113,9 +116,9 @@ class TestCopyStream:
         for streamed in (False, True):
             oracle, channel = _stream_setup(transcript)
             if streamed:
-                states = oracle.stream(n, "swap", channel=channel, unitary=u, round_index=7)
+                states = oracle.stream(n, "swap", channel=channel, unitary=u)
             else:
-                states = _reference_stream(oracle, n, "swap", channel=channel, unitary=u, round_index=7)
+                states = _reference_stream(oracle, n, "swap", channel=channel, unitary=u)
             runs.append((oracle, channel, states))
         (ref_oracle, ref_channel, ref_states), (oracle, channel, states) = runs
         assert isinstance(states, CopyStream)
@@ -200,10 +203,10 @@ class TestCopyStream:
                 for r, state in enumerate(states, 1):
                     channel.send_stream("v->p", state, n, r)
             else:
-                states = [
-                    _reference_stream(oracle, n, "compute-round", channel=channel, unitary=u, round_index=r)[0]
-                    for r, u in enumerate(masks, 1)
-                ]
+                states = []
+                for r, u in enumerate(masks, 1):
+                    channel.round = r
+                    states.append(_reference_stream(oracle, n, "compute-round", channel=channel, unitary=u)[0])
             runs.append((oracle, channel, states))
         (ref_oracle, ref_channel, ref_states), (oracle, channel, states) = runs
         assert (oracle.meter.total, oracle.meter.by_kind) == (ref_oracle.meter.total, ref_oracle.meter.by_kind)
@@ -501,6 +504,35 @@ SMALL_KEYS = {
     "trivial": {"n": 2},
 }
 
+# every protocol in each of its modes
+MODES = [
+    (name, mode)
+    for name, cls in sorted(cli.PROTOCOLS.items())
+    for mode in (("ideal", "sampled") if "mode" in {f.name for f in fields(cls)} else ("ideal",))
+]
+
+# the shared range rules, with out-of-range values and their messages
+OUT_OF_RANGE = {
+    "d": ((1, 0), "d must be >= 2"),
+    "epsilon": ((0, 1, 1.5, -0.2), "epsilon must be in (0, 1)"),
+    "delta": ((0, 1, 1.5, -0.2), "delta must be in (0, 1)"),
+    "mode": (("quantum", "Ideal"), "mode must be ideal or sampled"),
+}
+RULES_APPLIED = {
+    "purity": ("d", "delta"),
+    "nogo": ("d", "delta"),
+    "tomo": ("d", "epsilon", "delta", "mode"),
+    "lowrank": ("d", "epsilon", "delta", "mode"),
+    "stab": ("epsilon", "delta", "mode"),
+    "trivial": ("epsilon", "delta"),
+}
+RANGE_CASES = [
+    (name, key, value, OUT_OF_RANGE[key][1])
+    for name, keys in RULES_APPLIED.items()
+    for key in keys
+    for value in OUT_OF_RANGE[key][0]
+]
+
 
 class TestProtocolInterface:
     def test_small_keys_cover_every_protocol(self):
@@ -534,11 +566,40 @@ class TestProtocolInterface:
             assert type(prover) is cls.provers[adversary]
             assert prover.cfg is protocol
 
-    @pytest.mark.parametrize("name", sorted(set(cli.PROTOCOLS) - {"nogo"}))
+    @pytest.mark.parametrize("name", sorted(cli.PROTOCOLS))
     def test_each_config_binds_the_harness_session(self, name):
-        """Each config runs the one harness session with its own verifier,
-        bound in its own class body."""
+        """Each config is a ``harness.Protocol``: it inherits the prover
+        factory and the transcript flag, and holds ``run_one`` in its own
+        namespace, where the benchmark times and traces it. That is the one
+        harness session with the config's own verifier (nogo: the
+        distinguisher)."""
         cls = cli.PROTOCOLS[name]
-        assert issubclass(cls.verifier, harness.Verifier)
-        assert cls.__dict__["run_one"] is harness.run_protocol
-        assert cls.__dict__["make_prover"] is harness.make_prover
+        assert issubclass(cls, harness.Protocol)
+        assert "make_prover" not in cls.__dict__
+        assert "record_transcript" not in cls.__dict__
+        assert "record_transcript" not in cls.__dict__.get("__annotations__", {})
+        if name == "nogo":
+            assert cls.__dict__["run_one"] is harness.run_distinguisher
+        else:
+            assert issubclass(cls.verifier, harness.Verifier)
+            assert cls.__dict__["run_one"] is harness.Protocol.run_one
+
+    @pytest.mark.parametrize("name, key, value, message", RANGE_CASES)
+    def test_shared_range_rules(self, name, key, value, message):
+        """Each shared range rule a config applies rejects an out-of-range
+        value with its one message (nogo applies purity's)."""
+        with pytest.raises(ValueError) as err:
+            cli.PROTOCOLS[name](**{key: value})
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("name, mode", MODES)
+    def test_transcript_rounds_never_decrease(self, name, mode):
+        """A stream or raw bit count is stamped with the round the session
+        opened last, so no transcript line names an earlier round."""
+        experiment = cli.ExperimentConfig(
+            protocol=name, trials=2, seed=3, mode=mode, transcripts=True, protocol_keys=SMALL_KEYS[name]
+        )
+        _, results = cli.run_experiment(experiment)
+        for res in results:
+            rounds = [json.loads(line)["round"] for line in res.transcript_lines]
+            assert rounds and rounds == sorted(rounds)

@@ -46,7 +46,8 @@ def prepare_round_state(
     channel: Channel,
     round_index: int,
 ) -> CopyStream:
-    """Sends one round's m copies v->p, one at a time; returns the copies the
+    """Sends one round's m copies v->p, one at a time, in round
+    ``round_index``, the channel's current round; returns the copies the
     prover received.
 
     Mixed test rounds cost no oracle queries and carry no mask; pure test
@@ -60,9 +61,7 @@ def prepare_round_state(
         state = np.outer(mask[:, 0], mask[:, 0].conj())
         return channel.send_stream("v->p", state, cfg.m, round_index)
     if kind == "c":
-        return oracle_v.stream(
-            cfg.m, "compute-round", channel=channel, unitary=mask, round_index=round_index
-        )
+        return oracle_v.stream(cfg.m, "compute-round", channel=channel, unitary=mask)
     raise ValueError(f"unknown round kind {kind}")
 
 

@@ -165,19 +165,30 @@ _S42 = np.uint64(42)
 def matmul(a: np.ndarray, b: np.ndarray, limbs: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """(a @ b) mod Q for canonical a of shape (P, K) and b of shape (K, R);
     exact (see the module docstring), one float64 GEMM per GEMM_BLOCK of K.
+    A constant ``a`` may be passed as its ``split(a)`` limbs, which are then
+    not split again.
 
     ``limbs``, if given, is a pair of 1-D float64 buffers of at least
     3 P min(K, GEMM_BLOCK) and 3 R min(K, GEMM_BLOCK) elements that the
     limbs of a and b are written to; without it they are allocated."""
+    presplit = a.dtype == np.float64
+    rows = a.shape[0] // 3 if presplit else a.shape[0]
     width = min(a.shape[1], GEMM_BLOCK)
     if limbs is None:
-        limbs = np.empty(3 * a.shape[0] * width), np.empty(3 * b.shape[1] * width)
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint64)
+        limbs = np.empty(0 if presplit else 3 * rows * width), np.empty(3 * b.shape[1] * width)
+    out = None
     for lo in range(0, a.shape[1], GEMM_BLOCK):
         inner = slice(lo, lo + GEMM_BLOCK)
-        sums = _limbs(a[:, inner], limbs[0]) @ _limbs(b[inner].T, limbs[1]).T
-        vadd(out, _combine_limbs(sums), out=out)
+        left = a[:, inner] if presplit else _limbs(a[:, inner], limbs[0])
+        block = _combine_limbs(left @ _limbs(b[inner].T, limbs[1]).T)
+        out = block if out is None else vadd(out, block, out=out)
     return out
+
+
+def split(a: np.ndarray) -> np.ndarray:
+    """The (3P, K) float64 limbs of a canonical (P, K) array, which ``matmul``
+    takes in place of ``a``."""
+    return _limbs(a, np.empty(3 * a.size))
 
 
 def _combine_limbs(sums: np.ndarray) -> np.ndarray:
@@ -233,6 +244,21 @@ def vsum_rows(a: np.ndarray) -> list[int]:
     hi = np.sum(a >> _S32, axis=1)  # < 2^61
     lo = np.sum(a & _MASK32, axis=1)
     return vadd(_rotate(_fold(hi), _S32), _fold(lo)).tolist()
+
+
+def grouped_sums(ids: np.ndarray, values: np.ndarray, size: int) -> np.ndarray:
+    """Sums mod Q of the canonical 1-D ``values`` grouped by ``ids``: entry s
+    sums values[i] over the i with ids[i] = s, for s < ``size``.
+
+    The 29-bit high and 32-bit low halves are summed apart in uint64
+    (``np.add.at``), exact for groups of up to 2^32 values: their high sums
+    stay below 2^61 and their low sums below 2^64, and both fold as in
+    ``vsum_rows``."""
+    high = np.zeros(size, dtype=np.uint64)
+    low = np.zeros(size, dtype=np.uint64)
+    np.add.at(high, ids, values >> _S32)
+    np.add.at(low, ids, values & _MASK32)
+    return vadd(_rotate(_fold(high), _S32), _fold(low))
 
 
 def factorials(n: int) -> tuple[list[int], list[int]]:

@@ -39,6 +39,7 @@ count 8 C(n,2)/k still clears the threshold by a factor of three.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import ClassVar, NamedTuple
@@ -211,19 +212,18 @@ class DistinctTable(NamedTuple):
 
     @classmethod
     def of(cls, table: np.ndarray) -> DistinctTable:
-        table = np.ascontiguousarray(table, dtype=np.uint64)
-        if 0 < table.size < 1 << 31 and int(table.max()) < table.size:
-            # a frequency table's entries are small: rank them by counting
-            # (0.19 ms against the sort's 1.19 ms at k = 2^16), into int32
-            # ids, half the size of _runs' int64 ids. An engine holds its ids
-            # for its first round; nothing keeps them between sum-checks, and
-            # warm k = 2^16 sessions read near 0 minor faults with either width
-            seen = np.bincount(table.view(np.int64)) > 0
-            rank = np.cumsum(seen, dtype=np.int32)
-            rank -= 1
-            return cls(np.flatnonzero(seen).astype(np.uint64), rank[table.view(np.int64)])
-        order, starts, ids = _runs(table)
-        return cls(table[order[starts]], ids)
+        # a frequency table's entries are small, so ``_rank`` counts them into
+        # int32 ids, half the size of _runs' int64 ids. An engine holds its ids
+        # for its first round; nothing keeps them between sum-checks, and
+        # warm k = 2^16 sessions read near 0 minor faults with either width.
+        # The engine's rounds 0 and 1 count their pairs the same way, into
+        # int32 pair indices, with ``m61.grouped_sums``' two halves of the
+        # pairs as the range weights' transients; dense rounds keep one int64
+        # index array from the round they start at (32 KB at k = 2^16). With
+        # them, 30 warm k = 2^16 sessions (getrusage, three runs) read 2.5 to
+        # 2.6 minor faults a session on average, median 0 and one session of
+        # 72, against 1.7 to 1.8, median 0 and one of 37, without them
+        return cls(*_rank(np.ascontiguousarray(table, dtype=np.uint64)))
 
     def total(self, kind: str, degree_cap: int) -> int:
         """``table_total`` of the table: sum over the distinct values y of
@@ -232,6 +232,22 @@ class DistinctTable(NamedTuple):
         for value, count in zip(self.values, np.bincount(self.ids, minlength=self.values.size)):
             total = fadd(total, fmul(composed_value(kind, degree_cap, int(value)), int(count) % Q))
         return total
+
+
+def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct, ids) of a 1-D array of 64-bit keys below 2^63: its sorted
+    distinct keys and the index of every key among them. Keys that are all
+    below the array's size are ranked by counting, into int32 ids (0.19 ms
+    against the sort's 1.19 ms on a k = 2^16 frequency table); others are
+    sorted (``_runs``, int64 ids)."""
+    if 0 < keys.size < 1 << 31 and int(keys.max()) < keys.size:
+        counted = keys.view(np.int64)
+        seen = np.bincount(counted) > 0
+        rank = np.cumsum(seen, dtype=np.int32)
+        rank -= 1
+        return np.flatnonzero(seen).astype(keys.dtype), rank[counted]
+    order, starts, ids = _runs(keys)
+    return keys[order[starts]], ids
 
 
 def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -262,71 +278,44 @@ def _segment_sums_mod(
     written to ``out`` if given; scratch goes into the 1-D uint64 ``work``
     (at least 2 ``values.size`` elements) if given.
 
-    Counts that are all 1 are dropped. Without counts and with no segment
-    of more than 8 elements, each segment's first element is copied through
-    and only the segments of two or more elements are summed, in uint64
-    directly: 8 elements below 2^61 sum below 2^64, and folding 2^61 = 1
-    takes the sum below Q + 8.
-
-    Otherwise the 29-bit high and 32-bit low halves of the elements are
-    summed apart in uint64, exact by this bound: a segment whose counts add
-    up to c sums its high halves to below 2^29 c and its low halves to below
-    2^32 c, which for c <= 2^32 stay below 2^61 and 2^64. The counts of one
-    round add up to its number of columns, at most 2^31 for any table of at
-    most 2^32 entries, and a segment without counts has at most that many
-    elements. The high sum, below 2^61, times 2^32 mod Q
-    is its 61-bit rotation by 32 (2^61 = 1), at most Q. Folding 2^61 = 1
-    takes the low sum below Q + 8 and then their sum below Q + 3, which one
-    subtraction makes canonical."""
+    The 29-bit high and 32-bit low halves of the elements are summed apart
+    in uint64, exact by this bound: a segment whose counts add up to c sums
+    its high halves to below 2^29 c and its low halves to below 2^32 c,
+    which for c <= 2^32 stay below 2^61 and 2^64. The counts of one round
+    add up to its number of columns, at most 2^31 for any table of at most
+    2^32 entries, and a segment without counts has at most that many
+    elements. The high sum, below 2^61, times 2^32 mod Q is its 61-bit
+    rotation by 32 (2^61 = 1), at most Q. Folding 2^61 = 1 takes the low sum
+    below Q + 8 and then their sum below Q + 3, which one subtraction makes
+    canonical."""
     sums_shape = values.shape[:-1] + starts.shape
     if out is None:
         out = np.empty(sums_shape, dtype=np.uint64)
-    if counts is not None and counts.min(initial=1) == counts.max(initial=1) == 1:
-        counts = None
-    sizes = np.empty_like(starts)
-    np.subtract(starts[1:], starts[:-1], out=sizes[:-1])
-    sizes[-1] = values.shape[-1] - starts[-1]
-    longest = int(sizes.max())
+    if work is None:
+        work = np.empty(2 * values.size, dtype=np.uint64)
     q = np.uint64(Q)
-    if counts is None and longest <= 8:
-        values.take(starts, axis=-1, out=out, mode="clip")  # each segment's first element
-        if longest == 1:  # nothing to add
-            return out
-        multi = np.flatnonzero(sizes > 1)
-        heads = starts[multi]
-        sums = values.take(heads, axis=-1)
-        sums += values.take(heads + 1, axis=-1)
-        for k in range(2, longest):
-            ahead = np.flatnonzero(sizes[multi] > k)
-            sums[..., ahead] += values.take(heads[ahead] + k, axis=-1)
-        top = sums >> np.uint64(61)
-    else:
-        if work is None:
-            work = np.empty(2 * values.size, dtype=np.uint64)
-        hi, lo = work[: values.size].reshape(values.shape), work[values.size : 2 * values.size].reshape(values.shape)
-        np.right_shift(values, np.uint64(32), out=hi)
-        np.bitwise_and(values, np.uint64(0xFFFFFFFF), out=lo)
-        if counts is not None:
-            hi *= counts
-            lo *= counts
-        sums = np.add.reduceat(hi, starts, axis=-1, out=out)
-        low_sums = np.add.reduceat(lo, starts, axis=-1, out=hi.reshape(-1)[: out.size].reshape(sums_shape))
-        top = lo.reshape(-1)[: out.size].reshape(sums_shape)
-        np.right_shift(sums, np.uint64(29), out=top)
-        sums <<= np.uint64(32)
-        sums &= q
-        sums |= top
-        np.right_shift(low_sums, np.uint64(61), out=top)
-        low_sums &= q
-        sums += low_sums
-        sums += top
-        np.right_shift(sums, np.uint64(61), out=top)
+    hi, lo = work[: values.size].reshape(values.shape), work[values.size : 2 * values.size].reshape(values.shape)
+    np.right_shift(values, np.uint64(32), out=hi)
+    np.bitwise_and(values, np.uint64(0xFFFFFFFF), out=lo)
+    if counts is not None:
+        hi *= counts
+        lo *= counts
+    sums = np.add.reduceat(hi, starts, axis=-1, out=out)
+    low_sums = np.add.reduceat(lo, starts, axis=-1, out=hi.reshape(-1)[: out.size].reshape(sums_shape))
+    top = lo.reshape(-1)[: out.size].reshape(sums_shape)
+    np.right_shift(sums, np.uint64(29), out=top)
+    sums <<= np.uint64(32)
+    sums &= q
+    sums |= top
+    np.right_shift(low_sums, np.uint64(61), out=top)
+    low_sums &= q
+    sums += low_sums
+    sums += top
+    np.right_shift(sums, np.uint64(61), out=top)
     sums &= q
     sums += top
     np.subtract(sums, q, out=top)
     np.minimum(sums, top, out=sums)
-    if sums is not out:
-        out[..., multi] = sums
     return out
 
 
@@ -356,19 +345,26 @@ def _moment_tables(factors: tuple[int, ...], constant: int) -> tuple[np.ndarray,
     vmul(coeffs, fact, out=hankel[:n])
     triangle = vmul(hankel[np.add.outer(np.arange(n), np.arange(n))], inv_fact)
     vmul(triangle, inv_fact[:, None], out=triangle)
-    powers = _powers(np.arange(n + 1, dtype=np.uint64), n + 1, out=np.empty((n + 1, n + 1), dtype=np.uint64))
-    return triangle, np.ascontiguousarray(powers.T)
+    powers = np.empty((n + 1, n + 1), dtype=np.uint64)
+    powers[1] = np.arange(n + 1)
+    return triangle, np.ascontiguousarray(_powers(powers).T)
 
 
-def _powers(x: np.ndarray, num_powers: int, out: np.ndarray) -> np.ndarray:
-    """x^p, p = 0..num_powers-1, into the (num_powers, m) array ``out``,
-    built by doubling: rows h+1..2h are rows 1..h times row h, one vmul per
-    step."""
+@lru_cache(maxsize=128)
+def _triangle_limbs(factors: tuple[int, ...], constant: int) -> np.ndarray:
+    """``m61.split`` of the ``_moment_tables`` triangle, the constant operand
+    of the narrow GEMM."""
+    return m61.split(_moment_tables(factors, constant)[0])
+
+
+def _powers(out: np.ndarray) -> np.ndarray:
+    """x^p in row p = 0..P-1 of the (P, m) array ``out``, for the x that its
+    row 1 holds, built by doubling: rows h+1..2h are rows 1..h times row h,
+    one vmul per step."""
     out[0] = 1
-    out[1] = x
     h = 1
-    while h + 1 < num_powers:
-        top = min(2 * h, num_powers - 1)
+    while h + 1 < len(out):
+        top = min(2 * h, len(out) - 1)
         vmul(out[1 : top - h + 1], out[h], out=out[h + 1 : top + 1])
         h = top
     return out
@@ -380,6 +376,20 @@ def _powers(x: np.ndarray, num_powers: int, out: np.ndarray) -> np.ndarray:
 # engine's scratch included, and both k = 2^16 sum-checks ran slower with
 # 2^15 (one BLAS thread, 2-vCPU Xeon)
 _LADDER_ELEMS = 1 << 16
+
+# pairs x nodes^2 of a round at or under which its message and its bind are
+# computed in Python ints, where a numpy call's fixed cost outweighs its
+# arithmetic (timeit: a vmul of 10 elements takes 13 us, the same 10 products
+# in Python ints 1.7 us). nodes^2 = nodes x (deg g + 2) counts a pair's deg g
+# factors at every node and about two factors' worth of Python overhead per
+# node; that is at most 10 pairs at D = 8 and 62 for the degree-2 collision
+# count, and no pair at D >= 30
+_TAIL_WORK = 1000
+
+# message nodes at or under which node values are summed in Python ints
+# (timeit: 11 us at 10 nodes against numpy's 42 us, 36 us at 17 against 35,
+# 126 us at 35 against 44)
+_INT_NODES = 17
 
 
 class _SumcheckEngine:
@@ -395,12 +405,24 @@ class _SumcheckEngine:
     drops its lowest coordinate since eq(0, z) + eq(1, z) = 1.
 
     The table is kept as ``values[ids]``: a few distinct values and one id
-    per entry. Each round buckets its column pairs (ids[2x], ids[2x+1]) by
-    one int64 key, sorted with the u-id first, and weights each distinct
-    pair (u, d = v - u) by its count or by the sum of its columns' eq suffix
-    entries; ``bind(r)`` folds only the distinct pairs, u + r d, and the pair
-    indices become the next ids. A frequency table has few distinct pairs in
-    its early rounds, and far fewer distinct u and d than pairs after that.
+    per entry. Each round ranks its column pairs (ids[2x], ids[2x+1]) by one
+    int64 key, u-id first, as ``DistinctTable.of`` ranks a table: by
+    counting when every key is below the number of columns, which the first
+    rounds of a frequency table meet (values.size^2 <= columns), and by
+    sorting otherwise. Each distinct pair (u, d = v - u), in key order, is
+    weighted by its count or by the sum of its columns' eq suffix entries
+    (``m61.grouped_sums``); ``bind(r)`` folds only the distinct pairs,
+    u + r d, and the pair indices become the next ids. A frequency table has
+    few distinct pairs in its early rounds, and far fewer distinct u than
+    pairs after that.
+
+    Once a round finds as many distinct pairs as columns, the engine is
+    ``dense`` for the rest of the sum-check: it keeps the table itself, in
+    column order (``ids`` = 0, 1, ...), takes each column pair as its own
+    pair, weighted 1 or by its eq suffix entry, and folds the table as it
+    is, with no ranking. Folding at a random r keeps distinct pairs distinct
+    except with probability about pairs^2 / Q, and every round is exact
+    either way.
 
     A round message comes from power moments. With y = u + t d on each
     pair and its weight w, sum w g(u + t d) = sum_a t^a sum_p T[a, p] M[a, p],
@@ -408,38 +430,49 @@ class _SumcheckEngine:
     g_(a+p) C(a+p, a) is the coefficient-binomial triangle of
     ``_moment_tables``. The pairs are taken in blocks of
     ``_LADDER_ELEMS`` / 2n (n = deg g + 1), so that the power ladder of a
-    block's distinct d and distinct u holds at most ``_LADDER_ELEMS``
-    elements. A block gathers the powers of its distinct d per pair, weights
-    them and sums them over each run of equal u into S[a, s] = sum w d^a, so
-    that M = S U^T with U[p, s] = u_s^p built once per distinct u; a run cut
-    by the block's end carries its partial sums into the next block. A block
-    with at least n distinct u forms M with one exact limb-split float64
+    block's d and of the u of its runs holds at most ``_LADDER_ELEMS``
+    elements. A block weights the powers of its d and sums them over each
+    run of equal u into S[a, s] = sum w d^a, so that M = S U^T with
+    U[p, s] = u_s^p built once per run; a run cut by the block's end carries
+    its partial sums into the next block. In a dense round every pair is a
+    run of its own, and S is its weighted d-powers, with nothing to sum. A
+    block with at least n runs forms M with one exact limb-split float64
     GEMM (``m61.matmul``) and contracts it with T. A narrower block, which
     the last rounds of every sum-check and every small table have,
     contracts the powers first, h_a = sum_p T[a, p] u^p, so that its GEMM
-    output is n x s rather than n x n. A round whose u are all distinct is
-    the same computation with runs of one pair, which the segment sums copy
-    through: they sum only the runs that merge. The Vandermonde matrix of
-    the nodes turns the coefficients in t, times the line, into node values.
-    Every step is exact arithmetic in GF(Q), so the messages equal those of
-    evaluating chi g at every node.
+    output is n x s rather than n x n, from T's limbs split once per
+    polynomial (``_triangle_limbs``). The Vandermonde matrix of the nodes
+    turns the coefficients in t, times the line, into node values, in
+    Python ints up to ``_INT_NODES`` nodes. A round whose pairs x nodes^2 is
+    at most ``_TAIL_WORK`` instead evaluates w g(u + t d) of every pair at
+    every node in Python ints, and binds in them too. Every step is exact
+    arithmetic in GF(Q), so the messages equal those of evaluating chi g at
+    every node.
 
     The engine keeps one scratch buffer for as long as it lives, grown to
     its largest block (9 ``_LADDER_ELEMS`` / 2 elements at most). Each block
-    writes its power ladder, gathered d-powers, segment-sum scratch and the
-    GEMM's float64 limbs into it, so that a round touches no fresh pages;
-    its ``vmul`` temporaries are new arrays. Each engine ranks its own table
+    writes its power ladder, segment-sum scratch and the GEMM's float64
+    limbs into it, so that a round touches no fresh pages; its ``vmul``
+    temporaries are new arrays. Each engine ranks its own table
     (``DistinctTable.of``).
 
     Each fork stays because removing it measured slower (median
-    ``process_time``, one BLAS thread, 2-vCPU Xeon):
+    ``process_time``, one BLAS thread, 2-vCPU Xeon; "sessions" are whole
+    uniformity sessions, interleaved with the full engine's in one process,
+    at k = 2^16, eps = 0.75; k = 4096, eps = 1; and k = 256, eps = 0.9):
     - the wide GEMM branch: narrow-only sum-checks took x1.84 at k = 2^16
       and x1.30 at k = 4096;
     - the narrow GEMM branch: wide-only took x2.48 at k = 256, D = 128;
-    - the short uint64 segment sums: split halves only took x1.11 at
-      k = 2^16 and x1.09 at k = 4096;
-    - the per-block d dedup (``_runs(d)`` and the gather): full k = 2^16
-      sessions took x1.018 and x1.023 without it;
+    - dense rounds: ranked to the end, sessions took x1.17 at k = 2^16,
+      x1.15 at k = 4096 and x1.14 at k = 256 (uniform);
+    - counting the pairs of a round (``_rank``): sorting them took x1.07 at
+      k = 2^16, whose rounds 0 and 1 count;
+    - the Python-int tail: numpy down to the last round took x1.03 at
+      k = 2^16, x1.10 at k = 4096 and x1.07 at k = 256;
+    - the triangle's limbs, split once: splitting them on every narrow GEMM
+      took x1.05 at k = 256 on the support_fraction source (D about 110);
+    - node values in Python ints up to ``_INT_NODES`` nodes: the numpy
+      Vandermonde product took x1.02 at k = 2^16 and x1.05 at k = 4096;
     - the scratch and the ``out``/``work``/``limbs`` buffers of
       ``_segment_sums_mod`` and ``m61.matmul``: without them a warm k = 2^16
       session went from 0 to 3434 minor faults and about 8% more CPU;
@@ -459,28 +492,50 @@ class _SumcheckEngine:
         self.prefix = 1  # prod of eq(r_i, zeta_i) over the bound rounds
         # the eq suffix chi(x, zeta_(j+1..)) of every column x of the current round j
         self.suffix = None if chi_point is None else chi_table_for_point(self.ids.size // 2, self.zeta[1:])
-        self.triangle, self.vandermonde = _moment_tables(*composed_factors(kind, degree_cap))
+        self.polynomial = composed_factors(kind, degree_cap)
+        self.triangle, self.vandermonde = _moment_tables(*self.polynomial)
+        self.triangle_limbs = _triangle_limbs(*self.polynomial)
         self.num_nodes = len(self.vandermonde)
+        self.pair_work = self.num_nodes**2  # one pair's share of a round's work (``_TAIL_WORK``)
+        self.node_rows = self.vandermonde.tolist() if self.num_nodes <= _INT_NODES else None
+        self.dense = False  # every column pair distinct, from this round on
+        self._index = None  # 0, 1, ...: the ids of a dense table
         # grown by _evaluate and kept until the engine goes; made per block
         # instead, it lets a warm k = 2^16 session's heap outgrow glibc's
         # trim threshold and re-fault about 3400 pages per session, while the
         # per-call vmul temporaries (0.7 MB) of its blocks leave that count
-        # near 0 (a few sessions in 25 re-fault up to about 60 pages)
+        # near 0 (a few sessions in 25 re-fault up to about 60 pages). The
+        # dense rounds' ladders are written into it too: allocated per block,
+        # they left that count near 0 but raised the maximum RSS of 30 warm
+        # sessions from 41.1 to 41.7 MB. The Python-int tail's lists and the
+        # dense rounds' weights of 1 are per-round allocations of at most a
+        # round's pairs
         self._scratch = np.empty(0, dtype=np.uint64)
         self._pair_up()
 
     def _pair_up(self):
         """This round's distinct column pairs (``pairs``, rows of (u-id, v-id)
-        in key order), their weights and the pair index of every column."""
+        in key order, or the columns themselves once dense), their weights and
+        the pair index of every column."""
         columns = self.ids.reshape(-1, 2)
+        size = columns.shape[0]
+        if self.dense:
+            if self._index is None:  # the first dense pairing puts the table in column order
+                self.values = self.values[self.ids]
+                self.ids = self._index = np.arange(self.values.size)
+            self.pairs = self.ids.reshape(-1, 2)
+            self.pair_of_column = self._index[:size]
+            self.weight = np.ones(size, dtype=np.uint64) if self.zeta is None else self.suffix
+            return
         keys = np.multiply(columns[:, 0], self.values.size, dtype=np.int64)
         keys += columns[:, 1]
-        order, starts, self.pair_of_column = _runs(keys)
-        self.pairs = columns[order[starts]]
+        distinct, self.pair_of_column = _rank(keys)
+        self.pairs = np.stack(np.divmod(distinct, self.values.size), axis=1)
         if self.zeta is None:
-            self.weight = np.diff(starts, append=order.size).astype(np.uint64)
+            self.weight = np.bincount(self.pair_of_column, minlength=distinct.size).astype(np.uint64)
         else:
-            self.weight = _segment_sums_mod(self.suffix[order], starts)
+            self.weight = m61.grouped_sums(self.pair_of_column, self.suffix, distinct.size)
+        self.dense = distinct.size == size
 
     def _line(self) -> tuple[int, int]:
         """(alpha, beta) with prefix * eq(t, zeta_j) = alpha + beta t."""
@@ -494,59 +549,86 @@ class _SumcheckEngine:
 
     def _evaluate(self, u, d, weight, line=None) -> list[int]:
         """Node values of (alpha + beta t) sum_i w_i g(u_i + t d_i) over the
-        pairs i; pairs with equal u next to each other share one run. Without
-        a line the weights are integer counts and the line is 1."""
+        pairs i; unless the engine is dense, pairs with equal u next to each
+        other share one run. Without a line the weights are integer counts
+        and the line is 1."""
+        if u.size * self.pair_work <= _TAIL_WORK:
+            return self._int_message(u.tolist(), d.tolist(), weight.tolist(), line)
         n = len(self.triangle)  # powers 0..deg g
-        # [a]: sum w d^a sum_p triangle[a, p] u^p, the coefficients of the
-        # round polynomial in t, with room for the line's power n
-        coeffs = np.zeros(n + 1, dtype=np.uint64)
-        sums = coeffs[:n]
+        if line is None and weight.min() == weight.max() == 1:
+            weight = None  # counts of 1
         block = max(1, _LADDER_ELEMS // (2 * n))
         span = n * min(block, u.size)  # elements of one block's n x pairs array
         if self._scratch.size < 9 * span:
             del self._scratch  # freed before the larger one is made, which keeps the peak down
             self._scratch = np.empty(9 * span, dtype=np.uint64)
         # two spans hold the ladder and one the moments; the last six hold the
-        # gathered d-powers and the segment sums' scratch, then the GEMM's limbs
+        # segment sums' scratch, then the GEMM's limbs
         scratch = self._scratch
         ladder, moment_space, shared = scratch[: 2 * span], scratch[2 * span : 3 * span], scratch[3 * span : 9 * span]
         limbs = shared.view(np.float64)
+        # [a]: sum w d^a sum_p triangle[a, p] u^p, the coefficients of the
+        # round polynomial in t, summed in Python ints
+        sums = [0] * n
         carry = None  # sum w d^a of a run of u cut by the previous block's end
         for lo in range(0, u.size, block):
             hi = min(lo + block, u.size)
-            runs = np.flatnonzero(np.concatenate(([True], u[lo + 1 : hi] != u[lo : hi - 1])))  # runs of equal u
-            whole = runs.size - (hi < u.size and u[hi] == u[hi - 1])  # the last run may go on
-            d_order, d_starts, d_ids = _runs(d[lo:hi])
-            distinct = np.concatenate([d[lo:hi][d_order[d_starts]], u[lo:hi][runs[:whole]]])
-            powers = _powers(distinct, n, out=ladder[: n * distinct.size].reshape(n, -1))
-            # d^a per pair; "clip" (the ids are in range) writes straight to out, "raise" would buffer
-            scaled = shared[: n * (hi - lo)].reshape(n, -1)
-            powers[:, : d_starts.size].take(d_ids, axis=1, out=scaled, mode="clip")
-            counts = weight[lo:hi] if line is None else None
-            if line is not None:
-                vmul(scaled, weight[lo:hi], out=scaled)
-            moments = _segment_sums_mod(
-                scaled, runs, counts, out=moment_space[: n * runs.size].reshape(n, -1), work=shared[scaled.size :]
-            )
-            if carry is not None:
-                vadd(moments[:, 0], carry, out=moments[:, 0])
-            carry = moments[:, whole].copy() if whole < runs.size else None
-            moments, u_powers = moments[:, :whole], powers[:, d_starts.size :]
+            m = hi - lo
+            if self.dense:  # every pair is a run of its own
+                runs, whole = np.arange(m), m
+            else:
+                runs = np.flatnonzero(np.concatenate(([True], u[lo + 1 : hi] != u[lo : hi - 1])))  # runs of equal u
+                whole = runs.size - (hi < u.size and u[hi] == u[hi - 1])  # the last run may go on
+            # the ladder holds the powers of every pair's d, then of each run's u;
+            # "clip" (the indices are in range) writes straight to out, "raise" would buffer
+            powers = ladder[: n * (m + runs.size)].reshape(n, -1)
+            powers[1, :m] = d[lo:hi]
+            u[lo:hi].take(runs, out=powers[1, m:], mode="clip")
+            moments, u_powers = _powers(powers)[:, :m], powers[:, m:]
+            if line is not None or (self.dense and weight is not None):
+                vmul(moments, weight[lo:hi], out=moments)
+            if not self.dense:
+                counts = None if line is not None or weight is None else weight[lo:hi]
+                moments = _segment_sums_mod(
+                    moments, runs, counts, out=moment_space[: n * runs.size].reshape(n, -1), work=shared
+                )
+                if carry is not None:
+                    vadd(moments[:, 0], carry, out=moments[:, 0])
+                carry = moments[:, whole].copy() if whole < runs.size else None
+                moments, u_powers = moments[:, :whole], u_powers[:, :whole]
             if u_powers.shape[1] >= n:
                 # M[a, p] = sum w d^a u^p, an n x n GEMM output
                 pair = limbs[: 3 * moments.size], limbs[3 * moments.size : 6 * moments.size]
                 terms = vmul(m61.matmul(moments, u_powers.T, limbs=pair), self.triangle)
             else:
                 # S[a, s] h_a(u_s), an n x s GEMM output
-                terms = vmul(moments, m61.matmul(self.triangle, u_powers))
-            vadd(sums, np.array(m61.vsum_rows(terms), dtype=np.uint64), out=sums)
+                terms = vmul(moments, m61.matmul(self.triangle_limbs, u_powers, limbs=(limbs, limbs)))
+            sums = [total + part for total, part in zip(sums, m61.vsum_rows(terms))]
+        coeffs = [total % Q for total in sums] + [0]  # room for the line's power n
         if line is not None:  # times alpha + beta t: beta shifts one power up
-            coeffs[1:] = vadd(vmul(coeffs[1:], line[0]), vmul(coeffs[:-1], line[1]))
-            coeffs[0] = fmul(int(coeffs[0]), line[0])
-        return m61.vsum_rows(vmul(self.vandermonde, coeffs))
+            coeffs = [(line[0] * c + line[1] * below) % Q for c, below in zip(coeffs, [0, *coeffs])]
+        if self.node_rows is not None:
+            return [sum(map(operator.mul, row, coeffs)) % Q for row in self.node_rows]
+        return m61.vsum_rows(vmul(self.vandermonde, np.array(coeffs, dtype=np.uint64)))
+
+    def _int_message(self, u: list[int], d: list[int], weight: list[int], line) -> list[int]:
+        """``_evaluate`` in Python ints: w c prod_i (y - i) of every pair at
+        y = u + t d, for every node t."""
+        factors, constant = self.polynomial
+        out = []
+        for t in range(self.num_nodes):
+            total = sum(w * math.prod([y - i for i in factors]) for y, w in zip(u, weight))
+            out.append(total * (constant if line is None else constant * (line[0] + line[1] * t)) % Q)
+            u = [(y + e) % Q for y, e in zip(u, d)]
+        return out
 
     def bind(self, r: int):
-        self.values = self._fold(self.values[self.pairs].reshape(-1), r)
+        if self.pairs.shape[0] * self.pair_work <= _TAIL_WORK:  # a tail round, in Python ints
+            values = self.values.tolist()
+            folded = [(values[a] + r * (values[b] - values[a])) % Q for a, b in self.pairs.tolist()]
+            self.values = np.array(folded, dtype=np.uint64)
+        else:
+            self.values = self._fold(self.values[self.pairs].reshape(-1), r)
         self.ids = self.pair_of_column
         if self.zeta is not None:
             alpha, beta = self._line()

@@ -140,7 +140,7 @@ def _int_matmul(a, b):
 def test_matmul_matches_int_products(rows, inner, cols, values):
     a = arr((values * 2)[: rows * inner]).reshape(rows, inner)
     b = arr((values[::-1] * 2)[: inner * cols]).reshape(inner, cols)
-    assert m61.matmul(a, b).tolist() == _int_matmul(a, b)
+    assert m61.matmul(a, b).tolist() == m61.matmul(m61.split(a), b).tolist() == _int_matmul(a, b)
 
 
 def test_matmul_into_caller_owned_limbs():
@@ -174,7 +174,7 @@ def test_matmul_at_the_limb_magnitude_limit():
             a = np.full((2, inner), value, dtype=np.uint64)
             b = np.full((inner, 3), value, dtype=np.uint64)
             want = inner * value * value % Q
-            assert m61.matmul(a, b).tolist() == [[want] * 3] * 2
+            assert m61.matmul(a, b).tolist() == m61.matmul(m61.split(a), b).tolist() == [[want] * 3] * 2
 
 
 @given(st.lists(elements, max_size=64))
@@ -188,6 +188,22 @@ def test_vsum_rows_match_int_sums(rows, row):
     want = [sum(int(x) for x in r) % Q for r in table]
     assert m61.vsum_rows(table) == want
     assert m61.vsum(table) == sum(want) % Q
+
+
+@given(st.lists(st.tuples(st.integers(0, 6), elements), max_size=64), st.integers(0, 3))
+def test_grouped_sums_match_int_sums(entries, spare):
+    size = max((i for i, _ in entries), default=-1) + 1 + spare  # ids never drawn sum to 0
+    want = [sum(v for i, v in entries if i == s) % Q for s in range(size)]
+    ids = np.array([i for i, _ in entries], dtype=np.intp)
+    assert m61.grouped_sums(ids, arr([v for _, v in entries]), size).tolist() == want
+
+
+def test_grouped_sums_of_many_maximal_elements():
+    # 2^20 copies of Q - 1 in one group and one copy in another
+    ids = np.zeros((1 << 20) + 1, dtype=np.intp)
+    ids[-1] = 1
+    sums = m61.grouped_sums(ids, np.full(ids.size, Q - 1, dtype=np.uint64), 2)
+    assert sums.tolist() == [((Q - 1) << 20) % Q, Q - 1]
 
 
 def test_vsum_of_many_maximal_elements():

@@ -9,7 +9,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ipsim import m61, stream_ip
@@ -801,6 +801,114 @@ class TestEngineAgainstReference:
     @pytest.mark.parametrize("case", sorted(PINNED))
     def test_pinned_transcripts(self, case):
         assert _transcript_sha256(*case, seed=11) == self.PINNED[case]
+
+
+def _rounds_against_folded_table(kind, degree_cap, table, g):
+    """Runs an engine on ``table`` through every round, at StreamVerifierState
+    points drawn from ``g``, checking each message against
+    ``_reference_evaluate`` on the folded table and, after each bind,
+    ``values[ids]`` against the table folded in Python ints. Returns each
+    round's (dense, ranked by counting, message in Python ints)."""
+    points = StreamVerifierState(table.size, g)
+    zeta = points.zeta if kind == "range" else None
+    eng = stream_ip._SumcheckEngine(table, degree_cap, kind, chi_point=zeta)
+    int_messages = []
+    int_message = eng._int_message
+    eng._int_message = lambda *args: int_messages.append(args) or int_message(*args)
+    chi = None if zeta is None else chi_table_for_point(table.size, zeta)
+    paths = []
+    for j, r in enumerate(points.r):
+        counted = eng.pair_of_column.dtype == np.int32  # ranked by _rank's counting, not sorted or dense
+        u, d = table[0::2], m61.vsub(table[1::2], table[0::2])
+        extra = {} if chi is None else _chi_parts(chi)
+        before = len(int_messages)
+        assert list(eng.round_message()) == _reference_evaluate(eng, u, d, **extra), j
+        paths.append((eng.dense, counted, len(int_messages) > before))
+        eng.bind(r)
+        table, chi = (
+            None if x is None else np.array([(a + r * (b - a)) % Q for a, b in x.reshape(-1, 2).tolist()], dtype=np.uint64)
+            for x in (table, chi)
+        )
+        assert np.array_equal(eng.values[eng.ids], table), j
+    return paths
+
+
+def _spread_pairs(g, bits, spread):
+    """A 2^bits-entry table whose columns hold ``spread`` distinct pairs of
+    field elements, each in at least one column, in random column order."""
+    pairs = g.integers(0, Q, (spread, 2), dtype=np.uint64)
+    return pairs[g.permutation(np.arange(1 << (bits - 1)) % spread)].reshape(-1)
+
+
+class TestEngineRounds:
+    """Engines through every round of random tables against the direct
+    formula on the folded table: pairs ranked by sorting or by counting,
+    dense rounds, and messages and binds in Python ints."""
+
+    KINDS = [(kind, D) for kind in ("unique", "range") for D in (1, 2, 8, 33, 128)] + [("collisions", 2)]
+    # the largest table (log2 of its entries) that keeps a cap's reference evaluation quick
+    MAX_BITS = {1: 12, 2: 12, 8: 12, 33: 9, 128: 7}
+
+    @given(
+        st.sampled_from(KINDS),
+        st.integers(1, 12),
+        st.sampled_from(["field", "small", "pairs"]),
+        st.integers(1, 80),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150)
+    def test_random_tables(self, case, bits, style, spread, seed):
+        # "field": random field elements, every pair distinct from round 0;
+        # "small": entries below ``spread``, bucketed like a frequency table;
+        # "pairs": ``spread`` distinct column pairs of field elements
+        kind, degree_cap = case
+        bits = min(bits, self.MAX_BITS[degree_cap])
+        g = rng(seed)
+        if style == "field":
+            table = g.integers(0, Q, 1 << bits, dtype=np.uint64)
+        elif style == "small":
+            table = g.integers(0, spread, 1 << bits).astype(np.uint64)
+        else:
+            table = _spread_pairs(g, bits, min(spread, 1 << (bits - 1)))
+        _rounds_against_folded_table(kind, degree_cap, table, g)
+
+    @pytest.mark.parametrize("distinct", [3, 4, 5])
+    def test_counting_at_values_squared_equal_to_columns(self, distinct):
+        # 16 columns of entries below ``distinct``, one of them (distinct - 1,
+        # distinct - 1): the largest key is distinct^2 - 1, so round 0 ranks
+        # its pairs by counting exactly when distinct^2 <= 16
+        g = rng(distinct)
+        table = g.integers(0, distinct, 32).astype(np.uint64)
+        table[:2] = distinct - 1
+        for kind, degree_cap in (("unique", 8), ("range", 8), ("collisions", 2)):
+            paths = _rounds_against_folded_table(kind, degree_cap, table, g)
+            assert paths[0][1] == (distinct**2 <= 16)
+
+    @pytest.mark.parametrize("kind,degree_cap", [("unique", 8), ("range", 8), ("collisions", 2), ("unique", 1)])
+    @pytest.mark.parametrize("above", [0, 1])
+    def test_python_ints_up_to_the_work_bound(self, kind, degree_cap, above):
+        # round 0 has as many distinct pairs as the work bound allows, or one
+        # more, and more columns than pairs, so it is not dense
+        pair_work = stream_ip._SumcheckEngine(np.zeros(2, dtype=np.uint64), degree_cap, kind).pair_work
+        pairs = stream_ip._TAIL_WORK // pair_work + above
+        g = rng(pairs)
+        paths = _rounds_against_folded_table(kind, degree_cap, _spread_pairs(g, pairs.bit_length() + 1, pairs), g)
+        assert paths[0] == (False, False, not above)
+
+    def test_dense_from_different_rounds(self):
+        # an engine turns dense at the first round whose column pairs are
+        # all distinct, and stays dense
+        g = rng(7)
+        first = []
+        for table in (
+            g.integers(0, Q, 64, dtype=np.uint64),  # from round 0
+            g.integers(0, 3, 1 << 12).astype(np.uint64),  # a few rounds in
+            _spread_pairs(g, 6, 1),  # one pair in every column: the last round, of one column
+        ):
+            dense = [path[0] for path in _rounds_against_folded_table("unique", 8, table, g)]
+            assert dense == sorted(dense)
+            first.append(dense.index(True))
+        assert first[0] == 0 < first[1] < first[2] == 5
 
 
 class _CollisionOffsetProver(HonestStreamProver):

@@ -1,12 +1,35 @@
 """Streaming interactive proof for memory-constrained uniformity testing.
 
-The verifier streams n samples with O(polylog k) persistent state, keeping
-the multilinear extension of the frequency vector at pre-drawn random points,
-then delegates the unique-elements count Z to the prover through a sum-check
-over the Boolean cube (with the unique-indicator interpolant capped at
-degree D) plus a vanishing-product range certificate that catches
-frequencies above the cap. Decision: "not uniform" iff the verified Z is at
-most n * tau.
+The verifier streams n samples with O(polylog k) persistent state: it keeps
+the multilinear extension a(r) = f~(r) of the frequency vector f at one
+pre-drawn random point r. After the pass the prover announces a degree cap
+D and claims the unique-elements count Z (and, where tau <= 0, the
+collision count C). The verifier then reveals a random point zeta, draws a
+batching coefficient rho (and rho' for C) and runs one b-round sum-check,
+at r, of
+
+    g(x) = U_D(f~(x)) + rho eq(zeta, x) R_D(f~(x)) [+ rho' f~(x)(f~(x) - 1)/2]
+
+against Z [+ rho' C]. U_D, the degree-D interpolant of [y == 1] on 0..D,
+counts the frequencies equal to 1 among those within the cap; the range
+certificate R_D(y) = prod_(i=0..D) (y - i) vanishes on every frequency
+within the cap, and its total is fixed at zero. The final check reads only
+a(r), eq(zeta, r) and g's coefficients. Decision: "not uniform" iff the
+verified Z is at most n * tau.
+
+Soundness, over q = 2^61 - 1: if a frequency exceeds D, the vector
+R_D(f(x)) is nonzero, and its multilinear extension vanishes at the random
+zeta with probability at most b/q. A false claim or a nonzero certificate
+leaves the batched total unequal to the batched claim for all but one
+value of each batching coefficient, 1/q each (Schwartz-Zippel in rho and
+rho'). The sum-check of a false total then passes with probability at most
+b (D + 2)/q, as g has degree D + 2 in each variable. The paper's appendix
+runs the unique count and the range certificate as separate sum-checks,
+each at its own point with its own maintained extension; one sum-check of
+their random linear combination departs from it (Thaler, "Proofs,
+Arguments, and Zero-Knowledge", 2022, the sum-check chapters; Cormode,
+Thaler and Yi, "Verifying computations with streaming interactive proofs",
+PVLDB 2011) and keeps one point.
 
 The verifier reads the stream once and forwards it to the prover, which
 answers from it, never from its own oracle (``prover_hidden`` changes
@@ -15,25 +38,26 @@ announces D in ceiling.bit_length() bits; the verifier aborts unless
 1 <= D <= ceiling = min(D0 * 2^MAX_WIDENINGS, n), D0 = ``degree_cap``. The
 honest D is max f. D is fixed before any challenge: too small a D fails the
 range certificate, and a larger one gains nothing, as the verdict does not
-depend on D and each sum-check's soundness error, about b (D + 2) / q, grows
-with it. ``peak_field_elements`` (the O(b) registers) leaves out the weight
-tables of D + 2 and D + 3 entries: max f + 2 and max f + 3 when honest.
+depend on D and the soundness error grows with it. Every message is
+metered on the channel: the stream, the cap, the claims, zeta and the
+batching coefficients, each round's message and the b - 1 challenges the
+prover receives (the last one is never sent). ``peak_field_elements``
+(2b + 12 registers, 2b + 14 with C and rho') leaves out the sum-check's
+Lagrange weight table of D + 3 entries, max f + 3 when honest.
 
 Outside the appendix's regime n can exceed k by so much that tau <= 0, and
 then the rule above answers "uniform" for every stream (Z >= 0 > n * tau).
-For those configs only, the verifier also maintains the extension at one
-more random point r3 (b + 1 registers; 4b + 13 in all) and verifies the
-collision count C = sum_x f(x)(f(x)-1)/2 with one more sum-check
-(h(y) = y(y-1)/2 is an exact degree-2 polynomial, so it needs no cap and no
-range certificate); it then decides "not uniform" iff
-C > C(n,2)(1+2 eps^2)/k, halfway between the uniform mean C(n,2)/k and the
-floor C(n,2)(1+4 eps^2)/k that every eps-far source (total variation) meets.
-This collision rule (Goldreich-Ron collision tester, with the F_2 sum-check
-of annotated data streams) goes beyond the paper's appendix. Configs with
-tau > 0 draw, stream, send and decide exactly as the appendix describes.
-At k=256, eps=0.9 the default far instance (support fraction 1/8, total
-variation 0.875) lies outside the eps-far promise; its expected collision
-count 8 C(n,2)/k still clears the threshold by a factor of three.
+For those configs only, the prover also claims the collision count
+C = sum_x f(x)(f(x)-1)/2, which the rho' term verifies (h(y) = y(y-1)/2 is
+an exact degree-2 polynomial, so it needs no cap); the verifier then
+decides "not uniform" iff C > C(n,2)(1+2 eps^2)/k, halfway between the
+uniform mean C(n,2)/k and the floor C(n,2)(1+4 eps^2)/k that every eps-far
+source (total variation) meets. This collision rule (Goldreich-Ron
+collision tester, with the F_2 sum-check of annotated data streams) goes
+beyond the paper's appendix. At k=256, eps=0.9 the default far instance
+(support fraction 1/8, total variation 0.875) lies outside the eps-far
+promise; its expected collision count 8 C(n,2)/k still clears the
+threshold by a factor of three.
 """
 
 from __future__ import annotations
@@ -52,11 +76,6 @@ from .m61 import Q, fadd, fmul, fsub, vadd, vmul, vsub
 
 FIELD_BITS = 61
 MAX_WIDENINGS = 4  # an announced cap is at most 2^MAX_WIDENINGS * D0 (and n)
-SUMCHECK_NAMES = {
-    "unique": "unique-count sum-check",
-    "range": "range certificate",
-    "collisions": "collision-count sum-check",
-}
 
 
 # ---------------------------------------------------------------------------
@@ -83,63 +102,51 @@ class SupportDistribution:
 
 
 class StreamVerifierState:
-    """Persistent verifier registers: three b-element random points, two
-    maintained extension values, claims and counters: the fixed O(b)
-    register count ``peak_field_elements`` gives, with O(1) transient
-    scratch besides. It does not count the sum-checks' (D + 2)- and
-    (D + 3)-entry Lagrange weight tables, which ``run_sumcheck`` hands every
-    round's ``StreamedNodeEval``. The 2^(b/2)-entry eq tables of
-    ``update_batch`` only vectorize the simulation.
+    """Persistent verifier registers: the b-element point r, at which the
+    stream pass maintains the frequency extension a(r), and the b-element
+    point zeta of the range certificate, revealed after the claims. With the
+    claims, the batching coefficients and the counters they make the fixed
+    register count that ``peak_field_elements`` gives: 2b + 12, or 2b + 14
+    with the collision count and its coefficient, with O(1) transient
+    scratch besides. It does not count the sum-check's (D + 3)-entry
+    Lagrange weight table, which ``run_sumcheck`` hands every round's
+    ``StreamedNodeEval``. The 2^(b/2)-entry eq tables of ``update_batch``
+    only vectorize the simulation."""
 
-    Given ``collision_rng``, a fourth point r3 is drawn from it and the
-    extension value at r3 is maintained too (b + 1 more registers), for the
-    collision-count sum-check."""
-
-    def __init__(self, k: int, rng: np.random.Generator, collision_rng: np.random.Generator | None = None):
+    def __init__(self, k: int, rng: np.random.Generator, collisions: bool = False):
         self.k = k
         self.b = k.bit_length() - 1
         self.r = [m61.rand_fe(rng) for _ in range(self.b)]
-        self.r2 = [m61.rand_fe(rng) for _ in range(self.b)]
         self.zeta = [m61.rand_fe(rng) for _ in range(self.b)]
         self.a_at_r = 0
-        self.a_at_r2 = 0
         self.sample_count = 0
-        # fixed register accounting: 3b point coordinates, 2 maintained
-        # extension values, 2 live claims, 4 streaming-eval scratch slots and
-        # 4 parameter/counter slots
-        self.register_count = 3 * self.b + 12
-        # (point attribute, extension-value attribute) pairs kept up to date
-        self.maintained = [("r", "a_at_r"), ("r2", "a_at_r2")]
-        self.r3 = None
-        if collision_rng is not None:
-            self.r3 = [m61.rand_fe(collision_rng) for _ in range(self.b)]
-            self.a_at_r3 = 0
-            self.register_count += self.b + 1
-            self.maintained.append(("r3", "a_at_r3"))
+        # fixed register accounting: 2b point coordinates, the maintained
+        # extension value, the Z claim and the running sum-check claim, rho,
+        # 4 streaming-eval scratch slots and 4 parameter/counter slots; the
+        # C claim and rho' under the collision rule
+        self.register_count = 2 * self.b + 12 + 2 * collisions
         self.peak_field_elements = self.register_count
 
     def update_batch(self, samples: np.ndarray):
-        """Vectorized transcript of per-sample updates (same per-sample values,
-        same persistent registers; asserted equal to sequential updates) in
-        chunks of m61.CHUNK samples: chi_x(p) = low[x mod 2^h] high[x >> h],
-        h = b // 2, from the eq tables of p's two halves."""
+        """Adds chi_x(r) to a(r) for every sample x, in chunks of m61.CHUNK
+        samples (the same value as one update per sample):
+        chi_x(r) = low[x mod 2^h] high[x >> h], h = b // 2, from the eq
+        tables of r's two halves."""
         samples = np.asarray(samples)
         if samples.size == 0:
             return
         if int(samples.min()) < 0 or int(samples.max()) >= self.k:
             raise ValueError("sample index out of range")
-        points = [getattr(self, point) for point, _ in self.maintained]
         h = self.b // 2
-        low = np.stack([chi_table_for_point(1 << h, p[:h]) for p in points])
-        high = np.stack([chi_table_for_point(1 << (self.b - h), p[h:]) for p in points])
-        totals = [0] * len(points)
+        low = chi_table_for_point(1 << h, self.r[:h])
+        high = chi_table_for_point(1 << (self.b - h), self.r[h:])
+        total = self.a_at_r
         for lo in range(0, samples.size, m61.CHUNK):
             chunk = samples[lo : lo + m61.CHUNK].astype(np.intp)
-            chi = np.take(low, chunk & ((1 << h) - 1), axis=1)
-            vmul(chi, np.take(high, chunk >> h, axis=1), out=chi)
-            totals = [fadd(total, part) for total, part in zip(totals, m61.vsum_rows(chi))]
-        for (_, value), total in zip(self.maintained, totals):
-            setattr(self, value, fadd(getattr(self, value), total))
+            chi = low.take(chunk & ((1 << h) - 1))
+            vmul(chi, high.take(chunk >> h), out=chi)
+            total = fadd(total, m61.vsum(chi))
+        self.a_at_r = total
         self.sample_count += samples.size
 
     def chi_pair(self, point: list[int], other: list[int]) -> int:
@@ -151,56 +158,115 @@ class StreamVerifierState:
         return acc
 
 
+# ---------------------------------------------------------------------------
+# The sum-check polynomial and its honest prover engine
+# ---------------------------------------------------------------------------
+
+
 @lru_cache(maxsize=64)
 def _weights_cached(num_nodes: int) -> tuple[int, ...]:
     return tuple(m61.lagrange_weights(num_nodes))
 
 
-def composed_factors(kind: str, degree_cap: int) -> tuple[tuple[int, ...], int]:
-    """(factors, c) with the sum-check polynomial g(y) = c * prod_i (y - i).
-
-    "unique": the degree <= D interpolant of [y == 1] on the nodes 0..D,
-    whose only nonzero node value is at y = 1. "range": prod_{i=0..D} (y - i),
-    which vanishes on every frequency within the cap (the verifier multiplies
-    it by chi(x, zeta)). "collisions": y(y - 1)/2, the colliding pairs among
-    y equal samples, exact at every degree; the cap is ignored and keys no
-    cache entry. A round message of g takes len(factors) + 2 node values.
-    """
-    return _composed_factors(kind, None if kind == "collisions" else degree_cap)
+def _from_roots(roots, constant: int) -> tuple[int, ...]:
+    """Monomial coefficients, lowest degree first, of constant * prod_i (y - i)."""
+    coeffs = [constant]
+    for i in roots:  # times (y - i): c_j becomes c_(j-1) - i c_j
+        coeffs = [(below - i * same) % Q for below, same in zip([0, *coeffs], [*coeffs, 0])]
+    return tuple(coeffs)
 
 
 @lru_cache(maxsize=256)
-def _composed_factors(kind: str, degree_cap: int | None) -> tuple[tuple[int, ...], int]:
-    if kind == "unique":
-        factors = tuple(i for i in range(degree_cap + 1) if i != 1)
-        denom = 1
-        for i in factors:
-            denom = fmul(denom, fsub(1, i))
-        return factors, m61.finv(denom)
-    if kind == "range":
-        return tuple(range(degree_cap + 1)), 1
-    if kind == "collisions":
-        return (0, 1), m61.finv(2)
-    raise ValueError(kind)
+def unique_polynomial(degree_cap: int) -> tuple[int, ...]:
+    """U_D, the degree-D interpolant of [y == 1] on the nodes 0..D, as
+    monomial coefficients: within the cap it counts the entries equal to 1."""
+    roots = [i for i in range(degree_cap + 1) if i != 1]
+    return _from_roots(roots, m61.finv(math.prod(1 - i for i in roots) % Q))
 
 
-def composed_value(kind: str, degree_cap: int, y: int) -> int:
-    """g(y) of ``composed_factors(kind, degree_cap)`` at a field element y."""
-    factors, acc = composed_factors(kind, degree_cap)
-    for i in factors:
-        acc = fmul(acc, fsub(y, i))
-    return acc
+@lru_cache(maxsize=256)
+def range_polynomial(degree_cap: int) -> tuple[int, ...]:
+    """R_D(y) = prod_(i=0..D) (y - i), zero on every entry within the cap."""
+    return _from_roots(range(degree_cap + 1), 1)
 
 
-def table_total(kind: str, degree_cap: int, table: np.ndarray) -> int:
-    """sum_x g(table[x]) in GF(Q) for g = ``composed_factors(kind, degree_cap)``:
-    the total a sum-check of ``kind`` over ``table`` verifies."""
-    return DistinctTable.of(table).total(kind, degree_cap)
+COLLISION_POLYNOMIAL = (0, Q - m61.finv(2), m61.finv(2))  # y(y - 1)/2, the pairs among y equal samples
 
 
-# ---------------------------------------------------------------------------
-# Honest prover sum-check engines
-# ---------------------------------------------------------------------------
+def poly_value(coefficients, y: int) -> int:
+    """The polynomial of monomial ``coefficients``, lowest degree first, at an integer y in GF(Q)."""
+    acc = 0
+    for c in reversed(coefficients):
+        acc = acc * y + c
+    return acc % Q
+
+
+class BatchedPolynomial:
+    """The one sum-check's polynomial, of y = f~(x) and e = eq(zeta, x):
+    counted(y) + e weighted(y), with counted = U_D + rho' y(y-1)/2 and
+    weighted = rho R_D, both of degree at most D + 1. It has degree D + 2 in
+    each variable, so a round message has D + 3 node values."""
+
+    def __init__(self, degree_cap: int, rho: int, rho_collisions: int = 0):
+        self.degree_cap, self.rho, self.rho_collisions = degree_cap, rho, rho_collisions
+        self.num_nodes = degree_cap + 3
+        self._factors = [-i for i in range(degree_cap + 1) if i != 1]
+        self._unique = unique_polynomial(degree_cap)[-1]  # U_D = _unique prod_(i = 0, 2..D) (y - i)
+        self._half_rho = fmul(rho_collisions, m61.finv(2))
+
+    def parts(self, y: int) -> tuple[int, int]:
+        """(counted(y), weighted(y)) for an integer y, as integers congruent to
+        them mod Q, from the one product prod_(i = 0, 2..D) (y - i) that U_D
+        and R_D share."""
+        shared = math.prod([y + i for i in self._factors])
+        return self._unique * shared + self._half_rho * y * (y - 1), self.rho * (y - 1) * shared
+
+    def value(self, y: int, eq: int) -> int:
+        """counted(y) + eq weighted(y): g at a point whose extension value is
+        y and whose eq(zeta, .) is eq."""
+        counted, weighted = self.parts(y)
+        return (counted + eq * weighted) % Q
+
+    def triangles(self) -> np.ndarray:
+        """The (2n, n) coefficient-binomial triangles (``_unit_triangles``)
+        of the counted polynomial, then of the weighted one; n = D + 2."""
+        unique, collisions, vanishing = _unit_triangles(self.degree_cap)
+        n = len(unique)
+        out = np.empty((2 * n, n), dtype=np.uint64)
+        vmul(collisions, self.rho_collisions, out=out[:n])
+        vadd(out[:n], unique, out=out[:n])
+        vmul(vanishing, self.rho, out=out[n:])
+        return out
+
+
+# one entry per cap (criterion 2's 800 k = 256 sessions announce 73)
+@lru_cache(maxsize=128)
+def _unit_triangles(degree_cap: int) -> np.ndarray:
+    """(3, n, n), n = D + 2: the triangles of U_D, y(y-1)/2 and R_D.
+
+    With a polynomial's monomial coefficients g_j (j < n), its triangle is
+    T[a, p] = g_(a+p) C(a+p, a), zero where a + p >= n, so that
+    g(u + t d) = sum_a t^a d^a sum_p T[a, p] u^p.
+    """
+    n = degree_cap + 2
+    coeffs = np.zeros((3, n), dtype=np.uint64)  # lowest degree first
+    for row, poly in zip(coeffs, (unique_polynomial(degree_cap), COLLISION_POLYNOMIAL, range_polynomial(degree_cap))):
+        row[: len(poly)] = poly
+    # g_(a+p) C(a+p, a) = g_(a+p) (a+p)! / (a! p!): the Hankel matrix of
+    # g_m m!, zero for m >= n, scaled by 1/a! down and 1/p! along
+    fact, inv_fact = (np.array(x, dtype=np.uint64) for x in m61.factorials(n))
+    hankel = np.zeros((3, 2 * n - 1), dtype=np.uint64)
+    vmul(coeffs, fact, out=hankel[:, :n])
+    triangles = vmul(hankel[:, np.add.outer(np.arange(n), np.arange(n))], inv_fact)
+    return vmul(triangles, inv_fact[:, None], out=triangles)
+
+
+@lru_cache(maxsize=128)
+def _vandermonde(num_nodes: int) -> np.ndarray:
+    """t^a for the message nodes t = 0..num_nodes-1 (rows) and a = 0..num_nodes-1."""
+    powers = np.empty((num_nodes, num_nodes), dtype=np.uint64)
+    powers[1] = np.arange(num_nodes)
+    return np.ascontiguousarray(_powers(powers).T)
 
 
 class DistinctTable(NamedTuple):
@@ -213,25 +279,16 @@ class DistinctTable(NamedTuple):
     @classmethod
     def of(cls, table: np.ndarray) -> DistinctTable:
         # a frequency table's entries are small, so ``_rank`` counts them into
-        # int32 ids, half the size of _runs' int64 ids. An engine holds its ids
-        # for its first round; nothing keeps them between sum-checks, and
-        # warm k = 2^16 sessions read near 0 minor faults with either width.
-        # The engine's rounds 0 and 1 count their pairs the same way, into
-        # int32 pair indices, with ``m61.grouped_sums``' two halves of the
-        # pairs as the range weights' transients; dense rounds keep one int64
-        # index array from the round they start at (32 KB at k = 2^16). With
-        # them, 30 warm k = 2^16 sessions (getrusage, three runs) read 2.5 to
-        # 2.6 minor faults a session on average, median 0 and one session of
-        # 72, against 1.7 to 1.8, median 0 and one of 37, without them
+        # int32 ids, half the size of _runs' int64 ids, which the engine holds
+        # for its first round
         return cls(*_rank(np.ascontiguousarray(table, dtype=np.uint64)))
 
-    def total(self, kind: str, degree_cap: int) -> int:
-        """``table_total`` of the table: sum over the distinct values y of
-        count(y) g(y) in GF(Q)."""
-        total = 0
-        for value, count in zip(self.values, np.bincount(self.ids, minlength=self.values.size)):
-            total = fadd(total, fmul(composed_value(kind, degree_cap, int(value)), int(count) % Q))
-        return total
+    def totals(self, *polynomials) -> list[int]:
+        """sum_x P(table[x]) in GF(Q) for each polynomial P (monomial
+        coefficients): over the distinct values y, count(y) P(y)."""
+        counts = np.bincount(self.ids, minlength=self.values.size).tolist()
+        values = self.values.tolist()
+        return [sum(c * poly_value(p, y) for y, c in zip(values, counts)) % Q for p in polynomials]
 
 
 def _rank(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -319,44 +376,6 @@ def _segment_sums_mod(
     return out
 
 
-# one entry per polynomial (criterion 2's 800 k = 256 sessions announce caps
-# that make 73), each built once, in 2.4 ms at D = 110 (the scalar build: 16 ms)
-@lru_cache(maxsize=128)
-def _moment_tables(factors: tuple[int, ...], constant: int) -> tuple[np.ndarray, np.ndarray]:
-    """(triangle, vandermonde) for g = constant * prod_i (y - i), that is
-    for (factors, constant) = ``composed_factors(kind, degree_cap)``.
-
-    With g's monomial coefficients g_j (j < n = deg g + 1),
-    triangle[a, p] = g_(a+p) C(a+p, a), zero where a + p >= n, so that
-    g(u + t d) = sum_a t^a d^a sum_p triangle[a, p] u^p; and
-    vandermonde[t, a] = t^a on the n + 1 message nodes t = 0..n.
-    """
-    n = len(factors) + 1
-    coeffs = np.zeros(n, dtype=np.uint64)  # lowest degree first
-    coeffs[0] = constant
-    for m, i in enumerate(factors, 1):  # times (y - i): c_j becomes c_(j-1) - i c_j
-        scaled = vmul(coeffs[:m], i)
-        coeffs[1 : m + 1], coeffs[0] = coeffs[:m], 0
-        vsub(coeffs[:m], scaled, out=coeffs[:m])
-    # g_(a+p) C(a+p, a) = g_(a+p) (a+p)! / (a! p!): the Hankel matrix of
-    # g_m m!, zero for m >= n, scaled by 1/a! down and 1/p! along
-    fact, inv_fact = (np.array(x, dtype=np.uint64) for x in m61.factorials(n))
-    hankel = np.zeros(2 * n - 1, dtype=np.uint64)
-    vmul(coeffs, fact, out=hankel[:n])
-    triangle = vmul(hankel[np.add.outer(np.arange(n), np.arange(n))], inv_fact)
-    vmul(triangle, inv_fact[:, None], out=triangle)
-    powers = np.empty((n + 1, n + 1), dtype=np.uint64)
-    powers[1] = np.arange(n + 1)
-    return triangle, np.ascontiguousarray(_powers(powers).T)
-
-
-@lru_cache(maxsize=128)
-def _triangle_limbs(factors: tuple[int, ...], constant: int) -> np.ndarray:
-    """``m61.split`` of the ``_moment_tables`` triangle, the constant operand
-    of the narrow GEMM."""
-    return m61.split(_moment_tables(factors, constant)[0])
-
-
 def _powers(out: np.ndarray) -> np.ndarray:
     """x^p in row p = 0..P-1 of the (P, m) array ``out``, for the x that its
     row 1 holds, built by doubling: rows h+1..2h are rows 1..h times row h,
@@ -371,20 +390,30 @@ def _powers(out: np.ndarray) -> np.ndarray:
 
 
 # power-ladder elements per block of a round message, whose pairs have at most
-# as many distinct d and distinct u as the block has pairs; a k = 2^16 range
-# sum-check peaked at 3.1 MiB of traced allocations with this budget, the
-# engine's scratch included, and both k = 2^16 sum-checks ran slower with
-# 2^15 (one BLAS thread, 2-vCPU Xeon)
+# as many distinct d and distinct u as the block has pairs; k = 2^16
+# sum-checks ran slower with 2^15 (one BLAS thread, 2-vCPU Xeon)
 _LADDER_ELEMS = 1 << 16
+
+# the largest scratch an engine holds (2.36 MB), the most the per-kind engines
+# it replaced held: more live data in a warm k = 2^16 session lets its heap
+# outgrow glibc's trim threshold and re-fault about 1100 pages a session
+_SCRATCH_ELEMS = 9 << 15
+
+
+def _block_pairs(n: int) -> int:
+    """Pairs per block of n powers: at most ``_LADDER_ELEMS`` / 2n, and few
+    enough that the block's ladder and two moment sets (2 n m elements each
+    at most) and its segment-sum halves or GEMM limbs (2 n m, or
+    9 n min(m, GEMM_BLOCK) for the wide GEMM) fit ``_SCRATCH_ELEMS``."""
+    return max(1, min(_LADDER_ELEMS // (2 * n), _SCRATCH_ELEMS // (13 * n)))
+
 
 # pairs x nodes^2 of a round at or under which its message and its bind are
 # computed in Python ints, where a numpy call's fixed cost outweighs its
-# arithmetic (timeit: a vmul of 10 elements takes 13 us, the same 10 products
-# in Python ints 1.7 us). nodes^2 = nodes x (deg g + 2) counts a pair's deg g
-# factors at every node and about two factors' worth of Python overhead per
-# node; that is at most 10 pairs at D = 8 and 62 for the degree-2 collision
-# count, and no pair at D >= 30
-_TAIL_WORK = 1000
+# arithmetic (timeit: at D = 8, 4 pairs took 104 us in Python ints against
+# 163 us in numpy, 8 pairs 193 against 177; the crossover is near 20 pairs at
+# D = 2 and 2 at D = 20): at most 5 pairs at D = 8 and none at D >= 25
+_TAIL_WORK = 700
 
 # message nodes at or under which node values are summed in Python ints
 # (timeit: 11 us at 10 nodes against numpy's 42 us, 36 us at 17 against 35,
@@ -393,130 +422,119 @@ _INT_NODES = 17
 
 
 class _SumcheckEngine:
-    """Honest table-folding prover for one b-variate sum-check.
+    """Honest table-folding prover of the one batched sum-check.
 
-    ``kind`` selects g = ``composed_factors(kind, degree_cap)``; the engine
-    sums g(a(x)) over the cube, times chi(x, zeta) = prod_j eq(x_j, zeta_j)
-    for "range" (``chi_point`` = zeta). Messages are the round polynomial on
-    the integer nodes 0..L-1, L = len(factors) + 2 = deg g + 2. chi stays
+    For a ``BatchedPolynomial`` with counted polynomial P and weighted
+    polynomial R, the engine sums P(a(x)) + chi(x, zeta) R(a(x)) over the
+    cube, a being the table and chi(x, zeta) = prod_j eq(x_j, zeta_j).
+    Messages are the round polynomial on the integer nodes 0..D+2. chi stays
     factored: round j weights column x by the eq suffix chi(x, zeta_(j+1..))
-    and multiplies the sum by the line prod_(i<j) eq(r_i, zeta_i) eq(t, zeta_j).
-    The suffix table is built once; each bind sums its entry pairs, which
-    drops its lowest coordinate since eq(0, z) + eq(1, z) = 1.
+    and multiplies the R sum by the line prod_(i<j) eq(r_i, zeta_i)
+    eq(t, zeta_j). The suffix table is built once; each bind sums its entry
+    pairs, which drops its lowest coordinate since eq(0, z) + eq(1, z) = 1.
 
     The table is kept as ``values[ids]``: a few distinct values and one id
     per entry. Each round ranks its column pairs (ids[2x], ids[2x+1]) by one
     int64 key, u-id first, as ``DistinctTable.of`` ranks a table: by
     counting when every key is below the number of columns, which the first
     rounds of a frequency table meet (values.size^2 <= columns), and by
-    sorting otherwise. Each distinct pair (u, d = v - u), in key order, is
-    weighted by its count or by the sum of its columns' eq suffix entries
-    (``m61.grouped_sums``); ``bind(r)`` folds only the distinct pairs,
-    u + r d, and the pair indices become the next ids. A frequency table has
-    few distinct pairs in its early rounds, and far fewer distinct u than
-    pairs after that.
+    sorting otherwise. Each distinct pair (u, d = v - u), in key order,
+    carries two weights: its count c and the sum w of its columns' eq
+    suffix entries (``m61.grouped_sums``). ``bind(r)`` folds only the
+    distinct pairs, u + r d, and the pair indices become the next ids. A
+    frequency table has few distinct pairs in its early rounds, and far
+    fewer distinct u than pairs after that.
 
     Once a round finds as many distinct pairs as columns, the engine is
     ``dense`` for the rest of the sum-check: it keeps the table itself, in
     column order (``ids`` = 0, 1, ...), takes each column pair as its own
-    pair, weighted 1 or by its eq suffix entry, and folds the table as it
-    is, with no ranking. Folding at a random r keeps distinct pairs distinct
-    except with probability about pairs^2 / Q, and every round is exact
-    either way.
+    pair, of count 1 and weighted by its eq suffix entry, and folds the
+    table as it is, with no ranking. Folding at a random r keeps distinct
+    pairs distinct except with probability about pairs^2 / Q, and every
+    round is exact either way.
 
     A round message comes from power moments. With y = u + t d on each
-    pair and its weight w, sum w g(u + t d) = sum_a t^a sum_p T[a, p] M[a, p],
-    where M[a, p] = sum w d^a u^p are the moments and T[a, p] =
-    g_(a+p) C(a+p, a) is the coefficient-binomial triangle of
-    ``_moment_tables``. The pairs are taken in blocks of
-    ``_LADDER_ELEMS`` / 2n (n = deg g + 1), so that the power ladder of a
-    block's d and of the u of its runs holds at most ``_LADDER_ELEMS``
-    elements. A block weights the powers of its d and sums them over each
-    run of equal u into S[a, s] = sum w d^a, so that M = S U^T with
-    U[p, s] = u_s^p built once per run; a run cut by the block's end carries
-    its partial sums into the next block. In a dense round every pair is a
-    run of its own, and S is its weighted d-powers, with nothing to sum. A
-    block with at least n runs forms M with one exact limb-split float64
-    GEMM (``m61.matmul``) and contracts it with T. A narrower block, which
-    the last rounds of every sum-check and every small table have,
-    contracts the powers first, h_a = sum_p T[a, p] u^p, so that its GEMM
-    output is n x s rather than n x n, from T's limbs split once per
-    polynomial (``_triangle_limbs``). The Vandermonde matrix of the nodes
-    turns the coefficients in t, times the line, into node values, in
-    Python ints up to ``_INT_NODES`` nodes. A round whose pairs x nodes^2 is
-    at most ``_TAIL_WORK`` instead evaluates w g(u + t d) of every pair at
-    every node in Python ints, and binds in them too. Every step is exact
-    arithmetic in GF(Q), so the messages equal those of evaluating chi g at
-    every node.
+    pair, sum c P(u + t d) = sum_a t^a sum_p T[a, p] M[a, p], where
+    M[a, p] = sum c d^a u^p are the counted moments and T[a, p] =
+    P_(a+p) C(a+p, a) is P's coefficient-binomial triangle; the eq-weighted
+    moments, sum w d^a u^p, contract with R's triangle in the same way
+    (``BatchedPolynomial.triangles``, n = D + 2 powers each). The pairs are
+    taken in blocks of ``_block_pairs(n)``. One power ladder holds the
+    powers of a block's d and of the u of its runs; the counted powers of
+    d, then the eq-weighted ones, are summed over each run of equal u into
+    S[a, s] = sum c d^a and sum w d^a, stacked into one 2n x s array, so
+    that M = S U^T with U[p, s] = u_s^p built once per run. A run cut by
+    the block's end carries its partial sums into the next block. In a
+    dense round every pair is a run of its own, and S is its d-powers and
+    their eq-weighted copy, with nothing to sum. A block with at least n
+    runs forms both moment sets with one exact limb-split float64 GEMM
+    (``m61.matmul``) and contracts them with the stacked triangles. A
+    narrower block, which the last rounds of every sum-check and every
+    small table have, contracts the powers first, h_a = sum_p T[a, p] u^p,
+    so that its GEMM output is 2n x s rather than 2n x n, from the
+    triangles' limbs, split once per engine. The Vandermonde matrix of the
+    nodes turns the coefficients in t, the R part times the line, into node
+    values, in Python ints up to ``_INT_NODES`` nodes. A round whose
+    pairs x nodes^2 is at most ``_TAIL_WORK`` instead evaluates
+    c P(u + t d) + line(t) w R(u + t d) of every pair at every node in
+    Python ints, and binds in them too. Every step is exact arithmetic in
+    GF(Q), so the messages equal those of evaluating g at every node.
 
     The engine keeps one scratch buffer for as long as it lives, grown to
-    its largest block (9 ``_LADDER_ELEMS`` / 2 elements at most). Each block
-    writes its power ladder, segment-sum scratch and the GEMM's float64
-    limbs into it, so that a round touches no fresh pages; its ``vmul``
-    temporaries are new arrays. Each engine ranks its own table
-    (``DistinctTable.of``).
+    its largest block and at most ``_SCRATCH_ELEMS`` elements. Each block
+    writes its power ladder, moments, segment-sum scratch and the GEMM's
+    float64 limbs into it, so that a round touches no fresh pages; its
+    ``vmul`` temporaries are new arrays.
 
-    Each fork stays because removing it measured slower (median
-    ``process_time``, one BLAS thread, 2-vCPU Xeon; "sessions" are whole
-    uniformity sessions, interleaved with the full engine's in one process,
-    at k = 2^16, eps = 0.75; k = 4096, eps = 1; and k = 256, eps = 0.9):
+    Each fork stays because removing it measured slower on the per-kind
+    engines this one replaced (median ``process_time``, one BLAS thread,
+    2-vCPU Xeon; "sessions" are whole uniformity sessions, interleaved with
+    the full engine's in one process, at k = 2^16, eps = 0.75; k = 4096,
+    eps = 1; and k = 256, eps = 0.9):
     - the wide GEMM branch: narrow-only sum-checks took x1.84 at k = 2^16
       and x1.30 at k = 4096;
     - the narrow GEMM branch: wide-only took x2.48 at k = 256, D = 128;
     - dense rounds: ranked to the end, sessions took x1.17 at k = 2^16,
       x1.15 at k = 4096 and x1.14 at k = 256 (uniform);
-    - counting the pairs of a round (``_rank``): sorting them took x1.07 at
-      k = 2^16, whose rounds 0 and 1 count;
+    - counting ranks (``_rank``): sorting the pairs of a round took x1.07
+      at k = 2^16, whose rounds 0 and 1 count, and sorting a table takes
+      1.19 ms against 0.19 ms at k = 2^16;
     - the Python-int tail: numpy down to the last round took x1.03 at
       k = 2^16, x1.10 at k = 4096 and x1.07 at k = 256;
-    - the triangle's limbs, split once: splitting them on every narrow GEMM
-      took x1.05 at k = 256 on the support_fraction source (D about 110);
     - node values in Python ints up to ``_INT_NODES`` nodes: the numpy
       Vandermonde product took x1.02 at k = 2^16 and x1.05 at k = 4096;
     - the scratch and the ``out``/``work``/``limbs`` buffers of
       ``_segment_sums_mod`` and ``m61.matmul``: without them a warm k = 2^16
       session went from 0 to 3434 minor faults and about 8% more CPU;
-    - 2^16 ladder elements per block: 2^15 and 2^14 took 96-113 and
-      140-144 ms a k = 2^16 session, against 83-97 ms;
-    - the counting rank of ``DistinctTable.of``: a sort takes 1.19 ms
-      against 0.19 ms per ranking at k = 2^16, three rankings a session;
     - the verifier's Lagrange weight table (``_weights_cached``): a streamed
       evaluation without it took 126 us per 35-node round, against 90 us.
     """
 
-    def __init__(self, table: np.ndarray, degree_cap: int, kind: str, chi_point: list[int] | None = None):
+    def __init__(self, table: np.ndarray, polynomial: BatchedPolynomial, zeta: list[int]):
         self.values, self.ids = DistinctTable.of(table)
-        self.degree_cap = degree_cap
-        self.kind = kind
-        self.zeta = None if chi_point is None else list(chi_point)  # the coordinates not yet bound
+        self.polynomial = polynomial
+        self.zeta = list(zeta)  # the coordinates not yet bound
         self.prefix = 1  # prod of eq(r_i, zeta_i) over the bound rounds
         # the eq suffix chi(x, zeta_(j+1..)) of every column x of the current round j
-        self.suffix = None if chi_point is None else chi_table_for_point(self.ids.size // 2, self.zeta[1:])
-        self.polynomial = composed_factors(kind, degree_cap)
-        self.triangle, self.vandermonde = _moment_tables(*self.polynomial)
-        self.triangle_limbs = _triangle_limbs(*self.polynomial)
-        self.num_nodes = len(self.vandermonde)
+        self.suffix = chi_table_for_point(self.ids.size // 2, self.zeta[1:])
+        self.triangle = polynomial.triangles()
+        self.triangle_limbs = m61.split(self.triangle)
+        self.n = len(self.triangle) // 2  # powers 0..n-1 of each polynomial
+        self.num_nodes = polynomial.num_nodes
+        self.vandermonde = _vandermonde(self.num_nodes)
         self.pair_work = self.num_nodes**2  # one pair's share of a round's work (``_TAIL_WORK``)
         self.node_rows = self.vandermonde.tolist() if self.num_nodes <= _INT_NODES else None
+        self.block = _block_pairs(self.n)
         self.dense = False  # every column pair distinct, from this round on
         self._index = None  # 0, 1, ...: the ids of a dense table
-        # grown by _evaluate and kept until the engine goes; made per block
-        # instead, it lets a warm k = 2^16 session's heap outgrow glibc's
-        # trim threshold and re-fault about 3400 pages per session, while the
-        # per-call vmul temporaries (0.7 MB) of its blocks leave that count
-        # near 0 (a few sessions in 25 re-fault up to about 60 pages). The
-        # dense rounds' ladders are written into it too: allocated per block,
-        # they left that count near 0 but raised the maximum RSS of 30 warm
-        # sessions from 41.1 to 41.7 MB. The Python-int tail's lists and the
-        # dense rounds' weights of 1 are per-round allocations of at most a
-        # round's pairs
-        self._scratch = np.empty(0, dtype=np.uint64)
+        self._scratch = np.empty(0, dtype=np.uint64)  # grown by _evaluate and kept until the engine goes
         self._pair_up()
 
     def _pair_up(self):
         """This round's distinct column pairs (``pairs``, rows of (u-id, v-id)
-        in key order, or the columns themselves once dense), their weights and
-        the pair index of every column."""
+        in key order, or the columns themselves once dense), their counts
+        (None when every count is 1) and eq weights, and the pair index of
+        every column."""
         columns = self.ids.reshape(-1, 2)
         size = columns.shape[0]
         if self.dense:
@@ -525,16 +543,15 @@ class _SumcheckEngine:
                 self.ids = self._index = np.arange(self.values.size)
             self.pairs = self.ids.reshape(-1, 2)
             self.pair_of_column = self._index[:size]
-            self.weight = np.ones(size, dtype=np.uint64) if self.zeta is None else self.suffix
+            self.counts, self.weight = None, self.suffix
             return
         keys = np.multiply(columns[:, 0], self.values.size, dtype=np.int64)
         keys += columns[:, 1]
         distinct, self.pair_of_column = _rank(keys)
         self.pairs = np.stack(np.divmod(distinct, self.values.size), axis=1)
-        if self.zeta is None:
-            self.weight = np.bincount(self.pair_of_column, minlength=distinct.size).astype(np.uint64)
-        else:
-            self.weight = m61.grouped_sums(self.pair_of_column, self.suffix, distinct.size)
+        counts = np.bincount(self.pair_of_column, minlength=distinct.size)
+        self.counts = None if counts.max() == 1 else counts.astype(np.uint64)
+        self.weight = m61.grouped_sums(self.pair_of_column, self.suffix, distinct.size)
         self.dense = distinct.size == size
 
     def _line(self) -> tuple[int, int]:
@@ -545,80 +562,89 @@ class _SumcheckEngine:
     def round_message(self) -> tuple[int, ...]:
         u = self.values[self.pairs[:, 0]]
         d = vsub(self.values[self.pairs[:, 1]], u)
-        return tuple(self._evaluate(u, d, self.weight, None if self.zeta is None else self._line()))
+        return tuple(self._evaluate(u, d, self.counts, self.weight, self._line()))
 
-    def _evaluate(self, u, d, weight, line=None) -> list[int]:
-        """Node values of (alpha + beta t) sum_i w_i g(u_i + t d_i) over the
-        pairs i; unless the engine is dense, pairs with equal u next to each
-        other share one run. Without a line the weights are integer counts
-        and the line is 1."""
+    def _evaluate(self, u, d, counts, weight, line) -> list[int]:
+        """Node values of sum_i c_i P(u_i + t d_i) + (alpha + beta t) w_i R(u_i + t d_i)
+        over the pairs i, with counts c (None: every count is 1), eq weights w
+        and line (alpha, beta); unless the engine is dense, pairs with equal u
+        next to each other share one run."""
         if u.size * self.pair_work <= _TAIL_WORK:
-            return self._int_message(u.tolist(), d.tolist(), weight.tolist(), line)
-        n = len(self.triangle)  # powers 0..deg g
-        if line is None and weight.min() == weight.max() == 1:
-            weight = None  # counts of 1
-        block = max(1, _LADDER_ELEMS // (2 * n))
-        span = n * min(block, u.size)  # elements of one block's n x pairs array
-        if self._scratch.size < 9 * span:
+            counts = [1] * u.size if counts is None else counts.tolist()
+            return self._int_message(u.tolist(), d.tolist(), counts, weight.tolist(), line)
+        n, block = self.n, self.block
+        span = n * min(block, u.size)
+        if self._scratch.size < 13 * span:
             del self._scratch  # freed before the larger one is made, which keeps the peak down
-            self._scratch = np.empty(9 * span, dtype=np.uint64)
-        # two spans hold the ladder and one the moments; the last six hold the
-        # segment sums' scratch, then the GEMM's limbs
-        scratch = self._scratch
-        ladder, moment_space, shared = scratch[: 2 * span], scratch[2 * span : 3 * span], scratch[3 * span : 9 * span]
+            self._scratch = np.empty(13 * span, dtype=np.uint64)
+        # the ladder's elements, then the moments', then the segment sums' scratch and the GEMM's limbs
+        ladder, moment_space, shared = np.split(self._scratch[: 13 * span], [2 * span, 4 * span])
         limbs = shared.view(np.float64)
-        # [a]: sum w d^a sum_p triangle[a, p] u^p, the coefficients of the
-        # round polynomial in t, summed in Python ints
-        sums = [0] * n
-        carry = None  # sum w d^a of a run of u cut by the previous block's end
+        # [a] and [n + a]: the counted and the eq-weighted coefficients of t^a, summed in Python ints
+        sums = [0] * (2 * n)
+        carry = None  # both moment sets of a run of u cut by the previous block's end
         for lo in range(0, u.size, block):
             hi = min(lo + block, u.size)
             m = hi - lo
             if self.dense:  # every pair is a run of its own
-                runs, whole = np.arange(m), m
+                runs = whole = m
             else:
                 runs = np.flatnonzero(np.concatenate(([True], u[lo + 1 : hi] != u[lo : hi - 1])))  # runs of equal u
                 whole = runs.size - (hi < u.size and u[hi] == u[hi - 1])  # the last run may go on
+            s = m if self.dense else runs.size
             # the ladder holds the powers of every pair's d, then of each run's u;
             # "clip" (the indices are in range) writes straight to out, "raise" would buffer
-            powers = ladder[: n * (m + runs.size)].reshape(n, -1)
+            powers = ladder[: n * (m + s)].reshape(n, -1)
             powers[1, :m] = d[lo:hi]
-            u[lo:hi].take(runs, out=powers[1, m:], mode="clip")
-            moments, u_powers = _powers(powers)[:, :m], powers[:, m:]
-            if line is not None or (self.dense and weight is not None):
-                vmul(moments, weight[lo:hi], out=moments)
-            if not self.dense:
-                counts = None if line is not None or weight is None else weight[lo:hi]
-                moments = _segment_sums_mod(
-                    moments, runs, counts, out=moment_space[: n * runs.size].reshape(n, -1), work=shared
-                )
+            if self.dense:
+                powers[1, m:] = u[lo:hi]
+            else:
+                u[lo:hi].take(runs, out=powers[1, m:], mode="clip")
+            d_powers, u_powers = _powers(powers)[:, :m], powers[:, m:]
+            moments = moment_space[: 2 * n * s].reshape(2 * n, s)
+            if self.dense:
+                if counts is None:
+                    moments[:n] = d_powers
+                else:
+                    vmul(d_powers, counts[lo:hi], out=moments[:n])
+                vmul(d_powers, weight[lo:hi], out=moments[n:])
+            else:
+                block_counts = None if counts is None else counts[lo:hi]
+                _segment_sums_mod(d_powers, runs, block_counts, out=moments[:n], work=shared)
+                vmul(d_powers, weight[lo:hi], out=d_powers)
+                _segment_sums_mod(d_powers, runs, out=moments[n:], work=shared)
                 if carry is not None:
                     vadd(moments[:, 0], carry, out=moments[:, 0])
-                carry = moments[:, whole].copy() if whole < runs.size else None
+                carry = moments[:, whole].copy() if whole < s else None
                 moments, u_powers = moments[:, :whole], u_powers[:, :whole]
+            width = min(u_powers.shape[1], m61.GEMM_BLOCK)
             if u_powers.shape[1] >= n:
-                # M[a, p] = sum w d^a u^p, an n x n GEMM output
-                pair = limbs[: 3 * moments.size], limbs[3 * moments.size : 6 * moments.size]
+                # M[a, p] = sum c d^a u^p over n rows, then sum w d^a u^p: one 2n x n GEMM output
+                pair = limbs[: 6 * n * width], limbs[6 * n * width : 9 * n * width]
                 terms = vmul(m61.matmul(moments, u_powers.T, limbs=pair), self.triangle)
             else:
-                # S[a, s] h_a(u_s), an n x s GEMM output
+                # S[a, s] h_a(u_s), a 2n x s GEMM output
                 terms = vmul(moments, m61.matmul(self.triangle_limbs, u_powers, limbs=(limbs, limbs)))
             sums = [total + part for total, part in zip(sums, m61.vsum_rows(terms))]
-        coeffs = [total % Q for total in sums] + [0]  # room for the line's power n
-        if line is not None:  # times alpha + beta t: beta shifts one power up
-            coeffs = [(line[0] * c + line[1] * below) % Q for c, below in zip(coeffs, [0, *coeffs])]
+        alpha, beta = line
+        counted, weighted = sums[:n] + [0], sums[n:]  # room for the line's power n
+        # times alpha + beta t: beta shifts the weighted coefficients one power up
+        coeffs = [(c + alpha * w + beta * below) % Q for c, w, below in zip(counted, [*weighted, 0], [0, *weighted])]
         if self.node_rows is not None:
             return [sum(map(operator.mul, row, coeffs)) % Q for row in self.node_rows]
         return m61.vsum_rows(vmul(self.vandermonde, np.array(coeffs, dtype=np.uint64)))
 
-    def _int_message(self, u: list[int], d: list[int], weight: list[int], line) -> list[int]:
-        """``_evaluate`` in Python ints: w c prod_i (y - i) of every pair at
-        y = u + t d, for every node t."""
-        factors, constant = self.polynomial
+    def _int_message(self, u: list[int], d: list[int], counts: list[int], weight: list[int], line) -> list[int]:
+        """``_evaluate`` in Python ints: c P(y) + (alpha + beta t) w R(y) of
+        every pair at y = u + t d, for every node t."""
         out = []
         for t in range(self.num_nodes):
-            total = sum(w * math.prod([y - i for i in factors]) for y, w in zip(u, weight))
-            out.append(total * (constant if line is None else constant * (line[0] + line[1] * t)) % Q)
+            total = total_weighted = 0
+            for y, c, w in zip(u, counts, weight):
+                counted, weighted = self.polynomial.parts(y)
+                total += c * counted
+                total_weighted += w * weighted
+            out.append((total + (line[0] + line[1] * t) * total_weighted) % Q)
             u = [(y + e) % Q for y, e in zip(u, d)]
         return out
 
@@ -630,11 +656,10 @@ class _SumcheckEngine:
         else:
             self.values = self._fold(self.values[self.pairs].reshape(-1), r)
         self.ids = self.pair_of_column
-        if self.zeta is not None:
-            alpha, beta = self._line()
-            self.prefix = fadd(alpha, fmul(beta, r))
-            self.zeta = self.zeta[1:]
-            self.suffix = vadd(self.suffix[0::2], self.suffix[1::2])
+        alpha, beta = self._line()
+        self.prefix = fadd(alpha, fmul(beta, r))
+        self.zeta = self.zeta[1:]
+        self.suffix = vadd(self.suffix[0::2], self.suffix[1::2])
         if self.ids.size > 1:
             self._pair_up()
 
@@ -648,19 +673,17 @@ class _SumcheckEngine:
 
 
 def chi_table_for_point(k: int, point: list[int]) -> np.ndarray:
-    """chi_x(point) for every cube index x, little-endian bit order.
-
-    Doubling prepends at the least-significant position, so iterate from the
-    highest coordinate down for bit j of x to line up with point[j].
-    Each step writes t * p_j at odd and t - t * p_j = t * (1 - p_j) at even
-    positions.
-    """
-    table = np.ones(1, dtype=np.uint64)
-    for j in reversed(range(k.bit_length() - 1)):
-        doubled = np.empty(2 * table.size, dtype=np.uint64)
-        one = vmul(table, point[j], out=doubled[1::2])
-        vsub(table, one, out=doubled[0::2])
-        table = doubled
+    """chi_x(point) for every cube index x < k = 2^b, bit j of x against
+    point[j], built in one array: with the table of the coordinates below j
+    in its first s = 2^j entries, t p_j goes to entry x + s and
+    t - t p_j = t (1 - p_j) stays at x."""
+    table = np.empty(k, dtype=np.uint64)
+    table[0] = 1
+    s = 1
+    for j in range(k.bit_length() - 1):
+        vmul(table[:s], point[j], out=table[s : 2 * s])
+        vsub(table[:s], table[s : 2 * s], out=table[:s])
+        s *= 2
     return table
 
 
@@ -676,27 +699,27 @@ class SumcheckOutcome:
     reason: str = ""
 
 
-def run_sumcheck(
-    claim: int,
-    prover_rounds,
-    rs: list[int],
-    num_nodes: int,
-    final_eval,
-    on_message=None,
-) -> SumcheckOutcome:
+def run_sumcheck(claim: int, prover_rounds, rs: list[int], num_nodes: int, final_eval, session=None) -> SumcheckOutcome:
     """Generic sum-check verifier loop.
 
     ``prover_rounds(j, r_prev)`` returns round j's node evaluations (the
     prover binds r_prev first); messages are streamed through constant-memory
-    node evaluation; ``final_eval()`` must equal the surviving claim.
+    node evaluation; ``final_eval()`` must equal the surviving claim. With a
+    ``session``, round j opens a channel round that meters the challenge
+    r_(j-1) the prover receives (none before round 0, and the last
+    challenge is never sent) and the prover's message.
     """
     weights = _weights_cached(num_nodes)
     current = claim % Q
     r_prev = None
     for j, r in enumerate(rs):
+        if session is not None:
+            session.next_round()
+            if r_prev is not None:
+                session.channel.count_raw_bits("v->p", FIELD_BITS, note="sumcheck-challenge")
         message = prover_rounds(j, r_prev)
-        if on_message is not None:
-            on_message(message)
+        if session is not None:
+            session.channel.count_raw_bits("p->v", FIELD_BITS * len(message), note="sumcheck-msg")
         if len(message) != num_nodes:
             return SumcheckOutcome(False, j, "bad message length")
         stream = m61.StreamedNodeEval(r, num_nodes, weights)
@@ -723,78 +746,54 @@ def engine_rounds(engine: _SumcheckEngine):
     return rounds
 
 
-def verify_sumcheck(
-    kind: str,
-    claim: int,
-    engine: _SumcheckEngine,
-    point: list[int],
-    degree_cap: int,
-    a_value: int,
-    chi: int = 1,
-    on_message=None,
-) -> SumcheckOutcome:
-    """Verifies the prover ``engine``'s sum-check of chi * g(a(x)) against
-    ``claim`` at ``point``, for g = ``composed_factors(kind, degree_cap)``.
-
-    The verifier fixes the message length at len(factors) + 2 and closes the
-    last round with chi * g(a_value), where a_value is the frequency
-    extension it maintained at ``point``.
-    """
-    factors, _ = composed_factors(kind, degree_cap)
-    return run_sumcheck(
-        claim,
-        engine_rounds(engine),
-        point,
-        len(factors) + 2,
-        lambda: fmul(chi, composed_value(kind, degree_cap, a_value)),
-        on_message=on_message,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Prover strategies
 # ---------------------------------------------------------------------------
 
 
 class HonestStreamProver(ProverStrategy):
-    """Stores the stream's frequency table and answers each sum-check from
-    ``table(kind, degree_cap)``: its claim is the table's total and its
-    messages come from folding the table. The announced cap is at least
-    every frequency, so the unique-count total is the number of frequencies
-    equal to 1."""
+    """Stores the stream's frequency table and answers from one table,
+    ``table(degree_cap)``: it announces the table's largest entry as the
+    cap, its claims are the table's unique and collision totals, and its
+    engine folds the same table. So a lying prover overrides ``table`` or
+    ``claims`` only."""
 
     name = "honest-stream"
 
     def ingest(self, samples: np.ndarray, k: int):
         self.freq = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k).astype(np.uint64)
 
-    def announced_cap(self, degree_cap: int) -> int:
-        """The cap D to announce after the pass, given the config's cap: the
-        largest frequency, the tightest cap whose range certificate passes."""
-        return int(self.freq.max(initial=0))
-
-    def table(self, kind: str, degree_cap: int) -> np.ndarray:
-        """The frequency table the sum-check of ``kind`` runs on."""
+    def table(self, degree_cap: int) -> np.ndarray:
+        """The table the sum-check runs on, at the announced cap."""
         return self.freq
 
-    def claim(self, kind: str, degree_cap: int) -> int:
-        return table_total(kind, degree_cap, self.table(kind, degree_cap))
+    def announced_cap(self, degree_cap: int) -> int:
+        """The cap D to announce after the pass, given the config's cap: the
+        table's largest entry, the tightest cap whose range certificate passes."""
+        return int(self.table(degree_cap).max(initial=0))
 
-    def engine(self, kind: str, degree_cap: int, zeta: list[int] | None = None) -> _SumcheckEngine:
-        return _SumcheckEngine(self.table(kind, degree_cap), degree_cap, kind, chi_point=zeta)
+    def claims(self, degree_cap: int) -> tuple[int, int]:
+        """(Z, C): the totals of U_D and of y(y-1)/2 over the table. Within
+        the cap, Z counts the entries equal to 1."""
+        ranked = DistinctTable.of(self.table(degree_cap))
+        return tuple(ranked.totals(unique_polynomial(degree_cap), COLLISION_POLYNOMIAL))
+
+    def engine(self, degree_cap: int, zeta: list[int], rho: int, rho_collisions: int = 0) -> _SumcheckEngine:
+        """The engine of the batched sum-check, after the verifier revealed
+        zeta and the batching coefficients."""
+        return _SumcheckEngine(self.table(degree_cap), BatchedPolynomial(degree_cap, rho, rho_collisions), zeta)
 
 
 class DecisionFlipProver(HonestStreamProver):
     """Biases the claimed deciding count across its threshold by running the
-    honest machinery on a doctored frequency table; the final extension
-    check catches the mismatch with overwhelming probability.
+    honest machinery on a doctored frequency table; the final check against
+    the verifier's a(r) catches it with overwhelming probability.
 
-    Where the unique count decides, every sum-check runs on a table whose
-    unique count is pushed across ``threshold_count``. Where tau <= 0 and
-    the collision count decides, only the collision sum-check runs on a
-    doctored table, whose collision count is pushed across
-    ``collision_threshold``; the unique count and the range certificate stay
-    honest, so the collision sum-check's final check is the one that fires."""
+    Where the unique count decides, the doctored table's unique count is
+    pushed across ``threshold_count``; where tau <= 0 and the collision
+    count decides, its collision count is pushed across
+    ``collision_threshold``. The cap, the claims and every message come
+    from the doctored table, so each is consistent with the others."""
 
     name = "decision-flip"
 
@@ -828,10 +827,10 @@ class DecisionFlipProver(HonestStreamProver):
                 freq[zeros[i]] = 1
                 freq[heavy[hi]] -= 1
             # note: splitting may also turn a heavy bin into a unique
-        self.freq = self.doctored = freq.astype(np.uint64)
+        self.doctored = freq.astype(np.uint64)
 
-    def table(self, kind, degree_cap):
-        return self.doctored if kind == "collisions" else self.freq
+    def table(self, degree_cap):
+        return self.doctored
 
 
 def _flip_collisions(freq: np.ndarray, collision_threshold: float) -> np.ndarray:
@@ -840,7 +839,7 @@ def _flip_collisions(freq: np.ndarray, collision_threshold: float) -> np.ndarray
     fullest to the emptiest bin to lower it, until the target is crossed or
     no move helps."""
     freq = freq.astype(np.int64)
-    count = table_total("collisions", 2, freq)
+    count = int((freq * (freq - 1) // 2).sum())
     target = 2 * collision_threshold - count
     raise_count = count <= collision_threshold
     no_donor = np.iinfo(np.int64).max
@@ -867,25 +866,22 @@ class ShiftClaimProver(HonestStreamProver):
 
     name = "shift-claim"
 
-    def claim(self, kind, degree_cap):
-        return super().claim(kind, degree_cap) + (kind == "unique")
+    def claims(self, degree_cap):
+        z, c = super().claims(degree_cap)
+        return z + 1, c
 
 
 class RangeClampProver(HonestStreamProver):
-    """Hides an over-cap frequency: the main sum-check runs on the true table
-    with an internally consistent claim, while the range certificate runs on
-    a clamped table so the zero total looks plausible. The verifier's
-    maintained extension value exposes the clamped table at the final check."""
+    """Hides an over-cap frequency: it runs the honest machinery on the
+    table clamped at the cap, so its announced cap (the config's), its
+    claims and its messages all agree with a table whose range certificate
+    is zero. The clamped table's extension is not the verifier's a(r), which
+    exposes it at the final check."""
 
     name = "range-clamp"
 
-    def announced_cap(self, degree_cap: int) -> int:
-        return degree_cap  # lies about the cap
-
-    def table(self, kind, degree_cap):
-        if kind == "range":
-            return np.minimum(self.freq, np.uint64(degree_cap))
-        return self.freq
+    def table(self, degree_cap):
+        return np.minimum(self.freq, np.uint64(degree_cap))
 
 
 ADVERSARIES = {cls.name: cls for cls in (DecisionFlipProver, ShiftClaimProver, RangeClampProver)}
@@ -910,45 +906,46 @@ class UniformityVerifier(Verifier):
 
     def run(self, session, prover):
         p = self.cfg
+        channel = session.channel
         self.extras.update(in_regime=p.in_regime, decision_statistic=p.decision_statistic)
         collisions = p.decision_statistic == "collisions"
-        state = StreamVerifierState(p.k, session.rng("points"), session.rng("collision-point") if collisions else None)
+        state = StreamVerifierState(p.k, session.rng("points"), collisions)
         samples = session.oracle_v.sample_batch(session.rng("stream"), p.n)
         state.update_batch(samples)
-        session.channel.count_raw_bits("v->p", p.n * p.b, note="sample-stream")
+        channel.count_raw_bits("v->p", p.n * p.b, note="sample-stream")
         prover.ingest(samples, p.k)
         # what the pass kept does not depend on the cap, so it is announced after the pass
         ceiling = min(p.degree_cap << MAX_WIDENINGS, p.n)
         width = ceiling.bit_length()
         # a cap of 2^width or more is sent as all ones: above the (even) ceiling if that is below n
         message = [int(c) for c in format(min(prover.announced_cap(p.degree_cap), (1 << width) - 1), f"0{width}b")]
-        degree_cap = int("".join(map(str, session.channel.send_bits("p->v", message, session.next_round()))), 2)
+        degree_cap = int("".join(map(str, channel.send_bits("p->v", message, session.next_round()))), 2)
         if not 1 <= degree_cap <= ceiling:
             raise ProtocolAbort(f"prover announced degree cap {degree_cap}, outside 1..{ceiling}")
         self.extras["final_degree_cap"] = degree_cap
-        z_claim = prover.claim("unique", degree_cap)
-        session.channel.send_structured("p->v", z_claim, session.next_round())
-        counter = {"fe": 1}  # the claim
-
-        def count_msg(message):
-            counter["fe"] += len(message)
-            session.channel.count_raw_bits("p->v", FIELD_BITS * len(message), note="sumcheck-msg")
-
-        def check(kind, claim, point, a_value, chi=1, zeta=None):
-            engine = prover.engine(kind, degree_cap, zeta)
-            out = verify_sumcheck(kind, claim, engine, point, degree_cap, a_value, chi, count_msg)
-            if not out.verified:
-                raise ProtocolAbort(f"{SUMCHECK_NAMES[kind]} rejected: {out.reason}")
-
-        check("unique", z_claim, state.r, state.a_at_r)
-        # the certificate asserts a zero total, whatever the prover says
-        check("range", 0, state.r2, state.a_at_r2, state.chi_pair(state.r2, state.zeta), state.zeta)
+        z_claim, c_claim = prover.claims(degree_cap)
+        channel.send_structured("p->v", z_claim, session.next_round())
         if collisions:
-            c_claim = prover.claim("collisions", degree_cap)
-            session.channel.send_structured("p->v", c_claim, session.next_round())
-            counter["fe"] += 1
-            check("collisions", c_claim, state.r3, state.a_at_r3)
-        self.extras["prover_field_elements"] = counter["fe"]
+            channel.send_structured("p->v", c_claim, channel.round)
+        # zeta and the batching coefficients are revealed after the claims they weigh
+        batching = session.rng("batching")
+        rho = m61.rand_fe(batching)
+        rho_collisions = m61.rand_fe(batching) if collisions else 0
+        session.next_round()
+        channel.count_raw_bits("v->p", FIELD_BITS * p.b, note="zeta")
+        channel.count_raw_bits("v->p", FIELD_BITS * (1 + collisions), note="batching-coefficients")
+        polynomial = BatchedPolynomial(degree_cap, rho, rho_collisions)
+        out = run_sumcheck(
+            fadd(z_claim % Q, fmul(rho_collisions, c_claim % Q)),
+            engine_rounds(prover.engine(degree_cap, state.zeta, rho, rho_collisions)),
+            state.r,
+            polynomial.num_nodes,
+            lambda: polynomial.value(state.a_at_r, state.chi_pair(state.r, state.zeta)),
+            session=session,
+        )
+        if not out.verified:
+            raise ProtocolAbort(f"batched sum-check rejected: {out.reason}")
+        self.extras["prover_field_elements"] = 1 + collisions + p.b * polynomial.num_nodes
         self.extras["peak_field_elements"] = state.peak_field_elements
         self.extras["z_verified"] = z_claim
         if collisions:

@@ -1,12 +1,13 @@
 """References the tests compare the program against: the per-sample
-verifier update, the engine's closing value, Lagrange evaluation at a point
-and the stabilizer projector factors, each the body it had in the program."""
+verifier update, the engine's closing value, the eq table built by
+doubling, Lagrange evaluation at a point and the stabilizer projector
+factors, each the body it had in the program."""
 
 import numpy as np
 
 from ipsim import qmeas
-from ipsim.m61 import StreamedNodeEval, fadd, fmul, lagrange_weights
-from ipsim.stream_ip import StreamVerifierState, _SumcheckEngine, composed_value
+from ipsim.m61 import StreamedNodeEval, fadd, lagrange_weights, vmul, vsub
+from ipsim.stream_ip import StreamVerifierState, _SumcheckEngine
 
 
 def lagrange_eval(values, t: int, weights: list[int] | None = None) -> int:
@@ -18,28 +19,40 @@ def lagrange_eval(values, t: int, weights: list[int] | None = None) -> int:
     return ev.result()
 
 
+def doubling_chi_table(k: int, point: list[int]) -> np.ndarray:
+    """chi_x(point) for every cube index x, little-endian bit order, by
+    doubling: each step prepends the least-significant position, so the
+    coordinates are taken from the highest down, writing t * p_j at odd and
+    t - t * p_j = t * (1 - p_j) at even positions of a new array."""
+    table = np.ones(1, dtype=np.uint64)
+    for j in reversed(range(k.bit_length() - 1)):
+        doubled = np.empty(2 * table.size, dtype=np.uint64)
+        one = vmul(table, point[j], out=doubled[1::2])
+        vsub(table, one, out=doubled[0::2])
+        table = doubled
+    return table
+
+
 class SequentialState(StreamVerifierState):
     """Verifier registers that also take one sample at a time, the reference
     ``update_batch`` is checked against."""
 
     def update(self, index: int):
-        """One stream sample: a(r) += chi_index(r) = chi(r, bits of index) at
-        every maintained point."""
+        """One stream sample: a(r) += chi_index(r) = chi(r, bits of index)."""
         if not 0 <= index < self.k:
             raise ValueError("sample index out of range")
         bits = [(index >> j) & 1 for j in range(self.b)]
-        for point, value in self.maintained:
-            setattr(self, value, fadd(getattr(self, value), self.chi_pair(getattr(self, point), bits)))
+        self.a_at_r = fadd(self.a_at_r, self.chi_pair(self.r, bits))
         self.sample_count += 1
 
 
 class ClosingEngine(_SumcheckEngine):
-    """An honest engine that also gives chi g at its one bound point, which
-    the pinned engine transcripts close on."""
+    """An honest engine that also gives g at its one bound point, which the
+    pinned engine transcripts close on."""
 
     def final_value(self) -> int:
         assert self.ids.size == 1
-        return fmul(self.prefix, composed_value(self.kind, self.degree_cap, int(self.values[self.ids[0]])))
+        return self.polynomial.value(int(self.values[self.ids[0]]), self.prefix)
 
 
 def projector_factors(n: int) -> np.ndarray:

@@ -140,11 +140,13 @@ def prover_spectral_tomography(
     Ideal mode perturbs the exact eigendecomposition, shrinking the
     perturbation until (a) sqrt(2k)||rho'-rho||_2 + 1 - p - (1 - sum_k alpha)
     <= eps2 and (b) ||rho'-rho||_1 <= eps2 both hold with exact values.
-    Sampled mode runs generic sampled tomography at target eps2.
+    Sampled mode runs the one sized attempt of sampled tomography
+    (``tomo_ip.sampled_tomography_shots``) at one-norm target eps2 and
+    failure probability delta_tilde, which gives (b).
     """
     k, d = cfg.k, cfg.d
     if cfg.mode == "sampled":
-        hyp = tomo_ip._sampled_tomography(oracle_p, cfg.eps2, d, rng)
+        hyp = tomo_ip._sampled_tomography(oracle_p, cfg.eps2, d, cfg.delta_tilde, rng)
         spec = qcore.eig_sorted(hyp)
         return spec.basis.entries.conj().T, spec.values
     rho = oracle_p.ideal_peek()
@@ -420,6 +422,8 @@ class LowRankConfig(Protocol):
         return math.ceil(self.k**2 * math.log(1 / self.delta_tilde) / self.eps1**2)
 
     def prover_budget(self) -> int:
+        if self.mode == "sampled":
+            return 3 * self.d * tomo_ip.sampled_tomography_shots(self.eps2, self.d, self.delta_tilde)
         return math.ceil(self.d**2 * math.log(1 / self.delta_tilde) / self.eps2**2)
 
     def basis_shots(self) -> int:

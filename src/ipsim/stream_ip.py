@@ -433,12 +433,12 @@ class _SumcheckEngine:
     eq(t, zeta_j). The suffix table is built once; each bind sums its entry
     pairs, which drops its lowest coordinate since eq(0, z) + eq(1, z) = 1.
 
-    The table is kept as ``values[ids]``: a few distinct values and one id
-    per entry. Each round ranks its column pairs (ids[2x], ids[2x+1]) by one
-    int64 key, u-id first, as ``DistinctTable.of`` ranks a table: by
-    counting when every key is below the number of columns, which the first
-    rounds of a frequency table meet (values.size^2 <= columns), and by
-    sorting otherwise. Each distinct pair (u, d = v - u), in key order,
+    The table is kept as ``values[ids]``, the prover's ``DistinctTable``: a
+    few distinct values and one id per entry. Each round ranks its column
+    pairs (ids[2x], ids[2x+1]) by one int64 key, u-id first, as
+    ``DistinctTable.of`` ranks a table: by counting when every key is below
+    the number of columns, which the first rounds of a frequency table meet
+    (values.size^2 <= columns), and by sorting otherwise. Each distinct pair (u, d = v - u), in key order,
     carries two weights: its count c and the sum w of its columns' eq
     suffix entries (``m61.grouped_sums``). ``bind(r)`` folds only the
     distinct pairs, u + r d, and the pair indices become the next ids. A
@@ -510,8 +510,8 @@ class _SumcheckEngine:
       evaluation without it took 126 us per 35-node round, against 90 us.
     """
 
-    def __init__(self, table: np.ndarray, polynomial: BatchedPolynomial, zeta: list[int]):
-        self.values, self.ids = DistinctTable.of(table)
+    def __init__(self, ranked: DistinctTable, polynomial: BatchedPolynomial, zeta: list[int]):
+        self.values, self.ids = ranked
         self.polynomial = polynomial
         self.zeta = list(zeta)  # the coordinates not yet bound
         self.prefix = 1  # prod of eq(r_i, zeta_i) over the bound rounds
@@ -755,13 +755,21 @@ class HonestStreamProver(ProverStrategy):
     """Stores the stream's frequency table and answers from one table,
     ``table(degree_cap)``: it announces the table's largest entry as the
     cap, its claims are the table's unique and collision totals, and its
-    engine folds the same table. So a lying prover overrides ``table`` or
-    ``claims`` only."""
+    engine folds the same table, ranked once for both. So a lying prover
+    overrides ``table`` or ``claims`` only."""
 
     name = "honest-stream"
 
     def ingest(self, samples: np.ndarray, k: int):
         self.freq = np.bincount(np.asarray(samples, dtype=np.int64), minlength=k).astype(np.uint64)
+        self._ranked = None  # (cap, the table at that cap ranked), once ranked
+
+    def ranked(self, degree_cap: int) -> DistinctTable:
+        """``table(degree_cap)`` as a DistinctTable, ranked once per stream
+        and cap, which the claims and the engine share."""
+        if self._ranked is None or self._ranked[0] != degree_cap:
+            self._ranked = (degree_cap, DistinctTable.of(self.table(degree_cap)))
+        return self._ranked[1]
 
     def table(self, degree_cap: int) -> np.ndarray:
         """The table the sum-check runs on, at the announced cap."""
@@ -775,13 +783,12 @@ class HonestStreamProver(ProverStrategy):
     def claims(self, degree_cap: int) -> tuple[int, int]:
         """(Z, C): the totals of U_D and of y(y-1)/2 over the table. Within
         the cap, Z counts the entries equal to 1."""
-        ranked = DistinctTable.of(self.table(degree_cap))
-        return tuple(ranked.totals(unique_polynomial(degree_cap), COLLISION_POLYNOMIAL))
+        return tuple(self.ranked(degree_cap).totals(unique_polynomial(degree_cap), COLLISION_POLYNOMIAL))
 
     def engine(self, degree_cap: int, zeta: list[int], rho: int, rho_collisions: int = 0) -> _SumcheckEngine:
         """The engine of the batched sum-check, after the verifier revealed
         zeta and the batching coefficients."""
-        return _SumcheckEngine(self.table(degree_cap), BatchedPolynomial(degree_cap, rho, rho_collisions), zeta)
+        return _SumcheckEngine(self.ranked(degree_cap), BatchedPolynomial(degree_cap, rho, rho_collisions), zeta)
 
 
 class DecisionFlipProver(HonestStreamProver):

@@ -356,8 +356,8 @@ GOLDEN = {
     ),
     "tomo-sampled": (
         ["tomo", "--mode", "sampled", "--trials", "3", "--seed", "5", "d=4"],
-        "d2eb8a5604b6ffccaad9d56113cba7cc47a3ca14d3b88d656683d9869b260995",
-        "58f0d47f79d6e2f1b87f70537b8a89155d40925ff9486bd9d84e825b713c519f",
+        "6d92829f843f1af44e800a1697ba0dd0e573e4a9a2bbe50b02e3a4f03fb07ca6",
+        "7479bcc8eee55d26b25b9195d975d0a124a1648f08dffefb583a0e1894df80df",
     ),
     "purity-transcripts": (
         ["purity", "--transcripts", "--trials", "3", "--seed", "5", "d=4"],
@@ -411,8 +411,15 @@ GOLDEN = {
     ),
     "lowrank-sampled": (
         ["lowrank", "--mode", "sampled", "--trials", "3", "--seed", "5", "d=2"],
-        "ac9e009c29502ab92a9233ae72f487ad346d302155ddd0d0bb7627967836ed30",
-        "b14d6bec57e102259650fece665ba5ade4d5f8da90b873a69c901410a6300115",
+        "8e2807ca3cac9cb57b9d2c7dbbcaf3334401bc3aa46bbe1ef9d15d5fd95bfdf2",
+        "9f502df673951d427163064444d47de8bfe88b24a539fd710204f91a2f96ab09",
+    ),
+    # sampled lowrank at its default d = 4, whose prover runs the sized
+    # tomography attempt at eps2 = 0.00375
+    "lowrank-sampled-d4": (
+        ["lowrank", "--mode", "sampled", "--trials", "3", "--seed", "5"],
+        "bfcb138f534cdd9ceb1ccf0de2c0fce8ce0afb1577e8d85c6800c03f9ce1e224",
+        "84457e4d4ea4572587d6de6bdbef482bbb7b6291fe3aeed619a76532ad1c4755",
     ),
     # the delegation contract: a caught tamper (19 of 20 ideal trials), an
     # escaped one, and the honest pass-through in ideal lowrank and stab
@@ -424,8 +431,8 @@ GOLDEN = {
     "tomo-sampled-tamperer": (
         ["tomo", "--mode", "sampled", "--transcripts", "--trials", "3", "--seed", "5",
          "d=2", "epsilon=0.8", "adversary=delegation-tamperer"],
-        "dec701e616587e0826cdac30f74b55db3191ccd979bf2d39df10c6b61e3c3218",
-        "7f001408147b312822b4db47f868e2f896cfaadd5d483e52a9724b1da39d0a1f",
+        "34ad8e701708c310cba6772fdd8385bc356ab3a38f7458fca44c5e2bcf6c4cdc",
+        "07cf8f00226a8cfb3a8510714784ededb5ef3521a1ed686b885dcb9a6d60c8d2",
     ),
     "lowrank-ideal": (
         ["lowrank", "--trials", "20", "--seed", "5"],

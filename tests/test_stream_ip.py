@@ -376,7 +376,7 @@ def _batched_sumcheck(freq, degree_cap, g, collisions=False, claims=None):
     polynomial = BatchedPolynomial(degree_cap, rho, rho_collisions)
     if claims is None:
         claims = stream_ip.DistinctTable.of(freq).totals(unique_polynomial(degree_cap), COLLISION_POLYNOMIAL)
-    eng = stream_ip._SumcheckEngine(freq, polynomial, st.zeta)
+    eng = stream_ip._SumcheckEngine(stream_ip.DistinctTable.of(freq), polynomial, st.zeta)
     final = lambda: polynomial.value(st.a_at_r, st.chi_pair(st.r, st.zeta))  # noqa: E731
     claim = claims[0] + rho_collisions * claims[1]
     return stream_ip.run_sumcheck(claim, engine_rounds(eng), st.r, polynomial.num_nodes, final)
@@ -431,7 +431,7 @@ class TestCompleteness:
         g = rng(12)
         freq = g.integers(0, 5, size=2048).astype(np.uint64)
         zeta = [m61.rand_fe(g) for _ in range(11)]
-        a = stream_ip._SumcheckEngine(freq.copy(), BatchedPolynomial(8, m61.rand_fe(g), m61.rand_fe(g)), zeta)
+        a = stream_ip._SumcheckEngine(stream_ip.DistinctTable.of(freq.copy()), BatchedPolynomial(8, m61.rand_fe(g), m61.rand_fe(g)), zeta)
         msg_bucketed = a.round_message()
         assert len(a.pairs) <= 25 < freq.size // 2  # 1024 column pairs of 5 x 5 values
         # every column pair on its own, count 1, in table order
@@ -659,7 +659,7 @@ class TestDistinctTable:
         assert int(freq.max()) < freq.size
         assert stream_ip.DistinctTable.of(freq).ids.dtype == np.int32 and not sorted_keys
         zeta = [m61.rand_fe(rng(72)) for _ in range(12)]
-        assert stream_ip._SumcheckEngine(freq, BatchedPolynomial(4, 3), zeta).ids.dtype == np.int32
+        assert stream_ip._SumcheckEngine(stream_ip.DistinctTable.of(freq), BatchedPolynomial(4, 3), zeta).ids.dtype == np.int32
         sorted_keys.clear()  # the engine's first round sorts its column pairs
         for top in (freq.size, Q - 1):
             table = freq.copy()
@@ -670,9 +670,9 @@ class TestDistinctTable:
 
 
 class TestRankedTables:
-    """The claims and the engine rank the table that ``table(degree_cap)``
-    returns: the honest prover's frequency table, or a lying prover's
-    clamped or doctored one."""
+    """The claims and the engine share one ranking of the table that
+    ``table(degree_cap)`` returns: the honest prover's frequency table, or a
+    lying prover's clamped or doctored one."""
 
     @staticmethod
     def _ranked_tables(monkeypatch, cfg, prover, which):
@@ -695,23 +695,22 @@ class TestRankedTables:
         prover = HonestStreamProver()
         res, tables = self._ranked_tables(monkeypatch, cfg, prover, "uniform")
         assert res.accepted, res.abort_reason
-        assert len(tables) == 2 and all(table is prover.freq for table in tables)
+        assert len(tables) == 1 and tables[0] is prover.freq
 
     def test_range_clamp_ranks_its_clamped_table(self, monkeypatch):
         cfg = self._cfg(degree_cap=4, distribution="point_mass")
         prover = stream_ip.RangeClampProver()
         res, tables = self._ranked_tables(monkeypatch, cfg, prover, "point_mass")
         assert not res.accepted and res.abort_reason.endswith("final evaluation mismatch")
-        assert len(tables) == 2
-        for table in tables:
-            assert table is not prover.freq and np.array_equal(table, np.minimum(prover.freq, np.uint64(4)))
+        assert len(tables) == 1
+        assert tables[0] is not prover.freq and np.array_equal(tables[0], np.minimum(prover.freq, np.uint64(4)))
 
     def test_decision_flip_ranks_its_doctored_table(self, monkeypatch):
         cfg = self._cfg()
         prover = DecisionFlipProver(cfg)
         res, tables = self._ranked_tables(monkeypatch, cfg, prover, "uniform")
         assert not res.accepted and res.abort_reason.endswith("final evaluation mismatch")
-        assert len(tables) == 2 and all(table is prover.doctored for table in tables)
+        assert len(tables) == 1 and tables[0] is prover.doctored
         assert not np.array_equal(prover.doctored, prover.freq)
 
 
@@ -752,7 +751,7 @@ def _engine(polynomial, table=None, g=None):
     """An engine of ``polynomial`` on ``table`` (default two zeros), at a zeta drawn from g."""
     table = np.zeros(2, dtype=np.uint64) if table is None else table
     g = rng(0) if g is None else g
-    return stream_ip._SumcheckEngine(table, polynomial, [m61.rand_fe(g) for _ in range(table.size.bit_length() - 1)])
+    return stream_ip._SumcheckEngine(stream_ip.DistinctTable.of(table), polynomial, [m61.rand_fe(g) for _ in range(table.size.bit_length() - 1)])
 
 
 ENGINE_CASES = [(D, collisions) for D in (2, 7, 8, 32, 33, 128) for collisions in (False, True)] + [(1, True)]
@@ -889,7 +888,7 @@ class TestEngineAgainstReference:
         build = lambda n, p: builds.append(n) or chi_table_for_point(n, p)  # noqa: E731
         monkeypatch.setattr(stream_ip, "chi_table_for_point", build)
         polynomial = _polynomial(g, degree_cap, True)
-        eng = ClosingEngine(freq, polynomial, st.zeta)
+        eng = ClosingEngine(stream_ip.DistinctTable.of(freq), polynomial, st.zeta)
         table, chi = freq, chi_table_for_point(k, st.zeta)
         for j, r in enumerate(st.r):
             # the eq suffix, built once and folded by every bind
@@ -918,7 +917,7 @@ class TestEngineAgainstReference:
         g = rng(60)
         freq = g.poisson(1.0, size=1 << 14).astype(np.uint64)
         st = StreamVerifierState(freq.size, g)
-        eng = stream_ip._SumcheckEngine(freq, _polynomial(g, 32, True), st.zeta)
+        eng = stream_ip._SumcheckEngine(stream_ip.DistinctTable.of(freq), _polynomial(g, 32, True), st.zeta)
         if pairs_per_block is not None:
             eng.block = pairs_per_block
         table, chi = freq, chi_table_for_point(freq.size, st.zeta)
@@ -967,7 +966,7 @@ def _transcript_sha256(k, lam, degree_cap, collisions, seed):
     """sha256 over every round message and the final value of one engine
     run on ``_transcript_case``."""
     freq, st, polynomial = _transcript_case(k, lam, degree_cap, collisions, seed)
-    eng = ClosingEngine(freq, polynomial, st.zeta)
+    eng = ClosingEngine(stream_ip.DistinctTable.of(freq), polynomial, st.zeta)
     h = hashlib.sha256()
     for j in range(len(st.r)):
         if j:
@@ -1006,7 +1005,7 @@ def _rounds_against_folded_table(polynomial, table, g):
     Returns each round's path: (dense, ranked by counting, message in
     Python ints, GEMMs: "wide" and/or "narrow")."""
     points = StreamVerifierState(table.size, g)
-    eng = stream_ip._SumcheckEngine(table, polynomial, points.zeta)
+    eng = stream_ip._SumcheckEngine(stream_ip.DistinctTable.of(table), polynomial, points.zeta)
     int_messages, gemms = [], []
     int_message = eng._int_message
     eng._int_message = lambda *args: int_messages.append(args) or int_message(*args)
@@ -1289,7 +1288,7 @@ class TestTransientMemory:
     def test_round_message_peak_on_bound_table(self):
         g = rng(43)
         freq = g.poisson(1.0, size=1 << 15).astype(np.uint64)
-        eng = stream_ip._SumcheckEngine(freq, _polynomial(g, 32, True), [m61.rand_fe(g) for _ in range(15)])
+        eng = stream_ip._SumcheckEngine(stream_ip.DistinctTable.of(freq), _polynomial(g, 32, True), [m61.rand_fe(g) for _ in range(15)])
         eng.bind(m61.rand_fe(g))
         assert eng.ids.size == 1 << 14
         tracemalloc.start()
@@ -1313,7 +1312,7 @@ class TestTransientMemory:
         st = StreamVerifierState(cfg.k, g)
         tracemalloc.start()
         try:
-            eng = stream_ip._SumcheckEngine(freq, _polynomial(g, 33, True), st.zeta)
+            eng = stream_ip._SumcheckEngine(stream_ip.DistinctTable.of(freq), _polynomial(g, 33, True), st.zeta)
             for message in map(engine_rounds(eng), range(cfg.b), [None, *st.r[:-1]]):
                 assert len(message) == 33 + 3  # deg g + 1 nodes, deg g = D + 2
             peak = tracemalloc.get_traced_memory()[1]

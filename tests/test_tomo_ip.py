@@ -4,13 +4,13 @@ tomography and certification, adversaries, rank-k variant."""
 import numpy as np
 import pytest
 
-from ipsim import qcore, qmeas, tomo_ip
+from ipsim import cli, qcore, qmeas, tomo_ip
 from ipsim.harness import CopyOracle, LiveCopyTracker, batch_rates
+from ipsim.lowrank_ip import LowRankConfig
 from ipsim.tomo_ip import (
     CLOSE,
     FAR,
     HonestTomographyProver,
-    TomoConfig,
     TomoConfig,
     certify_closeness,
     perturbed_state_at_distance,
@@ -143,124 +143,129 @@ class TestSampledMode:
         assert far_hits >= 16
 
 
-def _reference_linear_inversion(bases, freqs, d):
-    """Per-basis design matrix, one np.outer per basis column."""
-    rows, y = [], []
-    for u, f in zip(bases, freqs):
+def _per_basis_tomography(oracle_p, target, d, delta, rng):
+    """``tomo_ip._sampled_tomography`` basis by basis: the Haar draws, then a
+    stream, a Born table, a multinomial draw and d design rows (one np.outer
+    per column) per basis, and one solve."""
+    shots = tomo_ip.sampled_tomography_shots(target, d, delta)
+    bases = [qcore.sample_haar_unitary(d, rng) for _ in range(3 * d)]
+    rows, freqs = [], []
+    for u in bases:
+        copy_state = oracle_p.stream(shots, "tomography")[0]
+        freqs.extend(rng.multinomial(shots, qmeas.basis_probabilities(copy_state, u)) / shots)
         ue = u.entries
-        for j in range(d):
-            e = np.outer(ue[:, j], ue[:, j].conj())
-            rows.append(e.conj().reshape(-1))
-            y.append(f[j])
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(y), rcond=None)
+        rows.extend(np.outer(ue[:, j], ue[:, j].conj()).conj().reshape(-1) for j in range(d))
+    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(freqs), rcond=None)
     return qcore.project_to_density(sol.reshape(d, d))
 
 
-def _reference_sampled_tomography(oracle_p, params, rng):
-    """The per-basis prover: a Haar draw, a Born table and a design matrix
-    per basis, and one design matrix per solve."""
-    target = params.prover_target
-    d = params.d
-    n_bases = 3 * d
-    shots = max(64, 8 * d)
-    for _ in range(14):
-        bases = [qcore.sample_haar_unitary(d, rng) for _ in range(n_bases)]
-        halves, all_freqs = [], []
-        for half in range(2):
-            freqs = []
-            for u in bases:
-                copy_state = oracle_p.stream(shots, "tomography")[0]
-                probs = qmeas.basis_probabilities(copy_state, u)
-                freqs.append(rng.multinomial(shots, probs) / shots)
-            halves.append(_reference_linear_inversion(bases, freqs, d))
-            all_freqs.extend(freqs)
-        if qcore.one_norm_distance(halves[0], halves[1]) * 0.9 <= target:
-            return _reference_linear_inversion(bases + bases, all_freqs, d)
-        shots *= 2
-    raise ProtocolAbort("sampled tomography failed to certify its target")
-
-
 class TestSampledReference:
-    # at d = 8 the two-column solve of the halves rounds differently from
-    # two one-column solves; the hypothesis and the draws must not move
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 8])
-    def test_batched_prover_matches_reference_draw_for_draw(self, d):
-        p = TomoConfig(epsilon=0.5, delta=1 / 3, d=d, mode="sampled")
-        attempts = []
-        for seed in range(6):
+    def test_one_attempt_matches_per_basis_reference(self, d):
+        # same hypothesis, meter, generator state and peak of one live copy,
+        # at tomo's target and at lowrank's eps2, which runs the same attempt
+        targets = [
+            (TomoConfig(d=d, mode="sampled").prover_target, TomoConfig().delta_p),
+            (LowRankConfig(d=d).eps2, LowRankConfig().delta_tilde),
+        ]
+        for seed in range(4):
             hidden = qcore.sample_state(d, 1 + seed % d, np.random.default_rng(seed))
-            runs = []
-            for prover in (prover_tomography, _reference_sampled_tomography):
-                oracle, rng = CopyOracle(hidden), np.random.default_rng(100 + seed)
-                hyp = prover(oracle, p, rng)
-                runs.append((hyp.entries, oracle.meter.by_kind, rng.bit_generator.state))
-            (new, new_meter, new_state), (ref, ref_meter, ref_state) = runs
-            assert np.array_equal(new, ref)
-            assert new_meter == ref_meter
-            assert new_state == ref_state
-            # copies per attempt are 2 * 3d * shots, and shots double
-            per_first = 6 * d * max(64, 8 * d)
-            attempts.append(int(np.log2(new_meter["tomography"] // per_first + 1)))
-        assert max(attempts) >= 2  # sessions that double their shots are covered
-
-
-def _per_basis_stream_tomography(oracle_p, target, d, rng):
-    """``tomo_ip._sampled_tomography`` with one stream and one multinomial
-    draw per basis and half: the loop its one stream and one draw replaced."""
-    n_bases = 3 * d
-    shots = max(64, 8 * d)
-    for _ in range(14):
-        bases = qcore.sample_haar_unitaries(n_bases, d, rng)
-        # design-matrix row (b, j) is the flattened conjugate of the
-        # projector onto column j of basis b, so row . vec(rho) = p_bj
-        cols = bases.swapaxes(1, 2)
-        a = (cols[:, :, :, None] * cols[:, :, None, :].conj()).conj().reshape(-1, d * d)
-        freqs = np.empty((2, n_bases, d))
-        probs = None
-        for half in range(2):
-            for b in range(n_bases):
-                copy_state = oracle_p.stream(shots, "tomography")[0]
-                if probs is None:
-                    # every copy has the hidden state's one description, so
-                    # one table of Born probabilities serves the attempt
-                    probs = qmeas.basis_probabilities(copy_state, bases)
-                freqs[half, b] = rng.multinomial(shots, probs[b]) / shots
-        freqs = freqs.reshape(2, -1)
-        # both halves in one solve; its last bits can differ from those of two
-        # one-column solves, but only the test below reads the halves
-        sols, *_ = np.linalg.lstsq(a, freqs.T, rcond=None)
-        halves = [qcore.project_to_density(sol.reshape(d, d)) for sol in sols.T]
-        split_dist = qcore.one_norm_distance(halves[0], halves[1])
-        # split halves are independent estimates, so their gap is roughly
-        # twice the pooled error; certify with a safety margin
-        if split_dist * 0.9 <= target:
-            pooled, *_ = np.linalg.lstsq(np.vstack([a, a]), freqs.reshape(-1), rcond=None)
-            return qcore.project_to_density(pooled.reshape(d, d))
-        shots *= 2
-    raise ProtocolAbort("sampled tomography failed to certify its target")
-
-
-class TestOneStream:
-    @pytest.mark.parametrize("d", [2, 3, 4, 8])
-    def test_one_stream_matches_per_basis_loop(self, d):
-        # same hypothesis, meter, generator state and peak of one live copy;
-        # sampled lowrank runs the same function at its own target
-        attempts = []
-        for seed in range(6):
-            hidden = qcore.sample_state(d, 1 + seed % d, np.random.default_rng(seed))
-            for target in (TomoConfig(d=d, mode="sampled").prover_target, 0.1):
+            for target, delta in targets:
                 runs = []
-                for tomography in (tomo_ip._sampled_tomography, _per_basis_stream_tomography):
+                for tomography in (tomo_ip._sampled_tomography, _per_basis_tomography):
                     tracker = LiveCopyTracker()
                     oracle, rng = CopyOracle(hidden, tracker=tracker), np.random.default_rng(200 + seed)
-                    hyp = tomography(oracle, target, d, rng)
+                    hyp = tomography(oracle, target, d, delta, rng)
                     runs.append((hyp.entries, oracle.meter.by_kind, rng.bit_generator.state, tracker.peak))
-                (new, new_meter, new_state, new_peak), (ref, *ref_rest) = runs
+                (new, meter, state, peak), (ref, *ref_rest) = runs
                 assert np.array_equal(new, ref)
-                assert [new_meter, new_state, new_peak] == ref_rest and new_peak == 1
-                # copies per attempt are 2 * 3d * shots, and shots double
-                attempts.append(int(np.log2(new_meter["tomography"] // (6 * d * max(64, 8 * d)) + 1)))
-        assert max(attempts) >= 2  # attempts that double their shots are covered
+                assert [meter, state, peak] == ref_rest
+                assert meter == {"tomography": 3 * d * tomo_ip.sampled_tomography_shots(target, d, delta)}
+                assert peak == 1
+
+
+class TestShotBound:
+    @pytest.mark.parametrize("d", [2, 3, 4, 8])
+    def test_frame_factor_within_its_bound(self, d):
+        # step 3 of sampled_tomography_shots: over Haar bases, the mean of
+        # E||X - rho||_2^2 given the bases, in units of (d+1)^2 (d-1) / (d N),
+        # is at most 3(d-1)/(2d-3), at the maximally mixed state and at
+        # random pure and rank-2 states
+        g = np.random.default_rng(40 + d)
+        states = [qcore.maximally_mixed(d), qcore.sample_state(d, 1, g), qcore.sample_state(d, 2, g)]
+        factors = np.empty((len(states), 200))
+        for t in range(factors.shape[1]):
+            bases = qcore.sample_haar_unitaries(3 * d, d, g)
+            cols = bases.swapaxes(1, 2)
+            a = (cols[:, :, :, None] * cols[:, :, None, :].conj()).conj().reshape(-1, d * d)
+            pinv = np.linalg.solve(a.conj().T @ a, a.conj().T)  # the solve's map from frequencies to X
+            # the columns of the solve, by basis: (d^2, 3d, d)
+            by_basis = pinv.reshape(d * d, 3 * d, d)
+            col_norms = (np.abs(by_basis) ** 2).sum(axis=0)
+            for i, rho in enumerate(states):
+                # tr[pinv cov pinv^+] at one shot per basis, cov = diag(p) - p p^T in each basis
+                p = qmeas.basis_probabilities(rho.entries, bases)
+                variance = (col_norms * p).sum() - (np.abs(np.einsum("xbj,bj->xb", by_basis, p)) ** 2).sum()
+                factors[i, t] = variance * 3 * d * d / ((d + 1) ** 2 * (d - 1))
+        assert (factors.mean(axis=1) <= 3 * (d - 1) / (2 * d - 3)).all()
+        assert factors.mean(axis=1).argmax() == 0  # the maximally mixed state is the worst
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TomoConfig(d=2, mode="sampled"),
+            TomoConfig(d=4, mode="sampled"),
+            LowRankConfig(d=2, mode="sampled"),
+            LowRankConfig(d=4, mode="sampled"),
+            LowRankConfig(d=4, mode="sampled", variant="wide"),
+        ],
+        ids=["tomo-d2", "tomo-d4", "lowrank-d2", "lowrank-d4", "lowrank-wide"],
+    )
+    def test_meter_equals_closed_form(self, cfg):
+        budget = cfg.formula()["prover_budget"]
+        _, results = batch_rates(
+            cfg.run_one, cfg.judge, lambda r: cfg.sample_instance("learning", r), cfg.make_prover("honest"), 6, 17
+        )
+        for res in results:
+            assert res.prover_breakdown == {"tomography": budget}
+            assert res.prover_queries == budget
+
+    def test_shots_closed_form(self):
+        # m = ceil((d-1)^2 (d+1)^2 / (d (2d-3) delta target^2)); sampled tomo at
+        # d = 4 (target 0.125, delta_p = 1/6) and a case with round numbers
+        assert tomo_ip.sampled_tomography_shots(0.125, 4, 1 / 6) == 4320
+        assert TomoConfig(d=4, mode="sampled").prover_query_budget() == 12 * 4320
+        assert tomo_ip.sampled_tomography_shots(0.5, 2, 0.5) == 36
+
+
+# honest sampled sessions through the CLI's runner, 40 trials at seed 7
+CENSUS = [
+    ("tomo", {"d": 2}),
+    ("tomo", {"d": 4}),
+    ("tomo", {"d": 8}),
+    ("lowrank", {"d": 2}),
+    ("lowrank", {"d": 3}),
+    ("lowrank", {"d": 4}),
+    ("lowrank", {"d": 4, "k": 2}),
+    ("lowrank", {"variant": "wide"}),
+    ("lowrank", {"variant": "state"}),
+]
+CERTIFICATION_ABORTS = {"certification returned far", "rank-k certification inequality failed"}
+
+
+class TestSampledCensus:
+    @pytest.mark.parametrize(
+        ("protocol", "keys"), CENSUS, ids=[f"{p}-" + "-".join(f"{k}{v}" for k, v in keys.items()) for p, keys in CENSUS]
+    )
+    def test_honest_completeness(self, protocol, keys):
+        delta = cli.PROTOCOLS[protocol](mode="sampled", **keys).delta
+        report, results = cli.run_experiment(
+            cli.ExperimentConfig(protocol, trials=40, seed=7, mode="sampled", protocol_keys=keys)
+        )
+        accepted_valid = report.rates["accept_and_valid"]
+        assert accepted_valid["wilson95"][1] >= 1 - delta, accepted_valid["count"]
+        # every abort is the verifier's certification; none is the tomography's
+        assert {res.abort_reason for res in results if not res.accepted} <= CERTIFICATION_ABORTS
 
 
 class TestSessions:

@@ -17,7 +17,9 @@ import json
 import sys
 import time
 from dataclasses import dataclass, field, fields
+from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import get_type_hints
 
 import numpy as np
@@ -108,10 +110,11 @@ PROTOCOLS = {
 RUNNER_FIELDS = ("mode", "record_transcript")  # set from the experiment, never from keys
 
 
-def protocol_keys(cls) -> dict:
+@cache
+def protocol_keys(cls) -> MappingProxyType:
     """Key -> type of one protocol: its config's fields, except the ones the
     runner sets and the ones marked ``metadata={"cli": False}``, plus its
-    trial keys."""
+    trial keys. Built once per config class and handed out read-only."""
     hints = get_type_hints(cls)
     keys = {
         f.name: hints[f.name]
@@ -119,7 +122,7 @@ def protocol_keys(cls) -> dict:
         if f.name not in RUNNER_FIELDS and f.metadata.get("cli", True)
     }
     keys.update(dict.fromkeys(cls.trial_keys, str))
-    return keys
+    return MappingProxyType(keys)
 
 
 def check_type(key: str, value, expected):

@@ -7,18 +7,24 @@ failed test round or inconsistent compute answers.
 
 The verifier draws every round kind and mask up front and decides only
 after the last round, so a session runs as array steps that compute only
-what the rounds read. A pure-test round reads only its mask's first column,
-so it takes the QR of that column alone, whose bits are the full QR's: the
-first Householder reflector reads nothing else. The compute rounds are
-masked in one ``with_unitary``; the honest prover takes every overlap in
-one product and its uniforms in one draw, which is what its per-pair loop
-drew; the channel accounts all N rounds in one step. Meters, the memory
-policy and the transcript are those of the per-round loop.
+what the rounds read. The kinds are one code array (0 = m, 1 = p, 2 = c).
+A pure-test round reads only its mask's first column, so it takes the QR of
+that column alone, whose bits are the full QR's: the first Householder
+reflector reads nothing else. The rounds are one stack of distinct
+descriptions (I/d, the pure-test projectors, the compute copies, masked in
+one ``with_unitary``) and one stack index per round. The honest prover
+takes the overlaps of the stack in one product, the accept probabilities in
+one ``swap_accept``, and its uniforms in one draw, which is what its
+per-pair loop drew; it then finds each round's first rejection in O(1)
+steps. The channel accounts all N rounds in one step and the verdict is
+array reductions. Meters, the memory policy and the transcript are those of
+the per-round loop.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import ClassVar
@@ -48,21 +54,18 @@ OUTPUT_MIXED = "maximally mixed"
 MASK_ENSEMBLES = ("haar", "clifford", "pauli")
 
 
-@dataclass
-class RoundRecord:
-    kind: str  # "m" | "p" | "c"
-    prover_answer: int
+KINDS = ("m", "p", "c")  # a round's kind code is its index here
 
 
-def sample_masks(ensemble: str, d: int, kinds: list[str], rng: np.random.Generator) -> tuple:
-    """What the session reads of the masks of its non-mixed ``kinds``, drawn
-    in round order: column 0 of each pure-test round's mask, shape (p, d),
-    and each compute round's mask, shape (c, d, d). Haar masks come from one
+def sample_masks(ensemble: str, d: int, kinds: np.ndarray, rng: np.random.Generator) -> tuple:
+    """What the session reads of the masks of its non-mixed rounds (``kinds``
+    holds codes into ``KINDS``), drawn in round order: column 0 of each
+    pure-test round's mask, shape (p, d), and each compute round's mask,
+    shape (c, d, d). Haar masks come from one
     ``standard_normal((p + c, 2, d, d))`` stack, a pure-test round's from
     the QR of its first column only, whose bits are the full QR's; Clifford
     and Pauli masks are drawn whole, as ``UnitaryOp``-checked operators."""
-    codes = np.array(kinds)
-    pure = codes[codes != "m"] == "p"
+    pure = kinds[kinds != 0] == 1
     if ensemble == "haar":
         g = rng.standard_normal((len(pure), 2, d, d))
         return qcore.haar_factors(g[pure, :, :, :1])[:, :, 0], qcore.haar_factors(g[~pure])
@@ -78,16 +81,19 @@ def sample_masks(ensemble: str, d: int, kinds: list[str], rng: np.random.Generat
     return masks[pure, :, 0], masks[~pure]
 
 
-def prepare_rounds(kinds: list[str], columns, masks, oracle_v: CopyOracle, cfg: PurityConfig) -> list:
-    """Every round's description, in round order, from ``sample_masks``'s
-    ``columns`` and ``masks``: mixed rounds share one I/d, a pure-test round
-    masks |0><0| (its mask's first column c gives c c+), and the compute
-    rounds mask m oracle copies each, all in one ``CopyOracle.stream`` over
-    their stacked masks (charged m per round)."""
-    pure = iter(columns[:, :, None] * columns[:, None, :].conj())
-    compute = iter(oracle_v.stream(cfg.m, "compute-round", unitary=masks).state if len(masks) else ())
-    mixed = cfg.mixed.entries
-    return [mixed if kind == "m" else next(pure if kind == "p" else compute) for kind in kinds]
+def prepare_rounds(kinds: np.ndarray, columns, masks, oracle_v: CopyOracle, cfg: PurityConfig) -> tuple:
+    """The rounds' distinct descriptions as one (1 + p + c, d, d) stack, and
+    round i's index into it, from ``sample_masks``'s ``columns`` and
+    ``masks``: the mixed rounds share I/d (index 0), a pure-test round masks
+    |0><0| (its mask's first column c gives c c+), and the compute rounds
+    mask m oracle copies each, all in one ``CopyOracle.stream`` over their
+    stacked masks (charged m per round)."""
+    stack = [cfg.mixed.entries[None], columns[:, :, None] * columns[:, None, :].conj()]
+    if len(masks):
+        stack.append(oracle_v.stream(cfg.m, "compute-round", unitary=masks).state)
+    pure, compute = kinds == 1, kinds == 2
+    index = np.where(pure, pure.cumsum(), 0) + np.where(compute, len(columns) + compute.cumsum(), 0)
+    return np.concatenate(stack), index
 
 
 def swap_outcomes(states, rng: np.random.Generator):
@@ -111,28 +117,28 @@ def honest_purity_answer(states, rng: np.random.Generator) -> int:
     return PURE if all(swap_outcomes(states, rng)) else MIXED
 
 
-def purity_verdict(records: list[RoundRecord]) -> str:
-    """Abort on any failed test or inconsistent/missing compute answers. A
-    mixed-test round passes on a MIXED answer, a pure-test round on PURE."""
-    passing = {"m": MIXED, "p": PURE}
-    for rec in records:
-        if rec.kind in passing and rec.prover_answer != passing[rec.kind]:
-            raise ProtocolAbort(f"failed {rec.kind}-test round")
-    compute_answers = [rec.prover_answer for rec in records if rec.kind == "c"]
-    if not compute_answers:
+def purity_verdict(kinds: np.ndarray, answers: np.ndarray) -> str:
+    """Abort on the first failed test round, then on missing or inconsistent
+    compute answers. A mixed-test round passes on a MIXED answer, a
+    pure-test round on PURE: on the answer equal to its kind code."""
+    failed = np.flatnonzero((kinds != 2) & (answers != kinds))
+    if failed.size:
+        raise ProtocolAbort(f"failed {KINDS[kinds[failed[0]]]}-test round")
+    compute = answers[kinds == 2]
+    if not compute.size:
         raise ProtocolAbort("no compute round occurred")
-    if len(set(compute_answers)) != 1:
+    if (compute != compute[0]).any():
         raise ProtocolAbort("inconsistent compute-round answers")
-    return OUTPUT_PURE if compute_answers[0] == PURE else OUTPUT_MIXED
+    return OUTPUT_PURE if compute[0] == PURE else OUTPUT_MIXED
 
 
 class PurityProver(ProverStrategy):
     """A purity-IP prover: answers each round's m copies with one bit."""
 
-    def answer_rounds(self, rounds, cfg: PurityConfig, rng) -> list[int]:
-        """One answer per round description, each from ``answer_round`` on
-        the round's m copies, in round order."""
-        return [self.answer_round(CopyStream(state, cfg.m), cfg, rng) for state in rounds]
+    def answer_rounds(self, stack, index, cfg: PurityConfig, rng) -> list[int]:
+        """One answer per round, each from ``answer_round`` on the round's m
+        copies of ``stack[index[i]]``, in round order."""
+        return [self.answer_round(CopyStream(stack[i], cfg.m), cfg, rng) for i in index]
 
 
 class HonestSwapProver(PurityProver):
@@ -143,26 +149,38 @@ class HonestSwapProver(PurityProver):
     def answer_round(self, states, cfg: PurityConfig, rng) -> int:
         return honest_purity_answer(states, rng)
 
-    def answer_rounds(self, rounds, cfg: PurityConfig, rng) -> list[int]:
+    def answer_rounds(self, stack, index, cfg: PurityConfig, rng) -> list[int]:
         """``answer_round`` on every round, with the uniforms of all m/2 tests
-        of all rounds drawn at once: each round reads the next ones up to its
-        first rejection, and the (PCG64) generator is then rewound to where
-        those per-pair draws leave it. The overlaps of the distinct
-        descriptions come from one stacked product."""
-        distinct = {id(state): state for state in rounds}
-        f = np.array(list(distinct.values())).reshape(len(distinct), 1, -1)
+        of all rounds drawn at once; each round reads the next ones up to its
+        first rejection, a draw at or above its accept probability. The
+        overlaps come from one stacked product and the accept probabilities
+        from one ``swap_accept``. A round above every draw takes all its
+        tests; any other scans the candidates, the draws at or above the
+        lowest probability, and the first it reaches rejects it unless
+        probabilities differ. The (PCG64) generator is then rewound to where
+        the per-pair draws leave it."""
+        f = stack.reshape(len(stack), 1, -1)
         overlaps = (f.conj() @ f.swapaxes(1, 2)).ravel()  # the bits of each np.vdot(state, state)
-        accept = {key: qmeas.swap_accept(overlap) for key, overlap in zip(distinct, overlaps)}
+        accept = qmeas.swap_accept(overlaps)[index]
         tests, bg = cfg.m // 2, rng.bit_generator
         saved = bg.state
-        draws = rng.random(len(rounds) * tests).tolist()
-        answers, used = [], 0
-        for state in rounds:
-            p, end = accept[id(state)], used + tests
-            while used < end and draws[used] < p:
-                used += 1
-            answers.append(PURE if used == end else MIXED)
-            used = min(used + 1, end)  # a rejection is a draw too
+        draws = rng.random(len(index) * tests)
+        low = np.flatnonzero(draws >= accept.min())
+        at, values, top = low.tolist() + [len(draws)], draws[low].tolist(), float(draws.max())
+        answers, used, k = [], 0, 0  # at[k] is the first candidate at or after draw `used`
+        for p in accept.tolist():
+            end = used + tests
+            if p > top:
+                k = bisect_left(at, end, k)
+            else:
+                while at[k] < end and values[k] < p:
+                    k += 1
+                if at[k] < end:  # rejected: draw at[k] is the round's last
+                    answers.append(MIXED)
+                    used, k = at[k] + 1, k + 1
+                    continue
+            answers.append(PURE)
+            used = end
         bg.state = saved
         # advance() drops a buffered 32-bit half-draw, which random() leaves in place
         bg.state = {**saved, "state": bg.advance(used).state["state"]}
@@ -218,17 +236,16 @@ class PurityVerifier(Verifier):
         cfg = self.cfg
         kind_seed = cfg.kind_seed
         rng_kinds = session.rng("round-kinds") if kind_seed is None else derive_rng(kind_seed, "round-kinds")
-        kinds = ("m", "p", "c")
         # all kinds, then all masks: each generator draws nothing else, so the values are the per-round ones
-        round_kinds = [kinds[i] for i in rng_kinds.integers(0, 3, size=cfg.N)]
-        masks = sample_masks(cfg.mask_ensemble, cfg.d, round_kinds, session.rng("masks"))
-        rounds = prepare_rounds(round_kinds, *masks, session.oracle_v, cfg)
-        answers = list(map(int, prover.answer_rounds(rounds, cfg, session.rng("prover"))))
-        session.channel.send_rounds(rounds, cfg.m, answers, session.next_round(cfg.N))
-        records = [RoundRecord(kind, answer) for kind, answer in zip(round_kinds, answers)]
-        self.extras["compute_rounds"] = round_kinds.count("c")
-        self.extras["round_kind_counts"] = {k: round_kinds.count(k) for k in kinds}
-        return purity_verdict(records)
+        kinds = rng_kinds.integers(0, len(KINDS), size=cfg.N)
+        masks = sample_masks(cfg.mask_ensemble, cfg.d, kinds, session.rng("masks"))
+        stack, index = prepare_rounds(kinds, *masks, session.oracle_v, cfg)
+        answers = list(map(int, prover.answer_rounds(stack, index, cfg, session.rng("prover"))))
+        session.channel.send_rounds(stack[index], cfg.m, answers, session.next_round(cfg.N))
+        counts = np.bincount(kinds, minlength=len(KINDS)).tolist()
+        self.extras["compute_rounds"] = counts[2]
+        self.extras["round_kind_counts"] = dict(zip(KINDS, counts))
+        return purity_verdict(kinds, np.array(answers))
 
 
 @dataclass(frozen=True)

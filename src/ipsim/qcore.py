@@ -57,20 +57,21 @@ class PureState:
 
 
 def last_state_cache(fn):
-    """One-slot cache for an array-valued ``fn(psi)`` of a PureState.
+    """One-slot cache for ``fn(psi)`` of a PureState, an array or a number.
 
     The result for the last state is kept, keyed on its amplitude bytes, and
-    returned read-only, so a caller can neither see another state's values
-    nor change the ones the next caller reads.
+    an array is returned read-only, so a caller can neither see another
+    state's values nor change the ones the next caller reads.
     """
     slot: list = [None, None]  # [amplitude bytes, result]
 
     @functools.wraps(fn)
-    def cached(psi: PureState) -> np.ndarray:
+    def cached(psi: PureState):
         key = psi.amplitudes.tobytes()
         if key != slot[0]:
             value = fn(psi)
-            value.setflags(write=False)
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
             slot[:] = key, value
         return slot[1]
 

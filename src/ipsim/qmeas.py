@@ -179,10 +179,11 @@ def swap_probability(rho, sigma) -> float:
     return swap_accept(np.vdot(a, b))
 
 
-def swap_accept(overlap) -> float:
+def swap_accept(overlap):
     """(1 + Re overlap) / 2, clamped to [0, 1]: the SWAP-test accept
-    probability of two states whose ``np.vdot`` is ``overlap``."""
-    return min(max((1.0 + float(overlap.real)) / 2.0, 0.0), 1.0)
+    probability of two states whose ``np.vdot`` is ``overlap``, elementwise
+    over an array of overlaps."""
+    return np.minimum(np.maximum((1.0 + np.real(overlap)) / 2.0, 0.0), 1.0)
 
 
 def swap_purity_estimate(states, rng: np.random.Generator) -> float:

@@ -298,11 +298,18 @@ def farthest_index(fids: np.ndarray) -> int:
     return int(np.flatnonzero(fids <= fids.min() + FIDELITY_TIE)[0])
 
 
+@qcore.last_state_cache
+def best_stabilizer_index(psi: qcore.PureState) -> int:
+    """``np.argmax`` of ``all_fidelities(psi)``, taken once while psi is the
+    last state asked for, so the honest prover and the judge of a trial
+    read one pass."""
+    return int(np.argmax(all_fidelities(psi)))
+
+
 def optimal_stab_loss(psi: qcore.PureState) -> tuple[float, int]:
     """Exhaustive-judge optimal loss and the argmax index."""
-    fids = all_fidelities(psi)
-    best = int(np.argmax(fids))
-    return float(1.0 - fids[best]), best
+    best = best_stabilizer_index(psi)
+    return float(1.0 - all_fidelities(psi)[best]), best
 
 
 # ---------------------------------------------------------------------------
@@ -317,10 +324,10 @@ def brute_force_best_stabilizer(
     fidelities with a union-bounded Hoeffding budget."""
     psi = oracle_p.ideal_peek()
     states = enumerate_stabilizers(cfg.n)
-    fids = all_fidelities(psi)
     if cfg.mode == "ideal":
         oracle_p.meter.charge(len(states), "brute-force-accounting")
-        return states[int(np.argmax(fids))]
+        return states[best_stabilizer_index(psi)]
+    fids = all_fidelities(psi)
     num = len(states)
     shots = math.ceil(2 * math.log(2 * num / cfg.delta1) / cfg.eps1**2)
     oracle_p.meter.charge(shots * num, "brute-force-sampled")
@@ -434,8 +441,7 @@ class ForeignBestLiar(ProverStrategy):
 
     def produce_candidate(self, oracle_p, cfg, rng):
         other = qcore.sample_pure_state(1 << cfg.n, rng)
-        _, best = optimal_stab_loss(other)
-        return enumerate_stabilizers(cfg.n)[best].generators
+        return enumerate_stabilizers(cfg.n)[best_stabilizer_index(other)].generators
 
 
 ADVERSARIES = {
@@ -547,8 +553,7 @@ class TrivialSolver(ProverStrategy):
 
     def solve(self, oracle_p, rng):
         psi = oracle_p.ideal_peek()
-        _, best = optimal_stab_loss(psi)
-        return enumerate_stabilizers(qmeas.num_qubits(psi))[best]
+        return enumerate_stabilizers(qmeas.num_qubits(psi))[best_stabilizer_index(psi)]
 
 
 class TrivialGarbage(TrivialSolver):

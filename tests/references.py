@@ -1,12 +1,17 @@
 """References the tests compare the program against: the per-sample
 verifier update, the engine's closing value, the eq table built by
-doubling, Lagrange evaluation at a point and the stabilizer projector
-factors, each the body it had in the program."""
+doubling, Lagrange evaluation at a point, the stabilizer projector
+factors and the purity verdict over per-round records, each the body it
+had in the program."""
+
+from dataclasses import dataclass
 
 import numpy as np
 
 from ipsim import qmeas
+from ipsim.harness import ProtocolAbort
 from ipsim.m61 import StreamedNodeEval, fadd, lagrange_weights, vmul, vsub
+from ipsim.purity_ip import MIXED, OUTPUT_MIXED, OUTPUT_PURE, PURE
 from ipsim.stream_ip import StreamVerifierState, _SumcheckEngine
 
 
@@ -65,3 +70,24 @@ def projector_factors(n: int) -> np.ndarray:
         for sign in (0, 1):
             out[sign, label] = (np.eye(d) + (-1) ** sign * w) / 2
     return out
+
+
+@dataclass
+class RoundRecord:
+    kind: str  # "m" | "p" | "c"
+    prover_answer: int
+
+
+def purity_verdict(records: list[RoundRecord]) -> str:
+    """Abort on any failed test or inconsistent/missing compute answers. A
+    mixed-test round passes on a MIXED answer, a pure-test round on PURE."""
+    passing = {"m": MIXED, "p": PURE}
+    for rec in records:
+        if rec.kind in passing and rec.prover_answer != passing[rec.kind]:
+            raise ProtocolAbort(f"failed {rec.kind}-test round")
+    compute_answers = [rec.prover_answer for rec in records if rec.kind == "c"]
+    if not compute_answers:
+        raise ProtocolAbort("no compute round occurred")
+    if len(set(compute_answers)) != 1:
+        raise ProtocolAbort("inconsistent compute-round answers")
+    return OUTPUT_PURE if compute_answers[0] == PURE else OUTPUT_MIXED

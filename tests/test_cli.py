@@ -598,6 +598,14 @@ class TestProtocolKeys:
     def test_key_sets(self):
         assert {name: set(cli.protocol_keys(cls)) for name, cls in cli.PROTOCOLS.items()} == KEY_SETS
 
+    def test_keys_built_once_and_read_only(self):
+        cls = cli.PROTOCOLS["tomo"]
+        keys = cli.protocol_keys(cls)
+        assert cli.protocol_keys(cls) is keys
+        with pytest.raises(TypeError):
+            keys["zzz"] = int
+        assert "zzz" not in cli.protocol_keys(cls)
+
     @pytest.mark.parametrize("protocol", ["purity", "tomo", "lowrank", "stab", "uniformity", "nogo", "trivial"])
     def test_parameter_configs_are_frozen(self, protocol):
         cfg = cli.PROTOCOLS[protocol]()

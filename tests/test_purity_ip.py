@@ -1,12 +1,18 @@
 """Purity-testing IP: parameter formulas, round preparation, honest answers,
 verdict rule and small-batch session behavior."""
 
+import copy
 import math
 from dataclasses import fields, replace
 from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
+from references import RoundRecord
+from references import purity_verdict as record_verdict
 
 from ipsim import purity_ip, qcore, qmeas
 from ipsim.harness import (
@@ -24,6 +30,7 @@ from ipsim.harness import (
 )
 from ipsim.purity_ip import (
     ADVERSARIES,
+    KINDS,
     MIXED,
     PURE,
     BestEffortLiar,
@@ -31,7 +38,6 @@ from ipsim.purity_ip import (
     NogoConfig,
     PurityConfig,
     PurityVerifier,
-    RoundRecord,
     honest_purity_answer,
     purity_verdict,
     sample_masks,
@@ -88,7 +94,16 @@ class ReferenceVerifier(PurityVerifier):
             records.append(RoundRecord(kind, answer))
         self.extras["compute_rounds"] = round_kinds.count("c")
         self.extras["round_kind_counts"] = {k: round_kinds.count(k) for k in kinds}
-        return purity_verdict(records)
+        return record_verdict(records)
+
+
+def _stacked(rounds):
+    """A list of round descriptions as ``prepare_rounds`` gives them: one
+    stack of the distinct arrays, in order of first use, and each round's
+    index into it."""
+    slots: dict = {}
+    index = [slots.setdefault(id(state), len(slots)) for state in rounds]
+    return np.array(list({id(state): state for state in rounds}.values())), np.array(index)
 
 
 class TestParams:
@@ -165,35 +180,37 @@ class TestPrepareRounds:
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_rounds_equal_per_round_preparation(self, ensemble, d):
         cfg = PurityConfig(d=d, mask_ensemble=ensemble)
-        kinds = [("m", "p", "c")[i] for i in np.random.default_rng(d).integers(0, 3, size=60)]
-        masks = _full_masks(ensemble, d, 60 - kinds.count("m"), np.random.default_rng(1))
+        kinds = np.random.default_rng(d).integers(0, 3, size=60)
+        masks = _full_masks(ensemble, d, np.count_nonzero(kinds), np.random.default_rng(1))
         hidden = qcore.sample_state(d, 2, np.random.default_rng(2))
         oracle, ref_oracle = (CopyOracle(hidden, tracker=LiveCopyTracker(1)) for _ in range(2))
         drawn = sample_masks(ensemble, d, kinds, np.random.default_rng(1))  # the same draws, as a session reads them
-        rounds = purity_ip.prepare_rounds(kinds, *drawn, oracle, cfg)
+        stack, index = purity_ip.prepare_rounds(kinds, *drawn, oracle, cfg)
         rest, channel = iter(masks), Channel("quantum")
-        for kind, state in zip(kinds, rounds, strict=True):
-            mask = None if kind == "m" else next(rest)
-            assert np.array_equal(state, prepare_round_state(kind, ref_oracle, cfg, mask, channel, 0)[0])
+        for kind, i in zip(kinds, index, strict=True):
+            mask = None if kind == 0 else next(rest)
+            assert np.array_equal(stack[i], prepare_round_state(KINDS[kind], ref_oracle, cfg, mask, channel, 0)[0])
         assert (oracle.meter.total, oracle.meter.by_kind) == (ref_oracle.meter.total, ref_oracle.meter.by_kind)
         assert (oracle.tracker.live, oracle.tracker.peak) == (ref_oracle.tracker.live, ref_oracle.tracker.peak)
-        assert len({id(state) for kind, state in zip(kinds, rounds) if kind == "m"}) == 1  # one shared I/d
+        assert set(index[kinds == 0]) == {0}  # one shared I/d
+        assert sorted(index[kinds != 0]) == list(range(1, len(stack)))  # every other round its own description
 
     def test_rounds_without_compute_rounds_query_nothing(self):
         cfg = PurityConfig(d=4)
         oracle = CopyOracle(qcore.maximally_mixed(4), tracker=LiveCopyTracker(1))
-        kinds = ["m", "p", "m", "p"]
+        kinds = np.array([0, 1, 0, 1])
         columns, masks = sample_masks("haar", 4, kinds, np.random.default_rng(0))
         assert (columns.shape, masks.shape) == ((2, 4), (0, 4, 4))
-        rounds = purity_ip.prepare_rounds(kinds, columns, masks, oracle, cfg)
-        assert len(rounds) == 4 and rounds[0] is rounds[2]
-        assert np.array_equal(rounds[3], np.outer(columns[1], columns[1].conj()))
+        stack, index = purity_ip.prepare_rounds(kinds, columns, masks, oracle, cfg)
+        assert stack.shape == (3, 4, 4) and index.tolist() == [0, 1, 0, 2]
+        assert np.array_equal(stack[0], np.eye(4) / 4)
+        assert np.array_equal(stack[index[3]], np.outer(columns[1], columns[1].conj()))
         assert (oracle.meter.total, oracle.tracker.peak) == (0, 0)
 
 
 def _full_masks(ensemble, d, n, rng):
     """n whole masks in draw order: the masks of n compute rounds."""
-    return sample_masks(ensemble, d, ["c"] * n, rng)[1]
+    return sample_masks(ensemble, d, np.full(n, 2), rng)[1]
 
 
 def _reference_mask(ensemble, d, rng):
@@ -228,7 +245,7 @@ class TestSessionMasks:
         real_sample = purity_ip.sample_masks
 
         def sample(ensemble, d, kinds, rng):
-            draws.append((list(kinds), rng, real_sample(ensemble, d, kinds, rng)))
+            draws.append((kinds.tolist(), rng, real_sample(ensemble, d, kinds, rng)))
             return draws[-1][2]
 
         monkeypatch.setattr(purity_ip, "sample_masks", sample)
@@ -238,7 +255,7 @@ class TestSessionMasks:
             cfg.run_one(cfg.sample_instance("reject", np.random.default_rng(seed)), HonestSwapProver(), seed)
             want, ref_rng = self._reference_rounds(cfg, seed, kind_seed)
             [(kinds, mask_rng, (columns, masks))] = draws
-            assert kinds == [kind for kind, _ in want]
+            assert [KINDS[k] for k in kinds] == [kind for kind, _ in want]
             # a compute round reads its whole mask, a pure-test round its mask's first column
             assert np.array_equal(masks, np.array([ref.entries for kind, ref in want if kind == "c"]).reshape(-1, d, d))
             assert np.array_equal(columns, np.array([ref.entries[:, 0] for kind, ref in want if kind == "p"]))
@@ -269,7 +286,7 @@ class TestSessionMasks:
     def test_clifford_and_pauli_masks_need_a_power_of_two(self):
         for ensemble in ("clifford", "pauli"):
             with pytest.raises(ValueError, match="power-of-two"):
-                sample_masks(ensemble, 6, ["p", "c", "m"], np.random.default_rng(0))
+                sample_masks(ensemble, 6, np.array([1, 2, 0]), np.random.default_rng(0))
 
 
 class TestHonestAnswer:
@@ -370,7 +387,7 @@ class TestBatchedHonestAnswers:
         cfg = SimpleNamespace(d=d, m=2 * tests)
         ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
         want = [honest_purity_answer(CopyStream(state, 2 * tests), ref_rng) for state in rounds]
-        assert HonestSwapProver().answer_rounds(rounds, cfg, rng) == want
+        assert HonestSwapProver().answer_rounds(*_stacked(rounds), cfg, rng) == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
         return want, rng
 
@@ -389,12 +406,42 @@ class TestBatchedHonestAnswers:
         assert rng.bit_generator.state["has_uint32"] == 1
         cfg = PurityConfig(d=4)
         want = [honest_purity_answer(CopyStream(state, cfg.m), ref_rng) for state in rounds]
-        assert HonestSwapProver().answer_rounds(rounds, cfg, rng) == want
+        assert HonestSwapProver().answer_rounds(*_stacked(rounds), cfg, rng) == want
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @given(
+        table=st.lists(st.sampled_from([0.0, 1.0, 1 - 2**-53, (1 + 1 / 8) / 2]) | st.floats(0, 1), min_size=1, max_size=6),
+        picks=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+        tests=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        buffered=st.booleans(),
+        tie=st.none() | st.integers(0, 15),
+    )
+    @example(table=[0.5625], picks=[0], tests=1, seed=0, buffered=False, tie=None)
+    @example(table=[0.5625], picks=[0], tests=1, seed=0, buffered=False, tie=0)
+    @example(table=[1 - 2**-53, 0.0, 1.0], picks=[0, 1, 2, 0], tests=1, seed=1, buffered=True, tie=None)
+    def test_walk_equals_per_pair_loop_on_any_accept_table(self, table, picks, tests, seed, buffered, tie):
+        """Accept probabilities taken apart from any description: ``table[i]``
+        for the stack's i-th description. With ``tie`` set, round 0's
+        probability is one of its own draws, which rejects (the test is a
+        strict <)."""
+        index = [pick % len(table) for pick in picks]
+        ref_rng, rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            for g in (ref_rng, rng):
+                g.integers(0, 2, dtype=np.uint32)  # leaves a 32-bit half of a draw buffered
+        if tie is not None:
+            table[index[0]] = copy.deepcopy(rng).random(tests)[tie % tests]
+        with patch.object(qmeas, "swap_probability", lambda a, b: table[a]):
+            want = [PURE if all(qmeas.swap_test(i, i, ref_rng) for _ in range(tests)) else MIXED for i in index]
+        stack, cfg = np.zeros((len(table), 1, 1), dtype=complex), SimpleNamespace(m=2 * tests)
+        with patch.object(qmeas, "swap_accept", lambda overlaps: np.array(table)):
+            assert HonestSwapProver().answer_rounds(stack, np.array(index), cfg, rng) == want
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @pytest.mark.parametrize("d", [2, 4, 8, 16])
     def test_accept_probabilities_are_swap_probability_bits(self, d, monkeypatch):
-        rounds = self._rounds(d, 209, d)
+        stack, index = _stacked(self._rounds(d, 209, d))
         seen = []
         real = qmeas.swap_accept
 
@@ -403,11 +450,11 @@ class TestBatchedHonestAnswers:
             return seen[-1]
 
         monkeypatch.setattr(qmeas, "swap_accept", record)
-        HonestSwapProver().answer_rounds(rounds, PurityConfig(d=d), np.random.default_rng(0))
-        got, distinct = list(seen), list({id(state): state for state in rounds}.values())
-        assert len(got) == len(distinct) < len(rounds)  # the shared I/d once
-        want = [qmeas.swap_probability(state, state) for state in distinct]
-        assert got == want
+        HonestSwapProver().answer_rounds(stack, index, PurityConfig(d=d), np.random.default_rng(0))
+        [got] = seen  # one call for the whole stack
+        assert len(got) == len(stack) < len(index)  # the shared I/d once
+        want = [qmeas.swap_probability(state, state) for state in stack]
+        assert got.tolist() == want
         assert (1 + 1 / d) / 2 in want and 1.0 in want  # the shared I/d and |0><0|
 
     @pytest.mark.parametrize("d", [2, 3, 4, 8, 16])
@@ -415,13 +462,13 @@ class TestBatchedHonestAnswers:
         """The one stacked product gives each distinct description's overlap
         with itself byte for byte as ``np.vdot`` does."""
         seen = []
-        monkeypatch.setattr(qmeas, "swap_accept", lambda overlap: seen.append(overlap) or 0.5)
+        monkeypatch.setattr(qmeas, "swap_accept", lambda overlap: seen.append(overlap) or np.full(overlap.shape, 0.5))
         for seed in range(5):
-            rounds = self._rounds(d, 209, seed)
+            stack, index = _stacked(self._rounds(d, 209, seed))
             seen.clear()
-            HonestSwapProver().answer_rounds(rounds, PurityConfig(d=d), np.random.default_rng(seed))
-            distinct = {id(state): state for state in rounds}.values()
-            assert [x.tobytes() for x in seen] == [np.vdot(state, state).tobytes() for state in distinct]
+            HonestSwapProver().answer_rounds(stack, index, PurityConfig(d=d), np.random.default_rng(seed))
+            [overlaps] = seen
+            assert [x.tobytes() for x in overlaps] == [np.vdot(state, state).tobytes() for state in stack]
 
     def test_no_round_rejects(self):
         d, tests = 4, 13
@@ -433,7 +480,7 @@ class TestBatchedHonestAnswers:
         assert rng.bit_generator.state == start.bit_generator.advance(209 * tests).state
 
     def test_every_round_rejects_on_its_first_draw(self, monkeypatch):
-        monkeypatch.setattr(qmeas, "swap_accept", lambda overlap: 0.0)
+        monkeypatch.setattr(qmeas, "swap_accept", lambda overlap: np.zeros(np.shape(overlap)))
         start = np.random.default_rng(6)
         want, rng = self._compare(self._rounds(8, 209, 6), 13, 8, 6)
         assert want == [MIXED] * 209
@@ -447,9 +494,10 @@ class TestRoundAccounting:
     @pytest.mark.parametrize("transcript", [False, True])
     def test_counters_and_transcript_equal_per_round_sends(self, transcript):
         cfg, g = PurityConfig(d=4), np.random.default_rng(0)
-        kinds = [("m", "p", "c")[i] for i in g.integers(0, 3, size=40)]
+        kinds = g.integers(0, 3, size=40)
         oracle = CopyOracle(qcore.sample_state(4, 2, g), tracker=LiveCopyTracker(1))
-        rounds = purity_ip.prepare_rounds(kinds, *sample_masks("haar", 4, kinds, g), oracle, cfg)
+        stack, index = purity_ip.prepare_rounds(kinds, *sample_masks("haar", 4, kinds, g), oracle, cfg)
+        rounds = stack[index]
         answers = g.integers(0, 2, size=len(rounds)).tolist()
         bulk, ref = (Channel("quantum", record_transcript=transcript) for _ in range(2))
         for channel in (bulk, ref):
@@ -471,6 +519,22 @@ class TestRoundAccounting:
 
 
 class TestVerdict:
+    """``purity_verdict`` over kind codes and answers against the per-round
+    record reference, on the same cases."""
+
+    @staticmethod
+    def _verdict(records):
+        kinds = np.array([KINDS.index(rec.kind) for rec in records], dtype=int)
+        answers = np.array([rec.prover_answer for rec in records], dtype=int)
+        try:
+            want = record_verdict(records)
+        except ProtocolAbort as abort:
+            with pytest.raises(ProtocolAbort, match=f"^{abort}$"):
+                purity_verdict(kinds, answers)
+            raise
+        assert purity_verdict(kinds, answers) == want
+        return want
+
     def test_all_pass_consistent_pure(self):
         records = [
             RoundRecord("m", MIXED),
@@ -478,29 +542,38 @@ class TestVerdict:
             RoundRecord("p", PURE),
             RoundRecord("c", PURE),
         ]
-        assert purity_verdict(records) == "pure"
+        assert self._verdict(records) == "pure"
+
+    def test_all_pass_consistent_mixed(self):
+        records = [RoundRecord("p", PURE), RoundRecord("c", MIXED), RoundRecord("m", MIXED)]
+        assert self._verdict(records) == "maximally mixed"
 
     def test_failed_test_round_aborts(self):
         records = [RoundRecord("m", PURE), RoundRecord("c", PURE)]
-        with pytest.raises(ProtocolAbort):
-            purity_verdict(records)
+        with pytest.raises(ProtocolAbort, match="^failed m-test round$"):
+            self._verdict(records)
 
     def test_failed_pure_test_round_aborts_first(self):
         records = [RoundRecord("c", PURE), RoundRecord("p", MIXED), RoundRecord("m", PURE)]
         with pytest.raises(ProtocolAbort, match="^failed p-test round$"):
-            purity_verdict(records)
+            self._verdict(records)
+
+    def test_failed_test_round_precedes_inconsistent_compute(self):
+        records = [RoundRecord("c", PURE), RoundRecord("c", MIXED), RoundRecord("m", PURE)]
+        with pytest.raises(ProtocolAbort, match="^failed m-test round$"):
+            self._verdict(records)
 
     def test_inconsistent_compute_answers_abort(self):
         records = [
             RoundRecord("c", PURE),
             RoundRecord("c", MIXED),
         ]
-        with pytest.raises(ProtocolAbort):
-            purity_verdict(records)
+        with pytest.raises(ProtocolAbort, match="^inconsistent compute-round answers$"):
+            self._verdict(records)
 
     def test_no_compute_round_aborts(self):
-        with pytest.raises(ProtocolAbort):
-            purity_verdict([RoundRecord("m", MIXED)])
+        with pytest.raises(ProtocolAbort, match="^no compute round occurred$"):
+            self._verdict([RoundRecord("m", MIXED)])
 
 
 class TestSessions:

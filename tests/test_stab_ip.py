@@ -464,6 +464,19 @@ class TestWalshFidelities:
             assert fids.tobytes() == all_fidelities.__wrapped__(psi).tobytes()
             assert np.abs(fids - _reference_all_fidelities(psi)).max() < 1e-12
 
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_alternating_states_keep_their_own_best_index(self, n):
+        """The best index is cached beside the fidelities, on the same key:
+        each state gets the argmax of its own vector, and the judge's loss
+        reads that index."""
+        cfg = StabConfig(n=n)
+        rng = np.random.default_rng(90 + n)
+        a, b = cfg.sample_instance("x", rng), cfg.sample_instance("x", rng)
+        for psi in (a, b, a, a, b, a):
+            best = stab_ip.best_stabilizer_index(psi)
+            assert best == int(np.argmax(all_fidelities.__wrapped__(psi)))
+            assert optimal_stab_loss(psi) == (float(1.0 - all_fidelities(psi)[best]), best)
+
     def test_fidelities_read_only(self):
         fids = all_fidelities(StabConfig(n=2).sample_instance("x", np.random.default_rng(8)))
         with pytest.raises(ValueError):

@@ -22,8 +22,6 @@ from pathlib import Path
 from types import MappingProxyType
 from typing import get_type_hints
 
-import numpy as np
-
 from . import __version__, harness, lowrank_ip, purity_ip, stab_ip, stream_ip, tomo_ip
 from .harness import ChannelTypeError, MemoryPolicyError
 
@@ -186,9 +184,9 @@ def _aggregate(values):
     if not values:
         return {"min": 0, "mean": 0.0, "max": 0}
     return {
-        "min": int(np.min(values)),
-        "mean": float(np.mean(values)),
-        "max": int(np.max(values)),
+        "min": int(min(values)),
+        "mean": float(sum(values) / len(values)),
+        "max": int(max(values)),
     }
 
 

@@ -345,17 +345,18 @@ class Channel:
             self.transcript.extend([line] * n)
         return CopyStream(state, n)
 
-    def send_rounds(self, states, n: int, answers, first_round: int) -> None:
-        """Round ``first_round + i`` sends n copies of ``states[i]`` v->p and
-        the bit ``answers[i]`` p->v: the counters and transcript lines, in
-        order, of a ``send_stream`` and a ``send_bits`` per round."""
+    def send_rounds(self, stack, index, n: int, answers, first_round: int) -> None:
+        """Round ``first_round + i`` sends n copies of ``stack[index[i]]``
+        v->p and the bit ``answers[i]`` p->v: the counters and transcript
+        lines, in order, of a ``send_stream`` and a ``send_bits`` per round.
+        The stack is read only for the transcript."""
         if self.kind == "classical":
             raise ChannelTypeError("classical channel rejects qudit payloads")
-        self.qudits_v_to_p += n * len(states)
+        self.qudits_v_to_p += n * len(index)
         self.bits_p_to_v += len(answers)
         if self.record_transcript:
-            for r, (state, answer) in enumerate(zip(states, answers), first_round):
-                self.transcript += [transcript_line(r, "v->p", "qudits", 1, payload_digest([state]))] * n
+            for r, (i, answer) in enumerate(zip(index, answers), first_round):
+                self.transcript += [transcript_line(r, "v->p", "qudits", 1, payload_digest([stack[i]]))] * n
                 self.transcript.append(transcript_line(r, "p->v", "bits", 1, payload_digest([answer])))
 
     def counters(self) -> dict:

@@ -241,7 +241,7 @@ class PurityVerifier(Verifier):
         masks = sample_masks(cfg.mask_ensemble, cfg.d, kinds, session.rng("masks"))
         stack, index = prepare_rounds(kinds, *masks, session.oracle_v, cfg)
         answers = list(map(int, prover.answer_rounds(stack, index, cfg, session.rng("prover"))))
-        session.channel.send_rounds(stack[index], cfg.m, answers, session.next_round(cfg.N))
+        session.channel.send_rounds(stack, index, cfg.m, answers, session.next_round(cfg.N))
         counts = np.bincount(kinds, minlength=len(KINDS)).tolist()
         self.extras["compute_rounds"] = counts[2]
         self.extras["round_kind_counts"] = dict(zip(KINDS, counts))

@@ -5,16 +5,17 @@ stabilizer loss: 1 - a^(1/6) <= l* <= (4/3)(1-a), with upper/lower ratio at
 most 8. The verifier estimates the loss of the prover's candidate directly
 and the moment via delegated Bell sampling, then accepts iff the loss beats
 the moment-derived upper bound plus slack. The honest prover here is a
-brute-force enumerator over all pure stabilizer states (n <= 4).
+brute-force enumerator over all pure stabilizer states (n <= 5).
 """
 
 from __future__ import annotations
 
+import copy
 import math
 import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
@@ -32,15 +33,15 @@ from .harness import (
     delegated_measure,
 )
 
-STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080, 4: 36720}
+STABILIZER_COUNTS = {1: 6, 2: 60, 3: 1080, 4: 36720, 5: 2423520}
 INSTANCE_MIX = 0.12  # max squared overlap an instance moves toward a Haar direction
 FIDELITY_TIE = 1e-12  # fidelities this close to the least one tie for farthest
-_FRONTIER_BLOCK = 1024  # enumeration rows per pass: 256 KB of unpacked candidate bits at n = 4
+_FRONTIER_BLOCK = 1024  # enumeration rows per pass: 32 KB of packed candidate bits at n = 4, 128 KB at n = 5
 
 
 def _check_qubits(n: int):
-    if not 1 <= n <= 4:
-        raise ValueError(f"n must be in 1..4 (the enumerated stabilizer states), got {n}")
+    if not 1 <= n <= 5:
+        raise ValueError(f"n must be in 1..5 (the enumerated stabilizer states), got {n}")
 
 
 def exact_A3(psi: qcore.PureState) -> float:
@@ -62,11 +63,11 @@ def stab_bounds(a: float) -> tuple[float, float]:
 
 
 # ---------------------------------------------------------------------------
-# Stabilizer state enumeration (n <= 4)
+# Stabilizer state enumeration (n <= 5)
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=5)
 def _commute_masks(n: int) -> tuple[int, ...]:
     """Entry u has bit v set iff the Pauli labels u and v, packed as
     x | (z << n), commute."""
@@ -78,38 +79,75 @@ def _commute_masks(n: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(row.tobytes(), "little") for row in rows)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=5)
 def _maximal_isotropic_subspaces(n: int) -> np.ndarray:
     """All maximal isotropic subspaces of F_2^{2n}: a read-only (count, n)
-    uint8 array of generator lists, in breadth-first order.
+    array of generator lists (uint8 labels to n = 4, uint16 above), in
+    breadth-first order.
 
     Level 1 is <v> for each v > 0; level k + 1 grows each E of level k by
     each commuting v that is the least of its coset v + E. So each generator
     has no bit at an earlier one's top bit (pivot), and v is the least of
     v + E iff it has no bit at a pivot, iff v < v ^ g for every generator g.
-    A level is one array pass, an AND of one packed row per generator, and
-    ``np.nonzero`` lists the children row by row, v increasing. A child
-    reached again (keyed by its sorted elements) keeps its first generators
-    and place, as growing each E by every commuting v in turn would.
+    A level is one array pass, an AND of one packed row per generator,
+    whose set bits list the children row by row, v increasing. A child
+    reached again keeps its first generators and place, as growing each E by
+    every commuting v in turn would; children are told apart by their keys
+    (``_grown_keys``).
     """
     _check_qubits(n)
-    labels = np.arange(1 << (2 * n), dtype=np.uint8)  # n <= 4: a label fits in a byte
-    commute = b"".join(m.to_bytes(-(-len(labels) // 8), "little") for m in _commute_masks(n))
+    labels = np.arange(1 << (2 * n), dtype=np.uint8 if n <= 4 else np.uint16)
+    width = -(-len(labels) // 8)  # bytes per packed row
+    commute = b"".join(m.to_bytes(width, "little") for m in _commute_masks(n))
     least = np.packbits((0 < labels) & (labels < (labels[:, None] ^ labels)), axis=1, bitorder="little")
     grows = np.frombuffer(commute, np.uint8).reshape(len(labels), -1) & least  # row g: v commutes, v < v ^ g
-    gens, elements = labels[1:, None], np.column_stack([0 * labels[1:], labels[1:]])
+    gens, keys = labels[1:, None], _grown_keys(n, np.zeros(len(labels) - 1, dtype=np.uint64), labels[1:])
     for _level in range(1, n):
         found = []
         for start in range(0, len(gens), _FRONTIER_BLOCK):
-            candidates = np.bitwise_and.reduce(grows[gens[start : start + _FRONTIER_BLOCK]], axis=1)
-            rows, vs = np.nonzero(np.unpackbits(candidates, axis=1, bitorder="little"))
-            found.append((rows + start, vs.astype(np.uint8)))
-        rows, vs = (np.concatenate(parts) for parts in zip(*found))
-        children = np.sort(np.concatenate([elements[rows], elements[rows] ^ vs[:, None]], axis=1), axis=1)
-        first = np.sort(np.unique(children.view(np.dtype((np.void, children.shape[1]))).ravel(), return_index=True)[1])
-        gens, elements = np.column_stack([gens[rows[first]], vs[first]]), children[first]
+            packed = np.bitwise_and.reduce(grows[gens[start : start + _FRONTIER_BLOCK]], axis=1).ravel()
+            nonzero = np.flatnonzero(packed)
+            bits = np.flatnonzero(np.unpackbits(packed[nonzero], bitorder="little"))
+            hits = nonzero[bits >> 3] * 8 + (bits & 7) + start * len(labels)  # row * 4^n + v, < 2^32
+            vs = (hits % len(labels)).astype(labels.dtype)
+            found.append((hits.astype(np.uint32), _grown_keys(n, keys[hits // len(labels)], vs)))
+        hits, children = (np.concatenate(part) for part in zip(*found))
+        del found
+        order = np.argsort(children)
+        ordered = children[order]
+        starts = np.flatnonzero(ordered[1:] != ordered[:-1]) + 1
+        first = np.sort(np.minimum.reduceat(order, np.concatenate([[0], starts])))
+        del order, ordered, starts
+        hits, keys = hits[first], children[first]
+        gens = np.column_stack([gens[hits // len(labels)], (hits % len(labels)).astype(labels.dtype)])
     gens.setflags(write=False)
     return gens
+
+
+@lru_cache(maxsize=5)
+def _key_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per label v > 0 with top bit t: t, the bit t of every key field above
+    t, and the offset t(t+1)/2 of field t (``_grown_keys``)."""
+    tops = np.array([0] + [v.bit_length() - 1 for v in range(1, 1 << (2 * n))], dtype=np.uint64)
+    offsets = tops * (tops + np.uint64(1)) // np.uint64(2)
+    above = [sum(1 << (p * (p + 1) // 2 + t) for p in range(t + 1, 2 * n)) for t in range(2 * n)]
+    return tops, np.array(above, dtype=np.uint64)[tops.astype(np.intp)], offsets
+
+
+def _grown_keys(n: int, keys: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """The key of E + <v> from the key of E, for v with no bit at a pivot of E.
+
+    A subspace's key is its reduced echelon basis, the one basis whose
+    vectors have distinct top bits and no bit at another's top bit: the vector
+    with top bit p sits in bits p(p+1)/2 .. p(p+1)/2 + p, 2n(2n+1)/2 bits in
+    all (55 at n = 5). E + <v> has the basis of E with v XORed into each
+    vector that has a bit at v's top bit t, which leaves every top bit in
+    place, and v: v times the bit t of each field above t, shifted down by
+    t, puts one copy of v in each such field.
+    """
+    tops, above, offsets = (table[vs] for table in _key_tables(n))
+    v = vs.astype(np.uint64)
+    return keys ^ v * ((keys & above) >> tops) ^ (v << offsets)
 
 
 _BIT_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
@@ -166,65 +204,66 @@ class StabilizerStateDesc:
         return np.outer(amps, amps.conj())
 
 
-@lru_cache(maxsize=4)
-def _projector_factors(n: int) -> np.ndarray:
-    """(2, 4^n, 2^n, 2^n): (I + (-1)^s W) / 2 for sign bit s and every Pauli W, as in ``qmeas.dense_pauli``."""
-    d, popcount = 1 << n, qmeas.popcount_table(n)
-    labels, j = np.arange(d * d)[:, None], np.arange(d)
-    x, z = labels & (d - 1), labels >> n
-    w = np.zeros((d * d, d, d), dtype=complex)
-    w[labels, j ^ x, j] = np.array([1j**k for k in range(4)])[popcount[x & z] % 4] * (1 - 2 * (popcount[j & z] & 1))
-    out = (np.eye(d) + np.array([1, -1])[:, None, None, None] * w) / 2
-    out.setflags(write=False)
-    return out
-
-
 @lru_cache(maxsize=64)
 def _rendered(n: int, generator_bytes: bytes) -> qcore.PureState:
     """The stabilizer state of the n x (2n+1) int8 generator array with these
     bytes. A trial renders its instance's base state and, from the honest
     prover, the same generators again; this renders them once.
 
-    The state is the largest column of the product of its projectors
-    (I + (-1)^s W) / 2, normalized, with the first significant entry made
-    real positive. Every projector entry is a dyadic rational, so the
-    product is exact.
+    The state's projector, the product of its (I + (-1)^s W) / 2, is 2^-n
+    times the sum of its signed group's elements i^E_k X^x_k Z^z_k, built by
+    doubling as in ``_group_index``, on Python ints, with 2 added to E for
+    each generator of sign bit 1. Element k sends |j> to
+    i^(E_k + 2 z_k.j) |j ^ x_k>. This writes the projector's first column j
+    whose diagonal entry is nonzero, that is, whose bits give +1 on every
+    diagonal (Z-only) element. Every entry is a dyadic rational, so the
+    column is bit for bit the product's, and of the product's columns,
+    which share one norm, the largest and first. It is normalized, with the
+    first significant entry made real positive.
     """
-    labels, signs = zip(*_packed_rows(n, generator_bytes))
-    proj = reduce(np.matmul, _projector_factors(n)[list(signs), list(labels)])
-    norms = np.linalg.norm(proj, axis=0)
-    col = norms.argmax()
-    v = proj[:, col] / norms[col]
-    # canonical global phase: first significant entry real positive
-    first = v[(np.abs(v) > 1e-8).argmax()]
+    d, mask = 1 << n, (1 << n) - 1
+    group = [(0, 0)]  # (x | z << n, E) per element
+    for g, s in _packed_rows(n, generator_bytes):
+        gx, step = g & mask, (g & mask & (g >> n)).bit_count() + 2 * s
+        group += [(a ^ g, e + step + 2 * ((a >> n) & gx).bit_count()) for a, e in group]
+    diagonal = [(l >> n, e) for l, e in group if not l & mask]
+    j = next((j for j in range(d) if all(e + 2 * (j & z).bit_count() & 3 == 0 for z, e in diagonal)), None)
+    if j is None:
+        raise ValueError("the signed generators stabilize no state")
+    parts = [0] * (2 * d)  # real parts, then imaginary parts, times 2^n
+    for l, e in group:
+        r = e + 2 * (j & (l >> n)).bit_count()
+        parts[(r & 1) * d + (j ^ (l & mask))] += 1 - (r & 2)
+    column = np.empty(d, dtype=complex)
+    column.real, column.imag = np.array(parts).reshape(2, d) / d
+    v = column / (math.sqrt(sum(p * p for p in parts)) / d)  # the exact norm, correctly rounded
+    # canonical global phase: first significant (nonzero) entry real positive
+    first = v[next(i for i in range(d) if parts[i] or parts[d + i])]
     return qcore.PureState(v * (first.conj() / np.abs(first)))
 
 
-def _group_index(n: int, subspaces: np.ndarray) -> np.ndarray:
+def _group_index(n: int, subspaces) -> np.ndarray:
     """(len(subspaces), 2^n) index of c_k <W_(l_k)> in [exps, -exps].
 
     Element k of a subspace's group is the product of the generators in the
-    bit set k, c_k W_(l_k) with c_k = +-1. The table is built by doubling:
-    for k < 2^i, element k + 2^i is element k times generator i, and
-    W_a W_b = i^e W_(a^b) with e = a_x.a_z + b_x.b_z + 2 a_z.b_x - c_x.c_z
-    (dots are popcounts, c = a ^ b), so the phase exponents add mod 4.
+    bit set k, c_k W_(l_k) with c_k = +-1. With W_(x,z) = i^(x.z) X^x Z^z
+    (``qmeas.dense_pauli``) and Z^z X^x' = (-1)^(z.x') X^x' Z^z, the
+    product of i^E X^x Z^z and i^E' X^x' Z^z' is
+    i^(E + E' + 2 z.x') X^(x^x') Z^(z^z') (dots are popcounts). The table
+    is built by doubling: for k < 2^i, element k + 2^i is element k times
+    generator i. Then c_k = i^(E_k - x_k.z_k).
     """
     mask = (1 << n) - 1
     popcount = qmeas.popcount_table(n)
-
-    def xz(a):
-        return popcount[(a & mask) & (a >> n)]
-
     gens = np.array(subspaces, dtype=np.int64)
-    labels = np.zeros((len(subspaces), 1 << n), dtype=np.int64)
+    labels = np.zeros((len(gens), 1 << n), dtype=np.int64)
     expo = np.zeros_like(labels)
     for i in range(n):
         half = 1 << i
         a, b = labels[:, :half], gens[:, i : i + 1]
-        c = a ^ b
-        labels[:, half : 2 * half] = c
-        e = xz(a) + xz(b) + 2 * popcount[(a >> n) & (b & mask)] - xz(c)
-        expo[:, half : 2 * half] = expo[:, :half] + e
+        labels[:, half : 2 * half] = a ^ b
+        expo[:, half : 2 * half] = expo[:, :half] + popcount[b & mask & (b >> n)] + 2 * popcount[(a >> n) & b & mask]
+    expo -= popcount[labels & mask & (labels >> n)]
     if np.any(expo & 1):
         raise qcore.InvariantError("group element with an imaginary phase: generators do not commute")
     index = labels + ((expo & 2) == 2) * (1 << (2 * n))
@@ -233,37 +272,47 @@ def _group_index(n: int, subspaces: np.ndarray) -> np.ndarray:
 
 
 class _StateTable(Sequence):
-    """The states of a read-only (states, n, 2n+1) generator table, each described
-    when read; as in a tuple, a state read again while its description lives gets it."""
+    """The stabilizer states of the isotropic subspace rows ``subspaces``,
+    state i being row i >> n with sign bit (i >> r) & 1 on generator r, each
+    described when read; as in a tuple, a state read again while its
+    description lives gets it, through any slice of the table."""
 
-    def __init__(self, table: np.ndarray):
-        self.table, self.alive = table, weakref.WeakValueDictionary()
+    def __init__(self, n: int, subspaces: np.ndarray):
+        self.n, self.subspaces, self.ids = n, subspaces, range(len(subspaces) << n)
+        self.alive = weakref.WeakValueDictionary()
+        codes = np.arange(2 << (2 * n))[:, None]  # 2 * label + sign bit
+        bits = np.concatenate([codes >> np.arange(1, 2 * n + 1), codes], axis=1) & 1
+        self.rows = tuple(row.tobytes() for row in bits.astype(np.int8))  # the int8 generator row of each code
 
     def __len__(self) -> int:
-        return len(self.table)
+        return len(self.ids)
 
     def __getitem__(self, i):
-        rows = self.table[i]
-        if rows.ndim == 3:
-            return _StateTable(rows)
-        return self.alive.setdefault(i % len(self.table), StabilizerStateDesc(len(rows), rows))
+        if isinstance(i, slice):
+            part = copy.copy(self)
+            part.ids = self.ids[i]
+            return part
+        i = self.ids[i]
+        desc = self.alive.get(i)
+        if desc is None:
+            n, rows = self.n, self.rows
+            signed = b"".join([rows[2 * label + (i >> r & 1)] for r, label in enumerate(self.subspaces[i >> n].tolist())])
+            desc = self.alive[i] = StabilizerStateDesc(n, np.ndarray((n, 2 * n + 1), np.int8, signed))
+        return desc
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=5)
 def enumerate_stabilizers(n: int) -> Sequence[StabilizerStateDesc]:
-    """Every pure n-qubit stabilizer state exactly once (n <= 4): state
-    S * 2^n + s is isotropic subspace S with sign bit (s >> i) & 1 on row i."""
+    """Every pure n-qubit stabilizer state exactly once (n <= 5): state
+    S * 2^n + s is isotropic subspace S with sign bit (s >> i) & 1 on row i,
+    described when read."""
     subspaces = _maximal_isotropic_subspaces(n)
     if len(subspaces) << n != STABILIZER_COUNTS[n]:
         raise qcore.InvariantError(f"{len(subspaces) << n} stabilizer states at n = {n}, not {STABILIZER_COUNTS[n]}")
-    generators = np.empty((len(subspaces), 1 << n, n, 2 * n + 1), dtype=np.int8)
-    generators[..., : 2 * n] = np.unpackbits(subspaces[:, None, :, None], axis=-1, count=2 * n, bitorder="little")
-    generators[..., 2 * n] = (np.arange(1 << n)[:, None] >> np.arange(n)) & 1
-    generators.setflags(write=False)
-    return _StateTable(generators.reshape(-1, n, 2 * n + 1))
+    return _StateTable(n, subspaces)
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=5)
 def stabilizer_group_index(n: int) -> np.ndarray:
     """(num_states / 2^n, 2^n) read-only table, one row per isotropic subspace
     in enumeration order: entry k is l_k + 4^n [c_k = -1], so that

@@ -408,12 +408,17 @@ def _block_pairs(n: int) -> int:
     return max(1, min(_LADDER_ELEMS // (2 * n), _SCRATCH_ELEMS // (13 * n)))
 
 
-# pairs x nodes^2 of a round at or under which its message and its bind are
-# computed in Python ints, where a numpy call's fixed cost outweighs its
-# arithmetic (timeit: at D = 8, 4 pairs took 104 us in Python ints against
-# 163 us in numpy, 8 pairs 193 against 177; the crossover is near 20 pairs at
-# D = 2 and 2 at D = 20): at most 5 pairs at D = 8 and none at D >= 25
-_TAIL_WORK = 700
+# pairs x nodes x (nodes + 10) of a round at or under which its message and
+# its bind are computed in Python ints, where numpy's fixed cost outweighs
+# its arithmetic. A pair costs a product of D factors at each node in Python
+# ints, while numpy's cost grows slowly with D: in timeit of message and bind
+# (one BLAS thread) the crossover fell at about 27 pairs at D = 1 (28 pairs
+# took 295 us in Python ints against 293 us in numpy), 21 at D = 2, 8 at
+# D = 7, 7.5 at D = 8 (6 pairs: 170 against 213 us; 8: 224 against 213) and
+# 2 at D = 20, which is 1500-1700 units each. So at most 26 pairs at D = 1,
+# 7 at D = 7 (as under the pairs x nodes^2 <= 700 bound it replaced) and 1
+# at D = 20.
+_TAIL_WORK = 1500
 
 # message nodes at or under which node values are summed in Python ints
 # (timeit: 11 us at 10 nodes against numpy's 42 us, 36 us at 17 against 35,
@@ -475,7 +480,7 @@ class _SumcheckEngine:
     triangles' limbs, split once per engine. The Vandermonde matrix of the
     nodes turns the coefficients in t, the R part times the line, into node
     values, in Python ints up to ``_INT_NODES`` nodes. A round whose
-    pairs x nodes^2 is at most ``_TAIL_WORK`` instead evaluates
+    pairs x nodes x (nodes + 10) is at most ``_TAIL_WORK`` instead evaluates
     c P(u + t d) + line(t) w R(u + t d) of every pair at every node in
     Python ints, and binds in them too. Every step is exact arithmetic in
     GF(Q), so the messages equal those of evaluating g at every node.
@@ -522,7 +527,7 @@ class _SumcheckEngine:
         self.n = len(self.triangle) // 2  # powers 0..n-1 of each polynomial
         self.num_nodes = polynomial.num_nodes
         self.vandermonde = _vandermonde(self.num_nodes)
-        self.pair_work = self.num_nodes**2  # one pair's share of a round's work (``_TAIL_WORK``)
+        self.pair_work = self.num_nodes * (self.num_nodes + 10)  # one pair's share of a round's work (``_TAIL_WORK``)
         self.node_rows = self.vandermonde.tolist() if self.num_nodes <= _INT_NODES else None
         self.block = _block_pairs(self.n)
         self.dense = False  # every column pair distinct, from this round on

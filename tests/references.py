@@ -1,10 +1,11 @@
 """References the tests compare the program against: the per-sample
 verifier update, the engine's closing value, the eq table built by
-doubling, Lagrange evaluation at a point, the stabilizer projector
-factors and the purity verdict over per-round records, each the body it
-had in the program."""
+doubling, Lagrange evaluation at a point, the stabilizer render from a
+product of projectors and the purity verdict over per-round records, each
+the body it had in the program."""
 
 from dataclasses import dataclass
+from functools import cache, reduce
 
 import numpy as np
 
@@ -60,16 +61,33 @@ class ClosingEngine(_SumcheckEngine):
         return self.polynomial.value(int(self.values[self.ids[0]]), self.prefix)
 
 
+@cache
 def projector_factors(n: int) -> np.ndarray:
     """(2, 4^n, 2^n, 2^n): (I + (-1)^s W) / 2 for sign bit s and every Pauli
-    label, one ``qmeas.dense_pauli`` matrix per label."""
+    label, one ``qmeas.dense_pauli`` matrix per label (cached, read-only)."""
     d = 1 << n
     out = np.empty((2, 1 << (2 * n), d, d), dtype=complex)
     for label in range(1 << (2 * n)):
         w = qmeas.dense_pauli(qmeas.PauliLabel.from_index(n, label))
         for sign in (0, 1):
             out[sign, label] = (np.eye(d) + (-1) ** sign * w) / 2
+    out.setflags(write=False)
     return out
+
+
+def projector_product_render(n: int, generators: np.ndarray) -> np.ndarray:
+    """The amplitudes of the stabilizer state of an n x (2n+1) generator
+    array: the largest column of the product of its projectors
+    (I + (-1)^s W) / 2, normalized, with the first significant entry made
+    real positive."""
+    labels = [int(sum(int(bit) << j for j, bit in enumerate(row[: 2 * n]))) for row in generators]
+    signs = [int(row[2 * n]) for row in generators]
+    proj = reduce(np.matmul, projector_factors(n)[signs, labels])
+    norms = np.linalg.norm(proj, axis=0)
+    col = norms.argmax()
+    v = proj[:, col] / norms[col]
+    first = v[(np.abs(v) > 1e-8).argmax()]
+    return v * (first.conj() / np.abs(first))
 
 
 @dataclass

@@ -46,7 +46,7 @@ class TestConfigParsing:
             ("tomo", "epsilon=0"),
             ("stab", "n=0"),
             ("stab", "n=-1"),
-            ("stab", "n=5"),
+            ("stab", "n=6"),
             ("trivial", "n=0"),
             ("tomo", "rank_k=0"),
             ("tomo", "rank_k=5"),

@@ -502,7 +502,7 @@ class TestRoundAccounting:
         bulk, ref = (Channel("quantum", record_transcript=transcript) for _ in range(2))
         for channel in (bulk, ref):
             channel.send_bits("v->p", [1, 0], 0)  # earlier traffic
-        bulk.send_rounds(rounds, cfg.m, answers, 3)
+        bulk.send_rounds(stack, index, cfg.m, answers, 3)
         for r, (state, answer) in enumerate(zip(rounds, answers), 3):
             ref.send_stream("v->p", state, cfg.m, r)
             ref.send_bits("p->v", [answer], r)
@@ -513,7 +513,7 @@ class TestRoundAccounting:
     def test_classical_channel_rejects_the_rounds(self):
         channel = Channel("classical")
         with pytest.raises(ChannelTypeError, match="classical channel rejects qudit payloads"):
-            channel.send_rounds([np.eye(2) / 2], 2, [0], 1)
+            channel.send_rounds([np.eye(2) / 2], [0], 2, [0], 1)
         assert channel.counters() == Channel("classical").counters()
         assert channel.transcript == []
 

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from references import projector_factors
+from references import projector_product_render
 
 import ipsim
 from ipsim import qcore, qmeas, stab_ip
@@ -169,7 +169,7 @@ class TestEnumeration:
         assert len(enumerate_stabilizers(n)) == STABILIZER_COUNTS[n]
 
     def test_count_formula(self):
-        for n in (1, 2, 3, 4):
+        for n in (1, 2, 3, 4, 5):
             expected = (1 << n) * math.prod((1 << j) + 1 for j in range(1, n + 1))
             assert STABILIZER_COUNTS[n] == expected
 
@@ -240,8 +240,10 @@ class TestEnumeration:
         assert int(run.stdout) < 12 << 20
 
     def test_descriptions_share_one_generator_table(self):
-        """The n = 4 descriptions index one shared generator table: an array
-        view per state would add about 3.4 MB."""
+        """The n = 4 descriptions are read from the cached subspace rows and
+        one generator row per label and sign bit (27 KB in all): the table
+        holds no generator array (a full one would take 1.3 MB, and an
+        array view per state about 3.4 MB more)."""
         stab_ip._maximal_isotropic_subspaces(4)
         tracemalloc.start()
         try:
@@ -251,7 +253,7 @@ class TestEnumeration:
         finally:
             tracemalloc.stop()
         assert len(states) == STABILIZER_COUNTS[4]
-        assert held < 6 << 20
+        assert held < 64 << 10
 
     def test_cold_subspace_search_peak_memory(self):
         """The array passes run over fixed blocks of frontier rows. The Python
@@ -286,16 +288,19 @@ class TestEnumeration:
         with pytest.raises(qcore.InvariantError, match="60 stabilizer states at n = 2, not 61"):
             enumerate_stabilizers(2)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
-    def test_projector_factors_match_reference(self, n):
-        factors = stab_ip._projector_factors(n)
-        assert factors.tobytes() == projector_factors(n).tobytes() and not factors.flags.writeable
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_group_render_matches_projector_product(self, n):
+        """Every state renders from its signed group to the bytes of the
+        projector product (n = 4 is pinned by ``N4_TABLE_SHA256``)."""
+        for desc in enumerate_stabilizers(n):
+            expected = projector_product_render(n, desc.generators)
+            assert stab_ip._rendered.__wrapped__(n, desc.generators.tobytes()).amplitudes.tobytes() == expected.tobytes()
 
-    def test_more_than_four_qubits_rejected(self):
-        with pytest.raises(ValueError, match="1..4"):
-            enumerate_stabilizers(5)
-        with pytest.raises(ValueError, match="1..4"):
-            all_fidelities(qcore.basis_state(1 << 5, 0))
+    def test_more_than_five_qubits_rejected(self):
+        with pytest.raises(ValueError, match="1..5"):
+            enumerate_stabilizers(6)
+        with pytest.raises(ValueError, match="1..5"):
+            all_fidelities(qcore.basis_state(1 << 6, 0))
 
     def test_non_bit_entries_rejected(self):
         bad = enumerate_stabilizers(2)[7].generators.copy()
@@ -310,6 +315,25 @@ class TestEnumeration:
         bad[1] = bad[0]  # dependent rows
         with pytest.raises(ProtocolAbort):
             validate_candidate(bad, 2)
+
+
+class TestFiveQubits:
+    def test_count_and_isotropic_group_rows(self):
+        """n = 5 has 2 423 520 states: 75 735 subspaces, each group-index row
+        the 32 distinct, pairwise commuting elements of a maximal isotropic
+        subspace, and no two rows the same subspace."""
+        assert len(enumerate_stabilizers(5)) == STABILIZER_COUNTS[5] == 2_423_520
+        index = stab_ip.stabilizer_group_index(5)
+        assert index.shape == (75_735, 32)
+        labels = np.sort(index % (1 << 10), axis=1)
+        assert (np.diff(labels, axis=1) > 0).all()
+        assert len(np.unique(labels, axis=0)) == len(labels)
+        popcount = qmeas.popcount_table(5)
+        for block in np.array_split(index % (1 << 10), 8):
+            # every element commutes with the generators (elements 1, 2, 4, 8, 16), so with every element
+            x, z = block & 31, block >> 5
+            gx, gz = x[:, [1, 2, 4, 8, 16], None], z[:, [1, 2, 4, 8, 16], None]
+            assert not (popcount[(x[:, None, :] & gz) ^ (z[:, None, :] & gx)] & 1).any()
 
 
 def _extensions(n, gens, elements):

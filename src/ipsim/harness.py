@@ -74,10 +74,6 @@ def canonical_bytes(obj) -> bytes:
     raise TypeError(f"no canonical encoding for {type(obj).__name__}")
 
 
-def payload_digest(obj) -> str:
-    return hashlib.sha256(canonical_bytes(obj)).hexdigest()[:16]
-
-
 @dataclass
 class QueryMeter:
     """Monotone per-party copy/sample counter with a per-round-kind breakdown."""
@@ -182,8 +178,9 @@ class CopyOracle:
     ``draw_batch``).
 
     ``ideal_access`` marks harness-internal oracles whose owner is allowed
-    to read the hidden instance directly (ideal-mode contract provers and
-    test judges). Everything else goes through copies.
+    to read the hidden instance directly (``ideal_peek``, the ideal-mode
+    contract provers); ``judge_peek`` is the verifier side of the ideal
+    contract. Everything else goes through copies.
     """
 
     def __init__(self, hidden_instance, *, tracker: LiveCopyTracker | None = None, ideal_access: bool = False):
@@ -234,7 +231,7 @@ class CopyOracle:
             copy = copy.with_unitary(unitary)
         self.meter.charge(copies - 1, kind)
         if channel is not None:
-            return channel.send_stream("v->p", copy, n, channel.round)
+            return channel.send_stream("v->p", copy, n)
         return CopyStream(copy.consume(), n)
 
     def sample_batch(self, rng: np.random.Generator, size: int, kind: str = "sample"):
@@ -249,31 +246,23 @@ class CopyOracle:
         return self._hidden
 
     def judge_peek(self):
-        """Hidden instance for exact ground-truth judging; test/report context only."""
+        """The hidden instance, read without a copy: the verifier side of the
+        ideal contract. Its caller pays for the read with the contract's
+        budget, charged under an ``*-accounting`` kind
+        (``tomo_ip.certify_closeness``, ``lowrank_ip.delegated_purity_estimate``
+        and ``topk_spectrum_estimate``, ``stab_ip.estimate_A3`` and
+        ``TrivialConfig``'s ideal checker); ``TrivialConfig``'s test-only
+        "exact-test" checker reads it for free."""
         return self._hidden
-
-
-def transcript_line(round_index: int, direction: str, payload_kind: str, size: int, digest: str) -> str:
-    """One channel message as its JSONL transcript line."""
-    return json.dumps(
-        {
-            "round": round_index,
-            "direction": direction,
-            "payload_kind": payload_kind,
-            "size_bits_or_qudits": size,
-            "digest": digest,
-        },
-        sort_keys=True,
-    )
 
 
 class Channel:
     """Typed message channel with per-direction bit/qudit counters and, when
     recording, the transcript as its JSONL lines.
 
-    ``round`` is the round the session opened last (``Session.next_round``);
-    bulk sends that name no round, a stream and a raw bit count, are stamped
-    with it, so a transcript's rounds never decrease.
+    Every send is one metering step (``_send``). ``round`` is the round the
+    session opened last (``Session.next_round``); a send that names no
+    round is stamped with it, so a transcript's rounds never decrease.
     """
 
     def __init__(self, kind: str = "quantum", record_transcript: bool = True):
@@ -288,76 +277,78 @@ class Channel:
         self.record_transcript = record_transcript
         self.round = 0
 
-    def _count_bits(self, direction: str, nbits: int):
-        if direction == "v->p":
-            self.bits_v_to_p += nbits
+    def _send(self, direction: str, payload_kind: str, size: int, payload, times: int = 1, round_index=None):
+        """The metering step of every message: ``times`` messages in
+        ``direction``, each of ``size`` bits, or qudits when ``payload_kind``
+        is "qudits". A qudit payload is refused by a classical channel before
+        any copy is consumed, then consumed (releasing the sender's live
+        slots). Adds size * times to the counter and, when recording, appends
+        ``times`` copies of the message's transcript line, stamped with
+        ``round_index`` (default the current round) and the digest of
+        ``payload`` ("-" for None). Returns the payload, consumed."""
+        if payload_kind == "qudits":
+            if self.kind == "classical":
+                raise ChannelTypeError("classical channel rejects qudit payloads")
+            payload = [c.consume() if isinstance(c, Copy) else c for c in payload]
+            if direction == "v->p":
+                self.qudits_v_to_p += size * times
+            else:
+                self.qudits_p_to_v += size * times
+        elif direction == "v->p":
+            self.bits_v_to_p += size * times
         else:
-            self.bits_p_to_v += nbits
+            self.bits_p_to_v += size * times
+        if self.record_transcript:
+            line = json.dumps(
+                {
+                    "round": self.round if round_index is None else round_index,
+                    "direction": direction,
+                    "payload_kind": payload_kind,
+                    "size_bits_or_qudits": size,
+                    "digest": "-" if payload is None else hashlib.sha256(canonical_bytes(payload)).hexdigest()[:16],
+                },
+                sort_keys=True,
+            )
+            self.transcript += [line] * times
+        return payload
 
-    def send_bits(self, direction: str, bits, round_index: int = 0):
+    def send_bits(self, direction: str, bits, round_index: int | None = None):
         bits = list(bits)
-        self._count_bits(direction, len(bits))
-        if self.record_transcript:
-            self.transcript.append(transcript_line(round_index, direction, "bits", len(bits), payload_digest(bits)))
-        return bits
+        return self._send(direction, "bits", len(bits), bits, 1, round_index)
 
-    def send_structured(self, direction: str, obj, round_index: int = 0):
+    def send_structured(self, direction: str, obj, round_index: int | None = None):
         payload = canonical_bytes(obj)
-        nbits = 8 * len(payload)
-        self._count_bits(direction, nbits)
-        if self.record_transcript:
-            self.transcript.append(transcript_line(round_index, direction, "structured", nbits, payload_digest(payload)))
+        self._send(direction, "structured", 8 * len(payload), payload, 1, round_index)
         return obj
 
     def count_raw_bits(self, direction: str, nbits: int, note: str = "stream"):
         """Accounts a bulk classical payload (e.g. a forwarded sample stream)
-        in the current round without materializing per-item messages."""
-        self._count_bits(direction, nbits)
-        if self.record_transcript:
-            self.transcript.append(transcript_line(self.round, direction, note, nbits, "-"))
+        without materializing per-item messages."""
+        self._send(direction, note, nbits, None)
 
-    def send_qudits(self, direction: str, copies, round_index: int = 0):
+    def send_qudits(self, direction: str, copies, round_index: int | None = None):
         """Transfers copies; sending releases the sender's live slots."""
-        if self.kind == "classical":
-            raise ChannelTypeError("classical channel rejects qudit payloads")
-        states = [c.consume() if isinstance(c, Copy) else c for c in copies]
-        n = len(states)
-        if direction == "v->p":
-            self.qudits_v_to_p += n
-        else:
-            self.qudits_p_to_v += n
-        if self.record_transcript:
-            self.transcript.append(transcript_line(round_index, direction, "qudits", n, payload_digest(states)))
-        return states
+        copies = list(copies)
+        return self._send(direction, "qudits", len(copies), copies, 1, round_index)
 
-    def send_stream(self, direction: str, copy, n: int, round_index: int = 0) -> CopyStream:
+    def send_stream(self, direction: str, copy, n: int) -> CopyStream:
         """Transfers n copies of one description one at a time: the counters
         and transcript lines of n one-qudit ``send_qudits`` calls."""
-        if self.kind == "classical":
-            raise ChannelTypeError("classical channel rejects qudit payloads")
-        state = copy.consume() if isinstance(copy, Copy) else copy
-        if direction == "v->p":
-            self.qudits_v_to_p += n
-        else:
-            self.qudits_p_to_v += n
-        if self.record_transcript:
-            line = transcript_line(round_index, direction, "qudits", 1, payload_digest([state]))
-            self.transcript.extend([line] * n)
-        return CopyStream(state, n)
+        return CopyStream(self._send(direction, "qudits", 1, [copy], n)[0], n)
 
     def send_rounds(self, stack, index, n: int, answers, first_round: int) -> None:
         """Round ``first_round + i`` sends n copies of ``stack[index[i]]``
         v->p and the bit ``answers[i]`` p->v: the counters and transcript
         lines, in order, of a ``send_stream`` and a ``send_bits`` per round.
-        The stack is read only for the transcript."""
-        if self.kind == "classical":
-            raise ChannelTypeError("classical channel rejects qudit payloads")
-        self.qudits_v_to_p += n * len(index)
-        self.bits_p_to_v += len(answers)
-        if self.record_transcript:
-            for r, (i, answer) in enumerate(zip(index, answers), first_round):
-                self.transcript += [transcript_line(r, "v->p", "qudits", 1, payload_digest([stack[i]]))] * n
-                self.transcript.append(transcript_line(r, "p->v", "bits", 1, payload_digest([answer])))
+        The stack is read only for the transcript; without one, each
+        direction is one step."""
+        if not self.record_transcript:  # the stack holds descriptions: no copies to release
+            self._send("v->p", "qudits", 1, (), n * len(index))
+            self._send("p->v", "bits", 1, None, len(answers))
+            return
+        for r, (i, answer) in enumerate(zip(index, answers), first_round):
+            self._send("v->p", "qudits", 1, [stack[i]], n, r)
+            self._send("p->v", "bits", 1, [answer], 1, r)
 
     def counters(self) -> dict:
         return {

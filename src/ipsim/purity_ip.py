@@ -240,7 +240,10 @@ class PurityVerifier(Verifier):
         kinds = rng_kinds.integers(0, len(KINDS), size=cfg.N)
         masks = sample_masks(cfg.mask_ensemble, cfg.d, kinds, session.rng("masks"))
         stack, index = prepare_rounds(kinds, *masks, session.oracle_v, cfg)
-        answers = list(map(int, prover.answer_rounds(stack, index, cfg, session.rng("prover"))))
+        answers = list(prover.answer_rounds(stack, index, cfg, session.rng("prover")))
+        if len(answers) != cfg.N or not set(answers) <= {PURE, MIXED}:
+            raise ProtocolAbort("the prover must answer every round with one bit")
+        answers = list(map(int, answers))
         session.channel.send_rounds(stack, index, cfg.m, answers, session.next_round(cfg.N))
         counts = np.bincount(kinds, minlength=len(KINDS)).tolist()
         self.extras["compute_rounds"] = counts[2]

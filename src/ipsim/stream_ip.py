@@ -394,9 +394,10 @@ def _powers(out: np.ndarray) -> np.ndarray:
 # sum-checks ran slower with 2^15 (one BLAS thread, 2-vCPU Xeon)
 _LADDER_ELEMS = 1 << 16
 
-# the largest scratch an engine holds (2.36 MB), the most the per-kind engines
-# it replaced held: more live data in a warm k = 2^16 session lets its heap
-# outgrow glibc's trim threshold and re-fault about 1100 pages a session
+# the largest scratch an engine holds (2.36 MB). Measured as the engine's
+# forks are (see _SumcheckEngine): twice the cap took x0.98 at k = 2^16 and
+# k = 4096 and x0.99-1.01 at k = 256, with no minor faults in warm k = 2^16
+# sessions, and half of it x0.99-1.01; the cap stays at the smaller footprint
 _SCRATCH_ELEMS = 9 << 15
 
 
@@ -491,28 +492,27 @@ class _SumcheckEngine:
     float64 limbs into it, so that a round touches no fresh pages; its
     ``vmul`` temporaries are new arrays.
 
-    Each fork stays because removing it measured slower on the per-kind
-    engines this one replaced (median ``process_time``, one BLAS thread,
-    2-vCPU Xeon; "sessions" are whole uniformity sessions, interleaved with
-    the full engine's in one process, at k = 2^16, eps = 0.75; k = 4096,
-    eps = 1; and k = 256, eps = 0.9):
-    - the wide GEMM branch: narrow-only sum-checks took x1.84 at k = 2^16
-      and x1.30 at k = 4096;
-    - the narrow GEMM branch: wide-only took x2.48 at k = 256, D = 128;
-    - dense rounds: ranked to the end, sessions took x1.17 at k = 2^16,
-      x1.15 at k = 4096 and x1.14 at k = 256 (uniform);
-    - counting ranks (``_rank``): sorting the pairs of a round took x1.07
-      at k = 2^16, whose rounds 0 and 1 count, and sorting a table takes
-      1.19 ms against 0.19 ms at k = 2^16;
-    - the Python-int tail: numpy down to the last round took x1.03 at
-      k = 2^16, x1.10 at k = 4096 and x1.07 at k = 256;
-    - node values in Python ints up to ``_INT_NODES`` nodes: the numpy
-      Vandermonde product took x1.02 at k = 2^16 and x1.05 at k = 4096;
+    Each fork stays: turning it off alone measured slower on this engine
+    (median of paired ratios against the full engine, interleaved in one
+    process, ``process_time``, one BLAS thread, 2-vCPU Xeon) in the prover's
+    part of a sum-check with the verifier's node evaluation, at k = 2^16,
+    eps = 0.75 (D = 7-9); k = 4096, eps = 1 (D = 8-11); k = 256, eps = 0.9
+    (D = 19-27); and k = 256 on its reject instance (D = 98-113), in that
+    order, where an unchanged copy read x0.99 to x1.02 ("-": never runs):
+    - the wide GEMM branch: x1.90, x1.25, x1.04, x1.01;
+    - the narrow GEMM branch: x1.01, x1.00, x1.03, x1.85;
+    - dense rounds: x1.31, x1.28, x1.21, x1.02;
+    - counting ranks (``_rank``): x1.16, x1.01, x1.00, x0.99;
+    - the Python-int tail: x1.03, x1.09, x1.02, -;
+    - node values in Python ints up to ``_INT_NODES`` nodes: x1.01,
+      x1.03, -, -;
     - the scratch and the ``out``/``work``/``limbs`` buffers of
-      ``_segment_sums_mod`` and ``m61.matmul``: without them a warm k = 2^16
-      session went from 0 to 3434 minor faults and about 8% more CPU;
-    - the verifier's Lagrange weight table (``_weights_cached``): a streamed
-      evaluation without it took 126 us per 35-node round, against 90 us.
+      ``_segment_sums_mod`` and ``m61.matmul``: without them warm k = 2^16
+      sessions, one variant per process, went from 0 to 958 minor faults
+      and from 27-28 to 31-32 ms of CPU each (x1.02 interleaved, where the
+      engines reuse each other's freed pages);
+    - ``_weights_cached`` saves one ``m61.lagrange_weights`` per sum-check,
+      32 us at 12 nodes, inside the noise (x1.01).
     """
 
     def __init__(self, ranked: DistinctTable, polynomial: BatchedPolynomial, zeta: list[int]):

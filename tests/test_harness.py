@@ -136,7 +136,8 @@ class TestCopyStream:
         ref, ch = Channel("quantum"), Channel("quantum")
         for _ in range(26):
             ref.send_qudits("v->p", [Copy(state, None)], 3)
-        sent = ch.send_stream("v->p", state, 26, 3)
+        ch.round = 3
+        sent = ch.send_stream("v->p", state, 26)
         assert sent.state is state and len(sent) == 26
         assert ch.counters() == ref.counters()
         assert ch.transcript == ref.transcript
@@ -201,7 +202,8 @@ class TestCopyStream:
             if stacked:
                 states = oracle.stream(n, "compute-round", unitary=masks).state
                 for r, state in enumerate(states, 1):
-                    channel.send_stream("v->p", state, n, r)
+                    channel.round = r
+                    channel.send_stream("v->p", state, n)
             else:
                 states = []
                 for r, u in enumerate(masks, 1):
@@ -262,6 +264,89 @@ class TestChannel:
         ch.send_bits("p->v", [1], round_index=3)
         line = json.loads(ch.transcript[0])
         assert set(line) == {"round", "direction", "payload_kind", "size_bits_or_qudits", "digest"}
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("record", [False, True])
+    def test_every_send_kind_matches_a_per_message_model(self, seed, record):
+        """Mixed sends of every kind in both directions against a model in
+        which each message adds its size to one counter and, when recording,
+        is one line stamped with its round (by default the current one)."""
+        g = np.random.default_rng(seed)
+        ch = Channel("quantum", record_transcript=record)
+        tracker = LiveCopyTracker(None)
+        want, lines = dict.fromkeys(ch.counters(), 0), []
+
+        def message(round_index, direction, kind, size, payload):
+            unit = "qudits" if kind == "qudits" else "bits"
+            want[f"{unit}_{direction.replace('->', '_to_')}"] += size
+            digest = "-" if payload is None else hashlib.sha256(canonical_bytes(payload)).hexdigest()[:16]
+            line = {"round": round_index, "direction": direction, "payload_kind": kind}
+            lines.append(json.dumps({**line, "size_bits_or_qudits": size, "digest": digest}, sort_keys=True))
+
+        def copy(state):
+            tracker.acquire()
+            return Copy(state, tracker)
+
+        states = [qcore.sample_state(2, 1 + i % 2, g).entries for i in range(3)]
+        for _ in range(30):
+            if g.random() < 0.3:
+                ch.round += 1
+            direction = ("v->p", "p->v")[g.integers(2)]
+            named = None if g.random() < 0.5 else int(g.integers(100))
+            stamp = ch.round if named is None else named
+            op = g.integers(6)
+            if op == 0:
+                bits = g.integers(0, 2, size=g.integers(0, 5)).tolist()
+                assert ch.send_bits(direction, bits, named) == bits
+                message(stamp, direction, "bits", len(bits), bits)
+            elif op == 1:
+                obj = {"x": int(g.integers(1000)), "u": states[g.integers(3)]}
+                assert ch.send_structured(direction, obj, named) is obj
+                message(stamp, direction, "structured", 8 * len(canonical_bytes(obj)), canonical_bytes(obj))
+            elif op == 2:
+                nbits, note = int(g.integers(0, 500)), ("stream", "zeta")[g.integers(2)]
+                ch.count_raw_bits(direction, nbits, note=note)
+                message(ch.round, direction, note, nbits, None)
+            elif op == 3:
+                sent = [states[i] for i in g.integers(0, 3, size=g.integers(0, 4))]
+                got = ch.send_qudits(direction, [copy(s) for s in sent], named)
+                assert all(a is b for a, b in zip(got, sent, strict=True))
+                message(stamp, direction, "qudits", len(sent), sent)
+            elif op == 4:
+                n, state = int(g.integers(0, 4)), states[g.integers(3)]
+                got = ch.send_stream(direction, copy(state), n)
+                assert got.state is state and len(got) == n
+                for _ in range(n):
+                    message(ch.round, direction, "qudits", 1, [state])
+            else:
+                index = g.integers(0, 3, size=g.integers(0, 4))
+                n, answers = int(g.integers(0, 4)), g.integers(0, 2, size=len(index)).tolist()
+                first = ch.round + 1
+                ch.round += len(index)
+                ch.send_rounds(np.array(states), index, n, answers, first)
+                for r, (i, answer) in enumerate(zip(index, answers), first):
+                    for _ in range(n):
+                        message(r, "v->p", "qudits", 1, [states[i]])
+                    message(r, "p->v", "bits", 1, [answer])
+            assert ch.counters() == want
+            assert ch.transcript == (lines if record else [])
+        assert tracker.live == 0
+
+    @pytest.mark.parametrize("send", ["qudits", "stream", "rounds"])
+    def test_classical_channel_refuses_qudits_before_consuming(self, send):
+        ch = Channel("classical", record_transcript=True)
+        tracker = LiveCopyTracker(1)
+        tracker.acquire()
+        held = Copy(np.eye(2) / 2, tracker)
+        with pytest.raises(ChannelTypeError, match="classical channel rejects qudit payloads"):
+            if send == "qudits":
+                ch.send_qudits("v->p", [held])
+            elif send == "stream":
+                ch.send_stream("v->p", held, 3)
+            else:
+                ch.send_rounds(np.eye(2)[None] / 2, [0], 2, [1], 1)
+        assert held.alive and tracker.live == 1
+        assert ch.counters() == Channel().counters() and ch.transcript == []
 
 
 class TestCanonicalBytes:
@@ -437,9 +522,11 @@ class TestRunSession:
 
             def run(self, session, prover):
                 ch = session.channel
-                ch.send_stream("v->p", np.eye(2) / 2, 3, 1)
+                ch.round = 1
+                ch.send_stream("v->p", np.eye(2) / 2, 3)
                 ch.send_bits("p->v", [1], 1)
-                ch.send_stream("v->p", np.eye(2) / 2, 2, 2)
+                ch.round = 2
+                ch.send_stream("v->p", np.eye(2) / 2, 2)
                 return super().run(session, prover)
 
         probe = Sender()

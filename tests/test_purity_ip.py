@@ -50,11 +50,9 @@ def prepare_round_state(
     cfg: PurityConfig,
     mask: np.ndarray | None,
     channel: Channel,
-    round_index: int,
 ) -> CopyStream:
-    """Sends one round's m copies v->p, one at a time, in round
-    ``round_index``, the channel's current round; returns the copies the
-    prover received.
+    """Sends one round's m copies v->p, one at a time, in the channel's
+    current round; returns the copies the prover received.
 
     Mixed test rounds cost no oracle queries and carry no mask; pure test
     rounds mask |0><0|; compute rounds mask m fresh oracle copies.
@@ -62,10 +60,10 @@ def prepare_round_state(
     d = cfg.d
     if kind == "m":
         state = np.eye(d, dtype=complex) / d
-        return channel.send_stream("v->p", state, cfg.m, round_index)
+        return channel.send_stream("v->p", state, cfg.m)
     if kind == "p":
         state = np.outer(mask[:, 0], mask[:, 0].conj())
-        return channel.send_stream("v->p", state, cfg.m, round_index)
+        return channel.send_stream("v->p", state, cfg.m)
     if kind == "c":
         return oracle_v.stream(cfg.m, "compute-round", channel=channel, unitary=mask)
     raise ValueError(f"unknown round kind {kind}")
@@ -88,7 +86,7 @@ class ReferenceVerifier(PurityVerifier):
         for kind in round_kinds:
             round_idx = session.next_round()
             mask = None if kind == "m" else _reference_mask(cfg.mask_ensemble, cfg.d, rng_masks).entries
-            received = prepare_round_state(kind, session.oracle_v, cfg, mask, session.channel, round_idx)
+            received = prepare_round_state(kind, session.oracle_v, cfg, mask, session.channel)
             answer = int(prover.answer_round(received, cfg, rng_prover))
             session.channel.send_bits("p->v", [answer], round_idx)
             records.append(RoundRecord(kind, answer))
@@ -139,7 +137,7 @@ class TestPrepareRoundState:
     def _send(kind, oracle, p, seed):
         channel = Channel("quantum")
         mask = None if kind == "m" else _full_masks(p.mask_ensemble, p.d, 1, np.random.default_rng(seed))[0]
-        copies = prepare_round_state(kind, oracle, p, mask, channel, 0)
+        copies = prepare_round_state(kind, oracle, p, mask, channel)
         assert channel.qudits_v_to_p == len(copies) == p.m
         return copies, mask
 
@@ -189,7 +187,7 @@ class TestPrepareRounds:
         rest, channel = iter(masks), Channel("quantum")
         for kind, i in zip(kinds, index, strict=True):
             mask = None if kind == 0 else next(rest)
-            assert np.array_equal(stack[i], prepare_round_state(KINDS[kind], ref_oracle, cfg, mask, channel, 0)[0])
+            assert np.array_equal(stack[i], prepare_round_state(KINDS[kind], ref_oracle, cfg, mask, channel)[0])
         assert (oracle.meter.total, oracle.meter.by_kind) == (ref_oracle.meter.total, ref_oracle.meter.by_kind)
         assert (oracle.tracker.live, oracle.tracker.peak) == (ref_oracle.tracker.live, ref_oracle.tracker.peak)
         assert set(index[kinds == 0]) == {0}  # one shared I/d
@@ -504,7 +502,8 @@ class TestRoundAccounting:
             channel.send_bits("v->p", [1, 0], 0)  # earlier traffic
         bulk.send_rounds(stack, index, cfg.m, answers, 3)
         for r, (state, answer) in enumerate(zip(rounds, answers), 3):
-            ref.send_stream("v->p", state, cfg.m, r)
+            ref.round = r
+            ref.send_stream("v->p", state, cfg.m)
             ref.send_bits("p->v", [answer], r)
         assert bulk.counters() == ref.counters()
         assert bulk.transcript == ref.transcript
@@ -516,6 +515,45 @@ class TestRoundAccounting:
             channel.send_rounds([np.eye(2) / 2], [0], 2, [0], 1)
         assert channel.counters() == Channel("classical").counters()
         assert channel.transcript == []
+
+
+class TestAnswerCheck:
+    """The verifier aborts, before any round is accounted, unless the prover
+    answers every round with one bit."""
+
+    @staticmethod
+    def _prover(edit):
+        class Edited(HonestSwapProver):
+            def answer_rounds(self, stack, index, cfg, rng):
+                return edit(super().answer_rounds(stack, index, cfg, rng))
+
+        return Edited()
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda answers: answers[:-1],  # one round unanswered
+            lambda answers: answers + [PURE],  # one answer too many
+            lambda answers: [2] + answers[1:],  # a non-bit
+            lambda answers: [0.5] + answers[1:],  # a non-bit that int() would make a bit
+        ],
+        ids=["one-short", "one-extra", "two", "half"],
+    )
+    @pytest.mark.parametrize("transcript", [False, True])
+    def test_bad_answers_abort(self, edit, transcript):
+        cfg = PurityConfig(d=4, record_transcript=transcript)
+        res = cfg.run_one(qcore.maximally_mixed(4), self._prover(edit), seed=5)
+        assert not res.accepted and res.output is None
+        assert res.abort_reason == "the prover must answer every round with one bit"
+        assert res.channel_counters == Channel().counters()
+        assert res.transcript_lines == ()
+
+    def test_bit_valued_answers_of_other_types_are_bits(self):
+        cfg = PurityConfig(d=4, record_transcript=True)
+        hidden = qcore.maximally_mixed(4)
+        want = cfg.run_one(hidden, HonestSwapProver(), seed=5)
+        got = cfg.run_one(hidden, self._prover(lambda answers: np.array(answers, dtype=bool)), seed=5)
+        assert _fields(got) == _fields(want) and want.accepted
 
 
 class TestVerdict:
